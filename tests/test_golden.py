@@ -1,0 +1,136 @@
+"""Golden certificates: the emitted bytes of fixed scenarios, frozen.
+
+Each scenario renders one or more canonical JSON documents (a
+certificate, or the data carried by an error) and compares them byte
+for byte with tests/golden/<scenario>.jsonl, one document per line.
+Any change to those bytes is a deliberate update: regenerate the files
+from the current code with
+
+    python tests/test_golden.py --update
+
+and record the reason in CHANGES.md.
+"""
+import json
+import sys
+from fractions import Fraction
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from hmslines import (
+    Line,
+    PrecisionError,
+    SearchExhausted,
+    build_model,
+    certify_line,
+    derive_chart_params,
+    find_lines,
+    parse_config,
+)
+from hmslines.serialize import canonical_json
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
+
+README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
+CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
+CHAR3_RAMIFIED_LINE = [[1, -1, 0, 2, 1, -1], [0, 0, 1, -1, -1, 1]]
+
+
+def _config(name, **overrides):
+    path = resources.files("hmslines").joinpath(f"configs/{name}")
+    data = json.loads(path.read_text())
+    data.update(overrides)
+    return parse_config(data)
+
+
+def _certify(rows, config):
+    model = build_model(config)
+    line = Line([[Fraction(c) for c in row] for row in rows])
+    kind, params = derive_chart_params(line, config, model)
+    return certify_line(line, model, config, chart_params=params, chart_kind=kind)
+
+
+def _find(name, count):
+    results = find_lines(_config(name), max_results=count)
+    return [cert.to_json() for _, cert in results]
+
+
+def _precision_failure(rows, precision):
+    try:
+        _certify(rows, _config("char3-demo.json", precision=precision))
+    except PrecisionError as exc:
+        return [canonical_json({"message": str(exc), "needed": exc.needed})]
+    raise AssertionError(f"precision {precision} unexpectedly sufficed")
+
+
+def _exhausted(name, **overrides):
+    try:
+        find_lines(_config(name, **overrides))
+    except SearchExhausted as exc:
+        return [canonical_json({"message": str(exc), "stats": exc.stats})]
+    raise AssertionError("the search unexpectedly found a line")
+
+
+SCENARIOS = {
+    "find-rho0-demo": lambda: _find("rho0-demo.json", 6),
+    "find-char3-demo": lambda: _find("char3-demo.json", 6),
+    "certify-readme-rho0": lambda: [
+        _certify(README_LINE, _config("rho0-demo.json")).to_json()
+    ],
+    "certify-char3-line-p7": lambda: [
+        _certify(CHAR3_LINE, _config("char3-demo.json", precision=7)).to_json()
+    ],
+    "certify-char3-line-p60": lambda: [
+        _certify(CHAR3_LINE, _config("char3-demo.json", precision=60)).to_json()
+    ],
+    "certify-char3-ramified": lambda: [
+        _certify(CHAR3_RAMIFIED_LINE, _config("char3-demo.json")).to_json()
+    ],
+    "precision-char3-line-p5": lambda: _precision_failure(CHAR3_LINE, 5),
+    "precision-char3-line-p6": lambda: _precision_failure(CHAR3_LINE, 6),
+    "exhausted-char3-p5-h120": lambda: _exhausted(
+        "char3-demo.json", precision=5, height_bound=120
+    ),
+}
+
+
+def _render(name) -> bytes:
+    return "".join(doc + "\n" for doc in SCENARIOS[name]()).encode("utf-8")
+
+
+def _golden_path(name) -> Path:
+    return GOLDEN_DIR / f"{name}.jsonl"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden(name):
+    path = _golden_path(name)
+    assert path.exists(), f"no golden file for {name}; run with --update"
+    expected = path.read_bytes()
+    actual = _render(name)
+    if actual == expected:
+        return
+    offset = next(
+        (i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+        min(len(actual), len(expected)),
+    )
+    document = expected[:offset].count(b"\n")
+    pytest.fail(
+        f"golden scenario {name!r} differs at byte {offset} "
+        f"(document {document}; {len(actual)} bytes now, "
+        f"{len(expected)} frozen)"
+    )
+
+
+def update():
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in sorted(SCENARIOS):
+        _golden_path(name).write_bytes(_render(name))
+        print(f"wrote {_golden_path(name)}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden.py --update")
+    update()
