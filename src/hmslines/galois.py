@@ -15,7 +15,6 @@ the transitive labels and is used as an independent cross-check.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DegenerateLineError, HmsError
 from .hensel import (
@@ -26,12 +25,13 @@ from .hensel import (
     pgcd,
     pmod,
     ppowmod,
+    primitive_int_coeffs,
     pscale,
     psub,
 )
 from .mpoly import coeff_is_zero
 from .quartics import BinaryQuartic
-from .scalars import is_square_rational
+from .scalars import is_square_rational, primitive_integers
 
 GROUP_ORDERS = {"S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4, "C2": 2, "C1": 1}
 
@@ -55,13 +55,8 @@ def resolvent_cubic(b, c, d, e):
 
 def _rational_roots_monic_cubic(R):
     """Exact rational roots of a squarefree cubic with Fraction coeffs."""
-    den = 1
-    for c in R:
-        c = Fraction(c)
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(Fraction(c) * den) for c in R]
     roots = []
-    for fac in factor_squarefree_int(ints):
+    for fac in factor_squarefree_int(primitive_integers(R)):
         if len(fac) == 2:
             roots.append(Fraction(-fac[0], fac[1]))
     return sorted(roots)
@@ -74,6 +69,19 @@ def _splits_over_sqrt_disc(delta, disc):
         or is_square_rational(delta)
         or is_square_rational(delta * disc)
     )
+
+
+def _cubic_label(g):
+    """Galois group of an irreducible cubic form, by its discriminant."""
+    c0, c1, c2, c3 = g
+    d3 = (
+        18 * c3 * c2 * c1 * c0
+        - 4 * c2**3 * c0
+        + c2**2 * c1**2
+        - 4 * c3 * c1**3
+        - 27 * c3**2 * c0**2
+    )
+    return ("C3", 3) if is_square_rational(Fraction(d3)) else ("S3", 6)
 
 
 def _reducible_label(forms):
@@ -92,32 +100,27 @@ def _reducible_label(forms):
         return "reducible-composite", 4
     if degs == [1, 3]:
         cub = next(g for g in forms if len(g) == 4)
-        c0, c1, c2, c3 = cub
-        d3 = (
-            18 * c3 * c2 * c1 * c0
-            - 4 * c2**3 * c0
-            + c2**2 * c1**2
-            - 4 * c3 * c1**3
-            - 27 * c3**2 * c0**2
-        )
-        order = 3 if is_square_rational(Fraction(d3)) else 6
-        return "reducible-composite", order
+        return "reducible-composite", _cubic_label(cub)[1]
     raise HmsError(f"unexpected factor degrees {degs}")
 
 
-def quartic_galois_group(q: BinaryQuartic) -> QuarticGaloisGroup:
-    """Galois group of the splitting field of a squarefree quartic."""
+def _squarefree_factors(q: BinaryQuartic):
+    """(discriminant, irreducible factors over Q) of a squarefree quartic."""
     disc = q.discriminant()
     if coeff_is_zero(disc):
         raise DegenerateLineError("quartic has a repeated projective root")
-    disc = Fraction(disc)
-    disc_sq = is_square_rational(disc)
     _, factors = factor_binary_quartic(q)
-    degs = tuple(sorted(len(g) - 1 for g, _ in factors))
+    return Fraction(disc), [g for g, _ in factors]
+
+
+def _galois_group(disc, forms) -> QuarticGaloisGroup:
+    """The group of a squarefree quartic from its discriminant and factors."""
+    disc_sq = is_square_rational(disc)
+    degs = tuple(sorted(len(g) - 1 for g in forms))
     if degs != (4,):
-        label, order = _reducible_label([g for g, _ in factors])
+        label, order = _reducible_label(forms)
         return QuarticGaloisGroup(label, order, False, disc_sq, degs)
-    g = factors[0][0]
+    g = forms[0]
     lc = Fraction(g[4])
     b = Fraction(g[3]) / lc
     c = Fraction(g[2]) / lc
@@ -141,6 +144,11 @@ def quartic_galois_group(q: BinaryQuartic) -> QuarticGaloisGroup:
     return QuarticGaloisGroup(label, GROUP_ORDERS[label], True, disc_sq, degs)
 
 
+def quartic_galois_group(q: BinaryQuartic) -> QuarticGaloisGroup:
+    """Galois group of the splitting field of a squarefree quartic."""
+    return _galois_group(*_squarefree_factors(q))
+
+
 @dataclass
 class SolvabilityReport:
     factors: list  # (coeff tuple, label, order) per irreducible factor
@@ -150,39 +158,27 @@ class SolvabilityReport:
     splitting_degree_bound: int
 
 
-def _factor_label(g):
-    d = len(g) - 1
-    if d == 1:
-        return "C1", 1
-    if d == 2:
-        return "C2", 2
-    if d == 3:
-        c0, c1, c2, c3 = g
-        d3 = (
-            18 * c3 * c2 * c1 * c0
-            - 4 * c2**3 * c0
-            + c2**2 * c1**2
-            - 4 * c3 * c1**3
-            - 27 * c3**2 * c0**2
-        )
-        return ("C3", 3) if is_square_rational(Fraction(d3)) else ("S3", 6)
-    grp = quartic_galois_group(BinaryQuartic(list(g)))
-    return grp.label, grp.order
-
-
 def solvability_report(q: BinaryQuartic) -> SolvabilityReport:
     """Factor q over Q and bound the splitting field by solvable pieces.
 
     Every group that can occur for a quartic is solvable, so the roots
     are always expressible by radicals; the report records the pieces
-    and a degree bound for the compositum.
+    and a degree bound for the compositum.  q is factored once: a
+    degree-4 factor means q is irreducible, so its label is the overall
+    one.
     """
-    grp = quartic_galois_group(q)
-    _, factors = factor_binary_quartic(q)
+    disc, forms = _squarefree_factors(q)
+    grp = _galois_group(disc, forms)
     rows = []
     bound = 1
-    for g, _ in factors:
-        label, order = _factor_label(g)
+    for g in forms:
+        d = len(g) - 1
+        if d == 4:
+            label, order = grp.label, grp.order
+        elif d == 3:
+            label, order = _cubic_label(g)
+        else:
+            label, order = ("C1", 1) if d == 1 else ("C2", 2)
         rows.append((tuple(g), label, order))
         bound *= order
     return SolvabilityReport(rows, grp.label, grp.disc_is_square, True, bound)
@@ -195,11 +191,9 @@ def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
     primitive integer model, so the four roots stay distinct mod p and
     the factor degrees of the reduced binary form are the orbit sizes.
     """
-    from .hensel import _primitive_int_coeffs
-
     if p == 2:
         raise HmsError("odd primes only")
-    ics = _primitive_int_coeffs(q)
+    ics = primitive_int_coeffs(q)
     disc = BinaryQuartic([Fraction(c) for c in ics]).discriminant()
     if disc.denominator != 1:
         raise HmsError("integral model has non-integral discriminant")

@@ -14,10 +14,11 @@ valuation (odd p); everything else is reported "inconclusive".
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 from .errors import DegenerateLineError, HmsError, PrecisionError
 from .quartics import BinaryQuartic
+from .scalars import primitive_integers, split_p_power
 
 # -- coefficient-list helpers ------------------------------------------
 
@@ -35,12 +36,6 @@ def deg(f):
 
 def pmod(f, p):
     return trim([c % p for c in f])
-
-
-def padd(f, g, p):
-    n = max(len(f), len(g))
-    return trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-                 for i in range(n)])
 
 
 def psub(f, g, p):
@@ -322,21 +317,12 @@ def _int_divmod_exact(f, g):
     return trim(q)
 
 
-def _content(f):
-    c = 0
-    for a in f:
-        c = gcd(c, a)
-    return c or 1
-
-
 def _primitive(f):
     f = trim(f)
     if not f:
         return f
-    c = _content(f)
-    if f[-1] < 0:
-        c = -c
-    return [a // c for a in f]
+    f = primitive_integers(f)
+    return f if f[-1] > 0 else [-a for a in f]
 
 
 def factor_squarefree_int(f):
@@ -380,7 +366,7 @@ def factor_squarefree_int(f):
     size = 1
     while active:
         hit = False
-        for combo in _combos(active, size):
+        for combo in combinations(active, size):
             prod = [1]
             for idx in combo:
                 prod = [c % m for c in _int_mul(prod, lifted[idx])]
@@ -412,10 +398,6 @@ def _symmetric(c, m):
     return c - m if c > m // 2 else c
 
 
-def _combos(items, size):
-    return combinations(items, size)
-
-
 def _next_prime(p):
     p += 2
     while any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
@@ -431,16 +413,7 @@ def factor_binary_quartic(q: BinaryQuartic):
     irreducible binary form sum c_i t^i u^(d-i).  The product of the
     factors times unit equals q.
     """
-    cs = [Fraction(c) for c in q.coeffs]
-    if all(c == 0 for c in cs):
-        raise DegenerateLineError("factoring the zero form")
-    den = 1
-    for c in cs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ics = [int(c * den) for c in cs]
-    cont = _content(ics)
-    ics = [c // cont for c in ics]
-    affine = trim(ics)
+    affine = trim(primitive_int_coeffs(q))
     inf_mult = 5 - len(affine) if affine else 5
     d_aff = deg(affine)
     factors = []
@@ -503,16 +476,13 @@ class HenselReport:
     substitution: tuple | None = None  # SL2(Z) matrix used for monicizing
 
 
-def _primitive_int_coeffs(q: BinaryQuartic):
-    cs = [Fraction(c) for c in q.coeffs]
-    if all(c == 0 for c in cs):
-        raise DegenerateLineError("local analysis of the zero form")
-    den = 1
-    for c in cs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ics = [int(c * den) for c in cs]
-    cont = _content(ics)
-    return [c // cont for c in ics]
+def primitive_int_coeffs(q: BinaryQuartic):
+    """Coefficients c0..c4 of q scaled to coprime integers, signs kept."""
+    if q.is_degenerate:
+        raise DegenerateLineError(
+            "the zero form has no primitive integer model"
+        )
+    return primitive_integers(q.coeffs)
 
 
 def _proj_normalize(a, b, p, K):
@@ -529,8 +499,12 @@ def _proj_normalize(a, b, p, K):
     raise HmsError("point not primitive mod p")
 
 
-def _compose_binary(coeffs, mat, modulus=None):
-    """Compose the binary form sum c_i t^i u^(d-i) with (t,u) -> mat*(t,u)."""
+def compose_binary(coeffs, mat, modulus=None):
+    """Compose the binary form sum c_i t^i u^(d-i) with (t,u) -> mat*(t,u).
+
+    With mat = ((a, b), (c, d)) the result is the coefficient list of
+    f(a t + b u, c t + d u), reduced mod `modulus` when one is given.
+    """
     a, b, c, d = mat[0][0], mat[0][1], mat[1][0], mat[1][1]
     n = len(coeffs) - 1
     # new_t = a t + b u ; new_u = c t + d u
@@ -569,7 +543,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         raise HmsError("odd p required")
     if prec < 1:
         raise HmsError("precision must be positive")
-    ics = _primitive_int_coeffs(q)  # c0..c4
+    ics = primitive_int_coeffs(q)
     m = p**prec
     affine = [c % p for c in ics]
     inf_mult_bar = 0
@@ -629,7 +603,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
                 break
         if sub is None:
             raise HmsError("no unit chart found; reduction cannot be repeated")
-        work = _compose_binary(ics, sub)
+        work = compose_binary(ics, sub)
     # work is the substituted quartic with unit leading coefficient
     f = list(work)
     lc_inv_m = pow(f[4] % m, -1, m)
@@ -658,7 +632,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         dblock = deg(B)
         # block coefficients back in the original chart, as a binary form
         Bbin = list(B)  # t-coeffs low->high, monic, degree dblock
-        orig = _compose_binary(Bbin, inv_sub, m) if inv_sub else [c % m for c in Bbin]
+        orig = compose_binary(Bbin, inv_sub, m) if inv_sub else [c % m for c in Bbin]
         if mult == 1:
             if dblock == 1:
                 t0 = (-B[0]) % m
@@ -682,11 +656,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
                     "precision",
                     needed=prec + 1,
                 )
-            v = 0
-            dd = disc
-            while dd % p == 0:
-                dd //= p
-                v += 1
+            v = split_p_power(disc, p)[0]
             verdict = "unramified" if v % 2 == 0 else "ramified"
             blocks.append(
                 BlockReport(2, 1, 2, verdict, tuple(orig), v, None)

@@ -35,23 +35,13 @@ from .linalg import mat_vec, nullspace, rref, solve
 from .mpoly import SparsePoly, coeff_is_zero, compose_linear, elementary_symmetric, restrict_to_basis
 from .padics import IndeterminateValuation, PadicApprox, UElt
 from .quartics import BinaryQuartic
-from .scalars import valuation_of_rational
+from .scalars import primitive_integers, split_p_power, valuation_of_rational
 from .surface import SurfaceModel, char3_twist, twisted_equations
 
 
 def primitive_vector(v):
     """Scale a rational vector to integers with content 1, first nonzero > 0."""
-    v = [Fraction(x) for x in v]
-    if all(x == 0 for x in v):
-        raise HmsError("cannot normalize the zero vector")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = primitive_integers(v)
     lead = next(x for x in ints if x != 0)
     if lead < 0:
         ints = [-x for x in ints]
@@ -75,10 +65,6 @@ class Line:
             raise DegenerateLineError("spanning vectors are proportional")
         self.rows = (tuple(R[0]), tuple(R[1]))
         self.pivots = tuple(pivots)
-
-    @property
-    def basis(self):
-        return self.rows
 
     def point_at(self, t, u):
         a, b = self.rows
@@ -233,10 +219,7 @@ def _squarefree_part(n: int) -> int:
     out = 1
     d = 2
     while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
+        e, n = split_p_power(n, d)
         if e % 2:
             out *= d
         d += 1

@@ -15,6 +15,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import HmsError
+from .scalars import common_denominator
 
 
 def coeff_is_zero(c) -> bool:
@@ -149,11 +150,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self):
         """Degree if homogeneous (zero poly counts), else raises."""
         degs = {sum(e) for e in self.terms}
@@ -236,9 +232,7 @@ class SparsePoly:
         if not self.terms:
             return Fraction(1), self
         coeffs = [Fraction(c) for c in self.terms.values()]
-        den_lcm = 1
-        for c in coeffs:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+        den_lcm = common_denominator(coeffs)
         num_gcd = 0
         for c in coeffs:
             num_gcd = gcd(num_gcd, c.numerator * (den_lcm // c.denominator))

@@ -21,6 +21,7 @@ valuation of its coordinates.
 from fractions import Fraction
 
 from .errors import HmsError, PrecisionError
+from .scalars import split_p_power, valuation_of_rational
 
 
 class IndeterminateValuation:
@@ -60,10 +61,7 @@ class PadicApprox:
         unit %= m
         if unit == 0:
             return PadicApprox.zero_at(p, v + N)
-        shift = 0
-        while unit % p == 0:
-            unit //= p
-            shift += 1
+        shift, unit = split_p_power(unit, p)
         # absolute precision is unchanged; relative precision shrinks
         N -= shift
         if N <= 0:
@@ -115,8 +113,6 @@ class PadicApprox:
                 # exact zero: known to any precision; cap at our bound
                 return PadicApprox.zero_at(self.p, self.abs_precision + 1)
             # lift so the exact value loses nothing against self's window
-            from .scalars import valuation_of_rational
-
             vx = valuation_of_rational(x, self.p)
             rel = max(self.abs_precision - vx, 1)
             return lift_to_padic(x, self.p, rel)
@@ -237,14 +233,9 @@ def lift_to_padic(x, p: int, prec: int) -> PadicApprox:
         raise HmsError("cannot lift exact zero; use PadicApprox.zero_at")
     if prec <= 0:
         raise HmsError("precision must be positive")
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    v_num, num = split_p_power(x.numerator, p)
+    v_den, den = split_p_power(x.denominator, p)
+    v = v_num - v_den
     m = p**prec
     unit = (num % m) * pow(den, -1, m) % m
     return PadicApprox.nonzero(p, v, unit, prec)
@@ -383,19 +374,10 @@ class UElt:
 
     def valuation(self):
         """min coordinate valuation (unramified); indeterminate if 0 mod p^K."""
-        best = None
-        for c in self.coeffs:
-            if c == 0:
-                continue
-            v = 0
-            while c % self.ring.p == 0:
-                c //= self.ring.p
-                v += 1
-            if best is None or v < best:
-                best = v
-        if best is None:
+        vals = [split_p_power(c, self.ring.p)[0] for c in self.coeffs if c]
+        if not vals:
             return IndeterminateValuation(self.ring.K)
-        return best
+        return min(vals)
 
     def valuation_or_raise(self, what="value"):
         val = self.valuation()

@@ -12,7 +12,7 @@ reduced, denominator positive).  This module adds the quadratic layers:
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import HmsError, RationalityError
 
@@ -27,21 +27,42 @@ def is_square_rational(x) -> bool:
     return rn * rn == n and rd * rd == d
 
 
-def valuation_of_rational(x, p: int):
-    """Exact p-adic valuation of a nonzero rational; raises on x = 0."""
-    x = Fraction(x)
-    if x == 0:
+def split_p_power(n: int, p: int):
+    """(v, unit) with n = p^v * unit, unit prime to p; n a nonzero integer."""
+    if n == 0:
         raise HmsError("valuation of exact zero is undefined")
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return v, n
+
+
+def valuation_of_rational(x, p: int):
+    """Exact p-adic valuation of a nonzero rational; raises on x = 0."""
+    x = Fraction(x)
+    v_num, _ = split_p_power(x.numerator, p)
+    v_den, _ = split_p_power(x.denominator, p)
+    return v_num - v_den
+
+
+def common_denominator(values) -> int:
+    """Least common multiple of the denominators of some rationals."""
+    return lcm(*(Fraction(x).denominator for x in values))
+
+
+def primitive_integers(values):
+    """Integers proportional to the rationals `values`, with content 1.
+
+    The common factor is positive, so signs are kept.
+    """
+    values = [Fraction(x) for x in values]
+    den = common_denominator(values)
+    ints = [int(x * den) for x in values]
+    content = gcd(*ints)
+    if content == 0:
+        raise HmsError("cannot normalize the zero vector")
+    return [c // content for c in ints]
 
 
 class CycloElt:

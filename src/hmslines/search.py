@@ -29,7 +29,14 @@ from .errors import (
     SearchExhausted,
     SingularPointError,
 )
-from .hensel import hensel_factor_quartic, hensel_pair_lift, pdivmod, pmod
+from .hensel import (
+    compose_binary,
+    hensel_factor_quartic,
+    hensel_pair_lift,
+    newton_lift_root,
+    pdivmod,
+    primitive_int_coeffs,
+)
 from .lines import (
     Line,
     TangentConeChart,
@@ -42,6 +49,7 @@ from .lines import (
 from .padics import PadicApprox, UnramifiedRing
 from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
+from .scalars import common_denominator, split_p_power, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import SurfaceModel, twist_by_name, twisted_equations
 
@@ -216,39 +224,12 @@ def load_config(path: str) -> SearchConfig:
 # -- valuation helpers -------------------------------------------------
 
 
-def _frac_val(x, p: int) -> int:
-    """Exact p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
-        raise HmsError("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def _int_val(n: int, p: int, cap: int):
     """Valuation of an integer known mod p^cap; None when >= cap."""
     n %= p**cap
     if n == 0:
         return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _int_to_padic(n: int, p: int, prec: int) -> PadicApprox:
-    v = _int_val(n, p, prec)
-    if v is None:
-        return PadicApprox.zero_at(p, prec)
-    return PadicApprox.nonzero(p, v, (n % p**prec) // p**v, prec - v)
+    return split_p_power(n, p)[0]
 
 
 # -- congruence combination --------------------------------------------
@@ -346,20 +327,6 @@ class LocalPoint:
     modulus: tuple | None = None
 
 
-def _primitive_coeffs(q: BinaryQuartic):
-    cs = [Fraction(c) for c in q.coeffs]
-    den = 1
-    for c in cs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    cont = 0
-    for c in ints:
-        cont = gcd(cont, c)
-    if cont == 0:
-        raise DegenerateLineError("the zero form has no intersection points")
-    return [c // cont for c in ints]
-
-
 def _scaled_integer_rows(line: Line):
     """Integer multiples (by one common factor) of the parametrizing rows.
 
@@ -367,11 +334,7 @@ def _scaled_integer_rows(line: Line):
     chart of quartic_of_line is preserved while coordinates of points
     with integral t, u become integers.
     """
-    den = 1
-    for row in line.rows:
-        for c in row:
-            c = Fraction(c)
-            den = den * c.denominator // gcd(den, c.denominator)
+    den = common_denominator(c for row in line.rows for c in row)
     return tuple(
         tuple(int(Fraction(c) * den) for c in row) for row in line.rows
     )
@@ -393,56 +356,6 @@ def _complete_to_sl2(alpha: int, beta: int):
     if old_r == -1:
         old_s, old_t = -old_s, -old_t
     return -old_t, old_s
-
-
-def _binary_transform(coeffs, mat):
-    """Coefficients of f(a t + b u, c t + d u) for a binary form f.
-
-    coeffs[i] is the coefficient of t^i u^(deg - i), matching the
-    quartic convention; mat = ((a, b), (c, d)).
-    """
-    (a, b), (c, d) = mat
-    deg = len(coeffs) - 1
-    out = [0] * (deg + 1)
-    for i, coeff in enumerate(coeffs):
-        if coeff == 0:
-            continue
-        # (a t + b u)^i (c t + d u)^(deg - i), expanded by convolution
-        first = [1]
-        for _ in range(i):
-            nxt = [0] * (len(first) + 1)
-            for e, v in enumerate(first):
-                nxt[e + 1] += v * a
-                nxt[e] += v * b
-            first = nxt
-        for _ in range(deg - i):
-            nxt = [0] * (len(first) + 1)
-            for e, v in enumerate(first):
-                nxt[e + 1] += v * c
-                nxt[e] += v * d
-            first = nxt
-        for e, v in enumerate(first):
-            out[e] += coeff * v
-    return out
-
-
-def _sqrt_mod_p(a: int, p: int):
-    a %= p
-    for r in range(p):
-        if r * r % p == a:
-            return r
-    return None
-
-
-def _newton_sqrt(w: int, r0: int, p: int, K: int) -> int:
-    """Lift r0^2 = w (mod p) to a square root mod p^K (p odd, w a unit)."""
-    r = r0 % p
-    mod = p
-    target = p**K
-    while mod < target:
-        mod = min(mod * mod, target)
-        r = (r - (r * r - w) * pow(2 * r, -1, mod)) % mod
-    return r
 
 
 def _point_from_projective(rows, t, u, p, prec, block_idx):
@@ -483,10 +396,10 @@ def _points_of_double_root_block(rows, blk, p, K, block_idx):
     mk = p**keff
     w = (disc // p**v) % mk
     inv_lead = Fraction(1, 2 * a2)
-    r0 = _sqrt_mod_p(w, p)
+    r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)
     points = []
     if r0 is not None:
-        s = _newton_sqrt(w, r0, p, keff)
+        s = newton_lift_root([-w, 0, 1], r0, p, keff)
         for sign in (1, -1):
             z = (
                 (-a1 + sign * p**half * s)
@@ -536,8 +449,8 @@ def _lift_residue_factor(ints, g_mod_p, p, K):
         raise HmsError("quartic vanishes on all of P^1 mod p")
     gamma, delta = _complete_to_sl2(alpha, beta)
     mat = ((alpha, gamma), (beta, delta))
-    f_t = _binary_transform(ints, mat)
-    g_t = _binary_transform(list(g_mod_p), mat)
+    f_t = compose_binary(ints, mat)
+    g_t = compose_binary(list(g_mod_p), mat)
     mK = p**K
     inv_f = pow(f_t[-1] % mK, -1, mK)
     f_monic = [c * inv_f % mK for c in f_t]
@@ -598,7 +511,7 @@ def intersection_points(line: Line, quartic: BinaryQuartic, report):
     pinned down at this precision).
     """
     rows = _scaled_integer_rows(line)
-    ints = _primitive_coeffs(quartic)
+    ints = primitive_int_coeffs(quartic)
     p, K = report.p, report.prec
     lifted = not report.squarefree_mod_p
     points = []
@@ -608,16 +521,6 @@ def intersection_points(line: Line, quartic: BinaryQuartic, report):
 
 
 # -- local invariants at an intersection point ----------------------------
-
-
-def _form_valuation(form, pt: LocalPoint):
-    value = form.evaluate(list(pt.coords))
-    if pt.kind == "rational":
-        value = Fraction(value)
-        assert value.denominator == 1
-        return _int_val(int(value), pt.p, pt.prec)
-    v = value.valuation()
-    return v if isinstance(v, int) else None
 
 
 def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
@@ -640,12 +543,14 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
         return v if isinstance(v, int) else None
 
     vf3, vf5, vf6 = val_of(f3), val_of(f5), val_of(f6)
-    v_s3 = _frac_val(s3, p) + vf3 if vf3 is not None else None
-    v_s5 = _frac_val(s5, p) + vf5 if vf5 is not None else None
+    v_s3 = valuation_of_rational(s3, p) + vf3 if vf3 is not None else None
+    v_s5 = valuation_of_rational(s5, p) + vf5 if vf5 is not None else None
 
     # D = s3^2 f3^2 - 4 s6 f6; pull out the common p-power of the scales
     # so the bracket can be evaluated with p-integral coefficients.
-    shift = min(2 * _frac_val(s3, p), _frac_val(4 * s6, p))
+    shift = min(
+        2 * valuation_of_rational(s3, p), valuation_of_rational(4 * s6, p)
+    )
     ra = s3 * s3 / Fraction(p) ** shift
     rb = 4 * s6 / Fraction(p) ** shift
     if pt.kind == "rational":
@@ -690,7 +595,7 @@ def _cusp_report(points, p, prec):
     for pt in points:
         if pt.kind == "rational":
             wrapped.append(
-                [_int_to_padic(c, p, pt.prec) for c in pt.coords]
+                [PadicApprox.nonzero(p, 0, c, pt.prec) for c in pt.coords]
             )
         else:
             wrapped.append(list(pt.coords))
@@ -766,10 +671,10 @@ def _parity_section(line: Line, config: SearchConfig):
         a, b, c = labc_params_of_line(line)
     except HmsError:
         return None
-    ord_b = _frac_val(b, 3) if b != 0 else None
-    ord_c = _frac_val(c, 3) if c != 0 else None
-    ord_l1 = _frac_val(config.lambda1, 3)
-    ord_l2 = _frac_val(config.lambda2, 3)
+    ord_b = valuation_of_rational(b, 3) if b != 0 else None
+    ord_c = valuation_of_rational(c, 3) if c != 0 else None
+    ord_l1 = valuation_of_rational(config.lambda1, 3)
+    ord_l2 = valuation_of_rational(config.lambda2, 3)
     admissible = None
     if ord_b is not None and ord_c is not None:
         admissible = parity_admissible(ord_b, ord_c, ord_l1, ord_l2)
@@ -846,7 +751,7 @@ def certify_line(
     if all(c == 0 for c in quartic.coeffs):
         raise DegenerateLineError("the line lies inside the degree-8 locus")
     disc = quartic.discriminant()
-    prim = _primitive_coeffs(quartic)
+    prim = primitive_int_coeffs(quartic)
 
     data = {
         "schema": CERTIFICATE_SCHEMA,
@@ -886,8 +791,8 @@ def certify_line(
         data["summary"] = {"passed": False, "reasons": reasons}
         return SolvableLineCertificate(data)
 
-    data["quartic"]["disc_valuation_3"] = _frac_val(disc, 3)
-    data["quartic"]["disc_valuation_5"] = _frac_val(disc, 5)
+    data["quartic"]["disc_valuation_3"] = valuation_of_rational(disc, 3)
+    data["quartic"]["disc_valuation_5"] = valuation_of_rational(disc, 5)
     data["galois"] = _galois_section(quartic)
 
     want_real = config.target_at("real") is not None
@@ -1016,13 +921,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
         stats["candidates"] += 1
         try:
             line = chart_fn(*params)
-        except (
-            DegenerateLineError,
-            SingularPointError,
-            ConicPointError,
-            NotOnSurfaceError,
-            HmsError,
-        ):
+        except HmsError:
             stats["chart_failures"] += 1
             continue
         key = line.primitive_rows()

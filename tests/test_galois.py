@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hmslines import galois
 from hmslines.errors import HmsError
 from hmslines.galois import (
     frobenius_cycle_type,
@@ -87,3 +88,23 @@ def test_degenerate_quartic_rejected():
     q = Q([1, 2, 1, 0, 0])  # (t + u)^2 u^2 has discriminant zero
     with pytest.raises(HmsError):
         quartic_galois_group(q)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [-2, 0, 0, 0, 1],  # t^4 - 2 u^4, irreducible with group D4
+        [6, 0, -5, 0, 1],  # (t^2 - 2 u^2)(t^2 - 3 u^2)
+    ],
+)
+def test_solvability_report_factors_once(monkeypatch, coeffs):
+    calls = []
+    factor = galois.factor_binary_quartic
+
+    def counting(q):
+        calls.append(q)
+        return factor(q)
+
+    monkeypatch.setattr(galois, "factor_binary_quartic", counting)
+    galois.solvability_report(Q(coeffs))
+    assert len(calls) == 1

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import PrecisionError
 from hmslines.hensel import (
+    compose_binary,
     factor_monic_mod_p,
     hensel_factor_quartic,
     hensel_pair_lift,
@@ -16,6 +18,9 @@ from hmslines.lines import labc_line, quartic_of_line, Line
 from hmslines.quartics import BinaryQuartic
 from hmslines.search import build_model, parse_config
 from hmslines.surface import char3_twist, rho0_twist, twisted_equations
+
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
 
 def Q(coeffs):
@@ -159,3 +164,56 @@ def test_newton_vs_peval_consistency():
         if peval(f, r, p) == 0:
             lifted = newton_lift_root(f, r, p, 8)
             assert peval(pmod(f, p**8), lifted, p**8) == 0
+
+
+def _sl2_product(steps):
+    """Product of the SL2(Z) generators T^k = ((1, k), (0, 1)) and
+    S = ((0, -1), (1, 0)), one per step."""
+    m = ((1, 0), (0, 1))
+    for kind, k in steps:
+        g = ((1, k), (0, 1)) if kind == "T" else ((0, -1), (1, 0))
+        m = tuple(
+            tuple(sum(m[i][l] * g[l][j] for l in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    return m
+
+
+def _binary_value(coeffs, t, u):
+    d = len(coeffs) - 1
+    return sum(c * t**i * u ** (d - i) for i, c in enumerate(coeffs))
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+    st.lists(
+        st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4
+    ),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+)
+def test_compose_binary_round_trips_and_evaluates(coeffs, steps, t, u):
+    (a, b), (c, d) = mat = _sl2_product(steps)
+    assert a * d - b * c == 1
+    inverse = ((d, -b), (-c, a))
+    composed = compose_binary(coeffs, mat)
+    assert compose_binary(composed, inverse) == coeffs
+    assert _binary_value(composed, t, u) == _binary_value(
+        coeffs, a * t + b * u, c * t + d * u
+    )
+
+
+@PROPERTY
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.integers(1, 12),
+    st.integers(0, 10**6),
+    st.integers(1, 20),
+)
+def test_newton_lift_root_of_a_square(p, r0, k, K):
+    assume(r0 % p != 0)
+    w = r0 * r0 + p * k
+    r = newton_lift_root([-w, 0, 1], r0, p, K)
+    assert (r * r - w) % p**K == 0
+    assert r % p == r0 % p

@@ -1,9 +1,23 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hmslines.scalars import OMEGA, SQRT_MINUS_3, CycloElt, Fq
+from hmslines.scalars import (
+    OMEGA,
+    SQRT_MINUS_3,
+    CycloElt,
+    Fq,
+    primitive_integers,
+    split_p_power,
+    valuation_of_rational,
+)
 from hmslines.errors import HmsError
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+PRIMES = st.sampled_from([2, 3, 5, 7])
+RATIONALS = st.fractions(-(10**6), 10**6, max_denominator=10**6)
 
 
 def test_omega_satisfies_its_minimal_polynomial():
@@ -102,3 +116,33 @@ def test_field_division_by_zero_raises():
     F = Fq(7)
     with pytest.raises((HmsError, ZeroDivisionError)):
         F.one() / F.zero()
+
+
+@PROPERTY
+@given(st.integers(-(10**9), 10**9).filter(bool), PRIMES, st.integers(0, 12))
+def test_split_p_power_adds_exponents(n, p, k):
+    v, unit = split_p_power(n, p)
+    assert unit % p != 0
+    assert n == p**v * unit
+    assert split_p_power(n * p**k, p) == (v + k, unit)
+
+
+@PROPERTY
+@given(RATIONALS.filter(bool), PRIMES, st.integers(-12, 12))
+def test_valuation_of_rational_adds_exponents(x, p, k):
+    v = valuation_of_rational(x, p)
+    assert valuation_of_rational(x * Fraction(p) ** k, p) == v + k
+    unit = x / Fraction(p) ** v
+    assert unit.numerator % p != 0
+    assert unit.denominator % p != 0
+
+
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=6).filter(any))
+def test_primitive_integers_is_a_positive_multiple_with_content_one(values):
+    ints = primitive_integers(values)
+    assert gcd(*ints) == 1
+    i = next(k for k, x in enumerate(values) if x)
+    ratio = Fraction(ints[i]) / values[i]
+    assert ratio > 0
+    assert [Fraction(c) for c in ints] == [ratio * x for x in values]
