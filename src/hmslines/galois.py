@@ -30,7 +30,7 @@ from .hensel import (
     psub,
 )
 from .mpoly import coeff_is_zero
-from .quartics import BinaryQuartic
+from .quartics import BinaryQuartic, stored_discriminant
 from .scalars import is_square_rational, primitive_integers
 
 GROUP_ORDERS = {"S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4, "C2": 2, "C1": 1}
@@ -105,8 +105,12 @@ def _reducible_label(forms):
 
 
 def _squarefree_factors(q: BinaryQuartic):
-    """(discriminant, irreducible factors over Q) of a squarefree quartic."""
-    disc = q.discriminant()
+    """(discriminant, irreducible factors over Q) of a squarefree quartic.
+
+    The discriminant is the one already stored on q when its
+    certificate evaluated it first.
+    """
+    disc = stored_discriminant(q)
     if coeff_is_zero(disc):
         raise DegenerateLineError("quartic has a repeated projective root")
     _, factors = factor_binary_quartic(q)

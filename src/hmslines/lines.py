@@ -36,7 +36,7 @@ from .mpoly import SparsePoly, coeff_is_zero, compose_linear, elementary_symmetr
 from .padics import IndeterminateValuation, PadicApprox, UElt
 from .quartics import BinaryQuartic
 from .scalars import primitive_integers, split_p_power, valuation_of_rational
-from .surface import SurfaceModel, char3_twist, twisted_equations
+from .surface import SurfaceModel, char3_twist
 
 
 def primitive_vector(v):

@@ -47,13 +47,14 @@ _I_POLY, _J_POLY, _DISC_POLY = _universal_invariants()
 class BinaryQuartic:
     """Homogeneous binary quartic; degenerate means identically zero."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_disc")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != 5:
             raise HmsError("need exactly 5 coefficients c0..c4")
         self.coeffs = coeffs
+        self._disc = None
 
     @staticmethod
     def from_sparse(f: SparsePoly) -> "BinaryQuartic":
@@ -86,10 +87,11 @@ class BinaryQuartic:
         return _J_POLY.evaluate(self._inv_args())
 
     def discriminant(self):
-        """(4 I^3 - J^2)/27 via its integral expansion; any scalar ring."""
-        if self.is_degenerate:
-            raise DegenerateLineError("discriminant of the zero form")
-        return _DISC_POLY.evaluate(self._inv_args())
+        """(4 I^3 - J^2)/27 via its integral expansion; any scalar ring.
+
+        Evaluated once per quartic; later calls return the kept value.
+        """
+        return stored_discriminant(self)
 
     def dehomogenized(self):
         """Coefficients of q(t, 1) low to high, trailing zeros stripped."""
@@ -103,6 +105,19 @@ class BinaryQuartic:
         return (
             c4 * t**4 + c3 * t**3 * u + c2 * t**2 * u**2 + c1 * t * u**3 + c0 * u**4
         )
+
+
+def stored_discriminant(q: BinaryQuartic):
+    """The discriminant of q, evaluated on first use and kept on q.
+
+    `BinaryQuartic.discriminant` returns it; the Galois section of a
+    certificate reads it here to reuse the value the certificate holds.
+    """
+    if q._disc is None:
+        if q.is_degenerate:
+            raise DegenerateLineError("discriminant of the zero form")
+        q._disc = _DISC_POLY.evaluate(q._inv_args())
+    return q._disc
 
 
 # -- exact real root counting (Sturm) ---------------------------------
@@ -166,19 +181,21 @@ def real_root_count(q: BinaryQuartic) -> int:
 
     Counts roots of q(t, 1) by a full Sturm sequence over Q on
     (-inf, +inf), plus the point [1:0] when the t^4 coefficient
-    vanishes.  Precondition: disc(q) != 0 (checked).
+    vanishes.  Precondition: q is squarefree, checked on the chain
+    itself: [1:0] is at most a simple root (c3 != 0 when c4 = 0), and
+    the last Sturm remainder, gcd(q(t, 1), q'(t, 1)), is a constant.
     """
-    if coeff_is_zero(q.discriminant()):
-        raise HmsError("real_root_count requires a squarefree quartic")
     cs = q.dehomogenized()
-    count = 0
+    if len(cs) < 4:
+        raise HmsError("real_root_count requires a squarefree quartic")
+    chain = sturm_chain(cs)
+    if len(chain[-1]) != 1:
+        raise HmsError("real_root_count requires a squarefree quartic")
+    count = _sign_variations_at_inf(chain, False) - _sign_variations_at_inf(
+        chain, True
+    )
     if len(cs) < 5:
-        count += 1  # [1:0] is a (simple, by squarefreeness) real root
-    if len(cs) > 1:
-        chain = sturm_chain(cs)
-        count += _sign_variations_at_inf(chain, False) - _sign_variations_at_inf(
-            chain, True
-        )
+        count += 1  # [1:0] is a simple real root
     return count
 
 

@@ -690,9 +690,9 @@ def _parity_section(line: Line, config: SearchConfig):
     }
 
 
-def _local_section(line, quartic, model, config, p):
-    """Hensel report, intersection points, and p-specific extras."""
-    report = hensel_factor_quartic(quartic, p, config.precision)
+def _local_section(line, quartic, model, config, report) -> dict:
+    """Intersection points and p-specific extras around a Hensel report."""
+    p = report.p
     points = intersection_points(line, quartic, report)
     section = {
         "p": p,
@@ -708,51 +708,101 @@ def _local_section(line, quartic, model, config, p):
         section["parity"] = _parity_section(line, config)
     if p == 5:
         section["points"] = [_point_invariants(model, pt) for pt in points]
-    return section, points
+    section["required"] = config.target_at(p) is not None
+    return section
 
 
-def _gate_real(section) -> bool:
-    return section is not None and section.get("root_count") == 4
+def _points_ordinary(section) -> bool:
+    """Four 5-adic points extracted, each ordinary and off the curve V."""
+    return section["points_extracted"] == 4 and all(
+        entry["ordinary"] is True and entry["curve_V_avoided"] is True
+        for entry in section["points"]
+    )
 
 
-def _gate_unramified(section) -> bool:
-    return section is not None and section["verdict"] == "unramified"
+class _Sections:
+    """The sections of one line's certificate, each built once, on use.
 
-
-def _gate_ordinary(section) -> bool:
-    if not _gate_unramified(section):
-        return False
-    if section.get("points_extracted") != 4:
-        return False
-    for entry in section.get("points", []):
-        if entry["ordinary"] is not True:
-            return False
-        if entry["curve_V_avoided"] is not True:
-            return False
-    return True
-
-
-def certify_line(
-    line: Line,
-    model: SurfaceModel,
-    config: SearchConfig,
-    chart_params=None,
-    chart_kind=None,
-) -> SolvableLineCertificate:
-    """Run every check on one line and assemble the certificate.
-
-    The summary gates only on the places the configuration targets;
-    everything else is recorded as evidence.  Raises PrecisionError
-    when a local factorization cannot be resolved at the configured
-    precision, NotOnSurfaceError or DegenerateLineError when the line
-    is not a generator of the model at all.
+    Searching and certifying share these builders and the assembler
+    `_certificate`, so a certificate has the same bytes whichever path
+    built it.  Construction restricts the quartic and evaluates its
+    discriminant; NotOnSurfaceError or DegenerateLineError means the
+    line is not a generator of the model at all.
     """
-    quartic = quartic_of_line(line, model)
-    if all(c == 0 for c in quartic.coeffs):
-        raise DegenerateLineError("the line lies inside the degree-8 locus")
-    disc = quartic.discriminant()
-    prim = primitive_int_coeffs(quartic)
 
+    def __init__(self, line: Line, model: SurfaceModel, config: SearchConfig):
+        quartic = quartic_of_line(line, model)
+        if all(c == 0 for c in quartic.coeffs):
+            raise DegenerateLineError("the line lies inside the degree-8 locus")
+        self.line, self.model, self.config = line, model, config
+        self.quartic = quartic
+        self.disc = quartic.discriminant()
+        self._built = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def quartic_section(self) -> dict:
+        section = {
+            "coeffs": [frac_str(Fraction(c)) for c in self.quartic.coeffs],
+            "primitive_coeffs": primitive_int_coeffs(self.quartic),
+            "discriminant": frac_str(Fraction(self.disc)),
+        }
+        if self.disc != 0:
+            section["disc_valuation_3"] = valuation_of_rational(self.disc, 3)
+            section["disc_valuation_5"] = valuation_of_rational(self.disc, 5)
+        return section
+
+    def galois(self) -> dict:
+        return self._once("galois", lambda: _galois_section(self.quartic))
+
+    def real(self) -> dict:
+        return self._once(
+            "real",
+            lambda: {
+                "root_count": real_root_count(self.quartic),
+                "required": self.config.target_at("real") is not None,
+            },
+        )
+
+    def hensel(self, p: int):
+        return self._once(
+            ("hensel", p),
+            lambda: hensel_factor_quartic(self.quartic, p, self.config.precision),
+        )
+
+    def local(self, p: int) -> dict:
+        return self._once(
+            ("local", p),
+            lambda: _local_section(
+                self.line, self.quartic, self.model, self.config, self.hensel(p)
+            ),
+        )
+
+    def targeted_gates(self):
+        """(name, verdict) of each targeted gate, cheapest first, lazily.
+
+        The real gate needs a Sturm count, the 3-adic gate the Hensel
+        report at 3 alone, and the 5-adic gate the Hensel report at 5
+        before the points and invariants it reads last.
+        """
+        targeted = self.config.target_at
+        if targeted("real") is not None:
+            yield "real_four_roots", self.real()["root_count"] == 4
+        if targeted(3) is not None:
+            yield "unramified_at_3", self.hensel(3).verdict == "unramified"
+        if targeted(5) is not None:
+            yield "ordinary_at_5", (
+                self.hensel(5).verdict == "unramified"
+                and _points_ordinary(self.local(5))
+            )
+
+
+def _certificate(sections: _Sections, chart_params, chart_kind):
+    """Assemble the certificate, building the sections not built yet."""
+    config = sections.config
     data = {
         "schema": CERTIFICATE_SCHEMA,
         "config_digest": config.digest(),
@@ -771,52 +821,30 @@ def certify_line(
             else [frac_str(c) for c in config.seed_point],
         },
         "line": {
-            "rows": [[frac_str(Fraction(c)) for c in row] for row in line.rows],
-            "primitive_rows": [list(r) for r in line.primitive_rows()],
+            "rows": [
+                [frac_str(Fraction(c)) for c in row] for row in sections.line.rows
+            ],
+            "primitive_rows": [list(r) for r in sections.line.primitive_rows()],
         },
-        "quartic": {
-            "coeffs": [frac_str(Fraction(c)) for c in quartic.coeffs],
-            "primitive_coeffs": prim,
-            "discriminant": frac_str(Fraction(disc)),
-        },
+        "quartic": sections.quartic_section(),
     }
-
-    reasons = []
-    if disc == 0:
-        data["galois"] = None
-        data["real"] = None
-        data["local_3"] = None
-        data["local_5"] = None
-        reasons.append("discriminant vanishes: tangential intersection")
-        data["summary"] = {"passed": False, "reasons": reasons}
+    if sections.disc == 0:
+        data.update(galois=None, real=None, local_3=None, local_5=None)
+        data["summary"] = {
+            "passed": False,
+            "reasons": ["discriminant vanishes: tangential intersection"],
+        }
         return SolvableLineCertificate(data)
 
-    data["quartic"]["disc_valuation_3"] = valuation_of_rational(disc, 3)
-    data["quartic"]["disc_valuation_5"] = valuation_of_rational(disc, 5)
-    data["galois"] = _galois_section(quartic)
-
-    want_real = config.target_at("real") is not None
-    want_3 = config.target_at(3) is not None
-    want_5 = config.target_at(5) is not None
-
-    count = real_root_count(quartic)
-    data["real"] = {"root_count": count, "required": want_real}
-
-    for p, key, wanted in ((3, "local_3", want_3), (5, "local_5", want_5)):
-        section, _ = _local_section(line, quartic, model, config, p)
-        section["required"] = wanted
-        data[key] = section
-
-    checks = {}
-    if want_real:
-        checks["real_four_roots"] = _gate_real(data["real"])
-    if want_3:
-        checks["unramified_at_3"] = _gate_unramified(data["local_3"])
-    if want_5:
-        checks["ordinary_at_5"] = _gate_ordinary(data["local_5"])
-    for name, ok in checks.items():
-        if not ok:
-            reasons.append(f"check failed: {name}")
+    # only the local sections can raise (a PrecisionError), so they are
+    # built first: a line undecided at this precision costs no Galois group
+    local_3, local_5 = sections.local(3), sections.local(5)
+    data["galois"] = sections.galois()
+    data["real"] = sections.real()
+    data["local_3"] = local_3
+    data["local_5"] = local_5
+    checks = dict(sections.targeted_gates())
+    reasons = [f"check failed: {name}" for name, ok in checks.items() if not ok]
     if not checks:
         reasons.append("no local targets were requested")
     data["summary"] = {
@@ -825,6 +853,25 @@ def certify_line(
         "reasons": reasons,
     }
     return SolvableLineCertificate(data)
+
+
+def certify_line(
+    line: Line,
+    model: SurfaceModel,
+    config: SearchConfig,
+    chart_params=None,
+    chart_kind=None,
+) -> SolvableLineCertificate:
+    """Run every check on one line and assemble the certificate.
+
+    The summary gates only on the places the configuration targets;
+    everything else is recorded as evidence.  Raises PrecisionError
+    when a local factorization cannot be resolved at the configured
+    precision, NotOnSurfaceError or DegenerateLineError when the line
+    is not a generator of the model at all.
+    """
+    sections = _Sections(line, model, config)
+    return _certificate(sections, chart_params, chart_kind)
 
 
 def derive_chart_params(line: Line, config: SearchConfig, model: SurfaceModel):
@@ -897,10 +944,20 @@ def _combined_parameters(config: SearchConfig):
 def find_lines(config: SearchConfig, max_results: int = 1):
     """Search the congruence class for lines passing every target gate.
 
+    Each candidate line is decided gate first: after the chart, the
+    duplicate check and the zero-discriminant check, the targeted gates
+    run cheapest first (Sturm, Hensel at 3, Hensel at 5 and then the
+    5-adic points) and the first gate decided false rejects the line.
+    Only a line passing every gate gets its remaining sections, reusing
+    what the gates built, and the certificate `certify_line` would give.
+
     Returns a list of (Line, SolvableLineCertificate) pairs, at most
     max_results long, in deterministic enumeration order.  Raises
     SearchExhausted (with rejection statistics) when the height bound
-    is reached first.
+    is reached first.  The statistics count a candidate whose targeted
+    gate is decided false as a gate failure, even where an evidence-only
+    section would have raised; a PrecisionError while deciding a gate,
+    or while building a passing line's evidence, is a precision failure.
     """
     model = build_model(config)
     chart_kind, chart_fn = _line_chart(config, model)
@@ -930,30 +987,28 @@ def find_lines(config: SearchConfig, max_results: int = 1):
             continue
         seen.add(key)
         try:
-            cert = certify_line(
-                line, model, config, chart_params=params, chart_kind=chart_kind
-            )
+            sections = _Sections(line, model, config)
+            if sections.disc == 0:
+                outcome = "zero_discriminant"
+            elif not all(ok for _, ok in sections.targeted_gates()):
+                outcome = "gate_failures"
+            else:
+                cert = _certificate(sections, params, chart_kind)
+                outcome = None
         except NotOnSurfaceError:
-            stats["off_surface"] += 1
-            continue
+            outcome = "off_surface"
         except DegenerateLineError:
-            stats["degenerate"] += 1
-            continue
+            outcome = "degenerate"
         except PrecisionError:
-            stats["precision_failures"] += 1
-            continue
+            outcome = "precision_failures"
         except RegimeError:
-            stats["gate_failures"] += 1
+            outcome = "gate_failures"
+        if outcome is not None:
+            stats[outcome] += 1
             continue
-        if cert.data["quartic"]["discriminant"] == "0":
-            stats["zero_discriminant"] += 1
-            continue
-        if cert.passed:
-            results.append((line, cert))
-            if len(results) >= max_results:
-                return results
-        else:
-            stats["gate_failures"] += 1
+        results.append((line, cert))
+        if len(results) >= max_results:
+            return results
     if results:
         return results
     raise SearchExhausted(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import SQRT_MINUS_3, CycloElt, Fq
+from .scalars import SQRT_MINUS_3, Fq
 from .mpoly import SparsePoly, restrict_to_basis
 from .quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from .lines import (

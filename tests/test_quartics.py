@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hmslines.errors import DegenerateLineError
+from hmslines.errors import DegenerateLineError, HmsError
 from hmslines.mpoly import SparsePoly
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from hmslines.scalars import Fq
@@ -97,6 +97,25 @@ def test_real_root_count_includes_root_at_infinity():
         [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1), Fraction(0)]
     )
     assert real_root_count(with_infinity) == 4
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1, -2, 2, -2, 1],  # (t - u)^2 (t^2 + u^2): affine double root
+        [1, 0, 2, 0, 1],  # (t^2 + u^2)^2: no real root, still repeated
+        [1, 0, 1, 0, 0],  # u^2 (t^2 + u^2): [1 : 0] is a double root
+        [0, 1, -2, 1, 0],  # t u (t - u)^2 with c4 = 0 and c3 != 0
+        [0, 0, 0, 0, 0],
+    ],
+)
+def test_real_root_count_rejects_repeated_roots(coeffs):
+    # the Sturm chain alone decides squarefreeness; the discriminant agrees
+    q = BinaryQuartic([Fraction(c) for c in coeffs])
+    if not q.is_degenerate:
+        assert q.discriminant() == 0
+    with pytest.raises(HmsError, match="squarefree"):
+        real_root_count(q)
 
 
 def test_roots_over_f25_with_multiplicity():

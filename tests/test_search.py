@@ -19,6 +19,7 @@ from hmslines import (
     parse_config,
     quartic_of_line,
 )
+from hmslines import search
 from hmslines.hensel import hensel_factor_quartic
 from hmslines.padics import IndeterminateValuation
 from hmslines.search import CERTIFICATE_SCHEMA, load_config, _candidate_params, _combined_parameters
@@ -252,6 +253,73 @@ def test_certify_line_matches_search_output():
     cert = certify_line(line, model, cfg, chart_params=params, chart_kind=kind)
     (_, found), = find_lines(cfg, max_results=1)
     assert cert.to_json() == found.to_json()
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("rho0-demo.json", {}),
+        ("char3-demo.json", {}),
+        # both finite gates: Hensel at 3, then Hensel, points and
+        # invariants at 5
+        (
+            "char3-demo.json",
+            {
+                "targets": [
+                    {"place": 3, "params": [3, 243, 243]},
+                    {"place": 5, "params": [3, 243, 243]},
+                ],
+                "k5": 1,
+                "height_bound": 1000,
+            },
+        ),
+    ],
+)
+def test_search_emits_the_bytes_certify_emits(name, overrides):
+    # the search builds its certificates gate first; certify builds every
+    # section of the same line in certificate order
+    cfg = demo_config(name, **overrides)
+    results = find_lines(cfg, max_results=6)
+    assert len(results) == 6
+    for line, found in results:
+        model = build_model(cfg)
+        kind, params = derive_chart_params(line, cfg, model)
+        cert = certify_line(line, model, cfg, chart_params=params, chart_kind=kind)
+        assert found.to_json() == cert.to_json()
+
+
+def _count_calls(monkeypatch, name):
+    """Record the result of every call of one hmslines.search attribute."""
+    results = []
+    fn = getattr(search, name)
+
+    def counting(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(search, name, counting)
+    return results
+
+
+def test_gate_failures_build_no_galois_section(monkeypatch):
+    reports = _count_calls(monkeypatch, "solvability_report")
+    cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
+    with pytest.raises(SearchExhausted) as info:
+        find_lines(cfg, max_results=1)
+    stats = info.value.stats
+    assert (stats["candidates"], stats["gate_failures"]) == (27, 24)
+    assert stats["zero_discriminant"] == 3
+    assert sum(v for k, v in stats.items() if k != "candidates") == 27
+    assert reports == []
+
+
+def test_only_lines_passing_the_gates_get_a_galois_section(monkeypatch):
+    reports = _count_calls(monkeypatch, "solvability_report")
+    counts = _count_calls(monkeypatch, "real_root_count")
+    results = find_lines(demo_config("rho0-demo.json"), max_results=3)
+    assert len(results) == 3
+    assert len(reports) == counts.count(4)
+    assert len(counts) > len(reports)
 
 
 def test_search_exhausted_reports_statistics():
