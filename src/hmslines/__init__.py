@@ -51,7 +51,6 @@ from .surface import (
     curve_V_avoidance,
     identity_twist,
     modular_form_values,
-    ordinarity_certificate,
     ordinarity_from_profile,
     rho0_twist,
     sigma_profile,
@@ -135,7 +134,6 @@ __all__ = [
     "curve_V_avoidance",
     "identity_twist",
     "modular_form_values",
-    "ordinarity_certificate",
     "ordinarity_from_profile",
     "rho0_twist",
     "sigma_profile",

@@ -527,6 +527,23 @@ def compose_binary(coeffs, mat, modulus=None):
     return out
 
 
+def unit_chart(ics, p):
+    """An SL2(Z) chart in which the quartic's leading coefficient is a unit.
+
+    ics are integer coefficients c0..c4 of sum c_i t^i u^(4-i).  The
+    chart is the identity when c4 is a p-unit, else ((m, -1), (1, 0)),
+    (t, u) -> (m t - u, t), for the first m with q(m, 1) != 0 mod p; the
+    composed form (`compose_binary`) has leading coefficient q(m, 1).
+    """
+    if ics[4] % p != 0:
+        return ((1, 0), (0, 1))
+    affine = [c % p for c in ics]
+    for m in range(p):
+        if peval(affine, m, p) != 0:
+            return ((m, -1), (1, 0))
+    raise HmsError("quartic vanishes on all of P^1 mod p; no unit chart")
+
+
 def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     """Factor q over Z_p into coprime blocks and certify unramifiedness.
 
@@ -592,20 +609,8 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     # repeated factors: move to a chart where the leading coefficient is
     # a unit (exists: a quartic with a repeated projective root has at
     # most 3 distinct roots < p + 1 points in P^1(F_p))
-    sub = None
-    if ics[4] % p != 0:
-        sub = ((1, 0), (0, 1))
-        work = list(ics)
-    else:
-        for mm in range(p):
-            if peval(affine, mm, p) != 0:
-                sub = ((mm, -1), (1, 0))  # (t,u) -> (mm*t - u, t)
-                break
-        if sub is None:
-            raise HmsError("no unit chart found; reduction cannot be repeated")
-        work = compose_binary(ics, sub)
-    # work is the substituted quartic with unit leading coefficient
-    f = list(work)
+    sub = unit_chart(ics, p)
+    f = compose_binary(ics, sub)
     lc_inv_m = pow(f[4] % m, -1, m)
     f_monic = [(c * lc_inv_m) % m for c in f]
     fb = pmod(f_monic, p)
@@ -623,20 +628,18 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     else:
         lifted = hensel_lift_factors(f_monic, block_polys_bar, p, prec)
 
-    inv_sub = None
-    if sub is not None:
-        (a, b), (c, d) = sub
-        inv_sub = ((d, -b), (-c, a))  # det = 1
+    (a, b), (c, d) = sub
+    inv_sub = ((d, -b), (-c, a))  # det = 1
 
     for (rdeg, mult), B in zip(block_meta, lifted):
         dblock = deg(B)
-        # block coefficients back in the original chart, as a binary form
-        Bbin = list(B)  # t-coeffs low->high, monic, degree dblock
-        orig = compose_binary(Bbin, inv_sub, m) if inv_sub else [c % m for c in Bbin]
+        # block coefficients (t low->high, monic) back in the original
+        # chart, as a binary form
+        orig = compose_binary(B, inv_sub, m)
         if mult == 1:
             if dblock == 1:
                 t0 = (-B[0]) % m
-                pt = _apply_sub(sub, t0, 1, p, prec)
+                pt = _proj_normalize(a * t0 + b, c * t0 + d, p, prec)
                 blocks.append(
                     BlockReport(1, 1, 1, "unramified", tuple(orig), None, pt)
                 )
@@ -674,9 +677,3 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         verdict = "inconclusive"
     return HenselReport(p, prec, False, residue_degrees, verdict, blocks, sub)
 
-
-def _apply_sub(sub, t, u, p, K):
-    if sub is None:
-        return _proj_normalize(t, u, p, K)
-    (a, b), (c, d) = sub
-    return _proj_normalize(a * t + b * u, c * t + d * u, p, K)

@@ -20,7 +20,7 @@ from .mpoly import SparsePoly, coeff_is_zero
 from .scalars import Fq
 
 
-def _universal_invariants():
+def _universal_discriminant():
     # symbols (a, b, c, d, e) = (c4, c3, c2, c1, c0)
     a, b, c, d, e = (SparsePoly.variable(i, 5, Fraction(1)) for i in range(5))
     I = 12 * (a * e) - 3 * (b * d) + c * c
@@ -38,10 +38,10 @@ def _universal_invariants():
         if q.denominator != 1:
             raise HmsError("discriminant expansion failed to be integral")
         disc_terms[exp] = int(q)
-    return I, J, SparsePoly(5, disc_terms)
+    return SparsePoly(5, disc_terms)
 
 
-_I_POLY, _J_POLY, _DISC_POLY = _universal_invariants()
+_DISC_POLY = _universal_discriminant()
 
 
 class BinaryQuartic:
@@ -79,12 +79,6 @@ class BinaryQuartic:
     def _inv_args(self):
         c0, c1, c2, c3, c4 = self.coeffs
         return (c4, c3, c2, c1, c0)
-
-    def invariant_I(self):
-        return _I_POLY.evaluate(self._inv_args())
-
-    def invariant_J(self):
-        return _J_POLY.evaluate(self._inv_args())
 
     def discriminant(self):
         """(4 I^3 - J^2)/27 via its integral expansion; any scalar ring.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     ConfigError,
@@ -25,7 +24,6 @@ from .errors import (
     HmsError,
     NotOnSurfaceError,
     PrecisionError,
-    RegimeError,
     SearchExhausted,
     SingularPointError,
 )
@@ -36,6 +34,7 @@ from .hensel import (
     newton_lift_root,
     pdivmod,
     primitive_int_coeffs,
+    unit_chart,
 )
 from .lines import (
     Line,
@@ -51,7 +50,12 @@ from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
 from .scalars import common_denominator, split_p_power, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
-from .surface import SurfaceModel, twist_by_name, twisted_equations
+from .surface import (
+    SurfaceModel,
+    ordinarity_from_valuations,
+    twist_by_name,
+    twisted_equations,
+)
 
 CERTIFICATE_SCHEMA = "hmslines-certificate/1"
 
@@ -340,24 +344,6 @@ def _scaled_integer_rows(line: Line):
     )
 
 
-def _complete_to_sl2(alpha: int, beta: int):
-    """gamma, delta with alpha*delta - beta*gamma = 1."""
-    if gcd(alpha, beta) != 1:
-        raise HmsError("chart point must be primitive")
-    old_r, r = alpha, beta
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    # old_s*alpha + old_t*beta = old_r = +-1
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    return -old_t, old_s
-
-
 def _point_from_projective(rows, t, u, p, prec, block_idx):
     m = p**prec
     coords = tuple((t * a + u * b) % m for a, b in zip(rows[0], rows[1]))
@@ -439,16 +425,7 @@ def _lift_residue_factor(ints, g_mod_p, p, K):
     degree >= 2.  Returns (monic affine modulus low->high, chart matrix)
     so that the root is [m00 xi + m01 : m10 xi + m11].
     """
-    for alpha, beta in [(1, 0), (0, 1)] + [(1, s) for s in range(1, p)]:
-        acc = 0
-        for i, c in enumerate(ints):
-            acc += c * alpha**i * beta ** (4 - i)
-        if acc % p != 0:
-            break
-    else:
-        raise HmsError("quartic vanishes on all of P^1 mod p")
-    gamma, delta = _complete_to_sl2(alpha, beta)
-    mat = ((alpha, gamma), (beta, delta))
+    mat = unit_chart(ints, p)
     f_t = compose_binary(ints, mat)
     g_t = compose_binary(list(g_mod_p), mat)
     mK = p**K
@@ -528,7 +505,9 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
 
     The ratios u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3)
     are invariant under scaling the coordinates, so any integral
-    representative of the projective point gives the same answer.
+    representative of the projective point gives the same answer.  A
+    valuation not determined at the point's precision is None, and so
+    are `ordinary` and `curve_V_avoided` when they depend on it.
     """
     p, prec = pt.p, pt.prec
     f3 = model.forms[3].evaluate(list(pt.coords))
@@ -557,22 +536,14 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
         m = p**prec
         A = ra.numerator * pow(ra.denominator, -1, m) % m
         B = rb.numerator * pow(rb.denominator, -1, m) % m
-        bracket = (A * int(Fraction(f3)) ** 2 - B * int(Fraction(f6))) % m
-        vb = _int_val(bracket, p, prec)
+        bracket = A * int(Fraction(f3)) ** 2 - B * int(Fraction(f6))
     else:
         ring = next(c.ring for c in pt.coords if hasattr(c, "ring"))
         bracket = ring.from_rational(ra) * f3 * f3 - ring.from_rational(rb) * f6
-        v = bracket.valuation()
-        vb = v if isinstance(v, int) else None
+    vb = val_of(bracket)
     v_D = shift + vb if vb is not None else None
 
-    v_u1 = 5 * v_D - 6 * v_s5 if None not in (v_D, v_s5) else None
-    v_u2 = (
-        3 * v_D - 3 * v_s5 - v_s3 if None not in (v_D, v_s5, v_s3) else None
-    )
-    ordinary = None
-    if v_u1 is not None and v_u2 is not None:
-        ordinary = v_u1 <= 0 and v_u2 <= 0
+    v_u1, v_u2, ordinary = ordinarity_from_valuations(v_s3, v_s5, v_D)
     return {
         "block": pt.block,
         "kind": pt.kind,
@@ -585,7 +556,7 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
         "v_u1": v_u1,
         "v_u2": v_u2,
         "ordinary": ordinary,
-        "curve_V_avoided": v_D is not None,
+        "curve_V_avoided": True if v_D is not None else None,
     }
 
 
@@ -1001,8 +972,6 @@ def find_lines(config: SearchConfig, max_results: int = 1):
             outcome = "degenerate"
         except PrecisionError:
             outcome = "precision_failures"
-        except RegimeError:
-            outcome = "gate_failures"
         if outcome is not None:
             stats[outcome] += 1
             continue

@@ -8,7 +8,9 @@ substitution, certifies rationality, and clears denominators.
 
 The sigma invariants of a point (computed in s-coordinates) feed the
 modular-form values phi2, chi6, chi10 and the two scale-invariant
-ordinarity ratios tested by `ordinarity_from_profile`.
+ordinarity ratios of `u_ratios`.  `ordinarity_from_valuations` is the
+one ordinarity rule, shared by `ordinarity_from_profile` and the 5-adic
+points of a certificate.
 """
 
 from dataclasses import dataclass
@@ -320,65 +322,63 @@ class OrdinarityCertificate:
     passed: bool
 
 
-def _valuation_le_zero(x, p, name):
-    """Return (valuation, v <= 0) or raise when undecidable."""
+def u_ratios(profile: SigmaProfile):
+    """u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3) at a profile.
+
+    Both are invariant under scaling the point; exact values come out as
+    Fractions.
+    """
+    s3, s5, D = profile.sigma(3), profile.sigma(5), profile.D
+    if not isinstance(s5, PadicApprox):
+        s3, s5, D = Fraction(s3), Fraction(s5), Fraction(D)
+    return D**5 / s5**6, D**3 / (s5**3 * s3)
+
+
+def ordinarity_from_valuations(v_sigma3, v_sigma5, v_D):
+    """(v(u1), v(u2), ordinary) from the valuations of sigma_3, sigma_5, D.
+
+    The point is ordinary when both ratios of `u_ratios` have valuation
+    <= 0.  A valuation of None is one not determined at the working
+    precision; every result that depends on it is None, and ordinary is
+    None (no verdict) unless both ratio valuations are determined.
+    """
+    v_u1 = None if None in (v_D, v_sigma5) else 5 * v_D - 6 * v_sigma5
+    v_u2 = None if None in (v_u1, v_sigma3) else 3 * (v_D - v_sigma5) - v_sigma3
+    ordinary = None if None in (v_u1, v_u2) else v_u1 <= 0 and v_u2 <= 0
+    return v_u1, v_u2, ordinary
+
+
+def _valuation(x, p):
     if isinstance(x, PadicApprox):
         v = x.valuation()
-        if isinstance(v, IndeterminateValuation):
-            if v.lower_bound > 0:
-                return v, False
-            raise PrecisionError(
-                f"valuation of {name} is indeterminate at the working precision",
-                needed=x.abs_precision + 1,
-            )
-        return v, v <= 0
-    x = Fraction(x)
-    if x == 0:
-        return None, False
-    v = valuation_of_rational(x, p)
-    return v, v <= 0
+        return None if isinstance(v, IndeterminateValuation) else v
+    return valuation_of_rational(Fraction(x), p)
 
 
 def ordinarity_from_profile(profile: SigmaProfile, p: int = 5) -> OrdinarityCertificate:
-    """Decide ordinarity at p from exact or p-adic sigma values."""
-    s3 = profile.sigma(3)
-    s5 = profile.sigma(5)
-    D = profile.D
-    if isinstance(s5, PadicApprox):
-        if s5.is_zero_at_precision:
-            raise PrecisionError(
-                "sigma_5 is zero at the working precision; cannot invert",
-                needed=s5.abs_precision + 1,
-            )
-        if s3.is_zero_at_precision:
-            raise PrecisionError(
-                "sigma_3 is zero at the working precision; cannot invert",
-                needed=s3.abs_precision + 1,
-            )
-        u1 = D ** 5 / s5 ** 6
-        u2 = D ** 3 / (s5 ** 3 * s3)
-    else:
-        s3 = Fraction(s3)
-        s5 = Fraction(s5)
-        D = Fraction(D)
-        if s5 == 0:
-            raise BadLocusError(
-                "cusp-form vanishing: point in bad locus for this test"
-            )
-        if s3 == 0:
-            raise BadLocusError("sigma_3 vanishes; ordinarity ratio undefined")
-        u1 = D ** 5 / s5 ** 6
-        u2 = D ** 3 / (s5 ** 3 * s3)
-    v1, ok1 = _valuation_le_zero(u1, p, "u1")
-    v2, ok2 = _valuation_le_zero(u2, p, "u2")
-    return OrdinarityCertificate(
-        p=p, u1=u1, u2=u2, v_u1=v1, v_u2=v2, passed=ok1 and ok2
+    """Decide ordinarity at p from exact or p-adic sigma values.
+
+    The verdict is `ordinarity_from_valuations` of v(sigma_3), v(sigma_5)
+    and v(D).  An exact D = 0 makes both ratios vanish: not ordinary,
+    with both ratio valuations None.  A p-adic D that is zero at the
+    working precision gives no verdict and raises PrecisionError; its
+    lower bound is never read as "not ordinary".
+    """
+    s3, s5, D = profile.sigma(3), profile.sigma(5), profile.D
+    _require_invertible(s5, "sigma_5")
+    _require_invertible(s3, "sigma_3")
+    u1, u2 = u_ratios(profile)
+    if not isinstance(D, PadicApprox) and coeff_is_zero(D):
+        return OrdinarityCertificate(p, u1, u2, None, None, False)
+    v_u1, v_u2, ordinary = ordinarity_from_valuations(
+        _valuation(s3, p), _valuation(s5, p), _valuation(D, p)
     )
-
-
-def ordinarity_certificate(pt, p: int = 5) -> OrdinarityCertificate:
-    """Ordinarity test at the sigma profile of a point (s-coordinates)."""
-    return ordinarity_from_profile(sigma_profile(pt), p)
+    if ordinary is None:
+        raise PrecisionError(
+            "valuation of D is indeterminate at the working precision",
+            needed=D.abs_precision + 1,
+        )
+    return OrdinarityCertificate(p, u1, u2, v_u1, v_u2, ordinary)
 
 
 def curve_V_avoidance(profile: SigmaProfile) -> bool:

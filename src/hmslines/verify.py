@@ -29,6 +29,7 @@ from .surface import (
     sigma_profile,
     modular_form_values,
     twisted_equations,
+    u_ratios,
 )
 
 # The real line used in the archimedean construction, in the chart of
@@ -57,12 +58,6 @@ def _sample_points(count, draw):
         if draw(pt):
             out.append(pt)
     return out
-
-
-def _u_ratios(profile):
-    D = profile.D
-    s3, s5 = profile.sigma(3), profile.sigma(5)
-    return D**5 / s5**6, D**3 / (s5**3 * s3)
 
 
 def check_symbolic_identities():
@@ -156,8 +151,8 @@ def check_symbolic_identities():
     invariant = True
     for pt in samples:
         mu = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-        u1, u2 = _u_ratios(sigma_profile(pt))
-        v1, v2 = _u_ratios(sigma_profile([mu * x for x in pt]))
+        u1, u2 = u_ratios(sigma_profile(pt))
+        v1, v2 = u_ratios(sigma_profile([mu * x for x in pt]))
         if (u1, u2) != (v1, v2):
             invariant = False
     rows.append(
@@ -171,7 +166,7 @@ def check_symbolic_identities():
     linked = True
     for pt in samples:
         profile = sigma_profile(pt)
-        u1, u2 = _u_ratios(profile)
+        u1, u2 = u_ratios(profile)
         forms = modular_form_values(profile)
         if forms.phi2_cubed_over_chi6 != -27 * u2:
             linked = False

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used by that module."""
+"""Source hygiene: every name a module imports is used by that module, and
+every function or method the package defines is referenced somewhere."""
 import ast
 from pathlib import Path
 
@@ -7,11 +8,11 @@ import pytest
 import hmslines
 
 # __init__.py imports names to re-export them
-MODULES = sorted(
-    path
-    for path in Path(hmslines.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = Path(hmslines.__file__).parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# where a reference may live, relative to the repository root
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_DIRS = ("src", "tests", "bench")
 
 
 def _unused_imports(source: str):
@@ -37,3 +38,75 @@ def test_every_import_is_used(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom math import gcd, lcm\nprint(gcd(4, 6))\n"
     assert _unused_imports(source) == [(1, "os"), (2, "lcm")]
+
+
+def _defined_functions(tree):
+    """Names of the functions and methods defined in a module, dunders excepted."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def _referenced_names(tree):
+    """Names a module uses: loads, attributes and identifier strings.
+
+    Identifier strings count because `bench/tracer.py` wraps functions
+    by name; imports and `__all__` do not, so a re-export alone is no use.
+    """
+    exported = {
+        id(leaf)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for leaf in ast.walk(node.value)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def _unreferenced_functions(defining, referencing):
+    defined = set()
+    for source in defining:
+        defined |= _defined_functions(ast.parse(source))
+    used = set()
+    for source in referencing:
+        used |= _referenced_names(ast.parse(source))
+    return sorted(defined - used)
+
+
+def test_every_function_is_referenced():
+    sources = [
+        path.read_text()
+        for folder in REFERENCE_DIRS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    defining = [path.read_text() for path in MODULES]
+    assert _unreferenced_functions(defining, sources) == []
+
+
+def test_unreferenced_function_is_reported():
+    module = (
+        "class A:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        pass\n"
+        "    def unused(self):\n        pass\n"
+        "def wrapped():\n    pass\n"
+    )
+    elsewhere = (
+        'LAYERS = (("module", None, "wrapped"),)\n'
+        '__all__ = ["unused"]\n'
+    )
+    assert _unreferenced_functions([module], [module, elsewhere]) == ["unused"]

@@ -375,6 +375,26 @@ def _form_vanishes_at(model, pt):
         assert v >= pt.prec
 
 
+def test_point_invariants_leave_undetermined_v_d_undecided():
+    # D = 33600 = 5^2 * 1344 is nonzero, but vanishes mod 5^2: at
+    # precision 2 neither the verdict nor the avoidance of V is known
+    model = build_model(parse_config({"twist": "identity"}))
+    coords = (1, 2, 2, 2, 2, 4)
+    low = search._point_invariants(
+        model, search.LocalPoint(0, "rational", coords, 5, 2, 1, 1)
+    )
+    assert (low["v_sigma3"], low["v_sigma5"], low["v_D"]) == (0, 0, None)
+    assert (low["v_u1"], low["v_u2"]) == (None, None)
+    assert low["ordinary"] is None
+    assert low["curve_V_avoided"] is None
+    high = search._point_invariants(
+        model, search.LocalPoint(0, "rational", coords, 5, 3, 1, 1)
+    )
+    assert (high["v_D"], high["v_u1"], high["v_u2"]) == (2, 10, 6)
+    assert high["ordinary"] is False
+    assert high["curve_V_avoided"] is True
+
+
 def test_intersection_points_lie_on_the_surface():
     cfg = load_config(config_path("char3-demo.json"))
     model = build_model(cfg)

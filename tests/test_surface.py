@@ -16,7 +16,6 @@ from hmslines import (
     identity_twist,
     lift_to_padic,
     modular_form_values,
-    ordinarity_certificate,
     ordinarity_from_profile,
     rho0_twist,
     sigma_profile,
@@ -25,6 +24,7 @@ from hmslines import (
 )
 from hmslines.mpoly import elementary_symmetric
 from hmslines.scalars import OMEGA
+from hmslines.surface import ordinarity_from_valuations
 
 from precision_probe import run_probe
 
@@ -173,6 +173,15 @@ def test_ordinarity_valuation_patterns():
     assert edge_profile.D == 5
     edge = ordinarity_from_profile(edge_profile, 5)
     assert (edge.v_u1, edge.v_u2, edge.passed) == (-1, 0, True)
+    # the same three patterns straight from the valuation-level core
+    assert ordinarity_from_valuations(0, 0, 0) == (0, 0, True)
+    assert ordinarity_from_valuations(0, 1, 2) == (4, 3, False)
+    assert ordinarity_from_valuations(0, 1, 1) == (-1, 0, True)
+    # an undetermined valuation (None) gives no verdict
+    assert ordinarity_from_valuations(None, 0, 0) == (0, None, None)
+    assert ordinarity_from_valuations(0, None, 0) == (None, None, None)
+    assert ordinarity_from_valuations(0, 0, None) == (None, None, None)
+    assert ordinarity_from_valuations(None, None, None) == (None, None, None)
 
 
 def test_ordinarity_point_examples():
@@ -183,28 +192,30 @@ def test_ordinarity_point_examples():
         ((2, 3, 4, 6, 7, 8), (-6, -4, True)),
     ]
     for pt, (v1, v2, ok) in cases:
-        cert = ordinarity_certificate(pt, 5)
+        cert = ordinarity_from_profile(sigma_profile(pt), 5)
         assert (cert.v_u1, cert.v_u2, cert.passed) == (v1, v2, ok)
         assert cert.p == 5
 
 
 def test_ordinarity_padic_matches_exact():
-    exact = ordinarity_certificate((1, 2, 3, 4, 6, 7), 5)
+    exact = ordinarity_from_profile(sigma_profile((1, 2, 3, 4, 6, 7)), 5)
     lifted = [lift_to_padic(c, 5, 8) for c in (1, 2, 3, 4, 6, 7)]
-    approx = ordinarity_certificate(lifted, 5)
+    approx = ordinarity_from_profile(sigma_profile(lifted), 5)
     assert approx.passed == exact.passed
     assert approx.v_u1 == exact.v_u1 == 0
     assert approx.v_u2 == exact.v_u2 == -2
 
 
 def test_ordinarity_ratios_scale_invariant():
-    base = ordinarity_certificate((1, 2, 3, 4, 6, 7), 5)
+    base = ordinarity_from_profile(sigma_profile((1, 2, 3, 4, 6, 7)), 5)
     rng = random.Random(20260816)
     for _ in range(20):
         mu = F(rng.randint(1, 40), rng.randint(1, 40))
         if rng.random() < 0.5:
             mu = -mu
-        scaled = ordinarity_certificate([mu * c for c in (1, 2, 3, 4, 6, 7)], 5)
+        scaled = ordinarity_from_profile(
+            sigma_profile([mu * c for c in (1, 2, 3, 4, 6, 7)]), 5
+        )
         assert scaled.u1 == base.u1
         assert scaled.u2 == base.u2
         assert (scaled.v_u1, scaled.v_u2) == (base.v_u1, base.v_u2)
@@ -212,7 +223,20 @@ def test_ordinarity_ratios_scale_invariant():
 
 def test_ordinarity_bad_locus():
     with pytest.raises(BadLocusError):
-        ordinarity_certificate((1, 0, 0, 0, 0, 0), 5)
+        ordinarity_from_profile(sigma_profile((1, 0, 0, 0, 0, 0)), 5)
+
+
+def test_ordinarity_exact_zero_d_and_undetermined_d():
+    # D = 2^2 - 4 * 1 = 0: exactly on V, so never ordinary
+    on_v = ordinarity_from_profile(SigmaProfile((0, 0, F(2), 0, F(1), F(1))), 5)
+    assert (on_v.v_u1, on_v.v_u2, on_v.passed) == (None, None, False)
+    # the same values as 5-adic approximations leave D zero at the
+    # working precision: no verdict instead of "not ordinary"
+    lifted = SigmaProfile(
+        tuple(lift_to_padic(c, 5, 6) for c in (1, 1, 2, 1, 1, 1))
+    )
+    with pytest.raises(PrecisionError):
+        ordinarity_from_profile(lifted, 5)
 
 
 def test_curve_v_avoidance():
@@ -237,3 +261,6 @@ def test_ordinarity_precision_monotonicity():
     assert result["violations"] == []
     assert result["decided_high"] == 100
     assert result["decided_low"] >= 90
+    # the certificate path reads valuations of integer representatives
+    # in absolute precision, so it decides fewer points, never wrongly
+    assert result["certificate_decided_high"] >= 70
