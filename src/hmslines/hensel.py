@@ -473,7 +473,6 @@ class HenselReport:
     residue_degrees: tuple
     verdict: str
     blocks: list
-    substitution: tuple | None = None  # SL2(Z) matrix used for monicizing
 
 
 def primitive_int_coeffs(q: BinaryQuartic):
@@ -602,9 +601,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
             blocks.append(
                 BlockReport(1, 1, 1, "unramified", (1, (-r) % m), None, (1, r))
             )
-        return HenselReport(
-            p, prec, True, residue_degrees, "unramified", blocks, None
-        )
+        return HenselReport(p, prec, True, residue_degrees, "unramified", blocks)
 
     # repeated factors: move to a chart where the leading coefficient is
     # a unit (exists: a quartic with a repeated projective root has at
@@ -675,5 +672,5 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         verdict = "unramified"
     else:
         verdict = "inconclusive"
-    return HenselReport(p, prec, False, residue_degrees, verdict, blocks, sub)
+    return HenselReport(p, prec, False, residue_degrees, verdict, blocks)
 

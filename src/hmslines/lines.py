@@ -32,7 +32,14 @@ from .errors import (
     SingularPointError,
 )
 from .linalg import mat_vec, nullspace, rref, solve
-from .mpoly import SparsePoly, coeff_is_zero, compose_linear, elementary_symmetric, restrict_to_basis
+from .mpoly import (
+    SparsePoly,
+    coeff_is_zero,
+    compose_linear,
+    elementary_symmetric,
+    restrict_in_integers,
+    restrict_to_basis,
+)
 from .padics import IndeterminateValuation, PadicApprox, UElt
 from .quartics import BinaryQuartic
 from .scalars import primitive_integers, split_p_power, valuation_of_rational
@@ -99,14 +106,16 @@ def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
     The line must lie in both quadric equations of the model; its four
     intersection points with the degree-8 surface are the roots of the
     returned form in the [t : u] parametrization of `point_at`.
+
+    The work runs on integers: each row is scaled by its own common
+    denominator (dP, dQ), the model's integral forms are restricted on
+    those numerators, and the coefficient n_i of t^i u^(4-i) is
+    rescaled exactly to n_i / (dP^i dQ^(4-i)).
     """
-    P, Q = line.rows
-    for q in (model.q1, model.q2):
-        if not restrict_to_basis(q, P, Q).is_zero:
-            raise NotOnSurfaceError(
-                "line does not lie in the quadric part of the model"
-            )
-    return BinaryQuartic.from_sparse(restrict_to_basis(model.q4, P, Q))
+    r1, r2, r4 = restrict_in_integers(model.integer_equations, line.rows)
+    if not (r1.is_zero and r2.is_zero):
+        raise NotOnSurfaceError("line does not lie in the quadric part of the model")
+    return BinaryQuartic.from_sparse(r4)
 
 
 # -- tangent cone ------------------------------------------------------
@@ -136,22 +145,6 @@ def linear_row(f: SparsePoly):
             raise HmsError("linear_row needs a homogeneous linear form")
         row[exp.index(1)] = Fraction(c)
     return row
-
-
-def restrict_to_span(f: SparsePoly, basis) -> SparsePoly:
-    """f composed with (y_0, .., y_{k-1}) -> sum y_j basis[j]."""
-    k = len(basis)
-    images = []
-    for i in range(f.nvars):
-        terms = {}
-        for j in range(k):
-            c = basis[j][i]
-            if not coeff_is_zero(c):
-                exp = [0] * k
-                exp[j] = 1
-                terms[tuple(exp)] = c
-        images.append(SparsePoly(k, terms))
-    return f.substitute(images)
 
 
 class _ConeFrame:
@@ -188,7 +181,7 @@ class _ConeFrame:
         self._lam = lam
         self._jstar = next(j for j in range(4) if lam[j] != 0)
         self.U = [self.V[j] for j in range(4) if j != self._jstar]
-        self.conic = restrict_to_span(model.q2, self.U)
+        (self.conic,) = restrict_in_integers([model.integer_equations[1]], self.U)
 
     def project(self, w):
         """Conic coordinates of a cone vector w, i.e. w mod x inside V."""

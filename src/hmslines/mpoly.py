@@ -12,13 +12,15 @@ lexicographic, highest first.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from .errors import HmsError
-from .scalars import common_denominator
+from .scalars import integer_numerators
 
 
 def coeff_is_zero(c) -> bool:
+    if isinstance(c, (int, Fraction)):
+        return c == 0
     if isinstance(c, SparsePoly):
         return c.is_zero
     z = getattr(c, "is_zero", None)
@@ -231,12 +233,8 @@ class SparsePoly:
         """
         if not self.terms:
             return Fraction(1), self
-        coeffs = [Fraction(c) for c in self.terms.values()]
-        den_lcm = common_denominator(coeffs)
-        num_gcd = 0
-        for c in coeffs:
-            num_gcd = gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-        scale = Fraction(num_gcd, den_lcm)
+        den, ints = integer_numerators(self.terms.values())
+        scale = Fraction(gcd(*ints), den)
         lead = self.sorted_terms()[0][1]
         if lead < 0:
             scale = -scale
@@ -276,18 +274,86 @@ def elementary_symmetric(k: int, nvars: int = 6) -> SparsePoly:
     return SparsePoly(nvars, terms)
 
 
+def restrict_to_span(f: SparsePoly, rows) -> SparsePoly:
+    """f composed with (y_0, .., y_{k-1}) -> sum_j y_j rows[j]; a k-ary form.
+
+    Each monomial of f expands as a product of the linear forms
+    x_i = sum_j rows[j][i] y_j, with the partial products kept as dicts
+    from packed exponents (sum_j e_j base^j, base above the degree) to
+    coefficients: no intermediate SparsePoly is built or multiplied.
+    The rows may be over any scalar ring, polynomial coefficients
+    included.
+    """
+    if any(len(row) != f.nvars for row in rows):
+        raise HmsError("basis arity mismatch")
+    base = max((sum(exp) for exp in f.terms), default=0) + 1
+    steps = [base**j for j in range(len(rows))]
+    linear = [
+        [(step, a) for step, a in zip(steps, column) if not coeff_is_zero(a)]
+        for column in zip(*rows)
+    ]
+    packed = {}
+    for exp, c in f.terms.items():
+        product = {0: c}
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                grown = {}
+                for key, v in product.items():
+                    for step, a in linear[i]:
+                        w = v * a
+                        key_a = key + step
+                        grown[key_a] = grown[key_a] + w if key_a in grown else w
+                product = grown
+        for key, v in product.items():
+            packed[key] = packed[key] + v if key in packed else v
+    return SparsePoly(
+        len(rows),
+        {tuple(key // step % base for step in steps): v for key, v in packed.items()},
+    )
+
+
+def integer_form(f: SparsePoly) -> SparsePoly:
+    """f with int coefficients; raises HmsError on a non-integral one."""
+
+    def exact(c):
+        c = Fraction(c)
+        if c.denominator != 1:
+            raise HmsError(f"coefficient {c} of an integral form is not an integer")
+        return c.numerator
+
+    return f.map_coeffs(exact)
+
+
+def restrict_in_integers(forms, rows):
+    """restrict_to_span of each int-coefficient form on rational rows.
+
+    Row j is scaled to integers once, by its common denominator d_j;
+    each restriction runs on Python ints, and the coefficient of y^e is
+    rescaled exactly to n_e / prod_j d_j^e_j (a Fraction).
+    """
+    dens, int_rows = zip(*(integer_numerators(row) for row in rows))
+    out = []
+    for f in forms:
+        restricted = restrict_to_span(f, int_rows)
+        out.append(
+            SparsePoly(
+                len(rows),
+                {
+                    exp: Fraction(n, prod(d**e for d, e in zip(dens, exp)))
+                    for exp, n in restricted.terms.items()
+                },
+            )
+        )
+    return out
+
+
 def restrict_to_basis(f: SparsePoly, P, Q) -> SparsePoly:
     """f composed with the line map (t, u) -> t*P + u*Q; a binary form.
 
     P and Q are coordinate sequences of length f.nvars over any scalar
     ring (including polynomial coefficients for symbolic checks).
     """
-    if len(P) != f.nvars or len(Q) != f.nvars:
-        raise HmsError("basis arity mismatch")
-    images = []
-    for a, b in zip(P, Q):
-        images.append(SparsePoly(2, {(1, 0): a, (0, 1): b}))
-    return f.substitute(images)
+    return restrict_to_span(f, (P, Q))
 
 
 def compose_linear(f: SparsePoly, matrix) -> SparsePoly:

@@ -9,20 +9,22 @@ for all as
     J = 72 c4 c2 c0 + 9 c3 c2 c1 - 27 c4 c1^2 - 27 c0 c3^2 - 2 c2^3,
 
 which coincides with the classical polynomial discriminant (an integer
-polynomial in the coefficients), so it is evaluated through its integral
-expansion and works over any scalar ring, characteristic 3 included.
+polynomial in the coefficients, homogeneous of degree 6).  Rational
+(int/Fraction) coefficients are scaled by their common denominator D
+and the discriminant is taken on those integer numerators, then divided
+by D^6 exactly.  Every other scalar ring (F_q, p-adic, characteristic 3
+included) evaluates the integral expansion `_DISC_POLY`.
 """
 
 from fractions import Fraction
 
 from .errors import DegenerateLineError, HmsError
 from .mpoly import SparsePoly, coeff_is_zero
-from .scalars import Fq
+from .scalars import Fq, integer_numerators
 
 
-def _universal_discriminant():
-    # symbols (a, b, c, d, e) = (c4, c3, c2, c1, c0)
-    a, b, c, d, e = (SparsePoly.variable(i, 5, Fraction(1)) for i in range(5))
+def _disc27(a, b, c, d, e):
+    """27 times the discriminant, 4 I^3 - J^2, at (c4, c3, c2, c1, c0)."""
     I = 12 * (a * e) - 3 * (b * d) + c * c
     J = (
         72 * (a * c * e)
@@ -31,7 +33,11 @@ def _universal_discriminant():
         - 27 * (e * b * b)
         - 2 * (c * c * c)
     )
-    disc27 = 4 * I**3 - J * J
+    return 4 * I**3 - J * J
+
+
+def _universal_discriminant():
+    disc27 = _disc27(*(SparsePoly.variable(i, 5, Fraction(1)) for i in range(5)))
     disc_terms = {}
     for exp, coeff in disc27.terms.items():
         q = Fraction(coeff) / 27
@@ -81,7 +87,7 @@ class BinaryQuartic:
         return (c4, c3, c2, c1, c0)
 
     def discriminant(self):
-        """(4 I^3 - J^2)/27 via its integral expansion; any scalar ring.
+        """(4 I^3 - J^2)/27, exactly, over any scalar ring.
 
         Evaluated once per quartic; later calls return the kept value.
         """
@@ -110,7 +116,15 @@ def stored_discriminant(q: BinaryQuartic):
     if q._disc is None:
         if q.is_degenerate:
             raise DegenerateLineError("discriminant of the zero form")
-        q._disc = _DISC_POLY.evaluate(q._inv_args())
+        args = q._inv_args()
+        if all(isinstance(c, (int, Fraction)) for c in args):
+            # homogeneous of degree 6: disc(c) = disc(D c) / D^6
+            den, ints = integer_numerators(args)
+            disc = _disc27(*ints) // 27
+            exact_ints = all(isinstance(c, int) for c in args)
+            q._disc = disc if exact_ints else Fraction(disc, den**6)
+        else:
+            q._disc = _DISC_POLY.evaluate(args)
     return q._disc
 
 

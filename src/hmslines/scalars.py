@@ -46,9 +46,12 @@ def valuation_of_rational(x, p: int):
     return v_num - v_den
 
 
-def common_denominator(values) -> int:
-    """Least common multiple of the denominators of some rationals."""
-    return lcm(*(Fraction(x).denominator for x in values))
+def integer_numerators(values):
+    """(d, [d * x for x in values]) for d the least common denominator
+    of some rationals; the scaled values are ints."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def primitive_integers(values):
@@ -56,9 +59,7 @@ def primitive_integers(values):
 
     The common factor is positive, so signs are kept.
     """
-    values = [Fraction(x) for x in values]
-    den = common_denominator(values)
-    ints = [int(x * den) for x in values]
+    _, ints = integer_numerators(values)
     content = gcd(*ints)
     if content == 0:
         raise HmsError("cannot normalize the zero vector")

@@ -48,7 +48,7 @@ from .lines import (
 from .padics import PadicApprox, UnramifiedRing
 from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
-from .scalars import common_denominator, split_p_power, valuation_of_rational
+from .scalars import integer_numerators, split_p_power, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     SurfaceModel,
@@ -338,10 +338,8 @@ def _scaled_integer_rows(line: Line):
     chart of quartic_of_line is preserved while coordinates of points
     with integral t, u become integers.
     """
-    den = common_denominator(c for row in line.rows for c in row)
-    return tuple(
-        tuple(int(Fraction(c) * den) for c in row) for row in line.rows
-    )
+    _, ints = integer_numerators(line.rows[0] + line.rows[1])
+    return tuple(ints[:6]), tuple(ints[6:])
 
 
 def _point_from_projective(rows, t, u, p, prec, block_idx):

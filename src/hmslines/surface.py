@@ -14,11 +14,18 @@ points of a certificate.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import BadLocusError, HmsError, PrecisionError, RationalityError
 from .linalg import invert, mat_mul, mat_vec
-from .mpoly import SparsePoly, coeff_is_zero, compose_linear, elementary_symmetric
+from .mpoly import (
+    SparsePoly,
+    coeff_is_zero,
+    compose_linear,
+    elementary_symmetric,
+    integer_form,
+)
 from .padics import IndeterminateValuation, PadicApprox, lift_to_padic
 from .scalars import CycloElt, OMEGA, SQRT_MINUS_3, valuation_of_rational
 
@@ -149,6 +156,12 @@ class SurfaceModel:
 
     def equations(self):
         return (self.q1, self.q2, self.q4)
+
+    @cached_property
+    def integer_equations(self):
+        """(q1, q2, q4) with int coefficients, converted once per model,
+        for restriction to lines on integer numerators."""
+        return tuple(integer_form(q) for q in self.equations())
 
     def contains_point(self, pt) -> bool:
         return all(coeff_is_zero(q.evaluate(pt)) for q in self.equations())

@@ -27,7 +27,16 @@ from hmslines import (
     twisted_equations,
 )
 from hmslines.errors import ConicPointError
-from hmslines.lines import ConicParam, lies_in, primitive_vector, rational_conic_point
+from hmslines.linalg import nullspace
+from hmslines.lines import (
+    ConicParam,
+    _ConeFrame,
+    lies_in,
+    linear_row,
+    primitive_vector,
+    rational_conic_point,
+)
+from hmslines.quartics import BinaryQuartic
 
 F = Fraction
 
@@ -112,6 +121,70 @@ def test_quartic_of_line_requires_quadric_containment():
     off = Line([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
     with pytest.raises(NotOnSurfaceError):
         quartic_of_line(off, model)
+
+
+def substituted(f, rows):
+    """The restriction of f to the span of rows through SparsePoly.substitute."""
+    k = len(rows)
+    units = [tuple(int(j == l) for l in range(k)) for j in range(k)]
+    images = [
+        SparsePoly(k, {unit: row[i] for unit, row in zip(units, rows)})
+        for i in range(f.nvars)
+    ]
+    return f.substitute(images)
+
+
+def demo_chart_lines():
+    """(model, line) pairs from the rho0-demo and char3-demo charts."""
+    rho0 = rho0_model()
+    chart = TangentConeChart(rho0, RHO0_SEED)
+    rho0_params = ((F(2), F(1, 16), F(3)), (F(1), F(17, 16), F(-2, 3)), (F(3), 0, F(4)))
+    for params in rho0_params:
+        yield rho0, chart.line_at(*params)
+    char3 = char3_model()
+    for params in ((3, 243, 243), (F(84), F(162), F(-81)), (F(2, 7), F(-5, 3), F(11))):
+        yield char3, labc_line(*params)
+
+
+def test_quartic_of_line_matches_substitute_on_demo_charts():
+    for model, line in demo_chart_lines():
+        want = BinaryQuartic.from_sparse(substituted(model.q4, line.rows))
+        got = quartic_of_line(line, model)
+        assert [(c, type(c)) for c in got.coeffs] == [(c, type(c)) for c in want.coeffs]
+
+
+def test_cone_frame_conic_matches_substitute():
+    model = rho0_model()
+    frame = _ConeFrame(model, RHO0_SEED)
+    want = substituted(model.q2, frame.U)
+    assert frame.conic == want
+    assert all(type(c) is F for c in frame.conic.terms.values())
+
+
+def test_quartic_of_line_rejects_a_line_off_the_second_quadric():
+    model = rho0_model()
+    hyperplane = nullspace([linear_row(model.q1)])
+    off = Line(hyperplane[:2])
+    assert lies_in(off, model.q1) and not lies_in(off, model.q2)
+    with pytest.raises(NotOnSurfaceError):
+        quartic_of_line(off, model)
+
+
+def test_restriction_multiplies_no_polynomials(monkeypatch):
+    rho0, char3 = rho0_model(), char3_model()
+    rho0_line = TangentConeChart(rho0, RHO0_SEED).line_at(F(2), F(1, 16), F(3))
+    calls = []
+    multiply = SparsePoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", counting)
+    quartic_of_line(labc_line(3, 243, 243), char3)
+    quartic_of_line(rho0_line, rho0)
+    _ConeFrame(rho0, RHO0_SEED)
+    assert calls == []
 
 
 def test_restriction_commutes_with_evaluation():

@@ -1,13 +1,57 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hmslines.errors import HmsError
 from hmslines.mpoly import (
     SparsePoly,
     compose_linear,
     elementary_symmetric,
+    integer_form,
+    restrict_in_integers,
     restrict_to_basis,
+    restrict_to_span,
 )
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+# small and huge numerators and denominators, and exact zeros
+ENTRIES = st.one_of(
+    st.fractions(-(10**6), 10**6, max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.just(Fraction(0)),
+)
+
+
+@st.composite
+def integral_forms(draw):
+    """A homogeneous form of degree 1-4 in 6 variables with Fraction
+    coefficients of denominator 1, as the forms of a model have."""
+    degree = draw(st.integers(1, 4))
+    variables = st.lists(st.integers(0, 5), min_size=degree, max_size=degree)
+    monomials = draw(st.lists(variables, min_size=1, max_size=12))
+    terms = {}
+    for variables in monomials:
+        counts = Counter(variables)
+        exp = tuple(counts[i] for i in range(6))
+        terms[exp] = Fraction(draw(st.integers(-(10**6), 10**6)))
+    return SparsePoly(6, terms)
+
+
+def substituted(f, rows):
+    """The restriction through SparsePoly.substitute, one linear image per variable."""
+    k = len(rows)
+    units = [tuple(int(j == l) for l in range(k)) for j in range(k)]
+    images = [
+        SparsePoly(k, {unit: row[i] for unit, row in zip(units, rows)})
+        for i in range(f.nvars)
+    ]
+    return f.substitute(images)
+
+
+def typed_terms(f):
+    return {exp: (c, type(c)) for exp, c in f.terms.items()}
 
 
 def P(nvars, terms):
@@ -87,3 +131,31 @@ def test_poly_valued_coefficients_supported():
     f = SparsePoly(2, {(1, 0): a, (0, 1): a * a})
     value = f.evaluate([Fraction(2), Fraction(3)])
     assert value == a * 2 + a * a * 3
+
+
+@PROPERTY
+@given(integral_forms(), st.integers(2, 3), st.data())
+def test_restriction_kernel_matches_substitute(f, k, data):
+    rows = [data.draw(st.lists(ENTRIES, min_size=6, max_size=6)) for _ in range(k)]
+    want = typed_terms(substituted(f, rows))
+    assert typed_terms(restrict_to_span(f, rows)) == want
+    (in_integers,) = restrict_in_integers([integer_form(f)], rows)
+    assert typed_terms(in_integers) == want
+    if k == 2:
+        assert typed_terms(restrict_to_basis(f, *rows)) == want
+
+
+def test_restriction_kernel_keeps_polynomial_coefficients():
+    # rows over Q[a]: (x0 + x1)^2 on t (1, a) + u (a, 0)
+    a = P(1, {(1,): 1})
+    one = P(1, {(0,): 1})
+    f = P(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    rows = [[one, a], [a, P(1, {})]]
+    assert restrict_to_span(f, rows) == substituted(f, rows)
+
+
+def test_integer_form_refuses_to_truncate():
+    assert integer_form(P(2, {(1, 0): 3, (0, 1): -4})).terms == {(1, 0): 3, (0, 1): -4}
+    assert all(type(c) is int for c in integer_form(P(2, {(1, 0): 3})).terms.values())
+    with pytest.raises(HmsError, match="not an integer"):
+        integer_form(P(2, {(1, 0): 3, (0, 1): Fraction(7, 2)}))

@@ -2,11 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hmslines import quartics
 from hmslines.errors import DegenerateLineError, HmsError
 from hmslines.mpoly import SparsePoly
+from hmslines.padics import PadicApprox
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from hmslines.scalars import Fq
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+# plain ints, small and huge rationals and zeros of both types, mixed
+COEFFS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(-(10**6), 10**6, max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.sampled_from([0, Fraction(0)]),
+)
 
 
 def from_roots(roots, fill):
@@ -64,6 +76,49 @@ def test_zero_form_raises():
     q = BinaryQuartic([Fraction(0)] * 5)
     with pytest.raises(DegenerateLineError):
         q.discriminant()
+
+
+@PROPERTY
+@given(st.lists(COEFFS, min_size=5, max_size=5))
+def test_rational_discriminant_matches_the_universal_polynomial(coeffs):
+    q = BinaryQuartic(coeffs)
+    if q.is_degenerate:
+        with pytest.raises(DegenerateLineError):
+            q.discriminant()
+        return
+    want = quartics._DISC_POLY.evaluate(q._inv_args())
+    got = q.discriminant()
+    assert (got, type(got)) == (want, type(want))
+
+
+class CountingPolynomial:
+    """Stands in for the universal discriminant and counts its evaluations."""
+
+    def __init__(self, poly):
+        self.poly, self.calls = poly, 0
+
+    def evaluate(self, values):
+        self.calls += 1
+        return self.poly.evaluate(values)
+
+
+def test_only_other_rings_evaluate_the_universal_discriminant(monkeypatch):
+    counting = CountingPolynomial(quartics._DISC_POLY)
+    monkeypatch.setattr(quartics, "_DISC_POLY", counting)
+    rational = BinaryQuartic([Fraction(1, 3), 0, 2, Fraction(-5, 7), 1])
+    assert rational.discriminant() != 0
+    assert counting.calls == 0
+    # t^4 - u^4 has discriminant 256 c4^3 c0^3 = -256, a unit at 3 and 5;
+    # F_3 has characteristic 3
+    for field in (Fq(3), Fq(5, 2)):
+        zero, one = field.zero(), field.one()
+        q = BinaryQuartic([-one, zero, zero, zero, one])
+        assert q.discriminant() == one * (-256)
+    zero = PadicApprox.zero_at(3, 10)
+    one = PadicApprox.from_rational(1, 3, 10)
+    padic = BinaryQuartic([-one, zero, zero, zero, one])
+    assert padic.discriminant().valuation() == 0
+    assert counting.calls == 3
 
 
 def test_real_root_count_on_constructed_quartics():
