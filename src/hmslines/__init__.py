@@ -1,12 +1,14 @@
 """Exact construction and certification of lines on twisted surface models.
 
 The package works entirely in exact arithmetic: rationals, the
-Eisenstein quadratic ring, finite fields F_p and F_{p^2}, and truncated
-p-adic numbers with tracked precision.  On top of that tower it builds
-sparse multivariate polynomials, the twisted models of a surface of
-sigma-type in P^5, line charts on those models, local factorization of
-the restricted quartic over Z_p, and a search that combines congruence
-targets at 3 and 5 with a real anchor and certifies the lines it finds.
+Eisenstein quadratic ring, finite fields F_p and F_{p^2}, and unramified
+p-adic rings mod p^K with sound valuations (a value that is zero at the
+working precision has an indeterminate valuation, never a guessed one).
+On top of that tower it builds sparse multivariate polynomials, the
+twisted models of a surface of sigma-type in P^5, line charts on those
+models, local factorization of the restricted quartic over Z_p, and a
+search that combines congruence targets at 3 and 5 with a real anchor
+and certifies the lines it finds.
 """
 
 from .errors import (
@@ -23,13 +25,7 @@ from .errors import (
     SingularPointError,
 )
 from .scalars import OMEGA, SQRT_MINUS_3, CycloElt, Fq, FqElt
-from .padics import (
-    IndeterminateValuation,
-    PadicApprox,
-    UElt,
-    UnramifiedRing,
-    lift_to_padic,
-)
+from .padics import IndeterminateValuation, UElt, UnramifiedRing
 from .mpoly import SparsePoly, elementary_symmetric, restrict_to_basis
 from .quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from .hensel import BlockReport, HenselReport, hensel_factor_quartic
@@ -48,7 +44,6 @@ from .surface import (
     SurfaceModel,
     TwistData,
     char3_twist,
-    curve_V_avoidance,
     identity_twist,
     modular_form_values,
     ordinarity_from_profile,
@@ -106,10 +101,8 @@ __all__ = [
     "Fq",
     "FqElt",
     "IndeterminateValuation",
-    "PadicApprox",
     "UnramifiedRing",
     "UElt",
-    "lift_to_padic",
     "SparsePoly",
     "elementary_symmetric",
     "restrict_to_basis",
@@ -131,7 +124,6 @@ __all__ = [
     "SurfaceModel",
     "TwistData",
     "char3_twist",
-    "curve_V_avoidance",
     "identity_twist",
     "modular_form_values",
     "ordinarity_from_profile",

@@ -40,7 +40,7 @@ from .mpoly import (
     restrict_in_integers,
     restrict_to_basis,
 )
-from .padics import IndeterminateValuation, PadicApprox, UElt
+from .padics import IndeterminateValuation, UElt
 from .quartics import BinaryQuartic
 from .scalars import primitive_integers, split_p_power, valuation_of_rational
 from .surface import SurfaceModel, char3_twist
@@ -591,7 +591,7 @@ def parity_admissible(ord_b: int, ord_c: int, ord_lambda1: int, ord_lambda2: int
 
 
 def _coordinate_valuation(c, p):
-    if isinstance(c, (PadicApprox, UElt)):
+    if isinstance(c, UElt):
         return c.valuation()
     c = Fraction(c)
     if c == 0:

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over any exact scalar ring.
 
 Terms are stored as a dict from exponent tuples to nonzero coefficients.
-Coefficients may be int, Fraction, CycloElt, FqElt, PadicApprox, UElt or
+Coefficients may be int, Fraction, CycloElt, FqElt, UElt or
 even SparsePoly again (polynomial coefficients are used by the symbolic
 line-family checks); all that is required of the scalar is +, -, * and a
 zero test.
@@ -208,16 +208,6 @@ class SparsePoly:
                 term = term * cache[e]
             result = result + term
         return result
-
-    def derivative(self, i: int):
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            ne = list(exp)
-            ne[i] -= 1
-            terms[tuple(ne)] = c * exp[i]
-        return SparsePoly(self.nvars, terms)
 
     def map_coeffs(self, fn):
         return SparsePoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})

@@ -1,27 +1,21 @@
-"""Capped-precision p-adic approximants with explicit indeterminacy.
+"""Unramified p-adic rings mod p^K, with sound valuations.
 
-A `PadicApprox` is either
+`UnramifiedRing` models (Z/p^K)[t]/(m) for m monic and irreducible
+mod p: the ring of integers of the unramified extension of Q_p of
+degree deg(m), with every element known to the uniform absolute
+precision p^K.  Because the extension is unramified, the valuation of
+an element is the minimum valuation of its coordinates.  A degree-1
+ring, modulus (0, 1), is Z/p^K itself.
 
-* certified nonzero: value = p^valuation * unit + O(p^(valuation+N)),
-  with unit a p-unit reduced into [1, p^N), N >= 1 the relative
-  precision; or
-* zero at this precision: all that is known is value = O(p^bound).
-
-Indeterminacy is a value, never a silent rounding: `valuation()` returns
-an `IndeterminateValuation` lower bound for zero-at-precision elements,
-and callers that need a decision re-lift at higher precision.
-
-`UnramifiedRing` models Z_p[t]/(m) for m monic and irreducible mod p,
-i.e. the ring of integers of the unramified extension of degree deg(m),
-with every element known to a uniform absolute precision p^K.  Because
-the extension is unramified, the valuation of an element is the minimum
-valuation of its coordinates.
+Indeterminacy is a value, never a silent rounding: an element that is
+zero mod p^K has the valuation `IndeterminateValuation(K)`, a lower
+bound, and callers that need a decision raise `PrecisionError`.
 """
 
 from fractions import Fraction
 
-from .errors import HmsError, PrecisionError
-from .scalars import split_p_power, valuation_of_rational
+from .errors import HmsError
+from .scalars import split_p_power
 
 
 class IndeterminateValuation:
@@ -40,205 +34,6 @@ class IndeterminateValuation:
 
     def __repr__(self):
         return f"IndeterminateValuation(>= {self.lower_bound})"
-
-
-class PadicApprox:
-    __slots__ = ("p", "v", "unit", "N")
-
-    def __init__(self, p, v, unit, N):
-        # Canonical forms only; use the constructors below.
-        self.p = p
-        self.v = v
-        self.unit = unit
-        self.N = N
-
-    @staticmethod
-    def nonzero(p: int, v: int, unit: int, N: int) -> "PadicApprox":
-        """Canonicalize p^v * unit known mod p^(v+N); strips p-powers from unit."""
-        if N <= 0:
-            raise HmsError("relative precision must be positive")
-        m = p**N
-        unit %= m
-        if unit == 0:
-            return PadicApprox.zero_at(p, v + N)
-        shift, unit = split_p_power(unit, p)
-        # absolute precision is unchanged; relative precision shrinks
-        N -= shift
-        if N <= 0:
-            # value was indistinguishable from zero after all
-            return PadicApprox.zero_at(p, v + N + shift)
-        return PadicApprox(p, v + shift, unit % (p**N), N)
-
-    @staticmethod
-    def zero_at(p: int, bound: int) -> "PadicApprox":
-        """The zero-at-precision element: value = O(p^bound)."""
-        return PadicApprox(p, bound, 0, 0)
-
-    @staticmethod
-    def from_rational(x, p: int, N: int) -> "PadicApprox":
-        return lift_to_padic(x, p, N)
-
-    @property
-    def is_zero_at_precision(self) -> bool:
-        return self.unit == 0
-
-    @property
-    def abs_precision(self) -> int:
-        """The value is known modulo p^abs_precision."""
-        return self.v + self.N
-
-    def valuation(self):
-        if self.unit == 0:
-            return IndeterminateValuation(self.abs_precision)
-        return self.v
-
-    def valuation_or_raise(self, what="value"):
-        val = self.valuation()
-        if isinstance(val, IndeterminateValuation):
-            raise PrecisionError(
-                f"{what} is zero at precision O({self.p}^{val.lower_bound}); "
-                "re-lift at higher precision",
-                needed=val.lower_bound + 1,
-            )
-        return val
-
-    def _coerce(self, x):
-        if isinstance(x, PadicApprox):
-            if x.p != self.p:
-                raise HmsError("mixed primes in p-adic arithmetic")
-            return x
-        if isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-            if x == 0:
-                # exact zero: known to any precision; cap at our bound
-                return PadicApprox.zero_at(self.p, self.abs_precision + 1)
-            # lift so the exact value loses nothing against self's window
-            vx = valuation_of_rational(x, self.p)
-            rel = max(self.abs_precision - vx, 1)
-            return lift_to_padic(x, self.p, rel)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        bound = min(self.abs_precision, o.abs_precision)
-        vm = min(self.v, o.v) if (self.unit or o.unit) else bound
-        vm = min(vm, bound)
-        m = p ** (bound - vm) if bound > vm else 1
-        total = 0
-        for z in (self, o):
-            if z.unit:
-                total += z.unit * p ** (z.v - vm)
-        total %= m
-        if bound <= vm or total == 0:
-            return PadicApprox.zero_at(p, bound)
-        return PadicApprox.nonzero(p, vm, total, bound - vm)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.unit == 0:
-            return self
-        return PadicApprox(self.p, self.v, (-self.unit) % self.p**self.N, self.N)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        if self.unit == 0 or o.unit == 0:
-            # v(xy) >= bound_or_valuation(x) + bound_or_valuation(y)
-            bx = self.abs_precision if self.unit == 0 else self.v
-            by = o.abs_precision if o.unit == 0 else o.v
-            return PadicApprox.zero_at(p, bx + by)
-        N = min(self.N, o.N)
-        return PadicApprox.nonzero(p, self.v + o.v, self.unit * o.unit, N)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.unit == 0:
-            raise PrecisionError(
-                "division by a value that is zero at this precision",
-                needed=o.abs_precision + 1,
-            )
-        if self.unit == 0:
-            return PadicApprox.zero_at(self.p, self.abs_precision - o.v)
-        N = min(self.N, o.N)
-        inv = pow(o.unit, -1, self.p**N)
-        return PadicApprox.nonzero(self.p, self.v - o.v, self.unit * inv, N)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return (1 / self) ** (-k)
-        if self.unit == 0:
-            if k == 0:
-                raise HmsError("0^0 at finite precision")
-            return PadicApprox.zero_at(self.p, self.abs_precision * k)
-        if k == 0:
-            return PadicApprox.nonzero(self.p, 0, 1, self.N)
-        m = self.p**self.N
-        return PadicApprox.nonzero(self.p, self.v * k, pow(self.unit, k, m), self.N)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicApprox):
-            return NotImplemented
-        return (self.p, self.v, self.unit, self.N) == (
-            other.p,
-            other.v,
-            other.unit,
-            other.N,
-        )
-
-    def __repr__(self):
-        if self.unit == 0:
-            return f"PadicApprox(O({self.p}^{self.abs_precision}))"
-        return (
-            f"PadicApprox({self.p}^{self.v} * {self.unit}"
-            f" + O({self.p}^{self.abs_precision}))"
-        )
-
-
-def lift_to_padic(x, p: int, prec: int) -> PadicApprox:
-    """Lift a nonzero rational with denominator prime to p; exact valuation.
-
-    Raises on x = 0 (an exact zero has no finite description here; use
-    `PadicApprox.zero_at` with an explicit bound instead).
-    """
-    x = Fraction(x)
-    if x == 0:
-        raise HmsError("cannot lift exact zero; use PadicApprox.zero_at")
-    if prec <= 0:
-        raise HmsError("precision must be positive")
-    v_num, num = split_p_power(x.numerator, p)
-    v_den, den = split_p_power(x.denominator, p)
-    v = v_num - v_den
-    m = p**prec
-    unit = (num % m) * pow(den, -1, m) % m
-    return PadicApprox.nonzero(p, v, unit, prec)
 
 
 class UnramifiedRing:
@@ -378,15 +173,6 @@ class UElt:
         if not vals:
             return IndeterminateValuation(self.ring.K)
         return min(vals)
-
-    def valuation_or_raise(self, what="value"):
-        val = self.valuation()
-        if isinstance(val, IndeterminateValuation):
-            raise PrecisionError(
-                f"{what} is zero mod p^{self.ring.K}; re-lift at higher precision",
-                needed=self.ring.K + 1,
-            )
-        return val
 
     def __repr__(self):
         return f"UElt({self.coeffs} mod {self.ring.p}^{self.ring.K})"

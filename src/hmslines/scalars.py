@@ -156,10 +156,6 @@ class CycloElt:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def rational_part(self) -> Fraction:
         """The value as a Fraction; raises unless the omega part vanishes."""
         if self.b != 0:
@@ -396,12 +392,6 @@ class FqElt:
             base = base * base
             k >>= 1
         return result
-
-    def frobenius(self):
-        """x -> x^p; on the fixed basis this is w -> -w."""
-        if self.field.deg == 1:
-            return self
-        return FqElt(self.field, self.c0, -self.c1)
 
     def __eq__(self, other):
         o = self._coerce(other)

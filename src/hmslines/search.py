@@ -45,7 +45,7 @@ from .lines import (
     parity_admissible,
     quartic_of_line,
 )
-from .padics import PadicApprox, UnramifiedRing
+from .padics import UnramifiedRing
 from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
 from .scalars import integer_numerators, split_p_power, valuation_of_rational
@@ -558,14 +558,13 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
     }
 
 
-def _cusp_report(points, p, prec):
+def _cusp_report(points, p):
     """Distance of 3-adic intersection points from the cusp line x1 = x2."""
     wrapped = []
     for pt in points:
         if pt.kind == "rational":
-            wrapped.append(
-                [PadicApprox.nonzero(p, 0, c, pt.prec) for c in pt.coords]
-            )
+            ring = UnramifiedRing(p, (0, 1), pt.prec)
+            wrapped.append([ring.elt([c]) for c in pt.coords])
         else:
             wrapped.append(list(pt.coords))
     if not wrapped:
@@ -673,7 +672,7 @@ def _local_section(line, quartic, model, config, report) -> dict:
         "points_extracted": sum(pt.conjugates for pt in points),
     }
     if p == 3 and config.twist == "char3-x":
-        section["cusp"] = _cusp_report(points, 3, config.precision)
+        section["cusp"] = _cusp_report(points, 3)
         section["parity"] = _parity_section(line, config)
     if p == 5:
         section["points"] = [_point_invariants(model, pt) for pt in points]

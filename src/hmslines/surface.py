@@ -9,15 +9,17 @@ substitution, certifies rationality, and clears denominators.
 The sigma invariants of a point (computed in s-coordinates) feed the
 modular-form values phi2, chi6, chi10 and the two scale-invariant
 ordinarity ratios of `u_ratios`.  `ordinarity_from_valuations` is the
-one ordinarity rule, shared by `ordinarity_from_profile` and the 5-adic
-points of a certificate.
+one ordinarity rule, shared by the 5-adic points of a certificate and
+`ordinarity_from_profile`.  The profile path takes exact values only:
+`verify-paper` checks the paper's identities on it, and the tests hold
+the certificate path to it as the exact-rational oracle.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import BadLocusError, HmsError, PrecisionError, RationalityError
+from .errors import BadLocusError, HmsError, RationalityError
 from .linalg import invert, mat_mul, mat_vec
 from .mpoly import (
     SparsePoly,
@@ -26,7 +28,6 @@ from .mpoly import (
     elementary_symmetric,
     integer_form,
 )
-from .padics import IndeterminateValuation, PadicApprox, lift_to_padic
 from .scalars import CycloElt, OMEGA, SQRT_MINUS_3, valuation_of_rational
 
 
@@ -226,35 +227,12 @@ class SigmaProfile:
         return s3 * s3 - s6 * 4
 
 
-def _coerce_point(pt):
+def sigma_profile(pt) -> SigmaProfile:
+    """Elementary symmetric functions of the six s-coordinates of a point."""
     pt = list(pt)
     if len(pt) != 6:
         raise HmsError("a point needs 6 coordinates")
-    padic = [c for c in pt if isinstance(c, PadicApprox)]
-    if padic:
-        p = padic[0].p
-        bound = min(c.abs_precision for c in padic)
-        out = []
-        for c in pt:
-            if isinstance(c, PadicApprox):
-                out.append(c)
-            elif coeff_is_zero(c):
-                out.append(PadicApprox.zero_at(p, bound))
-            else:
-                out.append(lift_to_padic(c, p, max(bound, 1)))
-        return out
-    return pt
-
-
-def sigma_profile(pt) -> SigmaProfile:
-    """Elementary symmetric functions of the six s-coordinates of a point."""
-    pt = _coerce_point(pt)
-    if all(
-        c.is_zero_at_precision if isinstance(c, PadicApprox) else coeff_is_zero(c)
-        for c in pt
-    ):
-        if isinstance(pt[0], PadicApprox):
-            raise PrecisionError("all coordinates vanish at the working precision")
+    if all(coeff_is_zero(c) for c in pt):
         raise HmsError("the zero vector is not a projective point")
     es = [1, 0, 0, 0, 0, 0, 0]
     for s in pt:
@@ -279,13 +257,6 @@ class ModularFormValues:
 
 
 def _require_invertible(value, name):
-    if isinstance(value, PadicApprox):
-        if value.is_zero_at_precision:
-            raise PrecisionError(
-                f"{name} is zero at the working precision; cannot invert",
-                needed=value.abs_precision + 1,
-            )
-        return
     if coeff_is_zero(value):
         if name == "sigma_5":
             raise BadLocusError(
@@ -338,12 +309,9 @@ class OrdinarityCertificate:
 def u_ratios(profile: SigmaProfile):
     """u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3) at a profile.
 
-    Both are invariant under scaling the point; exact values come out as
-    Fractions.
+    Both are invariant under scaling the point and come out as Fractions.
     """
-    s3, s5, D = profile.sigma(3), profile.sigma(5), profile.D
-    if not isinstance(s5, PadicApprox):
-        s3, s5, D = Fraction(s3), Fraction(s5), Fraction(D)
+    s3, s5, D = (Fraction(x) for x in (profile.sigma(3), profile.sigma(5), profile.D))
     return D**5 / s5**6, D**3 / (s5**3 * s3)
 
 
@@ -361,47 +329,20 @@ def ordinarity_from_valuations(v_sigma3, v_sigma5, v_D):
     return v_u1, v_u2, ordinary
 
 
-def _valuation(x, p):
-    if isinstance(x, PadicApprox):
-        v = x.valuation()
-        return None if isinstance(v, IndeterminateValuation) else v
-    return valuation_of_rational(Fraction(x), p)
-
-
 def ordinarity_from_profile(profile: SigmaProfile, p: int = 5) -> OrdinarityCertificate:
-    """Decide ordinarity at p from exact or p-adic sigma values.
+    """Decide ordinarity at p from exact sigma values.
 
     The verdict is `ordinarity_from_valuations` of v(sigma_3), v(sigma_5)
-    and v(D).  An exact D = 0 makes both ratios vanish: not ordinary,
-    with both ratio valuations None.  A p-adic D that is zero at the
-    working precision gives no verdict and raises PrecisionError; its
-    lower bound is never read as "not ordinary".
+    and v(D).  An exact D = 0 puts the point on the curve V and makes
+    both ratios vanish: not ordinary, with both ratio valuations None.
     """
     s3, s5, D = profile.sigma(3), profile.sigma(5), profile.D
     _require_invertible(s5, "sigma_5")
     _require_invertible(s3, "sigma_3")
     u1, u2 = u_ratios(profile)
-    if not isinstance(D, PadicApprox) and coeff_is_zero(D):
+    if coeff_is_zero(D):
         return OrdinarityCertificate(p, u1, u2, None, None, False)
     v_u1, v_u2, ordinary = ordinarity_from_valuations(
-        _valuation(s3, p), _valuation(s5, p), _valuation(D, p)
+        *(valuation_of_rational(x, p) for x in (s3, s5, D))
     )
-    if ordinary is None:
-        raise PrecisionError(
-            "valuation of D is indeterminate at the working precision",
-            needed=D.abs_precision + 1,
-        )
     return OrdinarityCertificate(p, u1, u2, v_u1, v_u2, ordinary)
-
-
-def curve_V_avoidance(profile: SigmaProfile) -> bool:
-    """Certify D != 0 at the point; False only on an exact zero."""
-    D = profile.D
-    if isinstance(D, PadicApprox):
-        if D.is_zero_at_precision:
-            raise PrecisionError(
-                "D is zero at the working precision; cannot certify avoidance",
-                needed=D.abs_precision + 1,
-            )
-        return True
-    return not coeff_is_zero(D)

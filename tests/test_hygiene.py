@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used by that module, and
-every function or method the package defines is referenced somewhere."""
+"""Source hygiene: every name a module imports is used by that module,
+every name the package imports in `__init__.py` is exported, and every
+function or method the package defines is referenced somewhere."""
 import ast
 from pathlib import Path
 
@@ -38,6 +39,24 @@ def test_every_import_is_used(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom math import gcd, lcm\nprint(gcd(4, 6))\n"
     assert _unused_imports(source) == [(1, "os"), (2, "lcm")]
+
+
+def _init_imports(source: str):
+    """Names `__init__.py` binds by importing them."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_export_resolves_and_every_import_is_exported():
+    for name in hmslines.__all__:
+        assert hasattr(hmslines, name), name
+    assert len(set(hmslines.__all__)) == len(hmslines.__all__)
+    imported = _init_imports((PACKAGE / "__init__.py").read_text())
+    assert sorted(imported - set(hmslines.__all__)) == []
 
 
 def _defined_functions(tree):

@@ -396,12 +396,15 @@ def test_cusp_proximity_respects_noncusp_choice():
 
 
 def test_cusp_proximity_refuses_unresolved_coordinates():
-    from hmslines import PadicApprox
+    from hmslines import UnramifiedRing
     from hmslines.errors import PrecisionError
 
-    unit = PadicApprox.nonzero(3, 0, 1, 5)
-    deep = PadicApprox.nonzero(3, 3, 1, 5)
-    fog = PadicApprox.zero_at(3, 2)
+    def known_mod_3_to(K, c):
+        return UnramifiedRing(3, (0, 1), K).elt([c])
+
+    unit = known_mod_3_to(5, 1)
+    deep = known_mod_3_to(5, 27)
+    fog = known_mod_3_to(2, 0)
 
     # Every gauge coordinate is indistinguishable from zero: the depth
     # could be anything at this precision, so the report must refuse.
@@ -415,7 +418,7 @@ def test_cusp_proximity_refuses_unresolved_coordinates():
 
     # Once the unresolved coordinate is known to be deeper than the
     # certified one, the report goes through.
-    settled = PadicApprox.zero_at(3, 9)
+    settled = known_mod_3_to(9, 0)
     ok = cusp_proximity([(deep, unit, 0, settled, 0, 0)], p=3)
     assert ok.depths == (3,)
     assert ok.distances == (F(1, 27),)

@@ -81,14 +81,6 @@ def test_substitute_maps_each_variable():
     assert g == P(2, {(3, 0): 2})
 
 
-def test_derivative_product_rule_spot_check():
-    f = P(2, {(2, 1): 1, (0, 2): -4})
-    df = f.derivative(0)
-    assert df == P(2, {(1, 1): 2})
-    dg = f.derivative(1)
-    assert dg == P(2, {(2, 0): 1, (0, 1): -8})
-
-
 def test_canonical_scale_times_form_recovers_poly():
     f = P(2, {(2, 0): Fraction(4, 6), (1, 1): Fraction(-2, 3)})
     scale, form = f.canonical()

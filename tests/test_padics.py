@@ -2,79 +2,66 @@ from fractions import Fraction
 
 import pytest
 
-from hmslines.errors import HmsError, PrecisionError
-from hmslines.padics import (
-    IndeterminateValuation,
-    PadicApprox,
-    UnramifiedRing,
-    lift_to_padic,
-)
+from hmslines.errors import HmsError
+from hmslines.padics import IndeterminateValuation, UnramifiedRing
+
+
+def Zp(p, K):
+    """Z/p^K as the degree-1 unramified ring."""
+    return UnramifiedRing(p, (0, 1), K)
 
 
 def test_lift_tracks_exact_valuation():
-    x = lift_to_padic(Fraction(45, 7), 3, 6)
-    assert x.valuation() == 2
-    y = lift_to_padic(Fraction(7, 45), 3, 6)
-    assert y.valuation() == -2
+    assert Zp(3, 6).from_rational(Fraction(45, 7)).valuation() == 2
+    # a negative valuation has no representative in Z/p^K
+    with pytest.raises(HmsError):
+        Zp(3, 6).from_rational(Fraction(7, 45))
 
 
 def test_addition_respects_ultrametric():
-    p = 5
-    a = lift_to_padic(Fraction(25), p, 6)
-    b = lift_to_padic(Fraction(5), p, 6)
+    R = Zp(5, 6)
+    a = R.from_rational(25)
+    b = R.from_rational(5)
     assert (a + b).valuation() == 1
-    # cancellation: the sum of x and -x is zero at the joint precision
-    c = a + (-a)
-    assert c.is_zero_at_precision
-    v = c.valuation()
-    assert isinstance(v, IndeterminateValuation)
+    # cancellation: the sum of x and -x is zero at the working precision
+    v = (a + (-a)).valuation()
+    assert v == IndeterminateValuation(6)
 
 
 def test_multiplication_adds_valuations():
-    p = 3
-    a = lift_to_padic(Fraction(6, 5), p, 8)
-    b = lift_to_padic(Fraction(9, 2), p, 8)
+    R = Zp(3, 8)
+    a = R.from_rational(Fraction(6, 5))
+    b = R.from_rational(Fraction(9, 2))
     assert (a * b).valuation() == 3
     assert (a * a).valuation() == 2
 
 
 def test_arithmetic_matches_rational_reduction():
-    # compute (3/4 + 7) * 5/2 both exactly and through the approximations
-    p = 7
-    prec = 8
+    # compute (3/4 + 7) * 5/2 both exactly and in Z/7^8
+    R = Zp(7, 8)
     exact = (Fraction(3, 4) + 7) * Fraction(5, 2)
-    x = lift_to_padic(Fraction(3, 4), p, prec)
-    y = lift_to_padic(Fraction(7), p, prec)
-    z = lift_to_padic(Fraction(5, 2), p, prec)
-    got = (x + y) * z
-    want = lift_to_padic(exact, p, prec)
-    diff = got - want
-    assert diff.is_zero_at_precision
+    got = (R.from_rational(Fraction(3, 4)) + 7) * R.from_rational(Fraction(5, 2))
+    assert got == R.from_rational(exact)
+    assert isinstance((got - exact).valuation(), IndeterminateValuation)
 
 
 def test_zero_at_has_indeterminate_valuation():
-    z = PadicApprox.zero_at(5, 4)
-    v = z.valuation()
+    v = Zp(5, 4).zero().valuation()
     assert isinstance(v, IndeterminateValuation)
     assert v.lower_bound == 4
-    with pytest.raises(PrecisionError):
-        z.valuation_or_raise()
-
-
-def test_lift_rejects_zero_and_bad_precision():
-    with pytest.raises(HmsError):
-        lift_to_padic(Fraction(0), 5, 4)
-    with pytest.raises(HmsError):
-        lift_to_padic(Fraction(1), 5, 0)
 
 
 def test_valuation_monotone_under_precision_refinement():
-    # the same rational lifted at two precisions gives consistent answers
-    for num, den in [(10, 3), (9, 10), (250, 7), (1, 2)]:
+    # the same rational at two precisions: a determined valuation is
+    # the same at both, and an undetermined one is a lower bound
+    for num, den in [(10, 3), (9, 7), (250, 7), (1, 2), (5**7, 3)]:
         x = Fraction(num, den)
-        lo = lift_to_padic(x, 5, 3)
-        hi = lift_to_padic(x, 5, 9)
-        assert lo.valuation() == hi.valuation()
+        lo = Zp(5, 3).from_rational(x).valuation()
+        hi = Zp(5, 9).from_rational(x).valuation()
+        if isinstance(lo, IndeterminateValuation):
+            assert lo.lower_bound == 3 <= hi
+        else:
+            assert lo == hi
 
 
 def test_unramified_ring_generator_satisfies_modulus():

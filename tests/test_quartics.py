@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hmslines import quartics
 from hmslines.errors import DegenerateLineError, HmsError
 from hmslines.mpoly import SparsePoly
-from hmslines.padics import PadicApprox
+from hmslines.padics import UnramifiedRing
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from hmslines.scalars import Fq
 
@@ -114,8 +114,8 @@ def test_only_other_rings_evaluate_the_universal_discriminant(monkeypatch):
         zero, one = field.zero(), field.one()
         q = BinaryQuartic([-one, zero, zero, zero, one])
         assert q.discriminant() == one * (-256)
-    zero = PadicApprox.zero_at(3, 10)
-    one = PadicApprox.from_rational(1, 3, 10)
+    ring = UnramifiedRing(3, (0, 1), 10)
+    zero, one = ring.zero(), ring.one()
     padic = BinaryQuartic([-one, zero, zero, zero, one])
     assert padic.discriminant().valuation() == 0
     assert counting.calls == 3

@@ -4,14 +4,17 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import (
     ConfigError,
     Line,
     SearchExhausted,
+    PrecisionError,
     build_model,
     certify_line,
     crt_parameter,
+    cusp_proximity,
     derive_chart_params,
     find_lines,
     intersection_points,
@@ -22,6 +25,8 @@ from hmslines import (
 from hmslines import search
 from hmslines.hensel import hensel_factor_quartic
 from hmslines.padics import IndeterminateValuation
+from hmslines.scalars import primitive_integers, valuation_of_rational
+from hmslines.serialize import frac_str
 from hmslines.search import CERTIFICATE_SCHEMA, load_config, _candidate_params, _combined_parameters
 
 F = Fraction
@@ -393,6 +398,38 @@ def test_point_invariants_leave_undetermined_v_d_undecided():
     assert (high["v_D"], high["v_u1"], high["v_u2"]) == (2, 10, 6)
     assert high["ordinary"] is False
     assert high["curve_V_avoided"] is True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(0, 6)), min_size=6, max_size=6
+    ),
+    st.integers(1, 12),
+)
+# a point on the cusp line itself: refused at every precision
+@example([(0, 0), (1, 0), (2, 1), (0, 0), (0, 0), (0, 0)], 12)
+def test_cusp_section_agrees_with_the_exact_point(terms, K):
+    # oracle: cusp_proximity of the exact primitive integer point
+    assume(any(n for n, _ in terms))
+    point = primitive_integers([n * 3**k for n, k in terms])
+    exact = cusp_proximity([point], p=3)
+    residues = tuple(c % 3**K for c in point)
+    local = search.LocalPoint(0, "rational", residues, 3, K, 1, 1)
+    gauge = [valuation_of_rational(point[i], 3) for i in (0, 3, 4, 5) if point[i]]
+    try:
+        report = search._cusp_report([local], 3)
+    except PrecisionError as exc:
+        assert exc.needed > K
+        # refusing is allowed only while every gauge coordinate may be
+        # zero mod 3^K; on the cusp line itself that is at every K
+        assert gauge == [] or K <= min(gauge)
+        return
+    assert report == {
+        "p": 3,
+        "depths": list(exact.depths),
+        "distances": [frac_str(d) for d in exact.distances],
+    }
 
 
 def test_intersection_points_lie_on_the_surface():

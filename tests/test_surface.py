@@ -7,14 +7,11 @@ from hmslines import (
     BadLocusError,
     Fq,
     HmsError,
-    PrecisionError,
     RationalityError,
     SQRT_MINUS_3,
     SigmaProfile,
     TwistData,
-    curve_V_avoidance,
     identity_twist,
-    lift_to_padic,
     modular_form_values,
     ordinarity_from_profile,
     rho0_twist,
@@ -26,7 +23,7 @@ from hmslines.mpoly import elementary_symmetric
 from hmslines.scalars import OMEGA
 from hmslines.surface import ordinarity_from_valuations
 
-from precision_probe import run_probe
+from precision_probe import certificate_entry, run_probe
 
 F = Fraction
 
@@ -199,11 +196,11 @@ def test_ordinarity_point_examples():
 
 def test_ordinarity_padic_matches_exact():
     exact = ordinarity_from_profile(sigma_profile((1, 2, 3, 4, 6, 7)), 5)
-    lifted = [lift_to_padic(c, 5, 8) for c in (1, 2, 3, 4, 6, 7)]
-    approx = ordinarity_from_profile(sigma_profile(lifted), 5)
-    assert approx.passed == exact.passed
-    assert approx.v_u1 == exact.v_u1 == 0
-    assert approx.v_u2 == exact.v_u2 == -2
+    model = twisted_equations(identity_twist())
+    entry = certificate_entry(model, (1, 2, 3, 4, 6, 7), 5, 8)
+    assert entry["ordinary"] is exact.passed is True
+    assert entry["v_u1"] == exact.v_u1 == 0
+    assert entry["v_u2"] == exact.v_u2 == -2
 
 
 def test_ordinarity_ratios_scale_invariant():
@@ -230,37 +227,46 @@ def test_ordinarity_exact_zero_d_and_undetermined_d():
     # D = 2^2 - 4 * 1 = 0: exactly on V, so never ordinary
     on_v = ordinarity_from_profile(SigmaProfile((0, 0, F(2), 0, F(1), F(1))), 5)
     assert (on_v.v_u1, on_v.v_u2, on_v.passed) == (None, None, False)
-    # the same values as 5-adic approximations leave D zero at the
-    # working precision: no verdict instead of "not ordinary"
-    lifted = SigmaProfile(
-        tuple(lift_to_padic(c, 5, 6) for c in (1, 1, 2, 1, 1, 1))
-    )
-    with pytest.raises(PrecisionError):
-        ordinarity_from_profile(lifted, 5)
+    # a point with D = 0 exactly and sigma_3, sigma_5 nonzero: the exact
+    # oracle says "not ordinary"; the certificate path, which only knows
+    # the point mod 5^K, leaves D undetermined and gives no verdict
+    point = (1, 1, 1, 1, -2, -2)
+    exact = ordinarity_from_profile(sigma_profile(point), 5)
+    assert (exact.v_u1, exact.v_u2, exact.passed) == (None, None, False)
+    model = twisted_equations(identity_twist())
+    for prec in (6, 30):
+        entry = certificate_entry(model, point, 5, prec)
+        assert entry["v_D"] is None
+        assert (entry["v_u1"], entry["v_u2"], entry["ordinary"]) == (None, None, None)
 
 
 def test_curve_v_avoidance():
-    assert curve_V_avoidance(SigmaProfile((0, 0, F(2), 0, F(1), F(1)))) is False
-    assert curve_V_avoidance(SigmaProfile((0, 0, F(1), 0, F(1), F(1)))) is True
-    assert curve_V_avoidance(sigma_profile((1, 1, 0, 0, 0, 0))) is False
-    assert curve_V_avoidance(sigma_profile((1, 2, 3, 4, 6, 7))) is True
+    # the exact oracle: the point avoids V when D != 0
+    assert SigmaProfile((0, 0, F(2), 0, F(1), F(1))).D == 0
+    assert SigmaProfile((0, 0, F(1), 0, F(1), F(1))).D == -3
+    assert sigma_profile((1, 1, 0, 0, 0, 0)).D == 0
+    assert sigma_profile((1, 2, 3, 4, 6, 7)).D != 0
+    # the certificate path certifies avoidance once v(D) is determined
+    model = twisted_equations(identity_twist())
+    entry = certificate_entry(model, (1, 2, 3, 4, 6, 7), 5, 8)
+    assert entry["curve_V_avoided"] is True
 
 
 def test_curve_v_avoidance_padic_indeterminacy():
     # D of (1, 1, 0, 0, 0, 0) vanishes exactly, so no finite precision
-    # can certify avoidance
-    lifted = [lift_to_padic(1, 5, 6), lift_to_padic(1, 5, 6), 0, 0, 0, 0]
-    profile = sigma_profile(lifted)
-    with pytest.raises(PrecisionError):
-        curve_V_avoidance(profile)
+    # can certify avoidance: the certificate says null, never true
+    model = twisted_equations(identity_twist())
+    for prec in (6, 30):
+        entry = certificate_entry(model, (1, 1, 0, 0, 0, 0), 5, prec)
+        assert entry["curve_V_avoided"] is None
 
 
 def test_ordinarity_precision_monotonicity():
-    result = run_probe(n=100, seed=93, p=5, low=4, high=8)
+    result = run_probe(n=100, seed=93, p=5, low=4, high=12)
     assert result["points"] == 100
     assert result["violations"] == []
-    assert result["decided_high"] == 100
-    assert result["decided_low"] >= 90
     # the certificate path reads valuations of integer representatives
-    # in absolute precision, so it decides fewer points, never wrongly
-    assert result["certificate_decided_high"] >= 70
+    # in absolute precision: it decides fewer points at low precision,
+    # never wrongly, and every one of them at 5^12
+    assert result["certificate_decided_low"] == 37
+    assert result["certificate_decided_high"] == 100
