@@ -61,10 +61,8 @@ from .lines import (
     cusp_proximity,
     labc_line,
     labc_params_of_line,
-    line_through,
     parity_admissible,
     quartic_of_line,
-    tangent_cone_lines,
 )
 from .search import (
     LocalTarget,
@@ -139,10 +137,8 @@ __all__ = [
     "cusp_proximity",
     "labc_line",
     "labc_params_of_line",
-    "line_through",
     "parity_admissible",
     "quartic_of_line",
-    "tangent_cone_lines",
     "LocalTarget",
     "SearchConfig",
     "SolvableLineCertificate",

@@ -35,15 +35,13 @@ from .linalg import mat_vec, nullspace, rref, solve
 from .mpoly import (
     SparsePoly,
     coeff_is_zero,
-    compose_linear,
-    elementary_symmetric,
     restrict_in_integers,
     restrict_to_basis,
 )
 from .padics import IndeterminateValuation, UElt
 from .quartics import BinaryQuartic
 from .scalars import primitive_integers, split_p_power, valuation_of_rational
-from .surface import SurfaceModel, char3_twist
+from .surface import SurfaceModel, char3_twist, twisted_equations
 
 
 def primitive_vector(v):
@@ -73,10 +71,6 @@ class Line:
         self.rows = (tuple(R[0]), tuple(R[1]))
         self.pivots = tuple(pivots)
 
-    def point_at(self, t, u):
-        a, b = self.rows
-        return [ai * t + bi * u for ai, bi in zip(a, b)]
-
     def contains(self, pt) -> bool:
         _, pivots = rref([list(self.rows[0]), list(self.rows[1]), list(pt)])
         return len(pivots) == 2
@@ -91,10 +85,6 @@ class Line:
         return f"Line{self.rows!r}"
 
 
-def line_through(p, q) -> Line:
-    return Line([p, q])
-
-
 def lies_in(line: Line, f: SparsePoly) -> bool:
     """Whether the hypersurface f = 0 contains the line."""
     return restrict_to_basis(f, line.rows[0], line.rows[1]).is_zero
@@ -105,7 +95,7 @@ def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
 
     The line must lie in both quadric equations of the model; its four
     intersection points with the degree-8 surface are the roots of the
-    returned form in the [t : u] parametrization of `point_at`.
+    returned form in the parametrization [t : u] -> t * rows[0] + u * rows[1].
 
     The work runs on integers: each row is scaled by its own common
     denominator (dP, dQ), the model's integral forms are restricted on
@@ -338,21 +328,6 @@ class ConicParam:
         return r, s
 
 
-def tangent_cone_lines(model: SurfaceModel, x, r, s, conic_point=None) -> Line:
-    """The ruling line of the tangent cone at x with chord parameter [r:s].
-
-    `conic_point` may supply a known rational ruling direction; without
-    it a deterministic small-height search runs first."""
-    frame = _ConeFrame(model, x)
-    if conic_point is not None:
-        c0 = frame.project(conic_point)
-    else:
-        c0 = rational_conic_point(frame.conic)
-    param = ConicParam(frame.conic, c0)
-    w = frame.ambient(param.point(r, s))
-    return Line([frame.x, w])
-
-
 class TangentConeChart:
     """Three-parameter rational chart (a, b, c) -> line in {q1 = q2 = 0}.
 
@@ -510,12 +485,8 @@ def char3_quartic_display(lambda1, lambda2) -> SparsePoly:
     """The quartic of the cube-root twist model, scaled so that the
     monomial x0^3 x5 has coefficient lambda1^3 (i.e. 27 times the
     composed symmetric function)."""
-    tw = char3_twist(lambda1, lambda2)
-    raw = compose_linear(elementary_symmetric(4, 6), tw.matrix)
-    rational = raw.map_coeffs(
-        lambda z: z.rational_part() if hasattr(z, "rational_part") else Fraction(z)
-    )
-    return rational * 27
+    model = twisted_equations(char3_twist(lambda1, lambda2))
+    return model.forms[4] * (27 * model.scales[4])
 
 
 @dataclass(frozen=True)

@@ -345,20 +345,3 @@ def restrict_to_basis(f: SparsePoly, P, Q) -> SparsePoly:
     """
     return restrict_to_span(f, (P, Q))
 
-
-def compose_linear(f: SparsePoly, matrix) -> SparsePoly:
-    """f(M x): variable i of f is replaced by sum_j matrix[i][j] * x_j."""
-    n = f.nvars
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise HmsError("matrix shape mismatch")
-    images = []
-    for row in matrix:
-        terms = {}
-        for j, c in enumerate(row):
-            if coeff_is_zero(c):
-                continue
-            exp = [0] * n
-            exp[j] = 1
-            terms[tuple(exp)] = c
-        images.append(SparsePoly(n, terms))
-    return f.substitute(images)

@@ -51,6 +51,7 @@ from .galois import solvability_report
 from .scalars import integer_numerators, split_p_power, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
+    BUILTIN_TWISTS,
     SurfaceModel,
     ordinarity_from_valuations,
     twist_by_name,
@@ -59,7 +60,6 @@ from .surface import (
 
 CERTIFICATE_SCHEMA = "hmslines-certificate/1"
 
-_TWIST_NAMES = ("identity", "rho0-archimedean", "char3-x")
 _CONFIG_KEYS = {
     "twist",
     "lambda1",
@@ -142,9 +142,9 @@ def parse_config(data: dict) -> SearchConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     twist = data.get("twist")
-    if twist not in _TWIST_NAMES:
+    if twist not in BUILTIN_TWISTS:
         raise ConfigError(
-            f"twist must be one of {_TWIST_NAMES}, got {twist!r}"
+            f"twist must be one of {BUILTIN_TWISTS}, got {twist!r}"
         )
     try:
         lambda1 = parse_frac(data.get("lambda1", "1"))
@@ -334,9 +334,9 @@ class LocalPoint:
 def _scaled_integer_rows(line: Line):
     """Integer multiples (by one common factor) of the parametrizing rows.
 
-    point_at(t, u) scaled by the common denominator, so the [t : u]
-    chart of quartic_of_line is preserved while coordinates of points
-    with integral t, u become integers.
+    The point t * rows[0] + u * rows[1] scaled by the common denominator,
+    so the [t : u] chart of quartic_of_line is preserved while
+    coordinates of points with integral t, u become integers.
     """
     _, ints = integer_numerators(line.rows[0] + line.rows[1])
     return tuple(ints[:6]), tuple(ints[6:])

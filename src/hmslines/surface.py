@@ -3,8 +3,9 @@
 The untwisted model lives in P^5 with coordinates s0..s5 and is cut out
 by the elementary symmetric polynomials sigma1, sigma2, sigma4.  A twist
 is an invertible linear change of coordinates s = M y whose composed
-equations have rational coefficients; `twisted_equations` performs the
-substitution, certifies rationality, and clears denominators.
+equations have rational coefficients; `twisted_equations` gets all six
+composed sigma_k at once from `sigma_profile` of the six linear forms
+s_i = sum_j M[i][j] y_j, certifies rationality, and clears denominators.
 
 The sigma invariants of a point (computed in s-coordinates) feed the
 modular-form values phi2, chi6, chi10 and the two scale-invariant
@@ -20,14 +21,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import BadLocusError, HmsError, RationalityError
-from .linalg import invert, mat_mul, mat_vec
-from .mpoly import (
-    SparsePoly,
-    coeff_is_zero,
-    compose_linear,
-    elementary_symmetric,
-    integer_form,
-)
+from .linalg import invert, mat_mul
+from .mpoly import SparsePoly, coeff_is_zero, integer_form
 from .scalars import CycloElt, OMEGA, SQRT_MINUS_3, valuation_of_rational
 
 
@@ -112,8 +107,6 @@ def char3_twist(lambda1, lambda2) -> TwistData:
     return TwistData(mat_mul(S, D), lambda1, lambda2, label="char3-x")
 
 
-_VAR_PREFIXES = {"identity": "s", "rho0-archimedean": "t", "char3-x": "x"}
-
 BUILTIN_TWISTS = ("identity", "rho0-archimedean", "char3-x")
 
 
@@ -141,7 +134,6 @@ class SurfaceModel:
     twist: TwistData
     forms: dict
     scales: dict
-    var_prefix: str
 
     @property
     def q1(self) -> SparsePoly:
@@ -164,13 +156,6 @@ class SurfaceModel:
         for restriction to lines on integer numerators."""
         return tuple(integer_form(q) for q in self.equations())
 
-    def contains_point(self, pt) -> bool:
-        return all(coeff_is_zero(q.evaluate(pt)) for q in self.equations())
-
-    def to_s_coordinates(self, pt):
-        """Map a point of this model to the untwisted s-coordinates."""
-        return mat_vec(self.twist.matrix, pt)
-
     def profile_at(self, pt) -> "SigmaProfile":
         """Sigma invariants of a point of this model.
 
@@ -186,13 +171,18 @@ class SurfaceModel:
 def twisted_equations(twist: TwistData) -> SurfaceModel:
     """Compose every sigma_k with the twist and clear denominators.
 
-    Raises RationalityError unless every composed coefficient is fixed by
+    The six composed forms are the sigma profile of the linear forms
+    s_i = sum_j matrix[i][j] y_j, one pass of the recurrence.  Raises
+    RationalityError unless every composed coefficient is fixed by
     conjugation, i.e. genuinely rational.
     """
+    units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    linear = [SparsePoly(6, dict(zip(units, row))) for row in twist.matrix]
+    composed = sigma_profile(linear)
     forms = {}
     scales = {}
     for k in range(1, 7):
-        raw = compose_linear(elementary_symmetric(k, 6), twist.matrix)
+        raw = composed.sigma(k)
         conj = raw.map_coeffs(_conjugate_coeff)
         if conj != raw:
             raise RationalityError(
@@ -201,12 +191,7 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
         scale, poly = raw.map_coeffs(_rational_coeff).canonical()
         forms[k] = poly
         scales[k] = scale
-    return SurfaceModel(
-        twist=twist,
-        forms=forms,
-        scales=scales,
-        var_prefix=_VAR_PREFIXES.get(twist.label, "y"),
-    )
+    return SurfaceModel(twist=twist, forms=forms, scales=scales)
 
 
 @dataclass(frozen=True)
@@ -228,7 +213,12 @@ class SigmaProfile:
 
 
 def sigma_profile(pt) -> SigmaProfile:
-    """Elementary symmetric functions of the six s-coordinates of a point."""
+    """Elementary symmetric functions of the six s-coordinates of a point.
+
+    The recurrence e_k <- e_k + s * e_(k-1) needs only + and * of the
+    coordinates, so they may be values in any ring: rationals, or linear
+    forms (`SparsePoly`), on which it gives the composed sigma_k.
+    """
     pt = list(pt)
     if len(pt) != 6:
         raise HmsError("a point needs 6 coordinates")

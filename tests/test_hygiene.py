@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used by that module,
-every name the package imports in `__init__.py` is exported, and every
-function or method the package defines is referenced somewhere."""
+every name the package imports in `__init__.py` is exported, every
+function or method the package defines is referenced somewhere, and
+none exists only for tests to reach unless it is allowlisted."""
 import ast
 from pathlib import Path
 
@@ -106,14 +107,33 @@ def _unreferenced_functions(defining, referencing):
     return sorted(defined - used)
 
 
-def test_every_function_is_referenced():
-    sources = [
+def _sources(folders):
+    return [
         path.read_text()
-        for folder in REFERENCE_DIRS
+        for folder in folders
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
+
+
+def test_every_function_is_referenced():
     defining = [path.read_text() for path in MODULES]
-    assert _unreferenced_functions(defining, sources) == []
+    assert _unreferenced_functions(defining, _sources(REFERENCE_DIRS)) == []
+
+
+# functions only tests call, each kept on purpose
+TEST_ONLY = {
+    "substitute": "reference implementation the restriction and model tests compare against",
+    "elementary_symmetric": "reference implementation the model tests compare against",
+    "ordinarity_from_profile": "the exact-rational ordinarity oracle",
+    "quartic_galois_group": "public API the acceptance tests call",
+    "frobenius_cycle_type": "public API the acceptance tests call",
+}
+
+
+def test_no_function_exists_only_for_tests():
+    defining = [path.read_text() for path in MODULES]
+    sources = _sources(("src", "bench"))
+    assert _unreferenced_functions(defining, sources) == sorted(TEST_ONLY)
 
 
 def test_unreferenced_function_is_reported():

@@ -17,17 +17,15 @@ from hmslines import (
     elementary_symmetric,
     labc_line,
     labc_params_of_line,
-    line_through,
     parity_admissible,
     quartic_of_line,
     real_root_count,
     rho0_twist,
-    tangent_cone_lines,
     twist_by_name,
     twisted_equations,
 )
 from hmslines.errors import ConicPointError
-from hmslines.linalg import nullspace
+from hmslines.linalg import nullspace, rref
 from hmslines.lines import (
     ConicParam,
     _ConeFrame,
@@ -57,7 +55,7 @@ def test_line_canonical_form_and_equality():
     assert a == b
     assert a.rows[0][0] == 1 and a.rows[1][1] == 1
     assert a.pivots == (0, 1)
-    pt = a.point_at(F(5), F(-2))
+    pt = [F(5) * p + F(-2) * q for p, q in zip(*a.rows)]
     assert a.contains(pt)
     assert not a.contains((1, 0, 0, 0, 0, 1))
 
@@ -77,13 +75,13 @@ def test_primitive_vector():
 
 
 def test_line_through_coordinate_line():
-    ln = line_through((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    ln = Line([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
     assert ln.rows == (
         (1, 0, 0, 0, 0, 0),
         (0, 1, 0, 0, 0, 0),
     )
     with pytest.raises(DegenerateLineError):
-        line_through((1, 2, 0, 0, 0, 0), (2, 4, 0, 0, 0, 0))
+        Line([(1, 2, 0, 0, 0, 0), (2, 4, 0, 0, 0, 0)])
 
 
 def test_real_line_contains_published_point():
@@ -195,7 +193,8 @@ def test_restriction_commutes_with_evaluation():
     for _ in range(6):
         t = F(rng.randint(-9, 9), rng.randint(1, 4))
         u = F(rng.randint(-9, 9), rng.randint(1, 4))
-        assert q.evaluate(t, u) == model.q4.evaluate(line.point_at(t, u))
+        point = [t * x + u * y for x, y in zip(*line.rows)]
+        assert q.evaluate(t, u) == model.q4.evaluate(point)
 
 
 def test_chart_roundtrip_is_exact_off_the_seed():
@@ -245,10 +244,12 @@ def test_chart_needs_a_pencil_point():
 
 
 def test_tangent_cone_lines_through_base_point():
+    # b = 0 keeps the chart at the seed: each c is a ruling through it
     model = rho0_model()
+    chart = TangentConeChart(model, RHO0_SEED)
     seen = []
-    for r, s in ((0, 1), (1, 1), (2, 1), (1, 2)):
-        line = tangent_cone_lines(model, RHO0_SEED, F(r), F(s))
+    for c in (F(0), F(1), F(2), F(1, 2)):
+        line = chart.line_at(F(1), F(0), c)
         assert line.contains(RHO0_SEED)
         assert lies_in(line, model.q1)
         assert lies_in(line, model.q2)
@@ -257,8 +258,6 @@ def test_tangent_cone_lines_through_base_point():
         for j in range(i + 1, len(seen)):
             assert seen[i] != seen[j]
             # the two rulings meet only at the base point
-            from hmslines.linalg import rref
-
             stacked = [list(seen[i].rows[0]), list(seen[i].rows[1]), list(seen[j].rows[0]), list(seen[j].rows[1])]
             _, pivots = rref(stacked)
             assert len(pivots) == 3

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hmslines.errors import HmsError
 from hmslines.mpoly import (
     SparsePoly,
-    compose_linear,
     elementary_symmetric,
     integer_form,
     restrict_in_integers,
@@ -110,11 +109,11 @@ def test_restrict_to_basis_on_a_quadric():
 
 
 def test_compose_linear_permutation_and_identity():
+    # f(M x) through substitute: variable i goes to sum_j M[i][j] x_j
     f = P(2, {(2, 0): 1, (0, 1): 3})
-    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert compose_linear(f, ident) == f
-    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    assert compose_linear(f, swap) == P(2, {(0, 2): 1, (1, 0): 3})
+    x, y = P(2, {(1, 0): 1}), P(2, {(0, 1): 1})
+    assert f.substitute([x, y]) == f
+    assert f.substitute([y, x]) == P(2, {(0, 2): 1, (1, 0): 3})
 
 
 def test_poly_valued_coefficients_supported():

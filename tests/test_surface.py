@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import (
     BadLocusError,
@@ -19,13 +22,20 @@ from hmslines import (
     twist_by_name,
     twisted_equations,
 )
-from hmslines.mpoly import elementary_symmetric
-from hmslines.scalars import OMEGA
-from hmslines.surface import ordinarity_from_valuations
+from hmslines.linalg import invert, mat_mul, mat_vec
+from hmslines.mpoly import SparsePoly, coeff_is_zero, elementary_symmetric
+from hmslines.scalars import CycloElt, OMEGA
+from hmslines.search import build_model, parse_config
+from hmslines.surface import BUILTIN_TWISTS, ordinarity_from_valuations
 
 from precision_probe import certificate_entry, run_probe
 
 F = Fraction
+
+PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
+UNITS = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+IDENTITY = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+NONZERO = st.fractions(-9, 9, max_denominator=9).filter(lambda x: x != 0)
 
 
 def test_identity_model_is_untwisted():
@@ -55,7 +65,6 @@ def test_char3_model_known_forms():
         (0, 0, 0, 0, 1, 1): F(-3),
         (0, 0, 0, 0, 0, 2): F(-1),
     }
-    assert model.var_prefix == "x"
 
 
 def test_model_forms_are_integral_and_primitive():
@@ -80,7 +89,7 @@ def test_scales_recover_symmetric_functions():
     rng = random.Random(11)
     for _ in range(4):
         pt = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
-        s_coords = model.to_s_coordinates(pt)
+        s_coords = mat_vec(model.twist.matrix, pt)
         direct = sigma_profile(s_coords)
         via_forms = model.profile_at(pt)
         for k in range(1, 7):
@@ -93,7 +102,6 @@ def test_rho0_seed_lies_on_quadrics_but_not_on_quartic():
     assert model.q1.evaluate(seed) == 0
     assert model.q2.evaluate(seed) == 0
     assert model.q4.evaluate(seed) != 0
-    assert not model.contains_point(seed)
     profile = model.profile_at(seed)
     assert [v for v in profile.values] == [0, 0, -6, 3, 6, -4]
     assert profile.D == 52
@@ -106,8 +114,9 @@ def test_contains_point_over_f25():
     one = field.one()
     point = (field.zero(), field.zero(), one + w, one - w, field.zero(), -(one + one))
     model = twisted_equations(identity_twist())
-    assert model.contains_point(point)
-    assert not model.contains_point((F(1), F(0), F(0), F(0), F(0), F(0)))
+    assert all(coeff_is_zero(q.evaluate(point)) for q in model.equations())
+    off = (F(1), F(0), F(0), F(0), F(0), F(0))
+    assert not all(coeff_is_zero(q.evaluate(off)) for q in model.equations())
 
 
 def test_rationality_validator_rejects_unbalanced_matrix():
@@ -115,6 +124,88 @@ def test_rationality_validator_rejects_unbalanced_matrix():
     rows[0][0] = OMEGA
     with pytest.raises(RationalityError):
         twisted_equations(TwistData(rows))
+
+
+def substituted_model(twist):
+    """(forms, scales) of the twisted model, each sigma_k composed through
+    SparsePoly.substitute, checked for conjugation invariance and
+    canonicalized one at a time: the reference for `twisted_equations`."""
+    images = [SparsePoly(6, dict(zip(UNITS, row))) for row in twist.matrix]
+    forms, scales = {}, {}
+    for k in range(1, 7):
+        raw = elementary_symmetric(k, 6).substitute(images)
+        conj = raw.map_coeffs(lambda c: c.conjugate() if isinstance(c, CycloElt) else c)
+        if conj != raw:
+            raise RationalityError(f"sigma_{k} is not conjugation-invariant")
+        rational = raw.map_coeffs(
+            lambda c: c.rational_part() if isinstance(c, CycloElt) else F(c)
+        )
+        scales[k], forms[k] = rational.canonical()
+    return forms, scales
+
+
+@st.composite
+def invertible_rational_matrices(draw):
+    """An invertible 6x6 rational matrix: a scaled permutation plus up to
+    three more entries, sparse as the built-in twists are."""
+    rows = [[F(0)] * 6 for _ in range(6)]
+    for i, j in enumerate(draw(st.permutations(range(6)))):
+        rows[i][j] = draw(NONZERO)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        rows[i][j] = draw(NONZERO)
+    try:
+        invert(rows)
+    except HmsError:
+        assume(False)
+    return rows
+
+
+@PROPERTY
+@given(
+    st.sampled_from(BUILTIN_TWISTS),
+    NONZERO,
+    NONZERO,
+    st.one_of(st.just(IDENTITY), invertible_rational_matrices()),
+    st.sampled_from((False, False, False, True)),
+)
+@example("identity", F(1), F(1), IDENTITY, False)
+@example("rho0-archimedean", F(1), F(1), IDENTITY, False)
+@example("char3-x", F(3), F(-1, 2), IDENTITY, False)
+@example("char3-x", F(1), F(1), IDENTITY, True)
+def test_twisted_equations_match_substitution(name, lambda1, lambda2, A, unbalance):
+    # a built-in twist times a rational matrix is rational again; an
+    # omega added to one entry (almost always) breaks that, and both
+    # paths must then refuse the model
+    if unbalance:
+        A = [list(row) for row in A]
+        A[0][0] = A[0][0] + OMEGA
+    matrix = mat_mul(twist_by_name(name, lambda1, lambda2).matrix, A)
+    twist = TwistData(matrix)
+    try:
+        forms, scales = substituted_model(twist)
+    except RationalityError:
+        with pytest.raises(RationalityError):
+            twisted_equations(twist)
+        return
+    model = twisted_equations(twist)
+    assert model.scales == scales
+    assert model.forms == forms
+    assert all(type(c) is F for f in model.forms.values() for c in f.terms.values())
+
+
+def test_build_model_substitutes_nothing(monkeypatch):
+    calls = []
+    substitute = SparsePoly.substitute
+
+    def counting(self, images):
+        calls.append(images)
+        return substitute(self, images)
+
+    monkeypatch.setattr(SparsePoly, "substitute", counting)
+    path = resources.files("hmslines").joinpath("configs/char3-demo.json")
+    build_model(parse_config(json.loads(path.read_text())))
+    assert calls == []
 
 
 def test_twist_constructors_reject_bad_input():
