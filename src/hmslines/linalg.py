@@ -92,19 +92,6 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def invert(A):
-    """Inverse of a square matrix over its scalar field."""
-    n = len(A)
-    aug = [
-        [_lift(x) for x in A[i]] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise HmsError("matrix is not invertible")
-    return [row[n:] for row in R]
-
-
 def solve(A, b):
     """One solution of A x = b, or None if inconsistent."""
     n = len(A[0])

@@ -142,7 +142,10 @@ class _ConeFrame:
 
     V is the 4-dimensional subspace cut out by the hyperplane q1 and
     the polar hyperplane of x; it contains x, and U is a complement of
-    x inside V.  q2 restricted to V descends to a conic on U."""
+    x inside V.  q2 restricted to V descends to a conic on U.  Basis
+    vector k of V (from `nullspace`) is 1 at the k-th free column of
+    rref(rows) and 0 at the others: a vector of V has its coordinates
+    there."""
 
     def __init__(self, model: SurfaceModel, x):
         x = [Fraction(c) for c in x]
@@ -151,8 +154,6 @@ class _ConeFrame:
             and coeff_is_zero(model.q2.evaluate(x))
         ):
             raise NotOnSurfaceError("tangent cone needs a point on both quadrics")
-        self.model = model
-        self.x = x
         self.gram = gram_matrix(model.q2)
         rows = [linear_row(model.q1), mat_vec(self.gram, x)]
         _, pivots = rref(rows)
@@ -160,24 +161,27 @@ class _ConeFrame:
             raise SingularPointError(
                 "polar hyperplane degenerates; the point is singular on the pencil"
             )
-        self.V = nullspace(rows)
-        if len(self.V) != 4:
+        V = nullspace(rows)
+        if len(V) != 4:
             raise SingularPointError("tangent space has the wrong dimension")
-        A = [[self.V[j][i] for j in range(4)] for i in range(6)]
-        lam = solve(A, x)
-        if lam is None:
+        self._rows = rows
+        self._free = [j for j in range(6) if j not in pivots]
+        if not self._in_tangent_space(x):
             raise HmsError("point escaped its own tangent space")
-        self._A = A
-        self._lam = lam
-        self._jstar = next(j for j in range(4) if lam[j] != 0)
-        self.U = [self.V[j] for j in range(4) if j != self._jstar]
-        (self.conic,) = restrict_in_integers([model.integer_equations[1]], self.U)
+        self._lam = [x[j] for j in self._free]
+        self._jstar = next(j for j in range(4) if self._lam[j] != 0)
+        self.U = [V[j] for j in range(4) if j != self._jstar]
+        (self.conic,) = restrict_in_integers([model.integer_forms[2]], self.U)
+
+    def _in_tangent_space(self, w) -> bool:
+        return all(sum(a * b for a, b in zip(row, w)) == 0 for row in self._rows)
 
     def project(self, w):
         """Conic coordinates of a cone vector w, i.e. w mod x inside V."""
-        mu = solve(self._A, [Fraction(c) for c in w])
-        if mu is None:
+        w = [Fraction(c) for c in w]
+        if not self._in_tangent_space(w):
             raise HmsError("vector is not in the tangent space")
+        mu = [w[j] for j in self._free]
         alpha = mu[self._jstar] / self._lam[self._jstar]
         coords = [
             mu[j] - alpha * self._lam[j] for j in range(4) if j != self._jstar

@@ -5,7 +5,9 @@ mod p: the ring of integers of the unramified extension of Q_p of
 degree deg(m), with every element known to the uniform absolute
 precision p^K.  Because the extension is unramified, the valuation of
 an element is the minimum valuation of its coordinates.  A degree-1
-ring, modulus (0, 1), is Z/p^K itself.
+ring, modulus (0, 1), is Z/p^K itself: the intersection points of
+`search` live in one of these rings, degree 1 for a rational point and
+degree d for d conjugate points.
 
 Indeterminacy is a value, never a silent rounding: an element that is
 zero mod p^K has the valuation `IndeterminateValuation(K)`, a lower
@@ -108,8 +110,10 @@ class UElt:
             ):
                 raise HmsError("mixed unramified rings")
             return x
-        if isinstance(x, (int, Fraction)):
-            return self.ring.from_rational(Fraction(x))
+        if isinstance(x, int):
+            return self.ring.elt([x])
+        if isinstance(x, Fraction):
+            return self.ring.from_rational(x)
         return None
 
     def __add__(self, other):
@@ -136,6 +140,8 @@ class UElt:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return UElt(self.ring, [a * other for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -145,7 +151,9 @@ class UElt:
                 continue
             for j, b in enumerate(o.coeffs):
                 prod[i + j] += a * b
-        return UElt(self.ring, self.ring._reduce_poly(prod))
+        if len(prod) > self.ring.deg:
+            prod = self.ring._reduce_poly(prod)
+        return UElt(self.ring, prod)
 
     __rmul__ = __mul__
 

@@ -9,6 +9,9 @@ count of the restricted quartic, unramified splitting over Z_3 and Z_5,
 ordinarity of the 5-adic intersection points, and avoidance of the
 degenerate curve.  Certificates serialize to canonical JSON so repeated
 runs are byte identical.
+
+Every intersection point has its coordinates in one `UnramifiedRing`
+(`LocalPoint`), and every valuation of it is a `UElt.valuation`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .lines import (
 from .padics import UnramifiedRing
 from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
-from .scalars import integer_numerators, split_p_power, valuation_of_rational
+from .scalars import integer_numerators, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     BUILTIN_TWISTS,
@@ -225,17 +228,6 @@ def load_config(path: str) -> SearchConfig:
     return parse_config(data)
 
 
-# -- valuation helpers -------------------------------------------------
-
-
-def _int_val(n: int, p: int, cap: int):
-    """Valuation of an integer known mod p^cap; None when >= cap."""
-    n %= p**cap
-    if n == 0:
-        return None
-    return split_p_power(n, p)[0]
-
-
 # -- congruence combination --------------------------------------------
 
 
@@ -316,19 +308,18 @@ def _candidate_params(reps, moduli, height_bound):
 class LocalPoint:
     """One p-adic intersection point of a line with the degree-8 locus.
 
-    kind "rational" stores integer coordinates mod p^prec; kind
-    "unramified" stores coordinates in an unramified extension ring,
-    standing for `conjugates` Galois-conjugate geometric points.
+    The coordinates are elements of one `UnramifiedRing`, which carries
+    p and the precision K.  A degree-1 ring, Z/p^K, holds a rational
+    point; a ring of degree d holds a point standing for d
+    Galois-conjugate geometric points.
     """
 
     block: int
-    kind: str
     coords: tuple
-    p: int
-    prec: int
-    residue_degree: int
-    conjugates: int
-    modulus: tuple | None = None
+
+    @property
+    def ring(self) -> UnramifiedRing:
+        return self.coords[0].ring
 
 
 def _scaled_integer_rows(line: Line):
@@ -342,22 +333,18 @@ def _scaled_integer_rows(line: Line):
     return tuple(ints[:6]), tuple(ints[6:])
 
 
-def _point_from_projective(rows, t, u, p, prec, block_idx):
-    m = p**prec
-    coords = tuple((t * a + u * b) % m for a, b in zip(rows[0], rows[1]))
-    return LocalPoint(
-        block=block_idx,
-        kind="rational",
-        coords=coords,
-        p=p,
-        prec=prec,
-        residue_degree=1,
-        conjugates=1,
-    )
+def _point(rows, t, u, block_idx):
+    """The point t * rows[0] + u * rows[1], for t, u in one ring."""
+    return LocalPoint(block_idx, tuple(t * a + u * b for a, b in zip(*rows)))
 
 
 def _points_of_double_root_block(rows, blk, p, K, block_idx):
-    """(linear)^2 block with even disc valuation: complete the square."""
+    """(linear)^2 block with even disc valuation: complete the square.
+
+    The roots are (-a1 + s p^(v/2)) / (2 a2) for s^2 = w, the unit part
+    of the discriminant: s = +-sqrt(w) mod p^(K-v), or the generator of
+    the degree-2 ring (Z/p^(K-v))[s]/(s^2 - w) when w is not a square.
+    """
     c0, c1, c2 = [c % p**K for c in blk.coeffs_mod]
     if c2 % p != 0:
         a0, a1, a2 = c0, c1, c2
@@ -367,52 +354,31 @@ def _points_of_double_root_block(rows, blk, p, K, block_idx):
         t_chart = False
     else:
         raise HmsError("double-root block with both ends divisible by p")
-    disc = (a1 * a1 - 4 * a0 * a2) % p**K
-    v = _int_val(disc, p, K)
-    if v is None:
+    disc = UnramifiedRing(p, (0, 1), K).elt([a1 * a1 - 4 * a0 * a2])
+    v = disc.valuation()
+    if not isinstance(v, int):
         raise PrecisionError(
             "block discriminant vanishes to working precision", needed=K + 1
         )
     if v % 2 != 0:
         raise HmsError("odd-valuation discriminant in an unramified block")
     keff = K - v
-    half = v // 2
-    mk = p**keff
-    w = (disc // p**v) % mk
-    inv_lead = Fraction(1, 2 * a2)
+    w = disc.coeffs[0] // p**v
     r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)
-    points = []
     if r0 is not None:
-        s = newton_lift_root([-w, 0, 1], r0, p, keff)
-        for sign in (1, -1):
-            z = (
-                (-a1 + sign * p**half * s)
-                * pow(inv_lead.denominator, -1, mk)
-                * inv_lead.numerator
-            ) % mk
-            t, u = (z, 1) if t_chart else (1, z)
-            points.append(
-                _point_from_projective(rows, t, u, p, keff, block_idx)
-            )
-        return points
-    ring = UnramifiedRing(p, [(-w) % mk, 0, 1], keff)
-    z = (ring.gen() * p**half - a1) * ring.from_rational(inv_lead)
-    if t_chart:
-        coords = tuple(z * a + b for a, b in zip(rows[0], rows[1]))
+        ring = UnramifiedRing(p, (0, 1), keff)
+        s = ring.elt([newton_lift_root([-w, 0, 1], r0, p, keff)])
+        roots = [s, -s]
     else:
-        coords = tuple(a + z * b for a, b in zip(rows[0], rows[1]))
-    return [
-        LocalPoint(
-            block=block_idx,
-            kind="unramified",
-            coords=coords,
-            p=p,
-            prec=keff,
-            residue_degree=2,
-            conjugates=2,
-            modulus=ring.modulus,
-        )
-    ]
+        ring = UnramifiedRing(p, [-w, 0, 1], keff)
+        roots = [ring.gen()]
+    inv_lead = ring.from_rational(Fraction(1, 2 * a2))
+    points = []
+    for s in roots:
+        z = (s * p ** (v // 2) - a1) * inv_lead
+        t, u = (z, ring.one()) if t_chart else (ring.one(), z)
+        points.append(_point(rows, t, u, block_idx))
+    return points
 
 
 def _lift_residue_factor(ints, g_mod_p, p, K):
@@ -440,8 +406,9 @@ def _lift_residue_factor(ints, g_mod_p, p, K):
 
 def _points_of_block(rows, ints, blk, p, K, block_idx, block_is_lifted):
     if blk.lifted_root is not None:
+        ring = UnramifiedRing(p, (0, 1), K)
         t, u = blk.lifted_root
-        return [_point_from_projective(rows, t, u, p, K, block_idx)]
+        return [_point(rows, ring.elt([t]), ring.elt([u]), block_idx)]
     if blk.degree == 2 and blk.residue_degree == 1 and blk.multiplicity == 2:
         if blk.verdict != "unramified":
             return []
@@ -462,19 +429,7 @@ def _points_of_block(rows, ints, blk, p, K, block_idx, block_is_lifted):
         xi = ring.gen()
         t = xi * mat[0][0] + mat[0][1]
         u = xi * mat[1][0] + mat[1][1]
-        coords = tuple(t * a + u * b for a, b in zip(rows[0], rows[1]))
-        return [
-            LocalPoint(
-                block=block_idx,
-                kind="unramified",
-                coords=coords,
-                p=p,
-                prec=K,
-                residue_degree=blk.residue_degree,
-                conjugates=blk.residue_degree,
-                modulus=ring.modulus,
-            )
-        ]
+        return [_point(rows, t, u, block_idx)]
     return []
 
 
@@ -507,47 +462,32 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
     valuation not determined at the point's precision is None, and so
     are `ordinary` and `curve_V_avoided` when they depend on it.
     """
-    p, prec = pt.p, pt.prec
-    f3 = model.forms[3].evaluate(list(pt.coords))
-    f5 = model.forms[5].evaluate(list(pt.coords))
-    f6 = model.forms[6].evaluate(list(pt.coords))
+    ring = pt.ring
+    p = ring.p
+    coords = list(pt.coords)
+    f3, f5, f6 = (model.integer_forms[k].evaluate(coords) for k in (3, 5, 6))
     s3, s5, s6 = model.scales[3], model.scales[5], model.scales[6]
 
-    def val_of(value):
-        if pt.kind == "rational":
-            return _int_val(int(Fraction(value)), p, prec)
+    def val_of(scale, value):
+        """v(scale * value) for a rational scale and a ring value."""
         v = value.valuation()
-        return v if isinstance(v, int) else None
-
-    vf3, vf5, vf6 = val_of(f3), val_of(f5), val_of(f6)
-    v_s3 = valuation_of_rational(s3, p) + vf3 if vf3 is not None else None
-    v_s5 = valuation_of_rational(s5, p) + vf5 if vf5 is not None else None
+        return valuation_of_rational(scale, p) + v if isinstance(v, int) else None
 
     # D = s3^2 f3^2 - 4 s6 f6; pull out the common p-power of the scales
     # so the bracket can be evaluated with p-integral coefficients.
-    shift = min(
+    shift = Fraction(p) ** min(
         2 * valuation_of_rational(s3, p), valuation_of_rational(4 * s6, p)
     )
-    ra = s3 * s3 / Fraction(p) ** shift
-    rb = 4 * s6 / Fraction(p) ** shift
-    if pt.kind == "rational":
-        m = p**prec
-        A = ra.numerator * pow(ra.denominator, -1, m) % m
-        B = rb.numerator * pow(rb.denominator, -1, m) % m
-        bracket = A * int(Fraction(f3)) ** 2 - B * int(Fraction(f6))
-    else:
-        ring = next(c.ring for c in pt.coords if hasattr(c, "ring"))
-        bracket = ring.from_rational(ra) * f3 * f3 - ring.from_rational(rb) * f6
-    vb = val_of(bracket)
-    v_D = shift + vb if vb is not None else None
+    v_s3, v_s5 = val_of(s3, f3), val_of(s5, f5)
+    v_D = val_of(shift, s3 * s3 / shift * f3 * f3 - 4 * s6 / shift * f6)
 
     v_u1, v_u2, ordinary = ordinarity_from_valuations(v_s3, v_s5, v_D)
     return {
         "block": pt.block,
-        "kind": pt.kind,
-        "residue_degree": pt.residue_degree,
-        "conjugates": pt.conjugates,
-        "precision": pt.prec,
+        "kind": "rational" if ring.deg == 1 else "unramified",
+        "residue_degree": ring.deg,
+        "conjugates": ring.deg,
+        "precision": ring.K,
         "v_sigma3": v_s3,
         "v_sigma5": v_s5,
         "v_D": v_D,
@@ -560,16 +500,9 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
 
 def _cusp_report(points, p):
     """Distance of 3-adic intersection points from the cusp line x1 = x2."""
-    wrapped = []
-    for pt in points:
-        if pt.kind == "rational":
-            ring = UnramifiedRing(p, (0, 1), pt.prec)
-            wrapped.append([ring.elt([c]) for c in pt.coords])
-        else:
-            wrapped.append(list(pt.coords))
-    if not wrapped:
+    if not points:
         return None
-    report = cusp_proximity(wrapped, p=p)
+    report = cusp_proximity([pt.coords for pt in points], p=p)
     return {
         "p": report.p,
         "depths": list(report.depths),
@@ -669,7 +602,7 @@ def _local_section(line, quartic, model, config, report) -> dict:
         "residue_degrees": list(report.residue_degrees),
         "verdict": report.verdict,
         "blocks": [_serialize_block(b) for b in report.blocks],
-        "points_extracted": sum(pt.conjugates for pt in points),
+        "points_extracted": sum(pt.ring.deg for pt in points),
     }
     if p == 3 and config.twist == "char3-x":
         section["cusp"] = _cusp_report(points, 3)

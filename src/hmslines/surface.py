@@ -21,15 +21,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import BadLocusError, HmsError, RationalityError
-from .linalg import invert, mat_mul
+from .linalg import mat_mul, rref
 from .mpoly import SparsePoly, coeff_is_zero, integer_form
 from .scalars import CycloElt, OMEGA, SQRT_MINUS_3, valuation_of_rational
-
-
-def _conjugate_coeff(c):
-    if isinstance(c, CycloElt):
-        return c.conjugate()
-    return c
 
 
 def _rational_coeff(c):
@@ -49,8 +43,9 @@ class TwistData:
         matrix = [list(row) for row in matrix]
         if len(matrix) != 6 or any(len(row) != 6 for row in matrix):
             raise HmsError("twist matrix must be 6x6")
+        if len(rref(matrix)[1]) != 6:
+            raise HmsError("twist matrix is not invertible")
         self.matrix = matrix
-        self.inverse = invert(matrix)
         self.lambda1 = Fraction(lambda1)
         self.lambda2 = Fraction(lambda2)
         self.label = label
@@ -151,10 +146,16 @@ class SurfaceModel:
         return (self.q1, self.q2, self.q4)
 
     @cached_property
+    def integer_forms(self):
+        """forms with int coefficients, converted once per model, for
+        restriction to lines on integer numerators and evaluation at
+        p-adic points."""
+        return {k: integer_form(f) for k, f in self.forms.items()}
+
+    @property
     def integer_equations(self):
-        """(q1, q2, q4) with int coefficients, converted once per model,
-        for restriction to lines on integer numerators."""
-        return tuple(integer_form(q) for q in self.equations())
+        """(q1, q2, q4) of `integer_forms`."""
+        return tuple(self.integer_forms[k] for k in (1, 2, 4))
 
     def profile_at(self, pt) -> "SigmaProfile":
         """Sigma invariants of a point of this model.
@@ -174,7 +175,7 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
     The six composed forms are the sigma profile of the linear forms
     s_i = sum_j matrix[i][j] y_j, one pass of the recurrence.  Raises
     RationalityError unless every composed coefficient is fixed by
-    conjugation, i.e. genuinely rational.
+    conjugation, i.e. genuinely rational (its omega part vanishes).
     """
     units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
     linear = [SparsePoly(6, dict(zip(units, row))) for row in twist.matrix]
@@ -182,15 +183,13 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
     forms = {}
     scales = {}
     for k in range(1, 7):
-        raw = composed.sigma(k)
-        conj = raw.map_coeffs(_conjugate_coeff)
-        if conj != raw:
+        try:
+            rational = composed.sigma(k).map_coeffs(_rational_coeff)
+        except RationalityError:
             raise RationalityError(
                 f"sigma_{k} of the twisted model is not conjugation-invariant"
-            )
-        scale, poly = raw.map_coeffs(_rational_coeff).canonical()
-        forms[k] = poly
-        scales[k] = scale
+            ) from None
+        scales[k], forms[k] = rational.canonical()
     return SurfaceModel(twist=twist, forms=forms, scales=scales)
 
 

@@ -19,6 +19,7 @@ from hmslines import (
     sigma_profile,
     twisted_equations,
 )
+from hmslines.padics import UnramifiedRing
 from hmslines.scalars import primitive_integers
 from hmslines.search import LocalPoint, _point_invariants
 
@@ -36,9 +37,9 @@ def random_rational_point(rng):
 
 def certificate_entry(model, coords, p, prec):
     """The certificate's 5-adic point entry of a rational point mod p^prec."""
-    m = p**prec
-    ints = tuple(c % m for c in primitive_integers(coords))
-    return _point_invariants(model, LocalPoint(0, "rational", ints, p, prec, 1, 1))
+    ring = UnramifiedRing(p, (0, 1), prec)
+    residues = tuple(ring.elt([c]) for c in primitive_integers(coords))
+    return _point_invariants(model, LocalPoint(0, residues))
 
 
 def certificate_violations(entries, oracle, coords, low, high):

@@ -1,9 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
-from hmslines.errors import HmsError
-from hmslines.linalg import invert, mat_mul, mat_vec, nullspace, rref, solve
+from hmslines.linalg import mat_mul, mat_vec, nullspace, rref, solve
 
 
 def F(x):
@@ -35,14 +32,6 @@ def test_nullspace_vectors_are_annihilated():
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(A, list(v)) == [F(0), F(0)]
-
-
-def test_invert_roundtrip():
-    A = [[F(2), F(1)], [F(5), F(3)]]
-    Ainv = invert(A)
-    assert mat_mul(A, Ainv) == [[F(1), F(0)], [F(0), F(1)]]
-    with pytest.raises(HmsError):
-        invert([[F(1), F(2)], [F(2), F(4)]])
 
 
 def test_solve_square_and_overdetermined():

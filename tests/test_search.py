@@ -8,9 +8,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import (
     ConfigError,
+    HmsError,
     Line,
     SearchExhausted,
     PrecisionError,
+    TangentConeChart,
     build_model,
     certify_line,
     crt_parameter,
@@ -24,10 +26,12 @@ from hmslines import (
 )
 from hmslines import search
 from hmslines.hensel import hensel_factor_quartic
-from hmslines.padics import IndeterminateValuation
+from hmslines.padics import IndeterminateValuation, UnramifiedRing
 from hmslines.scalars import primitive_integers, valuation_of_rational
 from hmslines.serialize import frac_str
 from hmslines.search import CERTIFICATE_SCHEMA, load_config, _candidate_params, _combined_parameters
+
+from precision_probe import certificate_entry
 
 F = Fraction
 
@@ -362,39 +366,17 @@ def test_max_results_returns_partial_harvest():
     assert cert.passed
 
 
-def _form_vanishes_at(model, pt):
-    for k in (1, 2, 4):
-        value = model.forms[k].evaluate(list(pt.coords))
-        if pt.kind == "rational":
-            n = int(Fraction(value))
-            if n == 0:
-                continue
-            v = 0
-            while n % pt.p == 0:
-                n //= pt.p
-                v += 1
-        else:
-            v = value.valuation()
-            if isinstance(v, IndeterminateValuation):
-                continue
-        assert v >= pt.prec
-
-
 def test_point_invariants_leave_undetermined_v_d_undecided():
     # D = 33600 = 5^2 * 1344 is nonzero, but vanishes mod 5^2: at
     # precision 2 neither the verdict nor the avoidance of V is known
     model = build_model(parse_config({"twist": "identity"}))
     coords = (1, 2, 2, 2, 2, 4)
-    low = search._point_invariants(
-        model, search.LocalPoint(0, "rational", coords, 5, 2, 1, 1)
-    )
+    low = certificate_entry(model, coords, 5, 2)
     assert (low["v_sigma3"], low["v_sigma5"], low["v_D"]) == (0, 0, None)
     assert (low["v_u1"], low["v_u2"]) == (None, None)
     assert low["ordinary"] is None
     assert low["curve_V_avoided"] is None
-    high = search._point_invariants(
-        model, search.LocalPoint(0, "rational", coords, 5, 3, 1, 1)
-    )
+    high = certificate_entry(model, coords, 5, 3)
     assert (high["v_D"], high["v_u1"], high["v_u2"]) == (2, 10, 6)
     assert high["ordinary"] is False
     assert high["curve_V_avoided"] is True
@@ -414,8 +396,8 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
     assume(any(n for n, _ in terms))
     point = primitive_integers([n * 3**k for n, k in terms])
     exact = cusp_proximity([point], p=3)
-    residues = tuple(c % 3**K for c in point)
-    local = search.LocalPoint(0, "rational", residues, 3, K, 1, 1)
+    ring = UnramifiedRing(3, (0, 1), K)
+    local = search.LocalPoint(0, tuple(ring.elt([c]) for c in point))
     gauge = [valuation_of_rational(point[i], 3) for i in (0, 3, 4, 5) if point[i]]
     try:
         report = search._cusp_report([local], 3)
@@ -432,28 +414,64 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
     }
 
 
-def test_intersection_points_lie_on_the_surface():
-    cfg = load_config(config_path("char3-demo.json"))
+def _demo_line(name, params):
+    """The model of a demo config and its chart's line at params."""
+    cfg = load_config(config_path(name))
     model = build_model(cfg)
-    line = labc_line(3, 243, 243)
-    quartic = quartic_of_line(line, model)
+    if cfg.twist == "char3-x":
+        return model, labc_line(*params)
+    return model, TangentConeChart(model, list(cfg.seed_point)).line_at(*params)
 
-    report3 = hensel_factor_quartic(quartic, 3, 8)
-    points3 = intersection_points(line, quartic, report3)
-    assert [(pt.kind, pt.conjugates) for pt in points3] == [
-        ("rational", 1), ("rational", 1), ("unramified", 2),
-    ]
-    assert sum(pt.conjugates for pt in points3) == 4
+
+# chart parameters n * 3^k, so that labc lines meet the cusp closely
+SCALED = st.builds(lambda n, k: n * 3**k, st.integers(-4, 4), st.integers(0, 5))
+# (degree, precision) of the ring of each point, for the worked line
+KNOWN_RINGS = {
     # the double root pair is only pinned down to half the working
     # precision once the discriminant's 3^4 is peeled off
-    assert [pt.prec for pt in points3] == [4, 4, 8]
+    ("char3-demo.json", (3, 243, 243), 3, 8): [(1, 4), (1, 4), (2, 8)],
+    ("char3-demo.json", (3, 243, 243), 5, 12): [(2, 12), (2, 12)],
+}
 
-    report5 = hensel_factor_quartic(quartic, 5, 12)
-    points5 = intersection_points(line, quartic, report5)
-    assert [(pt.kind, pt.residue_degree) for pt in points5] == [
-        ("unramified", 2), ("unramified", 2),
-    ]
-    assert sum(pt.conjugates for pt in points5) == 4
 
-    for pt in points3 + points5:
-        _form_vanishes_at(model, pt)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("char3-demo.json", "rho0-demo.json")),
+    st.tuples(SCALED, SCALED, SCALED),
+    st.sampled_from((3, 5)),
+    st.integers(2, 8),
+)
+@example("char3-demo.json", (3, 243, 243), 3, 8)
+@example("char3-demo.json", (3, 243, 243), 5, 12)
+@example("rho0-demo.json", (2, F(1, 16), 3), 5, 6)
+# double-root blocks: a conjugate pair, and split pairs next to them
+@example("char3-demo.json", (-2, -6, -6), 3, 8)
+@example("rho0-demo.json", (2, -2, 1), 3, 8)
+@example("rho0-demo.json", (-2, -18, -27), 5, 8)
+def test_intersection_points_lie_on_the_surface(name, params, p, K):
+    # oracle: each point is a zero of q1, q2 and q4 in its own ring
+    try:
+        model, line = _demo_line(name, params)
+        quartic = quartic_of_line(line, model)
+    except HmsError:
+        assume(False)
+    assume(any(quartic.coeffs))
+    try:
+        points = intersection_points(
+            line, quartic, hensel_factor_quartic(quartic, p, K)
+        )
+    except PrecisionError:
+        return
+    if (name, params, p, K) in KNOWN_RINGS:
+        assert [(pt.ring.deg, pt.ring.K) for pt in points] == KNOWN_RINGS[
+            (name, params, p, K)
+        ]
+    assert sum(pt.ring.deg for pt in points) <= 4
+    for pt in points:
+        ring = pt.ring
+        assert ring.p == p and ring.K <= K
+        assert all(c.ring is ring for c in pt.coords)
+        # valuation at least ring.K: zero mod p^K
+        for k in (1, 2, 4):
+            value = model.forms[k].evaluate(list(pt.coords))
+            assert value.valuation() == IndeterminateValuation(ring.K)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 import pytest
@@ -22,9 +23,9 @@ from hmslines import (
     twist_by_name,
     twisted_equations,
 )
-from hmslines.linalg import invert, mat_mul, mat_vec
+from hmslines.linalg import mat_mul, mat_vec, rref
 from hmslines.mpoly import SparsePoly, coeff_is_zero, elementary_symmetric
-from hmslines.scalars import CycloElt, OMEGA
+from hmslines.scalars import CycloElt, OMEGA, primitive_integers, valuation_of_rational
 from hmslines.search import build_model, parse_config
 from hmslines.surface import BUILTIN_TWISTS, ordinarity_from_valuations
 
@@ -154,10 +155,7 @@ def invertible_rational_matrices(draw):
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, 5)), draw(st.integers(0, 5))
         rows[i][j] = draw(NONZERO)
-    try:
-        invert(rows)
-    except HmsError:
-        assume(False)
+    assume(len(rref(rows)[1]) == 6)
     return rows
 
 
@@ -215,6 +213,9 @@ def test_twist_constructors_reject_bad_input():
         twist_by_name("char3-x", 0, 1)
     with pytest.raises(HmsError):
         TwistData([[F(1)] * 6] * 3)
+    # two equal rows: the right shape, but singular
+    with pytest.raises(HmsError, match="not invertible"):
+        TwistData([IDENTITY[0]] + IDENTITY[:5])
 
 
 def test_sigma_profile_known_values():
@@ -361,3 +362,55 @@ def test_ordinarity_precision_monotonicity():
     # never wrongly, and every one of them at 5^12
     assert result["certificate_decided_low"] == 37
     assert result["certificate_decided_high"] == 100
+
+
+@cache
+def _model(name, lam):
+    return twisted_equations(twist_by_name(name, lam, lam))
+
+
+def _exact_valuation(value, p):
+    return None if value == 0 else valuation_of_rational(value, p)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(
+        (("identity", F(1)), ("rho0-archimedean", F(1)), ("char3-x", F(1)),
+         ("char3-x", F(3)), ("char3-x", F(5, 9)))
+    ),
+    st.lists(
+        st.tuples(st.integers(-30, 30), st.integers(0, 3)), min_size=6, max_size=6
+    ),
+    st.sampled_from((3, 5)),
+    st.integers(1, 10),
+)
+@example(("identity", F(1)), [(1, 0), (2, 0), (2, 0), (2, 0), (2, 0), (4, 0)], 5, 2)
+@example(("char3-x", F(3)), [(1, 0), (2, 0), (3, 0), (4, 0), (6, 0), (7, 0)], 3, 4)
+def test_point_invariants_agree_with_exact_valuations(twist, terms, p, K):
+    # oracle: exact Fraction valuations at the primitive integer point
+    # that the certificate path sees mod p^K, in a degree-1 ring
+    model = _model(*twist)
+    assume(any(n for n, _ in terms))
+    point = primitive_integers([n * p**k for n, k in terms])
+    profile = model.profile_at(point)
+    try:
+        exact = ordinarity_from_profile(profile, p)
+    except BadLocusError:
+        assume(False)
+    entry = certificate_entry(model, point, p, K)
+    assert (entry["kind"], entry["residue_degree"], entry["precision"]) == (
+        "rational", 1, K,
+    )
+    # v(sigma_k) is determined exactly when the integral form's value
+    # is not 0 mod p^K, and then it is the exact valuation
+    for k, key in ((3, "v_sigma3"), (5, "v_sigma5")):
+        v_form = _exact_valuation(model.forms[k].evaluate(point), p)
+        determined = v_form is not None and v_form < K
+        assert entry[key] == (
+            valuation_of_rational(profile.sigma(k), p) if determined else None
+        )
+    assert entry["v_D"] in (None, _exact_valuation(profile.D, p))
+    assert entry["v_u1"] in (None, exact.v_u1)
+    assert entry["v_u2"] in (None, exact.v_u2)
+    assert entry["ordinary"] in (None, exact.passed)
