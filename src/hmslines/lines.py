@@ -102,7 +102,9 @@ def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
     those numerators, and the coefficient n_i of t^i u^(4-i) is
     rescaled exactly to n_i / (dP^i dQ^(4-i)).
     """
-    r1, r2, r4 = restrict_in_integers(model.integer_equations, line.rows)
+    r1, r2, r4 = restrict_in_integers(
+        [model.integer_forms[k] for k in (1, 2, 4)], line.rows
+    )
     if not (r1.is_zero and r2.is_zero):
         raise NotOnSurfaceError("line does not lie in the quadric part of the model")
     return BinaryQuartic.from_sparse(r4)

@@ -142,20 +142,12 @@ class SurfaceModel:
     def q4(self) -> SparsePoly:
         return self.forms[4]
 
-    def equations(self):
-        return (self.q1, self.q2, self.q4)
-
     @cached_property
     def integer_forms(self):
         """forms with int coefficients, converted once per model, for
         restriction to lines on integer numerators and evaluation at
         p-adic points."""
         return {k: integer_form(f) for k, f in self.forms.items()}
-
-    @property
-    def integer_equations(self):
-        """(q1, q2, q4) of `integer_forms`."""
-        return tuple(self.integer_forms[k] for k in (1, 2, 4))
 
     def profile_at(self, pt) -> "SigmaProfile":
         """Sigma invariants of a point of this model.

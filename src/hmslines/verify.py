@@ -229,16 +229,15 @@ def check_residue5_line():
     P = [one - w, one + w, -one, -one, one, -one]
     Q = [F.zero(), F.zero(), one + w, one - w, F.zero(), -one - one]
     model = twisted_equations(identity_twist())
-    q1, q2, q4 = model.equations()
 
     on_surface = True
-    for f in (q1, q2):
+    for f in (model.q1, model.q2):
         r = restrict_to_basis(f, P, Q)
         if any(not (v == F.zero()) for v in r.terms.values()):
             on_surface = False
     rows.append(_row("residue line lies in both quadrics", on_surface, ""))
 
-    restriction = restrict_to_basis(q4, P, Q)
+    restriction = restrict_to_basis(model.q4, P, Q)
     quartic = BinaryQuartic.from_sparse(restriction)
     # -3 t (8 u^3 - t^3) = 3 t^4 - 24 t u^3 = 3 t^4 + t u^3 over F_5
     expected = [F.zero(), one, F.zero(), F.zero(), F.elt(3)]
