@@ -5,10 +5,15 @@ of binary quartics.
 Polynomials are coefficient lists, low degree first, trailing zeros
 stripped.  The zero polynomial is [].
 
-The local analysis (`hensel_factor_quartic`) is sound but deliberately
-incomplete: it certifies "unramified" only via (a) squarefree reduction
-mod p or (b) quadratic blocks whose lifted discriminant has even
-valuation (odd p); everything else is reported "inconclusive".
+Every lift goes through `hensel_pair_lift`, quadratic Hensel lifting
+of a coprime pair with its Bezout coefficients.
+
+The local analysis (`hensel_factor_quartic`) factors each quartic once,
+in one chart, and lifts every block mod p^prec.  It is sound but
+deliberately incomplete: it certifies "unramified" only via (a) simple
+blocks (a squarefree part of the reduction mod p) or (b) quadratic
+blocks whose lifted discriminant has even valuation (odd p); everything
+else is reported "inconclusive".
 """
 
 from dataclasses import dataclass
@@ -36,6 +41,10 @@ def deg(f):
 
 def pmod(f, p):
     return trim([c % p for c in f])
+
+
+def padd(f, g, p):
+    return psub(f, [-c for c in g], p)
 
 
 def psub(f, g, p):
@@ -205,49 +214,33 @@ def _split_two_quadratics(f, p):
 
 
 def hensel_pair_lift(f, g0, h0, p, K):
-    """Lift f = g0*h0 (mod p), gcd(g0,h0)=1, to f = g*h (mod p^K).
+    """Lift f = g0*h0 (mod p), h0 monic and coprime to g0 mod p, to
+    f = g*h (mod p^K) with g = g0 and h = h0 (mod p), h monic.
 
-    All of f, g0, h0 monic; returns (g, h) monic mod p^K.
+    Quadratic lifting (von zur Gathen & Gerhard, Modern Computer
+    Algebra, Alg. 15.10): the Bezout pair s*g + t*h = 1 is lifted along
+    with g and h, so the precision doubles each step.  The lift is
+    unique; g takes the leading coefficient of f, so g is monic when f
+    is, and of higher degree than g0 when that coefficient is divisible
+    by p.
     """
     s, t = pext_euclid(g0, h0, p)
-    g = [c % p for c in g0]
-    h = [c % p for c in h0]
-    pk = p
-    for _ in range(K - 1):
-        pk_next = pk * p
-        # defect e = (f - g*h)/p^k  (mod p)
-        prod = _int_mul(g, h)
-        e = [((fc - pc) // pk) % p
-             for fc, pc in _zip_pad(f, prod)]
-        e = trim(e)
-        u = pdivmod(pmul(t, e, p), g0, p)[1]
-        num = psub(e, pmul(u, h0, p), p)
-        w, rem = pdivmod(num, g0, p)
-        if rem:
-            raise HmsError("hensel step: division defect")
-        g = trim([(a + pk * b) % pk_next for a, b in _zip_pad(g, u)])
-        h = trim([(a + pk * b) % pk_next for a, b in _zip_pad(h, w)])
-        pk = pk_next
-    m = p**K
-    return [c % m for c in g], [c % m for c in h]
-
-
-def _zip_pad(f, g):
-    n = max(len(f), len(g))
-    return zip(
-        list(f) + [0] * (n - len(f)),
-        list(g) + [0] * (n - len(g)),
-    )
-
-
-def _int_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
+    g, h = pmod(g0, p), pmod(h0, p)
+    k = 1
+    while k < K:
+        k = min(2 * k, K)
+        m = p**k
+        e = psub(f, pmul(g, h, m), m)
+        q, r = pdivmod(pmul(s, e, m), h, m)
+        g = padd(g, padd(pmul(t, e, m), pmul(q, g, m), m), m)
+        h = padd(h, r, m)
+        if k == K:
+            break  # the Bezout pair only serves a further step
+        b = psub(padd(pmul(s, g, m), pmul(t, h, m), m), [1], m)
+        c, d = pdivmod(pmul(s, b, m), h, m)
+        s = psub(s, d, m)
+        t = psub(t, padd(pmul(t, b, m), pmul(c, g, m), m), m)
+    return g, h
 
 
 def hensel_lift_factors(f, parts, p, K):
@@ -269,28 +262,6 @@ def hensel_lift_factors(f, parts, p, K):
     return hensel_lift_factors(g, parts[:mid], p, K) + hensel_lift_factors(
         h, parts[mid:], p, K
     )
-
-
-def newton_lift_root(f, r0, p, K):
-    """Lift a simple root r0 of f mod p to a root mod p^K."""
-    fp = pderiv(f)
-    if peval(fp, r0, p) == 0:
-        raise HmsError("root is not simple mod p")
-    r = r0 % p
-    mod = p
-    while mod < p**K:
-        mod = min(mod * mod, p**K)
-        fr = _int_eval(f, r) % mod
-        fpr = _int_eval(fp, r) % mod
-        r = (r - fr * pow(fpr, -1, mod)) % mod
-    return r % p**K
-
-
-def _int_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 # -- factorization over Q for degree <= 4 --------------------------------
@@ -369,7 +340,7 @@ def factor_squarefree_int(f):
         for combo in combinations(active, size):
             prod = [1]
             for idx in combo:
-                prod = [c % m for c in _int_mul(prod, lifted[idx])]
+                prod = pmul(prod, lifted[idx], m)
             cand = [_symmetric(c, m) for c in prod]
             q = _int_divmod_exact(remaining, cand)
             if q is not None:
@@ -449,11 +420,9 @@ def _binary_unit(q, factors):
 class BlockReport:
     """One coprime block of the factorization over Z_p.
 
-    coeffs_mod holds the block as a binary form in the original chart:
-    modulo p^prec when the block was Hensel lifted (repeated reduction,
-    or a simple root), modulo p for the residue factors of a squarefree
-    reduction of degree >= 2 (their roots live in the unramified
-    extension of that residue degree and are tracked symbolically).
+    coeffs_mod holds the Hensel-lifted block mod p^prec as a binary form
+    of its degree in the original chart; a simple linear block also has
+    its root, normalized by `_proj_normalize`, in lifted_root.
     """
 
     degree: int
@@ -533,26 +502,36 @@ def unit_chart(ics, p):
     chart is the identity when c4 is a p-unit, else ((m, -1), (1, 0)),
     (t, u) -> (m t - u, t), for the first m with q(m, 1) != 0 mod p; the
     composed form (`compose_binary`) has leading coefficient q(m, 1).
+    No chart exists when the reduction vanishes on all of P^1(F_p),
+    which takes p = 3 and four simple roots; the identity is returned.
     """
     if ics[4] % p != 0:
         return ((1, 0), (0, 1))
-    affine = [c % p for c in ics]
     for m in range(p):
-        if peval(affine, m, p) != 0:
+        if peval(ics, m, p) != 0:
             return ((m, -1), (1, 0))
-    raise HmsError("quartic vanishes on all of P^1 mod p; no unit chart")
+    return ((1, 0), (0, 1))
+
+
+def _residue_order(blk, p):
+    """Sort key of a block by its residue factor of q(t, 1): monic
+    affine factors by (degree, coefficients), then the root at [1:0]."""
+    g = pmod(blk.coeffs_mod, p)
+    if deg(g) < blk.degree:
+        return (1,)
+    return (0, len(g), tuple(pscale(g, pow(g[-1], -1, p), p)))
 
 
 def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     """Factor q over Z_p into coprime blocks and certify unramifiedness.
 
-    Sound-but-incomplete scheme (odd p):
-      * reduction squarefree as a binary form over F_p  -> unramified,
-        with simple F_p-roots Newton-lifted mod p^prec;
-      * repeated reduction: the coprime-block factorization is Hensel
-        lifted mod p^prec; a (linear)^2 block is certified by the parity
-        of its discriminant valuation (even -> unramified, odd -> the
-        splitting field is ramified);
+    q is moved to its `unit_chart`, its monic reduction is factored
+    once, and every coprime block (a residue factor to its multiplicity)
+    is Hensel lifted mod p^prec in one `hensel_lift_factors` call.
+    Sound-but-incomplete verdicts (odd p):
+      * a simple block -> unramified;
+      * a (linear)^2 block -> the parity of its discriminant valuation
+        (even -> unramified, odd -> the splitting field is ramified);
       * any other repeated block -> "inconclusive".
     """
     if p % 2 == 0:
@@ -561,95 +540,45 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         raise HmsError("precision must be positive")
     ics = primitive_int_coeffs(q)
     m = p**prec
-    affine = [c % p for c in ics]
-    inf_mult_bar = 0
-    tmp = list(affine)
-    while tmp and tmp[-1] == 0:
-        tmp.pop()
-        inf_mult_bar += 1
-    fbar = tmp  # q(t,1) mod p, degree 4 - inf_mult_bar
-    lcinv = pow(fbar[-1], -1, p)
-    fbar_monic = pscale(fbar, lcinv, p)
-    parts = factor_monic_mod_p(fbar_monic, p)
-    mults = [mult for _, mult in parts] + ([inf_mult_bar] if inf_mult_bar else [])
-    squarefree = all(mt == 1 for mt in mults)
+    chart = unit_chart(ics, p)
+    f = compose_binary(ics, chart)
+    top = deg(pmod(f, p))
+    lc_inv = pow(f[top], -1, m)
+    f = [(c * lc_inv) % m for c in f]
+    at_infinity = []
+    if top < 4:
+        # no unit chart: [1:0] is a simple root, and its linear factor
+        # (a unit mod p) is split off the monic rest first
+        g, f = hensel_pair_lift(f, [1], pmod(f, p), p, prec)
+        at_infinity = [(g + [0])[:2]]
+    parts = factor_monic_mod_p(pmod(f, p), p)
+    block_polys_bar = []
+    for g, mult in parts:
+        block_polys_bar.append([1])
+        for _ in range(mult):
+            block_polys_bar[-1] = pmul(block_polys_bar[-1], list(g), p)
+    lifted = hensel_lift_factors(f, block_polys_bar, p, prec) + at_infinity
+    # (residue degree, multiplicity) of each lifted block
+    block_meta = [(deg(list(g)), mult) for g, mult in parts]
+    block_meta += [(1, 1)] * len(at_infinity)
+    squarefree = all(mult == 1 for _, mult in block_meta)
     residue_degrees = tuple(
-        sorted(
-            [deg(list(g)) for g, mult in parts for _ in range(mult)]
-            + [1] * inf_mult_bar
-        )
+        sorted(rdeg for rdeg, mult in block_meta for _ in range(mult))
     )
 
+    (a, b), (c, d) = chart
+    inv_chart = ((d, -b), (-c, a))  # det = 1
     blocks = []
-    if squarefree:
-        f_int = list(ics)
-        for g, _ in parts:
-            g = list(g)
-            if deg(g) == 1:
-                r0 = (-g[0]) % p
-                r = newton_lift_root(f_int, r0, p, prec) % m
-                blocks.append(
-                    BlockReport(1, 1, 1, "unramified", ((-r) % m, 1), None, (r, 1))
-                )
-            else:
-                blocks.append(
-                    BlockReport(deg(g), deg(g), 1, "unramified", tuple(g), None, None)
-                )
-        if inf_mult_bar:
-            rev = list(reversed(ics))  # q(1, u)
-            r = newton_lift_root(rev, 0, p, prec) % m
-            blocks.append(
-                BlockReport(1, 1, 1, "unramified", (1, (-r) % m), None, (1, r))
-            )
-        return HenselReport(p, prec, True, residue_degrees, "unramified", blocks)
-
-    # repeated factors: move to a chart where the leading coefficient is
-    # a unit (exists: a quartic with a repeated projective root has at
-    # most 3 distinct roots < p + 1 points in P^1(F_p))
-    sub = unit_chart(ics, p)
-    f = compose_binary(ics, sub)
-    lc_inv_m = pow(f[4] % m, -1, m)
-    f_monic = [(c * lc_inv_m) % m for c in f]
-    fb = pmod(f_monic, p)
-    parts2 = factor_monic_mod_p(fb, p)
-    block_polys_bar = []
-    block_meta = []  # (residue_degree, multiplicity)
-    for g, mult in parts2:
-        bp = [1]
-        for _ in range(mult):
-            bp = pmul(bp, list(g), p)
-        block_polys_bar.append(bp)
-        block_meta.append((deg(list(g)), mult))
-    if len(block_polys_bar) == 1:
-        lifted = [[c % m for c in f_monic]]
-    else:
-        lifted = hensel_lift_factors(f_monic, block_polys_bar, p, prec)
-
-    (a, b), (c, d) = sub
-    inv_sub = ((d, -b), (-c, a))  # det = 1
-
     for (rdeg, mult), B in zip(block_meta, lifted):
         dblock = deg(B)
-        # block coefficients (t low->high, monic) back in the original
-        # chart, as a binary form
-        orig = compose_binary(B, inv_sub, m)
-        if mult == 1:
-            if dblock == 1:
-                t0 = (-B[0]) % m
-                pt = _proj_normalize(a * t0 + b, c * t0 + d, p, prec)
-                blocks.append(
-                    BlockReport(1, 1, 1, "unramified", tuple(orig), None, pt)
-                )
-            else:
-                blocks.append(
-                    BlockReport(
-                        dblock, rdeg, 1, "unramified", tuple(orig), None, None
-                    )
-                )
-        elif dblock == 2 and rdeg == 1:
+        verdict, v, pt = "unramified", None, None
+        if dblock == 1:
+            # the root [-B0 : B1] of B1 t + B0 u, in the original chart
+            t0, u0 = -B[0], B[1]
+            pt = _proj_normalize(a * t0 + b * u0, c * t0 + d * u0, p, prec)
+        elif mult == 2 and rdeg == 1:
             # (linear)^2 block: discriminant parity decides (odd p)
-            e1, e0 = B[1], B[0]
-            disc = (e1 * e1 - 4 * e0) % m
+            disc = (B[1] * B[1] - 4 * B[0]) % m
             if disc == 0:
                 raise PrecisionError(
                     f"block discriminant is O({p}^{prec}); re-run at higher "
@@ -658,19 +587,18 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
                 )
             v = split_p_power(disc, p)[0]
             verdict = "unramified" if v % 2 == 0 else "ramified"
-            blocks.append(
-                BlockReport(2, 1, 2, verdict, tuple(orig), v, None)
-            )
-        else:
-            blocks.append(
-                BlockReport(dblock, rdeg, mult, "inconclusive", tuple(orig), None, None)
-            )
-
-    if any(b.verdict == "ramified" for b in blocks):
-        verdict = "ramified"
-    elif all(b.verdict == "unramified" for b in blocks):
-        verdict = "unramified"
-    else:
-        verdict = "inconclusive"
-    return HenselReport(p, prec, False, residue_degrees, verdict, blocks)
-
+        elif mult > 1:
+            verdict = "inconclusive"
+        # the block as a binary form back in the original chart
+        orig = tuple(compose_binary(B, inv_chart, m))
+        blocks.append(BlockReport(dblock, rdeg, mult, verdict, orig, v, pt))
+    if squarefree:
+        # certificates list the blocks of a squarefree reduction in this
+        # order, and of a repeated one in unit-chart order; the golden
+        # certificates freeze both
+        blocks.sort(key=lambda blk: _residue_order(blk, p))
+    verdicts = {blk.verdict for blk in blocks}
+    verdict = next(
+        v for v in ("ramified", "inconclusive", "unramified") if v in verdicts
+    )
+    return HenselReport(p, prec, squarefree, residue_degrees, verdict, blocks)

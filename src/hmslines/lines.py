@@ -147,17 +147,17 @@ class _ConeFrame:
     x inside V.  q2 restricted to V descends to a conic on U.  Basis
     vector k of V (from `nullspace`) is 1 at the k-th free column of
     rref(rows) and 0 at the others: a vector of V has its coordinates
-    there."""
+    there.  gram and q1_row are the model's `gram_matrix(q2)` and
+    `linear_row(q1)`, which every frame of a chart shares."""
 
-    def __init__(self, model: SurfaceModel, x):
+    def __init__(self, model: SurfaceModel, x, gram, q1_row):
         x = [Fraction(c) for c in x]
         if not (
             coeff_is_zero(model.q1.evaluate(x))
             and coeff_is_zero(model.q2.evaluate(x))
         ):
             raise NotOnSurfaceError("tangent cone needs a point on both quadrics")
-        self.gram = gram_matrix(model.q2)
-        rows = [linear_row(model.q1), mat_vec(self.gram, x)]
+        rows = [q1_row, mat_vec(gram, x)]
         _, pivots = rref(rows)
         if len(pivots) < 2:
             raise SingularPointError(
@@ -348,10 +348,15 @@ class TangentConeChart:
 
     def __init__(self, model: SurfaceModel, seed, height: int = 24):
         self.model = model
+        self.gram = gram_matrix(model.q2)
+        self.q1_row = linear_row(model.q1)
         self.seed = [Fraction(c) for c in primitive_vector(seed)]
-        self.frame0 = _ConeFrame(model, self.seed)
+        self.frame0 = self._frame(self.seed)
         self.c0 = rational_conic_point(self.frame0.conic, height)
         self.param0 = ConicParam(self.frame0.conic, self.c0)
+
+    def _frame(self, x):
+        return _ConeFrame(self.model, x, self.gram, self.q1_row)
 
     def direction(self, a):
         w = self.frame0.ambient(self.param0.point(a, 1))
@@ -365,7 +370,7 @@ class TangentConeChart:
             x1 = self.seed
         else:
             x1 = [xi + b * wi for xi, wi in zip(self.seed, w)]
-            frame = _ConeFrame(self.model, x1)
+            frame = self._frame(x1)
         base = frame.project(w)
         param = ConicParam(frame.conic, base)
         y = frame.ambient(param.point(c, 1))
@@ -377,7 +382,7 @@ class TangentConeChart:
         Raises when the line sits outside the chart (a parameter lands
         at infinity, or the cone intersection degenerates)."""
         P, Q = line.rows
-        bx = mat_vec(self.frame0.gram, self.seed)
+        bx = mat_vec(self.gram, self.seed)
         bp = sum(v * c for v, c in zip(bx, P))
         bq = sum(v * c for v, c in zip(bx, Q))
         if bp == 0 and bq == 0:
@@ -408,7 +413,7 @@ class TangentConeChart:
             if b == 0:
                 raise HmsError("intersection point equals the seed unexpectedly")
             x1 = [xi + b * wi for xi, wi in zip(self.seed, w)]
-            frame = _ConeFrame(self.model, x1)
+            frame = self._frame(x1)
         base = frame.project(w)
         param = ConicParam(frame.conic, base)
         zdir = list(Q) if self._independent(P, x1) is False else list(P)

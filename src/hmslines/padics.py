@@ -57,8 +57,8 @@ class UnramifiedRing:
         self.deg = len(modulus) - 1
 
     def elt(self, coeffs):
-        coeffs = list(coeffs) + [0] * (self.deg - len(list(coeffs)))
-        return UElt(self, coeffs[: self.deg])
+        coeffs = list(coeffs)
+        return UElt(self, (coeffs + [0] * (self.deg - len(coeffs)))[: self.deg])
 
     def zero(self):
         return UElt(self, [0] * self.deg)

@@ -31,13 +31,9 @@ from .errors import (
     SingularPointError,
 )
 from .hensel import (
-    compose_binary,
     hensel_factor_quartic,
     hensel_pair_lift,
-    newton_lift_root,
-    pdivmod,
     primitive_int_coeffs,
-    unit_chart,
 )
 from .lines import (
     Line,
@@ -367,7 +363,8 @@ def _points_of_double_root_block(rows, blk, p, K, block_idx):
     r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)
     if r0 is not None:
         ring = UnramifiedRing(p, (0, 1), keff)
-        s = ring.elt([newton_lift_root([-w, 0, 1], r0, p, keff)])
+        factor, _ = hensel_pair_lift([-w, 0, 1], [-r0, 1], [r0, 1], p, keff)
+        s = ring.elt([-factor[0]])
         roots = [s, -s]
     else:
         ring = UnramifiedRing(p, [-w, 0, 1], keff)
@@ -381,30 +378,7 @@ def _points_of_double_root_block(rows, blk, p, K, block_idx):
     return points
 
 
-def _lift_residue_factor(ints, g_mod_p, p, K):
-    """Hensel lift a residue factor of the quartic to a factor mod p^K.
-
-    ints are the primitive integer coefficients (t^i u^(4-i)); g_mod_p
-    a residue factor in the same convention, irreducible mod p of
-    degree >= 2.  Returns (monic affine modulus low->high, chart matrix)
-    so that the root is [m00 xi + m01 : m10 xi + m11].
-    """
-    mat = unit_chart(ints, p)
-    f_t = compose_binary(ints, mat)
-    g_t = compose_binary(list(g_mod_p), mat)
-    mK = p**K
-    inv_f = pow(f_t[-1] % mK, -1, mK)
-    f_monic = [c * inv_f % mK for c in f_t]
-    inv_g = pow(g_t[-1] % p, -1, p)
-    g_monic = [c * inv_g % p for c in g_t]
-    h0, rem = pdivmod(f_monic, g_monic, p)
-    if any(rem):
-        raise HmsError("residue factor does not divide the reduction")
-    g_lift, _ = hensel_pair_lift(f_monic, g_monic, h0, p, K)
-    return g_lift, mat
-
-
-def _points_of_block(rows, ints, blk, p, K, block_idx, block_is_lifted):
+def _points_of_block(rows, blk, p, K, block_idx):
     if blk.lifted_root is not None:
         ring = UnramifiedRing(p, (0, 1), K)
         t, u = blk.lifted_root
@@ -414,26 +388,17 @@ def _points_of_block(rows, ints, blk, p, K, block_idx, block_is_lifted):
             return []
         return _points_of_double_root_block(rows, blk, p, K, block_idx)
     if blk.residue_degree >= 2 and blk.multiplicity == 1:
+        # a factor mod p^K whose top coefficient is a unit, because an
+        # irreducible residue factor of degree >= 2 has no root at infinity
         coeffs = blk.coeffs_mod
         mK = p**K
-        if block_is_lifted:
-            # already a factor mod p^K; the top coefficient is a unit
-            # because an irreducible residue factor of degree >= 2 has
-            # no root at infinity
-            inv = pow(coeffs[-1] % mK, -1, mK)
-            modulus = [c * inv % mK for c in coeffs]
-            mat = ((1, 0), (0, 1))
-        else:
-            modulus, mat = _lift_residue_factor(ints, coeffs, p, K)
-        ring = UnramifiedRing(p, modulus, K)
-        xi = ring.gen()
-        t = xi * mat[0][0] + mat[0][1]
-        u = xi * mat[1][0] + mat[1][1]
-        return [_point(rows, t, u, block_idx)]
+        inv = pow(coeffs[-1] % mK, -1, mK)
+        ring = UnramifiedRing(p, [c * inv % mK for c in coeffs], K)
+        return [_point(rows, ring.gen(), ring.one(), block_idx)]
     return []
 
 
-def intersection_points(line: Line, quartic: BinaryQuartic, report):
+def intersection_points(line: Line, report):
     """Extract explicit p-adic intersection points from a local report.
 
     Blocks whose verdict is ramified or inconclusive contribute no
@@ -441,12 +406,9 @@ def intersection_points(line: Line, quartic: BinaryQuartic, report):
     pinned down at this precision).
     """
     rows = _scaled_integer_rows(line)
-    ints = primitive_int_coeffs(quartic)
-    p, K = report.p, report.prec
-    lifted = not report.squarefree_mod_p
     points = []
     for idx, blk in enumerate(report.blocks):
-        points.extend(_points_of_block(rows, ints, blk, p, K, idx, lifted))
+        points.extend(_points_of_block(rows, blk, report.p, report.prec, idx))
     return points
 
 
@@ -591,10 +553,10 @@ def _parity_section(line: Line, config: SearchConfig):
     }
 
 
-def _local_section(line, quartic, model, config, report) -> dict:
+def _local_section(line, model, config, report) -> dict:
     """Intersection points and p-specific extras around a Hensel report."""
     p = report.p
-    points = intersection_points(line, quartic, report)
+    points = intersection_points(line, report)
     section = {
         "p": p,
         "precision": report.prec,
@@ -678,7 +640,7 @@ class _Sections:
         return self._once(
             ("local", p),
             lambda: _local_section(
-                self.line, self.quartic, self.model, self.config, self.hensel(p)
+                self.line, self.model, self.config, self.hensel(p)
             ),
         )
 

@@ -1,26 +1,70 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from hmslines import hensel, search
 from hmslines.errors import PrecisionError
 from hmslines.hensel import (
     compose_binary,
     factor_monic_mod_p,
     hensel_factor_quartic,
     hensel_pair_lift,
-    newton_lift_root,
+    pdivmod,
+    pext_euclid,
+    pgcd,
     peval,
     pmod,
     pmul,
+    psub,
+    trim,
 )
 from hmslines.lines import labc_line, quartic_of_line, Line
 from hmslines.quartics import BinaryQuartic
-from hmslines.search import build_model, parse_config
+from hmslines.search import build_model, intersection_points, parse_config
 from hmslines.surface import char3_twist, rho0_twist, twisted_equations
 
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def linear_pair_lift(f, g0, h0, p, K):
+    """Reference lift of monic f = g0*h0 (mod p) to mod p^K, one p-adic
+    digit per step with the Bezout pair of g0, h0 kept mod p."""
+    s, t = pext_euclid(g0, h0, p)
+    g, h = pmod(g0, p), pmod(h0, p)
+    pk = p
+    for _ in range(K - 1):
+        prod = pmul(g, h, pk * p)
+        e = trim([(fc - pc) // pk for fc, pc in _zip_pad(pmod(f, pk * p), prod)])
+        u = pdivmod(pmul(t, e, p), g0, p)[1]
+        w, rem = pdivmod(psub(e, pmul(u, h0, p), p), g0, p)
+        assert not rem
+        g = trim([(a + pk * b) for a, b in _zip_pad(g, u)])
+        h = trim([(a + pk * b) for a, b in _zip_pad(h, w)])
+        pk *= p
+    return g, h
+
+
+def _zip_pad(f, g):
+    n = max(len(f), len(g))
+    return zip(list(f) + [0] * (n - len(f)), list(g) + [0] * (n - len(g)))
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def lifted_root(f, r0, p, K):
+    """The root of f mod p^K above the simple root r0 mod p."""
+    h0 = pdivmod(f, [-r0, 1], p)[0]
+    g, _ = hensel_pair_lift(f, [-r0, 1], h0, p, K)
+    return -g[0] % p**K
 
 
 def Q(coeffs):
@@ -43,9 +87,9 @@ def test_factor_monic_mod_p_recombines():
     assert pmod(prod, 3) == pmod(f, 3)
 
 
-def test_newton_lift_root_residual():
+def test_pair_lift_root_residual():
     # root of x^2 - 2 mod 7 lifted to high precision
-    r = newton_lift_root([-2, 0, 1], 3, 7, 10)
+    r = lifted_root([-2, 0, 1], 3, 7, 10)
     assert (r * r - 2) % 7**10 == 0
 
 
@@ -157,13 +201,18 @@ def test_exactly_repeated_root_behaviour():
     assert [b.multiplicity for b in rep.blocks] == [4]
 
 
-def test_newton_vs_peval_consistency():
-    f = [2, 0, 1, 1]  # x^3 + x^2 + 2
+def test_pair_lift_vs_peval_consistency():
+    # x^3 + x^2 + 2 has no root mod 5; x^3 + x^2 + 4 has the simple
+    # root 3
     p = 5
-    for r in range(p):
-        if peval(f, r, p) == 0:
-            lifted = newton_lift_root(f, r, p, 8)
-            assert peval(pmod(f, p**8), lifted, p**8) == 0
+    lifted = 0
+    for f in ([2, 0, 1, 1], [4, 0, 1, 1]):
+        for r in range(p):
+            if peval(f, r, p) == 0:
+                root = lifted_root(f, r, p, 8)
+                assert peval(pmod(f, p**8), root, p**8) == 0
+                lifted += 1
+    assert lifted == 1
 
 
 def _sl2_product(steps):
@@ -211,9 +260,133 @@ def test_compose_binary_round_trips_and_evaluates(coeffs, steps, t, u):
     st.integers(0, 10**6),
     st.integers(1, 20),
 )
-def test_newton_lift_root_of_a_square(p, r0, k, K):
+def test_pair_lift_root_of_a_square(p, r0, k, K):
     assume(r0 % p != 0)
     w = r0 * r0 + p * k
-    r = newton_lift_root([-w, 0, 1], r0, p, K)
+    g, h = hensel_pair_lift([-w, 0, 1], [-r0, 1], [r0, 1], p, K)
+    r = -g[0] % p**K
     assert (r * r - w) % p**K == 0
     assert r % p == r0 % p
+    assert h == [r, 1]
+
+
+def _monic(degree):
+    return st.lists(
+        st.integers(0, 48), min_size=degree, max_size=degree
+    ).map(lambda low: low + [1])
+
+
+@PROPERTY
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(1, 3).flatmap(_monic),
+    st.integers(1, 3).flatmap(_monic),
+    st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6),
+    st.integers(1, 40),
+)
+def test_quadratic_pair_lift_matches_the_linear_lift(p, g0, h0, noise, K):
+    g0, h0 = pmod(g0, p), pmod(h0, p)
+    assume(len(pgcd(g0, h0, p)) == 1)
+    # a monic f with f = g0*h0 mod p
+    prod = _times(g0, h0)
+    f = [c + p * e for c, e in zip(prod[:-1], noise)] + [1]
+    quadratic = hensel_pair_lift(f, g0, h0, p, K)
+    assert quadratic == linear_pair_lift(f, g0, h0, p, K)
+    g, h = quadratic
+    assert pmod(pmul(g, h, p**K), p**K) == pmod(f, p**K)
+
+
+def _primitive_form(degree):
+    return st.lists(
+        st.integers(-6, 6), min_size=degree + 1, max_size=degree + 1
+    ).filter(lambda c: gcd(*c) == 1)
+
+
+def _p_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _legendre(a, p):
+    return pow(a % p, (p - 1) // 2, p)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(*[_primitive_form(1)] * 4),
+        st.tuples(_primitive_form(1), _primitive_form(1), _primitive_form(2)),
+        st.tuples(_primitive_form(2), _primitive_form(2)),
+    ),
+    st.lists(
+        st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4
+    ),
+    st.sampled_from([3, 5]),
+    st.integers(1, 30),
+)
+# t u (t - u)(t + u) vanishes on all of P^1(F_3): no chart has a unit
+# leading coefficient
+@example(([0, 1], [1, 0], [-1, 1], [1, 1]), [], 3, 12)
+def test_local_factorization_agrees_with_the_construction(factors, steps, p, K):
+    # oracle: the splitting field of a product of integer forms is
+    # ramified at p exactly when some quadratic factor has a discriminant
+    # of odd valuation; a quadratic factor has residue degree 2 exactly
+    # when its discriminant is a nonsquare mod p
+    (a, b), (c, d) = _sl2_product(steps)
+    product = [1]
+    for g in factors:
+        product = _times(product, g)
+    ints = compose_binary(product, ((a, b), (c, d)))
+    q = Q(ints)
+    assume(q.discriminant() != 0)
+    quadratic_discs = [g[1] ** 2 - 4 * g[0] * g[2] for g in factors if len(g) == 3]
+    ramified = any(_p_valuation(D, p) % 2 for D in quadratic_discs)
+    residue_degrees = [1] * (4 - 2 * len(quadratic_discs))
+    for D in quadratic_discs:
+        residue_degrees += [2] if _legendre(D, p) == p - 1 else [1, 1]
+    try:
+        rep = hensel_factor_quartic(q, p, K)
+    except PrecisionError as exc:
+        assert exc.needed > K
+        return
+    assert rep.verdict in ("ramified" if ramified else "unramified", "inconclusive")
+    assert rep.residue_degrees == tuple(sorted(residue_degrees))
+    m = p**K
+    for blk in rep.blocks:
+        if blk.lifted_root is not None:
+            t, u = blk.lifted_root
+            assert _binary_value(ints, t, u) % m == 0
+
+
+def test_point_extraction_lifts_nothing_again(monkeypatch):
+    # the quartic of this line has two quadratic residue factors at 5
+    # and a repeated reduction at 3: each is factored once mod p, and
+    # the 5-adic points are read off the lifted blocks
+    factorizations = []
+    factor = hensel.factor_monic_mod_p
+
+    def counting_factor(f, p):
+        factorizations.append(p)
+        return factor(f, p)
+
+    lifts = []
+    lift = search.hensel_pair_lift
+
+    def counting_lift(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(hensel, "factor_monic_mod_p", counting_factor)
+    monkeypatch.setattr(search, "hensel_pair_lift", counting_lift)
+    line = labc_line(3, 243, 243)
+    q = quartic_of_line(line, char3_model())
+    rep3 = hensel_factor_quartic(q, 3, 12)
+    rep5 = hensel_factor_quartic(q, 5, 12)
+    assert (rep3.squarefree_mod_p, rep5.residue_degrees) == (False, (2, 2))
+    assert factorizations == [3, 5]
+    points = intersection_points(line, rep5)
+    assert [pt.ring.deg for pt in points] == [2, 2]
+    assert lifts == []

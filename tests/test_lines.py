@@ -29,6 +29,7 @@ from hmslines.linalg import nullspace, rref
 from hmslines.lines import (
     ConicParam,
     _ConeFrame,
+    gram_matrix,
     lies_in,
     linear_row,
     primitive_vector,
@@ -153,7 +154,7 @@ def test_quartic_of_line_matches_substitute_on_demo_charts():
 
 def test_cone_frame_conic_matches_substitute():
     model = rho0_model()
-    frame = _ConeFrame(model, RHO0_SEED)
+    frame = TangentConeChart(model, RHO0_SEED).frame0
     want = substituted(model.q2, frame.U)
     assert frame.conic == want
     assert all(type(c) is F for c in frame.conic.terms.values())
@@ -181,7 +182,7 @@ def test_restriction_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(SparsePoly, "__mul__", counting)
     quartic_of_line(labc_line(3, 243, 243), char3)
     quartic_of_line(rho0_line, rho0)
-    _ConeFrame(rho0, RHO0_SEED)
+    _ConeFrame(rho0, RHO0_SEED, gram_matrix(rho0.q2), linear_row(rho0.q1))
     assert calls == []
 
 

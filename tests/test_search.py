@@ -467,9 +467,7 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         assert known is None
         assume(False)
     try:
-        points = intersection_points(
-            line, quartic, hensel_factor_quartic(quartic, p, K)
-        )
+        points = intersection_points(line, hensel_factor_quartic(quartic, p, K))
     except PrecisionError:
         if known is not None:
             raise
