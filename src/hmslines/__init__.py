@@ -1,9 +1,10 @@
 """Exact construction and certification of lines on twisted surface models.
 
 The package works entirely in exact arithmetic: rationals, the
-Eisenstein quadratic ring, finite fields F_p and F_{p^2}, and unramified
-p-adic rings mod p^K with sound valuations (a value that is zero at the
-working precision has an indeterminate valuation, never a guessed one).
+Eisenstein quadratic ring, and unramified p-adic rings mod p^K with
+sound valuations (a value that is zero at the working precision has an
+indeterminate valuation, never a guessed one); at precision 1 such a
+ring is a finite field F_{p^d}.
 On top of that tower it builds sparse multivariate polynomials, the
 twisted models of a surface of sigma-type in P^5, line charts on those
 models, local factorization of the restricted quartic over Z_p, and a
@@ -24,7 +25,7 @@ from .errors import (
     SearchExhausted,
     SingularPointError,
 )
-from .scalars import OMEGA, SQRT_MINUS_3, CycloElt, Fq, FqElt
+from .scalars import OMEGA, SQRT_MINUS_3, CycloElt
 from .padics import IndeterminateValuation, UElt, UnramifiedRing
 from .mpoly import SparsePoly, elementary_symmetric, restrict_to_basis
 from .quartics import BinaryQuartic, real_root_count, roots_over_Fq
@@ -96,8 +97,6 @@ __all__ = [
     "OMEGA",
     "SQRT_MINUS_3",
     "CycloElt",
-    "Fq",
-    "FqElt",
     "IndeterminateValuation",
     "UnramifiedRing",
     "UElt",

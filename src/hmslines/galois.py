@@ -20,14 +20,11 @@ from .errors import DegenerateLineError, HmsError
 from .hensel import (
     deg,
     factor_binary_quartic,
+    factor_monic_mod_p,
     factor_squarefree_int,
-    pdivmod,
-    pgcd,
     pmod,
-    ppowmod,
     primitive_int_coeffs,
     pscale,
-    psub,
 )
 from .mpoly import coeff_is_zero
 from .quartics import BinaryQuartic, stored_discriminant
@@ -113,8 +110,7 @@ def _squarefree_factors(q: BinaryQuartic):
     disc = stored_discriminant(q)
     if coeff_is_zero(disc):
         raise DegenerateLineError("quartic has a repeated projective root")
-    _, factors = factor_binary_quartic(q)
-    return Fraction(disc), [g for g, _ in factors]
+    return Fraction(disc), factor_binary_quartic(q)
 
 
 def _galois_group(disc, forms) -> QuarticGaloisGroup:
@@ -203,24 +199,7 @@ def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
         raise HmsError("integral model has non-integral discriminant")
     if int(disc) % p == 0:
         raise HmsError(f"{p} divides the discriminant")
-    pattern = []
     affine = pmod(ics, p)
-    inf_mult = 4 - deg(affine)
-    pattern += [1] * inf_mult
-    f = pscale(affine, pow(affine[-1], -1, p), p)
-    if deg(f) >= 1:
-        xp = ppowmod([0, 1], p, f, p)
-        lin = pgcd(psub(xp, [0, 1], p), f, p)
-        n1 = deg(lin)
-        pattern += [1] * n1
-        quo, rem = pdivmod(f, lin, p) if n1 > 0 else (f, [])
-        assert not rem
-        dc = deg(quo)
-        if dc == 2:
-            pattern.append(2)
-        elif dc == 3:
-            pattern.append(3)
-        elif dc == 4:
-            xp2 = ppowmod([0, 1], p * p, quo, p)
-            pattern += [2, 2] if xp2 == [0, 1] else [4]
+    parts = factor_monic_mod_p(pscale(affine, pow(affine[-1], -1, p), p), p)
+    pattern = [1] * (4 - deg(affine)) + [deg(g) for g, _ in parts]
     return tuple(sorted(pattern))

@@ -17,7 +17,6 @@ else is reported "inconclusive".
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
 
@@ -379,38 +378,15 @@ def _next_prime(p):
 def factor_binary_quartic(q: BinaryQuartic):
     """Factor a squarefree binary quartic over Q.
 
-    Returns (unit, factors) with unit a Fraction and factors a list of
-    (coeff tuple, 1); each coeff tuple (c_0..c_d) encodes the primitive
-    irreducible binary form sum c_i t^i u^(d-i).  The product of the
-    factors times unit equals q.
+    Returns the irreducible factors as coeff tuples (c_0..c_d), each
+    encoding the primitive binary form sum c_i t^i u^(d-i); their
+    product is q up to a rational unit.
     """
     affine = trim(primitive_int_coeffs(q))
-    inf_mult = 5 - len(affine) if affine else 5
-    d_aff = deg(affine)
-    factors = []
-    for _ in range(inf_mult):
-        factors.append(((1, 0), 1))  # the factor u
-    if d_aff >= 1:
-        for g in factor_squarefree_int(affine):
-            factors.append((tuple(g), 1))
-    unit = _binary_unit(q, factors)
-    return unit, factors
-
-
-def _binary_unit(q, factors):
-    # evaluate both sides at points to solve for the constant
-    for t, u in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4)):
-        prod = Fraction(1)
-        for g, mult in factors:
-            d = len(g) - 1
-            val = sum(Fraction(c) * t**i * u ** (d - i) for i, c in enumerate(g))
-            if val == 0:
-                prod = None
-                break
-            prod *= val**mult
-        if prod:
-            return Fraction(q.evaluate(Fraction(t), Fraction(u))) / prod
-    raise HmsError("could not normalize binary factorization unit")
+    factors = [(1, 0)] * (5 - len(affine))  # the factor u, once per root at [1:0]
+    if deg(affine) >= 1:
+        factors += [tuple(g) for g in factor_squarefree_int(affine)]
+    return factors
 
 
 # -- local analysis of a quartic over Q_p --------------------------------

@@ -1,8 +1,8 @@
 """Small exact linear algebra over field-like scalars.
 
-Matrices are lists of rows.  Entries may be Fraction, CycloElt, FqElt
-or anything else supporting +, -, *, / and an is_zero test; plain ints
-are lifted to Fraction so that division stays exact.
+Matrices are lists of rows.  Entries may be Fraction, CycloElt or
+anything else supporting +, -, *, / and a zero test; plain ints are
+lifted to Fraction so that division stays exact.
 """
 
 from fractions import Fraction
@@ -71,14 +71,18 @@ def rref(rows):
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel of the matrix given by rows."""
+    """(basis, free_columns) of the right kernel of the matrix given by rows.
+
+    Basis vector k is 1 at free column k, 0 at the other free columns.
+    """
     if not rows:
         if ncols is None:
             raise HmsError("empty matrix needs an explicit column count")
-        return [
+        basis = [
             [Fraction(1 if i == j else 0) for j in range(ncols)]
             for i in range(ncols)
         ]
+        return basis, list(range(ncols))
     n = len(rows[0])
     R, pivots = rref(rows)
     free = [j for j in range(n) if j not in pivots]
@@ -89,7 +93,7 @@ def nullspace(rows, ncols=None):
         for ri, pc in enumerate(pivots):
             v[pc] = -R[ri][j]
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def solve(A, b):

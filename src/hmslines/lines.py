@@ -145,10 +145,10 @@ class _ConeFrame:
     V is the 4-dimensional subspace cut out by the hyperplane q1 and
     the polar hyperplane of x; it contains x, and U is a complement of
     x inside V.  q2 restricted to V descends to a conic on U.  Basis
-    vector k of V (from `nullspace`) is 1 at the k-th free column of
-    rref(rows) and 0 at the others: a vector of V has its coordinates
-    there.  gram and q1_row are the model's `gram_matrix(q2)` and
-    `linear_row(q1)`, which every frame of a chart shares."""
+    vector k of V (from `nullspace`) is 1 at the k-th free column and 0
+    at the others: a vector of V has its coordinates there.  gram and
+    q1_row are the model's `gram_matrix(q2)` and `linear_row(q1)`,
+    which every frame of a chart shares."""
 
     def __init__(self, model: SurfaceModel, x, gram, q1_row):
         x = [Fraction(c) for c in x]
@@ -158,16 +158,12 @@ class _ConeFrame:
         ):
             raise NotOnSurfaceError("tangent cone needs a point on both quadrics")
         rows = [q1_row, mat_vec(gram, x)]
-        _, pivots = rref(rows)
-        if len(pivots) < 2:
+        V, self._free = nullspace(rows)
+        if len(V) != 4:
             raise SingularPointError(
                 "polar hyperplane degenerates; the point is singular on the pencil"
             )
-        V = nullspace(rows)
-        if len(V) != 4:
-            raise SingularPointError("tangent space has the wrong dimension")
         self._rows = rows
-        self._free = [j for j in range(6) if j not in pivots]
         if not self._in_tangent_space(x):
             raise HmsError("point escaped its own tangent space")
         self._lam = [x[j] for j in self._free]
@@ -458,16 +454,24 @@ class TangentConeChart:
 # -- the explicit three-parameter family on the cube-root twist --------
 
 
-def labc_line(a, b, c) -> Line:
-    """The line with spanning points
+def labc_points(a, b, c):
+    """The spanning points of L_{a,b,c},
 
-    P = (-b^2, 1, 0, -(a + b c), -b, b),  Q = (a - b c, 0, 1, -c^2, -c, c).
+    P = (-b^2, 1, 0, -(a + b c), -b, b),  Q = (a - b c, 0, 1, -c^2, -c, c),
+
+    over any ring: rationals, or polynomials in a, b, c for the
+    symbolic checks."""
+    P = (-b * b, 1, 0, -(a + b * c), -b, b)
+    Q = (a - b * c, 0, 1, -c * c, -c, c)
+    return P, Q
+
+
+def labc_line(a, b, c) -> Line:
+    """The line L_{a,b,c} of `labc_points`.
 
     It lies in both quadrics of the cube-root twist model for every
     a, b, c (including symbolic values)."""
-    P = (-b * b, 1, 0, -(a + b * c), -b, b)
-    Q = (a - b * c, 0, 1, -c * c, -c, c)
-    return Line([P, Q])
+    return Line(labc_points(a, b, c))
 
 
 def labc_params_of_line(line: Line):
@@ -487,7 +491,7 @@ def labc_params_of_line(line: Line):
     b = P[5]
     c = Q[5]
     a = Q[0] + b * c
-    if Line([(-b * b, 1, 0, -(a + b * c), -b, b), (a - b * c, 0, 1, -c * c, -c, c)]) != line:
+    if labc_line(a, b, c) != line:
         raise HmsError("line is not in the labc family")
     return a, b, c
 
@@ -548,17 +552,11 @@ class Char3Profile:
 def char3_leading_profile(lambda1, lambda2) -> Char3Profile:
     """Symbolic restriction of the scaled quartic to the labc family."""
     quartic = char3_quartic_display(lambda1, lambda2)
-    one = SparsePoly.constant(Fraction(1), 3)
-    zero = SparsePoly(3, {})
-    a = SparsePoly(3, {(1, 0, 0): Fraction(1)})
-    b = SparsePoly(3, {(0, 1, 0): Fraction(1)})
-    c = SparsePoly(3, {(0, 0, 1): Fraction(1)})
-    P = (zero - b * b, one, zero, zero - (a + b * c), zero - b, b)
-    Q = (a - b * c, zero, one, zero - c * c, zero - c, c)
-    r = restrict_to_basis(quartic, P, Q)
+    a, b, c = (SparsePoly.variable(i, 3, Fraction(1)) for i in range(3))
+    r = restrict_to_basis(quartic, *labc_points(a, b, c))
     coeffs = []
     for i in range(5):
-        poly = r.terms.get((i, 4 - i), zero)
+        poly = r.coefficient((i, 4 - i))
         if not isinstance(poly, SparsePoly):
             poly = SparsePoly.constant(Fraction(poly), 3)
         coeffs.append(poly)

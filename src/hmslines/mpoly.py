@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials over any exact scalar ring.
 
 Terms are stored as a dict from exponent tuples to nonzero coefficients.
-Coefficients may be int, Fraction, CycloElt, FqElt, UElt or
-even SparsePoly again (polynomial coefficients are used by the symbolic
-line-family checks); all that is required of the scalar is +, -, * and a
-zero test.
+Coefficients may be int, Fraction, CycloElt, UElt (finite fields
+included, as precision-1 rings) or even SparsePoly again (polynomial
+coefficients are used by the symbolic line-family checks); all that is
+required of the scalar is +, -, * and a zero test.
 
 Canonical term order everywhere (printing, serialization) is graded
 lexicographic, highest first.

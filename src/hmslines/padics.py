@@ -7,7 +7,9 @@ precision p^K.  Because the extension is unramified, the valuation of
 an element is the minimum valuation of its coordinates.  A degree-1
 ring, modulus (0, 1), is Z/p^K itself: the intersection points of
 `search` live in one of these rings, degree 1 for a rational point and
-degree d for d conjugate points.
+degree d for d conjugate points.  At precision K = 1 the ring is the
+finite field F_{p^d}: `quartics.roots_over_Fq` scans it, and the char-5
+worked example of `verify` works in F_25 = F_5[t]/(t^2 + 3).
 
 Indeterminacy is a value, never a silent rounding: an element that is
 zero mod p^K has the valuation `IndeterminateValuation(K)`, a lower
@@ -174,6 +176,9 @@ class UElt:
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash((self.ring.mod, self.ring.modulus, self.coeffs))
 
     def valuation(self):
         """min coordinate valuation (unramified); indeterminate if 0 mod p^K."""

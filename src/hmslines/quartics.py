@@ -17,10 +17,12 @@ included) evaluates the integral expansion `_DISC_POLY`.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import DegenerateLineError, HmsError
 from .mpoly import SparsePoly, coeff_is_zero
-from .scalars import Fq, integer_numerators
+from .padics import UnramifiedRing
+from .scalars import integer_numerators
 
 
 def _disc27(a, b, c, d, e):
@@ -210,18 +212,6 @@ def real_root_count(q: BinaryQuartic) -> int:
 # -- roots over finite fields ------------------------------------------
 
 
-def _to_field(c, field: Fq):
-    from .scalars import CycloElt, FqElt
-
-    if isinstance(c, FqElt):
-        if c.field != field:
-            raise HmsError("coefficient from a different finite field")
-        return c
-    if isinstance(c, CycloElt):
-        return field.from_cyclo(c)
-    return field.zero() + c
-
-
 def _eval_list(cs, x, zero):
     val = zero
     for c in reversed(cs):
@@ -242,35 +232,37 @@ def _deflate_linear(cs, root):
     return list(reversed(out))
 
 
-def roots_over_Fq(q: BinaryQuartic, field: Fq):
+def roots_over_Fq(q: BinaryQuartic, field: UnramifiedRing):
     """All projective roots over F_q by exhaustive scan, with multiplicity.
 
-    Returns a list of ((t, u), multiplicity) pairs; (t, u) is the
-    canonical representative, u = 1 for affine roots and (1, 0) at
-    infinity.  The scan caps the prime at 10^4 (the intended use is
-    p in {3, 5}).
+    field is F_q = F_{p^d} as an `UnramifiedRing` at precision 1; the
+    coefficients of q are its elements, ints or Fractions.  Returns a
+    list of ((t, u), multiplicity) pairs; (t, u) is the canonical
+    representative, u = 1 for affine roots and (1, 0) at infinity.  The
+    scan caps the prime at 10^4 (the intended use is p in {3, 5}).
     """
+    if field.K != 1:
+        raise HmsError("roots_over_Fq needs a finite field: precision 1")
     if field.p > 10**4:
         raise HmsError("prime too large for exhaustive scan")
-    if q.is_degenerate:
+    zero, one = field.zero(), field.one()
+    cs = [zero + c for c in q.coeffs]
+    if all(coeff_is_zero(c) for c in cs):
         raise DegenerateLineError("roots of the zero form")
-    coeffs = [_to_field(c, field) for c in q.coeffs]
     roots = []
     inf_mult = 0
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero:
+    while cs and coeff_is_zero(cs[-1]):
         cs.pop()
         inf_mult += 1
     if inf_mult:
-        roots.append(((field.one(), field.zero()), inf_mult))
-    zero, one = field.zero(), field.one()
-    for x in field.elements():
-        if not _eval_list(cs, x, zero).is_zero:
-            continue
+        roots.append(((one, zero), inf_mult))
+    for digits in product(range(field.p), repeat=field.deg):
+        x = field.elt(digits)
         mult = 0
-        work = list(cs)
-        while work and _eval_list(work, x, zero).is_zero:
+        work = cs
+        while work and coeff_is_zero(_eval_list(work, x, zero)):
             work = _deflate_linear(work, x)
             mult += 1
-        roots.append(((x, one), mult))
+        if mult:
+            roots.append(((x, one), mult))
     return roots

@@ -10,14 +10,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import SQRT_MINUS_3, Fq
 from .mpoly import SparsePoly, restrict_to_basis
+from .padics import UnramifiedRing
 from .quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from .lines import (
     Line,
     char3_leading_profile,
     char3_quartic_display,
     labc_line,
+    labc_points,
     lies_in,
     parity_admissible,
     quartic_of_line,
@@ -93,19 +94,11 @@ def check_symbolic_identities():
         )
     )
 
-    a = SparsePoly(3, {(1, 0, 0): Fraction(1)})
-    b = SparsePoly(3, {(0, 1, 0): Fraction(1)})
-    c = SparsePoly(3, {(0, 0, 1): Fraction(1)})
-    one = SparsePoly(3, {(0, 0, 0): Fraction(1)})
-    zero = SparsePoly(3, {})
-    P = (-b * b, one, zero, -(a + b * c), -b, b)
-    Q = (a - b * c, zero, one, -c * c, -c, c)
-    contained = True
-    for f in (model.q1, model.q2):
-        r = restrict_to_basis(f, P, Q)
-        for coeff in r.terms.values():
-            if not coeff.is_zero:
-                contained = False
+    abc = (SparsePoly.variable(i, 3, Fraction(1)) for i in range(3))
+    P, Q = labc_points(*abc)
+    contained = all(
+        restrict_to_basis(f, P, Q).is_zero for f in (model.q1, model.q2)
+    )
     rows.append(
         _row(
             "line family lies in both quadrics for all (a, b, c)",
@@ -223,8 +216,9 @@ def check_real_line():
 def check_residue5_line():
     """The char-5 worked example: a line over F_25 with 4 split points."""
     rows = []
-    F = Fq(5, 2)
-    w = F.from_cyclo(SQRT_MINUS_3)
+    # F_25 = F_5[w]/(w^2 + 3): w is a square root of -3
+    F = UnramifiedRing(5, (3, 0, 1), 1)
+    w = F.gen()
     one = F.one()
     P = [one - w, one + w, -one, -one, one, -one]
     Q = [F.zero(), F.zero(), one + w, one - w, F.zero(), -one - one]
@@ -240,7 +234,7 @@ def check_residue5_line():
     restriction = restrict_to_basis(model.q4, P, Q)
     quartic = BinaryQuartic.from_sparse(restriction)
     # -3 t (8 u^3 - t^3) = 3 t^4 - 24 t u^3 = 3 t^4 + t u^3 over F_5
-    expected = [F.zero(), one, F.zero(), F.zero(), F.elt(3)]
+    expected = [F.zero(), one, F.zero(), F.zero(), F.elt([3])]
     rows.append(
         _row(
             "restriction is -3 t (8 u^3 - t^3)",
@@ -260,7 +254,7 @@ def check_residue5_line():
     )
 
     # independent scan of all 26 points of P^1(F_25)
-    chart = [(F.elt(c0, c1), one) for c0 in range(5) for c1 in range(5)]
+    chart = [(F.elt([c0, c1]), one) for c0 in range(5) for c1 in range(5)]
     chart.append((one, F.zero()))
     zeros = set()
     for t, u in chart:
@@ -278,7 +272,7 @@ def check_residue5_line():
         )
     )
 
-    four = F.elt(4)
+    four = F.elt([4])
     off_curve = True
     for (t, u), _ in roots:
         pt = [t * pi + u * qi for pi, qi in zip(P, Q)]

@@ -34,8 +34,8 @@ from hmslines import (
     twisted_equations,
 )
 from hmslines.lines import lies_in
+from hmslines.padics import UnramifiedRing
 from hmslines.quartics import roots_over_Fq
-from hmslines.scalars import SQRT_MINUS_3, Fq
 from hmslines.search import load_config
 from hmslines.surface import SigmaProfile
 
@@ -156,8 +156,9 @@ def test_gate_2_real_line():
 
 def test_gate_3_residue_5_line():
     with gate("gate 3 line over F_25"):
-        field = Fq(5, 2)
-        w = field.from_cyclo(SQRT_MINUS_3)
+        # F_25 = F_5[w]/(w^2 + 3): w is a square root of -3
+        field = UnramifiedRing(5, (3, 0, 1), 1)
+        w = field.gen()
         one = field.one()
         P = [one - w, one + w, -one, -one, one, -one]
         Q = [field.zero(), field.zero(), one + w, one - w, field.zero(),
@@ -170,7 +171,7 @@ def test_gate_3_residue_5_line():
         # -3 t (8 u^3 - t^3) = 3 t^4 + t u^3 over F_5
         quartic = BinaryQuartic.from_sparse(restrict_to_basis(model.q4, P, Q))
         expected = [field.zero(), one, field.zero(), field.zero(),
-                    field.elt(3)]
+                    field.elt([3])]
         assert all(g == want for g, want in zip(quartic.coeffs, expected))
 
         roots = roots_over_Fq(quartic, field)
@@ -178,7 +179,7 @@ def test_gate_3_residue_5_line():
         assert all(mult == 1 for _, mult in roots)
 
         # brute-force scan of all 26 points of P^1(F_25)
-        chart = [(field.elt(c0, c1), one) for c0 in range(5) for c1 in range(5)]
+        chart = [(field.elt([c0, c1]), one) for c0 in range(5) for c1 in range(5)]
         chart.append((one, field.zero()))
         zeros = set()
         for t, u in chart:

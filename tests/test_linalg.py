@@ -28,8 +28,11 @@ def test_rref_pivots_and_idempotence():
 
 def test_nullspace_vectors_are_annihilated():
     A = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    basis = nullspace(A)
+    basis, free = nullspace(A)
     assert len(basis) == 2
+    assert free == [1, 2]
+    for k, v in enumerate(basis):
+        assert [v[j] for j in free] == [F(int(i == k)) for i in range(2)]
     for v in basis:
         assert mat_vec(A, list(v)) == [F(0), F(0)]
 

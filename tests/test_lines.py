@@ -162,7 +162,7 @@ def test_cone_frame_conic_matches_substitute():
 
 def test_quartic_of_line_rejects_a_line_off_the_second_quadric():
     model = rho0_model()
-    hyperplane = nullspace([linear_row(model.q1)])
+    hyperplane, _ = nullspace([linear_row(model.q1)])
     off = Line(hyperplane[:2])
     assert lies_in(off, model.q1) and not lies_in(off, model.q2)
     with pytest.raises(NotOnSurfaceError):

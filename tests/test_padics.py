@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import HmsError
 from hmslines.padics import IndeterminateValuation, UnramifiedRing
@@ -92,3 +93,29 @@ def test_unramified_valuation_is_min_over_coordinates():
 def test_unramified_ring_rejects_non_monic_modulus():
     with pytest.raises(HmsError):
         UnramifiedRing(5, [1, 0, 2], 4)
+
+
+def _has_root_mod_p(modulus, p):
+    return any(
+        sum(c * r**i for i, c in enumerate(modulus)) % p == 0 for r in range(p)
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.data())
+def test_precision_one_rings_are_finite_fields(p, d, data):
+    # a monic modulus of degree <= 3 without roots mod p is irreducible,
+    # so the ring at precision 1 is F_{p^d}
+    digits = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    modulus = tuple(data.draw(digits)) + (1,)
+    assume(d == 1 or not _has_root_mod_p(modulus, p))
+    F = UnramifiedRing(p, modulus, 1)
+    x, y = F.elt(data.draw(digits)), F.elt(data.draw(digits))
+    assert x ** (p**d) == x
+    assert (x + y) ** p == x**p + y**p
+    assert (x * y) ** p == x**p * y**p
+
+
+def test_f25_generator_is_a_square_root_of_minus_3():
+    w = UnramifiedRing(5, (3, 0, 1), 1).gen()
+    assert w * w == -3

@@ -9,9 +9,11 @@ from hmslines.errors import DegenerateLineError, HmsError
 from hmslines.mpoly import SparsePoly
 from hmslines.padics import UnramifiedRing
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
-from hmslines.scalars import Fq
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+F3 = UnramifiedRing(3, (0, 1), 1)
+# F_5[w]/(w^2 + 3): w is a square root of -3
+F25 = UnramifiedRing(5, (3, 0, 1), 1)
 # plain ints, small and huge rationals and zeros of both types, mixed
 COEFFS = st.one_of(
     st.integers(-(10**6), 10**6),
@@ -110,7 +112,7 @@ def test_only_other_rings_evaluate_the_universal_discriminant(monkeypatch):
     assert counting.calls == 0
     # t^4 - u^4 has discriminant 256 c4^3 c0^3 = -256, a unit at 3 and 5;
     # F_3 has characteristic 3
-    for field in (Fq(3), Fq(5, 2)):
+    for field in (F3, F25):
         zero, one = field.zero(), field.one()
         q = BinaryQuartic([-one, zero, zero, zero, one])
         assert q.discriminant() == one * (-256)
@@ -174,7 +176,7 @@ def test_real_root_count_rejects_repeated_roots(coeffs):
 
 
 def test_roots_over_f25_with_multiplicity():
-    F = Fq(5, 2)
+    F = F25
     # t^2 u^2 has roots [0 : 1] and [1 : 0], both double
     q = BinaryQuartic(
         [Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
@@ -185,13 +187,33 @@ def test_roots_over_f25_with_multiplicity():
 
 
 def test_roots_over_f25_finds_quadratic_extension_roots():
-    F = Fq(5, 2)
+    F = F25
     # t^2 - 2 u^2 is irreducible over F_5 but splits over F_25
     q = BinaryQuartic(
         [Fraction(-2), Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
     )
     roots = roots_over_Fq(q, F)
-    w = F.w()
+    w = F.gen()
     found = {pt for pt, _ in roots}
     assert (w, F.one()) in found
     assert (-w, F.one()) in found
+
+
+def test_roots_over_fq_needs_precision_one():
+    # Z/9 is not a field: the scan would miss roots such as 3 of t^2
+    q = BinaryQuartic([0, 0, 1, 0, 0])
+    with pytest.raises(HmsError, match="precision 1"):
+        roots_over_Fq(q, UnramifiedRing(3, (0, 1), 2))
+    assert roots_over_Fq(q, F3) == [
+        ((F3.one(), F3.zero()), 2),
+        ((F3.zero(), F3.one()), 2),
+    ]
+
+
+def test_roots_over_fq_rejects_a_form_that_vanishes_mod_p():
+    # 3 t^4 - 6 t u^3 + 9 u^4 is the zero form over F_3: every point is a root
+    q = BinaryQuartic([Fraction(9), Fraction(-6), 0, 0, Fraction(3)])
+    with pytest.raises(DegenerateLineError):
+        roots_over_Fq(q, F3)
+    # over F_5 it is 3 (t - 2u)^2 (t^2 - t u + 2 u^2), split over F_25
+    assert sorted(m for _, m in roots_over_Fq(q, F25)) == [1, 1, 2]

@@ -9,12 +9,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import (
     BadLocusError,
-    Fq,
     HmsError,
     RationalityError,
-    SQRT_MINUS_3,
     SigmaProfile,
     TwistData,
+    UnramifiedRing,
     identity_twist,
     modular_form_values,
     ordinarity_from_profile,
@@ -110,8 +109,9 @@ def test_rho0_seed_lies_on_quadrics_but_not_on_quartic():
 
 def test_contains_point_over_f25():
     # a known point of the untwisted model with coordinates in F_25
-    field = Fq(5, 2)
-    w = field.from_cyclo(SQRT_MINUS_3)
+    # F_25 = F_5[w]/(w^2 + 3): w is a square root of -3
+    field = UnramifiedRing(5, (3, 0, 1), 1)
+    w = field.gen()
     one = field.one()
     point = (field.zero(), field.zero(), one + w, one - w, field.zero(), -(one + one))
     model = twisted_equations(identity_twist())
