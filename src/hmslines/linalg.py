@@ -7,7 +7,6 @@ lifted to Fraction so that division stays exact.
 
 from fractions import Fraction
 
-from .errors import HmsError
 from .mpoly import coeff_is_zero
 
 
@@ -70,19 +69,12 @@ def rref(rows):
     return R, pivots
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows):
     """(basis, free_columns) of the right kernel of the matrix given by rows.
 
-    Basis vector k is 1 at free column k, 0 at the other free columns.
+    rows is non-empty.  Basis vector k is 1 at free column k, 0 at the
+    other free columns.
     """
-    if not rows:
-        if ncols is None:
-            raise HmsError("empty matrix needs an explicit column count")
-        basis = [
-            [Fraction(1 if i == j else 0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-        return basis, list(range(ncols))
     n = len(rows[0])
     R, pivots = rref(rows)
     free = [j for j in range(n) if j not in pivots]

@@ -95,19 +95,6 @@ class BinaryQuartic:
         """
         return stored_discriminant(self)
 
-    def dehomogenized(self):
-        """Coefficients of q(t, 1) low to high, trailing zeros stripped."""
-        cs = list(self.coeffs)
-        while cs and coeff_is_zero(cs[-1]):
-            cs.pop()
-        return cs
-
-    def evaluate(self, t, u):
-        c0, c1, c2, c3, c4 = self.coeffs
-        return (
-            c4 * t**4 + c3 * t**3 * u + c2 * t**2 * u**2 + c1 * t * u**3 + c0 * u**4
-        )
-
 
 def stored_discriminant(q: BinaryQuartic):
     """The discriminant of q, evaluated on first use and kept on q.
@@ -130,83 +117,37 @@ def stored_discriminant(q: BinaryQuartic):
     return q._disc
 
 
-# -- exact real root counting (Sturm) ---------------------------------
-
-
-def _poly_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_rem(f, g):
-    """Remainder of f by g over Fraction, f and g coefficient lists."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    while len(f) >= len(g) and f:
-        factor = f[-1] / g[-1]
-        shift = len(f) - len(g)
-        for i, c in enumerate(g):
-            f[i + shift] -= factor * c
-        f = _poly_trim(f)
-        if not f:
-            break
-    return f
-
-
-def sturm_chain(f):
-    f = _poly_trim([Fraction(c) for c in f])
-    if not f:
-        return []
-    chain = [f]
-    if len(f) > 1:
-        chain.append(_poly_trim([i * c for i, c in enumerate(f)][1:]))
-    while len(chain[-1]) > 1:
-        r = _poly_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_variations_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for poly in chain:
-        lead = poly[-1]
-        deg = len(poly) - 1
-        s = 1 if lead > 0 else -1
-        if not positive and deg % 2 == 1:
-            s = -s
-        signs.append(s)
-    variations = 0
-    for a, b in zip(signs, signs[1:]):
-        if a * b < 0:
-            variations += 1
-    return variations
+# -- real root counting ------------------------------------------------
 
 
 def real_root_count(q: BinaryQuartic) -> int:
     """Number of distinct real projective roots of a squarefree quartic.
 
-    Counts roots of q(t, 1) by a full Sturm sequence over Q on
-    (-inf, +inf), plus the point [1:0] when the t^4 coefficient
-    vanishes.  Precondition: q is squarefree, checked on the chain
-    itself: [1:0] is at most a simple root (c3 != 0 when c4 = 0), and
-    the last Sturm remainder, gcd(q(t, 1), q'(t, 1)), is a constant.
+    With (a, b, c, d, e) = (c4, c3, c2, c1, c0): a negative discriminant
+    gives two real roots; a positive one gives four when
+    P = 8ac - 3b^2 and D = 64a^3e - 16a^2c^2 + 16ab^2c - 16a^2bd - 3b^4
+    are both negative, and none otherwise (Rees, Amer. Math. Monthly 29,
+    1922; Lazard, J. Symbolic Comput. 5, 1988).  P and D have even
+    degree, so rescaling q keeps their signs.  When a = 0, [1:0] is a
+    real root and b != 0, so P = -3b^2 and D = -3b^4 are negative and
+    give the four that a positive discriminant then forces.  Raises
+    HmsError unless q is squarefree: nonzero with a nonzero discriminant.
     """
-    cs = q.dehomogenized()
-    if len(cs) < 4:
+    disc = 0 if q.is_degenerate else stored_discriminant(q)
+    if disc == 0:
         raise HmsError("real_root_count requires a squarefree quartic")
-    chain = sturm_chain(cs)
-    if len(chain[-1]) != 1:
-        raise HmsError("real_root_count requires a squarefree quartic")
-    count = _sign_variations_at_inf(chain, False) - _sign_variations_at_inf(
-        chain, True
+    if disc < 0:
+        return 2
+    a, b, c, d, e = q._inv_args()
+    P = 8 * a * c - 3 * b * b
+    D = (
+        64 * a**3 * e
+        - 16 * a * a * c * c
+        + 16 * a * b * b * c
+        - 16 * a * a * b * d
+        - 3 * b**4
     )
-    if len(cs) < 5:
-        count += 1  # [1:0] is a simple real root
-    return count
+    return 4 if P < 0 and D < 0 else 0
 
 
 # -- roots over finite fields ------------------------------------------

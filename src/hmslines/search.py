@@ -647,9 +647,9 @@ class _Sections:
     def targeted_gates(self):
         """(name, verdict) of each targeted gate, cheapest first, lazily.
 
-        The real gate needs a Sturm count, the 3-adic gate the Hensel
-        report at 3 alone, and the 5-adic gate the Hensel report at 5
-        before the points and invariants it reads last.
+        The real gate needs the real root count, the 3-adic gate the
+        Hensel report at 3 alone, and the 5-adic gate the Hensel report
+        at 5 before the points and invariants it reads last.
         """
         targeted = self.config.target_at
         if targeted("real") is not None:
@@ -809,8 +809,9 @@ def find_lines(config: SearchConfig, max_results: int = 1):
 
     Each candidate line is decided gate first: after the chart, the
     duplicate check and the zero-discriminant check, the targeted gates
-    run cheapest first (Sturm, Hensel at 3, Hensel at 5 and then the
-    5-adic points) and the first gate decided false rejects the line.
+    run cheapest first (real root count, Hensel at 3, Hensel at 5 and
+    then the 5-adic points) and the first gate decided false rejects the
+    line.
     Only a line passing every gate gets its remaining sections, reusing
     what the gates built, and the certificate `certify_line` would give.
 

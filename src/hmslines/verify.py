@@ -207,7 +207,7 @@ def check_real_line():
         _row(
             "quartic has four distinct real roots",
             disc != 0 and count == 4,
-            f"Sturm count {count}",
+            f"real root count {count}",
         )
     )
     return rows

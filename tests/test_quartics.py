@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hmslines import quartics
 from hmslines.errors import DegenerateLineError, HmsError
+from hmslines.hensel import compose_binary
 from hmslines.mpoly import SparsePoly
 from hmslines.padics import UnramifiedRing
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
@@ -23,28 +24,25 @@ COEFFS = st.one_of(
 )
 
 
+def product_form(factors):
+    """Product of binary forms, each a coefficient list c0, c1, ..."""
+    out = [Fraction(1)]
+    for f in factors:
+        nxt = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                nxt[i + j] += a * b
+        out = nxt
+    return out
+
+
 def from_roots(roots, fill):
     """Monic binary quartic with the given rational roots t/u = r.
 
     fill supplies irreducible quadratic factors (a, b) meaning
     t^2 + a t u + b u^2 for the remaining degree.
     """
-    # polynomial in t with u tracked by homogenization at the end
-    coeffs = [Fraction(1)]
-    for r in roots:
-        # multiply by (t - r u)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * r
-        coeffs = nxt
-    for a, b in fill:
-        nxt = [Fraction(0)] * (len(coeffs) + 2)
-        for i, c in enumerate(coeffs):
-            nxt[i + 2] += c
-            nxt[i + 1] += c * a
-            nxt[i] += c * b
-        coeffs = nxt
+    coeffs = product_form([[-r, 1] for r in roots] + [[b, a, 1] for a, b in fill])
     assert len(coeffs) == 5
     return BinaryQuartic(coeffs)
 
@@ -156,6 +154,69 @@ def test_real_root_count_includes_root_at_infinity():
     assert real_root_count(with_infinity) == 4
 
 
+SMALL = st.fractions(-20, 20, max_denominator=6)
+# t^2 + a t u + b u^2 with a^2 - 4b < 0: no real root
+DEFINITE = st.builds(
+    lambda a, gap: (a, a * a / 4 + gap),
+    st.fractions(-10, 10, max_denominator=4),
+    st.fractions(Fraction(1, 8), 20, max_denominator=8),
+)
+# ((1, k), (0, 1)) ((1, 0), (m, 1)): determinant 1
+UNIMODULAR = st.builds(
+    lambda k, m: ((1 + k * m, k), (m, 1)), st.integers(-3, 3), st.integers(-3, 3)
+)
+
+
+@st.composite
+def quartic_with_known_real_roots(draw, forced):
+    """(q, n): a squarefree quartic with exactly n distinct real roots.
+
+    forced lists roots put in by hand: "infinity" is [1:0] (factor u)
+    and 0 is [0:1] (factor t).  Distinct affine roots [r:1] make up the
+    rest of the n, distinct monic definite quadratics the rest of the
+    degree, and a nonzero rational scales the product.  Without forced
+    roots a unimodular change of variables makes the coefficients
+    generic; GL2(Z) maps real roots to real roots.
+    """
+    n = draw(st.sampled_from([n for n in (0, 2, 4) if n >= len(forced)]))
+    affine = draw(
+        st.lists(
+            SMALL.filter(lambda r: r not in forced),
+            min_size=n - len(forced),
+            max_size=n - len(forced),
+            unique=True,
+        )
+    )
+    quadratics = draw(
+        st.lists(DEFINITE, min_size=(4 - n) // 2, max_size=(4 - n) // 2, unique=True)
+    )
+    scale = draw(SMALL.filter(lambda x: x != 0))
+    roots = list(forced) + affine
+    factors = [[1, 0] if r == "infinity" else [-r, 1] for r in roots]
+    factors += [[b, a, 1] for a, b in quadratics]
+    coeffs = [scale * c for c in product_form(factors)]
+    if not forced:
+        coeffs = compose_binary(coeffs, draw(UNIMODULAR))
+    return BinaryQuartic(coeffs), n
+
+
+@pytest.mark.parametrize(
+    "forced",
+    [(), ("infinity",), ("infinity", 0)],
+    ids=["affine", "infinity", "infinity-and-zero"],
+)
+@PROPERTY
+@given(data=st.data())
+def test_real_root_count_matches_roots_built_in(forced, data):
+    q, n = data.draw(quartic_with_known_real_roots(forced))
+    # [1:0] is a root when c4 = 0, [0:1] when c0 = 0
+    if "infinity" in forced:
+        assert q.coeffs[4] == 0
+    if 0 in forced:
+        assert q.coeffs[0] == 0
+    assert real_root_count(q) == n
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [
@@ -167,7 +228,7 @@ def test_real_root_count_includes_root_at_infinity():
     ],
 )
 def test_real_root_count_rejects_repeated_roots(coeffs):
-    # the Sturm chain alone decides squarefreeness; the discriminant agrees
+    # each has a repeated root: a zero discriminant, or the zero form
     q = BinaryQuartic([Fraction(c) for c in coeffs])
     if not q.is_degenerate:
         assert q.discriminant() == 0
