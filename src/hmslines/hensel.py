@@ -517,7 +517,8 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     ics = primitive_int_coeffs(q)
     m = p**prec
     chart = unit_chart(ics, p)
-    f = compose_binary(ics, chart)
+    identity = chart == ((1, 0), (0, 1))
+    f = list(ics) if identity else compose_binary(ics, chart)
     top = deg(pmod(f, p))
     lc_inv = pow(f[top], -1, m)
     f = [(c * lc_inv) % m for c in f]
@@ -565,8 +566,9 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
             verdict = "unramified" if v % 2 == 0 else "ramified"
         elif mult > 1:
             verdict = "inconclusive"
-        # the block as a binary form back in the original chart
-        orig = tuple(compose_binary(B, inv_chart, m))
+        # the block as a binary form back in the original chart; a
+        # lifted block is already reduced mod p^prec
+        orig = tuple(B) if identity else tuple(compose_binary(B, inv_chart, m))
         blocks.append(BlockReport(dblock, rdeg, mult, verdict, orig, v, pt))
     if squarefree:
         # certificates list the blocks of a squarefree reduction in this

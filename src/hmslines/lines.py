@@ -4,11 +4,11 @@ A line contained in {q1 = 0, q2 = 0} meets the degree-4 locus q4 = 0 in
 the four roots of a binary quartic, computed by `quartic_of_line`.  Two
 rational charts produce such lines:
 
-* `TangentConeChart` works on any model.  At a smooth rational seed
-  point the intersection of the quadric with its tangent hyperplane is
-  a cone over a conic; rational points of that conic are the ruling
-  directions, and walking along a ruling and repeating the construction
-  parametrizes a three-dimensional family of lines by (a, b, c).
+* `TangentConeChart` works on any model.  At a smooth rational point
+  the quadric cut by its tangent hyperplane is a cone over a conic whose
+  points are the ruling directions, reached by one chord rule written in
+  ambient coordinates.  A ruling at the seed, a step along it and a
+  ruling there parametrize a three-dimensional family by (a, b, c).
 
 * `labc_line` is the explicit family available on the cube-root twist
   model, where the same three parameters appear polynomially in a pair
@@ -40,7 +40,12 @@ from .mpoly import (
 )
 from .padics import IndeterminateValuation, UElt
 from .quartics import BinaryQuartic
-from .scalars import primitive_integers, split_p_power, valuation_of_rational
+from .scalars import (
+    primitive_integers,
+    split_p_power,
+    sup_norm_shell,
+    valuation_of_rational,
+)
 from .surface import SurfaceModel, char3_twist, twisted_equations
 
 
@@ -118,7 +123,7 @@ def gram_matrix(q: SparsePoly):
     for the polar form B(u, v) = q(u + v) - q(u) - q(v).  No halving, so
     the matrix is integral whenever q is; B(x, x) = 2 q(x)."""
     n = q.nvars
-    G = [[Fraction(0)] * n for _ in range(n)]
+    G = [[0] * n for _ in range(n)]
     for exp, c in q.terms.items():
         idx = [i for i, e in enumerate(exp) for _ in range(e)]
         if len(idx) != 2:
@@ -131,69 +136,102 @@ def gram_matrix(q: SparsePoly):
 
 def linear_row(f: SparsePoly):
     """Coefficient vector of a linear form."""
-    row = [Fraction(0)] * f.nvars
+    row = [0] * f.nvars
     for exp, c in f.terms.items():
         if sum(exp) != 1:
             raise HmsError("linear_row needs a homogeneous linear form")
-        row[exp.index(1)] = Fraction(c)
+        row[exp.index(1)] = c
     return row
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _chord_indices(c):
+    """i, the first index of the nonzero frame coordinates c, then j1 < j2."""
+    i = next(k for k in range(3) if c[k] != 0)
+    return (i, *(k for k in range(3) if k != i))
+
+
 class _ConeFrame:
-    """The tangent-cone data of the quadric pencil at a smooth point.
+    """The tangent-cone data of the quadric pencil at a smooth point x.
 
-    V is the 4-dimensional subspace cut out by the hyperplane q1 and
-    the polar hyperplane of x; it contains x, and U is a complement of
-    x inside V.  q2 restricted to V descends to a conic on U.  Basis
-    vector k of V (from `nullspace`) is 1 at the k-th free column and 0
-    at the others: a vector of V has its coordinates there.  gram and
-    q1_row are the model's `gram_matrix(q2)` and `linear_row(q1)`,
-    which every frame of a chart shares."""
+    V, cut out by the hyperplane q1 and the polar hyperplane of x, has
+    dimension 4 and contains x; U is a complement of x inside V, and q2
+    on V descends to a conic on U whose points are the rulings at x.
+    Basis vector k of V (from `nullspace`) is 1 at the k-th free column
+    and 0 at the others, so a vector of V has its coordinates there.
+    gram and q1_row are the model's integer `gram_matrix(q2)` and
+    `linear_row(q1)`, which every frame of a chart shares."""
 
-    def __init__(self, model: SurfaceModel, x, gram, q1_row):
+    def __init__(self, x, gram, q1_row):
         x = [Fraction(c) for c in x]
-        if not (
-            coeff_is_zero(model.q1.evaluate(x))
-            and coeff_is_zero(model.q2.evaluate(x))
-        ):
+        self._gram = gram
+        self._rows = [q1_row, mat_vec(gram, x)]
+        # q1(x) and B(x, x) = 2 q2(x) vanish exactly on both quadrics
+        if not self._in_tangent_space(x):
             raise NotOnSurfaceError("tangent cone needs a point on both quadrics")
-        rows = [q1_row, mat_vec(gram, x)]
-        V, self._free = nullspace(rows)
+        V, self._free = nullspace(self._rows)
         if len(V) != 4:
             raise SingularPointError(
                 "polar hyperplane degenerates; the point is singular on the pencil"
             )
-        self._rows = rows
-        if not self._in_tangent_space(x):
-            raise HmsError("point escaped its own tangent space")
         self._lam = [x[j] for j in self._free]
         self._jstar = next(j for j in range(4) if self._lam[j] != 0)
         self.U = [V[j] for j in range(4) if j != self._jstar]
-        (self.conic,) = restrict_in_integers([model.integer_forms[2]], self.U)
 
     def _in_tangent_space(self, w) -> bool:
-        return all(sum(a * b for a, b in zip(row, w)) == 0 for row in self._rows)
+        return all(_dot(row, w) == 0 for row in self._rows)
 
     def project(self, w):
-        """Conic coordinates of a cone vector w, i.e. w mod x inside V."""
+        """Frame coordinates of a cone vector w, i.e. w mod x inside V."""
         w = [Fraction(c) for c in w]
         if not self._in_tangent_space(w):
             raise HmsError("vector is not in the tangent space")
         mu = [w[j] for j in self._free]
         alpha = mu[self._jstar] / self._lam[self._jstar]
-        coords = [
-            mu[j] - alpha * self._lam[j] for j in range(4) if j != self._jstar
-        ]
+        coords = [mu[j] - alpha * self._lam[j] for j in range(4) if j != self._jstar]
         if all(c == 0 for c in coords):
             raise DegenerateLineError("direction is proportional to the vertex")
         return coords
 
-    def ambient(self, coords):
-        out = [Fraction(0)] * 6
-        for c, u in zip(coords, self.U):
-            for i in range(6):
-                out[i] = out[i] + c * u[i]
-        return out
+    def chord_point(self, w, r, s):
+        """The point at [r : s] of the chord rule through the ruling w:
+        y = q2(E) w - B(w, E) E for E = -r U_j1 + s U_j2 (`_chord_indices`
+        of w's frame coordinates), the conic's second point on the chord
+        from w along E modulo x.  Projective, so it runs on integers."""
+        _, j1, j2 = _chord_indices(self.project(w))
+        W = primitive_integers(w)
+        E = primitive_integers([s * v - r * u for u, v in zip(self.U[j1], self.U[j2])])
+        GW, GE = ([_dot(row, v) for row in self._gram] for v in (W, E))
+        if _dot(GW, W) != 0:
+            raise HmsError("chord base is not on the cone")
+        qe, be = _dot(GE, E), 2 * _dot(GW, E)
+        y = [qe * wc - be * ec for wc, ec in zip(W, E)]
+        if not any(y):
+            raise DegenerateLineError("chord parametrization collapsed")
+        return y
+
+    @staticmethod
+    def chord_parameter(c0, z):
+        """Inverse of `chord_point` up to scale, on the frame coordinates
+        c0 of the base ruling and z of the chord point."""
+        i, j1, j2 = _chord_indices(c0)
+        shift = z[i] / c0[i]
+        r, s = shift * c0[j1] - z[j1], z[j2] - shift * c0[j2]
+        if r == 0 and s == 0:
+            raise HmsError("the base point has no chord parameter")
+        return r, s
+
+    def tangent_chord(self, w):
+        """The chord parameter whose point is w itself: E polar-orthogonal to w."""
+        _, j1, j2 = _chord_indices(self.project(w))
+        Gw = mat_vec(self._gram, w)
+        r, s = _dot(Gw, self.U[j2]), _dot(Gw, self.U[j1])
+        if r == 0 and s == 0:
+            raise HmsError("base point is singular on the conic")
+        return r, s
 
 
 def _squarefree_part(n: int) -> int:
@@ -256,15 +294,9 @@ def rational_conic_point(conic: SparsePoly, height: int = 24):
     if conic.nvars != 3:
         raise HmsError("conic must be a ternary form")
     for h in range(1, height + 1):
-        for x in range(-h, h + 1):
-            for y in range(-h, h + 1):
-                for z in range(-h, h + 1):
-                    if max(abs(x), abs(y), abs(z)) != h:
-                        continue
-                    if gcd(gcd(abs(x), abs(y)), abs(z)) != 1:
-                        continue
-                    if coeff_is_zero(conic.evaluate([x, y, z])):
-                        return [Fraction(x), Fraction(y), Fraction(z)]
+        for x, y, z in sup_norm_shell(h):
+            if gcd(x, y, z) == 1 and coeff_is_zero(conic.evaluate([x, y, z])):
+                return [Fraction(x), Fraction(y), Fraction(z)]
     diag = _congruence_diagonalize(gram_matrix(conic))
     nonzero = [d for d in diag if d != 0]
     if len(nonzero) < 3:
@@ -279,98 +311,42 @@ def rational_conic_point(conic: SparsePoly, height: int = 24):
     )
 
 
-class ConicParam:
-    """Chord parametrization of a conic through a known rational point.
-
-    With c0 on the conic, i its first nonzero coordinate and j1 < j2
-    the other two, the point at [r : s] is Q(e) c0 - B(c0, e) e for
-    e = -r e_{j1} + s e_{j2}.  Every conic point has a parameter; the
-    base point c0 itself corresponds to the tangent direction."""
-
-    def __init__(self, conic: SparsePoly, c0):
-        self.conic = conic
-        self.c0 = [Fraction(c) for c in c0]
-        if not coeff_is_zero(conic.evaluate(self.c0)):
-            raise HmsError("base point is not on the conic")
-        self.gram = gram_matrix(conic)
-        self.i = next(k for k in range(3) if self.c0[k] != 0)
-        self.j1, self.j2 = [k for k in range(3) if k != self.i]
-
-    def point(self, r, s):
-        e = [Fraction(0)] * 3
-        e[self.j1] = Fraction(-r)
-        e[self.j2] = Fraction(s)
-        qe = self.conic.evaluate(e)
-        be = sum(v * ei for v, ei in zip(mat_vec(self.gram, self.c0), e))
-        out = [qe * c - be * ei for c, ei in zip(self.c0, e)]
-        if all(x == 0 for x in out):
-            raise DegenerateLineError("conic parametrization collapsed")
-        return out
-
-    def param_of(self, w):
-        """Inverse of `point` up to scale; w must be a conic point != c0."""
-        w = [Fraction(c) for c in w]
-        shift = w[self.i] / self.c0[self.i]
-        e = [wc - shift * cc for wc, cc in zip(w, self.c0)]
-        r, s = -e[self.j1], e[self.j2]
-        if r == 0 and s == 0:
-            raise HmsError("the base point has no chord parameter")
-        return r, s
-
-    def tangent_parameter(self):
-        """The chord parameter whose point is c0 itself.
-
-        The chord [r : s] returns a multiple of c0 exactly when its
-        direction is polar-orthogonal to c0; that linear condition pins
-        down one parameter."""
-        bc0 = mat_vec(self.gram, self.c0)
-        r, s = bc0[self.j2], bc0[self.j1]
-        if r == 0 and s == 0:
-            raise HmsError("base point is singular on the conic")
-        return r, s
-
-
 class TangentConeChart:
     """Three-parameter rational chart (a, b, c) -> line in {q1 = q2 = 0}.
 
     w_a is the primitive ruling direction with chord parameter [a : 1]
     at the seed; x' = seed + b * w_a walks along that ruling, and the
-    line is the ruling of the cone at x' with chord parameter [c : 1],
-    taken through the conic point inherited from w_a.  `params_of`
-    inverts the chart at line level: away from b = 0 it recovers the
-    exact parameters, while lines through the seed (where the map
-    (a, c) -> ruling collapses a dimension) get one canonical
-    preimage."""
+    line is the ruling of the cone at x' with chord parameter [c : 1]
+    through w_a.  `params_of` inverts the chart at line level: away
+    from b = 0 it recovers the exact parameters, while lines through
+    the seed (where (a, c) -> ruling collapses a dimension) get one
+    canonical preimage.  The seed's conic is restricted once, for c0."""
 
-    def __init__(self, model: SurfaceModel, seed, height: int = 24):
-        self.model = model
-        self.gram = gram_matrix(model.q2)
-        self.q1_row = linear_row(model.q1)
+    kind = "tangent-cone"
+
+    def __init__(self, model: SurfaceModel, seed):
+        self.gram = gram_matrix(model.integer_forms[2])
+        self.q1_row = linear_row(model.integer_forms[1])
         self.seed = [Fraction(c) for c in primitive_vector(seed)]
-        self.frame0 = self._frame(self.seed)
-        self.c0 = rational_conic_point(self.frame0.conic, height)
-        self.param0 = ConicParam(self.frame0.conic, self.c0)
-
-    def _frame(self, x):
-        return _ConeFrame(self.model, x, self.gram, self.q1_row)
+        self.frame0 = _ConeFrame(self.seed, self.gram, self.q1_row)
+        (conic,) = restrict_in_integers([model.integer_forms[2]], self.frame0.U)
+        self.c0 = rational_conic_point(conic, 24)
+        self.w0 = [_dot(self.c0, col) for col in zip(*self.frame0.U)]
 
     def direction(self, a):
-        w = self.frame0.ambient(self.param0.point(a, 1))
-        return [Fraction(c) for c in primitive_vector(w)]
+        return primitive_vector(self.frame0.chord_point(self.w0, a, 1))
+
+    def _walk(self, w, b):
+        """The point seed + b * w and its frame."""
+        if b == 0:
+            return self.seed, self.frame0
+        x1 = [xi + b * wi for xi, wi in zip(self.seed, w)]
+        return x1, _ConeFrame(x1, self.gram, self.q1_row)
 
     def line_at(self, a, b, c) -> Line:
         w = self.direction(a)
-        b = Fraction(b)
-        if b == 0:
-            frame = self.frame0
-            x1 = self.seed
-        else:
-            x1 = [xi + b * wi for xi, wi in zip(self.seed, w)]
-            frame = self._frame(x1)
-        base = frame.project(w)
-        param = ConicParam(frame.conic, base)
-        y = frame.ambient(param.point(c, 1))
-        return Line([x1, y])
+        x1, frame = self._walk(w, Fraction(b))
+        return Line([x1, frame.chord_point(w, c, 1)])
 
     def params_of(self, line: Line):
         """Chart coordinates of a line in the quadric pencil.
@@ -378,70 +354,51 @@ class TangentConeChart:
         Raises when the line sits outside the chart (a parameter lands
         at infinity, or the cone intersection degenerates)."""
         P, Q = line.rows
-        bx = mat_vec(self.gram, self.seed)
-        bp = sum(v * c for v, c in zip(bx, P))
-        bq = sum(v * c for v, c in zip(bx, Q))
-        if bp == 0 and bq == 0:
-            y0 = list(P)
-        else:
-            y0 = [Fraction(bq) * pi - Fraction(bp) * qi for pi, qi in zip(P, Q)]
-        if all(c == 0 for c in y0):
-            raise HmsError("line misses the tangent cone rationally")
-        through_seed = line.contains(self.seed)
-        if through_seed:
+        if line.contains(self.seed):
             # the line is itself a ruling at the seed; any other ruling
             # may serve as the a-direction, so pick one deterministically
-            b = Fraction(0)
-            other = list(Q) if self._independent(P, self.seed) is False else list(P)
-            z = self.frame0.project(other)
-            a = self._ruling_parameter(self._companion_base(z))
-            w = self.direction(a)
-            frame = self.frame0
-            x1 = self.seed
+            other = P if self._independent(P, self.seed) else Q
+            a = self._ruling_parameter(self._companion_base(other))
+            w, b = self.direction(a), Fraction(0)
         else:
+            # the line meets the polar hyperplane of the seed at y0
+            bp, bq = (_dot(mat_vec(self.gram, self.seed), v) for v in (P, Q))
+            y0 = [bq * p - bp * q for p, q in zip(P, Q)] if bp or bq else P
             a = self._ruling_parameter(self.frame0.project(y0))
             w = self.direction(a)
-            A = [[self.seed[i], w[i]] for i in range(6)]
-            mu = solve(A, y0)
+            mu = solve(list(zip(self.seed, w)), y0)
             if mu is None or mu[0] == 0:
                 raise HmsError("line meets the cone only along the base conic")
             b = mu[1] / mu[0]
-            if b == 0:
-                raise HmsError("intersection point equals the seed unexpectedly")
-            x1 = [xi + b * wi for xi, wi in zip(self.seed, w)]
-            frame = self._frame(x1)
-        base = frame.project(w)
-        param = ConicParam(frame.conic, base)
-        zdir = list(Q) if self._independent(P, x1) is False else list(P)
-        r2, s2 = param.param_of(frame.project(zdir))
+        x1, frame = self._walk(w, b)
+        zdir = P if self._independent(P, x1) else Q
+        r2, s2 = frame.chord_parameter(frame.project(w), frame.project(zdir))
         if s2 == 0:
             raise HmsError("line parameter at infinity; not in this chart")
         return a, b, r2 / s2
 
     def _ruling_parameter(self, u):
-        """The a with ruling direction u; the base ruling itself is
-        recovered through the tangent chord."""
+        """The a with ruling direction u (frame coordinates at the seed);
+        the base ruling itself is recovered through the tangent chord."""
         try:
-            r, s = self.param0.param_of(u)
+            r, s = self.frame0.chord_parameter(self.c0, u)
         except HmsError:
-            r, s = self.param0.tangent_parameter()
+            r, s = self.frame0.tangent_chord(self.w0)
         if s == 0:
             raise HmsError("ruling parameter at infinity; not in this chart")
         return r / s
 
-    def _companion_base(self, z):
-        """A conic point joined to z by a chord, distinct from z.
-
-        Used to invert lines through the seed: the returned point plays
-        the a-ruling, and z becomes its chord parameter c."""
-        chord = ConicParam(self.frame0.conic, z)
+    def _companion_base(self, other):
+        """Frame coordinates of a seed ruling other than `other`, joined
+        to it by a chord: inverting a line through the seed, it plays the
+        a-ruling, and `other` becomes its chord parameter c."""
+        z = self.frame0.project(other)
         for r0, s0 in ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 0), (1, 2), (3, 1)):
             try:
-                cand = chord.point(r0, s0)
+                cand = self.frame0.project(self.frame0.chord_point(other, r0, s0))
             except DegenerateLineError:
                 continue
-            _, pivots = rref([list(cand), list(z)])
-            if len(pivots) == 2:
+            if self._independent(cand, z):
                 return cand
         raise HmsError("ruling admits no companion chord in this chart")
 

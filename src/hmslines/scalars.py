@@ -9,6 +9,7 @@ shares.  Finite fields are `padics.UnramifiedRing`s at precision 1.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .errors import HmsError, RationalityError
@@ -61,6 +62,13 @@ def primitive_integers(values):
     if content == 0:
         raise HmsError("cannot normalize the zero vector")
     return [c // content for c in ints]
+
+
+def sup_norm_shell(radius: int):
+    """Integer triples of sup norm exactly radius, in lexicographic order."""
+    for triple in product(range(-radius, radius + 1), repeat=3):
+        if max(map(abs, triple)) == radius:
+            yield triple
 
 
 class CycloElt:

@@ -22,13 +22,11 @@ from fractions import Fraction
 
 from .errors import (
     ConfigError,
-    ConicPointError,
     DegenerateLineError,
     HmsError,
     NotOnSurfaceError,
     PrecisionError,
     SearchExhausted,
-    SingularPointError,
 )
 from .hensel import (
     hensel_factor_quartic,
@@ -47,7 +45,7 @@ from .lines import (
 from .padics import UnramifiedRing
 from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
-from .scalars import integer_numerators, valuation_of_rational
+from .scalars import integer_numerators, sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     BUILTIN_TWISTS,
@@ -266,19 +264,6 @@ def crt_parameter(residue3=None, residue5=None, k3=0, k5=0, anchor=Fraction(0)):
 # -- candidate enumeration ---------------------------------------------
 
 
-def _shell_offsets(radius: int):
-    """Integer triples with sup norm exactly radius, lexicographic."""
-    if radius == 0:
-        yield (0, 0, 0)
-        return
-    r = radius
-    for i in range(-r, r + 1):
-        for j in range(-r, r + 1):
-            for k in range(-r, r + 1):
-                if max(abs(i), abs(j), abs(k)) == r:
-                    yield (i, j, k)
-
-
 def _height(x: Fraction) -> int:
     return max(abs(x.numerator), x.denominator)
 
@@ -289,7 +274,7 @@ def _candidate_params(reps, moduli, height_bound):
     for rep, m in zip(reps, moduli):
         max_radius = max(max_radius, (height_bound + abs(rep)) // m + 1)
     for radius in range(int(max_radius) + 1):
-        for off in _shell_offsets(radius):
+        for off in sup_norm_shell(radius):
             triple = tuple(
                 rep + n * m for rep, m, n in zip(reps, moduli, off)
             )
@@ -742,20 +727,16 @@ def derive_chart_params(line: Line, config: SearchConfig, model: SurfaceModel):
 
     Returns (kind, params) where params is None when the line is not in
     the chart's image (certificates then record the line by its rows
-    alone).
+    alone).  A twist without a seed point has no chart, and kind None.
     """
-    if config.twist == "char3-x":
-        try:
-            return "labc", labc_params_of_line(line)
-        except HmsError:
-            return "labc", None
-    if config.seed_point is None:
-        return None, None
     try:
-        chart = TangentConeChart(model, list(config.seed_point))
-        return "tangent-cone", chart.params_of(line)
+        chart = line_chart(config, model)
+    except ConfigError:
+        return (None if config.seed_point is None else TangentConeChart.kind), None
+    try:
+        return chart.kind, chart.params_of(line)
     except HmsError:
-        return "tangent-cone", None
+        return chart.kind, None
 
 
 # -- the search itself ---------------------------------------------------
@@ -771,16 +752,28 @@ def build_model(config: SearchConfig) -> SurfaceModel:
         raise ConfigError(f"cannot build the twisted model: {exc}")
 
 
-def _line_chart(config: SearchConfig, model: SurfaceModel):
+class _LabcChart:
+    """The labc family as a line chart; `line_at` calls this module's
+    `labc_line` once per candidate."""
+
+    kind = "labc"
+    params_of = staticmethod(labc_params_of_line)
+
+    def line_at(self, a, b, c) -> Line:
+        return labc_line(a, b, c)
+
+
+def line_chart(config: SearchConfig, model: SurfaceModel):
+    """The configured chart, with `kind`, `line_at(a, b, c)` and
+    `params_of(line)`; ConfigError when the config gives none."""
     if config.twist == "char3-x":
-        return "labc", lambda a, b, c: labc_line(a, b, c)
+        return _LabcChart()
     if config.seed_point is None:
         raise ConfigError("this twist needs a seed_point for the line chart")
     try:
-        chart = TangentConeChart(model, list(config.seed_point))
-    except (NotOnSurfaceError, SingularPointError, ConicPointError) as exc:
+        return TangentConeChart(model, list(config.seed_point))
+    except HmsError as exc:
         raise ConfigError(f"seed_point does not give a line chart: {exc}")
-    return "tangent-cone", chart.line_at
 
 
 def _combined_parameters(config: SearchConfig):
@@ -824,7 +817,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     or while building a passing line's evidence, is a precision failure.
     """
     model = build_model(config)
-    chart_kind, chart_fn = _line_chart(config, model)
+    chart = line_chart(config, model)
     reps, moduli = _combined_parameters(config)
     stats = {
         "candidates": 0,
@@ -841,7 +834,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     for params in _candidate_params(reps, moduli, config.height_bound):
         stats["candidates"] += 1
         try:
-            line = chart_fn(*params)
+            line = chart.line_at(*params)
         except HmsError:
             stats["chart_failures"] += 1
             continue
@@ -857,7 +850,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
             elif not all(ok for _, ok in sections.targeted_gates()):
                 outcome = "gate_failures"
             else:
-                cert = _certificate(sections, params, chart_kind)
+                cert = _certificate(sections, params, chart.kind)
                 outcome = None
         except NotOnSurfaceError:
             outcome = "off_surface"

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
+from importlib import resources
 
 import pytest
 
@@ -11,6 +13,7 @@ from hmslines import (
     RegimeError,
     SparsePoly,
     TangentConeChart,
+    build_model,
     char3_leading_profile,
     char3_quartic_display,
     cusp_proximity,
@@ -25,17 +28,17 @@ from hmslines import (
     twisted_equations,
 )
 from hmslines.errors import ConicPointError
+from hmslines import lines
 from hmslines.linalg import nullspace, rref
 from hmslines.lines import (
-    ConicParam,
-    _ConeFrame,
-    gram_matrix,
     lies_in,
     linear_row,
     primitive_vector,
     rational_conic_point,
 )
+from hmslines.mpoly import restrict_in_integers
 from hmslines.quartics import BinaryQuartic
+from hmslines.search import _candidate_params, _combined_parameters, load_config
 
 F = Fraction
 
@@ -145,6 +148,53 @@ def demo_chart_lines():
         yield char3, labc_line(*params)
 
 
+def _chart_outcomes():
+    """One text line per chart candidate: its `line_at` rows, or the
+    exception class it raises, then the same for `params_of` on the line."""
+    cfg = load_config(str(resources.files("hmslines").joinpath("configs/rho0-demo.json")))
+    chart = TangentConeChart(build_model(cfg), list(cfg.seed_point))
+    shell = _candidate_params(*_combined_parameters(cfg), cfg.height_bound)
+    triples = [next(shell) for _ in range(151)]
+    triples += [(a, 0, c) for a in range(-3, 4) for c in range(-3, 4)]
+    triples += [
+        (F(2 + i), F(1, 16) + j, F(3 + k))
+        for i in range(-4, 5)
+        for j in range(-3, 4)
+        for k in range(-4, 5)
+    ]
+    found = []
+    for triple in triples:
+        try:
+            found.append(chart.line_at(*triple))
+        except HmsError as exc:
+            yield f"{triple} {type(exc).__name__}"
+            continue
+        yield f"{triple} {found[-1].rows}"
+    # lines off the surface: off q1, off q2, and off q2 through the seed
+    seed = [F(c) for c in cfg.seed_point]
+    found += [
+        Line([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]),
+        Line(chart.frame0.U[:2]),
+        Line([seed, chart.frame0.U[0]]),
+        labc_line(3, 243, 243),
+    ]
+    for line in found:
+        try:
+            yield f"params {chart.params_of(line)}"
+        except HmsError as exc:
+            yield f"params {type(exc).__name__}"
+
+
+def test_chart_outcomes_are_pinned():
+    # every candidate of the rho0-demo shell, the b = 0 stratum and the
+    # certify-batch window, failures included; the goldens see only
+    # lines that pass
+    text = "\n".join(_chart_outcomes())
+    assert sha256(text.encode()).hexdigest() == (
+        "673c442418ceff6713796d0cf2506f19770cc65d1dcfd2064ac80fb70bedce14"
+    )
+
+
 def test_quartic_of_line_matches_substitute_on_demo_charts():
     for model, line in demo_chart_lines():
         want = BinaryQuartic.from_sparse(substituted(model.q4, line.rows))
@@ -153,11 +203,13 @@ def test_quartic_of_line_matches_substitute_on_demo_charts():
 
 
 def test_cone_frame_conic_matches_substitute():
+    # the one restriction a chart makes: the tangent conic at the seed
     model = rho0_model()
-    frame = TangentConeChart(model, RHO0_SEED).frame0
-    want = substituted(model.q2, frame.U)
-    assert frame.conic == want
-    assert all(type(c) is F for c in frame.conic.terms.values())
+    chart = TangentConeChart(model, RHO0_SEED)
+    (conic,) = restrict_in_integers([model.integer_forms[2]], chart.frame0.U)
+    assert conic == substituted(model.q2, chart.frame0.U)
+    assert all(type(c) is F for c in conic.terms.values())
+    assert conic.evaluate(chart.c0) == 0
 
 
 def test_quartic_of_line_rejects_a_line_off_the_second_quadric():
@@ -182,7 +234,7 @@ def test_restriction_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(SparsePoly, "__mul__", counting)
     quartic_of_line(labc_line(3, 243, 243), char3)
     quartic_of_line(rho0_line, rho0)
-    _ConeFrame(rho0, RHO0_SEED, gram_matrix(rho0.q2), linear_row(rho0.q1))
+    TangentConeChart(rho0, RHO0_SEED).line_at(F(1), F(2), F(3))
     assert calls == []
 
 
@@ -314,21 +366,45 @@ def test_labc_demo_line_is_rational():
 
 def test_conic_point_and_chord_parametrization():
     conic = SparsePoly(3, {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(-2)})
-    base = rational_conic_point(conic)
-    assert base == [F(-1), F(-1), F(-1)]
-    param = ConicParam(conic, base)
-    pt = param.point(2, 3)
-    assert pt == [F(14), F(46), F(-34)]
-    assert conic.evaluate(pt) == 0
-    r, s = param.param_of(pt)
-    assert s != 0 and r / s == F(2, 3)
+    assert rational_conic_point(conic) == [F(-1), F(-1), F(-1)]
+    # the chord rule on the rho0 seed frame: every chord point lies on
+    # both quadrics, and the frame inverts it on random [r : s]
+    model = rho0_model()
+    chart = TangentConeChart(model, RHO0_SEED)
+    frame = chart.frame0
+    assert frame.project(chart.w0) == chart.c0
+    # the tangent chord returns the base ruling itself, which has no
+    # chord parameter
+    tr, ts = frame.tangent_chord(chart.w0)
+    tangent = frame.project(frame.chord_point(chart.w0, tr, ts))
+    assert len(rref([tangent, chart.c0])[1]) == 1
     rng = random.Random(3)
-    for _ in range(10):
-        r0, s0 = rng.randint(-9, 9), rng.randint(1, 9)
-        w = param.point(r0, s0)
-        assert conic.evaluate(w) == 0
-        r1, s1 = param.param_of(w)
+    for _ in range(12):
+        r0, s0 = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 9))
+        y = frame.chord_point(chart.w0, r0, s0)
+        assert model.q1.evaluate(y) == 0 and model.q2.evaluate(y) == 0
+        if r0 * ts == s0 * tr:
+            with pytest.raises(HmsError):
+                frame.chord_parameter(chart.c0, frame.project(y))
+            continue
+        r1, s1 = frame.chord_parameter(chart.c0, frame.project(y))
         assert r1 * s0 == s1 * r0
+
+
+def test_chart_restricts_no_conic_per_candidate(monkeypatch):
+    chart = TangentConeChart(rho0_model(), RHO0_SEED)
+    calls = []
+    restrict = lines.restrict_in_integers
+
+    def counting(*args):
+        calls.append(args)
+        return restrict(*args)
+
+    monkeypatch.setattr(lines, "restrict_in_integers", counting)
+    found = [chart.line_at(F(2), F(1, 16), F(3)), chart.line_at(F(1), F(0), F(2))]
+    for line in found:
+        chart.params_of(line)
+    assert calls == []
 
 
 def test_definite_conic_reports_extension():

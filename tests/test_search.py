@@ -483,3 +483,31 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         for k in (1, 2, 4):
             value = model.forms[k].evaluate(list(pt.coords))
             assert value.valuation() == IndeterminateValuation(ring.K)
+
+
+def test_derive_chart_params_edge_results():
+    # a twist with no seed point has no chart, so the certificate records
+    # the line by its rows alone
+    cfg = demo_config("rho0-demo.json", seed_point=None, targets=[])
+    model = build_model(cfg)
+    line = Line(REAL_LINE_ROWS)
+    assert derive_chart_params(line, cfg, model) == (None, None)
+    cert = certify_line(line, model, cfg, chart_params=None, chart_kind=None)
+    assert json.loads(cert.to_json())["chart"] == {
+        "kind": None,
+        "params": None,
+        "seed": None,
+    }
+    # a seed off the surface gives no tangent-cone chart
+    off = demo_config("rho0-demo.json", seed_point=["1", "0", "0", "0", "0", "0"])
+    assert derive_chart_params(line, off, model) == ("tangent-cone", None)
+    zero = demo_config("rho0-demo.json", seed_point=["0"] * 6)
+    assert derive_chart_params(line, zero, model) == ("tangent-cone", None)
+    # the search refuses all three configs before its first candidate
+    for bad in (cfg, off, zero):
+        with pytest.raises(ConfigError, match="line chart"):
+            find_lines(bad)
+    # a char3 line outside the labc family
+    char3 = demo_config("char3-demo.json")
+    stranger = Line([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)])
+    assert derive_chart_params(stranger, char3, build_model(char3)) == ("labc", None)
