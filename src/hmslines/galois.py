@@ -1,36 +1,47 @@
 """Galois-type classification of binary quartics over Q.
 
-The transitive labels (quartic irreducible over Q) are decided by the
-resolvent cubic together with the square class of the discriminant and,
-for the dihedral/cyclic split, reducibility of two auxiliary quadratics
-over Q(sqrt(disc)).  Reducible quartics get C1/C2 when the splitting
-field is trivial/quadratic and the label "reducible-composite"
-otherwise.  All of these groups are solvable, which is what the
-certificate machinery ultimately relies on.
+A fixed Frobenius sieve comes first.  At each odd prime p of
+`SIEVE_PRIMES` that does not divide the discriminant D of the primitive
+integer model, the cycle type of Frobenius on the four roots is the
+pattern of factor degrees of q mod p (Dedekind).  It is read off the
+number of roots of q on P^1(F_p) and, when there are none, the Legendre
+symbol (D/p): a square D gives two quadratic factors, a non-square one
+quartic factor (Stickelberger).  A type (4), or a (1,3) together with a
+(2,2), proves q irreducible; an irreducible q with a (1,3) has a 3-cycle
+in its group, so the group is A4 or S4 and the square class of D picks
+one.
 
-`frobenius_cycle_type` samples the factorization pattern of the form at
-a good odd prime; the multiset of patterns over many primes separates
-the transitive labels and is used as an independent cross-check.
+Whatever the sieve leaves undecided (reducible quartics, D4, C4, V4 and
+the rare S4 or A4 quartic the prime list misses) is factored over Q by
+Zassenhaus.  The transitive labels are then decided by the resolvent
+cubic together with the square class of the discriminant and, for the
+dihedral/cyclic split, reducibility of two auxiliary quadratics over
+Q(sqrt(disc)).  Reducible quartics get C1/C2 when the splitting field is
+trivial/quadratic and the label "reducible-composite" otherwise.  All of
+these groups are solvable, which is what the certificate machinery
+ultimately relies on.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DegenerateLineError, HmsError
-from .hensel import (
-    deg,
-    factor_binary_quartic,
-    factor_monic_mod_p,
-    factor_squarefree_int,
-    pmod,
-    primitive_int_coeffs,
-    pscale,
-)
+from .hensel import factor_binary_quartic, factor_squarefree_int, primitive_int_coeffs
 from .mpoly import coeff_is_zero
 from .quartics import BinaryQuartic, stored_discriminant
 from .scalars import is_square_rational, primitive_integers
 
 GROUP_ORDERS = {"S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4, "C2": 2, "C1": 1}
+
+# the odd primes below 100, tried in order until the cycle types decide
+SIEVE_PRIMES = tuple(
+    p for p in range(3, 100, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))
+)
+
+# the cycle type of Frobenius by its number of fixed roots, when that is
+# not zero; three fixed roots would force the fourth
+_TYPE_OF_ROOT_COUNT = {4: (1, 1, 1, 1), 2: (1, 1, 2), 1: (1, 3)}
 
 
 @dataclass
@@ -144,9 +155,83 @@ def _galois_group(disc, forms) -> QuarticGaloisGroup:
     return QuarticGaloisGroup(label, GROUP_ORDERS[label], True, disc_sq, degs)
 
 
+def _integer_model(q: BinaryQuartic):
+    """The primitive integer coefficients of a squarefree quartic and
+    their discriminant.
+
+    The discriminant is homogeneous of degree 6 in the coefficients, so
+    it is the one stored on q times the sixth power of the positive
+    scale that makes q primitive.
+    """
+    disc = stored_discriminant(q)
+    if coeff_is_zero(disc):
+        raise DegenerateLineError("quartic has a repeated projective root")
+    ics = primitive_int_coeffs(q)
+    i = next(i for i, c in enumerate(ics) if c)
+    disc = Fraction(disc) * (ics[i] / Fraction(q.coeffs[i])) ** 6
+    if disc.denominator != 1:
+        raise HmsError("integral model has non-integral discriminant")
+    return ics, disc.numerator
+
+
+def _cycle_type(ics, disc, p):
+    """`frobenius_cycle_type` on the primitive integer model `ics` of a
+    quartic and its discriminant `disc`, which p does not divide."""
+    c0, c1, c2, c3, c4 = (c % p for c in ics)
+    roots = (c4 == 0) + sum(
+        ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) % p == 0 for t in range(p)
+    )
+    if roots:
+        return _TYPE_OF_ROOT_COUNT[roots]
+    return (2, 2) if pow(disc, (p - 1) // 2, p) == 1 else (4,)
+
+
+def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
+    """Sorted orbit sizes of Frobenius on the projective roots of q mod p.
+
+    p must be an odd prime not dividing the discriminant D of the
+    primitive integer model, so the four roots stay distinct mod p and
+    the orbit sizes are the factor degrees of q mod p.  The number of
+    roots on P^1(F_p), [1:0] counted when p divides c4, gives them
+    unless it is 0.  Then q mod p is two quadratics or one quartic, and
+    by Stickelberger (D/p) = (-1)^(4 - number of factors) tells which.
+    """
+    if p == 2:
+        raise HmsError("odd primes only")
+    ics, disc = _integer_model(q)
+    if disc % p == 0:
+        raise HmsError(f"{p} divides the discriminant")
+    return _cycle_type(ics, disc, p)
+
+
+def _group_and_factors(q: BinaryQuartic):
+    """(group, irreducible factors over Q) of a squarefree quartic.
+
+    The Frobenius sieve decides A4 and S4 without factoring; q is then
+    its own only factor, primitive with positive leading coefficient,
+    as `factor_binary_quartic` returns it.  Anything else is factored
+    once by Zassenhaus.
+    """
+    ics, disc = _integer_model(q)
+    seen = set()
+    for p in SIEVE_PRIMES:
+        if disc % p:
+            seen.add(_cycle_type(ics, disc, p))
+            # a linear factor over Q gives a root mod every p, so no (4)
+            # or (2,2); two quadratic factors give no (1,3)
+            if (1, 3) in seen and ((4,) in seen or (2, 2) in seen):
+                disc_sq = is_square_rational(disc)
+                label = "A4" if disc_sq else "S4"
+                order = GROUP_ORDERS[label]
+                grp = QuarticGaloisGroup(label, order, True, disc_sq, (4,))
+                return grp, [tuple(c if ics[4] > 0 else -c for c in ics)]
+    disc, forms = _squarefree_factors(q)
+    return _galois_group(disc, forms), forms
+
+
 def quartic_galois_group(q: BinaryQuartic) -> QuarticGaloisGroup:
     """Galois group of the splitting field of a squarefree quartic."""
-    return _galois_group(*_squarefree_factors(q))
+    return _group_and_factors(q)[0]
 
 
 @dataclass
@@ -163,12 +248,11 @@ def solvability_report(q: BinaryQuartic) -> SolvabilityReport:
 
     Every group that can occur for a quartic is solvable, so the roots
     are always expressible by radicals; the report records the pieces
-    and a degree bound for the compositum.  q is factored once: a
-    degree-4 factor means q is irreducible, so its label is the overall
-    one.
+    and a degree bound for the compositum.  q is factored at most once:
+    a degree-4 factor means q is irreducible, so its label is the
+    overall one.
     """
-    disc, forms = _squarefree_factors(q)
-    grp = _galois_group(disc, forms)
+    grp, forms = _group_and_factors(q)
     rows = []
     bound = 1
     for g in forms:
@@ -182,24 +266,3 @@ def solvability_report(q: BinaryQuartic) -> SolvabilityReport:
         rows.append((tuple(g), label, order))
         bound *= order
     return SolvabilityReport(rows, grp.label, grp.disc_is_square, True, bound)
-
-
-def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
-    """Sorted orbit sizes of Frobenius on the projective roots of q mod p.
-
-    p must be an odd prime not dividing the discriminant of the
-    primitive integer model, so the four roots stay distinct mod p and
-    the factor degrees of the reduced binary form are the orbit sizes.
-    """
-    if p == 2:
-        raise HmsError("odd primes only")
-    ics = primitive_int_coeffs(q)
-    disc = BinaryQuartic([Fraction(c) for c in ics]).discriminant()
-    if disc.denominator != 1:
-        raise HmsError("integral model has non-integral discriminant")
-    if int(disc) % p == 0:
-        raise HmsError(f"{p} divides the discriminant")
-    affine = pmod(ics, p)
-    parts = factor_monic_mod_p(pscale(affine, pow(affine[-1], -1, p), p), p)
-    pattern = [1] * (4 - deg(affine)) + [deg(g) for g, _ in parts]
-    return tuple(sorted(pattern))

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from hmslines import galois
+from hmslines import galois, hensel
 from hmslines.errors import HmsError
 from hmslines.galois import (
     frobenius_cycle_type,
@@ -14,9 +16,27 @@ from hmslines.quartics import BinaryQuartic
 
 from galois_battery import ALLOWED_TYPES, WITNESS_TYPES, battery, good_primes
 
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+X4_MINUS_X_MINUS_1 = (-1, -1, 0, 0, 1)
+# an S4 quartic of the certify-batch benchmark sample at seed 0
+CERTIFY_BATCH_S4 = (
+    "-13216161/2088025",
+    "-134421834/10440125",
+    "330592437/10440125",
+    "-261405102/10440125",
+    "58526679/10440125",
+)
+
 
 def Q(coeffs):
     return BinaryQuartic([Fraction(c) for c in coeffs])
+
+
+def _zassenhaus_report(q):
+    """The solvability report with the Frobenius sieve switched off."""
+    with patch.object(galois, "SIEVE_PRIMES", ()):
+        return galois.solvability_report(q)
 
 
 def test_battery_labels_match_references():
@@ -108,3 +128,118 @@ def test_solvability_report_factors_once(monkeypatch, coeffs):
     monkeypatch.setattr(galois, "factor_binary_quartic", counting)
     galois.solvability_report(Q(coeffs))
     assert len(calls) == 1
+
+
+@PROPERTY
+@given(
+    coeffs=st.lists(st.integers(-40, 40), min_size=5, max_size=5),
+    p=st.sampled_from([3, 5, 7, 11, 13, 17, 19]),
+    at_infinity=st.booleans(),
+)
+@example(coeffs=[1, 2, 0, 1, 1], p=3, at_infinity=True)
+@example(coeffs=[2, 0, -1, 5, 4], p=7, at_infinity=True)
+def test_cycle_type_is_the_factor_pattern_mod_p(coeffs, p, at_infinity):
+    """The root-count and Legendre rule against the factor degrees of q
+    mod p, one [1:0] root counted as a linear factor."""
+    if at_infinity:
+        coeffs[4] *= p
+    assume(any(coeffs))
+    ics = hensel.primitive_int_coeffs(Q(coeffs))
+    disc = BinaryQuartic(ics).discriminant()
+    assume(disc % p != 0)
+    affine = hensel.pmod(ics, p)
+    monic = hensel.pscale(affine, pow(affine[-1], -1, p), p)
+    degrees = [hensel.deg(g) for g, _ in hensel.factor_monic_mod_p(monic, p)]
+    pattern = tuple(sorted([1] * (4 - hensel.deg(affine)) + degrees))
+    assert frobenius_cycle_type(Q(coeffs), p) == pattern
+
+
+BATTERY = [q for q, _ in battery()]
+
+
+@PROPERTY
+@given(
+    q=st.sampled_from(BATTERY),
+    k=st.integers(-6, 6),
+    m=st.integers(-4, 4).filter(bool),
+    sign=st.sampled_from([1, -1]),
+)
+def test_sieve_agrees_with_zassenhaus_on_the_battery(q, k, m, sign):
+    """t -> t + k u, u -> m u and a sign keep the splitting field; the
+    sieve and its fallback give the report and group the factorization
+    gives."""
+    moved_coeffs = hensel.compose_binary(list(q.coeffs), ((1, k * m), (0, m)))
+    moved = Q([sign * c for c in moved_coeffs])
+    reference = galois._galois_group(*galois._squarefree_factors(moved))
+    assert quartic_galois_group(moved) == reference
+    rep = solvability_report(moved)
+    assert rep.overall_label == reference.label
+    assert rep.disc_is_square == reference.disc_is_square
+    assert rep == _zassenhaus_report(moved)
+
+
+def _form_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@PROPERTY
+@given(
+    st.sampled_from([1, 2]).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1),
+            st.lists(st.integers(-9, 9), min_size=5 - d, max_size=5 - d),
+        )
+    )
+)
+@example(([1, 0], [1, -1, 0, 2]))  # u times a cubic: a root at [1:0]
+@example(([-2, 0, 1], [-3, 0, 1]))
+@example(([1, 1], [-1, -1, 0, 1]))
+def test_sieve_never_decides_a_product(forms):
+    f, g = forms
+    assume(any(f) and any(g))
+    q = Q(_form_product(f, g))
+    assume(q.discriminant() != 0)
+    calls = []
+    factor = galois.factor_binary_quartic
+
+    def counting(q):
+        calls.append(q)
+        return factor(q)
+
+    with patch.object(galois, "factor_binary_quartic", counting):
+        rep = solvability_report(q)
+    assert len(calls) == 1
+    assert len(rep.factors) >= 2
+    assert rep == _zassenhaus_report(q)
+
+
+@pytest.mark.parametrize(
+    "coeffs, label",
+    [(X4_MINUS_X_MINUS_1, "S4"), (CERTIFY_BATCH_S4, "S4"), ((12, 8, 0, 0, 1), "A4")],
+)
+def test_sieve_decides_without_factoring(monkeypatch, coeffs, label):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    for module, name in (
+        (hensel, "factor_squarefree_int"),
+        (galois, "factor_squarefree_int"),
+        (hensel, "hensel_pair_lift"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    q = Q(coeffs)
+    rep = solvability_report(q)
+    assert calls == []
+    assert rep.overall_label == label
+    assert rep == _zassenhaus_report(q)
+    assert len(calls) > 0

@@ -126,7 +126,7 @@ TEST_ONLY = {
     "elementary_symmetric": "reference implementation the model tests compare against",
     "ordinarity_from_profile": "the exact-rational ordinarity oracle",
     "quartic_galois_group": "public API the acceptance tests call",
-    "frobenius_cycle_type": "public API the acceptance tests call",
+    "frobenius_cycle_type": "public API the acceptance tests call; the sieve calls its rule",
 }
 
 
