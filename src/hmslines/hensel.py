@@ -13,7 +13,9 @@ in one chart, and lifts every block mod p^prec.  It is sound but
 deliberately incomplete: it certifies "unramified" only via (a) simple
 blocks (a squarefree part of the reduction mod p) or (b) quadratic
 blocks whose lifted discriminant has even valuation (odd p); everything
-else is reported "inconclusive".
+else is reported "inconclusive".  `block_roots` is the one place that
+reads the p-adic roots (t, u) of a block off its lifted coefficients;
+`search` turns them into points.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ from itertools import combinations
 from math import comb, isqrt
 
 from .errors import DegenerateLineError, HmsError, PrecisionError
+from .padics import UnramifiedRing
 from .quartics import BinaryQuartic
 from .scalars import primitive_integers, split_p_power
 
@@ -397,8 +400,9 @@ class BlockReport:
     """One coprime block of the factorization over Z_p.
 
     coeffs_mod holds the Hensel-lifted block mod p^prec as a binary form
-    of its degree in the original chart; a simple linear block also has
-    its root, normalized by `_proj_normalize`, in lifted_root.
+    of its degree in the original chart; disc_valuation is the valuation
+    of the discriminant of a (linear)^2 block.  Its roots are read off
+    these two on demand by `block_roots`.
     """
 
     degree: int
@@ -407,7 +411,6 @@ class BlockReport:
     verdict: str  # "unramified" | "ramified" | "inconclusive"
     coeffs_mod: tuple | None = None
     disc_valuation: int | None = None
-    lifted_root: tuple | None = None  # projective (t, u) mod p^prec
 
 
 @dataclass
@@ -427,20 +430,6 @@ def primitive_int_coeffs(q: BinaryQuartic):
             "the zero form has no primitive integer model"
         )
     return primitive_integers(q.coeffs)
-
-
-def _proj_normalize(a, b, p, K):
-    """Canonical representative of [a : b] over Z/p^K (one coord a unit)."""
-    m = p**K
-    a %= m
-    b %= m
-    if b % p != 0:
-        inv = pow(b, -1, m)
-        return ((a * inv) % m, 1)
-    if a % p != 0:
-        inv = pow(a, -1, m)
-        return (1, (b * inv) % m)
-    raise HmsError("point not primitive mod p")
 
 
 def compose_binary(coeffs, mat, modulus=None):
@@ -548,12 +537,8 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     blocks = []
     for (rdeg, mult), B in zip(block_meta, lifted):
         dblock = deg(B)
-        verdict, v, pt = "unramified", None, None
-        if dblock == 1:
-            # the root [-B0 : B1] of B1 t + B0 u, in the original chart
-            t0, u0 = -B[0], B[1]
-            pt = _proj_normalize(a * t0 + b * u0, c * t0 + d * u0, p, prec)
-        elif mult == 2 and rdeg == 1:
+        verdict, v = "unramified", None
+        if mult == 2 and rdeg == 1:
             # (linear)^2 block: discriminant parity decides (odd p)
             disc = (B[1] * B[1] - 4 * B[0]) % m
             if disc == 0:
@@ -569,7 +554,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         # the block as a binary form back in the original chart; a
         # lifted block is already reduced mod p^prec
         orig = tuple(B) if identity else tuple(compose_binary(B, inv_chart, m))
-        blocks.append(BlockReport(dblock, rdeg, mult, verdict, orig, v, pt))
+        blocks.append(BlockReport(dblock, rdeg, mult, verdict, orig, v))
     if squarefree:
         # certificates list the blocks of a squarefree reduction in this
         # order, and of a repeated one in unit-chart order; the golden
@@ -580,3 +565,61 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         v for v in ("ramified", "inconclusive", "unramified") if v in verdicts
     )
     return HenselReport(p, prec, squarefree, residue_degrees, verdict, blocks)
+
+
+def block_roots(report: HenselReport, blk: BlockReport):
+    """The p-adic roots (t, u) of one block of `report`, in the original chart.
+
+    Both coordinates of a root lie in one `UnramifiedRing`; they are
+    read off `blk.coeffs_mod`, sum c_i t^i u^(d-i) mod p^prec:
+      * a simple linear block c1 t + c0 u has the root [-c0 : c1],
+        scaled so that u = 1, or t = 1 when c1 is not a unit;
+      * a simple block of residue degree d >= 2 has the root (x, 1),
+        x the generator of the degree-d ring of the block made monic
+        (an irreducible residue factor of degree >= 2 has no root at
+        [1:0], so the top coefficient is a unit);
+      * an unramified (linear)^2 block has the two roots
+        z = (-a1 + s p^(v/2)) / (2 a2), with (a0, a1, a2) its
+        coefficients in the order that makes a2 a unit, z = t/u (or
+        u/t when c2 is not a unit) and s^2 = w, the unit part of the
+        discriminant of valuation v = `disc_valuation`, mod p^(prec-v):
+        s = +-sqrt(w), or the generator of the degree-2 ring
+        (Z/p^(prec-v))[s]/(s^2 - w) when w is not a square.
+    A ramified or inconclusive block has no roots here.
+    """
+    p, K = report.p, report.prec
+    m = p**K
+    coeffs = blk.coeffs_mod
+    if blk.multiplicity == 1 and blk.degree == 1:
+        ring = UnramifiedRing(p, (0, 1), K)
+        t, u = -coeffs[0] % m, coeffs[1]
+        if u % p:
+            return [(ring.elt([t * pow(u, -1, m)]), ring.one())]
+        return [(ring.one(), ring.elt([u * pow(t, -1, m)]))]
+    if blk.multiplicity == 1:
+        inv = pow(coeffs[-1], -1, m)
+        ring = UnramifiedRing(p, [c * inv % m for c in coeffs], K)
+        return [(ring.gen(), ring.one())]
+    if (blk.multiplicity, blk.residue_degree, blk.verdict) != (2, 1, "unramified"):
+        return []
+    # one end of the square of a residue linear form is a unit
+    t_chart = coeffs[2] % p != 0
+    a0, a1, a2 = coeffs if t_chart else coeffs[::-1]
+    v = blk.disc_valuation
+    keff = K - v
+    w = (a1 * a1 - 4 * a0 * a2) % m // p**v
+    r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)
+    if r0 is not None:
+        ring = UnramifiedRing(p, (0, 1), keff)
+        factor, _ = hensel_pair_lift([-w, 0, 1], [-r0, 1], [r0, 1], p, keff)
+        s = ring.elt([-factor[0]])
+        square_roots = [s, -s]
+    else:
+        ring = UnramifiedRing(p, [-w, 0, 1], keff)
+        square_roots = [ring.gen()]
+    inv_lead = ring.elt([pow(2 * a2, -1, ring.mod)])
+    roots = []
+    for s in square_roots:
+        z = (s * p ** (v // 2) - a1) * inv_lead
+        roots.append((z, ring.one()) if t_chart else (ring.one(), z))
+    return roots

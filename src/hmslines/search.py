@@ -10,8 +10,11 @@ ordinarity of the 5-adic intersection points, and avoidance of the
 degenerate curve.  Certificates serialize to canonical JSON so repeated
 runs are byte identical.
 
-Every intersection point has its coordinates in one `UnramifiedRing`
-(`LocalPoint`), and every valuation of it is a `UElt.valuation`.
+The roots of a Hensel block come from `hensel.block_roots`; this module
+owns the points: `intersection_points` maps each root (t, u) to
+t * rows[0] + u * rows[1], with its coordinates in the root's
+`UnramifiedRing` (`LocalPoint`), and every valuation of it is a
+`UElt.valuation`.
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ from .errors import (
     PrecisionError,
     SearchExhausted,
 )
-from .hensel import (
-    hensel_factor_quartic,
-    hensel_pair_lift,
-    primitive_int_coeffs,
-)
+from .hensel import block_roots, hensel_factor_quartic, primitive_int_coeffs
 from .lines import (
     Line,
     TangentConeChart,
@@ -97,7 +96,6 @@ class SearchConfig:
     k5: int
     height_bound: int
     precision: int
-    rng_seed: int
     raw: dict
 
     def digest(self) -> str:
@@ -185,7 +183,7 @@ def parse_config(data: dict) -> SearchConfig:
     k5 = _parse_int(data, "k5", 0, 0)
     height_bound = _parse_int(data, "height_bound", 50, 1)
     precision = _parse_int(data, "precision", 12, 1)
-    rng_seed = _parse_int(data, "rng_seed", 0, 0)
+    _parse_int(data, "rng_seed", 0, 0)  # validated; only the digest reads it
 
     if twist != "char3-x" and targets and seed_point is None:
         raise ConfigError("this twist needs a seed_point for the line chart")
@@ -206,7 +204,6 @@ def parse_config(data: dict) -> SearchConfig:
         k5=k5,
         height_bound=height_bound,
         precision=precision,
-        rng_seed=rng_seed,
         raw=data,
     )
 
@@ -314,87 +311,21 @@ def _scaled_integer_rows(line: Line):
     return tuple(ints[:6]), tuple(ints[6:])
 
 
-def _point(rows, t, u, block_idx):
-    """The point t * rows[0] + u * rows[1], for t, u in one ring."""
-    return LocalPoint(block_idx, tuple(t * a + u * b for a, b in zip(*rows)))
-
-
-def _points_of_double_root_block(rows, blk, p, K, block_idx):
-    """(linear)^2 block with even disc valuation: complete the square.
-
-    The roots are (-a1 + s p^(v/2)) / (2 a2) for s^2 = w, the unit part
-    of the discriminant: s = +-sqrt(w) mod p^(K-v), or the generator of
-    the degree-2 ring (Z/p^(K-v))[s]/(s^2 - w) when w is not a square.
-    """
-    c0, c1, c2 = [c % p**K for c in blk.coeffs_mod]
-    if c2 % p != 0:
-        a0, a1, a2 = c0, c1, c2
-        t_chart = True
-    elif c0 % p != 0:
-        a0, a1, a2 = c2, c1, c0
-        t_chart = False
-    else:
-        raise HmsError("double-root block with both ends divisible by p")
-    disc = UnramifiedRing(p, (0, 1), K).elt([a1 * a1 - 4 * a0 * a2])
-    v = disc.valuation()
-    if not isinstance(v, int):
-        raise PrecisionError(
-            "block discriminant vanishes to working precision", needed=K + 1
-        )
-    if v % 2 != 0:
-        raise HmsError("odd-valuation discriminant in an unramified block")
-    keff = K - v
-    w = disc.coeffs[0] // p**v
-    r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)
-    if r0 is not None:
-        ring = UnramifiedRing(p, (0, 1), keff)
-        factor, _ = hensel_pair_lift([-w, 0, 1], [-r0, 1], [r0, 1], p, keff)
-        s = ring.elt([-factor[0]])
-        roots = [s, -s]
-    else:
-        ring = UnramifiedRing(p, [-w, 0, 1], keff)
-        roots = [ring.gen()]
-    inv_lead = ring.from_rational(Fraction(1, 2 * a2))
-    points = []
-    for s in roots:
-        z = (s * p ** (v // 2) - a1) * inv_lead
-        t, u = (z, ring.one()) if t_chart else (ring.one(), z)
-        points.append(_point(rows, t, u, block_idx))
-    return points
-
-
-def _points_of_block(rows, blk, p, K, block_idx):
-    if blk.lifted_root is not None:
-        ring = UnramifiedRing(p, (0, 1), K)
-        t, u = blk.lifted_root
-        return [_point(rows, ring.elt([t]), ring.elt([u]), block_idx)]
-    if blk.degree == 2 and blk.residue_degree == 1 and blk.multiplicity == 2:
-        if blk.verdict != "unramified":
-            return []
-        return _points_of_double_root_block(rows, blk, p, K, block_idx)
-    if blk.residue_degree >= 2 and blk.multiplicity == 1:
-        # a factor mod p^K whose top coefficient is a unit, because an
-        # irreducible residue factor of degree >= 2 has no root at infinity
-        coeffs = blk.coeffs_mod
-        mK = p**K
-        inv = pow(coeffs[-1] % mK, -1, mK)
-        ring = UnramifiedRing(p, [c * inv % mK for c in coeffs], K)
-        return [_point(rows, ring.gen(), ring.one(), block_idx)]
-    return []
-
-
 def intersection_points(line: Line, report):
-    """Extract explicit p-adic intersection points from a local report.
+    """The p-adic intersection points of a line, one per root of each
+    block of its local report (`block_roots`), in block order.
 
-    Blocks whose verdict is ramified or inconclusive contribute no
-    points (their roots live outside the unramified tower or are not
-    pinned down at this precision).
+    A root (t, u) gives the point t * rows[0] + u * rows[1].  Blocks
+    whose verdict is ramified or inconclusive contribute no points
+    (their roots live outside the unramified tower or are not pinned
+    down at this precision).
     """
     rows = _scaled_integer_rows(line)
-    points = []
-    for idx, blk in enumerate(report.blocks):
-        points.extend(_points_of_block(rows, blk, report.p, report.prec, idx))
-    return points
+    return [
+        LocalPoint(idx, tuple(t * a + u * b for a, b in zip(*rows)))
+        for idx, blk in enumerate(report.blocks)
+        for t, u in block_roots(report, blk)
+    ]
 
 
 # -- local invariants at an intersection point ----------------------------
@@ -471,10 +402,6 @@ class SolvableLineCertificate:
     @property
     def passed(self) -> bool:
         return self.data["summary"]["passed"]
-
-    @property
-    def reasons(self):
-        return self.data["summary"]["reasons"]
 
     def to_json(self) -> str:
         return canonical_json(self.data)

@@ -9,7 +9,6 @@ import json
 from fractions import Fraction
 
 from .errors import ConfigError
-from .mpoly import SparsePoly
 
 
 def frac_str(x) -> str:
@@ -27,11 +26,9 @@ def parse_frac(s) -> Fraction:
 
 
 def jsonable(value):
-    """Recursively convert Fractions/tuples/polys into JSON primitives."""
+    """Recursively convert Fractions/tuples into JSON primitives."""
     if isinstance(value, Fraction):
         return frac_str(value)
-    if isinstance(value, SparsePoly):
-        return poly_dict(value)
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -43,15 +40,6 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     raise ConfigError(f"cannot serialize {type(value).__name__}")
-
-
-def poly_dict(p: SparsePoly) -> dict:
-    return {
-        "nvars": p.nvars,
-        "terms": [
-            {"exp": list(e), "coeff": frac_str(c)} for e, c in p.sorted_terms()
-        ],
-    }
 
 
 def canonical_json(data) -> str:

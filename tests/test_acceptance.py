@@ -33,6 +33,7 @@ from hmslines import (
     sigma_profile,
     twisted_equations,
 )
+from hmslines.hensel import block_roots
 from hmslines.lines import lies_in
 from hmslines.padics import UnramifiedRing
 from hmslines.quartics import roots_over_Fq
@@ -235,7 +236,11 @@ def test_gate_6_local_certificates():
         assert rep.verdict == "unramified"
         assert rep.squarefree_mod_p is True
         assert tuple(rep.residue_degrees) == (1, 1, 1, 1)
-        roots = sorted(b.lifted_root for b in rep.blocks)
+        roots = sorted(
+            (t.coeffs[0], u.coeffs[0])
+            for blk in rep.blocks
+            for t, u in block_roots(rep, blk)
+        )
         assert roots == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
         # (t^2 - 18 u^2)(t^2 - 2 u^2): even disc valuation, unramified at 3

@@ -35,6 +35,9 @@ GOLDEN_DIR = Path(__file__).with_name("golden")
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
 CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
 CHAR3_RAMIFIED_LINE = [[1, -1, 0, 2, 1, -1], [0, 0, 1, -1, -1, 1]]
+# c4 = 0: the 5-adic report works in a non-identity chart, and its split
+# (linear)^2 block gives two points whose order the golden freezes
+CHAR3_DOUBLE_ROOT_LINE = [[159, 0, -1, 0, 0, 0], [0, 53, -8748, 8427, -8586, 8586]]
 
 
 def _config(name, **overrides):
@@ -86,6 +89,9 @@ SCENARIOS = {
     ],
     "certify-char3-ramified": lambda: [
         _certify(CHAR3_RAMIFIED_LINE, _config("char3-demo.json")).to_json()
+    ],
+    "certify-char3-double-root-chart": lambda: [
+        _certify(CHAR3_DOUBLE_ROOT_LINE, _config("char3-demo.json")).to_json()
     ],
     "precision-char3-line-p5": lambda: _precision_failure(CHAR3_LINE, 5),
     "precision-char3-line-p6": lambda: _precision_failure(CHAR3_LINE, 6),

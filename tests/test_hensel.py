@@ -4,9 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hmslines import hensel, search
+from hmslines import hensel
 from hmslines.errors import PrecisionError
 from hmslines.hensel import (
+    block_roots,
     compose_binary,
     factor_monic_mod_p,
     hensel_factor_quartic,
@@ -163,15 +164,12 @@ def test_lifted_roots_satisfy_the_quartic():
         c = Fraction(c)
         den = den * c.denominator // __import__("math").gcd(den, c.denominator)
     ints = [int(Fraction(c) * den) for c in q.coeffs]
+    # at 3 a split (linear)^2 block, at 5 two blocks of residue degree 2
+    kinds = set()
     for p in (3, 5):
         rep = hensel_factor_quartic(q, p, 10)
-        m = p**10
-        for blk in rep.blocks:
-            if blk.lifted_root is None:
-                continue
-            t, u = blk.lifted_root
-            acc = sum(c * pow(t, i, m) * pow(u, 4 - i, m) for i, c in enumerate(ints))
-            assert acc % m == 0
+        kinds |= _assert_roots_satisfy(ints, rep)
+    assert kinds == {(2, 1, 2), (2, 2, 1)}
 
 
 def test_ramified_example_detected():
@@ -231,6 +229,23 @@ def _sl2_product(steps):
 def _binary_value(coeffs, t, u):
     d = len(coeffs) - 1
     return sum(c * t**i * u ** (d - i) for i, c in enumerate(coeffs))
+
+
+def _assert_roots_satisfy(ints, rep):
+    """Every root (t, u) of `block_roots` is a zero of the quartic with
+    integer coefficients ints in the root's ring, and an unramified
+    block has as many geometric roots as its degree.  Returns the
+    (block degree, ring degree, multiplicity) kinds seen."""
+    kinds = set()
+    for blk in rep.blocks:
+        roots = block_roots(rep, blk)
+        for t, u in roots:
+            assert u.ring is t.ring
+            assert _binary_value(ints, t, u) == t.ring.zero()
+            kinds.add((blk.degree, t.ring.deg, blk.multiplicity))
+        if blk.verdict == "unramified":
+            assert sum(t.ring.deg for t, _ in roots) == blk.degree
+    return kinds
 
 
 @PROPERTY
@@ -354,11 +369,7 @@ def test_local_factorization_agrees_with_the_construction(factors, steps, p, K):
         return
     assert rep.verdict in ("ramified" if ramified else "unramified", "inconclusive")
     assert rep.residue_degrees == tuple(sorted(residue_degrees))
-    m = p**K
-    for blk in rep.blocks:
-        if blk.lifted_root is not None:
-            t, u = blk.lifted_root
-            assert _binary_value(ints, t, u) % m == 0
+    _assert_roots_satisfy(ints, rep)
 
 
 def test_point_extraction_lifts_nothing_again(monkeypatch):
@@ -373,20 +384,21 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
         return factor(f, p)
 
     lifts = []
-    lift = search.hensel_pair_lift
+    lift = hensel.hensel_pair_lift
 
     def counting_lift(*args):
         lifts.append(args)
         return lift(*args)
 
     monkeypatch.setattr(hensel, "factor_monic_mod_p", counting_factor)
-    monkeypatch.setattr(search, "hensel_pair_lift", counting_lift)
     line = labc_line(3, 243, 243)
     q = quartic_of_line(line, char3_model())
     rep3 = hensel_factor_quartic(q, 3, 12)
     rep5 = hensel_factor_quartic(q, 5, 12)
     assert (rep3.squarefree_mod_p, rep5.residue_degrees) == (False, (2, 2))
     assert factorizations == [3, 5]
+    # only the lifts made while extracting points are counted
+    monkeypatch.setattr(hensel, "hensel_pair_lift", counting_lift)
     points = intersection_points(line, rep5)
     assert [pt.ring.deg for pt in points] == [2, 2]
     assert lifts == []

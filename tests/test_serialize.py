@@ -5,14 +5,13 @@ from importlib import resources
 
 import pytest
 
-from hmslines import ConfigError, SparsePoly
+from hmslines import ConfigError
 from hmslines.serialize import (
     canonical_json,
     config_digest,
     frac_str,
     jsonable,
     parse_frac,
-    poly_dict,
 )
 
 F = Fraction
@@ -56,24 +55,6 @@ def test_jsonable_rejects_foreign_objects():
         jsonable(object())
     with pytest.raises(ConfigError):
         canonical_json({"f": 0.5})
-
-
-def test_poly_dict_uses_graded_lex_order():
-    # x0*x1 + x2^2 + x0 + 7 in three variables
-    p = (
-        SparsePoly(3, {(1, 1, 0): 1})
-        + SparsePoly(3, {(0, 0, 2): 1})
-        + SparsePoly(3, {(1, 0, 0): 1})
-        + SparsePoly.constant(7, 3)
-    )
-    d = poly_dict(p)
-    assert d["nvars"] == 3
-    assert d["terms"] == [
-        {"exp": [1, 1, 0], "coeff": "1"},
-        {"exp": [0, 0, 2], "coeff": "1"},
-        {"exp": [1, 0, 0], "coeff": "1"},
-        {"exp": [0, 0, 0], "coeff": "7"},
-    ]
 
 
 def _config_data(name):
