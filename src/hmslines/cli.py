@@ -8,7 +8,9 @@ Three subcommands:
 
 Exit codes: 0 on success, 2 when no line satisfies the requested
 conditions, 3 on an invalid configuration, 4 when the configured p-adic
-precision is exhausted before a verdict is reached.
+precision is exhausted before a verdict is reached.  A find-line search
+that exhausts its candidates (2 or 4) ends stderr with its rejection
+statistics as one line of canonical JSON.
 """
 
 from __future__ import annotations
@@ -123,15 +125,16 @@ def _cmd_find_line(args) -> int:
         results = find_lines(config, max_results=args.max_results)
     except SearchExhausted as exc:
         stats = exc.stats or {}
-        if stats.get("precision_failures"):
-            print(
+        starved = bool(stats.get("precision_failures"))
+        if starved:
+            message = (
                 "search stopped: some candidates could not be resolved at "
-                f"the configured precision ({stats})",
-                file=sys.stderr,
+                "the configured precision"
             )
-            return EXIT_PRECISION
-        print(f"no line found: {exc} ({stats})", file=sys.stderr)
-        return EXIT_NO_LINE
+        else:
+            message = f"no line found: {exc}"
+        print(message, canonical_json(stats), sep="\n", file=sys.stderr)
+        return EXIT_PRECISION if starved else EXIT_NO_LINE
     if args.as_json:
         payload = {
             "count": len(results),

@@ -27,9 +27,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DegenerateLineError, HmsError
-from .hensel import factor_binary_quartic, factor_squarefree_int, primitive_int_coeffs
-from .mpoly import coeff_is_zero
-from .quartics import BinaryQuartic, stored_discriminant
+from .hensel import factor_binary_quartic, factor_squarefree_int
+from .quartics import BinaryQuartic, integer_model
 from .scalars import is_square_rational, primitive_integers
 
 GROUP_ORDERS = {"S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4, "C2": 2, "C1": 1}
@@ -112,20 +111,12 @@ def _reducible_label(forms):
     raise HmsError(f"unexpected factor degrees {degs}")
 
 
-def _squarefree_factors(q: BinaryQuartic):
-    """(discriminant, irreducible factors over Q) of a squarefree quartic.
-
-    The discriminant is the one already stored on q when its
-    certificate evaluated it first.
-    """
-    disc = stored_discriminant(q)
-    if coeff_is_zero(disc):
-        raise DegenerateLineError("quartic has a repeated projective root")
-    return Fraction(disc), factor_binary_quartic(q)
-
-
 def _galois_group(disc, forms) -> QuarticGaloisGroup:
-    """The group of a squarefree quartic from its discriminant and factors."""
+    """The group of a squarefree quartic from its discriminant and factors.
+
+    Only the square class of disc is read, so the discriminant of the
+    integer model serves: it is q's own times a rational square.
+    """
     disc_sq = is_square_rational(disc)
     degs = tuple(sorted(len(g) - 1 for g in forms))
     if degs != (4,):
@@ -155,25 +146,6 @@ def _galois_group(disc, forms) -> QuarticGaloisGroup:
     return QuarticGaloisGroup(label, GROUP_ORDERS[label], True, disc_sq, degs)
 
 
-def _integer_model(q: BinaryQuartic):
-    """The primitive integer coefficients of a squarefree quartic and
-    their discriminant.
-
-    The discriminant is homogeneous of degree 6 in the coefficients, so
-    it is the one stored on q times the sixth power of the positive
-    scale that makes q primitive.
-    """
-    disc = stored_discriminant(q)
-    if coeff_is_zero(disc):
-        raise DegenerateLineError("quartic has a repeated projective root")
-    ics = primitive_int_coeffs(q)
-    i = next(i for i, c in enumerate(ics) if c)
-    disc = Fraction(disc) * (ics[i] / Fraction(q.coeffs[i])) ** 6
-    if disc.denominator != 1:
-        raise HmsError("integral model has non-integral discriminant")
-    return ics, disc.numerator
-
-
 def _cycle_type(ics, disc, p):
     """`frobenius_cycle_type` on the primitive integer model `ics` of a
     quartic and its discriminant `disc`, which p does not divide."""
@@ -198,7 +170,7 @@ def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
     """
     if p == 2:
         raise HmsError("odd primes only")
-    ics, disc = _integer_model(q)
+    ics, disc = integer_model(q)
     if disc % p == 0:
         raise HmsError(f"{p} divides the discriminant")
     return _cycle_type(ics, disc, p)
@@ -212,7 +184,9 @@ def _group_and_factors(q: BinaryQuartic):
     as `factor_binary_quartic` returns it.  Anything else is factored
     once by Zassenhaus.
     """
-    ics, disc = _integer_model(q)
+    ics, disc = integer_model(q)
+    if disc == 0:
+        raise DegenerateLineError("quartic has a repeated projective root")
     seen = set()
     for p in SIEVE_PRIMES:
         if disc % p:
@@ -225,7 +199,7 @@ def _group_and_factors(q: BinaryQuartic):
                 order = GROUP_ORDERS[label]
                 grp = QuarticGaloisGroup(label, order, True, disc_sq, (4,))
                 return grp, [tuple(c if ics[4] > 0 else -c for c in ics)]
-    disc, forms = _squarefree_factors(q)
+    forms = factor_binary_quartic(q)
     return _galois_group(disc, forms), forms
 
 

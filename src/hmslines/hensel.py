@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 
-from .errors import DegenerateLineError, HmsError, PrecisionError
+from .errors import HmsError, PrecisionError
 from .padics import UnramifiedRing
-from .quartics import BinaryQuartic
+from .quartics import BinaryQuartic, integer_model
 from .scalars import primitive_integers, split_p_power
 
 # -- coefficient-list helpers ------------------------------------------
@@ -385,7 +385,7 @@ def factor_binary_quartic(q: BinaryQuartic):
     encoding the primitive binary form sum c_i t^i u^(d-i); their
     product is q up to a rational unit.
     """
-    affine = trim(primitive_int_coeffs(q))
+    affine = trim(integer_model(q)[0])
     factors = [(1, 0)] * (5 - len(affine))  # the factor u, once per root at [1:0]
     if deg(affine) >= 1:
         factors += [tuple(g) for g in factor_squarefree_int(affine)]
@@ -421,15 +421,6 @@ class HenselReport:
     residue_degrees: tuple
     verdict: str
     blocks: list
-
-
-def primitive_int_coeffs(q: BinaryQuartic):
-    """Coefficients c0..c4 of q scaled to coprime integers, signs kept."""
-    if q.is_degenerate:
-        raise DegenerateLineError(
-            "the zero form has no primitive integer model"
-        )
-    return primitive_integers(q.coeffs)
 
 
 def compose_binary(coeffs, mat, modulus=None):
@@ -503,7 +494,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         raise HmsError("odd p required")
     if prec < 1:
         raise HmsError("precision must be positive")
-    ics = primitive_int_coeffs(q)
+    ics = integer_model(q)[0]
     m = p**prec
     chart = unit_chart(ics, p)
     identity = chart == ((1, 0), (0, 1))

@@ -108,7 +108,7 @@ def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
     rescaled exactly to n_i / (dP^i dQ^(4-i)).
     """
     r1, r2, r4 = restrict_in_integers(
-        [model.integer_forms[k] for k in (1, 2, 4)], line.rows
+        [model.forms[k] for k in (1, 2, 4)], line.rows
     )
     if not (r1.is_zero and r2.is_zero):
         raise NotOnSurfaceError("line does not lie in the quadric part of the model")
@@ -325,11 +325,11 @@ class TangentConeChart:
     kind = "tangent-cone"
 
     def __init__(self, model: SurfaceModel, seed):
-        self.gram = gram_matrix(model.integer_forms[2])
-        self.q1_row = linear_row(model.integer_forms[1])
+        self.gram = gram_matrix(model.forms[2])
+        self.q1_row = linear_row(model.forms[1])
         self.seed = [Fraction(c) for c in primitive_vector(seed)]
         self.frame0 = _ConeFrame(self.seed, self.gram, self.q1_row)
-        (conic,) = restrict_in_integers([model.integer_forms[2]], self.frame0.U)
+        (conic,) = restrict_in_integers([model.forms[2]], self.frame0.U)
         self.c0 = rational_conic_point(conic, 24)
         self.w0 = [_dot(self.c0, col) for col in zip(*self.frame0.U)]
 
@@ -536,11 +536,15 @@ def _coordinate_valuation(c, p):
     return valuation_of_rational(c, p)
 
 
+# the coordinates that vanish on the cusp line; their valuations give the depth
+NONCUSP = (0, 3, 4, 5)
+
+
 @dataclass(frozen=True)
 class CuspProximityReport:
     """3-adic closeness of points to the coordinate cusp line.
 
-    depth is min over the non-cusp coordinates (0, 3, 4, 5) of their
+    depth is min over the non-cusp coordinates `NONCUSP` of their
     valuation in a primitive representative; distance = p^(-depth).
     depth None means the point lies on the cusp line exactly, with
     distance 0."""
@@ -550,7 +554,7 @@ class CuspProximityReport:
     distances: tuple
 
 
-def cusp_proximity(points, p: int = 3, noncusp=(0, 3, 4, 5)) -> CuspProximityReport:
+def cusp_proximity(points, p: int = 3) -> CuspProximityReport:
     """Depth None (infinite agreement) comes with distance 0 exactly.
 
     Coordinates indistinguishable from zero at their working precision
@@ -580,7 +584,7 @@ def cusp_proximity(points, p: int = 3, noncusp=(0, 3, 4, 5)) -> CuspProximityRep
                 needed=vmin + 1,
             )
         depth = None
-        for i in noncusp:
+        for i in NONCUSP:
             v = vals[i]
             if isinstance(v, int):
                 d = v - vmin
@@ -588,7 +592,7 @@ def cusp_proximity(points, p: int = 3, noncusp=(0, 3, 4, 5)) -> CuspProximityRep
                     depth = d
         floors = [
             vals[i].lower_bound - vmin
-            for i in noncusp
+            for i in NONCUSP
             if isinstance(vals[i], IndeterminateValuation)
         ]
         if floors and (depth is None or min(floors) < depth):

@@ -215,8 +215,9 @@ class SparsePoly:
     # -- normalization over Q -----------------------------------------
 
     def canonical(self):
-        """(scale, poly) with self = scale * poly, poly integral, content 1,
-        and the graded-lex leading coefficient positive.
+        """(scale, poly) with self = scale * poly, poly with int
+        coefficients of content 1 and its graded-lex leading coefficient
+        positive.
 
         Coefficients must be Fraction/int.  The zero polynomial returns
         (1, self).
@@ -224,13 +225,11 @@ class SparsePoly:
         if not self.terms:
             return Fraction(1), self
         den, ints = integer_numerators(self.terms.values())
-        scale = Fraction(gcd(*ints), den)
-        lead = self.sorted_terms()[0][1]
-        if lead < 0:
-            scale = -scale
-        inv = 1 / scale
-        return scale, SparsePoly(
-            self.nvars, {e: Fraction(c) * inv for e, c in self.terms.items()}
+        content = gcd(*ints)
+        if self.sorted_terms()[0][1] < 0:
+            content = -content
+        return Fraction(content, den), SparsePoly(
+            self.nvars, {e: n // content for e, n in zip(self.terms, ints)}
         )
 
     # -- display -------------------------------------------------------
@@ -302,20 +301,9 @@ def restrict_to_span(f: SparsePoly, rows) -> SparsePoly:
     )
 
 
-def integer_form(f: SparsePoly) -> SparsePoly:
-    """f with int coefficients; raises HmsError on a non-integral one."""
-
-    def exact(c):
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise HmsError(f"coefficient {c} of an integral form is not an integer")
-        return c.numerator
-
-    return f.map_coeffs(exact)
-
-
 def restrict_in_integers(forms, rows):
-    """restrict_to_span of each int-coefficient form on rational rows.
+    """restrict_to_span of each int-coefficient form, such as the forms
+    of a surface model, on rational rows.
 
     Row j is scaled to integers once, by its common denominator d_j;
     each restriction runs on Python ints, and the coefficient of y^e is

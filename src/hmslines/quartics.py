@@ -9,11 +9,11 @@ for all as
     J = 72 c4 c2 c0 + 9 c3 c2 c1 - 27 c4 c1^2 - 27 c0 c3^2 - 2 c2^3,
 
 which coincides with the classical polynomial discriminant (an integer
-polynomial in the coefficients, homogeneous of degree 6).  Rational
-(int/Fraction) coefficients are scaled by their common denominator D
-and the discriminant is taken on those integer numerators, then divided
-by D^6 exactly.  Every other scalar ring (F_q, p-adic, characteristic 3
-included) evaluates the integral expansion `_DISC_POLY`.
+polynomial in the coefficients, homogeneous of degree 6).  A rational
+quartic is read through its `integer_model`, the primitive integer
+coefficients and their discriminant, built once and kept on the
+quartic; its own discriminant is that integer times the sixth power of
+the scale back to the stored coefficients.
 """
 
 from fractions import Fraction
@@ -22,47 +22,33 @@ from itertools import product
 from .errors import DegenerateLineError, HmsError
 from .mpoly import SparsePoly, coeff_is_zero
 from .padics import UnramifiedRing
-from .scalars import integer_numerators
+from .scalars import primitive_integers
 
 
-def _disc27(a, b, c, d, e):
-    """27 times the discriminant, 4 I^3 - J^2, at (c4, c3, c2, c1, c0)."""
-    I = 12 * (a * e) - 3 * (b * d) + c * c
+def _disc27(c0, c1, c2, c3, c4):
+    """27 times the discriminant, 4 I^3 - J^2, at (c0, .., c4)."""
+    I = 12 * (c4 * c0) - 3 * (c3 * c1) + c2 * c2
     J = (
-        72 * (a * c * e)
-        + 9 * (b * c * d)
-        - 27 * (a * d * d)
-        - 27 * (e * b * b)
-        - 2 * (c * c * c)
+        72 * (c4 * c2 * c0)
+        + 9 * (c3 * c2 * c1)
+        - 27 * (c4 * c1 * c1)
+        - 27 * (c0 * c3 * c3)
+        - 2 * (c2 * c2 * c2)
     )
     return 4 * I**3 - J * J
-
-
-def _universal_discriminant():
-    disc27 = _disc27(*(SparsePoly.variable(i, 5, Fraction(1)) for i in range(5)))
-    disc_terms = {}
-    for exp, coeff in disc27.terms.items():
-        q = Fraction(coeff) / 27
-        if q.denominator != 1:
-            raise HmsError("discriminant expansion failed to be integral")
-        disc_terms[exp] = int(q)
-    return SparsePoly(5, disc_terms)
-
-
-_DISC_POLY = _universal_discriminant()
 
 
 class BinaryQuartic:
     """Homogeneous binary quartic; degenerate means identically zero."""
 
-    __slots__ = ("coeffs", "_disc")
+    __slots__ = ("coeffs", "_model")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != 5:
             raise HmsError("need exactly 5 coefficients c0..c4")
         self.coeffs = coeffs
-        self._disc = None
+        self._model = None
 
     @staticmethod
     def from_sparse(f: SparsePoly) -> "BinaryQuartic":
@@ -84,37 +70,36 @@ class BinaryQuartic:
     def __repr__(self):
         return f"BinaryQuartic(c0..c4 = {self.coeffs})"
 
-    def _inv_args(self):
-        c0, c1, c2, c3, c4 = self.coeffs
-        return (c4, c3, c2, c1, c0)
-
     def discriminant(self):
-        """(4 I^3 - J^2)/27, exactly, over any scalar ring.
+        """(4 I^3 - J^2)/27 of a rational quartic, exactly.
 
-        Evaluated once per quartic; later calls return the kept value.
+        It is homogeneous of degree 6, so it is the `integer_model`
+        discriminant times the sixth power of the positive scale from
+        the model to this quartic: an int when every coefficient is one,
+        else a Fraction.
         """
-        return stored_discriminant(self)
+        ics, disc = integer_model(self)
+        i = next(i for i, c in enumerate(ics) if c)
+        disc = disc * (Fraction(self.coeffs[i]) / ics[i]) ** 6
+        return disc.numerator if all(isinstance(c, int) for c in self.coeffs) else disc
 
 
-def stored_discriminant(q: BinaryQuartic):
-    """The discriminant of q, evaluated on first use and kept on q.
+def integer_model(q: BinaryQuartic):
+    """(ics, disc): the primitive integer coefficients c0..c4 of a
+    rational quartic, signs kept, and their discriminant, an int.
 
-    `BinaryQuartic.discriminant` returns it; the Galois section of a
-    certificate reads it here to reuse the value the certificate holds.
+    Built on first use and kept on q, so every section of a certificate
+    reads the same model.  Raises HmsError unless the coefficients are
+    ints or Fractions, DegenerateLineError on the zero form.
     """
-    if q._disc is None:
+    if q._model is None:
+        if not all(isinstance(c, (int, Fraction)) for c in q.coeffs):
+            raise HmsError("the integer model needs rational coefficients")
         if q.is_degenerate:
-            raise DegenerateLineError("discriminant of the zero form")
-        args = q._inv_args()
-        if all(isinstance(c, (int, Fraction)) for c in args):
-            # homogeneous of degree 6: disc(c) = disc(D c) / D^6
-            den, ints = integer_numerators(args)
-            disc = _disc27(*ints) // 27
-            exact_ints = all(isinstance(c, int) for c in args)
-            q._disc = disc if exact_ints else Fraction(disc, den**6)
-        else:
-            q._disc = _DISC_POLY.evaluate(args)
-    return q._disc
+            raise DegenerateLineError("the zero form has no primitive integer model")
+        ics = tuple(primitive_integers(q.coeffs))
+        q._model = ics, _disc27(*ics) // 27
+    return q._model
 
 
 # -- real root counting ------------------------------------------------
@@ -127,18 +112,19 @@ def real_root_count(q: BinaryQuartic) -> int:
     gives two real roots; a positive one gives four when
     P = 8ac - 3b^2 and D = 64a^3e - 16a^2c^2 + 16ab^2c - 16a^2bd - 3b^4
     are both negative, and none otherwise (Rees, Amer. Math. Monthly 29,
-    1922; Lazard, J. Symbolic Comput. 5, 1988).  P and D have even
-    degree, so rescaling q keeps their signs.  When a = 0, [1:0] is a
-    real root and b != 0, so P = -3b^2 and D = -3b^4 are negative and
-    give the four that a positive discriminant then forces.  Raises
-    HmsError unless q is squarefree: nonzero with a nonzero discriminant.
+    1922; Lazard, J. Symbolic Comput. 5, 1988).  The discriminant, P and
+    D have even degree, so they are read on the `integer_model`, whose
+    positive scale keeps their signs.  When a = 0, [1:0] is a real root
+    and b != 0, so P = -3b^2 and D = -3b^4 are negative and give the
+    four that a positive discriminant then forces.  Raises HmsError
+    unless q is squarefree: nonzero with a nonzero discriminant.
     """
-    disc = 0 if q.is_degenerate else stored_discriminant(q)
+    ics, disc = ((), 0) if q.is_degenerate else integer_model(q)
     if disc == 0:
         raise HmsError("real_root_count requires a squarefree quartic")
     if disc < 0:
         return 2
-    a, b, c, d, e = q._inv_args()
+    e, d, c, b, a = ics
     P = 8 * a * c - 3 * b * b
     D = (
         64 * a**3 * e

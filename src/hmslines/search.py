@@ -31,7 +31,7 @@ from .errors import (
     PrecisionError,
     SearchExhausted,
 )
-from .hensel import block_roots, hensel_factor_quartic, primitive_int_coeffs
+from .hensel import block_roots, hensel_factor_quartic
 from .lines import (
     Line,
     TangentConeChart,
@@ -42,7 +42,7 @@ from .lines import (
     quartic_of_line,
 )
 from .padics import UnramifiedRing
-from .quartics import BinaryQuartic, real_root_count
+from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
 from .scalars import integer_numerators, sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
@@ -96,10 +96,7 @@ class SearchConfig:
     k5: int
     height_bound: int
     precision: int
-    raw: dict
-
-    def digest(self) -> str:
-        return config_digest(self.raw)
+    digest: str
 
     def target_at(self, place):
         for t in self.targets:
@@ -204,7 +201,7 @@ def parse_config(data: dict) -> SearchConfig:
         k5=k5,
         height_bound=height_bound,
         precision=precision,
-        raw=data,
+        digest=config_digest(data),
     )
 
 
@@ -343,7 +340,7 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
     ring = pt.ring
     p = ring.p
     coords = list(pt.coords)
-    f3, f5, f6 = (model.integer_forms[k].evaluate(coords) for k in (3, 5, 6))
+    f3, f5, f6 = (model.forms[k].evaluate(coords) for k in (3, 5, 6))
     s3, s5, s6 = model.scales[3], model.scales[5], model.scales[6]
 
     def val_of(scale, value):
@@ -522,7 +519,7 @@ class _Sections:
     def quartic_section(self) -> dict:
         section = {
             "coeffs": [frac_str(Fraction(c)) for c in self.quartic.coeffs],
-            "primitive_coeffs": primitive_int_coeffs(self.quartic),
+            "primitive_coeffs": list(integer_model(self.quartic)[0]),
             "discriminant": frac_str(Fraction(self.disc)),
         }
         if self.disc != 0:
@@ -580,7 +577,7 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
     config = sections.config
     data = {
         "schema": CERTIFICATE_SCHEMA,
-        "config_digest": config.digest(),
+        "config_digest": config.digest,
         "twist": {
             "label": config.twist,
             "lambda1": frac_str(config.lambda1),

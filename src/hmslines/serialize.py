@@ -19,6 +19,10 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    """An int or a string such as "-3/16" as a Fraction; floats are
+    refused, since their binary value is not the decimal written."""
+    if isinstance(s, float):
+        raise ConfigError(f"not an exact rational: {s!r}; write it as a string")
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -39,7 +43,7 @@ def jsonable(value):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    raise ConfigError(f"cannot serialize {type(value).__name__}")
+    raise ConfigError(f"cannot serialize {type(value).__name__} {value!r}")
 
 
 def canonical_json(data) -> str:

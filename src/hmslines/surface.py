@@ -17,12 +17,11 @@ the certificate path to it as the exact-rational oracle.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import BadLocusError, HmsError, RationalityError
 from .linalg import mat_mul, rref
-from .mpoly import SparsePoly, coeff_is_zero, integer_form
+from .mpoly import SparsePoly, coeff_is_zero
 from .scalars import CycloElt, OMEGA, SQRT_MINUS_3, valuation_of_rational
 
 
@@ -119,11 +118,12 @@ def twist_by_name(name: str, lambda1=Fraction(1), lambda2=Fraction(1)) -> TwistD
 class SurfaceModel:
     """Equations of one twisted model, with denominators cleared.
 
-    forms[k] is the integral, content-1 polynomial proportional to
-    sigma_k composed with the twist, for every k from 1 to 6; scales[k]
-    restores the symmetric function exactly: sigma_k(M y) =
-    scales[k] * forms[k](y).  The model itself is cut out by q1 = q2 =
-    q4 = 0.
+    forms[k] is the content-1 polynomial with int coefficients
+    proportional to sigma_k composed with the twist, for every k from 1
+    to 6; lines restrict it on integer numerators and p-adic points
+    evaluate it as it is.  scales[k] restores the symmetric function
+    exactly: sigma_k(M y) = scales[k] * forms[k](y).  The model itself
+    is cut out by q1 = q2 = q4 = 0.
     """
 
     twist: TwistData
@@ -142,19 +142,12 @@ class SurfaceModel:
     def q4(self) -> SparsePoly:
         return self.forms[4]
 
-    @cached_property
-    def integer_forms(self):
-        """forms with int coefficients, converted once per model, for
-        restriction to lines on integer numerators and evaluation at
-        p-adic points."""
-        return {k: integer_form(f) for k, f in self.forms.items()}
-
     def profile_at(self, pt) -> "SigmaProfile":
         """Sigma invariants of a point of this model.
 
-        Evaluates the composed (rational) symmetric forms directly, so
-        the coordinates may live in any scalar ring whose elements
-        multiply with Fractions.  Values come out rational for rational
+        Evaluates the composed symmetric forms directly, so the
+        coordinates may live in any scalar ring whose elements multiply
+        with ints and Fractions.  Values come out rational for rational
         points even when the twist matrix itself is irrational.
         """
         values = [self.scales[k] * self.forms[k].evaluate(pt) for k in range(1, 7)]

@@ -21,6 +21,11 @@ def write_config(tmp_path, name="cfg.json", base="rho0-demo.json", **overrides):
     return str(path)
 
 
+def assert_counters_add_up(stats):
+    """Every candidate of an exhausted search is counted exactly once."""
+    assert sum(v for k, v in stats.items() if k != "candidates") == stats["candidates"]
+
+
 def test_verify_paper_passes(capsys):
     assert cli.main(["verify-paper"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -75,6 +80,17 @@ def test_find_line_rejects_unknown_keys(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_find_line_refuses_a_float_before_searching(tmp_path, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "find_lines", search)
+    path = write_config(tmp_path, base="char3-demo.json", lambda1=0.5)
+    assert cli.main(["find-line", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "0.5" in err
+
+
 def test_find_line_rejects_bad_max_results(tmp_path, capsys):
     path = write_config(tmp_path)
     rc = cli.main(["find-line", "--config", path, "--max-results", "0"])
@@ -89,7 +105,9 @@ def test_find_line_exhausted_search(tmp_path, capsys):
         height_bound=1,
     )
     assert cli.main(["find-line", "--config", path]) == 2
-    assert "no line found" in capsys.readouterr().err
+    message, stats = capsys.readouterr().err.splitlines()
+    assert message.startswith("no line found")
+    assert_counters_add_up(json.loads(stats))
 
 
 def test_find_line_max_results_partial(tmp_path, capsys):
@@ -197,7 +215,11 @@ def test_exit_code_4_when_precision_is_starved(tmp_path, capsys):
 
     rc = cli.main(["find-line", "--config", cfg])
     assert rc == 4
-    assert "precision" in capsys.readouterr().err
+    message, stats = capsys.readouterr().err.splitlines()
+    assert "precision" in message
+    stats = json.loads(stats)
+    assert stats["precision_failures"] > 0
+    assert_counters_add_up(stats)
 
 
 def test_certify_recovers_with_enough_precision(tmp_path, capsys):

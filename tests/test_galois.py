@@ -12,7 +12,7 @@ from hmslines.galois import (
     resolvent_cubic,
     solvability_report,
 )
-from hmslines.quartics import BinaryQuartic
+from hmslines.quartics import BinaryQuartic, integer_model
 
 from galois_battery import ALLOWED_TYPES, WITNESS_TYPES, battery, good_primes
 
@@ -144,7 +144,7 @@ def test_cycle_type_is_the_factor_pattern_mod_p(coeffs, p, at_infinity):
     if at_infinity:
         coeffs[4] *= p
     assume(any(coeffs))
-    ics = hensel.primitive_int_coeffs(Q(coeffs))
+    ics, _ = integer_model(Q(coeffs))
     disc = BinaryQuartic(ics).discriminant()
     assume(disc % p != 0)
     affine = hensel.pmod(ics, p)
@@ -170,7 +170,9 @@ def test_sieve_agrees_with_zassenhaus_on_the_battery(q, k, m, sign):
     gives."""
     moved_coeffs = hensel.compose_binary(list(q.coeffs), ((1, k * m), (0, m)))
     moved = Q([sign * c for c in moved_coeffs])
-    reference = galois._galois_group(*galois._squarefree_factors(moved))
+    reference = galois._galois_group(
+        moved.discriminant(), hensel.factor_binary_quartic(moved)
+    )
     assert quartic_galois_group(moved) == reference
     rep = solvability_report(moved)
     assert rep.overall_label == reference.label

@@ -206,7 +206,7 @@ def test_cone_frame_conic_matches_substitute():
     # the one restriction a chart makes: the tangent conic at the seed
     model = rho0_model()
     chart = TangentConeChart(model, RHO0_SEED)
-    (conic,) = restrict_in_integers([model.integer_forms[2]], chart.frame0.U)
+    (conic,) = restrict_in_integers([model.forms[2]], chart.frame0.U)
     assert conic == substituted(model.q2, chart.frame0.U)
     assert all(type(c) is F for c in conic.terms.values())
     assert conic.evaluate(chart.c0) == 0
@@ -466,7 +466,8 @@ def test_cusp_proximity_examples():
 
 
 def test_cusp_proximity_respects_noncusp_choice():
-    report = cusp_proximity([(9, 1, 5, 27, 81, 243)], p=3, noncusp=(0, 3))
+    # coordinates 1 and 2 span the cusp line: the unit 5 does not count
+    report = cusp_proximity([(9, 1, 5, 27, 81, 243)], p=3)
     assert report.depths == (2,)
     with pytest.raises(HmsError):
         cusp_proximity([(0, 0, 0, 0, 0, 0)], p=3)

@@ -1,14 +1,12 @@
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmslines.errors import HmsError
 from hmslines.mpoly import (
     SparsePoly,
     elementary_symmetric,
-    integer_form,
     restrict_in_integers,
     restrict_to_basis,
     restrict_to_span,
@@ -25,8 +23,8 @@ ENTRIES = st.one_of(
 
 @st.composite
 def integral_forms(draw):
-    """A homogeneous form of degree 1-4 in 6 variables with Fraction
-    coefficients of denominator 1, as the forms of a model have."""
+    """A homogeneous form of degree 1-4 in 6 variables with int
+    coefficients, as the forms of a model have."""
     degree = draw(st.integers(1, 4))
     variables = st.lists(st.integers(0, 5), min_size=degree, max_size=degree)
     monomials = draw(st.lists(variables, min_size=1, max_size=12))
@@ -34,7 +32,7 @@ def integral_forms(draw):
     for variables in monomials:
         counts = Counter(variables)
         exp = tuple(counts[i] for i in range(6))
-        terms[exp] = Fraction(draw(st.integers(-(10**6), 10**6)))
+        terms[exp] = draw(st.integers(-(10**6), 10**6))
     return SparsePoly(6, terms)
 
 
@@ -84,9 +82,10 @@ def test_canonical_scale_times_form_recovers_poly():
     f = P(2, {(2, 0): Fraction(4, 6), (1, 1): Fraction(-2, 3)})
     scale, form = f.canonical()
     assert form.map_coeffs(lambda c: scale * c) == f
-    # content one, leading coefficient positive
+    # int coefficients of content one, leading coefficient positive
     coeffs = list(form.terms.values())
-    assert all(c.denominator == 1 for c in coeffs)
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(*coeffs) == 1
     lead = form.sorted_terms()[0][1]
     assert lead > 0
 
@@ -130,7 +129,7 @@ def test_restriction_kernel_matches_substitute(f, k, data):
     rows = [data.draw(st.lists(ENTRIES, min_size=6, max_size=6)) for _ in range(k)]
     want = typed_terms(substituted(f, rows))
     assert typed_terms(restrict_to_span(f, rows)) == want
-    (in_integers,) = restrict_in_integers([integer_form(f)], rows)
+    (in_integers,) = restrict_in_integers([f], rows)
     assert typed_terms(in_integers) == want
     if k == 2:
         assert typed_terms(restrict_to_basis(f, *rows)) == want
@@ -143,10 +142,3 @@ def test_restriction_kernel_keeps_polynomial_coefficients():
     f = P(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     rows = [[one, a], [a, P(1, {})]]
     assert restrict_to_span(f, rows) == substituted(f, rows)
-
-
-def test_integer_form_refuses_to_truncate():
-    assert integer_form(P(2, {(1, 0): 3, (0, 1): -4})).terms == {(1, 0): 3, (0, 1): -4}
-    assert all(type(c) is int for c in integer_form(P(2, {(1, 0): 3})).terms.values())
-    with pytest.raises(HmsError, match="not an integer"):
-        integer_form(P(2, {(1, 0): 3, (0, 1): Fraction(7, 2)}))

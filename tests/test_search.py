@@ -24,7 +24,7 @@ from hmslines import (
     parse_config,
     quartic_of_line,
 )
-from hmslines import search
+from hmslines import quartics, search
 from hmslines.hensel import hensel_factor_quartic
 from hmslines.padics import IndeterminateValuation, UnramifiedRing
 from hmslines.scalars import primitive_integers, valuation_of_rational
@@ -91,8 +91,8 @@ def test_parse_config_reads_demo():
     assert cfg.height_bound == 50
     assert cfg.precision == 12
     # the digest is a stable hex fingerprint of the raw dict
-    assert cfg.digest() == demo_config("rho0-demo.json").digest()
-    assert len(cfg.digest()) == 64
+    assert cfg.digest == demo_config("rho0-demo.json").digest
+    assert len(cfg.digest) == 64
 
 
 def test_parse_config_rejects_defects():
@@ -128,6 +128,32 @@ def test_parse_config_rejects_defects():
     assert parse_config(ok).k3 == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"lambda1": 0.5},
+        {"targets": [{"place": "real", "params": ["2", 0.0625, "3"]}]},
+        {"seed_point": [-1, 0, 1, -1, -1, 1.0]},
+        {"targets": [{"place": 5.0, "params": ["2", "1/16", "3"]}], "k5": 1},
+    ],
+)
+def test_parse_config_refuses_floats(overrides):
+    # a JSON float is not an exact rational; it is refused up front,
+    # naming the value, not when the first certificate takes the digest
+    with pytest.raises(ConfigError, match=r"0\.5|0\.0625|1\.0|5\.0"):
+        demo_config("rho0-demo.json", **overrides)
+
+
+def test_config_digest_is_taken_once():
+    with open(config_path("char3-demo.json")) as fh:
+        data = json.load(fh)
+    cfg = parse_config(data)
+    data["height_bound"] += 1
+    assert cfg.digest == (
+        "3d5fe966610aa0b52108a308f00b265caece0f0818b34453e1cc895a90b4df03"
+    )
+
+
 def test_candidate_enumeration_walks_outward():
     cfg = load_config(config_path("char3-demo.json"))
     reps, moduli = _combined_parameters(cfg)
@@ -157,7 +183,7 @@ def test_rho0_demo_finds_real_line():
     assert cert.passed
     data = cert.data
     assert data["schema"] == CERTIFICATE_SCHEMA
-    assert data["config_digest"] == cfg.digest()
+    assert data["config_digest"] == cfg.digest
     assert data["chart"]["kind"] == "tangent-cone"
     assert data["chart"]["params"] == ["2", "1/16", "3"]
     assert data["real"] == {"root_count": 4, "required": True}
@@ -308,6 +334,28 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(search, name, counting)
     return results
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("rho0-demo.json", REAL_LINE_ROWS), ("char3-demo.json", CHAR3_LINE_ROWS)]
+)
+def test_certify_line_builds_one_integer_model(monkeypatch, name, rows):
+    # the discriminant, the real root count, Hensel at 3 and 5, Galois
+    # and the certificate's primitive_coeffs all read the quartic's one
+    # integer model
+    built = []
+    primitive = quartics.primitive_integers
+
+    def counting(values):
+        built.append(tuple(values))
+        return primitive(values)
+
+    monkeypatch.setattr(quartics, "primitive_integers", counting)
+    cfg = demo_config(name)
+    model = build_model(cfg)
+    cert = certify_line(Line(rows), model, cfg)
+    assert cert.data["galois"] is not None
+    assert len(built) == 1
 
 
 def test_gate_failures_build_no_galois_section(monkeypatch):
