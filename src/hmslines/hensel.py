@@ -1,9 +1,9 @@
-"""Univariate polynomial arithmetic mod p / mod p^K, Hensel lifting,
-factorization over Q for degree <= 4, and local unramifiedness analysis
-of binary quartics.
+"""Factorization mod p, Hensel lifting, factorization over Q for
+degree <= 4, and local unramifiedness analysis of binary quartics.
 
-Polynomials are coefficient lists, low degree first, trailing zeros
-stripped.  The zero polynomial is [].
+Polynomials are the coefficient lists of the kernel mod p^k in
+`padics`, low degree first, trailing zeros stripped, and all their
+arithmetic mod p or p^k is that kernel's.
 
 Every lift goes through `hensel_pair_lift`, quadratic Hensel lifting
 of a coprime pair with its Bezout coefficients.
@@ -23,120 +23,12 @@ from itertools import combinations
 from math import comb, isqrt
 
 from .errors import HmsError, PrecisionError
-from .padics import UnramifiedRing
+from .padics import (
+    UnramifiedRing, deg, padd, pderiv, pdivmod, pext_euclid, peval, pgcd, pmod, pmul,
+    ppowmod, pscale, psub, trim,
+)
 from .quartics import BinaryQuartic, integer_model
 from .scalars import primitive_integers, split_p_power
-
-# -- coefficient-list helpers ------------------------------------------
-
-
-def trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def deg(f):
-    return len(f) - 1
-
-
-def pmod(f, p):
-    return trim([c % p for c in f])
-
-
-def padd(f, g, p):
-    return psub(f, [-c for c in g], p)
-
-
-def psub(f, g, p):
-    n = max(len(f), len(g))
-    return trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-                 for i in range(n)])
-
-
-def pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return trim(out)
-
-
-def pscale(f, c, p):
-    return trim([(a * c) % p for a in f])
-
-
-def pdivmod(f, g, p):
-    """Division with remainder mod p; lc(g) must be invertible mod p."""
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    f = pmod(f, p)
-    g = pmod(g, p)
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and f:
-        c = (f[-1] * inv) % p
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[i + k] = (f[i + k] - c * b) % p
-        f = trim(f)
-    return trim(q), f
-
-
-def pgcd(f, g, p):
-    """Monic gcd mod p."""
-    f, g = pmod(f, p), pmod(g, p)
-    while g:
-        f, g = g, pdivmod(f, g, p)[1]
-    if f:
-        f = pscale(f, pow(f[-1], -1, p), p)
-    return f
-
-
-def pext_euclid(f, g, p):
-    """(s, t) with s*f + t*g = 1 mod p, for coprime f, g."""
-    r0, r1 = pmod(f, p), pmod(g, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    if deg(r0) != 0:
-        raise HmsError("polynomials not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return pscale(s0, inv, p), pscale(t0, inv, p)
-
-
-def pderiv(f):
-    return trim([i * c for i, c in enumerate(f)][1:])
-
-
-def ppowmod(base, e, modpoly, p):
-    """base^e mod (modpoly, p)."""
-    result = [1]
-    base = pdivmod(base, modpoly, p)[1]
-    while e:
-        if e & 1:
-            result = pdivmod(pmul(result, base, p), modpoly, p)[1]
-        base = pdivmod(pmul(base, base, p), modpoly, p)[1]
-        e >>= 1
-    return result
-
-
-def peval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
 
 # -- factorization mod p for degree <= 4 --------------------------------
 

@@ -1,4 +1,11 @@
-"""Unramified p-adic rings mod p^K, with sound valuations.
+"""Polynomials mod p^k, and unramified p-adic rings mod p^K with sound
+valuations.
+
+The kernel is univariate polynomial arithmetic over Z/p^k, k >= 1, on
+coefficient lists: low degree first, trailing zeros stripped, the zero
+polynomial [].  Its modulus argument is named `p` whatever k is, and
+`pdivmod` needs a divisor whose leading coefficient is a unit.  Hensel
+lifting in `hensel` and the ring arithmetic below both run on it.
 
 `UnramifiedRing` models (Z/p^K)[t]/(m) for m monic and irreducible
 mod p: the ring of integers of the unramified extension of Q_p of
@@ -20,6 +27,120 @@ from fractions import Fraction
 
 from .errors import HmsError
 from .scalars import split_p_power
+
+
+# -- the polynomial kernel mod p^k ---------------------------------------
+
+
+def trim(f):
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def deg(f):
+    return len(f) - 1
+
+
+def pmod(f, p):
+    return trim([c % p for c in f])
+
+
+def padd(f, g, p):
+    return psub(f, [-c for c in g], p)
+
+
+def psub(f, g, p):
+    n = max(len(f), len(g))
+    return trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
+                 for i in range(n)])
+
+
+def pmul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return trim(out)
+
+
+def pscale(f, c, p):
+    return trim([(a * c) % p for a in f])
+
+
+def pdivmod(f, g, p):
+    """Division with remainder mod p; lc(g) must be invertible mod p."""
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    f = pmod(f, p)
+    g = pmod(g, p)
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    while len(f) >= len(g) and f:
+        c = (f[-1] * inv) % p
+        k = len(f) - len(g)
+        q[k] = c
+        for i, b in enumerate(g):
+            f[i + k] = (f[i + k] - c * b) % p
+        f = trim(f)
+    return trim(q), f
+
+
+def pgcd(f, g, p):
+    """Monic gcd mod p."""
+    f, g = pmod(f, p), pmod(g, p)
+    while g:
+        f, g = g, pdivmod(f, g, p)[1]
+    if f:
+        f = pscale(f, pow(f[-1], -1, p), p)
+    return f
+
+
+def pext_euclid(f, g, p):
+    """(s, t) with s*f + t*g = 1 mod p, for coprime f, g."""
+    r0, r1 = pmod(f, p), pmod(g, p)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
+        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+    if deg(r0) != 0:
+        raise HmsError("polynomials not coprime mod p")
+    inv = pow(r0[0], -1, p)
+    return pscale(s0, inv, p), pscale(t0, inv, p)
+
+
+def pderiv(f):
+    return trim([i * c for i, c in enumerate(f)][1:])
+
+
+def ppowmod(base, e, modpoly, p):
+    """base^e mod (modpoly, p)."""
+    result = [1]
+    base = pdivmod(base, modpoly, p)[1]
+    while e:
+        if e & 1:
+            result = pdivmod(pmul(result, base, p), modpoly, p)[1]
+        base = pdivmod(pmul(base, base, p), modpoly, p)[1]
+        e >>= 1
+    return result
+
+
+def peval(f, x, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+# -- unramified rings ----------------------------------------------------
 
 
 class IndeterminateValuation:
@@ -59,49 +180,48 @@ class UnramifiedRing:
         self.deg = len(modulus) - 1
 
     def elt(self, coeffs):
-        coeffs = list(coeffs)
-        return UElt(self, (coeffs + [0] * (self.deg - len(coeffs)))[: self.deg])
+        """The element with integer coordinates `coeffs`, reduced mod
+        (p^K, m): the one entry for coordinates from outside."""
+        return self._wrap(pmod(coeffs, self.mod))
+
+    def _wrap(self, coeffs):
+        """The element of `coeffs`, a kernel result mod p^K: its
+        remainder by the modulus, padded to deg coordinates."""
+        if len(coeffs) > self.deg:
+            coeffs = pdivmod(coeffs, self.modulus, self.mod)[1]
+        return UElt(self, tuple(coeffs) + (0,) * (self.deg - len(coeffs)))
 
     def zero(self):
-        return UElt(self, [0] * self.deg)
+        return self._wrap([])
 
     def one(self):
-        return UElt(self, [1] + [0] * (self.deg - 1))
+        return self._wrap([1])
 
     def gen(self):
         if self.deg < 2:
             raise HmsError("prime ring has no generator")
-        return UElt(self, [0, 1] + [0] * (self.deg - 2))
+        return self._wrap([0, 1])
 
     def from_rational(self, x):
         x = Fraction(x)
         if x.denominator % self.p == 0:
             raise HmsError("denominator not prime to p")
-        c = x.numerator * pow(x.denominator, -1, self.mod) % self.mod
-        return self.elt([c])
-
-    def _reduce_poly(self, coeffs):
-        # reduce mod (p^K, modulus) by long division against the monic modulus
-        coeffs = [c % self.mod for c in coeffs]
-        d = self.deg
-        for i in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            coeffs[i] = 0
-            for j in range(d):
-                coeffs[i - d + j] = (coeffs[i - d + j] - c * self.modulus[j]) % self.mod
-        return coeffs[:d] + [0] * max(0, d - len(coeffs))
+        return self._wrap([x.numerator * pow(x.denominator, -1, self.mod) % self.mod])
 
 
 class UElt:
-    """Element of an UnramifiedRing, known mod p^K."""
+    """Element of an UnramifiedRing, known mod p^K.
+
+    `coeffs` is a tuple of deg coordinates, each in [0, p^K), which the
+    constructor trusts: elements come from the ring's `elt` and
+    `from_rational` or from arithmetic, never from raw coordinates.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = tuple(c % ring.mod for c in coeffs)
+        self.coeffs = coeffs
 
     def _coerce(self, x):
         if isinstance(x, UElt):
@@ -122,54 +242,40 @@ class UElt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return UElt(self.ring, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self.ring._wrap(padd(self.coeffs, o.coeffs, self.ring.mod))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UElt(self.ring, [-a for a in self.coeffs])
+        return self.ring._wrap(psub([], self.coeffs, self.ring.mod))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self.ring._wrap(psub(self.coeffs, o.coeffs, self.ring.mod))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return UElt(self.ring, [a * other for a in self.coeffs])
+            return self.ring._wrap(pscale(self.coeffs, other, self.ring.mod))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = [0] * (2 * self.ring.deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                prod[i + j] += a * b
-        if len(prod) > self.ring.deg:
-            prod = self.ring._reduce_poly(prod)
-        return UElt(self.ring, prod)
+        return self.ring._wrap(pmul(self.coeffs, o.coeffs, self.ring.mod))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise HmsError("negative powers not supported in UElt")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        ring = self.ring
+        return ring._wrap(ppowmod(self.coeffs, k, ring.modulus, ring.mod))
 
     def __eq__(self, other):
         o = self._coerce(other)

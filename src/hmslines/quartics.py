@@ -139,24 +139,16 @@ def real_root_count(q: BinaryQuartic) -> int:
 # -- roots over finite fields ------------------------------------------
 
 
-def _eval_list(cs, x, zero):
-    val = zero
-    for c in reversed(cs):
-        val = val * x + c
-    return val
-
-
-def _deflate_linear(cs, root):
-    """Divide the coefficient list by (t - root); remainder must vanish."""
-    out = []
-    acc = None
-    for c in reversed(cs):
-        acc = c if acc is None else acc * root + c
-        out.append(acc)
-    rem = out.pop()
-    if not coeff_is_zero(rem):
-        raise HmsError("not a root")
-    return list(reversed(out))
+def _divide_linear(cs, x):
+    """(quotient, remainder) of the coefficient list by (t - x): one
+    synthetic division, whose remainder is the value at x."""
+    acc = cs[-1]
+    quotient = [acc]
+    for c in reversed(cs[:-1]):
+        acc = acc * x + c
+        quotient.append(acc)
+    value = quotient.pop()
+    return quotient[::-1], value
 
 
 def roots_over_Fq(q: BinaryQuartic, field: UnramifiedRing):
@@ -186,10 +178,10 @@ def roots_over_Fq(q: BinaryQuartic, field: UnramifiedRing):
     for digits in product(range(field.p), repeat=field.deg):
         x = field.elt(digits)
         mult = 0
-        work = cs
-        while work and coeff_is_zero(_eval_list(work, x, zero)):
-            work = _deflate_linear(work, x)
+        quotient, value = _divide_linear(cs, x)
+        while coeff_is_zero(value):
             mult += 1
+            quotient, value = _divide_linear(quotient, x)
         if mult:
             roots.append(((x, one), mult))
     return roots

@@ -374,7 +374,9 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
 
 
 def _cusp_report(points, p):
-    """Distance of 3-adic intersection points from the cusp line x1 = x2."""
+    """Distance of 3-adic intersection points from the coordinate cusp
+    line spanned by e1 and e2, where the `NONCUSP` coordinates 0, 3, 4
+    and 5 vanish (`lines.cusp_proximity`)."""
     if not points:
         return None
     report = cusp_proximity([pt.coords for pt in points], p=p)

@@ -4,7 +4,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hmslines import galois, hensel
+from hmslines import galois, hensel, padics
 from hmslines.errors import HmsError
 from hmslines.galois import (
     frobenius_cycle_type,
@@ -147,10 +147,10 @@ def test_cycle_type_is_the_factor_pattern_mod_p(coeffs, p, at_infinity):
     ics, _ = integer_model(Q(coeffs))
     disc = BinaryQuartic(ics).discriminant()
     assume(disc % p != 0)
-    affine = hensel.pmod(ics, p)
-    monic = hensel.pscale(affine, pow(affine[-1], -1, p), p)
-    degrees = [hensel.deg(g) for g, _ in hensel.factor_monic_mod_p(monic, p)]
-    pattern = tuple(sorted([1] * (4 - hensel.deg(affine)) + degrees))
+    affine = padics.pmod(ics, p)
+    monic = padics.pscale(affine, pow(affine[-1], -1, p), p)
+    degrees = [padics.deg(g) for g, _ in hensel.factor_monic_mod_p(monic, p)]
+    pattern = tuple(sorted([1] * (4 - padics.deg(affine)) + degrees))
     assert frobenius_cycle_type(Q(coeffs), p) == pattern
 
 

@@ -12,15 +12,8 @@ from hmslines.hensel import (
     factor_monic_mod_p,
     hensel_factor_quartic,
     hensel_pair_lift,
-    pdivmod,
-    pext_euclid,
-    pgcd,
-    peval,
-    pmod,
-    pmul,
-    psub,
-    trim,
 )
+from hmslines.padics import pdivmod, pext_euclid, peval, pgcd, pmod, pmul, psub, trim
 from hmslines.lines import labc_line, quartic_of_line, Line
 from hmslines.quartics import BinaryQuartic
 from hmslines.search import build_model, intersection_points, parse_config

@@ -149,3 +149,37 @@ def test_unreferenced_function_is_reported():
         '__all__ = ["unused"]\n'
     )
     assert _unreferenced_functions([module], [module, elsewhere]) == ["unused"]
+
+
+def _direct_calls(source: str, name: str):
+    """Lines where a module calls `name(...)`, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
+
+
+def test_only_padics_constructs_elements():
+    # UElt trusts its coordinates to be reduced and padded; only the
+    # ring's own helpers may call it, so nothing else can hand it raw ones
+    calls = {
+        str(path.relative_to(ROOT)): _direct_calls(path.read_text(), "UElt")
+        for folder in REFERENCE_DIRS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != PACKAGE / "padics.py"
+    }
+    assert {path: lines for path, lines in calls.items() if lines} == {}
+
+
+def test_direct_call_is_reported():
+    source = (
+        "from hmslines import padics\n"
+        "from hmslines.padics import UElt\n"
+        "a = UElt(ring, (1,))\n"
+        "b = padics.UElt(ring, (1,))\n"
+        "isinstance(a, UElt)\n"
+        "c = ring.elt([1])\n"
+    )
+    assert _direct_calls(source, "UElt") == [3, 4]

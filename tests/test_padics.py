@@ -119,3 +119,49 @@ def test_precision_one_rings_are_finite_fields(p, d, data):
 def test_f25_generator_is_a_square_root_of_minus_3():
     w = UnramifiedRing(5, (3, 0, 1), 1).gen()
     assert w * w == -3
+
+
+def _product_mod(f, g, modulus, n):
+    """Oracle: the integer product of f and g, reduced by long division
+    against the monic modulus over Z, then mod n."""
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    d = len(modulus) - 1
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = prod[top]
+        for j, m in enumerate(modulus):
+            prod[top - d + j] -= c * m
+    return tuple(c % n for c in prod[:d])
+
+
+def _is_reduced(x, ring):
+    return len(x.coeffs) == ring.deg and all(0 <= c < ring.mod for c in x.coeffs)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.data(),
+)
+def test_arithmetic_matches_integer_oracle(p, K, d, k, data):
+    # any monic modulus will do for the arithmetic: the oracle needs no
+    # irreducibility, and coordinates come in unreduced
+    coords = st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d)
+    modulus = data.draw(coords) + [1]
+    R = UnramifiedRing(p, modulus, K)
+    x, y = R.elt(data.draw(coords)), R.elt(data.draw(coords))
+    num = data.draw(st.integers(-(10**6), 10**6))
+    den = data.draw(st.integers(1, 10**3).filter(lambda n: n % p))
+    r = R.from_rational(Fraction(num, den))
+    assert (x * y).coeffs == _product_mod(x.coeffs, y.coeffs, modulus, R.mod)
+    power = R.one()
+    for _ in range(k):
+        power = power * x
+    assert x**k == power
+    for z in (x, y, r, x + y, x - y, -x, x * y, x * 7, 7 - x, x**k, R.zero(), R.one()):
+        assert _is_reduced(z, R)
