@@ -16,16 +16,6 @@ def _lift(x):
     return x
 
 
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = _lift(row[0]) * v[0]
-        for a, b in zip(row[1:], v[1:]):
-            acc = acc + _lift(a) * b
-        out.append(acc)
-    return out
-
-
 def mat_mul(A, B):
     n = len(B)
     out = []
@@ -67,35 +57,3 @@ def rref(rows):
         if r == m:
             break
     return R, pivots
-
-
-def nullspace(rows):
-    """(basis, free_columns) of the right kernel of the matrix given by rows.
-
-    rows is non-empty.  Basis vector k is 1 at free column k, 0 at the
-    other free columns.
-    """
-    n = len(rows[0])
-    R, pivots = rref(rows)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -R[ri][j]
-        basis.append(v)
-    return basis, free
-
-
-def solve(A, b):
-    """One solution of A x = b, or None if inconsistent."""
-    n = len(A[0])
-    aug = [[_lift(x) for x in row] + [_lift(bv)] for row, bv in zip(A, b)]
-    R, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for ri, pc in enumerate(pivots):
-        x[pc] = R[ri][n]
-    return x

@@ -31,16 +31,16 @@ from .errors import (
     RegimeError,
     SingularPointError,
 )
-from .linalg import mat_vec, nullspace, rref, solve
+from .linalg import rref
 from .mpoly import (
     SparsePoly,
-    coeff_is_zero,
     restrict_in_integers,
     restrict_to_basis,
 )
 from .padics import IndeterminateValuation, UElt
 from .quartics import BinaryQuartic
 from .scalars import (
+    integer_numerators,
     primitive_integers,
     split_p_power,
     sup_norm_shell,
@@ -77,8 +77,10 @@ class Line:
         self.pivots = tuple(pivots)
 
     def contains(self, pt) -> bool:
-        _, pivots = rref([list(self.rows[0]), list(self.rows[1]), list(pt)])
-        return len(pivots) == 2
+        """Whether pt is on the line: its coordinates at the pivot
+        columns must give it back as a combination of the rows."""
+        p0, p1 = self.pivots
+        return all(c == pt[p0] * u + pt[p1] * v for c, u, v in zip(pt, *self.rows))
 
     def primitive_rows(self):
         return tuple(primitive_vector(row) for row in self.rows)
@@ -148,6 +150,14 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _minor_at(u, v):
+    """The first column pair (i, j), i < j, where the 2x2 minor of the
+    rows u and v is nonzero, or None when they are dependent.  For two
+    rows this pair is the pivot columns of their RREF."""
+    pairs = ((i, j) for i in range(len(u)) for j in range(i + 1, len(u)))
+    return next(((i, j) for i, j in pairs if u[i] * v[j] != u[j] * v[i]), None)
+
+
 def _chord_indices(c):
     """i, the first index of the nonzero frame coordinates c, then j1 < j2."""
     i = next(k for k in range(3) if c[k] != 0)
@@ -160,39 +170,52 @@ class _ConeFrame:
     V, cut out by the hyperplane q1 and the polar hyperplane of x, has
     dimension 4 and contains x; U is a complement of x inside V, and q2
     on V descends to a conic on U whose points are the rulings at x.
-    Basis vector k of V (from `nullspace`) is 1 at the k-th free column
-    and 0 at the others, so a vector of V has its coordinates there.
-    gram and q1_row are the model's integer `gram_matrix(q2)` and
-    `linear_row(q1)`, which every frame of a chart shares."""
+    Everything is integral and projective, so x may be any integer
+    multiple of the point.  Basis vector k of V is Cramer's solution of
+    [q1_row; G x] on the pivot columns: the pivot minor det at the k-th
+    free column and 0 at the other free columns, one common factor det
+    for the whole basis.  gram and q1_row are the model's integer
+    `gram_matrix(q2)` and `linear_row(q1)`, which every frame of a chart
+    shares; polar is G x."""
 
     def __init__(self, x, gram, q1_row):
-        x = [Fraction(c) for c in x]
         self._gram = gram
-        self._rows = [q1_row, mat_vec(gram, x)]
+        self._q1_row = q1_row
+        self.polar = [_dot(row, x) for row in gram]
         # q1(x) and B(x, x) = 2 q2(x) vanish exactly on both quadrics
         if not self._in_tangent_space(x):
             raise NotOnSurfaceError("tangent cone needs a point on both quadrics")
-        V, self._free = nullspace(self._rows)
-        if len(V) != 4:
+        pivots = _minor_at(q1_row, self.polar)
+        if pivots is None:
             raise SingularPointError(
                 "polar hyperplane degenerates; the point is singular on the pencil"
             )
+        (p0, p1), a, b = pivots, q1_row, self.polar
+        det = a[p0] * b[p1] - a[p1] * b[p0]
+        self._free = [j for j in range(len(x)) if j not in pivots]
+        V = []
+        for j in self._free:
+            v = [0] * len(x)
+            v[j] = det
+            v[p0] = a[p1] * b[j] - a[j] * b[p1]
+            v[p1] = a[j] * b[p0] - a[p0] * b[j]
+            V.append(v)
         self._lam = [x[j] for j in self._free]
         self._jstar = next(j for j in range(4) if self._lam[j] != 0)
         self.U = [V[j] for j in range(4) if j != self._jstar]
 
     def _in_tangent_space(self, w) -> bool:
-        return all(_dot(row, w) == 0 for row in self._rows)
+        return _dot(self._q1_row, w) == 0 and _dot(self.polar, w) == 0
 
     def project(self, w):
-        """Frame coordinates of a cone vector w, i.e. w mod x inside V."""
-        w = [Fraction(c) for c in w]
+        """Frame coordinates of a cone vector w, i.e. w mod x inside V,
+        up to a factor that is the same for every w of this frame."""
         if not self._in_tangent_space(w):
             raise HmsError("vector is not in the tangent space")
         mu = [w[j] for j in self._free]
-        alpha = mu[self._jstar] / self._lam[self._jstar]
-        coords = [mu[j] - alpha * self._lam[j] for j in range(4) if j != self._jstar]
-        if all(c == 0 for c in coords):
+        lam, js = self._lam, self._jstar
+        coords = [lam[js] * mu[j] - mu[js] * lam[j] for j in range(4) if j != js]
+        if not any(coords):
             raise DegenerateLineError("direction is proportional to the vertex")
         return coords
 
@@ -216,10 +239,9 @@ class _ConeFrame:
     @staticmethod
     def chord_parameter(c0, z):
         """Inverse of `chord_point` up to scale, on the frame coordinates
-        c0 of the base ruling and z of the chord point."""
+        c0 of the base ruling and z of the chord point, each up to scale."""
         i, j1, j2 = _chord_indices(c0)
-        shift = z[i] / c0[i]
-        r, s = shift * c0[j1] - z[j1], z[j2] - shift * c0[j2]
+        r, s = z[i] * c0[j1] - c0[i] * z[j1], c0[i] * z[j2] - z[i] * c0[j2]
         if r == 0 and s == 0:
             raise HmsError("the base point has no chord parameter")
         return r, s
@@ -227,7 +249,7 @@ class _ConeFrame:
     def tangent_chord(self, w):
         """The chord parameter whose point is w itself: E polar-orthogonal to w."""
         _, j1, j2 = _chord_indices(self.project(w))
-        Gw = mat_vec(self._gram, w)
+        Gw = [_dot(row, w) for row in self._gram]
         r, s = _dot(Gw, self.U[j2]), _dot(Gw, self.U[j1])
         if r == 0 and s == 0:
             raise HmsError("base point is singular on the conic")
@@ -283,21 +305,20 @@ def _congruence_diagonalize(G):
     return [G[i][i] for i in range(n)]
 
 
-def rational_conic_point(conic: SparsePoly, height: int = 24):
-    """Deterministic small-height search for a rational point on a conic.
+def rational_conic_point(conic, height: int = 24):
+    """Deterministic small-height search for a rational point on a conic,
+    given by the 3x3 doubled Gram matrix of its ternary quadratic form.
 
     Scans primitive integer triples by increasing sup-norm.  When the
     scan fails, the conic is diagonalized: a zero diagonal entry yields
     a point after all, and otherwise a ConicPointError reports the
     squarefree discriminant of a quadratic extension that would work.
     """
-    if conic.nvars != 3:
-        raise HmsError("conic must be a ternary form")
     for h in range(1, height + 1):
-        for x, y, z in sup_norm_shell(h):
-            if gcd(x, y, z) == 1 and coeff_is_zero(conic.evaluate([x, y, z])):
-                return [Fraction(x), Fraction(y), Fraction(z)]
-    diag = _congruence_diagonalize(gram_matrix(conic))
+        for point in sup_norm_shell(h):
+            if gcd(*point) == 1 and _dot(point, [_dot(r, point) for r in conic]) == 0:
+                return list(point)
+    diag = _congruence_diagonalize(conic)
     nonzero = [d for d in diag if d != 0]
     if len(nonzero) < 3:
         raise ConicPointError(
@@ -320,62 +341,77 @@ class TangentConeChart:
     through w_a.  `params_of` inverts the chart at line level: away
     from b = 0 it recovers the exact parameters, while lines through
     the seed (where (a, c) -> ruling collapses a dimension) get one
-    canonical preimage.  The seed's conic is restricted once, for c0."""
+    canonical preimage.  Both directions run on integer vectors and the
+    model's integer Gram matrix G of q2; only the returned (a, b, c) are
+    rationals.  The seed's conic is the integer matrix U G U^T of its
+    frame, formed once for c0."""
 
     kind = "tangent-cone"
 
     def __init__(self, model: SurfaceModel, seed):
         self.gram = gram_matrix(model.forms[2])
         self.q1_row = linear_row(model.forms[1])
-        self.seed = [Fraction(c) for c in primitive_vector(seed)]
+        self.seed = list(primitive_vector(seed))
         self.frame0 = _ConeFrame(self.seed, self.gram, self.q1_row)
-        (conic,) = restrict_in_integers([model.forms[2]], self.frame0.U)
-        self.c0 = rational_conic_point(conic, 24)
-        self.w0 = [_dot(self.c0, col) for col in zip(*self.frame0.U)]
+        U = self.frame0.U
+        GU = [[_dot(row, u) for row in self.gram] for u in U]
+        self.conic = [[_dot(u, gv) for gv in GU] for u in U]
+        self.c0 = rational_conic_point(self.conic, 24)
+        self.w0 = [_dot(self.c0, col) for col in zip(*U)]
 
     def direction(self, a):
-        return primitive_vector(self.frame0.chord_point(self.w0, a, 1))
+        y = self.frame0.chord_point(self.w0, a.numerator, a.denominator)
+        return primitive_vector(y)
 
     def _walk(self, w, b):
-        """The point seed + b * w and its frame."""
+        """An integer multiple of the point seed + b * w, and its frame."""
         if b == 0:
             return self.seed, self.frame0
-        x1 = [xi + b * wi for xi, wi in zip(self.seed, w)]
+        x1 = [b.denominator * xi + b.numerator * wi for xi, wi in zip(self.seed, w)]
         return x1, _ConeFrame(x1, self.gram, self.q1_row)
 
     def line_at(self, a, b, c) -> Line:
         w = self.direction(a)
-        x1, frame = self._walk(w, Fraction(b))
-        return Line([x1, frame.chord_point(w, c, 1)])
+        x1, frame = self._walk(w, b)
+        return Line([x1, frame.chord_point(w, c.numerator, c.denominator)])
 
     def params_of(self, line: Line):
         """Chart coordinates of a line in the quadric pencil.
 
         Raises when the line sits outside the chart (a parameter lands
         at infinity, or the cone intersection degenerates)."""
-        P, Q = line.rows
+        P, Q = (integer_numerators(row)[1] for row in line.rows)
         if line.contains(self.seed):
             # the line is itself a ruling at the seed; any other ruling
             # may serve as the a-direction, so pick one deterministically
-            other = P if self._independent(P, self.seed) else Q
+            other = P if _minor_at(P, self.seed) else Q
             a = self._ruling_parameter(self._companion_base(other))
             w, b = self.direction(a), Fraction(0)
         else:
             # the line meets the polar hyperplane of the seed at y0
-            bp, bq = (_dot(mat_vec(self.gram, self.seed), v) for v in (P, Q))
+            bp, bq = (_dot(self.frame0.polar, v) for v in (P, Q))
             y0 = [bq * p - bp * q for p, q in zip(P, Q)] if bp or bq else P
             a = self._ruling_parameter(self.frame0.project(y0))
             w = self.direction(a)
-            mu = solve(list(zip(self.seed, w)), y0)
-            if mu is None or mu[0] == 0:
-                raise HmsError("line meets the cone only along the base conic")
-            b = mu[1] / mu[0]
+            b = self._step(w, y0)
         x1, frame = self._walk(w, b)
-        zdir = P if self._independent(P, x1) else Q
+        zdir = P if _minor_at(P, x1) else Q
         r2, s2 = frame.chord_parameter(frame.project(w), frame.project(zdir))
         if s2 == 0:
             raise HmsError("line parameter at infinity; not in this chart")
-        return a, b, r2 / s2
+        return a, b, Fraction(r2, s2)
+
+    def _step(self, w, y):
+        """The b with y proportional to seed + b * w, by Cramer's rule on
+        a nonzero 2x2 minor of (seed, w); w, a ruling direction, is
+        never proportional to the seed."""
+        x = self.seed
+        i, j = _minor_at(x, w)
+        det = x[i] * w[j] - x[j] * w[i]
+        m0, m1 = y[i] * w[j] - y[j] * w[i], x[i] * y[j] - x[j] * y[i]
+        if m0 == 0 or any(det * yc != m0 * xc + m1 * wc for yc, xc, wc in zip(y, x, w)):
+            raise HmsError("line meets the cone only along the base conic")
+        return Fraction(m1, m0)
 
     def _ruling_parameter(self, u):
         """The a with ruling direction u (frame coordinates at the seed);
@@ -386,7 +422,7 @@ class TangentConeChart:
             r, s = self.frame0.tangent_chord(self.w0)
         if s == 0:
             raise HmsError("ruling parameter at infinity; not in this chart")
-        return r / s
+        return Fraction(r, s)
 
     def _companion_base(self, other):
         """Frame coordinates of a seed ruling other than `other`, joined
@@ -398,14 +434,9 @@ class TangentConeChart:
                 cand = self.frame0.project(self.frame0.chord_point(other, r0, s0))
             except DegenerateLineError:
                 continue
-            if self._independent(cand, z):
+            if _minor_at(cand, z):
                 return cand
         raise HmsError("ruling admits no companion chord in this chart")
-
-    @staticmethod
-    def _independent(v, x) -> bool:
-        _, pivots = rref([list(v), list(x)])
-        return len(pivots) == 2
 
 
 # -- the explicit three-parameter family on the cube-root twist --------

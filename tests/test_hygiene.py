@@ -1,8 +1,10 @@
 """Source hygiene: every name a module imports is used by that module,
 every name the package imports in `__init__.py` is exported, every
-function or method the package defines is referenced somewhere, and
-none exists only for tests to reach unless it is allowlisted."""
+function or method the package defines is referenced somewhere, none
+exists only for tests to reach unless it is allowlisted, and the README
+layout table has one row per module."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -183,3 +185,23 @@ def test_direct_call_is_reported():
         "c = ring.elt([1])\n"
     )
     assert _direct_calls(source, "UElt") == [3, 4]
+
+
+def _layout_modules(readme: str):
+    """Modules named in the first column of the README's library layout table."""
+    table = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `hmslines\.(\w+)`", table, re.MULTILINE))
+
+
+def test_layout_table_has_a_row_per_module():
+    rows = _layout_modules((ROOT / "README.md").read_text())
+    assert rows == {path.stem for path in MODULES}
+
+
+def test_layout_table_is_read():
+    readme = (
+        "## Library layout\n\n| module | contents |\n|---|---|\n"
+        "| `hmslines.lines` | charts |\n| `hmslines.cli`  | the `hmslines.x` entry |\n"
+        "\n## Later\n\n| `hmslines.search` | not in the table |\n"
+    )
+    assert _layout_modules(readme) == {"lines", "cli"}

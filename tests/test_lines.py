@@ -4,6 +4,7 @@ from hashlib import sha256
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hmslines import (
     DegenerateLineError,
@@ -29,18 +30,20 @@ from hmslines import (
 )
 from hmslines.errors import ConicPointError
 from hmslines import lines
-from hmslines.linalg import nullspace, rref
+from hmslines.linalg import rref
 from hmslines.lines import (
+    gram_matrix,
     lies_in,
     linear_row,
     primitive_vector,
     rational_conic_point,
 )
-from hmslines.mpoly import restrict_in_integers
 from hmslines.quartics import BinaryQuartic
 from hmslines.search import _candidate_params, _combined_parameters, load_config
 
 F = Fraction
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
 RHO0_SEED = (F(-1), F(0), F(1), F(-1), F(-1), F(1))
 
@@ -62,6 +65,25 @@ def test_line_canonical_form_and_equality():
     pt = [F(5) * p + F(-2) * q for p, q in zip(*a.rows)]
     assert a.contains(pt)
     assert not a.contains((1, 0, 0, 0, 0, 1))
+
+
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+@PROPERTY
+@given(st.data())
+def test_line_contains_agrees_with_rank(data):
+    ints = st.integers(-6, 6)
+    P, Q = (data.draw(st.lists(ints, min_size=6, max_size=6)) for _ in range(2))
+    assume(rank([P, Q]) == 2)
+    line = Line([P, Q])
+    t, u = (data.draw(st.builds(F, ints, st.integers(1, 5))) for _ in range(2))
+    point = [t * p + u * q for p, q in zip(P, Q)]
+    assert line.contains(point)
+    shift = data.draw(st.builds(F, ints, st.integers(1, 5)))
+    point[data.draw(st.integers(0, 5))] += shift
+    assert line.contains(point) == (rank([P, Q, point]) == 2)
 
 
 def test_line_rejects_bad_spans():
@@ -202,20 +224,44 @@ def test_quartic_of_line_matches_substitute_on_demo_charts():
         assert [(c, type(c)) for c in got.coeffs] == [(c, type(c)) for c in want.coeffs]
 
 
+def rref_kernel(rows):
+    """(basis, free columns) of the kernel of rows, read off their RREF:
+    basis vector k is 1 at free column k and 0 at the other free columns."""
+    R, pivots = rref(rows)
+    free = [j for j in range(len(rows[0])) if j not in pivots]
+    basis = []
+    for j in free:
+        v = [F(int(k == j)) for k in range(len(rows[0]))]
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][j]
+        basis.append(v)
+    return basis, free
+
+
 def test_cone_frame_conic_matches_substitute():
-    # the one restriction a chart makes: the tangent conic at the seed
+    # the seed's conic is U G U^T on integers, the Gram matrix of q2 on U
     model = rho0_model()
     chart = TangentConeChart(model, RHO0_SEED)
-    (conic,) = restrict_in_integers([model.forms[2]], chart.frame0.U)
-    assert conic == substituted(model.q2, chart.frame0.U)
-    assert all(type(c) is F for c in conic.terms.values())
+    U = chart.frame0.U
+    conic = substituted(model.q2, U)
+    assert chart.conic == gram_matrix(conic)
+    assert all(type(c) is int for row in chart.conic for c in row)
     assert conic.evaluate(chart.c0) == 0
+    # U is the RREF kernel basis of [q1; G seed] without the first free
+    # column where the seed is nonzero, all of it scaled by one factor: a
+    # factor per vector would move c0 and with it every chart line
+    polar = [sum(g * x for g, x in zip(row, chart.seed)) for row in chart.gram]
+    kernel, free = rref_kernel([linear_row(model.q1), polar])
+    jstar = next(k for k, j in enumerate(free) if chart.seed[j] != 0)
+    old_U = [v for k, v in enumerate(kernel) if k != jstar]
+    factor = next(u / v for u, v in zip(U[0], old_U[0]) if v)
+    assert U == [[factor * c for c in v] for v in old_U]
 
 
 def test_quartic_of_line_rejects_a_line_off_the_second_quadric():
     model = rho0_model()
-    hyperplane, _ = nullspace([linear_row(model.q1)])
-    off = Line(hyperplane[:2])
+    assert linear_row(model.q1) == [2, 0, 2, 0, 1, 1]
+    off = Line([(0, 1, 0, 0, 0, 0), (-1, 0, 1, 0, 0, 0)])
     assert lies_in(off, model.q1) and not lies_in(off, model.q2)
     with pytest.raises(NotOnSurfaceError):
         quartic_of_line(off, model)
@@ -266,6 +312,32 @@ def test_chart_roundtrip_is_exact_off_the_seed():
     for abc in triples:
         line = chart.line_at(*abc)
         assert chart.params_of(line) == abc
+
+
+SMALL = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+
+
+@PROPERTY
+@given(SMALL, st.one_of(st.just(F(0)), SMALL), SMALL)
+def test_chart_round_trip(a, b, c):
+    # exact off the seed; a line through the seed (b = 0) comes back as
+    # a line, since its (a, c) are not unique
+    chart = TangentConeChart(rho0_model(), RHO0_SEED)
+    line = chart.line_at(a, b, c)
+    if b != 0:
+        assert chart.params_of(line) == (a, b, c)
+    else:
+        assert chart.line_at(*chart.params_of(line)) == line
+
+
+def test_chart_refuses_a_line_off_the_second_quadric():
+    # the line lies in q1 only: where it meets the seed's polar hyperplane
+    # is off the cone, so no step b along a seed ruling reaches it
+    model = rho0_model()
+    off = Line([(3, 3, 3, -3, -6, -6), (-8, -1, 3, -2, 4, 6)])
+    assert lies_in(off, model.q1) and not lies_in(off, model.q2)
+    with pytest.raises(HmsError, match="base conic"):
+        TangentConeChart(model, RHO0_SEED).params_of(off)
 
 
 def test_chart_inverts_through_seed_lines_at_line_level():
@@ -365,14 +437,14 @@ def test_labc_demo_line_is_rational():
 
 
 def test_conic_point_and_chord_parametrization():
-    conic = SparsePoly(3, {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(-2)})
-    assert rational_conic_point(conic) == [F(-1), F(-1), F(-1)]
+    # x^2 + y^2 - 2 z^2, by its doubled Gram matrix
+    assert rational_conic_point([[2, 0, 0], [0, 2, 0], [0, 0, -4]]) == [-1, -1, -1]
     # the chord rule on the rho0 seed frame: every chord point lies on
     # both quadrics, and the frame inverts it on random [r : s]
     model = rho0_model()
     chart = TangentConeChart(model, RHO0_SEED)
     frame = chart.frame0
-    assert frame.project(chart.w0) == chart.c0
+    assert rank([frame.project(chart.w0), chart.c0]) == 1
     # the tangent chord returns the base ruling itself, which has no
     # chord parameter
     tr, ts = frame.tangent_chord(chart.w0)
@@ -392,7 +464,7 @@ def test_conic_point_and_chord_parametrization():
 
 
 def test_chart_restricts_no_conic_per_candidate(monkeypatch):
-    chart = TangentConeChart(rho0_model(), RHO0_SEED)
+    model = rho0_model()
     calls = []
     restrict = lines.restrict_in_integers
 
@@ -401,6 +473,7 @@ def test_chart_restricts_no_conic_per_candidate(monkeypatch):
         return restrict(*args)
 
     monkeypatch.setattr(lines, "restrict_in_integers", counting)
+    chart = TangentConeChart(model, RHO0_SEED)
     found = [chart.line_at(F(2), F(1, 16), F(3)), chart.line_at(F(1), F(0), F(2))]
     for line in found:
         chart.params_of(line)
@@ -408,9 +481,9 @@ def test_chart_restricts_no_conic_per_candidate(monkeypatch):
 
 
 def test_definite_conic_reports_extension():
-    definite = SparsePoly(3, {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)})
+    # x^2 + y^2 + z^2, by its doubled Gram matrix
     with pytest.raises(ConicPointError) as info:
-        rational_conic_point(definite, height=6)
+        rational_conic_point([[2, 0, 0], [0, 2, 0], [0, 0, 2]], height=6)
     assert info.value.extension_disc == -1
 
 
