@@ -16,20 +16,6 @@ def _lift(x):
     return x
 
 
-def mat_mul(A, B):
-    n = len(B)
-    out = []
-    for row in A:
-        new = []
-        for j in range(len(B[0])):
-            acc = _lift(row[0]) * B[0][j]
-            for k in range(1, n):
-                acc = acc + _lift(row[k]) * B[k][j]
-            new.append(acc)
-        out.append(new)
-    return out
-
-
 def rref(rows):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
     R = [[_lift(x) for x in row] for row in rows]

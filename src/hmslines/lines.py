@@ -31,12 +31,7 @@ from .errors import (
     RegimeError,
     SingularPointError,
 )
-from .linalg import rref
-from .mpoly import (
-    SparsePoly,
-    restrict_in_integers,
-    restrict_to_basis,
-)
+from .mpoly import SparsePoly, restrict_to_basis, restrict_to_span
 from .padics import IndeterminateValuation, UElt
 from .quartics import BinaryQuartic
 from .scalars import (
@@ -58,35 +53,69 @@ def primitive_vector(v):
     return tuple(ints)
 
 
-class Line:
-    """A projective line in P^5, stored by its reduced row echelon basis.
+def _minor_at(u, v):
+    """The first column pair (i, j), i < j, where the 2x2 minor of the
+    rows u and v is nonzero, or None when they are dependent.  For two
+    rows this pair is the pivot columns of their RREF."""
+    pairs = ((i, j) for i in range(len(u)) for j in range(i + 1, len(u)))
+    return next(((i, j) for i, j in pairs if u[i] * v[j] != u[j] * v[i]), None)
 
-    Two Line objects compare equal exactly when they are the same
-    subspace.  The basis rows double as a parametrization: the point at
-    [t : u] is t * rows[0] + u * rows[1].
+
+def _echelon(u, v, cols):
+    """(den, (P, Q)) for integer rows u, v with a nonzero 2x2 minor at
+    the columns cols = (i, j): P / den and Q / den are the basis of
+    their span that is (1, 0) and (0, 1) at those columns.  By Cramer's
+    rule P[k] and Q[k] are the minors of (u, v) at (k, j) and (i, k),
+    and den the one at (i, j); all are divided by their gcd, with the
+    sign that makes den > 0, so den is the least common denominator."""
+    i, j = cols
+    P = [x * v[j] - u[j] * y for x, y in zip(u, v)]
+    Q = [u[i] * y - x * v[i] for x, y in zip(u, v)]
+    g = gcd(*P, *Q)
+    if P[i] < 0:
+        g = -g
+    return P[i] // g, (tuple(p // g for p in P), tuple(q // g for q in Q))
+
+
+class Line:
+    """A projective line in P^5, stored by one primitive integer basis.
+
+    `ints` is the reduced row echelon basis at the `pivots` times its
+    least common denominator `den`, built by `_echelon` from the
+    spanning vectors scaled to integers; `rows`, the reduced rows
+    ints / den, is a view of it.  Two Line objects compare equal exactly
+    when they are the same subspace.  The basis doubles as a
+    parametrization: the point at [t : u] is t * rows[0] + u * rows[1],
+    and t * ints[0] + u * ints[1] is den times it.
     """
 
     def __init__(self, basis):
         basis = [list(row) for row in basis]
         if len(basis) != 2 or any(len(row) != 6 for row in basis):
             raise HmsError("a line needs two spanning vectors of length 6")
-        R, pivots = rref(basis)
-        if len(pivots) < 2:
+        u, v = (integer_numerators(row)[1] for row in basis)
+        self.pivots = _minor_at(u, v)
+        if self.pivots is None:
             raise DegenerateLineError("spanning vectors are proportional")
-        self.rows = (tuple(R[0]), tuple(R[1]))
-        self.pivots = tuple(pivots)
+        self.den, self.ints = _echelon(u, v, self.pivots)
+
+    @property
+    def rows(self):
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
 
     def contains(self, pt) -> bool:
         """Whether pt is on the line: its coordinates at the pivot
-        columns must give it back as a combination of the rows."""
+        columns must give it back as a combination of the basis."""
         p0, p1 = self.pivots
-        return all(c == pt[p0] * u + pt[p1] * v for c, u, v in zip(pt, *self.rows))
+        return all(
+            self.den * c == pt[p0] * u + pt[p1] * v for c, u, v in zip(pt, *self.ints)
+        )
 
     def primitive_rows(self):
-        return tuple(primitive_vector(row) for row in self.rows)
+        return tuple(primitive_vector(row) for row in self.ints)
 
     def __eq__(self, other):
-        return isinstance(other, Line) and self.rows == other.rows
+        return isinstance(other, Line) and self.ints == other.ints
 
     def __repr__(self):
         return f"Line{self.rows!r}"
@@ -94,7 +123,7 @@ class Line:
 
 def lies_in(line: Line, f: SparsePoly) -> bool:
     """Whether the hypersurface f = 0 contains the line."""
-    return restrict_to_basis(f, line.rows[0], line.rows[1]).is_zero
+    return restrict_to_span(f, line.ints).is_zero
 
 
 def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
@@ -104,17 +133,18 @@ def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
     intersection points with the degree-8 surface are the roots of the
     returned form in the parametrization [t : u] -> t * rows[0] + u * rows[1].
 
-    The work runs on integers: each row is scaled by its own common
-    denominator (dP, dQ), the model's integral forms are restricted on
-    those numerators, and the coefficient n_i of t^i u^(4-i) is
-    rescaled exactly to n_i / (dP^i dQ^(4-i)).
+    The work runs on integers: the model's integral forms are restricted
+    on the basis `line.ints`, which is den times the rows, so the
+    coefficient n_i of t^i u^(4-i) is rescaled exactly to n_i / den^4.
     """
-    r1, r2, r4 = restrict_in_integers(
-        [model.forms[k] for k in (1, 2, 4)], line.rows
-    )
-    if not (r1.is_zero and r2.is_zero):
+    q1, q2, q4 = (model.forms[k] for k in (1, 2, 4))
+    if not (lies_in(line, q1) and lies_in(line, q2)):
         raise NotOnSurfaceError("line does not lie in the quadric part of the model")
-    return BinaryQuartic.from_sparse(r4)
+    d4 = line.den**4
+    r4 = restrict_to_span(q4, line.ints)
+    return BinaryQuartic.from_sparse(
+        SparsePoly(2, {exp: Fraction(n, d4) for exp, n in r4.terms.items()})
+    )
 
 
 # -- tangent cone ------------------------------------------------------
@@ -148,14 +178,6 @@ def linear_row(f: SparsePoly):
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _minor_at(u, v):
-    """The first column pair (i, j), i < j, where the 2x2 minor of the
-    rows u and v is nonzero, or None when they are dependent.  For two
-    rows this pair is the pivot columns of their RREF."""
-    pairs = ((i, j) for i in range(len(u)) for j in range(i + 1, len(u)))
-    return next(((i, j) for i, j in pairs if u[i] * v[j] != u[j] * v[i]), None)
 
 
 def _chord_indices(c):
@@ -380,7 +402,7 @@ class TangentConeChart:
 
         Raises when the line sits outside the chart (a parameter lands
         at infinity, or the cone intersection degenerates)."""
-        P, Q = (integer_numerators(row)[1] for row in line.rows)
+        P, Q = line.ints
         if line.contains(self.seed):
             # the line is itself a ruling at the seed; any other ruling
             # may serve as the a-direction, so pick one deterministically
@@ -455,10 +477,11 @@ def labc_points(a, b, c):
 
 
 def labc_line(a, b, c) -> Line:
-    """The line L_{a,b,c} of `labc_points`.
+    """The line L_{a,b,c} of `labc_points` for rational a, b, c.
 
     It lies in both quadrics of the cube-root twist model for every
-    a, b, c (including symbolic values)."""
+    rational a, b, c; `labc_points` over polynomials in a, b, c is what
+    checks that symbolically."""
     return Line(labc_points(a, b, c))
 
 
@@ -467,18 +490,13 @@ def labc_params_of_line(line: Line):
 
     Raises HmsError when the line does not project isomorphically to
     the (x1, x2) coordinate plane or does not match the family shape."""
-    rows = [list(line.rows[0]), list(line.rows[1])]
-    M = [[rows[0][1], rows[1][1]], [rows[0][2], rows[1][2]]]
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if det == 0:
+    u, v = line.ints
+    if u[1] * v[2] == u[2] * v[1]:
         raise HmsError("line is degenerate over the (x1, x2) plane")
-    # combos with (x1, x2) = (1, 0) and (0, 1)
-    inv = [[M[1][1] / det, -M[0][1] / det], [-M[1][0] / det, M[0][0] / det]]
-    P = [inv[0][0] * rows[0][i] + inv[1][0] * rows[1][i] for i in range(6)]
-    Q = [inv[0][1] * rows[0][i] + inv[1][1] * rows[1][i] for i in range(6)]
-    b = P[5]
-    c = Q[5]
-    a = Q[0] + b * c
+    # den * P and den * Q, the points with (x1, x2) = (1, 0) and (0, 1)
+    den, (P, Q) = _echelon(u, v, (1, 2))
+    b, c = Fraction(P[5], den), Fraction(Q[5], den)
+    a = Fraction(Q[0], den) + b * c
     if labc_line(a, b, c) != line:
         raise HmsError("line is not in the labc family")
     return a, b, c

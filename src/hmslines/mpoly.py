@@ -12,7 +12,7 @@ lexicographic, highest first.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
 from .errors import HmsError
 from .scalars import integer_numerators
@@ -299,30 +299,6 @@ def restrict_to_span(f: SparsePoly, rows) -> SparsePoly:
         len(rows),
         {tuple(key // step % base for step in steps): v for key, v in packed.items()},
     )
-
-
-def restrict_in_integers(forms, rows):
-    """restrict_to_span of each int-coefficient form, such as the forms
-    of a surface model, on rational rows.
-
-    Row j is scaled to integers once, by its common denominator d_j;
-    each restriction runs on Python ints, and the coefficient of y^e is
-    rescaled exactly to n_e / prod_j d_j^e_j (a Fraction).
-    """
-    dens, int_rows = zip(*(integer_numerators(row) for row in rows))
-    out = []
-    for f in forms:
-        restricted = restrict_to_span(f, int_rows)
-        out.append(
-            SparsePoly(
-                len(rows),
-                {
-                    exp: Fraction(n, prod(d**e for d, e in zip(dens, exp)))
-                    for exp, n in restricted.terms.items()
-                },
-            )
-        )
-    return out
 
 
 def restrict_to_basis(f: SparsePoly, P, Q) -> SparsePoly:

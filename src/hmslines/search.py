@@ -12,9 +12,9 @@ runs are byte identical.
 
 The roots of a Hensel block come from `hensel.block_roots`; this module
 owns the points: `intersection_points` maps each root (t, u) to
-t * rows[0] + u * rows[1], with its coordinates in the root's
-`UnramifiedRing` (`LocalPoint`), and every valuation of it is a
-`UElt.valuation`.
+t * ints[0] + u * ints[1] on the line's integer basis, with its
+coordinates in the root's `UnramifiedRing` (`LocalPoint`), and every
+valuation of it is a `UElt.valuation`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .lines import (
 from .padics import UnramifiedRing
 from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
-from .scalars import integer_numerators, sup_norm_shell, valuation_of_rational
+from .scalars import sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     BUILTIN_TWISTS,
@@ -138,13 +138,8 @@ def parse_config(data: dict) -> SearchConfig:
         raise ConfigError(
             f"twist must be one of {BUILTIN_TWISTS}, got {twist!r}"
         )
-    try:
-        lambda1 = parse_frac(data.get("lambda1", "1"))
-        lambda2 = parse_frac(data.get("lambda2", "1"))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad twist parameter: {exc}")
+    lambda1 = parse_frac(data.get("lambda1", "1"))
+    lambda2 = parse_frac(data.get("lambda2", "1"))
     if lambda1 == 0 or lambda2 == 0:
         raise ConfigError("twist parameters lambda1, lambda2 must be nonzero")
 
@@ -297,29 +292,19 @@ class LocalPoint:
         return self.coords[0].ring
 
 
-def _scaled_integer_rows(line: Line):
-    """Integer multiples (by one common factor) of the parametrizing rows.
-
-    The point t * rows[0] + u * rows[1] scaled by the common denominator,
-    so the [t : u] chart of quartic_of_line is preserved while
-    coordinates of points with integral t, u become integers.
-    """
-    _, ints = integer_numerators(line.rows[0] + line.rows[1])
-    return tuple(ints[:6]), tuple(ints[6:])
-
-
 def intersection_points(line: Line, report):
     """The p-adic intersection points of a line, one per root of each
     block of its local report (`block_roots`), in block order.
 
-    A root (t, u) gives the point t * rows[0] + u * rows[1].  Blocks
-    whose verdict is ramified or inconclusive contribute no points
-    (their roots live outside the unramified tower or are not pinned
-    down at this precision).
+    A root (t, u) gives the point t * ints[0] + u * ints[1], den times
+    t * rows[0] + u * rows[1]: the [t : u] chart of `quartic_of_line`,
+    with integer coordinates for integral t, u.  Blocks whose verdict
+    is ramified or inconclusive contribute no points (their roots live
+    outside the unramified tower or are not pinned down at this
+    precision).
     """
-    rows = _scaled_integer_rows(line)
     return [
-        LocalPoint(idx, tuple(t * a + u * b for a, b in zip(*rows)))
+        LocalPoint(idx, tuple(t * a + u * b for a, b in zip(*line.ints)))
         for idx, blk in enumerate(report.blocks)
         for t, u in block_roots(report, blk)
     ]
@@ -764,11 +749,10 @@ def find_lines(config: SearchConfig, max_results: int = 1):
         except HmsError:
             stats["chart_failures"] += 1
             continue
-        key = line.primitive_rows()
-        if key in seen:
+        if line.ints in seen:
             stats["duplicates"] += 1
             continue
-        seen.add(key)
+        seen.add(line.ints)
         try:
             sections = _Sections(line, model, config)
             if sections.disc == 0:

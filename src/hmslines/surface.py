@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadLocusError, HmsError, RationalityError
-from .linalg import mat_mul, rref
+from .linalg import rref
 from .mpoly import SparsePoly, coeff_is_zero
 from .scalars import CycloElt, OMEGA, SQRT_MINUS_3, valuation_of_rational
 
@@ -77,8 +77,10 @@ def rho0_twist() -> TwistData:
 def char3_twist(lambda1, lambda2) -> TwistData:
     """Cube-root-of-unity averaging twist with two scaling parameters.
 
-    Conjugation swaps the first two and the middle two rows, so the
-    composed equations are rational for every nonzero rational lambda.
+    The averaging matrix S has its columns scaled by (lambda1,
+    1/lambda1, lambda2, 1/lambda2, 1, 1).  Conjugation swaps the first
+    two and the middle two rows, so the composed equations are rational
+    for every nonzero rational lambda.
     """
     lambda1 = Fraction(lambda1)
     lambda2 = Fraction(lambda2)
@@ -96,9 +98,9 @@ def char3_twist(lambda1, lambda2) -> TwistData:
         [t, t, z, z, t, z],
         [z, z, t, t, z, t],
     ]
-    diag = [lambda1, 1 / lambda1, lambda2, 1 / lambda2, Fraction(1), Fraction(1)]
-    D = [[diag[i] if i == j else Fraction(0) for j in range(6)] for i in range(6)]
-    return TwistData(mat_mul(S, D), lambda1, lambda2, label="char3-x")
+    scale = [lambda1, 1 / lambda1, lambda2, 1 / lambda2, 1, 1]
+    matrix = [[x * d for x, d in zip(row, scale)] for row in S]
+    return TwistData(matrix, lambda1, lambda2, label="char3-x")
 
 
 BUILTIN_TWISTS = ("identity", "rho0-archimedean", "char3-x")

@@ -1,17 +1,10 @@
 from fractions import Fraction
 
-from hmslines.linalg import mat_mul, rref
+from hmslines.linalg import rref
 
 
 def F(x):
     return Fraction(x)
-
-
-def test_mat_mul():
-    A = [[F(1), F(2)], [F(3), F(4)]]
-    assert mat_mul(A, [[F(5)], [F(6)]]) == [[F(17)], [F(39)]]
-    B = [[F(0), F(1)], [F(1), F(0)]]
-    assert mat_mul(A, B) == [[F(2), F(1)], [F(4), F(3)]]
 
 
 def test_rref_pivots_and_idempotence():

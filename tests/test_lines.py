@@ -39,6 +39,7 @@ from hmslines.lines import (
     rational_conic_point,
 )
 from hmslines.quartics import BinaryQuartic
+from hmslines.scalars import integer_numerators
 from hmslines.search import _candidate_params, _combined_parameters, load_config
 
 F = Fraction
@@ -84,6 +85,31 @@ def test_line_contains_agrees_with_rank(data):
     shift = data.draw(st.builds(F, ints, st.integers(1, 5)))
     point[data.draw(st.integers(0, 5))] += shift
     assert line.contains(point) == (rank([P, Q, point]) == 2)
+
+
+RATIONAL = st.one_of(st.just(F(0)), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+NONZERO = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+@PROPERTY
+@given(st.data())
+def test_line_basis_is_the_scaled_rref(data):
+    P, Q = (data.draw(st.lists(RATIONAL, min_size=6, max_size=6)) for _ in range(2))
+    for j in data.draw(st.sets(st.integers(0, 5), max_size=3)):
+        P[j] = Q[j] = F(0)
+    if data.draw(st.booleans()):
+        # the minor at columns (0, 1) vanishes
+        k = data.draw(RATIONAL)
+        Q[0], Q[1] = k * P[0], k * P[1]
+    assume(rank([P, Q]) == 2)
+    line = Line([P, Q])
+    R, pivots = rref([P, Q])
+    assert line.rows == tuple(map(tuple, R))
+    assert line.pivots == tuple(pivots)
+    den, ints = integer_numerators(R[0] + R[1])
+    assert (line.den, line.ints) == (den, (tuple(ints[:6]), tuple(ints[6:])))
+    k, m = data.draw(RATIONAL), data.draw(NONZERO)
+    assert Line([[p + k * q for p, q in zip(P, Q)], [m * q for q in Q]]) == line
 
 
 def test_line_rejects_bad_spans():
@@ -416,13 +442,18 @@ def test_labc_family_in_quadrics():
 
 
 def test_labc_parameter_recovery():
-    a, b, c = F(2), F(3), F(4)
-    assert labc_params_of_line(labc_line(a, b, c)) == (a, b, c)
-    assert labc_params_of_line(labc_line(F(-1, 2), F(0), F(7, 3))) == (
-        F(-1, 2),
-        F(0),
-        F(7, 3),
-    )
+    # b = 0 and a = b c zero the first coordinate of P or of Q
+    triples = [
+        (F(2), F(3), F(4)),
+        (F(-1, 2), F(0), F(7, 3)),
+        (F(5), F(0), F(0)),
+        (F(0), F(0), F(-4)),
+        (F(6), F(2), F(3)),
+        (F(-3, 4), F(1, 2), F(-3, 2)),
+        (F(0), F(5, 3), F(0)),
+    ]
+    for abc in triples:
+        assert labc_params_of_line(labc_line(*abc)) == abc
     stranger = Line([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)])
     with pytest.raises(HmsError):
         labc_params_of_line(stranger)
@@ -466,13 +497,13 @@ def test_conic_point_and_chord_parametrization():
 def test_chart_restricts_no_conic_per_candidate(monkeypatch):
     model = rho0_model()
     calls = []
-    restrict = lines.restrict_in_integers
+    restrict = lines.restrict_to_span
 
     def counting(*args):
         calls.append(args)
         return restrict(*args)
 
-    monkeypatch.setattr(lines, "restrict_in_integers", counting)
+    monkeypatch.setattr(lines, "restrict_to_span", counting)
     chart = TangentConeChart(model, RHO0_SEED)
     found = [chart.line_at(F(2), F(1, 16), F(3)), chart.line_at(F(1), F(0), F(2))]
     for line in found:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hmslines.mpoly import (
     SparsePoly,
     elementary_symmetric,
-    restrict_in_integers,
     restrict_to_basis,
     restrict_to_span,
 )
@@ -129,8 +128,6 @@ def test_restriction_kernel_matches_substitute(f, k, data):
     rows = [data.draw(st.lists(ENTRIES, min_size=6, max_size=6)) for _ in range(k)]
     want = typed_terms(substituted(f, rows))
     assert typed_terms(restrict_to_span(f, rows)) == want
-    (in_integers,) = restrict_in_integers([f], rows)
-    assert typed_terms(in_integers) == want
     if k == 2:
         assert typed_terms(restrict_to_basis(f, *rows)) == want
 

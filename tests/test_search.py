@@ -105,6 +105,8 @@ def test_parse_config_rejects_defects():
         {**base, "plume": 1},
         {**base, "twist": "moebius"},
         {**base, "lambda1": "0"},
+        {**base, "lambda1": "x"},
+        {**base, "lambda2": None},
         {**base, "seed_point": ["1", "2", "3"]},
         {**base, "targets": [{"place": "real", "params": ["0", "0", "0"]},
                              {"place": "real", "params": ["1", "0", "0"]}]},

@@ -22,7 +22,7 @@ from hmslines import (
     twist_by_name,
     twisted_equations,
 )
-from hmslines.linalg import mat_mul, rref
+from hmslines.linalg import rref
 from hmslines.mpoly import SparsePoly, coeff_is_zero, elementary_symmetric
 from hmslines.scalars import CycloElt, OMEGA, primitive_integers, valuation_of_rational
 from hmslines.search import build_model, parse_config
@@ -89,7 +89,7 @@ def test_scales_recover_symmetric_functions():
     rng = random.Random(11)
     for _ in range(4):
         pt = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
-        s_coords = [c for (c,) in mat_mul(model.twist.matrix, [[c] for c in pt])]
+        s_coords = [sum(m * c for m, c in zip(row, pt)) for row in model.twist.matrix]
         direct = sigma_profile(s_coords)
         via_forms = model.profile_at(pt)
         for k in range(1, 7):
@@ -178,7 +178,10 @@ def test_twisted_equations_match_substitution(name, lambda1, lambda2, A, unbalan
     if unbalance:
         A = [list(row) for row in A]
         A[0][0] = A[0][0] + OMEGA
-    matrix = mat_mul(twist_by_name(name, lambda1, lambda2).matrix, A)
+    matrix = [
+        [sum(m * a for m, a in zip(row, col)) for col in zip(*A)]
+        for row in twist_by_name(name, lambda1, lambda2).matrix
+    ]
     twist = TwistData(matrix)
     try:
         forms, scales = substituted_model(twist)
