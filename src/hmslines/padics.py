@@ -3,9 +3,11 @@ valuations.
 
 The kernel is univariate polynomial arithmetic over Z/p^k, k >= 1, on
 coefficient lists: low degree first, trailing zeros stripped, the zero
-polynomial [].  Its modulus argument is named `p` whatever k is, and
-`pdivmod` needs a divisor whose leading coefficient is a unit.  Hensel
-lifting in `hensel` and the ring arithmetic below both run on it.
+polynomial [].  Its modulus argument is named `p` whatever k is.
+`pdivmod` takes arguments already reduced mod p and trimmed, as every
+kernel result is, and needs a divisor whose leading coefficient is a
+unit.  Hensel lifting in `hensel` and the ring arithmetic below both
+run on it.
 
 `UnramifiedRing` models (Z/p^K)[t]/(m) for m monic and irreducible
 mod p: the ring of integers of the unramified extension of Q_p of
@@ -74,11 +76,11 @@ def pscale(f, c, p):
 
 
 def pdivmod(f, g, p):
-    """Division with remainder mod p; lc(g) must be invertible mod p."""
+    """Division with remainder mod p of f by g, both reduced mod p and
+    trimmed (as every kernel result is); lc(g) must be invertible mod p."""
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    f = pmod(f, p)
-    g = pmod(g, p)
+    f = list(f)
     inv = pow(g[-1], -1, p)
     q = [0] * max(0, len(f) - len(g) + 1)
     while len(f) >= len(g) and f:
@@ -122,9 +124,9 @@ def pderiv(f):
 
 
 def ppowmod(base, e, modpoly, p):
-    """base^e mod (modpoly, p)."""
+    """base^e mod (modpoly, p), modpoly reduced and trimmed."""
     result = [1]
-    base = pdivmod(base, modpoly, p)[1]
+    base = pdivmod(pmod(base, p), modpoly, p)[1]
     while e:
         if e & 1:
             result = pdivmod(pmul(result, base, p), modpoly, p)[1]

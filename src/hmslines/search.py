@@ -11,10 +11,12 @@ degenerate curve.  Certificates serialize to canonical JSON so repeated
 runs are byte identical.
 
 The roots of a Hensel block come from `hensel.block_roots`; this module
-owns the points: `intersection_points` maps each root (t, u) to
-t * ints[0] + u * ints[1] on the line's integer basis, with its
-coordinates in the root's `UnramifiedRing` (`LocalPoint`), and every
-valuation of it is a `UElt.valuation`.
+owns the points: `intersection_points` keeps each root (t, u), in the
+root's `UnramifiedRing`, as the point t * ints[0] + u * ints[1] on the
+line's integer basis (`LocalPoint`).  The 5-adic invariants restrict
+sigma_3, sigma_5 and sigma_6 to that basis once per line (`_SpanForms`)
+and evaluate the binary forms at each (t, u); only the cusp report
+forms the six coordinates.  Every valuation is a `UElt.valuation`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .lines import (
     parity_admissible,
     quartic_of_line,
 )
-from .padics import UnramifiedRing
+from .mpoly import restrict_to_span
+from .padics import UElt, UnramifiedRing
 from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
 from .scalars import sup_norm_shell, valuation_of_rational
@@ -276,35 +279,39 @@ def _candidate_params(reps, moduli, height_bound):
 
 @dataclass
 class LocalPoint:
-    """One p-adic intersection point of a line with the degree-8 locus.
+    """One p-adic intersection point of a line with the degree-8 locus:
+    [t : u] in the parametrization of `quartic_of_line`, the point
+    t * ints[0] + u * ints[1] on the line's integer basis.
 
-    The coordinates are elements of one `UnramifiedRing`, which carries
-    p and the precision K.  A degree-1 ring, Z/p^K, holds a rational
-    point; a ring of degree d holds a point standing for d
-    Galois-conjugate geometric points.
+    t and u are elements of one `UnramifiedRing`, which carries p and
+    the precision K.  A degree-1 ring, Z/p^K, holds a rational point; a
+    ring of degree d holds a point standing for d Galois-conjugate
+    geometric points.
     """
 
     block: int
-    coords: tuple
+    t: UElt
+    u: UElt
 
     @property
     def ring(self) -> UnramifiedRing:
-        return self.coords[0].ring
+        return self.t.ring
+
+    def coordinates(self, rows) -> tuple:
+        """The six coordinates t * rows[0] + u * rows[1] in the point's ring."""
+        return tuple(self.t * a + self.u * b for a, b in zip(*rows))
 
 
-def intersection_points(line: Line, report):
+def intersection_points(report):
     """The p-adic intersection points of a line, one per root of each
     block of its local report (`block_roots`), in block order.
 
-    A root (t, u) gives the point t * ints[0] + u * ints[1], den times
-    t * rows[0] + u * rows[1]: the [t : u] chart of `quartic_of_line`,
-    with integer coordinates for integral t, u.  Blocks whose verdict
-    is ramified or inconclusive contribute no points (their roots live
-    outside the unramified tower or are not pinned down at this
-    precision).
+    Blocks whose verdict is ramified or inconclusive contribute no
+    points (their roots live outside the unramified tower or are not
+    pinned down at this precision).
     """
     return [
-        LocalPoint(idx, tuple(t * a + u * b for a, b in zip(*line.ints)))
+        LocalPoint(idx, t, u)
         for idx, blk in enumerate(report.blocks)
         for t, u in block_roots(report, blk)
     ]
@@ -313,8 +320,56 @@ def intersection_points(line: Line, report):
 # -- local invariants at an intersection point ----------------------------
 
 
-def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
-    """Valuations of sigma_3, sigma_5, D and the ordinarity ratios.
+def _binary_value(coeffs, t, upows):
+    """sum c_i t^i u^(n-i) of coeffs c_0..c_n by homogeneous Horner,
+    with upows[k] = u^k."""
+    acc = upows[0] * coeffs[-1]
+    for k, c in enumerate(reversed(coeffs[:-1]), 1):
+        acc = acc * t + upows[k] * c
+    return acc
+
+
+class _SpanForms:
+    """The model's forms f3, f5 and f6 restricted to the span of two
+    integer rows, with the constants that turn their values into the
+    valuations at p of sigma_3, sigma_5 and D.
+
+    `coeffs` holds each restriction as its coefficients c_0..c_n of
+    t^i u^(n-i).  Z -> Z/p^K is a ring map, so a restricted form at
+    (t, u) in a ring is the form at the coordinates t * rows[0] +
+    u * rows[1] there.  sigma_k = scales[k] * f_k, and D =
+    s3^2 f3^2 - 4 s6 f6 is p^v_shift times the integral bracket
+    a f3^2 - b f6 over a p-unit.
+    """
+
+    def __init__(self, model: SurfaceModel, rows, p: int):
+        restricted = [(k, restrict_to_span(model.forms[k], rows)) for k in (3, 5, 6)]
+        self.coeffs = tuple(
+            tuple(form.terms.get((i, k - i), 0) for i in range(k + 1))
+            for k, form in restricted
+        )
+        s3, s6 = model.scales[3], model.scales[6]
+        self.v_scale3 = valuation_of_rational(s3, p)
+        self.v_scale5 = valuation_of_rational(model.scales[5], p)
+        # pull out the common p-power of the scales, then the p-unit
+        # denominators, so the bracket has integer coefficients
+        self.v_shift = min(2 * self.v_scale3, valuation_of_rational(4 * s6, p))
+        shift = Fraction(p) ** self.v_shift
+        c3, c6 = s3 * s3 / shift, 4 * s6 / shift
+        unit = c3.denominator * c6.denominator
+        self.a, self.b = int(c3 * unit), int(c6 * unit)
+
+    def values(self, t, u):
+        """f3, f5 and f6 at t * rows[0] + u * rows[1], in the ring of t, u."""
+        upows = [t.ring.one()]
+        for _ in range(6):  # u^6 for the sextic
+            upows.append(upows[-1] * u)
+        return tuple(_binary_value(c, t, upows) for c in self.coeffs)
+
+
+def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
+    """Valuations of sigma_3, sigma_5, D and the ordinarity ratios at a
+    point of the span that `forms` is restricted to.
 
     The ratios u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3)
     are invariant under scaling the coordinates, so any integral
@@ -323,23 +378,15 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
     are `ordinary` and `curve_V_avoided` when they depend on it.
     """
     ring = pt.ring
-    p = ring.p
-    coords = list(pt.coords)
-    f3, f5, f6 = (model.forms[k].evaluate(coords) for k in (3, 5, 6))
-    s3, s5, s6 = model.scales[3], model.scales[5], model.scales[6]
+    f3, f5, f6 = forms.values(pt.t, pt.u)
 
-    def val_of(scale, value):
-        """v(scale * value) for a rational scale and a ring value."""
+    def val_of(shift, value):
+        """shift + v(value), None when v(value) is not determined."""
         v = value.valuation()
-        return valuation_of_rational(scale, p) + v if isinstance(v, int) else None
+        return shift + v if isinstance(v, int) else None
 
-    # D = s3^2 f3^2 - 4 s6 f6; pull out the common p-power of the scales
-    # so the bracket can be evaluated with p-integral coefficients.
-    shift = Fraction(p) ** min(
-        2 * valuation_of_rational(s3, p), valuation_of_rational(4 * s6, p)
-    )
-    v_s3, v_s5 = val_of(s3, f3), val_of(s5, f5)
-    v_D = val_of(shift, s3 * s3 / shift * f3 * f3 - 4 * s6 / shift * f6)
+    v_s3, v_s5 = val_of(forms.v_scale3, f3), val_of(forms.v_scale5, f5)
+    v_D = val_of(forms.v_shift, f3 * f3 * forms.a - f6 * forms.b)
 
     v_u1, v_u2, ordinary = ordinarity_from_valuations(v_s3, v_s5, v_D)
     return {
@@ -358,13 +405,13 @@ def _point_invariants(model: SurfaceModel, pt: LocalPoint) -> dict:
     }
 
 
-def _cusp_report(points, p):
-    """Distance of 3-adic intersection points from the coordinate cusp
-    line spanned by e1 and e2, where the `NONCUSP` coordinates 0, 3, 4
-    and 5 vanish (`lines.cusp_proximity`)."""
+def _cusp_report(rows, points, p):
+    """Distance of 3-adic intersection points of the span of rows from
+    the coordinate cusp line spanned by e1 and e2, where the `NONCUSP`
+    coordinates 0, 3, 4 and 5 vanish (`lines.cusp_proximity`)."""
     if not points:
         return None
-    report = cusp_proximity([pt.coords for pt in points], p=p)
+    report = cusp_proximity([pt.coordinates(rows) for pt in points], p=p)
     return {
         "p": report.p,
         "depths": list(report.depths),
@@ -452,7 +499,7 @@ def _parity_section(line: Line, config: SearchConfig):
 def _local_section(line, model, config, report) -> dict:
     """Intersection points and p-specific extras around a Hensel report."""
     p = report.p
-    points = intersection_points(line, report)
+    points = intersection_points(report)
     section = {
         "p": p,
         "precision": report.prec,
@@ -463,10 +510,12 @@ def _local_section(line, model, config, report) -> dict:
         "points_extracted": sum(pt.ring.deg for pt in points),
     }
     if p == 3 and config.twist == "char3-x":
-        section["cusp"] = _cusp_report(points, 3)
+        section["cusp"] = _cusp_report(line.ints, points, 3)
         section["parity"] = _parity_section(line, config)
     if p == 5:
-        section["points"] = [_point_invariants(model, pt) for pt in points]
+        # restricted once per line, and only for a line with points
+        forms = _SpanForms(model, line.ints, p) if points else None
+        section["points"] = [_point_invariants(forms, pt) for pt in points]
     section["required"] = config.target_at(p) is not None
     return section
 

@@ -2,8 +2,9 @@
 
 The exact-rational computation, `ordinarity_from_profile` of the
 point's sigma profile, is the oracle.  Each point goes through the path
-certificates use, `search._point_invariants` on the identity model, as
-its primitive integer representative mod p^prec, at a low and a high
+certificates use, `search._point_invariants` on the identity model's
+forms restricted to a span whose first row is the point's primitive
+integer representative, as [1 : 0] mod p^prec, at a low and a high
 precision.  There an undecided verdict is None; a decided one, and
 every determined ratio valuation, must match the oracle, and a decision
 reached at the low precision must survive the high one.
@@ -21,7 +22,7 @@ from hmslines import (
 )
 from hmslines.padics import UnramifiedRing
 from hmslines.scalars import primitive_integers
-from hmslines.search import LocalPoint, _point_invariants
+from hmslines.search import LocalPoint, _SpanForms, _point_invariants
 
 DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 25)
 
@@ -36,10 +37,14 @@ def random_rational_point(rng):
 
 
 def certificate_entry(model, coords, p, prec):
-    """The certificate's 5-adic point entry of a rational point mod p^prec."""
+    """The certificate's 5-adic point entry of a rational point mod p^prec.
+
+    The forms are restricted to a span whose first row is the point's
+    primitive integer representative, and the point is [1 : 0] on it.
+    """
     ring = UnramifiedRing(p, (0, 1), prec)
-    residues = tuple(ring.elt([c]) for c in primitive_integers(coords))
-    return _point_invariants(model, LocalPoint(0, residues))
+    forms = _SpanForms(model, (primitive_integers(coords), (0,) * 6), p)
+    return _point_invariants(forms, LocalPoint(0, ring.one(), ring.zero()))
 
 
 def certificate_violations(entries, oracle, coords, low, high):

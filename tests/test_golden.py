@@ -9,6 +9,10 @@ from the current code with
     python tests/test_golden.py --update
 
 and record the reason in CHANGES.md.
+
+Every frozen certificate must also pass the benchmark's independent
+checker (`bench/oracles.py`), and each 5-adic point entry must agree
+with the ordinarity formulas written out in this file.
 """
 import json
 import sys
@@ -31,6 +35,10 @@ from hmslines import (
 from hmslines.serialize import canonical_json
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
+
+# the benchmark's independent certificate checker, imported as it is
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from oracles import certificate_errors  # noqa: E402
 
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
 CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
@@ -127,6 +135,41 @@ def test_golden(name):
         f"(document {document}; {len(actual)} bytes now, "
         f"{len(expected)} frozen)"
     )
+
+
+def _golden_certificates():
+    """Every certificate frozen in the golden files; the documents with
+    a `message` are errors, not certificates."""
+    for path in sorted(GOLDEN_DIR.glob("*.jsonl")):
+        for n, line in enumerate(path.read_text().splitlines()):
+            data = json.loads(line)
+            if "message" not in data:
+                yield f"{path.name}:{n}", data
+
+
+def test_golden_certificates_pass_the_independent_checks():
+    checked = 0
+    for where, data in _golden_certificates():
+        assert certificate_errors(data) == [], where
+        local_5 = data["local_5"]
+        if local_5 is None:
+            continue
+        # the ratio valuations and verdicts from the three valuations:
+        # u1 = D^5 / sigma_5^6, u2 = D^3 / (sigma_5^3 sigma_3), ordinary
+        # when neither has positive valuation; D != 0 keeps V avoided
+        for entry in local_5["points"]:
+            s3, s5, d = entry["v_sigma3"], entry["v_sigma5"], entry["v_D"]
+            u1 = None if None in (d, s5) else 5 * d - 6 * s5
+            u2 = None if None in (d, s5, s3) else 3 * d - 3 * s5 - s3
+            ordinary = None if None in (u1, u2) else u1 <= 0 and u2 <= 0
+            assert (entry["v_u1"], entry["v_u2"]) == (u1, u2), where
+            assert entry["ordinary"] == ordinary, where
+            assert entry["curve_V_avoided"] == (None if d is None else True), where
+        assert local_5["points_extracted"] == sum(
+            entry["residue_degree"] for entry in local_5["points"]
+        ), where
+        checked += 1
+    assert checked, "no golden certificate was checked"
 
 
 def update():

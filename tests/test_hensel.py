@@ -56,7 +56,7 @@ def _times(f, g):
 
 def lifted_root(f, r0, p, K):
     """The root of f mod p^K above the simple root r0 mod p."""
-    h0 = pdivmod(f, [-r0, 1], p)[0]
+    h0 = pdivmod(pmod(f, p), [-r0 % p, 1], p)[0]
     g, _ = hensel_pair_lift(f, [-r0, 1], h0, p, K)
     return -g[0] % p**K
 
@@ -392,6 +392,6 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
     assert factorizations == [3, 5]
     # only the lifts made while extracting points are counted
     monkeypatch.setattr(hensel, "hensel_pair_lift", counting_lift)
-    points = intersection_points(line, rep5)
+    points = intersection_points(rep5)
     assert [pt.ring.deg for pt in points] == [2, 2]
     assert lifts == []

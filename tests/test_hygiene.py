@@ -5,6 +5,7 @@ exists only for tests to reach unless it is allowlisted, and the README
 layout table has one row per module."""
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,19 @@ def test_direct_call_is_reported():
         "c = ring.elt([1])\n"
     )
     assert _direct_calls(source, "UElt") == [3, 4]
+
+
+def test_every_traced_layer_resolves():
+    # `--trace 1` skips a layer whose entry point is gone, so a rename
+    # would drop it from the trace without an error
+    sys.path.append(str(ROOT / "bench"))
+    from tracer import LAYERS
+
+    for module, owner, attr, layer in LAYERS:
+        target = getattr(hmslines, module)
+        if owner is not None:
+            target = getattr(target, owner)
+        assert attr in vars(target), layer
 
 
 def _layout_modules(readme: str):

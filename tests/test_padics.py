@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import HmsError
-from hmslines.padics import IndeterminateValuation, UnramifiedRing
+from hmslines.padics import IndeterminateValuation, UnramifiedRing, pdivmod, trim
 
 
 def Zp(p, K):
@@ -165,3 +165,32 @@ def test_arithmetic_matches_integer_oracle(p, K, d, k, data):
     assert x**k == power
     for z in (x, y, r, x + y, x - y, -x, x * y, x * 7, 7 - x, x**k, R.zero(), R.one()):
         assert _is_reduced(z, R)
+
+
+def _long_division(f, g, n):
+    """Oracle: long division of f by g over Z, each quotient digit the
+    leading coefficient times lc(g)^-1 mod n, then (q, r) mod n, trimmed."""
+    f, inv = list(f), pow(g[-1], -1, n)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f[k + len(g) - 1] * inv % n
+        for j, b in enumerate(g):
+            f[k + j] -= q[k] * b
+    return trim([c % n for c in q]), trim([c % n for c in f[: len(g) - 1]])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 6), st.data())
+def test_pdivmod_matches_integer_long_division(p, k, data):
+    # reduced, trimmed inputs, as the kernel hands them on; lc(g) a unit
+    n = p**k
+    f = trim(data.draw(st.lists(st.integers(0, n - 1), max_size=8)))
+    g = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    assume(g[-1] % p)
+    q, r = pdivmod(tuple(f), g, n)
+    assert (q, r) == _long_division(f, g, n)
+    assert len(r) < len(g)
+    # the caller's list is left as it was
+    frozen = list(f)
+    pdivmod(f, g, n)
+    assert f == frozen

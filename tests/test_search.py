@@ -446,11 +446,13 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
     assume(any(n for n, _ in terms))
     point = primitive_integers([n * 3**k for n, k in terms])
     exact = cusp_proximity([point], p=3)
+    # the certificate path: the point is [1 : 0] on a span whose first
+    # row is the point
     ring = UnramifiedRing(3, (0, 1), K)
-    local = search.LocalPoint(0, tuple(ring.elt([c]) for c in point))
+    local = search.LocalPoint(0, ring.one(), ring.zero())
     gauge = [valuation_of_rational(point[i], 3) for i in (0, 3, 4, 5) if point[i]]
     try:
-        report = search._cusp_report([local], 3)
+        report = search._cusp_report((point, (0,) * 6), [local], 3)
     except PrecisionError as exc:
         assert exc.needed > K
         # refusing is allowed only while every gauge coordinate may be
@@ -504,7 +506,8 @@ KNOWN_RINGS = {
 @example("rho0-demo.json", (2, -2, 1), 3, 8)
 @example("rho0-demo.json", (-2, -18, -27), 5, 8)
 def test_intersection_points_lie_on_the_surface(name, params, p, K):
-    # oracle: each point is a zero of q1, q2 and q4 in its own ring
+    # oracle: each point is a zero of q1, q2 and q4 in its own ring, and
+    # the certificate's restricted forms agree with the coordinates there
     known = KNOWN_RINGS.get((name, params, p, K))
     try:
         model, line = _demo_line(name, params)
@@ -517,7 +520,7 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         assert known is None
         assume(False)
     try:
-        points = intersection_points(line, hensel_factor_quartic(quartic, p, K))
+        points = intersection_points(hensel_factor_quartic(quartic, p, K))
     except PrecisionError:
         if known is not None:
             raise
@@ -525,14 +528,19 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
     if known is not None:
         assert [(pt.ring.deg, pt.ring.K) for pt in points] == known
     assert sum(pt.ring.deg for pt in points) <= 4
+    forms = search._SpanForms(model, line.ints, p)
     for pt in points:
         ring = pt.ring
         assert ring.p == p and ring.K <= K
-        assert all(c.ring is ring for c in pt.coords)
+        assert pt.t.ring is ring and pt.u.ring is ring
+        coords = [pt.t * a + pt.u * b for a, b in zip(*line.ints)]
         # valuation at least ring.K: zero mod p^K
         for k in (1, 2, 4):
-            value = model.forms[k].evaluate(list(pt.coords))
+            value = model.forms[k].evaluate(coords)
             assert value.valuation() == IndeterminateValuation(ring.K)
+        # the restricted forms at (t, u) are the forms at the coordinates
+        restricted = forms.values(pt.t, pt.u)
+        assert restricted == tuple(model.forms[k].evaluate(coords) for k in (3, 5, 6))
 
 
 def test_derive_chart_params_edge_results():
