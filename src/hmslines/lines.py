@@ -122,62 +122,48 @@ class Line:
 
 
 def lies_in(line: Line, f: SparsePoly) -> bool:
-    """Whether the hypersurface f = 0 contains the line."""
+    """Whether the hypersurface f = 0 contains the line, by the
+    ring-generic `restrict_to_span`: any form, any coefficients."""
     return restrict_to_span(f, line.ints).is_zero
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def in_quadrics(line: Line, model: SurfaceModel) -> bool:
+    """Whether the line lies in q1 = q2 = 0, by five integer dot
+    products on its basis (P, Q) = `line.ints`: q1 . P and q1 . Q with
+    the model's `q1_row`, and P G P = 2 q2(P), Q G Q = 2 q2(Q) and
+    P G Q = B(P, Q) with its doubled Gram matrix G of q2."""
+    P, Q = line.ints
+    if _dot(model.q1_row, P) or _dot(model.q1_row, Q):
+        return False
+    GP, GQ = ([_dot(row, v) for row in model.gram] for v in (P, Q))
+    return not (_dot(P, GP) or _dot(Q, GQ) or _dot(P, GQ))
 
 
 def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
     """The binary quartic cutting out line-meets-(q4 = 0).
 
-    The line must lie in both quadric equations of the model; its four
-    intersection points with the degree-8 surface are the roots of the
-    returned form in the parametrization [t : u] -> t * rows[0] + u * rows[1].
+    The line must lie in both quadric equations of the model
+    (`in_quadrics`); its four intersection points with the degree-8
+    surface are the roots of the returned form in the parametrization
+    [t : u] -> t * rows[0] + u * rows[1].
 
-    The work runs on integers: the model's integral forms are restricted
-    on the basis `line.ints`, which is den times the rows, so the
-    coefficient n_i of t^i u^(4-i) is rescaled exactly to n_i / den^4.
+    The work runs on integers: the model's compiled q4 is restricted on
+    the basis `line.ints`, which is den times the rows, so the
+    coefficient n_i of t^i u^(4-i) is rescaled exactly to n_i / den^4
+    (a zero coefficient stays the int 0, as from `restrict_to_span`).
     """
-    q1, q2, q4 = (model.forms[k] for k in (1, 2, 4))
-    if not (lies_in(line, q1) and lies_in(line, q2)):
+    if not in_quadrics(line, model):
         raise NotOnSurfaceError("line does not lie in the quadric part of the model")
     d4 = line.den**4
-    r4 = restrict_to_span(q4, line.ints)
-    return BinaryQuartic.from_sparse(
-        SparsePoly(2, {exp: Fraction(n, d4) for exp, n in r4.terms.items()})
-    )
+    coeffs = model.compiled[4].restrict(*line.ints)
+    return BinaryQuartic([Fraction(n, d4) if n else 0 for n in coeffs])
 
 
 # -- tangent cone ------------------------------------------------------
-
-
-def gram_matrix(q: SparsePoly):
-    """Doubled Gram matrix G of a quadratic form: G[i][j] = B(e_i, e_j)
-    for the polar form B(u, v) = q(u + v) - q(u) - q(v).  No halving, so
-    the matrix is integral whenever q is; B(x, x) = 2 q(x)."""
-    n = q.nvars
-    G = [[0] * n for _ in range(n)]
-    for exp, c in q.terms.items():
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        if len(idx) != 2:
-            raise HmsError("gram_matrix needs a homogeneous quadratic")
-        i, j = idx
-        G[i][j] = G[i][j] + c
-        G[j][i] = G[j][i] + c
-    return G
-
-
-def linear_row(f: SparsePoly):
-    """Coefficient vector of a linear form."""
-    row = [0] * f.nvars
-    for exp, c in f.terms.items():
-        if sum(exp) != 1:
-            raise HmsError("linear_row needs a homogeneous linear form")
-        row[exp.index(1)] = c
-    return row
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _chord_indices(c):
@@ -196,13 +182,12 @@ class _ConeFrame:
     multiple of the point.  Basis vector k of V is Cramer's solution of
     [q1_row; G x] on the pivot columns: the pivot minor det at the k-th
     free column and 0 at the other free columns, one common factor det
-    for the whole basis.  gram and q1_row are the model's integer
-    `gram_matrix(q2)` and `linear_row(q1)`, which every frame of a chart
-    shares; polar is G x."""
+    for the whole basis.  The integer Gram matrix G of q2 and the row of
+    q1 are the model's `gram` and `q1_row`; polar is G x."""
 
-    def __init__(self, x, gram, q1_row):
-        self._gram = gram
-        self._q1_row = q1_row
+    def __init__(self, x, model: SurfaceModel):
+        self._gram = gram = model.gram
+        self._q1_row = q1_row = model.q1_row
         self.polar = [_dot(row, x) for row in gram]
         # q1(x) and B(x, x) = 2 q2(x) vanish exactly on both quadrics
         if not self._in_tangent_space(x):
@@ -364,19 +349,18 @@ class TangentConeChart:
     from b = 0 it recovers the exact parameters, while lines through
     the seed (where (a, c) -> ruling collapses a dimension) get one
     canonical preimage.  Both directions run on integer vectors and the
-    model's integer Gram matrix G of q2; only the returned (a, b, c) are
-    rationals.  The seed's conic is the integer matrix U G U^T of its
-    frame, formed once for c0."""
+    model's integer Gram matrix G of q2 (`SurfaceModel.gram`); only the
+    returned (a, b, c) are rationals.  The seed's conic is the integer
+    matrix U G U^T of its frame, formed once for c0."""
 
     kind = "tangent-cone"
 
     def __init__(self, model: SurfaceModel, seed):
-        self.gram = gram_matrix(model.forms[2])
-        self.q1_row = linear_row(model.forms[1])
+        self.model = model
         self.seed = list(primitive_vector(seed))
-        self.frame0 = _ConeFrame(self.seed, self.gram, self.q1_row)
+        self.frame0 = _ConeFrame(self.seed, model)
         U = self.frame0.U
-        GU = [[_dot(row, u) for row in self.gram] for u in U]
+        GU = [[_dot(row, u) for row in model.gram] for u in U]
         self.conic = [[_dot(u, gv) for gv in GU] for u in U]
         self.c0 = rational_conic_point(self.conic, 24)
         self.w0 = [_dot(self.c0, col) for col in zip(*U)]
@@ -390,7 +374,7 @@ class TangentConeChart:
         if b == 0:
             return self.seed, self.frame0
         x1 = [b.denominator * xi + b.numerator * wi for xi, wi in zip(self.seed, w)]
-        return x1, _ConeFrame(x1, self.gram, self.q1_row)
+        return x1, _ConeFrame(x1, self.model)
 
     def line_at(self, a, b, c) -> Line:
         w = self.direction(a)

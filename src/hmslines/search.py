@@ -10,6 +10,12 @@ ordinarity of the 5-adic intersection points, and avoidance of the
 degenerate curve.  Certificates serialize to canonical JSON so repeated
 runs are byte identical.
 
+Candidates walk on integer numerators (`_candidate_params`), and every
+line of the search or of a certificate is an integer basis: its quartic
+and its 5-adic forms are restricted by the model's compiled integer
+kernel (`SurfaceModel.compiled`), never by the ring-generic
+`mpoly.restrict_to_span`.
+
 The roots of a Hensel block come from `hensel.block_roots`; this module
 owns the points: `intersection_points` keeps each root (t, u), in the
 root's `UnramifiedRing`, as the point t * ints[0] + u * ints[1] on the
@@ -43,7 +49,6 @@ from .lines import (
     parity_admissible,
     quartic_of_line,
 )
-from .mpoly import restrict_to_span
 from .padics import UElt, UnramifiedRing
 from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
@@ -256,22 +261,27 @@ def crt_parameter(residue3=None, residue5=None, k3=0, k5=0, anchor=Fraction(0)):
 # -- candidate enumeration ---------------------------------------------
 
 
-def _height(x: Fraction) -> int:
-    return max(abs(x.numerator), x.denominator)
-
-
 def _candidate_params(reps, moduli, height_bound):
-    """Walk chart triples outward from the combined representative."""
+    """Walk chart triples outward from the combined representative.
+
+    On each axis rep + n * m is (num + n * m * den) / den, already in
+    lowest terms since gcd(num + n * m * den, den) = gcd(num, den) = 1,
+    so the height bound is tested on the integer numerators and only the
+    triples yielded become Fractions.  A representative whose
+    denominator exceeds the bound admits no triple at all.
+    """
+    if any(rep.denominator > height_bound for rep in reps):
+        return
     max_radius = 1
     for rep, m in zip(reps, moduli):
         max_radius = max(max_radius, (height_bound + abs(rep)) // m + 1)
+    axes = [(rep.numerator, m * rep.denominator) for rep, m in zip(reps, moduli)]
+    dens = [rep.denominator for rep in reps]
     for radius in range(int(max_radius) + 1):
         for off in sup_norm_shell(radius):
-            triple = tuple(
-                rep + n * m for rep, m, n in zip(reps, moduli, off)
-            )
-            if all(_height(v) <= height_bound for v in triple):
-                yield triple
+            nums = [num + n * step for (num, step), n in zip(axes, off)]
+            if all(abs(x) <= height_bound for x in nums):
+                yield tuple(map(Fraction, nums, dens))
 
 
 # -- intersection points over Z_p ----------------------------------------
@@ -331,8 +341,9 @@ def _binary_value(coeffs, t, upows):
 
 class _SpanForms:
     """The model's forms f3, f5 and f6 restricted to the span of two
-    integer rows, with the constants that turn their values into the
-    valuations at p of sigma_3, sigma_5 and D.
+    integer rows by its compiled kernel (`SurfaceModel.compiled`), with
+    the constants that turn their values into the valuations at p of
+    sigma_3, sigma_5 and D.
 
     `coeffs` holds each restriction as its coefficients c_0..c_n of
     t^i u^(n-i).  Z -> Z/p^K is a ring map, so a restricted form at
@@ -343,11 +354,7 @@ class _SpanForms:
     """
 
     def __init__(self, model: SurfaceModel, rows, p: int):
-        restricted = [(k, restrict_to_span(model.forms[k], rows)) for k in (3, 5, 6)]
-        self.coeffs = tuple(
-            tuple(form.terms.get((i, k - i), 0) for i in range(k + 1))
-            for k, form in restricted
-        )
+        self.coeffs = tuple(model.compiled[k].restrict(*rows) for k in (3, 5, 6))
         s3, s6 = model.scales[3], model.scales[6]
         self.v_scale3 = valuation_of_rational(s3, p)
         self.v_scale5 = valuation_of_rational(model.scales[5], p)

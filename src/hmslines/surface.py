@@ -14,15 +14,28 @@ one ordinarity rule, shared by the 5-adic points of a certificate and
 `ordinarity_from_profile`.  The profile path takes exact values only:
 `verify-paper` checks the paper's identities on it, and the tests hold
 the certificate path to it as the exact-rational oracle.
+
+The model also owns what every integer line is tested and restricted
+with: the integer row of q1, the doubled Gram matrix of q2, and each
+form compiled once, on first use, into the integer restriction kernel
+`CompiledForm`.  Rows over F_q or over polynomials go through the
+ring-generic `mpoly.restrict_to_span` instead.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .errors import BadLocusError, HmsError, RationalityError
 from .linalg import rref
 from .mpoly import SparsePoly, coeff_is_zero
-from .scalars import CycloElt, OMEGA, SQRT_MINUS_3, valuation_of_rational
+from .scalars import (
+    CycloElt,
+    OMEGA,
+    SQRT_MINUS_3,
+    integer_numerators,
+    valuation_of_rational,
+)
 
 
 def _rational_coeff(c):
@@ -116,6 +129,94 @@ def twist_by_name(name: str, lambda1=Fraction(1), lambda2=Fraction(1)) -> TwistD
     raise HmsError(f"unknown twist {name!r}; built-ins: {', '.join(BUILTIN_TWISTS)}")
 
 
+def gram_matrix(q: SparsePoly):
+    """Doubled Gram matrix G of a quadratic form: G[i][j] = B(e_i, e_j)
+    for the polar form B(u, v) = q(u + v) - q(u) - q(v).  No halving, so
+    the matrix is integral whenever q is; B(x, x) = 2 q(x)."""
+    n = q.nvars
+    G = [[0] * n for _ in range(n)]
+    for exp, c in q.terms.items():
+        idx = [i for i, e in enumerate(exp) for _ in range(e)]
+        if len(idx) != 2:
+            raise HmsError("gram_matrix needs a homogeneous quadratic")
+        i, j = idx
+        G[i][j] = G[i][j] + c
+        G[j][i] = G[j][i] + c
+    return G
+
+
+def linear_row(f: SparsePoly):
+    """Coefficient vector of a linear form."""
+    row = [0] * f.nvars
+    for exp, c in f.terms.items():
+        if sum(exp) != 1:
+            raise HmsError("linear_row needs a homogeneous linear form")
+        row[exp.index(1)] = c
+    return row
+
+
+@cache
+def _interpolation(d: int):
+    """(nodes, den, A) with den * c = A v, for the coefficients c_0..c_d
+    of a binary form of degree d (c_i that of t^i u^(d-i)) and its
+    values v at [0 : 1] and at [1 : k] for k in nodes.  A is the inverse
+    of the evaluation matrix times the least common denominator den of
+    its entries, so it is an integer matrix; built once per degree."""
+    nodes = tuple(range(-(d // 2), d - d // 2))
+    evaluation = [[int(i == 0) for i in range(d + 1)]]
+    evaluation += [[k ** (d - i) for i in range(d + 1)] for k in nodes]
+    unit = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
+    R, _ = rref([row + e for row, e in zip(evaluation, unit)])
+    den, ints = integer_numerators([x for row in R for x in row[d + 1 :]])
+    return nodes, den, tuple(ints[i : i + d + 1] for i in range(0, len(ints), d + 1))
+
+
+class CompiledForm:
+    """An integral form compiled for restriction to integer lines.
+
+    Each term is kept as its coefficient and its variable indices, with
+    multiplicity, so its value at an integer point is one product.
+    `restrict` takes the form's values at the d + 1 points [0 : 1] and
+    [1 : k] of the line and recovers the coefficients exactly with the
+    fixed integer matrix of `_interpolation`.
+    """
+
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, f: SparsePoly):
+        if not all(type(c) is int for c in f.terms.values()):
+            raise HmsError("a compiled form needs int coefficients")
+        self.degree = f.homogeneous_degree() or 0
+        self.terms = tuple(
+            (c, tuple(i for i, e in enumerate(exp) for _ in range(e)))
+            for exp, c in f.terms.items()
+        )
+
+    def value(self, x):
+        total = 0
+        for c, idx in self.terms:
+            for i in idx:
+                c *= x[i]
+            total += c
+        return total
+
+    def restrict(self, P, Q):
+        """The coefficients c_0..c_d, c_i that of t^i u^(d-i), of the form
+        on t P + u Q for integer rows P and Q.  The combined values are
+        divided by the common denominator with `divmod`; a remainder
+        (rows that are not integers) raises HmsError."""
+        nodes, den, matrix = _interpolation(self.degree)
+        values = [self.value(Q)]
+        values += [self.value([p + k * q for p, q in zip(P, Q)]) for k in nodes]
+        coeffs = []
+        for row in matrix:
+            c, r = divmod(sum(a * v for a, v in zip(row, values)), den)
+            if r:
+                raise HmsError("the restriction is not integral; rows must be integers")
+            coeffs.append(c)
+        return tuple(coeffs)
+
+
 @dataclass
 class SurfaceModel:
     """Equations of one twisted model, with denominators cleared.
@@ -126,6 +227,10 @@ class SurfaceModel:
     evaluate it as it is.  scales[k] restores the symmetric function
     exactly: sigma_k(M y) = scales[k] * forms[k](y).  The model itself
     is cut out by q1 = q2 = q4 = 0.
+
+    `q1_row`, `gram` and `compiled` are built on first use and kept:
+    the integer row of q1, the doubled Gram matrix of q2, and every
+    form as a `CompiledForm`.
     """
 
     twist: TwistData
@@ -143,6 +248,18 @@ class SurfaceModel:
     @property
     def q4(self) -> SparsePoly:
         return self.forms[4]
+
+    @cached_property
+    def q1_row(self):
+        return linear_row(self.q1)
+
+    @cached_property
+    def gram(self):
+        return gram_matrix(self.q2)
+
+    @cached_property
+    def compiled(self) -> dict:
+        return {k: CompiledForm(f) for k, f in self.forms.items()}
 
     def profile_at(self, pt) -> "SigmaProfile":
         """Sigma invariants of a point of this model.

@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
+from functools import cache
 from hashlib import sha256
 from importlib import resources
+from types import ModuleType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hmslines
 from hmslines import (
     DegenerateLineError,
     HmsError,
@@ -15,10 +19,12 @@ from hmslines import (
     SparsePoly,
     TangentConeChart,
     build_model,
+    certify_line,
     char3_leading_profile,
     char3_quartic_display,
     cusp_proximity,
     elementary_symmetric,
+    find_lines,
     labc_line,
     labc_params_of_line,
     parity_admissible,
@@ -29,18 +35,13 @@ from hmslines import (
     twisted_equations,
 )
 from hmslines.errors import ConicPointError
-from hmslines import lines
+from hmslines import lines, mpoly
 from hmslines.linalg import rref
-from hmslines.lines import (
-    gram_matrix,
-    lies_in,
-    linear_row,
-    primitive_vector,
-    rational_conic_point,
-)
+from hmslines.lines import in_quadrics, lies_in, primitive_vector, rational_conic_point
 from hmslines.quartics import BinaryQuartic
 from hmslines.scalars import integer_numerators
-from hmslines.search import _candidate_params, _combined_parameters, load_config
+from hmslines.search import _candidate_params, _combined_parameters, load_config, parse_config
+from hmslines.surface import gram_matrix, linear_row
 
 F = Fraction
 
@@ -276,7 +277,7 @@ def test_cone_frame_conic_matches_substitute():
     # U is the RREF kernel basis of [q1; G seed] without the first free
     # column where the seed is nonzero, all of it scaled by one factor: a
     # factor per vector would move c0 and with it every chart line
-    polar = [sum(g * x for g, x in zip(row, chart.seed)) for row in chart.gram]
+    polar = [sum(g * x for g, x in zip(row, chart.seed)) for row in model.gram]
     kernel, free = rref_kernel([linear_row(model.q1), polar])
     jstar = next(k for k, j in enumerate(free) if chart.seed[j] != 0)
     old_U = [v for k, v in enumerate(kernel) if k != jstar]
@@ -390,6 +391,75 @@ def test_chart_lines_stay_in_the_quadrics():
         assert lies_in(line, model.q2)
 
 
+@cache
+def gram_cases():
+    """(model, chart line_at) for both demo models."""
+    rho0 = rho0_model()
+    return {
+        "rho0": (rho0, TangentConeChart(rho0, RHO0_SEED).line_at),
+        "char3": (char3_model(), labc_line),
+    }
+
+
+@PROPERTY
+@given(st.sampled_from(["rho0", "char3"]), SMALL, SMALL, SMALL, st.data())
+def test_gram_test_agrees_with_the_restriction(which, a, b, c, data):
+    # on a chart line, and on it with one row moved: off q1, along q1
+    # (both models have q1_row[5] = 1) and so off q2, or to a row of
+    # another chart line, where only the polar form B(P, Q) can fail
+    model, line_at = gram_cases()[which]
+    try:
+        line, other = line_at(a, b, c), line_at(*(data.draw(SMALL) for _ in range(3)))
+    except HmsError:
+        assume(False)
+    rows = [list(row) for row in line.ints]
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+    if data.draw(st.booleans()):
+        shift[5] -= sum(x * y for x, y in zip(model.q1_row, shift))
+    rows[0] = [x + y for x, y in zip(rows[0], shift)]
+    candidates = [line]
+    for moved in (rows, [rows[1], other.ints[0]]):
+        try:
+            candidates.append(Line(moved))
+        except DegenerateLineError:
+            pass
+    for ln in candidates:
+        assert in_quadrics(ln, model) == (lies_in(ln, model.q1) and lies_in(ln, model.q2))
+
+
+# char3-demo lines on whose basis (P, Q) exactly one product is nonzero
+ONE_PRODUCT_OFF = {
+    "q1 . P": ((1, 0, -1, -1, 0, -1), (0, 1, 1, 0, 0, 0)),
+    "q1 . Q": ((1, 0, 1, 0, 0, 0), (0, 1, -1, -1, 1, 0)),
+    "P G P": ((1, 0, 0, -1, 1, -1), (0, 1, 1, 0, 0, 0)),
+    "Q G Q": ((1, -1, 0, 0, -1, 1), (0, 0, 1, 1, 0, 0)),
+    "P G Q": ((0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)),
+}
+
+
+def test_each_gram_product_decides_alone():
+    model = char3_model()
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    for name, rows in ONE_PRODUCT_OFF.items():
+        line = Line(rows)
+        P, Q = line.ints
+        assert (P, Q) == rows
+        GP, GQ = ([dot(row, v) for row in model.gram] for v in (P, Q))
+        products = {
+            "q1 . P": dot(model.q1_row, P),
+            "q1 . Q": dot(model.q1_row, Q),
+            "P G P": dot(P, GP),
+            "Q G Q": dot(Q, GQ),
+            "P G Q": dot(P, GQ),
+        }
+        assert [key for key, value in products.items() if value] == [name]
+        assert not in_quadrics(line, model)
+        assert not (lies_in(line, model.q1) and lies_in(line, model.q2))
+
+
 def test_chart_needs_a_pencil_point():
     with pytest.raises(NotOnSurfaceError):
         TangentConeChart(rho0_model(), (1, 0, 0, 0, 0, 0))
@@ -494,20 +564,38 @@ def test_conic_point_and_chord_parametrization():
         assert r1 * s0 == s1 * r0
 
 
+def demo_config(name, **overrides):
+    data = json.loads(resources.files("hmslines").joinpath(f"configs/{name}").read_text())
+    return parse_config({**data, **overrides})
+
+
 def test_chart_restricts_no_conic_per_candidate(monkeypatch):
-    model = rho0_model()
+    # no chart, search or certificate step on integer lines restricts a
+    # form generically: `restrict_to_span` is counted in every module
+    # that imports it, `mpoly` (behind `restrict_to_basis`) included
     calls = []
-    restrict = lines.restrict_to_span
+    modules = [
+        module
+        for module in vars(hmslines).values()
+        if isinstance(module, ModuleType) and hasattr(module, "restrict_to_span")
+    ]
+    assert {lines, mpoly} <= set(modules)
+    for module in modules:
 
-    def counting(*args):
-        calls.append(args)
-        return restrict(*args)
+        def counting(*args, restrict=module.restrict_to_span):
+            calls.append(args)
+            return restrict(*args)
 
-    monkeypatch.setattr(lines, "restrict_to_span", counting)
+        monkeypatch.setattr(module, "restrict_to_span", counting)
+    model = rho0_model()
     chart = TangentConeChart(model, RHO0_SEED)
     found = [chart.line_at(F(2), F(1, 16), F(3)), chart.line_at(F(1), F(0), F(2))]
     for line in found:
         chart.params_of(line)
+    assert len(find_lines(demo_config("rho0-demo.json"), max_results=2)) == 2
+    config = demo_config("char3-demo.json", precision=60)
+    cert = certify_line(labc_line(3, 243, 243), build_model(config), config)
+    assert cert.data["local_5"]["points"]
     assert calls == []
 
 

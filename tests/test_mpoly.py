@@ -10,6 +10,8 @@ from hmslines.mpoly import (
     restrict_to_basis,
     restrict_to_span,
 )
+from hmslines.scalars import integer_numerators
+from hmslines.surface import CompiledForm
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 # small and huge numerators and denominators, and exact zeros
@@ -130,6 +132,11 @@ def test_restriction_kernel_matches_substitute(f, k, data):
     assert typed_terms(restrict_to_span(f, rows)) == want
     if k == 2:
         assert typed_terms(restrict_to_basis(f, *rows)) == want
+        # the compiled integer kernel, on the rows scaled to integers
+        ints = [integer_numerators(row)[1] for row in rows]
+        coeffs = CompiledForm(f).restrict(*ints)
+        got = {(i, len(coeffs) - 1 - i): (c, int) for i, c in enumerate(coeffs) if c}
+        assert got == typed_terms(substituted(f, ints))
 
 
 def test_restriction_kernel_keeps_polynomial_coefficients():

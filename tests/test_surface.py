@@ -26,7 +26,7 @@ from hmslines.linalg import rref
 from hmslines.mpoly import SparsePoly, coeff_is_zero, elementary_symmetric
 from hmslines.scalars import CycloElt, OMEGA, primitive_integers, valuation_of_rational
 from hmslines.search import build_model, parse_config
-from hmslines.surface import BUILTIN_TWISTS, ordinarity_from_valuations
+from hmslines.surface import BUILTIN_TWISTS, CompiledForm, ordinarity_from_valuations
 
 from precision_probe import certificate_entry, run_probe
 
@@ -118,6 +118,17 @@ def test_contains_point_over_f25():
     assert all(coeff_is_zero(q.evaluate(point)) for q in (model.q1, model.q2, model.q4))
     off = (F(1), F(0), F(0), F(0), F(0), F(0))
     assert not all(coeff_is_zero(q.evaluate(off)) for q in (model.q1, model.q2, model.q4))
+
+
+def test_compiled_form_refuses_what_is_not_integral():
+    # x0^2 on t (1/2, 0) + u (0, 1): the combined values leave a
+    # remainder over the common denominator, which is never truncated
+    square = SparsePoly(2, {(2, 0): 1})
+    assert CompiledForm(square).restrict((2, 0), (0, 1)) == (0, 0, 4)
+    with pytest.raises(HmsError, match="not integral"):
+        CompiledForm(square).restrict((F(1, 2), 0), (0, 1))
+    with pytest.raises(HmsError, match="int coefficients"):
+        CompiledForm(SparsePoly(2, {(2, 0): F(1, 2)}))
 
 
 def test_rationality_validator_rejects_unbalanced_matrix():
