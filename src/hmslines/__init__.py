@@ -27,7 +27,7 @@ from .errors import (
 )
 from .scalars import OMEGA, SQRT_MINUS_3, CycloElt
 from .padics import IndeterminateValuation, UElt, UnramifiedRing
-from .mpoly import SparsePoly, elementary_symmetric, restrict_to_basis
+from .mpoly import SparsePoly, elementary_symmetric
 from .quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from .hensel import BlockReport, HenselReport, hensel_factor_quartic
 from .galois import (
@@ -102,7 +102,6 @@ __all__ = [
     "UElt",
     "SparsePoly",
     "elementary_symmetric",
-    "restrict_to_basis",
     "BinaryQuartic",
     "real_root_count",
     "roots_over_Fq",

@@ -30,15 +30,7 @@ class PrecisionError(HmsError):
 
 
 class ConicPointError(HmsError):
-    """No small-height rational point on a conic; carries the extension hint.
-
-    `extension_disc` is a rational d such that adjoining sqrt(d) yields a
-    point (None when the search was merely exhausted, not proven empty).
-    """
-
-    def __init__(self, message, extension_disc=None):
-        super().__init__(message)
-        self.extension_disc = extension_disc
+    """No rational point of small height on a conic."""
 
 
 class BadLocusError(HmsError):

@@ -49,7 +49,6 @@ class QuarticGaloisGroup:
     order: int
     transitive: bool
     disc_is_square: bool
-    factor_degrees: tuple
 
 
 def resolvent_cubic(b, c, d, e):
@@ -118,10 +117,9 @@ def _galois_group(disc, forms) -> QuarticGaloisGroup:
     integer model serves: it is q's own times a rational square.
     """
     disc_sq = is_square_rational(disc)
-    degs = tuple(sorted(len(g) - 1 for g in forms))
-    if degs != (4,):
+    if len(forms) > 1:
         label, order = _reducible_label(forms)
-        return QuarticGaloisGroup(label, order, False, disc_sq, degs)
+        return QuarticGaloisGroup(label, order, False, disc_sq)
     g = forms[0]
     lc = Fraction(g[4])
     b = Fraction(g[3]) / lc
@@ -143,7 +141,7 @@ def _galois_group(disc, forms) -> QuarticGaloisGroup:
             label = "C4"
         else:
             label = "D4"
-    return QuarticGaloisGroup(label, GROUP_ORDERS[label], True, disc_sq, degs)
+    return QuarticGaloisGroup(label, GROUP_ORDERS[label], True, disc_sq)
 
 
 def _cycle_type(ics, disc, p):
@@ -197,7 +195,7 @@ def _group_and_factors(q: BinaryQuartic):
                 disc_sq = is_square_rational(disc)
                 label = "A4" if disc_sq else "S4"
                 order = GROUP_ORDERS[label]
-                grp = QuarticGaloisGroup(label, order, True, disc_sq, (4,))
+                grp = QuarticGaloisGroup(label, order, True, disc_sq)
                 return grp, [tuple(c if ics[4] > 0 else -c for c in ics)]
     forms = factor_binary_quartic(q)
     return _galois_group(disc, forms), forms

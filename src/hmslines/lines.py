@@ -9,6 +9,8 @@ rational charts produce such lines:
   points are the ruling directions, reached by one chord rule written in
   ambient coordinates.  A ruling at the seed, a step along it and a
   ruling there parametrize a three-dimensional family by (a, b, c).
+  The seed's conic point comes from a height scan alone
+  (`rational_conic_point`), which fails with `ConicPointError`.
 
 * `labc_line` is the explicit family available on the cube-root twist
   model, where the same three parameters appear polynomially in a pair
@@ -31,13 +33,12 @@ from .errors import (
     RegimeError,
     SingularPointError,
 )
-from .mpoly import SparsePoly, restrict_to_basis, restrict_to_span
+from .mpoly import SparsePoly, restrict_to_span
 from .padics import IndeterminateValuation, UElt
 from .quartics import BinaryQuartic
 from .scalars import (
     integer_numerators,
     primitive_integers,
-    split_p_power,
     sup_norm_shell,
     valuation_of_rational,
 )
@@ -263,80 +264,18 @@ class _ConeFrame:
         return r, s
 
 
-def _squarefree_part(n: int) -> int:
-    if n == 0:
-        return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        e, n = split_p_power(n, d)
-        if e % 2:
-            out *= d
-        d += 1
-    return sign * out * n
-
-
-def _congruence_diagonalize(G):
-    """Diagonal entries of P^T G P for a rational symmetric 3x3 G."""
-    n = len(G)
-    G = [[Fraction(x) for x in row] for row in G]
-    for k in range(n):
-        if G[k][k] == 0:
-            swap = next((l for l in range(k + 1, n) if G[l][l] != 0), None)
-            if swap is not None:
-                for row in G:
-                    row[k], row[swap] = row[swap], row[k]
-                G[k], G[swap] = G[swap], G[k]
-            else:
-                off = next(
-                    (l for l in range(k + 1, n) if G[k][l] != 0), None
-                )
-                if off is None:
-                    continue
-                for row in G:
-                    row[k] = row[k] + row[off]
-                for j in range(n):
-                    G[k][j] = G[k][j] + G[off][j]
-        if G[k][k] == 0:
-            continue
-        for l in range(k + 1, n):
-            f = G[k][l] / G[k][k]
-            if f == 0:
-                continue
-            for row in G:
-                row[l] = row[l] - f * row[k]
-            for j in range(n):
-                G[l][j] = G[l][j] - f * G[k][j]
-    return [G[i][i] for i in range(n)]
-
-
 def rational_conic_point(conic, height: int = 24):
     """Deterministic small-height search for a rational point on a conic,
     given by the 3x3 doubled Gram matrix of its ternary quadratic form.
 
-    Scans primitive integer triples by increasing sup-norm.  When the
-    scan fails, the conic is diagonalized: a zero diagonal entry yields
-    a point after all, and otherwise a ConicPointError reports the
-    squarefree discriminant of a quadratic extension that would work.
+    Scans primitive integer triples by increasing sup-norm; a
+    ConicPointError reports a scan that finds none.
     """
     for h in range(1, height + 1):
         for point in sup_norm_shell(h):
             if gcd(*point) == 1 and _dot(point, [_dot(r, point) for r in conic]) == 0:
                 return list(point)
-    diag = _congruence_diagonalize(conic)
-    nonzero = [d for d in diag if d != 0]
-    if len(nonzero) < 3:
-        raise ConicPointError(
-            "degenerate conic escaped the height search; raise the height bound"
-        )
-    d1, d2 = nonzero[0], nonzero[1]
-    hint = _squarefree_part((-d1 * d2).numerator * (-d1 * d2).denominator)
-    raise ConicPointError(
-        f"no rational point of height <= {height} on the tangent conic",
-        extension_disc=hint,
-    )
+    raise ConicPointError(f"no rational point of height <= {height} on the tangent conic")
 
 
 class TangentConeChart:
@@ -543,7 +482,7 @@ def char3_leading_profile(lambda1, lambda2) -> Char3Profile:
     """Symbolic restriction of the scaled quartic to the labc family."""
     quartic = char3_quartic_display(lambda1, lambda2)
     a, b, c = (SparsePoly.variable(i, 3, Fraction(1)) for i in range(3))
-    r = restrict_to_basis(quartic, *labc_points(a, b, c))
+    r = restrict_to_span(quartic, labc_points(a, b, c))
     coeffs = []
     for i in range(5):
         poly = r.coefficient((i, 4 - i))

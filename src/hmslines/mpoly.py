@@ -6,6 +6,12 @@ included, as precision-1 rings) or even SparsePoly again (polynomial
 coefficients are used by the symbolic line-family checks); all that is
 required of the scalar is +, -, * and a zero test.
 
+Composition has one implementation, `SparsePoly.substitute`;
+`restrict_to_span` is that composition on linear images.  It serves
+rows over F_q or over polynomials (`verify-paper`) and the tests, never
+the search or a certificate, whose integer lines go through the model's
+compiled kernel in `surface`.
+
 Canonical term order everywhere (printing, serialization) is graded
 lexicographic, highest first.
 """
@@ -19,13 +25,8 @@ from .scalars import integer_numerators
 
 
 def coeff_is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
     if isinstance(c, SparsePoly):
         return c.is_zero
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return z
     return c == 0
 
 
@@ -171,23 +172,12 @@ class SparsePoly:
     def evaluate(self, values):
         if len(values) != self.nvars:
             raise HmsError("value arity mismatch")
-        pow_cache = [{0: 1} for _ in range(self.nvars)]
-        result = None
-        for exp, c in self.sorted_terms():
-            term = c
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                cache = pow_cache[i]
-                if e not in cache:
-                    pe = values[i]
-                    for _ in range(e - 1):
-                        pe = pe * values[i]
-                    cache[e] = pe
-                term = term * cache[e]
-            result = term if result is None else result + term
-        if result is None:
-            return 0
+        result = 0
+        for exp, c in self.terms.items():
+            for v, e in zip(values, exp):
+                for _ in range(e):
+                    c = c * v
+            result = result + c
         return result
 
     def substitute(self, images):
@@ -266,46 +256,12 @@ def elementary_symmetric(k: int, nvars: int = 6) -> SparsePoly:
 def restrict_to_span(f: SparsePoly, rows) -> SparsePoly:
     """f composed with (y_0, .., y_{k-1}) -> sum_j y_j rows[j]; a k-ary form.
 
-    Each monomial of f expands as a product of the linear forms
-    x_i = sum_j rows[j][i] y_j, with the partial products kept as dicts
-    from packed exponents (sum_j e_j base^j, base above the degree) to
-    coefficients: no intermediate SparsePoly is built or multiplied.
-    The rows may be over any scalar ring, polynomial coefficients
-    included.
+    `SparsePoly.substitute` on the linear images sum_j rows[j][i] y_j
+    of the variables.  The rows may be over any scalar ring, polynomial
+    coefficients included.
     """
     if any(len(row) != f.nvars for row in rows):
         raise HmsError("basis arity mismatch")
-    base = max((sum(exp) for exp in f.terms), default=0) + 1
-    steps = [base**j for j in range(len(rows))]
-    linear = [
-        [(step, a) for step, a in zip(steps, column) if not coeff_is_zero(a)]
-        for column in zip(*rows)
-    ]
-    packed = {}
-    for exp, c in f.terms.items():
-        product = {0: c}
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                grown = {}
-                for key, v in product.items():
-                    for step, a in linear[i]:
-                        w = v * a
-                        key_a = key + step
-                        grown[key_a] = grown[key_a] + w if key_a in grown else w
-                product = grown
-        for key, v in product.items():
-            packed[key] = packed[key] + v if key in packed else v
-    return SparsePoly(
-        len(rows),
-        {tuple(key // step % base for step in steps): v for key, v in packed.items()},
-    )
-
-
-def restrict_to_basis(f: SparsePoly, P, Q) -> SparsePoly:
-    """f composed with the line map (t, u) -> t*P + u*Q; a binary form.
-
-    P and Q are coordinate sequences of length f.nvars over any scalar
-    ring (including polynomial coefficients for symbolic checks).
-    """
-    return restrict_to_span(f, (P, Q))
-
+    k = len(rows)
+    units = [tuple(int(j == l) for l in range(k)) for j in range(k)]
+    return f.substitute([SparsePoly(k, dict(zip(units, col))) for col in zip(*rows)])

@@ -9,7 +9,6 @@ shares.  Finite fields are `padics.UnramifiedRing`s at precision 1.
 """
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt, lcm
 
 from .errors import HmsError, RationalityError
@@ -65,10 +64,15 @@ def primitive_integers(values):
 
 
 def sup_norm_shell(radius: int):
-    """Integer triples of sup norm exactly radius, in lexicographic order."""
-    for triple in product(range(-radius, radius + 1), repeat=3):
-        if max(map(abs, triple)) == radius:
-            yield triple
+    """Integer triples of sup norm exactly radius, in lexicographic order:
+    z runs over the whole range when |x| or |y| is the radius, and is
+    only -radius and radius otherwise."""
+    full = range(-radius, radius + 1)
+    for x in full:
+        for y in full:
+            zs = full if radius in (abs(x), abs(y)) else (-radius, radius)
+            for z in zs:
+                yield x, y, z
 
 
 class CycloElt:

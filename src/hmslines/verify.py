@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .mpoly import SparsePoly, restrict_to_basis
+from .mpoly import SparsePoly, restrict_to_span
 from .padics import UnramifiedRing
 from .quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from .lines import (
@@ -97,7 +97,7 @@ def check_symbolic_identities():
     abc = (SparsePoly.variable(i, 3, Fraction(1)) for i in range(3))
     P, Q = labc_points(*abc)
     contained = all(
-        restrict_to_basis(f, P, Q).is_zero for f in (model.q1, model.q2)
+        restrict_to_span(f, (P, Q)).is_zero for f in (model.q1, model.q2)
     )
     rows.append(
         _row(
@@ -226,12 +226,12 @@ def check_residue5_line():
 
     on_surface = True
     for f in (model.q1, model.q2):
-        r = restrict_to_basis(f, P, Q)
+        r = restrict_to_span(f, (P, Q))
         if any(not (v == F.zero()) for v in r.terms.values()):
             on_surface = False
     rows.append(_row("residue line lies in both quadrics", on_surface, ""))
 
-    restriction = restrict_to_basis(model.q4, P, Q)
+    restriction = restrict_to_span(model.q4, (P, Q))
     quartic = BinaryQuartic.from_sparse(restriction)
     # -3 t (8 u^3 - t^3) = 3 t^4 - 24 t u^3 = 3 t^4 + t u^3 over F_5
     expected = [F.zero(), one, F.zero(), F.zero(), F.elt([3])]

@@ -28,13 +28,13 @@ from hmslines import (
     parity_admissible,
     quartic_of_line,
     real_root_count,
-    restrict_to_basis,
     rho0_twist,
     sigma_profile,
     twisted_equations,
 )
 from hmslines.hensel import block_roots
 from hmslines.lines import lies_in
+from hmslines.mpoly import restrict_to_span
 from hmslines.padics import UnramifiedRing
 from hmslines.quartics import roots_over_Fq
 from hmslines.search import load_config
@@ -96,13 +96,13 @@ def test_gate_1_symbolic_identity_suite():
         P = (-b * b, one, zero, -(a + b * c), -b, b)
         Q = (a - b * c, zero, one, -c * c, -c, c)
         for f in (model.q1, model.q2):
-            restricted = restrict_to_basis(f, P, Q)
+            restricted = restrict_to_span(f, (P, Q))
             assert all(coeff.is_zero for coeff in restricted.terms.values())
 
         # the quartic form vanishes identically on the (0, 0, 0) line
         display = char3_quartic_display(1, 1)
         l000 = labc_line(0, 0, 0)
-        assert restrict_to_basis(display, l000.rows[0], l000.rows[1]).is_zero
+        assert restrict_to_span(display, (l000.rows[0], l000.rows[1])).is_zero
 
         # the archimedean twist produces rational equations
         rho0 = twisted_equations(rho0_twist())
@@ -166,11 +166,11 @@ def test_gate_3_residue_5_line():
              -one - one]
         model = twisted_equations(identity_twist())
         for f in (model.q1, model.q2):
-            restricted = restrict_to_basis(f, P, Q)
+            restricted = restrict_to_span(f, (P, Q))
             assert all(v == field.zero() for v in restricted.terms.values())
 
         # -3 t (8 u^3 - t^3) = 3 t^4 + t u^3 over F_5
-        quartic = BinaryQuartic.from_sparse(restrict_to_basis(model.q4, P, Q))
+        quartic = BinaryQuartic.from_sparse(restrict_to_span(model.q4, (P, Q)))
         expected = [field.zero(), one, field.zero(), field.zero(),
                     field.elt([3])]
         assert all(g == want for g, want in zip(quartic.coeffs, expected))

@@ -1,10 +1,10 @@
 """Golden certificates: the emitted bytes of fixed scenarios, frozen.
 
 Each scenario renders one or more canonical JSON documents (a
-certificate, or the data carried by an error) and compares them byte
-for byte with tests/golden/<scenario>.jsonl, one document per line.
-Any change to those bytes is a deliberate update: regenerate the files
-from the current code with
+certificate, the data carried by an error, or the `verify-paper` report)
+and compares them byte for byte with tests/golden/<scenario>.jsonl,
+one document per line.  Any change to those bytes is a deliberate
+update: regenerate the files from the current code with
 
     python tests/test_golden.py --update
 
@@ -14,8 +14,10 @@ Every frozen certificate must also pass the benchmark's independent
 checker (`bench/oracles.py`), and each 5-adic point entry must agree
 with the ordinarity formulas written out in this file.
 """
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -28,6 +30,7 @@ from hmslines import (
     SearchExhausted,
     build_model,
     certify_line,
+    cli,
     derive_chart_params,
     find_lines,
     parse_config,
@@ -83,6 +86,14 @@ def _exhausted(name, **overrides):
     raise AssertionError("the search unexpectedly found a line")
 
 
+def _printed(*argv):
+    """What the CLI prints for argv, one document per line."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.main(list(argv))
+    return out.getvalue().splitlines()
+
+
 SCENARIOS = {
     "find-rho0-demo": lambda: _find("rho0-demo.json", 6),
     "find-char3-demo": lambda: _find("char3-demo.json", 6),
@@ -106,6 +117,7 @@ SCENARIOS = {
     "exhausted-char3-p5-h120": lambda: _exhausted(
         "char3-demo.json", precision=5, height_bound=120
     ),
+    "verify-paper": lambda: _printed("verify-paper", "--json"),
 }
 
 
@@ -139,8 +151,11 @@ def test_golden(name):
 
 def _golden_certificates():
     """Every certificate frozen in the golden files; the documents with
-    a `message` are errors, not certificates."""
+    a `message` are errors, not certificates, and `verify-paper` is the
+    report of the paper's checks."""
     for path in sorted(GOLDEN_DIR.glob("*.jsonl")):
+        if path.name == "verify-paper.jsonl":
+            continue
         for n, line in enumerate(path.read_text().splitlines()):
             data = json.loads(line)
             if "message" not in data:

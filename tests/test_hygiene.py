@@ -125,7 +125,6 @@ def test_every_function_is_referenced():
 
 # functions only tests call, each kept on purpose
 TEST_ONLY = {
-    "substitute": "reference implementation the restriction and model tests compare against",
     "elementary_symmetric": "reference implementation the model tests compare against",
     "ordinarity_from_profile": "the exact-rational ordinarity oracle",
     "quartic_galois_group": "public API the acceptance tests call",

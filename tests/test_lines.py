@@ -572,7 +572,8 @@ def demo_config(name, **overrides):
 def test_chart_restricts_no_conic_per_candidate(monkeypatch):
     # no chart, search or certificate step on integer lines restricts a
     # form generically: `restrict_to_span` is counted in every module
-    # that imports it, `mpoly` (behind `restrict_to_basis`) included
+    # that imports it, `mpoly` included, and the generic layer under it,
+    # `SparsePoly.substitute` and `SparsePoly.evaluate`, on the class
     calls = []
     modules = [
         module
@@ -587,6 +588,13 @@ def test_chart_restricts_no_conic_per_candidate(monkeypatch):
             return restrict(*args)
 
         monkeypatch.setattr(module, "restrict_to_span", counting)
+    for name in ("substitute", "evaluate"):
+
+        def counting_method(self, *args, method=getattr(SparsePoly, name)):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(SparsePoly, name, counting_method)
     model = rho0_model()
     chart = TangentConeChart(model, RHO0_SEED)
     found = [chart.line_at(F(2), F(1, 16), F(3)), chart.line_at(F(1), F(0), F(2))]
@@ -603,7 +611,7 @@ def test_definite_conic_reports_extension():
     # x^2 + y^2 + z^2, by its doubled Gram matrix
     with pytest.raises(ConicPointError) as info:
         rational_conic_point([[2, 0, 0], [0, 2, 0], [0, 0, 2]], height=6)
-    assert info.value.extension_disc == -1
+    assert str(info.value) == "no rational point of height <= 6 on the tangent conic"
 
 
 def test_char3_display_is_scaled_quartic():

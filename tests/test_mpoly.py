@@ -4,12 +4,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from hmslines.mpoly import (
-    SparsePoly,
-    elementary_symmetric,
-    restrict_to_basis,
-    restrict_to_span,
-)
+from hmslines.mpoly import SparsePoly, elementary_symmetric, restrict_to_span
 from hmslines.scalars import integer_numerators
 from hmslines.surface import CompiledForm
 
@@ -100,11 +95,11 @@ def test_elementary_symmetric_against_expansion():
     assert (e1, e2, e3) == (6, 11, 6)
 
 
-def test_restrict_to_basis_on_a_quadric():
+def test_restrict_to_span_on_a_quadric():
     # x0 x1 restricted to the span of (1, 0) directions:
     # point = t (1, 1) + u (2, -1) gives (t + 2u)(t - u)
     f = P(2, {(1, 1): 1})
-    r = restrict_to_basis(f, [Fraction(1), Fraction(1)], [Fraction(2), Fraction(-1)])
+    r = restrict_to_span(f, ([Fraction(1), Fraction(1)], [Fraction(2), Fraction(-1)]))
     assert r == P(2, {(2, 0): 1, (1, 1): 1, (0, 2): -2})
 
 
@@ -131,7 +126,6 @@ def test_restriction_kernel_matches_substitute(f, k, data):
     want = typed_terms(substituted(f, rows))
     assert typed_terms(restrict_to_span(f, rows)) == want
     if k == 2:
-        assert typed_terms(restrict_to_basis(f, *rows)) == want
         # the compiled integer kernel, on the rows scaled to integers
         ints = [integer_numerators(row)[1] for row in rows]
         coeffs = CompiledForm(f).restrict(*ints)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from hmslines.scalars import (
     CycloElt,
     primitive_integers,
     split_p_power,
+    sup_norm_shell,
     valuation_of_rational,
 )
 from hmslines.errors import RationalityError
@@ -141,3 +143,12 @@ def test_primitive_integers_is_a_positive_multiple_with_content_one(values):
     ratio = Fraction(ints[i]) / values[i]
     assert ratio > 0
     assert [Fraction(c) for c in ints] == [ratio * x for x in values]
+
+
+def test_sup_norm_shell_is_the_filtered_cube():
+    # the reference: the whole (2r+1)^3 cube in lexicographic order,
+    # filtered to sup norm r
+    for r in range(9):
+        cube = product(range(-r, r + 1), repeat=3)
+        want = [t for t in cube if max(map(abs, t)) == r]
+        assert list(sup_norm_shell(r)) == want
