@@ -5,8 +5,13 @@ Polynomials are the coefficient lists of the kernel mod p^k in
 `padics`, low degree first, trailing zeros stripped, and all their
 arithmetic mod p or p^k is that kernel's.
 
-Every lift goes through `hensel_pair_lift`, quadratic Hensel lifting
-of a coprime pair with its Bezout coefficients.
+Factorization follows von zur Gathen & Gerhard, Modern Computer
+Algebra: mod p by a root scan, then one distinct-degree gcd and
+equal-degree splitting for a rootless quartic (ch. 14); over Q by
+Zassenhaus, Hensel lifting past the Mignotte bound and recombining
+subsets of at most half of the unused lifted factors (ch. 15).  Every
+lift goes through `hensel_pair_lift`, quadratic Hensel lifting of a
+coprime pair with its Bezout coefficients.
 
 The local analysis (`hensel_factor_quartic`) factors each quartic once,
 in one chart, and lifts every block mod p^prec.  It is sound but
@@ -37,9 +42,13 @@ def factor_monic_mod_p(f, p):
     """Irreducible factorization of a monic poly of degree <= 4 mod p.
 
     Returns [(monic factor, multiplicity)] sorted by (degree, coeffs).
-    Roots are found by scanning F_p (p is small here); a rootless
-    quartic is split into quadratics, when it splits, via x^(p^2) = x
-    and deterministic equal-degree splitting.
+    Roots are found by scanning F_p (p is small here), which leaves a
+    rootless cofactor w: irreducible of degree 2 or 3, or a quartic.  A
+    quartic is decided by one distinct-degree gcd (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 14): g = gcd(w, x^(p^2) - x)
+    is the product of its distinct quadratic factors, so w is
+    irreducible (deg g = 0), g^2 (deg g = 2), or two distinct
+    quadratics (deg g = 4), split by equal-degree splitting.
     """
     f = pmod(f, p)
     if deg(f) > 4:
@@ -54,53 +63,30 @@ def factor_monic_mod_p(f, p):
             assert not rem
             key = ((-r) % p, 1)
             factors[key] = factors.get(key, 0) + 1
-    d = deg(work)
-    if d == 0:
-        pass
-    elif d in (2, 3):
-        # rootless quadratics and cubics are irreducible
-        factors[tuple(work)] = factors.get(tuple(work), 0) + 1
-    elif d == 4:
-        g = pgcd(work, pderiv(work), p)
+    parts = [work] if deg(work) > 0 else []
+    if deg(work) == 4:
+        g = pgcd(work, psub(ppowmod([0, 1], p * p, work, p), [0, 1], p), p)
         if deg(g) == 2:
-            # work = g^2 with g an irreducible quadratic (rootless, p odd)
-            q2, rem = pdivmod(work, g, p)
-            if rem or q2 != g:
-                raise HmsError("unexpected square structure mod p")
-            factors[tuple(g)] = factors.get(tuple(g), 0) + 2
-        elif deg(g) == 0:
-            xq = ppowmod([0, 1], p * p, work, p)
-            if xq == [0, 1]:
-                # roots all in F_{p^2}: product of two irreducible quadratics
-                h = _split_two_quadratics(work, p)
-                other, rem = pdivmod(work, h, p)
-                assert not rem
-                for part in (h, other):
-                    key = tuple(part)
-                    factors[key] = factors.get(key, 0) + 1
-            else:
-                factors[tuple(work)] = factors.get(tuple(work), 0) + 1
-        else:
-            raise HmsError("unexpected gcd degree in quartic mod p")
-    else:
-        raise HmsError("unexpected cofactor degree")
+            parts = [g, g]
+        elif deg(g) == 4:
+            h = _split_two_quadratics(work, p)
+            parts = [h, pdivmod(work, h, p)[0]]
+    for part in parts:
+        key = tuple(part)
+        factors[key] = factors.get(key, 0) + 1
     return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def _split_two_quadratics(f, p):
-    """Split a squarefree rootless quartic known to be quad*quad mod p."""
+    """One factor of f mod p, a product of two distinct irreducible
+    quadratics, by deterministic equal-degree splitting: the gcd of f
+    and (x + a)^((p^2 - 1)/2) - 1 is defined over F_p, so it has degree
+    0, 2 or 4, and some a in F_p gives 2."""
     half = (p * p - 1) // 2
     for a in range(p):
-        h = ppowmod([a, 1], half, f, p)
-        h = psub(h, [1], p)
-        g = pgcd(h, f, p)
-        if 0 < deg(g) < 4:
-            if deg(g) == 2:
-                return g
-            # degree can only be 2 here (no roots in F_p)
-            q, rem = pdivmod(f, g, p)
-            assert not rem
-            return q if deg(q) == 2 else g
+        g = pgcd(psub(ppowmod([a, 1], half, f, p), [1], p), f, p)
+        if deg(g) == 2:
+            return g
     raise HmsError("equal-degree splitting failed")
 
 
@@ -162,24 +148,17 @@ def hensel_lift_factors(f, parts, p, K):
 
 
 def _int_divmod_exact(f, g):
-    """Exact division of integer polys (g monic up to sign); None if inexact."""
-    f = trim(list(f))
-    g = trim(list(g))
-    if not g:
-        return None
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and f:
-        if f[-1] % g[-1] != 0:
-            return None
-        c = f[-1] // g[-1]
+    """Exact quotient of integer polys by a monic g; None if inexact."""
+    f = list(f)
+    q = []
+    while len(f) >= len(g):
+        c = f[-1]
+        q.append(c)
         k = len(f) - len(g)
-        q[k] = c
         for i, b in enumerate(g):
             f[i + k] -= c * b
-        f = trim(f)
-    if f:
-        return None
-    return trim(q)
+        f.pop()
+    return None if any(f) else q[::-1]
 
 
 def _primitive(f):
@@ -192,8 +171,10 @@ def _primitive(f):
 
 def factor_squarefree_int(f):
     """Irreducible factors (primitive, positive lc) of a squarefree
-    integer polynomial of degree <= 4, by degree-4 Zassenhaus: factor
-    mod a good prime, Hensel lift past the Mignotte bound, recombine."""
+    integer polynomial of degree <= 4, by Zassenhaus (Modern Computer
+    Algebra, ch. 15): factor mod a good prime, Hensel lift past the
+    Mignotte bound, recombine subsets of at most half of the unused
+    lifted factors."""
     f = _primitive(f)
     d = deg(f)
     if d <= 0:
@@ -229,8 +210,9 @@ def factor_squarefree_int(f):
     remaining = list(F)
     active = list(range(len(lifted)))
     size = 1
-    while active:
-        hit = False
+    # a factor found takes its subset out; the rest is irreducible once
+    # no subset of at most half of the unused lifts divides it
+    while 2 * size <= len(active):
         for combo in combinations(active, size):
             prod = [1]
             for idx in combo:
@@ -241,14 +223,10 @@ def factor_squarefree_int(f):
                 found.append(cand)
                 remaining = q
                 active = [i for i in active if i not in combo]
-                hit = True
                 break
-        if not hit:
+        else:
             size += 1
-            if size > len(active):
-                # remaining subset product is irreducible
-                found.append(remaining)
-                active = []
+    found.append(remaining)
     # undo the monicizing substitution: g(y) -> primitive part of g(lc*x)
     out = []
     for g in found:

@@ -1,13 +1,11 @@
 """Small exact linear algebra over field-like scalars.
 
 Matrices are lists of rows.  Entries may be Fraction, CycloElt or
-anything else supporting +, -, *, / and a zero test; plain ints are
+anything else supporting +, -, *, / and `x != 0`; plain ints are
 lifted to Fraction so that division stays exact.
 """
 
 from fractions import Fraction
-
-from .mpoly import coeff_is_zero
 
 
 def _lift(x):
@@ -26,7 +24,7 @@ def rref(rows):
     for col in range(n):
         pr = None
         for i in range(r, m):
-            if not coeff_is_zero(R[i][col]):
+            if R[i][col] != 0:
                 pr = i
                 break
         if pr is None:
@@ -35,7 +33,7 @@ def rref(rows):
         pv = R[r][col]
         R[r] = [x / pv for x in R[r]]
         for i in range(m):
-            if i != r and not coeff_is_zero(R[i][col]):
+            if i != r and R[i][col] != 0:
                 f = R[i][col]
                 R[i] = [a - f * b for a, b in zip(R[i], R[r])]
         pivots.append(col)

@@ -4,7 +4,7 @@ Terms are stored as a dict from exponent tuples to nonzero coefficients.
 Coefficients may be int, Fraction, CycloElt, UElt (finite fields
 included, as precision-1 rings) or even SparsePoly again (polynomial
 coefficients are used by the symbolic line-family checks); all that is
-required of the scalar is +, -, * and a zero test.
+required of the scalar is +, -, * and the test `x == 0`.
 
 Composition has one implementation, `SparsePoly.substitute`;
 `restrict_to_span` is that composition on linear images.  It serves
@@ -24,12 +24,6 @@ from .errors import HmsError
 from .scalars import integer_numerators
 
 
-def coeff_is_zero(c) -> bool:
-    if isinstance(c, SparsePoly):
-        return c.is_zero
-    return c == 0
-
-
 def _glex_key(exp):
     return (sum(exp), exp)
 
@@ -42,7 +36,7 @@ class SparsePoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                if coeff_is_zero(c):
+                if c == 0:
                     continue
                 exp = tuple(exp)
                 if len(exp) != nvars:
@@ -81,7 +75,7 @@ class SparsePoly:
         for exp, c in o.terms.items():
             if exp in terms:
                 s = terms[exp] + c
-                if coeff_is_zero(s):
+                if s == 0:
                     del terms[exp]
                 else:
                     terms[exp] = s
@@ -116,7 +110,7 @@ class SparsePoly:
                 prod = c1 * c2
                 if exp in terms:
                     prod = terms[exp] + prod
-                if coeff_is_zero(prod):
+                if prod == 0:
                     terms.pop(exp, None)
                 else:
                     terms[exp] = prod
@@ -128,19 +122,20 @@ class SparsePoly:
     def __pow__(self, k: int):
         if k < 0:
             raise HmsError("negative polynomial power")
-        result = SparsePoly.constant(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return SparsePoly.constant(1, self.nvars)
+        # left to right over the bits of k, from the base itself
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if coeff_is_zero(other):
+        if other == 0:
             return self.is_zero
         return self == self._coerce(other)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateLineError, HmsError
-from .mpoly import SparsePoly, coeff_is_zero
+from .mpoly import SparsePoly
 from .padics import UnramifiedRing
 from .scalars import primitive_integers
 
@@ -60,7 +60,7 @@ class BinaryQuartic:
 
     @property
     def is_degenerate(self) -> bool:
-        return all(coeff_is_zero(c) for c in self.coeffs)
+        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, BinaryQuartic) and all(
@@ -166,11 +166,11 @@ def roots_over_Fq(q: BinaryQuartic, field: UnramifiedRing):
         raise HmsError("prime too large for exhaustive scan")
     zero, one = field.zero(), field.one()
     cs = [zero + c for c in q.coeffs]
-    if all(coeff_is_zero(c) for c in cs):
+    if all(c == 0 for c in cs):
         raise DegenerateLineError("roots of the zero form")
     roots = []
     inf_mult = 0
-    while cs and coeff_is_zero(cs[-1]):
+    while cs and cs[-1] == 0:
         cs.pop()
         inf_mult += 1
     if inf_mult:
@@ -179,7 +179,7 @@ def roots_over_Fq(q: BinaryQuartic, field: UnramifiedRing):
         x = field.elt(digits)
         mult = 0
         quotient, value = _divide_linear(cs, x)
-        while coeff_is_zero(value):
+        while value == 0:
             mult += 1
             quotient, value = _divide_linear(quotient, x)
         if mult:

@@ -28,7 +28,7 @@ from functools import cache, cached_property
 
 from .errors import BadLocusError, HmsError, RationalityError
 from .linalg import rref
-from .mpoly import SparsePoly, coeff_is_zero
+from .mpoly import SparsePoly
 from .scalars import (
     CycloElt,
     OMEGA,
@@ -325,7 +325,7 @@ def sigma_profile(pt) -> SigmaProfile:
     pt = list(pt)
     if len(pt) != 6:
         raise HmsError("a point needs 6 coordinates")
-    if all(coeff_is_zero(c) for c in pt):
+    if all(c == 0 for c in pt):
         raise HmsError("the zero vector is not a projective point")
     es = [1, 0, 0, 0, 0, 0, 0]
     for s in pt:
@@ -350,7 +350,7 @@ class ModularFormValues:
 
 
 def _require_invertible(value, name):
-    if coeff_is_zero(value):
+    if value == 0:
         if name == "sigma_5":
             raise BadLocusError(
                 "cusp-form vanishing: point in bad locus for this test"
@@ -433,7 +433,7 @@ def ordinarity_from_profile(profile: SigmaProfile, p: int = 5) -> OrdinarityCert
     _require_invertible(s5, "sigma_5")
     _require_invertible(s3, "sigma_3")
     u1, u2 = u_ratios(profile)
-    if coeff_is_zero(D):
+    if D == 0:
         return OrdinarityCertificate(p, u1, u2, None, None, False)
     v_u1, v_u2, ordinary = ordinarity_from_valuations(
         *(valuation_of_rational(x, p) for x in (s3, s5, D))

@@ -49,6 +49,9 @@ CHAR3_RAMIFIED_LINE = [[1, -1, 0, 2, 1, -1], [0, 0, 1, -1, -1, 1]]
 # c4 = 0: the 5-adic report works in a non-identity chart, and its split
 # (linear)^2 block gives two points whose order the golden freezes
 CHAR3_DOUBLE_ROOT_LINE = [[159, 0, -1, 0, 0, 0], [0, 53, -8748, 8427, -8586, 8586]]
+# labc_line(-78, 0, 0): its quartic has discriminant zero, so the
+# certificate fails with no galois, real or local section
+CHAR3_TANGENTIAL_LINE = [[78, 0, -1, 0, 0, 0], [0, 1, 0, 78, 0, 0]]
 
 
 def _config(name, **overrides):
@@ -111,6 +114,9 @@ SCENARIOS = {
     ],
     "certify-char3-double-root-chart": lambda: [
         _certify(CHAR3_DOUBLE_ROOT_LINE, _config("char3-demo.json")).to_json()
+    ],
+    "certify-char3-tangential": lambda: [
+        _certify(CHAR3_TANGENTIAL_LINE, _config("char3-demo.json")).to_json()
     ],
     "precision-char3-line-p5": lambda: _precision_failure(CHAR3_LINE, 5),
     "precision-char3-line-p6": lambda: _precision_failure(CHAR3_LINE, 6),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -395,3 +395,75 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
     points = intersection_points(rep5)
     assert [pt.ring.deg for pt in points] == [2, 2]
     assert lifts == []
+
+
+def _monic_polys(degree, p):
+    """Every monic polynomial of the degree mod p, low degree first."""
+    for n in range(p**degree):
+        low = [n // p**i % p for i in range(degree)]
+        yield low + [1]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_factor_monic_mod_p_against_trial_division(p):
+    # oracle: the factors multiply back to f with their multiplicities,
+    # are distinct and monic, have no monic divisor of degree 1 to
+    # deg/2 by trial division, and come sorted by (degree, coefficients)
+    divisors = {k: list(_monic_polys(k, p)) for k in (1, 2)}
+    for degree in range(1, 5):
+        for f in _monic_polys(degree, p):
+            factors = factor_monic_mod_p(f, p)
+            prod = [1]
+            for g, mult in factors:
+                assert g[-1] == 1 and mult >= 1 and len(g) >= 2
+                for _ in range(mult):
+                    prod = pmul(prod, list(g), p)
+                for k in range(1, (len(g) - 1) // 2 + 1):
+                    assert all(pdivmod(list(g), h, p)[1] for h in divisors[k]), (f, g)
+            assert prod == f
+            assert len({g for g, _ in factors}) == len(factors)
+            assert factors == sorted(factors, key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def _primitive_positive(coeffs):
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs]
+
+
+@st.composite
+def _irreducible_int(draw, degree):
+    """A primitive integer polynomial of the degree with positive
+    leading coefficient, irreducible over Q by construction: a linear
+    form, a quadratic of non-square discriminant, or a cubic or quartic
+    that is Eisenstein at 2."""
+    lead = draw(st.integers(1, 15))
+    if degree == 1:
+        return _primitive_positive([draw(st.integers(-20, 20)), lead])
+    if degree == 2:
+        b, c = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+        disc = b * b - 4 * lead * c
+        assume(disc < 0 or isqrt(disc) ** 2 != disc)
+        return _primitive_positive([c, b, lead])
+    assume(lead % 2)
+    middle = draw(st.lists(st.integers(-10, 10), min_size=degree - 1, max_size=degree - 1))
+    constant = 2 * (2 * draw(st.integers(-10, 10)) + 1)
+    # the content is odd, so the primitive part is Eisenstein at 2 too
+    return _primitive_positive([constant] + [2 * m for m in middle] + [lead])
+
+
+_DEGREE_SPLITS = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (2, 2), (1, 1, 1),
+                  (1, 1, 2), (1, 1, 1, 1)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(_DEGREE_SPLITS).flatmap(
+    lambda split: st.tuples(*[_irreducible_int(d) for d in split])
+), st.sampled_from([1, -1, 2, -6, 35]))
+def test_factor_squarefree_int_returns_the_constructed_factors(factors, scale):
+    factors = [list(g) for g in factors]
+    assume(len({tuple(g) for g in factors}) == len(factors))
+    product = [scale]
+    for g in factors:
+        product = _times(product, g)
+    got = hensel.factor_squarefree_int(product)
+    assert got == sorted(factors, key=lambda h: (len(h), h))

@@ -174,17 +174,6 @@ def test_quartic_of_line_requires_quadric_containment():
         quartic_of_line(off, model)
 
 
-def substituted(f, rows):
-    """The restriction of f to the span of rows through SparsePoly.substitute."""
-    k = len(rows)
-    units = [tuple(int(j == l) for l in range(k)) for j in range(k)]
-    images = [
-        SparsePoly(k, {unit: row[i] for unit, row in zip(units, rows)})
-        for i in range(f.nvars)
-    ]
-    return f.substitute(images)
-
-
 def demo_chart_lines():
     """(model, line) pairs from the rho0-demo and char3-demo charts."""
     rho0 = rho0_model()
@@ -246,7 +235,7 @@ def test_chart_outcomes_are_pinned():
 
 def test_quartic_of_line_matches_substitute_on_demo_charts():
     for model, line in demo_chart_lines():
-        want = BinaryQuartic.from_sparse(substituted(model.q4, line.rows))
+        want = BinaryQuartic.from_sparse(mpoly.restrict_to_span(model.q4, line.rows))
         got = quartic_of_line(line, model)
         assert [(c, type(c)) for c in got.coeffs] == [(c, type(c)) for c in want.coeffs]
 
@@ -270,7 +259,7 @@ def test_cone_frame_conic_matches_substitute():
     model = rho0_model()
     chart = TangentConeChart(model, RHO0_SEED)
     U = chart.frame0.U
-    conic = substituted(model.q2, U)
+    conic = mpoly.restrict_to_span(model.q2, U)
     assert chart.conic == gram_matrix(conic)
     assert all(type(c) is int for row in chart.conic for c in row)
     assert conic.evaluate(chart.c0) == 0
@@ -705,3 +694,20 @@ def test_cusp_proximity_refuses_unresolved_coordinates():
     # as well, not a malformed input.
     with pytest.raises(PrecisionError):
         cusp_proximity([(fog, fog, fog, fog, fog, fog)], p=3)
+
+
+def test_cusp_proximity_refuses_an_unresolved_primitive_scaling():
+    # 27 has valuation 3, but the coordinate known only mod 3^2 could
+    # still have valuation 2: the primitive scaling, and with it every
+    # depth, waits for precision 4
+    from hmslines import UnramifiedRing
+    from hmslines.errors import PrecisionError
+
+    point = (
+        UnramifiedRing(3, (0, 1), 5).elt([27]),
+        UnramifiedRing(3, (0, 1), 2).elt([0]),
+        0, 0, 0, 0,
+    )
+    with pytest.raises(PrecisionError, match="primitive scaling of the point") as exc:
+        cusp_proximity([point], p=3)
+    assert exc.value.needed == 4

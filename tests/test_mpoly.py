@@ -2,8 +2,10 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from hmslines.errors import HmsError
 from hmslines.mpoly import SparsePoly, elementary_symmetric, restrict_to_span
 from hmslines.scalars import integer_numerators
 from hmslines.surface import CompiledForm
@@ -32,15 +34,24 @@ def integral_forms(draw):
     return SparsePoly(6, terms)
 
 
-def substituted(f, rows):
-    """The restriction through SparsePoly.substitute, one linear image per variable."""
-    k = len(rows)
-    units = [tuple(int(j == l) for l in range(k)) for j in range(k)]
-    images = [
-        SparsePoly(k, {unit: row[i] for unit, row in zip(units, rows)})
-        for i in range(f.nvars)
-    ]
-    return f.substitute(images)
+def simplex_points(k, d):
+    """The points of N^k with coordinate sum d.  A form of degree d in k
+    variables is determined by its values there; for k = 2 they are
+    d + 1 pairwise non-proportional points (t, u)."""
+    if k == 1:
+        return [(d,)]
+    return [(i,) + rest for i in range(d + 1) for rest in simplex_points(k - 1, d - i)]
+
+
+def assert_restricts(f, rows, restricted):
+    """restricted is f on the span of rows: a form of the degree of f
+    whose value at each point y of `simplex_points` is f at
+    sum_j y_j rows[j]."""
+    d = f.homogeneous_degree()
+    assert all(sum(exp) == d for exp in restricted.terms)
+    for y in simplex_points(len(rows), d or 0):
+        point = [sum(c * row[i] for c, row in zip(y, rows)) for i in range(f.nvars)]
+        assert restricted.evaluate(list(y)) == f.evaluate(point)
 
 
 def typed_terms(f):
@@ -123,14 +134,15 @@ def test_poly_valued_coefficients_supported():
 @given(integral_forms(), st.integers(2, 3), st.data())
 def test_restriction_kernel_matches_substitute(f, k, data):
     rows = [data.draw(st.lists(ENTRIES, min_size=6, max_size=6)) for _ in range(k)]
-    want = typed_terms(substituted(f, rows))
-    assert typed_terms(restrict_to_span(f, rows)) == want
+    restricted = restrict_to_span(f, rows)
+    assert_restricts(f, rows, restricted)
+    assert all(type(c) is Fraction for c in restricted.terms.values())
     if k == 2:
         # the compiled integer kernel, on the rows scaled to integers
         ints = [integer_numerators(row)[1] for row in rows]
         coeffs = CompiledForm(f).restrict(*ints)
         got = {(i, len(coeffs) - 1 - i): (c, int) for i, c in enumerate(coeffs) if c}
-        assert got == typed_terms(substituted(f, ints))
+        assert got == typed_terms(restrict_to_span(f, ints))
 
 
 def test_restriction_kernel_keeps_polynomial_coefficients():
@@ -139,4 +151,26 @@ def test_restriction_kernel_keeps_polynomial_coefficients():
     one = P(1, {(0,): 1})
     f = P(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     rows = [[one, a], [a, P(1, {})]]
-    assert restrict_to_span(f, rows) == substituted(f, rows)
+    assert_restricts(f, rows, restrict_to_span(f, rows))
+
+
+def test_power_multiplies_from_the_base(monkeypatch):
+    # x^k by square-and-multiply from x itself: k = 1, 2, 3, 5 take
+    # 0, 1, 2, 3 products, and the powers agree with repeated products
+    x = P(2, {(1, 0): 2, (0, 1): Fraction(-1, 3)})
+    products = []
+    multiply = SparsePoly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", counting)
+    expected = P(2, {(0, 0): 1})
+    for k in range(6):
+        products.clear()
+        assert x**k == expected
+        assert len(products) == {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3}[k]
+        expected = multiply(expected, x)
+    with pytest.raises(HmsError):
+        x ** -1
