@@ -1,8 +1,9 @@
 """Exact construction and certification of lines on twisted surface models.
 
-The package works entirely in exact arithmetic: rationals, the
-Eisenstein quadratic ring, and unramified p-adic rings mod p^K with
-sound valuations (a value that is zero at the working precision has an
+The package works entirely in exact arithmetic: rationals, integers
+(the twists over the Eisenstein field Q(omega) are composed on int
+pairs a + b omega), and unramified p-adic rings mod p^K with sound
+valuations (a value that is zero at the working precision has an
 indeterminate valuation, never a guessed one); at precision 1 such a
 ring is a finite field F_{p^d}.
 On top of that tower it builds sparse multivariate polynomials, the
@@ -25,7 +26,6 @@ from .errors import (
     SearchExhausted,
     SingularPointError,
 )
-from .scalars import OMEGA, SQRT_MINUS_3, CycloElt
 from .padics import IndeterminateValuation, UElt, UnramifiedRing
 from .mpoly import SparsePoly, elementary_symmetric
 from .quartics import BinaryQuartic, real_root_count, roots_over_Fq
@@ -94,9 +94,6 @@ __all__ = [
     "RegimeError",
     "SearchExhausted",
     "SingularPointError",
-    "OMEGA",
-    "SQRT_MINUS_3",
-    "CycloElt",
     "IndeterminateValuation",
     "UnramifiedRing",
     "UElt",

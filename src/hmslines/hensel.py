@@ -174,7 +174,7 @@ def factor_squarefree_int(f):
     integer polynomial of degree <= 4, by Zassenhaus (Modern Computer
     Algebra, ch. 15): factor mod a good prime, Hensel lift past the
     Mignotte bound, recombine subsets of at most half of the unused
-    lifted factors."""
+    lifted factors.  An input that is not squarefree raises HmsError."""
     f = _primitive(f)
     d = deg(f)
     if d <= 0:
@@ -186,14 +186,20 @@ def factor_squarefree_int(f):
     lc = f[-1]
     # monicize: F(y) = lc^(d-1) * f(y/lc), whose leading coefficient is 1
     F = [c * lc ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    # a prime where F is not squarefree divides disc F, and a nonzero
+    # disc F is at most d^d (sum c^2)^(d-1) (Mahler, Michigan Math. J.
+    # 11, 1964): once the rejected primes multiply past that, disc F = 0
+    disc_bound = d**d * sum(c * c for c in F) ** (d - 1)
+    rejected = 1
     p = 3
     while True:
         fb = pmod(F, p)
         if deg(fb) == d and deg(pgcd(fb, pderiv(fb), p)) == 0:
             break
+        rejected *= p
+        if rejected > disc_bound:
+            raise HmsError("input is not squarefree: its discriminant vanishes")
         p = _next_prime(p)
-        if p > 10**6:
-            raise HmsError("no good prime found; input not squarefree?")
     parts = factor_monic_mod_p(pmod(F, p), p)
     assert all(m == 1 for _, m in parts)
     part_list = [list(g) for g, _ in parts]

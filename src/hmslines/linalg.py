@@ -1,8 +1,8 @@
 """Small exact linear algebra over field-like scalars.
 
-Matrices are lists of rows.  Entries may be Fraction, CycloElt or
-anything else supporting +, -, *, / and `x != 0`; plain ints are
-lifted to Fraction so that division stays exact.
+Matrices are lists of rows.  Entries may be Fraction or anything else
+supporting +, -, *, / and `x != 0`; plain ints are lifted to Fraction
+so that division stays exact.
 """
 
 from fractions import Fraction

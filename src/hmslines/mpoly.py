@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials over any exact scalar ring.
 
 Terms are stored as a dict from exponent tuples to nonzero coefficients.
-Coefficients may be int, Fraction, CycloElt, UElt (finite fields
-included, as precision-1 rings) or even SparsePoly again (polynomial
-coefficients are used by the symbolic line-family checks); all that is
-required of the scalar is +, -, * and the test `x == 0`.
+Coefficients may be int, Fraction, UElt (finite fields included, as
+precision-1 rings) or even SparsePoly again (polynomial coefficients
+are used by the symbolic line-family checks); all that is required of
+the scalar is +, -, * and the test `x == 0`.
 
 Composition has one implementation, `SparsePoly.substitute`;
 `restrict_to_span` is that composition on linear images.  It serves

@@ -1,17 +1,17 @@
-"""Exact scalars: rationals and the Eisenstein field Q(omega).
+"""Exact scalar helpers shared by every layer.
 
 The rational scalar of the tower is `fractions.Fraction` itself (already
-reduced, denominator positive).  This module adds the quadratic layer
-`CycloElt` -- a + b*omega with omega^2 + omega + 1 = 0, so that
-sqrt(-3) = 2*omega + 1 and complex conjugation is omega -> omega^2 --
-and the p-adic valuation and primitive-integer helpers every layer
-shares.  Finite fields are `padics.UnramifiedRing`s at precision 1.
+reduced, denominator positive).  This module adds the p-adic valuation
+and primitive-integer helpers every layer shares, and the sup-norm
+shells of the parameter walks.  Finite fields are
+`padics.UnramifiedRing`s at precision 1; the Eisenstein field Q(omega)
+of the twists is written as pairs of rational matrices in `surface`.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import HmsError, RationalityError
+from .errors import HmsError
 
 
 def is_square_rational(x) -> bool:
@@ -73,119 +73,3 @@ def sup_norm_shell(radius: int):
             zs = full if radius in (abs(x), abs(y)) else (-radius, radius)
             for z in zs:
                 yield x, y, z
-
-
-class CycloElt:
-    """Element a + b*omega of Q(omega), omega a primitive cube root of unity."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloElt is immutable")
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, CycloElt):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycloElt(x)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloElt(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloElt(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloElt(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a1 + b1 w)(a2 + b2 w), w^2 = -1 - w
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        return CycloElt(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        """Galois conjugation omega -> omega^2 = -1 - omega."""
-        return CycloElt(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(omega)")
-        c = self.conjugate()
-        return CycloElt(c.a / n, c.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
-
-    def rational_part(self) -> Fraction:
-        """The value as a Fraction; raises unless the omega part vanishes."""
-        if self.b != 0:
-            raise RationalityError(f"{self} has nonzero omega part")
-        return self.a
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"CycloElt({self.a})"
-        return f"CycloElt({self.a}, {self.b})"
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*w" if self.b != 1 else "w"
-        sign = "+" if self.b > 0 else "-"
-        bb = abs(self.b)
-        bt = "w" if bb == 1 else f"{bb}*w"
-        return f"{self.a} {sign} {bt}"
-
-
-OMEGA = CycloElt(0, 1)
-SQRT_MINUS_3 = CycloElt(1, 2)  # (2w+1)^2 = -3

@@ -2,10 +2,13 @@
 
 The untwisted model lives in P^5 with coordinates s0..s5 and is cut out
 by the elementary symmetric polynomials sigma1, sigma2, sigma4.  A twist
-is an invertible linear change of coordinates s = M y whose composed
-equations have rational coefficients; `twisted_equations` gets all six
-composed sigma_k at once from `sigma_profile` of the six linear forms
-s_i = sum_j M[i][j] y_j, certifies rationality, and clears denominators.
+is an invertible linear change of coordinates s = M y over the
+Eisenstein field Q(omega), held as two rational matrices M = A + omega B,
+whose composed equations have rational coefficients.
+`twisted_equations` gets all six composed sigma_k at once, in integers:
+it clears one common denominator of A and B, runs the sigma recurrence
+on the linear forms with coefficients in Z[omega] (int pairs), certifies
+that every omega part vanishes, and clears the content.
 
 The sigma invariants of a point (computed in s-coordinates) feed the
 modular-form values phi2, chi6, chi10 and the two scale-invariant
@@ -29,35 +32,34 @@ from functools import cache, cached_property
 from .errors import BadLocusError, HmsError, RationalityError
 from .linalg import rref
 from .mpoly import SparsePoly
-from .scalars import (
-    CycloElt,
-    OMEGA,
-    SQRT_MINUS_3,
-    integer_numerators,
-    valuation_of_rational,
-)
-
-
-def _rational_coeff(c):
-    if isinstance(c, CycloElt):
-        return c.rational_part()
-    return Fraction(c)
+from .scalars import integer_numerators, valuation_of_rational
 
 
 class TwistData:
-    """An invertible 6x6 change of coordinates s_i = sum_j matrix[i][j] y_j.
+    """An invertible change of coordinates s_i = sum_j M[i][j] y_j over
+    Q(omega), omega^2 + omega + 1 = 0, with M = A + omega B.
 
-    `lambda1`, `lambda2` record the scaling parameters used to build the
-    matrix (both 1 when the twist has none) and `label` names the family.
+    `matrix` is A and `omega` is B, both 6x6 matrices of Fractions; B is
+    zero unless given.  `lambda1`, `lambda2` record the scaling
+    parameters used to build them (both 1 when the twist has none) and
+    `label` names the family.
     """
 
-    def __init__(self, matrix, lambda1=Fraction(1), lambda2=Fraction(1), label="custom"):
-        matrix = [list(row) for row in matrix]
-        if len(matrix) != 6 or any(len(row) != 6 for row in matrix):
+    def __init__(
+        self, matrix, omega=None, lambda1=Fraction(1), lambda2=Fraction(1), label="custom"
+    ):
+        if omega is None:
+            omega = [[0] * 6 for _ in range(6)]
+        A, B = ([[Fraction(x) for x in row] for row in part] for part in (matrix, omega))
+        if any(len(part) != 6 or any(len(row) != 6 for row in part) for part in (A, B)):
             raise HmsError("twist matrix must be 6x6")
-        if len(rref(matrix)[1]) != 6:
+        # M on Q(omega)^6 = Q^12: x + omega y -> (Ax - By) + omega (Bx + (A - B) y)
+        real = [a + [-x for x in b] for a, b in zip(A, B)]
+        real += [b + [x - y for x, y in zip(a, b)] for a, b in zip(A, B)]
+        if len(rref(real)[1]) != 12:
             raise HmsError("twist matrix is not invertible")
-        self.matrix = matrix
+        self.matrix = A
+        self.omega = B
         self.lambda1 = Fraction(lambda1)
         self.lambda2 = Fraction(lambda2)
         self.label = label
@@ -72,48 +74,62 @@ def identity_twist() -> TwistData:
 
 
 def rho0_twist() -> TwistData:
-    """Archimedean twist: pairs of conjugate coordinates over Q(sqrt(-3))."""
-    r = SQRT_MINUS_3
-    z = Fraction(0)
-    one = Fraction(1)
+    """Archimedean twist: pairs of conjugate coordinates over Q(sqrt(-3)),
+    with sqrt(-3) = 1 + 2 omega."""
     rows = [
-        [one, r, z, z, z, z],
-        [one, -r, z, z, z, z],
-        [z, z, one, r, z, z],
-        [z, z, one, -r, z, z],
-        [z, z, z, z, one, z],
-        [z, z, z, z, z, one],
+        [1, 1, 0, 0, 0, 0],
+        [1, -1, 0, 0, 0, 0],
+        [0, 0, 1, 1, 0, 0],
+        [0, 0, 1, -1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
     ]
-    return TwistData(rows, label="rho0-archimedean")
+    omega = [
+        [0, 2, 0, 0, 0, 0],
+        [0, -2, 0, 0, 0, 0],
+        [0, 0, 0, 2, 0, 0],
+        [0, 0, 0, -2, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+    ]
+    return TwistData(rows, omega, label="rho0-archimedean")
 
 
 def char3_twist(lambda1, lambda2) -> TwistData:
     """Cube-root-of-unity averaging twist with two scaling parameters.
 
-    The averaging matrix S has its columns scaled by (lambda1,
-    1/lambda1, lambda2, 1/lambda2, 1, 1).  Conjugation swaps the first
-    two and the middle two rows, so the composed equations are rational
-    for every nonzero rational lambda.
+    The averaging matrix S has entries t = 1/3, omega t and omega^2 t,
+    written as rational and omega parts: omega t = (0, t) and omega^2 t
+    = (-t, -t).  Its columns are scaled by (lambda1, 1/lambda1, lambda2,
+    1/lambda2, 1, 1).  Conjugation swaps the first two and the middle
+    two rows, so the composed equations are rational for every nonzero
+    rational lambda.
     """
     lambda1 = Fraction(lambda1)
     lambda2 = Fraction(lambda2)
     if lambda1 == 0 or lambda2 == 0:
         raise HmsError("twist parameters must be nonzero")
-    w = OMEGA
-    w2 = w * w
     t = Fraction(1, 3)
     z = Fraction(0)
-    S = [
-        [w2 * t, w * t, z, z, t, z],
-        [w * t, w2 * t, z, z, t, z],
-        [z, z, w2 * t, w * t, z, t],
-        [z, z, w * t, w2 * t, z, t],
+    rows = [
+        [-t, z, z, z, t, z],
+        [z, -t, z, z, t, z],
+        [z, z, -t, z, z, t],
+        [z, z, z, -t, z, t],
         [t, t, z, z, t, z],
         [z, z, t, t, z, t],
     ]
+    omega = [
+        [-t, t, z, z, z, z],
+        [t, -t, z, z, z, z],
+        [z, z, -t, t, z, z],
+        [z, z, t, -t, z, z],
+        [z, z, z, z, z, z],
+        [z, z, z, z, z, z],
+    ]
     scale = [lambda1, 1 / lambda1, lambda2, 1 / lambda2, 1, 1]
-    matrix = [[x * d for x, d in zip(row, scale)] for row in S]
-    return TwistData(matrix, lambda1, lambda2, label="char3-x")
+    A, B = ([[x * d for x, d in zip(row, scale)] for row in S] for S in (rows, omega))
+    return TwistData(A, B, lambda1, lambda2, label="char3-x")
 
 
 BUILTIN_TWISTS = ("identity", "rho0-archimedean", "char3-x")
@@ -276,24 +292,37 @@ class SurfaceModel:
 def twisted_equations(twist: TwistData) -> SurfaceModel:
     """Compose every sigma_k with the twist and clear denominators.
 
-    The six composed forms are the sigma profile of the linear forms
-    s_i = sum_j matrix[i][j] y_j, one pass of the recurrence.  Raises
-    RationalityError unless every composed coefficient is fixed by
-    conjugation, i.e. genuinely rational (its omega part vanishes).
+    With d the common denominator of the twist's two parts, the linear
+    forms d s_i = sum_j d M[i][j] y_j have coefficients in Z[omega],
+    held as int pairs (a, b) for a + b omega, omega^2 = -1 - omega.
+    One pass of `sigma_profile`'s recurrence e_k <- e_k + s e_(k-1)
+    over them gives every sigma_k(d s) = d^k sigma_k(s).  Raises
+    RationalityError unless every composed coefficient is rational (its
+    omega part vanishes); each scale is then divided by d^k.
     """
-    units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
-    linear = [SparsePoly(6, dict(zip(units, row))) for row in twist.matrix]
-    composed = sigma_profile(linear)
+    entries = [x for part in (twist.matrix, twist.omega) for row in part for x in row]
+    d, ints = integer_numerators(entries)
+    es = [{(0,) * 6: (1, 0)}] + [{} for _ in range(6)]
+    for i in range(6):
+        row = zip(ints[6 * i : 6 * i + 6], ints[36 + 6 * i : 42 + 6 * i])
+        linear = [(j, a, b) for j, (a, b) in enumerate(row) if a or b]
+        for k in range(6, 0, -1):
+            target = es[k]
+            for exp, (c, e) in es[k - 1].items():
+                for j, a, b in linear:
+                    key = exp[:j] + (exp[j] + 1,) + exp[j + 1 :]
+                    x, y = target.get(key, (0, 0))
+                    # (a + b w)(c + e w) = ac - be + (ae + bc - be) w
+                    target[key] = (x + a * c - b * e, y + a * e + b * c - b * e)
     forms = {}
     scales = {}
     for k in range(1, 7):
-        try:
-            rational = composed.sigma(k).map_coeffs(_rational_coeff)
-        except RationalityError:
+        if any(b for _, b in es[k].values()):
             raise RationalityError(
                 f"sigma_{k} of the twisted model is not conjugation-invariant"
-            ) from None
-        scales[k], forms[k] = rational.canonical()
+            )
+        scale, forms[k] = SparsePoly(6, {e: a for e, (a, _) in es[k].items()}).canonical()
+        scales[k] = scale / d**k
     return SurfaceModel(twist=twist, forms=forms, scales=scales)
 
 
@@ -319,8 +348,8 @@ def sigma_profile(pt) -> SigmaProfile:
     """Elementary symmetric functions of the six s-coordinates of a point.
 
     The recurrence e_k <- e_k + s * e_(k-1) needs only + and * of the
-    coordinates, so they may be values in any ring: rationals, or linear
-    forms (`SparsePoly`), on which it gives the composed sigma_k.
+    coordinates, so they may be values in any ring; `twisted_equations`
+    runs the same recurrence on linear forms over Z[omega].
     """
     pt = list(pt)
     if len(pt) != 6:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import hensel
-from hmslines.errors import PrecisionError
+from hmslines.errors import HmsError, PrecisionError
 from hmslines.hensel import (
     block_roots,
     compose_binary,
@@ -467,3 +467,11 @@ def test_factor_squarefree_int_returns_the_constructed_factors(factors, scale):
         product = _times(product, g)
     got = hensel.factor_squarefree_int(product)
     assert got == sorted(factors, key=lambda h: (len(h), h))
+
+
+def test_factor_squarefree_int_refuses_a_square_factor():
+    # (x + 1)^2 (x + 2) and (x^2 + 1)^2: every prime divides the zero
+    # discriminant, so the rejected primes pass Mahler's bound at once
+    for f in ([2, 5, 4, 1], [1, 0, 2, 0, 1]):
+        with pytest.raises(HmsError, match="not squarefree"):
+            hensel.factor_squarefree_int(f)

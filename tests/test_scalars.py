@@ -2,71 +2,19 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmslines.scalars import (
-    OMEGA,
-    SQRT_MINUS_3,
-    CycloElt,
     primitive_integers,
     split_p_power,
     sup_norm_shell,
     valuation_of_rational,
 )
-from hmslines.errors import RationalityError
 from hmslines.padics import UnramifiedRing
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 PRIMES = st.sampled_from([2, 3, 5, 7])
 RATIONALS = st.fractions(-(10**6), 10**6, max_denominator=10**6)
-
-
-def test_omega_satisfies_its_minimal_polynomial():
-    w = OMEGA
-    assert w * w + w + 1 == CycloElt(0)
-
-
-def test_sqrt_minus_3_squares_to_minus_3():
-    assert SQRT_MINUS_3 * SQRT_MINUS_3 == CycloElt(-3)
-    assert SQRT_MINUS_3 == CycloElt(1, 2)  # 1 + 2 omega
-
-
-def test_cyclo_ring_operations():
-    a = CycloElt(2, 3)
-    b = CycloElt(-1, 4)
-    assert a + b == CycloElt(1, 7)
-    assert a - b == CycloElt(3, -1)
-    # (2 + 3w)(-1 + 4w) = -2 + 8w - 3w + 12w^2 = -2 + 5w + 12(-1 - w)
-    assert a * b == CycloElt(-14, -7)
-    assert 2 * a == a + a
-    assert a + Fraction(1, 2) == CycloElt(Fraction(5, 2), 3)
-
-
-def test_cyclo_conjugate_and_norm():
-    a = CycloElt(2, 3)
-    conj = a.conjugate()
-    # conjugation swaps omega and omega^2 = -1 - omega
-    assert conj == CycloElt(-1, -3)
-    assert a * conj == CycloElt(a.norm())
-    # norm of a + b omega is a^2 - ab + b^2
-    assert a.norm() == 4 - 6 + 9
-
-
-def test_cyclo_norm_is_multiplicative():
-    pairs = [
-        (CycloElt(1, 1), CycloElt(2, -1)),
-        (CycloElt(0, 5), CycloElt(3, 3)),
-        (CycloElt(Fraction(1, 2), 2), CycloElt(-2, Fraction(1, 3))),
-    ]
-    for a, b in pairs:
-        assert (a * b).norm() == a.norm() * b.norm()
-
-
-def test_cyclo_rationality_detection():
-    assert CycloElt(7).rational_part() == 7
-    with pytest.raises(RationalityError):
-        CycloElt(7, 1).rational_part()
 
 
 # finite fields are unramified rings at precision 1

@@ -24,7 +24,7 @@ from hmslines import (
 )
 from hmslines.linalg import rref
 from hmslines.mpoly import SparsePoly, elementary_symmetric
-from hmslines.scalars import CycloElt, OMEGA, primitive_integers, valuation_of_rational
+from hmslines.scalars import primitive_integers, valuation_of_rational
 from hmslines.search import build_model, parse_config
 from hmslines.surface import BUILTIN_TWISTS, CompiledForm, ordinarity_from_valuations
 
@@ -36,6 +36,25 @@ PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
 UNITS = [tuple(int(i == j) for j in range(6)) for i in range(6)]
 IDENTITY = [[F(int(i == j)) for j in range(6)] for i in range(6)]
 NONZERO = st.fractions(-9, 9, max_denominator=9).filter(lambda x: x != 0)
+ZERO = [[F(0)] * 6 for _ in range(6)]
+W = SparsePoly(1, {(1,): 1})
+
+
+def in_w(matrix, omega):
+    """The entries a + b omega of two rational matrices as polynomials
+    a + b w in one variable w."""
+    return [
+        [SparsePoly(1, {(0,): a, (1,): b}) for a, b in zip(r, s)]
+        for r, s in zip(matrix, omega)
+    ]
+
+
+def reduced(c):
+    """(a, b) with c = a + b w modulo w^3 = 1 and w^2 = -1 - w."""
+    parts = [F(0)] * 3
+    for (e,), x in c.terms.items():
+        parts[e % 3] += x
+    return parts[0] - parts[2], parts[1] - parts[2]
 
 
 def test_identity_model_is_untwisted():
@@ -84,16 +103,18 @@ def test_model_forms_are_integral_and_primitive():
 
 
 def test_scales_recover_symmetric_functions():
-    # scale * form must equal sigma_k composed with the twist, exactly
+    # scale * form must equal sigma_k composed with the twist, exactly:
+    # the s-coordinates are polynomials in w, reduced after the profile
     model = twisted_equations(twist_by_name("char3-x", 2, 3))
+    rows = in_w(model.twist.matrix, model.twist.omega)
     rng = random.Random(11)
     for _ in range(4):
         pt = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
-        s_coords = [sum(m * c for m, c in zip(row, pt)) for row in model.twist.matrix]
+        s_coords = [sum(m * c for m, c in zip(row, pt)) for row in rows]
         direct = sigma_profile(s_coords)
         via_forms = model.profile_at(pt)
         for k in range(1, 7):
-            assert direct.sigma(k) == via_forms.sigma(k)
+            assert reduced(direct.sigma(k)) == (via_forms.sigma(k), 0)
 
 
 def test_rho0_seed_lies_on_quadrics_but_not_on_quartic():
@@ -132,26 +153,41 @@ def test_compiled_form_refuses_what_is_not_integral():
 
 
 def test_rationality_validator_rejects_unbalanced_matrix():
-    rows = [[F(int(i == j)) for j in range(6)] for i in range(6)]
-    rows[0][0] = OMEGA
+    omega = [list(row) for row in ZERO]
+    omega[0][0] = 1
     with pytest.raises(RationalityError):
-        twisted_equations(TwistData(rows))
+        twisted_equations(TwistData(IDENTITY, omega))
+
+
+def test_twist_invertibility_is_over_q_omega():
+    # row 1 is omega times row 0 = e0 + omega e1, so M = A + omega B is
+    # singular over Q(omega), though A and B are each invertible
+    A = [list(row) for row in IDENTITY]
+    A[1][1] = F(-1)
+    B = [list(row) for row in IDENTITY]
+    B[0] = [F(0), F(1), F(0), F(0), F(0), F(0)]
+    B[1] = [F(1), F(-1), F(0), F(0), F(0), F(0)]
+    assert len(rref(A)[1]) == len(rref(B)[1]) == 6
+    with pytest.raises(HmsError, match="not invertible"):
+        TwistData(A, B)
+    # omega I has no rational part and is invertible
+    assert TwistData(ZERO, IDENTITY).omega == IDENTITY
 
 
 def substituted_model(twist):
     """(forms, scales) of the twisted model, each sigma_k composed through
-    SparsePoly.substitute, checked for conjugation invariance and
-    canonicalized one at a time: the reference for `twisted_equations`."""
-    images = [SparsePoly(6, dict(zip(UNITS, row))) for row in twist.matrix]
+    SparsePoly.substitute over polynomials in w, reduced by w^3 = 1 and
+    w^2 = -1 - w, checked to have no omega part and canonicalized one at
+    a time: the reference for `twisted_equations`."""
+    rows = in_w(twist.matrix, twist.omega)
+    images = [SparsePoly(6, dict(zip(UNITS, row))) for row in rows]
     forms, scales = {}, {}
     for k in range(1, 7):
         raw = elementary_symmetric(k, 6).substitute(images)
-        conj = raw.map_coeffs(lambda c: c.conjugate() if isinstance(c, CycloElt) else c)
-        if conj != raw:
+        pairs = {e: reduced(c) for e, c in raw.terms.items()}
+        if any(b for _, b in pairs.values()):
             raise RationalityError(f"sigma_{k} is not conjugation-invariant")
-        rational = raw.map_coeffs(
-            lambda c: c.rational_part() if isinstance(c, CycloElt) else F(c)
-        )
+        rational = SparsePoly(6, {e: a for e, (a, _) in pairs.items()})
         scales[k], forms[k] = rational.canonical()
     return forms, scales
 
@@ -186,14 +222,17 @@ def test_twisted_equations_match_substitution(name, lambda1, lambda2, A, unbalan
     # a built-in twist times a rational matrix is rational again; an
     # omega added to one entry (almost always) breaks that, and both
     # paths must then refuse the model
+    base = twist_by_name(name, lambda1, lambda2)
+    factor = in_w(A, ZERO)
     if unbalance:
-        A = [list(row) for row in A]
-        A[0][0] = A[0][0] + OMEGA
-    matrix = [
-        [sum(m * a for m, a in zip(row, col)) for col in zip(*A)]
-        for row in twist_by_name(name, lambda1, lambda2).matrix
+        factor[0][0] = factor[0][0] + W
+    product = [
+        [reduced(sum(m * a for m, a in zip(row, col))) for col in zip(*factor)]
+        for row in in_w(base.matrix, base.omega)
     ]
-    twist = TwistData(matrix)
+    twist = TwistData(
+        [[a for a, _ in row] for row in product], [[b for _, b in row] for row in product]
+    )
     try:
         forms, scales = substituted_model(twist)
     except RationalityError:
@@ -207,16 +246,20 @@ def test_twisted_equations_match_substitution(name, lambda1, lambda2, A, unbalan
 
 
 def test_build_model_substitutes_nothing(monkeypatch):
+    # the models are composed on int pairs: no polynomial substitution
+    # and no polynomial product
     calls = []
-    substitute = SparsePoly.substitute
+    for name in ("substitute", "__mul__"):
+        method = getattr(SparsePoly, name)
 
-    def counting(self, images):
-        calls.append(images)
-        return substitute(self, images)
+        def counting(self, other, name=name, method=method):
+            calls.append(name)
+            return method(self, other)
 
-    monkeypatch.setattr(SparsePoly, "substitute", counting)
-    path = resources.files("hmslines").joinpath("configs/char3-demo.json")
-    build_model(parse_config(json.loads(path.read_text())))
+        monkeypatch.setattr(SparsePoly, name, counting)
+    for config in ("char3-demo.json", "rho0-demo.json"):
+        path = resources.files("hmslines").joinpath("configs", config)
+        build_model(parse_config(json.loads(path.read_text())))
     assert calls == []
 
 
