@@ -6,11 +6,11 @@ Three subcommands:
   find-line             search for a certified line from a config file
   certify               certify one explicitly given line
 
-Exit codes: 0 on success, 2 when no line satisfies the requested
-conditions, 3 on an invalid configuration, 4 when the configured p-adic
-precision is exhausted before a verdict is reached.  A find-line search
-that exhausts its candidates (2 or 4) ends stderr with its rejection
-statistics as one line of canonical JSON.
+Exit codes: 0 on success, 1 when a verify-paper check fails, 2 when no
+line satisfies the requested conditions, 3 on an invalid configuration,
+4 when the configured p-adic precision is exhausted before a verdict is
+reached.  A find-line search that exhausts its candidates (2 or 4) ends
+stderr with its rejection statistics as one line of canonical JSON.
 """
 
 from __future__ import annotations

@@ -272,7 +272,7 @@ def rational_conic_point(conic, height: int = 24):
     ConicPointError reports a scan that finds none.
     """
     for h in range(1, height + 1):
-        for point in sup_norm_shell(h):
+        for point in sup_norm_shell(h, [range(-h, h + 1)] * 3):
             if gcd(*point) == 1 and _dot(point, [_dot(r, point) for r in conic]) == 0:
                 return list(point)
     raise ConicPointError(f"no rational point of height <= {height} on the tangent conic")
@@ -444,7 +444,7 @@ class Char3Profile:
     lambda2: Fraction
     coeffs: tuple
 
-    def coefficient_valuations(self, alpha: int, beta: int, gamma: int, p: int = 3):
+    def coefficient_valuations(self, alpha: int, beta: int, gamma: int):
         """3-adic valuations of the five coefficients in the monomial
         regime v(a) = alpha, v(b) = beta, v(c) = gamma.
 
@@ -459,7 +459,7 @@ class Char3Profile:
             tie = False
             for exp, coeff in poly.terms.items():
                 v = (
-                    valuation_of_rational(coeff, p)
+                    valuation_of_rational(coeff, 3)
                     + alpha * exp[0]
                     + beta * exp[1]
                     + gamma * exp[2]
@@ -499,13 +499,13 @@ def parity_admissible(ord_b: int, ord_c: int, ord_lambda1: int, ord_lambda2: int
     return (ord_b - ord_lambda1) % 2 == 0 and (ord_c - ord_lambda2) % 2 == 0
 
 
-def _coordinate_valuation(c, p):
+def _coordinate_valuation(c):
     if isinstance(c, UElt):
         return c.valuation()
     c = Fraction(c)
     if c == 0:
         return None
-    return valuation_of_rational(c, p)
+    return valuation_of_rational(c, 3)
 
 
 # the coordinates that vanish on the cusp line; their valuations give the depth
@@ -517,16 +517,15 @@ class CuspProximityReport:
     """3-adic closeness of points to the coordinate cusp line.
 
     depth is min over the non-cusp coordinates `NONCUSP` of their
-    valuation in a primitive representative; distance = p^(-depth).
+    valuation in a primitive representative; distance = 3^(-depth).
     depth None means the point lies on the cusp line exactly, with
     distance 0."""
 
-    p: int
     depths: tuple
     distances: tuple
 
 
-def cusp_proximity(points, p: int = 3) -> CuspProximityReport:
+def cusp_proximity(points) -> CuspProximityReport:
     """Depth None (infinite agreement) comes with distance 0 exactly.
 
     Coordinates indistinguishable from zero at their working precision
@@ -537,7 +536,7 @@ def cusp_proximity(points, p: int = 3) -> CuspProximityReport:
     depths = []
     distances = []
     for pt in points:
-        vals = [_coordinate_valuation(c, p) for c in pt]
+        vals = [_coordinate_valuation(c) for c in pt]
         finite = [v for v in vals if isinstance(v, int)]
         bounds = [
             v.lower_bound for v in vals if isinstance(v, IndeterminateValuation)
@@ -577,5 +576,5 @@ def cusp_proximity(points, p: int = 3) -> CuspProximityReport:
                 "cusp depth is unresolved at this precision", needed=needed
             )
         depths.append(depth)
-        distances.append(Fraction(0) if depth is None else Fraction(1, p**depth))
-    return CuspProximityReport(p=p, depths=tuple(depths), distances=tuple(distances))
+        distances.append(Fraction(0) if depth is None else Fraction(1, 3**depth))
+    return CuspProximityReport(depths=tuple(depths), distances=tuple(distances))

@@ -63,13 +63,16 @@ def primitive_integers(values):
     return [c // content for c in ints]
 
 
-def sup_norm_shell(radius: int):
-    """Integer triples of sup norm exactly radius, in lexicographic order:
-    z runs over the whole range when |x| or |y| is the radius, and is
-    only -radius and radius otherwise."""
-    full = range(-radius, radius + 1)
-    for x in full:
-        for y in full:
-            zs = full if radius in (abs(x), abs(y)) else (-radius, radius)
-            for z in zs:
+def sup_norm_shell(radius: int, box):
+    """Integer triples of sup norm exactly radius inside box, three
+    ranges of step 1, in lexicographic order: z runs over its clipped
+    range when |x| or |y| is the radius, and is only -radius and radius,
+    where the box holds them, otherwise."""
+    xs, ys, zs = (
+        range(max(-radius, axis.start), min(radius + 1, axis.stop)) for axis in box
+    )
+    ends = [z for z in (-radius, radius) if z in zs]
+    for x in xs:
+        for y in ys:
+            for z in zs if radius in (abs(x), abs(y)) else ends:
                 yield x, y, z

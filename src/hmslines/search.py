@@ -266,22 +266,26 @@ def _candidate_params(reps, moduli, height_bound):
 
     On each axis rep + n * m is (num + n * m * den) / den, already in
     lowest terms since gcd(num + n * m * den, den) = gcd(num, den) = 1,
-    so the height bound is tested on the integer numerators and only the
-    triples yielded become Fractions.  A representative whose
-    denominator exceeds the bound admits no triple at all.
+    so the height bound, |num + n * step| <= height_bound with
+    step = m * den, holds on one interval of n per axis.  Each sup-norm
+    shell of offsets is clipped to that box, and only the triples
+    yielded become Fractions.  A representative whose denominator
+    exceeds the bound admits no triple at all.
     """
     if any(rep.denominator > height_bound for rep in reps):
         return
-    max_radius = 1
-    for rep, m in zip(reps, moduli):
-        max_radius = max(max_radius, (height_bound + abs(rep)) // m + 1)
     axes = [(rep.numerator, m * rep.denominator) for rep, m in zip(reps, moduli)]
+    box = [
+        range(-((height_bound + num) // step), (height_bound - num) // step + 1)
+        for num, step in axes
+    ]
+    if not all(box):
+        return
     dens = [rep.denominator for rep in reps]
-    for radius in range(int(max_radius) + 1):
-        for off in sup_norm_shell(radius):
+    for radius in range(max(max(-axis[0], axis[-1]) for axis in box) + 1):
+        for off in sup_norm_shell(radius, box):
             nums = [num + n * step for (num, step), n in zip(axes, off)]
-            if all(abs(x) <= height_bound for x in nums):
-                yield tuple(map(Fraction, nums, dens))
+            yield tuple(map(Fraction, nums, dens))
 
 
 # -- intersection points over Z_p ----------------------------------------
@@ -412,15 +416,15 @@ def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
     }
 
 
-def _cusp_report(rows, points, p):
+def _cusp_report(rows, points):
     """Distance of 3-adic intersection points of the span of rows from
     the coordinate cusp line spanned by e1 and e2, where the `NONCUSP`
     coordinates 0, 3, 4 and 5 vanish (`lines.cusp_proximity`)."""
     if not points:
         return None
-    report = cusp_proximity([pt.coordinates(rows) for pt in points], p=p)
+    report = cusp_proximity([pt.coordinates(rows) for pt in points])
     return {
-        "p": report.p,
+        "p": 3,
         "depths": list(report.depths),
         "distances": [
             None if d is None else frac_str(d) for d in report.distances
@@ -517,7 +521,7 @@ def _local_section(line, model, config, report) -> dict:
         "points_extracted": sum(pt.ring.deg for pt in points),
     }
     if p == 3 and config.twist == "char3-x":
-        section["cusp"] = _cusp_report(line.ints, points, 3)
+        section["cusp"] = _cusp_report(line.ints, points)
         section["parity"] = _parity_section(line, config)
     if p == 5:
         # restricted once per line, and only for a line with points

@@ -13,16 +13,16 @@ reached at the low precision must survive the high one.
 import random
 from fractions import Fraction
 
-from hmslines import (
-    BadLocusError,
+from hmslines.errors import BadLocusError
+from hmslines.padics import UnramifiedRing
+from hmslines.scalars import primitive_integers
+from hmslines.search import LocalPoint, _SpanForms, _point_invariants
+from hmslines.surface import (
     identity_twist,
     ordinarity_from_profile,
     sigma_profile,
     twisted_equations,
 )
-from hmslines.padics import UnramifiedRing
-from hmslines.scalars import primitive_integers
-from hmslines.search import LocalPoint, _SpanForms, _point_invariants
 
 DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 25)
 

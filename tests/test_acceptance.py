@@ -11,34 +11,31 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from hmslines import (
-    BinaryQuartic,
+from hmslines import cli
+from hmslines.hensel import block_roots, hensel_factor_quartic
+from hmslines.lines import (
     Line,
-    SparsePoly,
     char3_leading_profile,
     char3_quartic_display,
-    char3_twist,
-    cli,
-    find_lines,
-    hensel_factor_quartic,
-    identity_twist,
     labc_line,
-    modular_form_values,
-    ordinarity_from_profile,
+    lies_in,
     parity_admissible,
     quartic_of_line,
-    real_root_count,
+)
+from hmslines.mpoly import SparsePoly, restrict_to_span
+from hmslines.padics import UnramifiedRing
+from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
+from hmslines.search import find_lines, load_config
+from hmslines.surface import (
+    SigmaProfile,
+    char3_twist,
+    identity_twist,
+    modular_form_values,
+    ordinarity_from_profile,
     rho0_twist,
     sigma_profile,
     twisted_equations,
 )
-from hmslines.hensel import block_roots
-from hmslines.lines import lies_in
-from hmslines.mpoly import restrict_to_span
-from hmslines.padics import UnramifiedRing
-from hmslines.quartics import roots_over_Fq
-from hmslines.search import load_config
-from hmslines.surface import SigmaProfile
 
 from galois_battery import ALLOWED_TYPES, WITNESS_TYPES, battery, good_primes
 from hmslines.galois import frobenius_cycle_type, quartic_galois_group

@@ -2,8 +2,8 @@
 import json
 from importlib import resources
 
-from hmslines import cli, find_lines
-from hmslines.search import load_config
+from hmslines import cli
+from hmslines.search import find_lines, load_config
 
 REAL_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
 
@@ -42,6 +42,18 @@ def test_verify_paper_json(capsys):
     assert all(row["passed"] is True for row in payload["checks"])
     names = [row["name"] for row in payload["checks"]]
     assert len(names) == len(set(names))
+
+
+def test_verify_paper_failure_exits_1(capsys, monkeypatch):
+    rows = [("kept", True, ""), ("broken", False, "detail")]
+    monkeypatch.setattr(cli, "verify_paper", lambda: (False, rows))
+    assert cli.main(["verify-paper"]) == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == ["PASS  kept", "FAIL  broken  (detail)", "verify-paper: FAILED"]
+    assert cli.main(["verify-paper", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert [row["passed"] for row in payload["checks"]] == [True, False]
 
 
 def test_find_line_demo_text_output(capsys):

@@ -24,13 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from hmslines import (
-    Line,
-    PrecisionError,
-    SearchExhausted,
+from hmslines import cli
+from hmslines.errors import PrecisionError, SearchExhausted
+from hmslines.lines import Line
+from hmslines.search import (
     build_model,
     certify_line,
-    cli,
     derive_chart_params,
     find_lines,
     parse_config,

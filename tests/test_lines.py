@@ -4,44 +4,55 @@ from fractions import Fraction
 from functools import cache
 from hashlib import sha256
 from importlib import resources
-from types import ModuleType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import hmslines
-from hmslines import (
+from hmslines import lines, mpoly, verify
+from hmslines.errors import (
+    ConicPointError,
     DegenerateLineError,
     HmsError,
-    Line,
     NotOnSurfaceError,
+    PrecisionError,
     RegimeError,
-    SparsePoly,
+)
+from hmslines.linalg import rref
+from hmslines.lines import (
+    Line,
     TangentConeChart,
-    build_model,
-    certify_line,
     char3_leading_profile,
     char3_quartic_display,
     cusp_proximity,
-    elementary_symmetric,
-    find_lines,
+    in_quadrics,
     labc_line,
     labc_params_of_line,
+    lies_in,
     parity_admissible,
+    primitive_vector,
     quartic_of_line,
-    real_root_count,
+    rational_conic_point,
+)
+from hmslines.mpoly import SparsePoly, elementary_symmetric
+from hmslines.padics import UnramifiedRing
+from hmslines.quartics import BinaryQuartic, real_root_count
+from hmslines.scalars import integer_numerators
+from hmslines.search import (
+    _candidate_params,
+    _combined_parameters,
+    build_model,
+    certify_line,
+    find_lines,
+    load_config,
+    parse_config,
+)
+from hmslines.surface import (
+    gram_matrix,
+    linear_row,
     rho0_twist,
     twist_by_name,
     twisted_equations,
 )
-from hmslines.errors import ConicPointError
-from hmslines import lines, mpoly
-from hmslines.linalg import rref
-from hmslines.lines import in_quadrics, lies_in, primitive_vector, rational_conic_point
-from hmslines.quartics import BinaryQuartic
-from hmslines.scalars import integer_numerators
-from hmslines.search import _candidate_params, _combined_parameters, load_config, parse_config
-from hmslines.surface import gram_matrix, linear_row
 
 F = Fraction
 
@@ -564,13 +575,7 @@ def test_chart_restricts_no_conic_per_candidate(monkeypatch):
     # that imports it, `mpoly` included, and the generic layer under it,
     # `SparsePoly.substitute` and `SparsePoly.evaluate`, on the class
     calls = []
-    modules = [
-        module
-        for module in vars(hmslines).values()
-        if isinstance(module, ModuleType) and hasattr(module, "restrict_to_span")
-    ]
-    assert {lines, mpoly} <= set(modules)
-    for module in modules:
+    for module in (lines, mpoly, verify):
 
         def counting(*args, restrict=module.restrict_to_span):
             calls.append(args)
@@ -643,29 +648,26 @@ def test_parity_admissible_rule():
 
 
 def test_cusp_proximity_examples():
-    exact = cusp_proximity([(0, 1, 0, 0, 0, 0)], p=3)
+    exact = cusp_proximity([(0, 1, 0, 0, 0, 0)])
     assert exact.depths == (None,)
     assert exact.distances == (F(0),)
-    near = cusp_proximity([(0, 1, 0, 0, 729, 0)], p=3)
+    near = cusp_proximity([(0, 1, 0, 0, 729, 0)])
     assert near.depths == (6,)
     assert near.distances == (F(1, 729),)
-    plain = cusp_proximity([(3, 1, 9, 27, 9, 3)], p=3)
+    plain = cusp_proximity([(3, 1, 9, 27, 9, 3)])
     assert plain.depths == (1,)
     assert plain.distances == (F(1, 3),)
 
 
 def test_cusp_proximity_respects_noncusp_choice():
     # coordinates 1 and 2 span the cusp line: the unit 5 does not count
-    report = cusp_proximity([(9, 1, 5, 27, 81, 243)], p=3)
+    report = cusp_proximity([(9, 1, 5, 27, 81, 243)])
     assert report.depths == (2,)
     with pytest.raises(HmsError):
-        cusp_proximity([(0, 0, 0, 0, 0, 0)], p=3)
+        cusp_proximity([(0, 0, 0, 0, 0, 0)])
 
 
 def test_cusp_proximity_refuses_unresolved_coordinates():
-    from hmslines import UnramifiedRing
-    from hmslines.errors import PrecisionError
-
     def known_mod_3_to(K, c):
         return UnramifiedRing(3, (0, 1), K).elt([c])
 
@@ -676,38 +678,35 @@ def test_cusp_proximity_refuses_unresolved_coordinates():
     # Every gauge coordinate is indistinguishable from zero: the depth
     # could be anything at this precision, so the report must refuse.
     with pytest.raises(PrecisionError):
-        cusp_proximity([(fog, unit, fog, fog, fog, fog)], p=3)
+        cusp_proximity([(fog, unit, fog, fog, fog, fog)])
 
     # A certified depth of 3 cannot stand while another gauge coordinate
     # might still have valuation 2.
     with pytest.raises(PrecisionError):
-        cusp_proximity([(deep, unit, 0, fog, 0, 0)], p=3)
+        cusp_proximity([(deep, unit, 0, fog, 0, 0)])
 
     # Once the unresolved coordinate is known to be deeper than the
     # certified one, the report goes through.
     settled = known_mod_3_to(9, 0)
-    ok = cusp_proximity([(deep, unit, 0, settled, 0, 0)], p=3)
+    ok = cusp_proximity([(deep, unit, 0, settled, 0, 0)])
     assert ok.depths == (3,)
     assert ok.distances == (F(1, 27),)
 
     # A point with no certified coordinate at all is a precision problem
     # as well, not a malformed input.
     with pytest.raises(PrecisionError):
-        cusp_proximity([(fog, fog, fog, fog, fog, fog)], p=3)
+        cusp_proximity([(fog, fog, fog, fog, fog, fog)])
 
 
 def test_cusp_proximity_refuses_an_unresolved_primitive_scaling():
     # 27 has valuation 3, but the coordinate known only mod 3^2 could
     # still have valuation 2: the primitive scaling, and with it every
     # depth, waits for precision 4
-    from hmslines import UnramifiedRing
-    from hmslines.errors import PrecisionError
-
     point = (
         UnramifiedRing(3, (0, 1), 5).elt([27]),
         UnramifiedRing(3, (0, 1), 2).elt([0]),
         0, 0, 0, 0,
     )
     with pytest.raises(PrecisionError, match="primitive scaling of the point") as exc:
-        cusp_proximity([point], p=3)
+        cusp_proximity([point])
     assert exc.value.needed == 4

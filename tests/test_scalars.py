@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -95,8 +96,18 @@ def test_primitive_integers_is_a_positive_multiple_with_content_one(values):
 
 def test_sup_norm_shell_is_the_filtered_cube():
     # the reference: the whole (2r+1)^3 cube in lexicographic order,
-    # filtered to sup norm r
+    # filtered to sup norm r and to the box
+    rng = random.Random(0)
     for r in range(9):
-        cube = product(range(-r, r + 1), repeat=3)
-        want = [t for t in cube if max(map(abs, t)) == r]
-        assert list(sup_norm_shell(r)) == want
+        boxes = [[range(-r, r + 1)] * 3]
+        for _ in range(20):
+            ends = [sorted(rng.randint(-10, 10) for _ in range(2)) for _ in range(3)]
+            boxes.append([range(lo, hi + rng.randint(0, 1)) for lo, hi in ends])
+        for box in boxes:
+            cube = product(range(-r, r + 1), repeat=3)
+            want = [
+                t
+                for t in cube
+                if max(map(abs, t)) == r and all(c in axis for c, axis in zip(t, box))
+            ]
+            assert list(sup_norm_shell(r, box)) == want

@@ -1,35 +1,33 @@
 """Congruence search, certificates, and intersection-point extraction."""
 import json
 from fractions import Fraction
+from hashlib import sha256
 from importlib import resources
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hmslines import (
-    ConfigError,
-    HmsError,
-    Line,
-    SearchExhausted,
-    PrecisionError,
-    TangentConeChart,
-    build_model,
-    certify_line,
-    crt_parameter,
-    cusp_proximity,
-    derive_chart_params,
-    find_lines,
-    intersection_points,
-    labc_line,
-    parse_config,
-    quartic_of_line,
-)
 from hmslines import quartics, search
+from hmslines.errors import ConfigError, HmsError, PrecisionError, SearchExhausted
 from hmslines.hensel import hensel_factor_quartic
+from hmslines.lines import Line, TangentConeChart, cusp_proximity, labc_line, quartic_of_line
 from hmslines.padics import IndeterminateValuation, UnramifiedRing
 from hmslines.scalars import primitive_integers, valuation_of_rational
 from hmslines.serialize import frac_str
-from hmslines.search import CERTIFICATE_SCHEMA, load_config, _candidate_params, _combined_parameters
+from hmslines.search import (
+    CERTIFICATE_SCHEMA,
+    _candidate_params,
+    _combined_parameters,
+    build_model,
+    certify_line,
+    crt_parameter,
+    derive_chart_params,
+    find_lines,
+    intersection_points,
+    load_config,
+    parse_config,
+)
 
 from precision_probe import certificate_entry
 
@@ -174,6 +172,61 @@ def test_candidate_enumeration_walks_outward():
     for triple in first:
         for rep, value, m in zip(reps, triple, moduli):
             assert (value - rep) % m == 0
+
+
+def _filtered_cube_walk(reps, moduli, height_bound):
+    """The reference walk: every offset of the whole sup-norm cube, shell
+    by shell in lexicographic order, kept when each numerator of
+    rep + n * m, num + n * m * den, is at most the bound."""
+    if any(rep.denominator > height_bound for rep in reps):
+        return
+    max_radius = max(
+        [1] + [(height_bound + abs(rep)) // m + 1 for rep, m in zip(reps, moduli)]
+    )
+    axes = [(rep.numerator, m * rep.denominator) for rep, m in zip(reps, moduli)]
+    for radius in range(int(max_radius) + 1):
+        for off in product(range(-radius, radius + 1), repeat=3):
+            nums = [num + n * step for (num, step), n in zip(axes, off)]
+            if max(map(abs, off)) == radius and max(map(abs, nums)) <= height_bound:
+                yield tuple(rep + n * m for rep, n, m in zip(reps, off, moduli))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.builds(F, st.integers(-8, 8), st.sampled_from([1, 1, 2, 3])),
+        min_size=3,
+        max_size=3,
+    ),
+    st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    st.integers(1, 9),
+)
+# no multiple of 10 moves 5 into [-3, 3]: the middle axis is empty
+@example([F(0), F(5), F(1, 2)], [1, 10, 2], 3)
+# a denominator above the bound admits nothing
+@example([F(1, 5), F(0), F(0)], [1, 1, 1], 4)
+def test_candidate_walk_is_the_filtered_cube(reps, moduli, height_bound):
+    want = list(_filtered_cube_walk(reps, moduli, height_bound))
+    assert list(_candidate_params(reps, moduli, height_bound)) == want
+
+
+def _walk_digest(config):
+    walk = _candidate_params(*_combined_parameters(config), config.height_bound)
+    text = "".join(" ".join(map(str, triple)) + "\n" for triple in walk)
+    return text.count("\n"), sha256(text.encode()).hexdigest()
+
+
+def test_drained_walks_are_pinned():
+    # the whole walk of each demo class; the char3 class is the one the
+    # precision-starved char3 search drains
+    assert _walk_digest(load_config(config_path("rho0-demo.json"))) == (
+        71407,
+        "c3c8d9206b2810c4e3981ac2c037d4a9882424cbb3f9633d052d0a1a7949d0fb",
+    )
+    assert _walk_digest(load_config(config_path("char3-demo.json"))) == (
+        729,
+        "290c065a0a4ee6d9ddb2a8d20b1c5b57ab8465b96c9b8d938149f7e168075a18",
+    )
 
 
 def test_rho0_demo_finds_real_line():
@@ -445,14 +498,14 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
     # oracle: cusp_proximity of the exact primitive integer point
     assume(any(n for n, _ in terms))
     point = primitive_integers([n * 3**k for n, k in terms])
-    exact = cusp_proximity([point], p=3)
+    exact = cusp_proximity([point])
     # the certificate path: the point is [1 : 0] on a span whose first
     # row is the point
     ring = UnramifiedRing(3, (0, 1), K)
     local = search.LocalPoint(0, ring.one(), ring.zero())
     gauge = [valuation_of_rational(point[i], 3) for i in (0, 3, 4, 5) if point[i]]
     try:
-        report = search._cusp_report((point, (0,) * 6), [local], 3)
+        report = search._cusp_report((point, (0,) * 6), [local])
     except PrecisionError as exc:
         assert exc.needed > K
         # refusing is allowed only while every gauge coordinate may be

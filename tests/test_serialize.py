@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from hmslines import ConfigError
+from hmslines.errors import ConfigError
 from hmslines.serialize import (
     canonical_json,
     config_digest,

@@ -7,26 +7,26 @@ from importlib import resources
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hmslines import (
-    BadLocusError,
-    HmsError,
-    RationalityError,
+from hmslines.errors import BadLocusError, HmsError, RationalityError
+from hmslines.linalg import rref
+from hmslines.mpoly import SparsePoly, elementary_symmetric
+from hmslines.padics import UnramifiedRing
+from hmslines.scalars import primitive_integers, valuation_of_rational
+from hmslines.search import build_model, parse_config
+from hmslines.surface import (
+    BUILTIN_TWISTS,
+    CompiledForm,
     SigmaProfile,
     TwistData,
-    UnramifiedRing,
     identity_twist,
     modular_form_values,
     ordinarity_from_profile,
+    ordinarity_from_valuations,
     rho0_twist,
     sigma_profile,
     twist_by_name,
     twisted_equations,
 )
-from hmslines.linalg import rref
-from hmslines.mpoly import SparsePoly, elementary_symmetric
-from hmslines.scalars import primitive_integers, valuation_of_rational
-from hmslines.search import build_model, parse_config
-from hmslines.surface import BUILTIN_TWISTS, CompiledForm, ordinarity_from_valuations
 
 from precision_probe import certificate_entry, run_probe
 
