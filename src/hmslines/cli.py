@@ -189,17 +189,17 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if cert.passed else EXIT_NO_LINE
 
 
+_COMMANDS = {
+    "verify-paper": _cmd_verify_paper,
+    "find-line": _cmd_find_line,
+    "certify": _cmd_certify,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify-paper":
-            return _cmd_verify_paper(args)
-        if args.command == "find-line":
-            return _cmd_find_line(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -207,7 +207,6 @@ def main(argv=None) -> int:
         needed = f" (needs precision {exc.needed})" if exc.needed else ""
         print(f"precision exhausted: {exc}{needed}", file=sys.stderr)
         return EXIT_PRECISION
-    return EXIT_FAILURE
 
 
 if __name__ == "__main__":

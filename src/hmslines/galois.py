@@ -16,22 +16,27 @@ the rare S4 or A4 quartic the prime list misses) is factored over Q by
 Zassenhaus.  The transitive labels are then decided by the resolvent
 cubic together with the square class of the discriminant and, for the
 dihedral/cyclic split, reducibility of two auxiliary quadratics over
-Q(sqrt(disc)).  Reducible quartics get C1/C2 when the splitting field is
-trivial/quadratic and the label "reducible-composite" otherwise.  All of
-these groups are solvable, which is what the certificate machinery
-ultimately relies on.
+Q(sqrt(disc)) (Kappe & Warren, "An elementary test for the Galois group
+of a quartic polynomial", Amer. Math. Monthly 96, 1989).  Reducible
+quartics get C1/C2 when the splitting field is trivial/quadratic and the
+label "reducible-composite" otherwise.  All of these groups are
+solvable, which is what the certificate machinery ultimately relies on.
+
+`solvability_report` returns the certificate's `galois` section itself,
+as the dict that is serialized.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import DegenerateLineError, HmsError
 from .hensel import factor_binary_quartic, factor_squarefree_int
 from .quartics import BinaryQuartic, integer_model
 from .scalars import is_square_rational, primitive_integers
 
-GROUP_ORDERS = {"S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4, "C2": 2, "C1": 1}
+GROUP_ORDERS = {
+    "S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4, "S3": 6, "C3": 3, "C2": 2, "C1": 1
+}
 
 # the odd primes below 100, tried in order until the cycle types decide
 SIEVE_PRIMES = tuple(
@@ -41,14 +46,6 @@ SIEVE_PRIMES = tuple(
 # the cycle type of Frobenius by its number of fixed roots, when that is
 # not zero; three fixed roots would force the fourth
 _TYPE_OF_ROOT_COUNT = {4: (1, 1, 1, 1), 2: (1, 1, 2), 1: (1, 3)}
-
-
-@dataclass
-class QuarticGaloisGroup:
-    label: str
-    order: int
-    transitive: bool
-    disc_is_square: bool
 
 
 def resolvent_cubic(b, c, d, e):
@@ -87,39 +84,33 @@ def _cubic_label(g):
         - 4 * c3 * c1**3
         - 27 * c3**2 * c0**2
     )
-    return ("C3", 3) if is_square_rational(Fraction(d3)) else ("S3", 6)
+    return "C3" if is_square_rational(Fraction(d3)) else "S3"
 
 
 def _reducible_label(forms):
     degs = sorted(len(g) - 1 for g in forms)
     if degs == [1, 1, 1, 1]:
-        return "C1", 1
+        return "C1"
     if degs == [1, 1, 2]:
-        return "C2", 2
+        return "C2"
     if degs == [2, 2]:
-        (a0, a1, a2), (b0, b1, b2) = forms[0], forms[1]
+        (a0, a1, a2), (b0, b1, b2) = forms
         d1 = Fraction(a1 * a1 - 4 * a0 * a2)
         d2 = Fraction(b1 * b1 - 4 * b0 * b2)
-        if is_square_rational(d1 * d2):
-            # both quadratics cut out the same field
-            return "C2", 2
-        return "reducible-composite", 4
-    if degs == [1, 3]:
-        cub = next(g for g in forms if len(g) == 4)
-        return "reducible-composite", _cubic_label(cub)[1]
-    raise HmsError(f"unexpected factor degrees {degs}")
+        # a square product: both quadratics cut out the same field
+        return "C2" if is_square_rational(d1 * d2) else "reducible-composite"
+    return "reducible-composite"  # [1, 3]
 
 
-def _galois_group(disc, forms) -> QuarticGaloisGroup:
-    """The group of a squarefree quartic from its discriminant and factors.
+def _galois_group(disc, forms) -> str:
+    """The group label of a squarefree quartic from its discriminant and
+    factors.
 
     Only the square class of disc is read, so the discriminant of the
     integer model serves: it is q's own times a rational square.
     """
-    disc_sq = is_square_rational(disc)
     if len(forms) > 1:
-        label, order = _reducible_label(forms)
-        return QuarticGaloisGroup(label, order, False, disc_sq)
+        return _reducible_label(forms)
     g = forms[0]
     lc = Fraction(g[4])
     b = Fraction(g[3]) / lc
@@ -128,20 +119,17 @@ def _galois_group(disc, forms) -> QuarticGaloisGroup:
     e = Fraction(g[0]) / lc
     roots = _rational_roots_monic_cubic(resolvent_cubic(b, c, d, e))
     if len(roots) == 0:
-        label = "A4" if disc_sq else "S4"
-    elif len(roots) == 3:
-        label = "V4"
-    else:
-        beta = roots[0]
-        # x^2 - beta x + e has roots x1 x2, x3 x4;
-        # x^2 + b x + (c - beta) has roots x1 + x2, x3 + x4
-        d1 = beta * beta - 4 * e
-        d2 = b * b - 4 * (c - beta)
-        if _splits_over_sqrt_disc(d1, disc) and _splits_over_sqrt_disc(d2, disc):
-            label = "C4"
-        else:
-            label = "D4"
-    return QuarticGaloisGroup(label, GROUP_ORDERS[label], True, disc_sq)
+        return "A4" if is_square_rational(disc) else "S4"
+    if len(roots) == 3:
+        return "V4"
+    beta = roots[0]
+    # x^2 - beta x + e has roots x1 x2, x3 x4;
+    # x^2 + b x + (c - beta) has roots x1 + x2, x3 + x4
+    d1 = beta * beta - 4 * e
+    d2 = b * b - 4 * (c - beta)
+    if _splits_over_sqrt_disc(d1, disc) and _splits_over_sqrt_disc(d2, disc):
+        return "C4"
+    return "D4"
 
 
 def _cycle_type(ics, disc, p):
@@ -174,17 +162,8 @@ def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
     return _cycle_type(ics, disc, p)
 
 
-def _group_and_factors(q: BinaryQuartic):
-    """(group, irreducible factors over Q) of a squarefree quartic.
-
-    The Frobenius sieve decides A4 and S4 without factoring; q is then
-    its own only factor, primitive with positive leading coefficient,
-    as `factor_binary_quartic` returns it.  Anything else is factored
-    once by Zassenhaus.
-    """
-    ics, disc = integer_model(q)
-    if disc == 0:
-        raise DegenerateLineError("quartic has a repeated projective root")
+def _sieve_decides(ics, disc) -> bool:
+    """Do the Frobenius cycle types at `SIEVE_PRIMES` prove A4 or S4?"""
     seen = set()
     for p in SIEVE_PRIMES:
         if disc % p:
@@ -192,49 +171,47 @@ def _group_and_factors(q: BinaryQuartic):
             # a linear factor over Q gives a root mod every p, so no (4)
             # or (2,2); two quadratic factors give no (1,3)
             if (1, 3) in seen and ((4,) in seen or (2, 2) in seen):
-                disc_sq = is_square_rational(disc)
-                label = "A4" if disc_sq else "S4"
-                order = GROUP_ORDERS[label]
-                grp = QuarticGaloisGroup(label, order, True, disc_sq)
-                return grp, [tuple(c if ics[4] > 0 else -c for c in ics)]
-    forms = factor_binary_quartic(q)
-    return _galois_group(disc, forms), forms
+                return True
+    return False
 
 
-def quartic_galois_group(q: BinaryQuartic) -> QuarticGaloisGroup:
-    """Galois group of the splitting field of a squarefree quartic."""
-    return _group_and_factors(q)[0]
+def _factor_label(g, label):
+    """The group of one irreducible factor g of a quartic of group `label`."""
+    d = len(g) - 1
+    if d == 3:
+        return _cubic_label(g)
+    return {1: "C1", 2: "C2", 4: label}[d]
 
 
-@dataclass
-class SolvabilityReport:
-    factors: list  # (coeff tuple, label, order) per irreducible factor
-    overall_label: str
-    disc_is_square: bool
-    solvable: bool
-    splitting_degree_bound: int
-
-
-def solvability_report(q: BinaryQuartic) -> SolvabilityReport:
-    """Factor q over Q and bound the splitting field by solvable pieces.
+def solvability_report(q: BinaryQuartic) -> dict:
+    """The certificate's `galois` section of a squarefree quartic.
 
     Every group that can occur for a quartic is solvable, so the roots
-    are always expressible by radicals; the report records the pieces
-    and a degree bound for the compositum.  q is factored at most once:
-    a degree-4 factor means q is irreducible, so its label is the
-    overall one.
+    are always expressible by radicals; the section records the group
+    label, the square class of the discriminant, each irreducible
+    factor's degree and group, and the product of their orders as a
+    degree bound for the compositum.  The Frobenius sieve decides A4
+    and S4 without factoring, q then being its one factor; anything
+    else is factored once by Zassenhaus.
     """
-    grp, forms = _group_and_factors(q)
-    rows = []
-    bound = 1
-    for g in forms:
-        d = len(g) - 1
-        if d == 4:
-            label, order = grp.label, grp.order
-        elif d == 3:
-            label, order = _cubic_label(g)
-        else:
-            label, order = ("C1", 1) if d == 1 else ("C2", 2)
-        rows.append((tuple(g), label, order))
-        bound *= order
-    return SolvabilityReport(rows, grp.label, grp.disc_is_square, True, bound)
+    ics, disc = integer_model(q)
+    if disc == 0:
+        raise DegenerateLineError("quartic has a repeated projective root")
+    disc_is_square = is_square_rational(disc)
+    if _sieve_decides(ics, disc):
+        label = "A4" if disc_is_square else "S4"
+        rows = [(4, label)]
+    else:
+        forms = factor_binary_quartic(q)
+        label = _galois_group(disc, forms)
+        rows = [(len(g) - 1, _factor_label(g, label)) for g in forms]
+    factors = [
+        {"degree": d, "label": name, "order": GROUP_ORDERS[name]} for d, name in rows
+    ]
+    return {
+        "label": label,
+        "solvable": True,
+        "disc_is_square": disc_is_square,
+        "splitting_degree_bound": prod(row["order"] for row in factors),
+        "factors": factors,
+    }

@@ -17,7 +17,9 @@ rational charts produce such lines:
   of spanning points.
 
 The character-3 helpers (`char3_leading_profile`, `parity_admissible`,
-`cusp_proximity`) quantify the 3-adic behaviour of the labc family.
+`cusp_proximity`) quantify the 3-adic behaviour of the labc family;
+`cusp_proximity` returns each point's depth at the cusp line, from
+which the certificate's cusp section writes the distances.
 """
 
 from dataclasses import dataclass
@@ -440,8 +442,6 @@ class Char3Profile:
     coeffs[i] multiplies x1^i x2^(4-i) in the restriction of the scaled
     quartic to the line L_{a,b,c}."""
 
-    lambda1: Fraction
-    lambda2: Fraction
     coeffs: tuple
 
     def coefficient_valuations(self, alpha: int, beta: int, gamma: int):
@@ -489,7 +489,7 @@ def char3_leading_profile(lambda1, lambda2) -> Char3Profile:
         if not isinstance(poly, SparsePoly):
             poly = SparsePoly.constant(Fraction(poly), 3)
         coeffs.append(poly)
-    return Char3Profile(Fraction(lambda1), Fraction(lambda2), tuple(coeffs))
+    return Char3Profile(tuple(coeffs))
 
 
 def parity_admissible(ord_b: int, ord_c: int, ord_lambda1: int, ord_lambda2: int) -> bool:
@@ -512,29 +512,21 @@ def _coordinate_valuation(c):
 NONCUSP = (0, 3, 4, 5)
 
 
-@dataclass(frozen=True)
-class CuspProximityReport:
-    """3-adic closeness of points to the coordinate cusp line.
+def cusp_proximity(points) -> tuple:
+    """The 3-adic closeness of each point to the coordinate cusp line,
+    as a tuple of depths.
 
-    depth is min over the non-cusp coordinates `NONCUSP` of their
-    valuation in a primitive representative; distance = 3^(-depth).
-    depth None means the point lies on the cusp line exactly, with
-    distance 0."""
-
-    depths: tuple
-    distances: tuple
-
-
-def cusp_proximity(points) -> CuspProximityReport:
-    """Depth None (infinite agreement) comes with distance 0 exactly.
+    A point's depth is the least valuation of its non-cusp coordinates
+    `NONCUSP` in a primitive representative, so its 3-adic distance
+    from the line is 3^(-depth); depth None means the point lies on the
+    cusp line exactly, at distance 0.
 
     Coordinates indistinguishable from zero at their working precision
     are never treated as exact zeros: when such a coordinate could
-    still change the depth, the report refuses with a PrecisionError
+    still change the depth, it refuses with a PrecisionError
     instead of certifying from incomplete evidence.
     """
     depths = []
-    distances = []
     for pt in points:
         vals = [_coordinate_valuation(c) for c in pt]
         finite = [v for v in vals if isinstance(v, int)]
@@ -576,5 +568,4 @@ def cusp_proximity(points) -> CuspProximityReport:
                 "cusp depth is unresolved at this precision", needed=needed
             )
         depths.append(depth)
-        distances.append(Fraction(0) if depth is None else Fraction(1, 3**depth))
-    return CuspProximityReport(depths=tuple(depths), distances=tuple(distances))
+    return tuple(depths)

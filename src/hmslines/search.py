@@ -23,6 +23,11 @@ line's integer basis (`LocalPoint`).  The 5-adic invariants restrict
 sigma_3, sigma_5 and sigma_6 to that basis once per line (`_SpanForms`)
 and evaluate the binary forms at each (t, u); only the cusp report
 forms the six coordinates.  Every valuation is a `UElt.valuation`.
+
+Two sections come straight from the function that computes them:
+`galois.solvability_report` returns the `galois` section as it is
+serialized, and `lines.cusp_proximity` returns the depths from which
+`_cusp_report` writes the cusp distances 3^(-depth).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .lines import (
     quartic_of_line,
 )
 from .padics import UElt, UnramifiedRing
-from .quartics import BinaryQuartic, integer_model, real_root_count
+from .quartics import integer_model, real_root_count
 from .galois import solvability_report
 from .scalars import sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
@@ -82,35 +87,19 @@ _CONFIG_KEYS = {
 
 
 @dataclass
-class LocalTarget:
-    """Requested behaviour at one place: "real", 3, or 5.
-
-    params is the chart triple (a, b, c) anchoring the search at that
-    place; at a finite place only its residues modulo p^k matter.
-    """
-
-    place: object
-    params: tuple
-
-
-@dataclass
 class SearchConfig:
     twist: str
     lambda1: Fraction
     lambda2: Fraction
     seed_point: tuple | None
-    targets: tuple
+    # place ("real", 3 or 5) -> the chart triple (a, b, c) anchoring the
+    # search there; at a finite place only its residues mod p^k matter
+    targets: dict
     k3: int
     k5: int
     height_bound: int
     precision: int
     digest: str
-
-    def target_at(self, place):
-        for t in self.targets:
-            if t.place == place:
-                return t
-        return None
 
 
 def _parse_place(raw):
@@ -161,15 +150,13 @@ def parse_config(data: dict) -> SearchConfig:
     targets_raw = data.get("targets", [])
     if not isinstance(targets_raw, list):
         raise ConfigError("targets must be a list")
-    targets = []
-    seen_places = set()
+    targets = {}
     for entry in targets_raw:
         if not isinstance(entry, dict) or "place" not in entry:
             raise ConfigError("each target needs a 'place' key")
         place = _parse_place(entry["place"])
-        if place in seen_places:
+        if place in targets:
             raise ConfigError(f"duplicate target for place {place!r}")
-        seen_places.add(place)
         params_raw = entry.get("params")
         if not isinstance(params_raw, (list, tuple)) or len(params_raw) != 3:
             raise ConfigError("target params must be a triple (a, b, c)")
@@ -177,7 +164,7 @@ def parse_config(data: dict) -> SearchConfig:
         extra = set(entry) - {"place", "params"}
         if extra:
             raise ConfigError(f"unknown target keys: {sorted(extra)}")
-        targets.append(LocalTarget(place=place, params=params))
+        targets[place] = params
 
     k3 = _parse_int(data, "k3", 0, 0)
     k5 = _parse_int(data, "k5", 0, 0)
@@ -188,18 +175,17 @@ def parse_config(data: dict) -> SearchConfig:
     if twist != "char3-x" and targets and seed_point is None:
         raise ConfigError("this twist needs a seed_point for the line chart")
 
-    for t in targets:
-        if t.place == 3 and k3 < 1:
-            raise ConfigError("a place-3 target needs k3 >= 1")
-        if t.place == 5 and k5 < 1:
-            raise ConfigError("a place-5 target needs k5 >= 1")
+    if 3 in targets and k3 < 1:
+        raise ConfigError("a place-3 target needs k3 >= 1")
+    if 5 in targets and k5 < 1:
+        raise ConfigError("a place-5 target needs k5 >= 1")
 
     return SearchConfig(
         twist=twist,
         lambda1=lambda1,
         lambda2=lambda2,
         seed_point=seed_point,
-        targets=tuple(targets),
+        targets=targets,
         k3=k3,
         k5=k5,
         height_bound=height_bound,
@@ -422,12 +408,12 @@ def _cusp_report(rows, points):
     coordinates 0, 3, 4 and 5 vanish (`lines.cusp_proximity`)."""
     if not points:
         return None
-    report = cusp_proximity([pt.coordinates(rows) for pt in points])
+    depths = cusp_proximity([pt.coordinates(rows) for pt in points])
     return {
         "p": 3,
-        "depths": list(report.depths),
+        "depths": list(depths),
         "distances": [
-            None if d is None else frac_str(d) for d in report.distances
+            frac_str(0) if d is None else frac_str(Fraction(1, 3**d)) for d in depths
         ],
     }
 
@@ -466,20 +452,6 @@ def _serialize_block(blk) -> dict:
         "multiplicity": blk.multiplicity,
         "verdict": blk.verdict,
         "disc_valuation": blk.disc_valuation,
-    }
-
-
-def _galois_section(quartic: BinaryQuartic) -> dict:
-    rep = solvability_report(quartic)
-    return {
-        "label": rep.overall_label,
-        "solvable": rep.solvable,
-        "disc_is_square": rep.disc_is_square,
-        "splitting_degree_bound": rep.splitting_degree_bound,
-        "factors": [
-            {"degree": len(coeffs) - 1, "label": label, "order": order}
-            for coeffs, label, order in rep.factors
-        ],
     }
 
 
@@ -527,7 +499,7 @@ def _local_section(line, model, config, report) -> dict:
         # restricted once per line, and only for a line with points
         forms = _SpanForms(model, line.ints, p) if points else None
         section["points"] = [_point_invariants(forms, pt) for pt in points]
-    section["required"] = config.target_at(p) is not None
+    section["required"] = p in config.targets
     return section
 
 
@@ -575,14 +547,14 @@ class _Sections:
         return section
 
     def galois(self) -> dict:
-        return self._once("galois", lambda: _galois_section(self.quartic))
+        return self._once("galois", lambda: solvability_report(self.quartic))
 
     def real(self) -> dict:
         return self._once(
             "real",
             lambda: {
                 "root_count": real_root_count(self.quartic),
-                "required": self.config.target_at("real") is not None,
+                "required": "real" in self.config.targets,
             },
         )
 
@@ -607,12 +579,12 @@ class _Sections:
         Hensel report at 3 alone, and the 5-adic gate the Hensel report
         at 5 before the points and invariants it reads last.
         """
-        targeted = self.config.target_at
-        if targeted("real") is not None:
+        targeted = self.config.targets
+        if "real" in targeted:
             yield "real_four_roots", self.real()["root_count"] == 4
-        if targeted(3) is not None:
+        if 3 in targeted:
             yield "unramified_at_3", self.hensel(3).verdict == "unramified"
-        if targeted(5) is not None:
+        if 5 in targeted:
             yield "ordinary_at_5", (
                 self.hensel(5).verdict == "unramified"
                 and _points_ordinary(self.local(5))
@@ -748,20 +720,18 @@ def line_chart(config: SearchConfig, model: SurfaceModel):
 
 
 def _combined_parameters(config: SearchConfig):
-    t_real = config.target_at("real")
-    t3 = config.target_at(3)
-    t5 = config.target_at(5)
-    anchor_target = t_real or t3 or t5
-    if anchor_target is None:
+    t_real, t3, t5 = (config.targets.get(place) for place in ("real", 3, 5))
+    anchor = t_real or t3 or t5
+    if anchor is None:
         raise ConfigError("the search needs at least one target")
     reps, moduli = [], []
     for i in range(3):
         rep, m = crt_parameter(
-            residue3=t3.params[i] if t3 else None,
-            residue5=t5.params[i] if t5 else None,
+            residue3=t3[i] if t3 else None,
+            residue5=t5[i] if t5 else None,
             k3=config.k3,
             k5=config.k5,
-            anchor=anchor_target.params[i],
+            anchor=anchor[i],
         )
         reps.append(rep)
         moduli.append(m)

@@ -38,7 +38,7 @@ from hmslines.surface import (
 )
 
 from galois_battery import ALLOWED_TYPES, WITNESS_TYPES, battery, good_primes
-from hmslines.galois import frobenius_cycle_type, quartic_galois_group
+from hmslines.galois import frobenius_cycle_type, solvability_report
 from precision_probe import run_probe
 
 F = Fraction
@@ -215,7 +215,7 @@ def test_gate_5_galois_battery():
         assert len(members) >= 40
         assert {label for _, label in members} == {"S4", "A4", "D4", "C4", "V4"}
         for q, label in members:
-            assert quartic_galois_group(q).label == label
+            assert solvability_report(q)["label"] == label
             allowed = ALLOWED_TYPES[label]
             seen = set()
             for p in good_primes(q, 50):

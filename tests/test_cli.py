@@ -172,6 +172,17 @@ def test_certify_line_from_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_certify_rejects_a_line_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text("[[1, 0, 0")
+    rc = cli.main([
+        "certify", "--line", str(path),
+        "--config", config_path("rho0-demo.json"),
+    ])
+    assert rc == 3
+    assert "--line file is not valid JSON" in capsys.readouterr().err
+
+
 def test_certify_rejects_malformed_line(capsys):
     cfg = config_path("rho0-demo.json")
     for bad in (

@@ -6,13 +6,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import galois, hensel, padics
 from hmslines.errors import HmsError
-from hmslines.galois import (
-    frobenius_cycle_type,
-    quartic_galois_group,
-    resolvent_cubic,
-    solvability_report,
-)
+from hmslines.galois import frobenius_cycle_type, resolvent_cubic, solvability_report
 from hmslines.quartics import BinaryQuartic, integer_model
+from hmslines.scalars import is_square_rational
 
 from galois_battery import ALLOWED_TYPES, WITNESS_TYPES, battery, good_primes
 
@@ -34,7 +30,7 @@ def Q(coeffs):
 
 
 def _zassenhaus_report(q):
-    """The solvability report with the Frobenius sieve switched off."""
+    """The Galois section with the Frobenius sieve switched off."""
     with patch.object(galois, "SIEVE_PRIMES", ()):
         return galois.solvability_report(q)
 
@@ -43,9 +39,10 @@ def test_battery_labels_match_references():
     members = list(battery())
     assert len(members) == 40
     for q, label in members:
-        g = quartic_galois_group(q)
-        assert g.label == label, (list(q.coeffs), g.label, label)
-        assert g.transitive
+        rep = solvability_report(q)
+        assert rep["label"] == label, (list(q.coeffs), rep["label"], label)
+        # transitive: q is its own one irreducible factor
+        assert len(rep["factors"]) == 1
 
 
 def test_battery_frobenius_consistency():
@@ -65,8 +62,7 @@ def test_group_orders():
     orders = {"S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4}
     for base_index in (0, 1, 2, 4, 6):
         q, label = list(battery())[base_index * 5]
-        g = quartic_galois_group(q)
-        assert g.order == orders[label]
+        assert solvability_report(q)["factors"][0]["order"] == orders[label]
 
 
 def test_resolvent_cubic_of_biquadratic():
@@ -76,20 +72,16 @@ def test_resolvent_cubic_of_biquadratic():
     assert R == [Fraction(-40), Fraction(-4), Fraction(10), 1]
     for root in (-10, 2, -2):
         assert sum(c * root**i for i, c in enumerate(R)) == 0
-    g = quartic_galois_group(Q([1, 0, -10, 0, 1]))
-    assert g.label == "V4"
+    assert solvability_report(Q([1, 0, -10, 0, 1]))["label"] == "V4"
 
 
 def test_reducible_quartics_get_composite_labels():
     # (t^2 - 2 u^2)(t^2 - 3 u^2): splitting field Q(v2, v3), order 4
-    q = Q([6, 0, -5, 0, 1])
-    g = quartic_galois_group(q)
-    assert g.label == "reducible-composite"
-    assert not g.transitive
-    assert g.order == 4
-    rep = solvability_report(q)
-    assert rep.solvable
-    assert sorted(len(c) - 1 for c, _, _ in rep.factors) == [2, 2]
+    rep = solvability_report(Q([6, 0, -5, 0, 1]))
+    assert rep["label"] == "reducible-composite"
+    assert rep["splitting_degree_bound"] == 4
+    assert rep["solvable"]
+    assert rep["factors"] == [{"degree": 2, "label": "C2", "order": 2}] * 2
 
 
 def test_solvability_report_on_battery_members():
@@ -99,15 +91,14 @@ def test_solvability_report_on_battery_members():
         if idx % 10 != 0:
             continue
         rep = solvability_report(q)
-        assert rep.solvable
-        g = quartic_galois_group(q)
-        assert rep.splitting_degree_bound == g.order
+        assert rep["solvable"]
+        assert rep["splitting_degree_bound"] == rep["factors"][0]["order"]
 
 
 def test_degenerate_quartic_rejected():
     q = Q([1, 2, 1, 0, 0])  # (t + u)^2 u^2 has discriminant zero
     with pytest.raises(HmsError):
-        quartic_galois_group(q)
+        solvability_report(q)
 
 
 @pytest.mark.parametrize(
@@ -170,13 +161,11 @@ def test_sieve_agrees_with_zassenhaus_on_the_battery(q, k, m, sign):
     gives."""
     moved_coeffs = hensel.compose_binary(list(q.coeffs), ((1, k * m), (0, m)))
     moved = Q([sign * c for c in moved_coeffs])
-    reference = galois._galois_group(
-        moved.discriminant(), hensel.factor_binary_quartic(moved)
-    )
-    assert quartic_galois_group(moved) == reference
+    disc = moved.discriminant()
+    reference = galois._galois_group(disc, hensel.factor_binary_quartic(moved))
     rep = solvability_report(moved)
-    assert rep.overall_label == reference.label
-    assert rep.disc_is_square == reference.disc_is_square
+    assert rep["label"] == reference
+    assert rep["disc_is_square"] == is_square_rational(disc)
     assert rep == _zassenhaus_report(moved)
 
 
@@ -215,7 +204,7 @@ def test_sieve_never_decides_a_product(forms):
     with patch.object(galois, "factor_binary_quartic", counting):
         rep = solvability_report(q)
     assert len(calls) == 1
-    assert len(rep.factors) >= 2
+    assert len(rep["factors"]) >= 2
     assert rep == _zassenhaus_report(q)
 
 
@@ -242,6 +231,6 @@ def test_sieve_decides_without_factoring(monkeypatch, coeffs, label):
     q = Q(coeffs)
     rep = solvability_report(q)
     assert calls == []
-    assert rep.overall_label == label
+    assert rep["label"] == label
     assert rep == _zassenhaus_report(q)
     assert len(calls) > 0

@@ -13,6 +13,11 @@ and record the reason in CHANGES.md.
 Every frozen certificate must also pass the benchmark's independent
 checker (`bench/oracles.py`), and each 5-adic point entry must agree
 with the ordinarity formulas written out in this file.
+
+The benchmark's outputs are frozen too: one operation of each workload
+of `bench/workloads.py` at seed 0 must pass the workload's own checks
+and hash to the sha256 pinned in `BENCH_DIGESTS`.  A change to those
+bytes is a deliberate update of the pin, recorded like a golden's.
 """
 import io
 import json
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from hmslines import cli
+from hmslines import cli, errors, lines, quartics, search
 from hmslines.errors import PrecisionError, SearchExhausted
 from hmslines.lines import Line
 from hmslines.search import (
@@ -38,9 +43,11 @@ from hmslines.serialize import canonical_json
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
-# the benchmark's independent certificate checker, imported as it is
+# the benchmark's independent certificate checker and its workloads,
+# imported as the benchmark imports them
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 from oracles import certificate_errors  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
 CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
@@ -190,6 +197,34 @@ def test_golden_certificates_pass_the_independent_checks():
         ), where
         checked += 1
     assert checked, "no golden certificate was checked"
+
+
+# sha256 of the outputs of one operation of each workload at seed 0
+BENCH_DIGESTS = {
+    "rho0-harvest": "6581bc1d4a051bbf74e763d848b4f57b4ec1ff292c66fff6a7fd6a9b0f76a4fe",
+    "char3-starved": "c46dd1fbe22b94737b6f91c77fd67de084c053295e0a8a6b18640b6df6c048ea",
+    "certify-batch": "03106aea7684b46fbe8b0ed8675be733c0d4ee0fdfec70106a3f084ac4d0e07d",
+}
+
+
+class _CountingClock:
+    """The benchmark clock's one call from a workload, counting candidates."""
+
+    ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+def test_bench_digest_is_pinned(name):
+    hms = {"errors": errors, "lines": lines, "quartics": quartics, "search": search}
+    workload = WORKLOADS[name](hms, 0)
+    clock = _CountingClock()
+    op = workload.op(clock)
+    op.candidates = clock.ticks
+    assert workload.errors(op) == []
+    assert op.digest == BENCH_DIGESTS[name]
 
 
 def update():

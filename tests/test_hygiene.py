@@ -67,19 +67,10 @@ def _referenced_names(tree):
     """Names a module uses: loads, attributes and identifier strings.
 
     Identifier strings count because `bench/tracer.py` wraps functions
-    by name; imports and `__all__` do not, so a re-export alone is no use.
+    by name; imports do not, so a re-export alone is no use.
     """
-    exported = {
-        id(leaf)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign)
-        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
-        for leaf in ast.walk(node.value)
-    }
     names = set()
     for node in ast.walk(tree):
-        if id(node) in exported:
-            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -117,7 +108,6 @@ def test_every_function_is_referenced():
 TEST_ONLY = {
     "elementary_symmetric": "reference implementation the model tests compare against",
     "ordinarity_from_profile": "the exact-rational ordinarity oracle",
-    "quartic_galois_group": "public API the acceptance tests call",
     "frobenius_cycle_type": "public API the acceptance tests call; the sieve calls its rule",
 }
 
@@ -136,10 +126,7 @@ def test_unreferenced_function_is_reported():
         "    def unused(self):\n        pass\n"
         "def wrapped():\n    pass\n"
     )
-    elsewhere = (
-        'LAYERS = (("module", None, "wrapped"),)\n'
-        '__all__ = ["unused"]\n'
-    )
+    elsewhere = 'LAYERS = (("module", None, "wrapped"),)\n'
     assert _unreferenced_functions([module], [module, elsewhere]) == ["unused"]
 
 

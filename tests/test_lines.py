@@ -648,21 +648,16 @@ def test_parity_admissible_rule():
 
 
 def test_cusp_proximity_examples():
-    exact = cusp_proximity([(0, 1, 0, 0, 0, 0)])
-    assert exact.depths == (None,)
-    assert exact.distances == (F(0),)
-    near = cusp_proximity([(0, 1, 0, 0, 729, 0)])
-    assert near.depths == (6,)
-    assert near.distances == (F(1, 729),)
-    plain = cusp_proximity([(3, 1, 9, 27, 9, 3)])
-    assert plain.depths == (1,)
-    assert plain.distances == (F(1, 3),)
+    # on the cusp line exactly, 3^6 below it and a plain point at depth 1
+    assert cusp_proximity([(0, 1, 0, 0, 0, 0)]) == (None,)
+    assert cusp_proximity([(0, 1, 0, 0, 729, 0)]) == (6,)
+    assert cusp_proximity([(3, 1, 9, 27, 9, 3)]) == (1,)
+    assert cusp_proximity([(0, 1, 0, 0, 729, 0), (3, 1, 9, 27, 9, 3)]) == (6, 1)
 
 
 def test_cusp_proximity_respects_noncusp_choice():
     # coordinates 1 and 2 span the cusp line: the unit 5 does not count
-    report = cusp_proximity([(9, 1, 5, 27, 81, 243)])
-    assert report.depths == (2,)
+    assert cusp_proximity([(9, 1, 5, 27, 81, 243)]) == (2,)
     with pytest.raises(HmsError):
         cusp_proximity([(0, 0, 0, 0, 0, 0)])
 
@@ -688,9 +683,7 @@ def test_cusp_proximity_refuses_unresolved_coordinates():
     # Once the unresolved coordinate is known to be deeper than the
     # certified one, the report goes through.
     settled = known_mod_3_to(9, 0)
-    ok = cusp_proximity([(deep, unit, 0, settled, 0, 0)])
-    assert ok.depths == (3,)
-    assert ok.distances == (F(1, 27),)
+    assert cusp_proximity([(deep, unit, 0, settled, 0, 0)]) == (3,)
 
     # A point with no certified coordinate at all is a precision problem
     # as well, not a malformed input.

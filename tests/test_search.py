@@ -80,11 +80,8 @@ def test_parse_config_reads_demo():
     assert cfg.twist == "rho0-archimedean"
     assert cfg.lambda1 == 1 and cfg.lambda2 == 1
     assert cfg.seed_point == (F(-1), F(0), F(1), F(-1), F(-1), F(1))
-    assert len(cfg.targets) == 1
-    target = cfg.target_at("real")
-    assert target is not None
-    assert target.params == (F(2), F(1, 16), F(3))
-    assert cfg.target_at(3) is None and cfg.target_at(5) is None
+    assert cfg.targets == {"real": (F(2), F(1, 16), F(3))}
+    assert cfg.targets.get(3) is None and cfg.targets.get(5) is None
     assert cfg.k3 == 0 and cfg.k5 == 0
     assert cfg.height_bound == 50
     assert cfg.precision == 12
@@ -425,6 +422,34 @@ def test_gate_failures_build_no_galois_section(monkeypatch):
     assert reports == []
 
 
+def test_search_counts_chart_off_surface_and_degenerate_outcomes(monkeypatch):
+    # the first three candidates of the same search: the chart fails, a
+    # line off the quadrics, a line inside the degree-8 locus
+    chart = search.labc_line
+    replaced = iter([
+        HmsError("no line at these parameters"),
+        Line([[1, 0, 0, -1, -1, 1], [0, 1, -1, -1, 0, 1]]),
+        Line([[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
+    ])
+
+    def patched(a, b, c):
+        outcome = next(replaced, None)
+        if outcome is None:
+            return chart(a, b, c)
+        if isinstance(outcome, HmsError):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(search, "labc_line", patched)
+    cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
+    with pytest.raises(SearchExhausted) as info:
+        find_lines(cfg, max_results=1)
+    stats = info.value.stats
+    assert stats["candidates"] == 27
+    assert (stats["chart_failures"], stats["off_surface"], stats["degenerate"]) == (1, 1, 1)
+    assert sum(v for k, v in stats.items() if k != "candidates") == 27
+
+
 def test_only_lines_passing_the_gates_get_a_galois_section(monkeypatch):
     reports = _count_calls(monkeypatch, "solvability_report")
     counts = _count_calls(monkeypatch, "real_root_count")
@@ -498,7 +523,7 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
     # oracle: cusp_proximity of the exact primitive integer point
     assume(any(n for n, _ in terms))
     point = primitive_integers([n * 3**k for n, k in terms])
-    exact = cusp_proximity([point])
+    (depth,) = cusp_proximity([point])
     # the certificate path: the point is [1 : 0] on a span whose first
     # row is the point
     ring = UnramifiedRing(3, (0, 1), K)
@@ -514,8 +539,8 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
         return
     assert report == {
         "p": 3,
-        "depths": list(exact.depths),
-        "distances": [frac_str(d) for d in exact.distances],
+        "depths": [depth],
+        "distances": [frac_str(0 if depth is None else F(1, 3**depth))],
     }
 
 
