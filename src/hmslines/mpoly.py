@@ -94,9 +94,6 @@ class SparsePoly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             return SparsePoly(
@@ -138,9 +135,6 @@ class SparsePoly:
         if other == 0:
             return self.is_zero
         return self == self._coerce(other)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- queries -----------------------------------------------------
 
@@ -193,9 +187,6 @@ class SparsePoly:
                 term = term * cache[e]
             result = result + term
         return result
-
-    def map_coeffs(self, fn):
-        return SparsePoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
 
     # -- normalization over Q -----------------------------------------
 

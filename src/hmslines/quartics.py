@@ -62,11 +62,6 @@ class BinaryQuartic:
     def is_degenerate(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, BinaryQuartic) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
     def __repr__(self):
         return f"BinaryQuartic(c0..c4 = {self.coeffs})"
 

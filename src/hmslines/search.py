@@ -3,8 +3,10 @@
 A search configuration prescribes local behaviour at up to three places
 (the real one and the primes 3 and 5) through parameter triples in a
 line chart.  The searcher combines the congruence targets by the
-Chinese remainder theorem, walks candidate parameters outward from the
-combined representative, and certifies each resulting line: real root
+Chinese remainder theorem into one class, a representative per
+parameter and one modulus 3^k3 5^k5 for all three
+(`_combined_parameters`), walks candidate parameters outward from the
+representatives, and certifies each resulting line: real root
 count of the restricted quartic, unramified splitting over Z_3 and Z_5,
 ordinarity of the 5-adic intersection points, and avoidance of the
 degenerate curve.  Certificates serialize to canonical JSON so repeated
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     ConfigError,
@@ -164,6 +167,12 @@ def parse_config(data: dict) -> SearchConfig:
         extra = set(entry) - {"place", "params"}
         if extra:
             raise ConfigError(f"unknown target keys: {sorted(extra)}")
+        if place != "real":
+            for value in params:
+                if value.denominator % place == 0:
+                    raise ConfigError(
+                        f"target parameter {frac_str(value)} is not a {place}-adic integer"
+                    )
         targets[place] = params
 
     k3 = _parse_int(data, "k3", 0, 0)
@@ -205,62 +214,23 @@ def load_config(path: str) -> SearchConfig:
     return parse_config(data)
 
 
-# -- congruence combination --------------------------------------------
-
-
-def _residue_of(value, p: int, k: int) -> int:
-    value = Fraction(value)
-    m = p**k
-    if value.denominator % p == 0:
-        raise ConfigError(
-            f"target parameter {frac_str(value)} is not a {p}-adic integer"
-        )
-    return value.numerator * pow(value.denominator, -1, m) % m
-
-
-def crt_parameter(residue3=None, residue5=None, k3=0, k5=0, anchor=Fraction(0)):
-    """Combine congruence targets into one representative near an anchor.
-
-    Returns (rep, modulus).  rep satisfies rep = residue3 mod 3^k3 and
-    rep = residue5 mod 5^k5 (for the constraints actually given) and is
-    the representative of that class closest to the real anchor.  With
-    no congruence constraints the anchor itself comes back verbatim.
-    """
-    anchor = Fraction(anchor)
-    constraints = []
-    if residue3 is not None and k3 > 0:
-        constraints.append((_residue_of(residue3, 3, k3), 3**k3))
-    if residue5 is not None and k5 > 0:
-        constraints.append((_residue_of(residue5, 5, k5), 5**k5))
-    if not constraints:
-        return anchor, 1
-    base, modulus = constraints[0]
-    for r, m in constraints[1:]:
-        inv = pow(modulus, -1, m)
-        base = base + modulus * ((r - base) * inv % m)
-        modulus *= m
-    base %= modulus
-    shift = round((anchor - base) / modulus)
-    return Fraction(base + modulus * shift), modulus
-
-
 # -- candidate enumeration ---------------------------------------------
 
 
-def _candidate_params(reps, moduli, height_bound):
+def _candidate_params(reps, modulus, height_bound):
     """Walk chart triples outward from the combined representative.
 
-    On each axis rep + n * m is (num + n * m * den) / den, already in
-    lowest terms since gcd(num + n * m * den, den) = gcd(num, den) = 1,
-    so the height bound, |num + n * step| <= height_bound with
-    step = m * den, holds on one interval of n per axis.  Each sup-norm
-    shell of offsets is clipped to that box, and only the triples
-    yielded become Fractions.  A representative whose denominator
-    exceeds the bound admits no triple at all.
+    On each axis rep + n * modulus is (num + n * modulus * den) / den,
+    already in lowest terms since gcd(num + n * modulus * den, den) =
+    gcd(num, den) = 1, so the height bound, |num + n * step| <=
+    height_bound with step = modulus * den, holds on one interval of n
+    per axis.  Each sup-norm shell of offsets is clipped to that box,
+    and only the triples yielded become Fractions.  A representative
+    whose denominator exceeds the bound admits no triple at all.
     """
     if any(rep.denominator > height_bound for rep in reps):
         return
-    axes = [(rep.numerator, m * rep.denominator) for rep, m in zip(reps, moduli)]
+    axes = [(rep.numerator, modulus * rep.denominator) for rep in reps]
     box = [
         range(-((height_bound + num) // step), (height_bound - num) // step + 1)
         for num, step in axes
@@ -719,23 +689,38 @@ def line_chart(config: SearchConfig, model: SurfaceModel):
         raise ConfigError(f"seed_point does not give a line chart: {exc}")
 
 
+def _residue_of(value: Fraction, m: int) -> int:
+    """value mod m, for a value whose denominator is prime to m."""
+    return value.numerator * pow(value.denominator, -1, m) % m
+
+
 def _combined_parameters(config: SearchConfig):
-    t_real, t3, t5 = (config.targets.get(place) for place in ("real", 3, 5))
-    anchor = t_real or t3 or t5
+    """The congruence class the search walks, as (reps, modulus).
+
+    The modulus is 3^k3 5^k5 over the finite places targeted.  Each
+    reps[i] is congruent to the i-th parameter of every finite target
+    mod that place's power, and is the member of its class nearest the
+    anchor: the real target, else the first finite one.  With no finite
+    target the anchor comes back unchanged and the modulus is 1.
+    """
+    targets = config.targets
+    anchor = targets.get("real") or targets.get(3) or targets.get(5)
     if anchor is None:
         raise ConfigError("the search needs at least one target")
-    reps, moduli = [], []
-    for i in range(3):
-        rep, m = crt_parameter(
-            residue3=t3[i] if t3 else None,
-            residue5=t5[i] if t5 else None,
-            k3=config.k3,
-            k5=config.k5,
-            anchor=anchor[i],
-        )
-        reps.append(rep)
-        moduli.append(m)
-    return tuple(reps), tuple(moduli)
+    finite = [
+        (targets[p], p**k) for p, k in ((3, config.k3), (5, config.k5)) if p in targets
+    ]
+    if not finite:
+        return tuple(anchor), 1
+    modulus = prod(m for _, m in finite)
+    reps = []
+    for i, near in enumerate(anchor):
+        base = sum(
+            _residue_of(target[i], m) * (modulus // m) * pow(modulus // m, -1, m)
+            for target, m in finite
+        ) % modulus
+        reps.append(Fraction(base + modulus * round(Fraction(near - base, modulus))))
+    return tuple(reps), modulus
 
 
 def find_lines(config: SearchConfig, max_results: int = 1):
@@ -759,7 +744,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     """
     model = build_model(config)
     chart = line_chart(config, model)
-    reps, moduli = _combined_parameters(config)
+    reps, modulus = _combined_parameters(config)
     stats = {
         "candidates": 0,
         "chart_failures": 0,
@@ -772,7 +757,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     }
     results = []
     seen = set()
-    for params in _candidate_params(reps, moduli, config.height_bound):
+    for params in _candidate_params(reps, modulus, config.height_bound):
         stats["candidates"] += 1
         try:
             line = chart.line_at(*params)

@@ -3,8 +3,10 @@
 The untwisted model lives in P^5 with coordinates s0..s5 and is cut out
 by the elementary symmetric polynomials sigma1, sigma2, sigma4.  A twist
 is an invertible linear change of coordinates s = M y over the
-Eisenstein field Q(omega), held as two rational matrices M = A + omega B,
-whose composed equations have rational coefficients.
+Eisenstein field Q(omega), whose composed equations have rational
+coefficients; `TwistData` is only its two rational matrices,
+M = A + omega B (the lambdas of `char3_twist` scale its columns), and
+`SurfaceModel` keeps only the composed forms and their scales.
 `twisted_equations` gets all six composed sigma_k at once, in integers:
 it clears one common denominator of A and B, runs the sigma recurrence
 on the linear forms with coefficients in Z[omega] (int pairs), certifies
@@ -40,14 +42,10 @@ class TwistData:
     Q(omega), omega^2 + omega + 1 = 0, with M = A + omega B.
 
     `matrix` is A and `omega` is B, both 6x6 matrices of Fractions; B is
-    zero unless given.  `lambda1`, `lambda2` record the scaling
-    parameters used to build them (both 1 when the twist has none) and
-    `label` names the family.
+    zero unless given.
     """
 
-    def __init__(
-        self, matrix, omega=None, lambda1=Fraction(1), lambda2=Fraction(1), label="custom"
-    ):
+    def __init__(self, matrix, omega=None):
         if omega is None:
             omega = [[0] * 6 for _ in range(6)]
         A, B = ([[Fraction(x) for x in row] for row in part] for part in (matrix, omega))
@@ -60,17 +58,11 @@ class TwistData:
             raise HmsError("twist matrix is not invertible")
         self.matrix = A
         self.omega = B
-        self.lambda1 = Fraction(lambda1)
-        self.lambda2 = Fraction(lambda2)
-        self.label = label
-
-    def __repr__(self):
-        return f"TwistData({self.label!r}, lambda1={self.lambda1}, lambda2={self.lambda2})"
 
 
 def identity_twist() -> TwistData:
     rows = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
-    return TwistData(rows, label="identity")
+    return TwistData(rows)
 
 
 def rho0_twist() -> TwistData:
@@ -92,7 +84,7 @@ def rho0_twist() -> TwistData:
         [0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0],
     ]
-    return TwistData(rows, omega, label="rho0-archimedean")
+    return TwistData(rows, omega)
 
 
 def char3_twist(lambda1, lambda2) -> TwistData:
@@ -129,7 +121,7 @@ def char3_twist(lambda1, lambda2) -> TwistData:
     ]
     scale = [lambda1, 1 / lambda1, lambda2, 1 / lambda2, 1, 1]
     A, B = ([[x * d for x, d in zip(row, scale)] for row in S] for S in (rows, omega))
-    return TwistData(A, B, lambda1, lambda2, label="char3-x")
+    return TwistData(A, B)
 
 
 BUILTIN_TWISTS = ("identity", "rho0-archimedean", "char3-x")
@@ -249,7 +241,6 @@ class SurfaceModel:
     form as a `CompiledForm`.
     """
 
-    twist: TwistData
     forms: dict
     scales: dict
 
@@ -323,7 +314,7 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
             )
         scale, forms[k] = SparsePoly(6, {e: a for e, (a, _) in es[k].items()}).canonical()
         scales[k] = scale / d**k
-    return SurfaceModel(twist=twist, forms=forms, scales=scales)
+    return SurfaceModel(forms=forms, scales=scales)
 
 
 @dataclass(frozen=True)

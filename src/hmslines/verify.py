@@ -85,7 +85,7 @@ def check_symbolic_identities():
             (0, 0, 1, 1, 0, 0): -1,
         },
     )
-    got = model.forms[2].map_coeffs(lambda c: 3 * model.scales[2] * c)
+    got = model.forms[2] * (3 * model.scales[2])
     rows.append(
         _row(
             "char3 quadric: 3 sigma_2 = x4^2 + 3 x4 x5 + x5^2 - x0 x1 - x2 x3",

@@ -1,0 +1,156 @@
+"""Mutation catalogue of the verdict rules: does tier-1 catch each fault?
+
+Each entry of `MUTANTS` is a named (file, old, new) edit that breaks one
+verdict rule of the package.  The probe copies the repository to a
+temporary directory, checks that the unmutated copy passes tier-1, then
+for each mutant applies its edit to the copy, runs tier-1 with `-x` and
+prints KILLED with the first failing test, or SURVIVED.  An edit whose
+`old` text does not occur exactly once in its file is an error: the
+probe stops before running anything, so a stale entry is never skipped.
+A surviving mutant is a gap in the tests, to be closed by a test, not by
+editing the catalogue (mutation analysis: DeMillo, Lipton and Sayward,
+"Hints on test data selection", IEEE Computer 11(4), 1978).
+
+Run from the repository root, outside tier-1 (pytest does not collect
+this file):
+
+    python tests/mutation_probe.py
+
+It uses only the standard library and the interpreter running it, which
+must have pytest and hypothesis.  Exit status: 0 when every mutant is
+killed, 1 when one survives, 2 on a stale edit or a failing baseline.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md", "BENCHMARK.json")
+TIER1 = ("-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors")
+# a mutant that makes tier-1 run this long is counted as killed
+TIMEOUT_S = 600
+
+# (name, file, old, new): one or more per verdict rule
+MUTANTS = [
+    ("ordinarity bound <= 0 made < 0", "src/hmslines/surface.py",
+     "else v_u1 <= 0 and v_u2 <= 0",
+     "else v_u1 < 0 and v_u2 < 0"),
+    ("sign of v_sigma3 in v(u2)", "src/hmslines/surface.py",
+     "3 * (v_D - v_sigma5) - v_sigma3",
+     "3 * (v_D - v_sigma5) + v_sigma3"),
+    ("parity rule without its c clause", "src/hmslines/lines.py",
+     "return (ord_b - ord_lambda1) % 2 == 0 and (ord_c - ord_lambda2) % 2 == 0",
+     "return (ord_b - ord_lambda1) % 2 == 0"),
+    ("Frobenius types (2,2) and (4) swapped", "src/hmslines/galois.py",
+     "return (2, 2) if pow(disc, (p - 1) // 2, p) == 1 else (4,)",
+     "return (4,) if pow(disc, (p - 1) // 2, p) == 1 else (2, 2)"),
+    ("Hensel parity flipped", "src/hmslines/hensel.py",
+     'verdict = "unramified" if v % 2 == 0 else "ramified"',
+     'verdict = "unramified" if v % 2 == 1 else "ramified"'),
+    ("cusp-depth floor comparison loosened by one", "src/hmslines/lines.py",
+     "if floors and (depth is None or min(floors) < depth):",
+     "if floors and (depth is None or min(floors) + 1 < depth):"),
+    ("curve_V_avoided always true", "src/hmslines/search.py",
+     '"curve_V_avoided": True if v_D is not None else None,',
+     '"curve_V_avoided": True,'),
+    ("coordinate-valuation hint off by one", "src/hmslines/lines.py",
+     "needed=max(bounds) + 1,",
+     "needed=max(bounds),"),
+    ("CRT representative by floor, not nearest", "src/hmslines/search.py",
+     "round(Fraction(near - base, modulus))",
+     "(near - base) // modulus"),
+    ("real root count from P or D", "src/hmslines/quartics.py",
+     "return 4 if P < 0 and D < 0 else 0",
+     "return 4 if P < 0 or D < 0 else 0"),
+    ("resolvent labels C4 and D4 swapped", "src/hmslines/galois.py",
+     '        return "C4"\n    return "D4"',
+     '        return "D4"\n    return "C4"'),
+    ("squarefree blocks in reverse residue order", "src/hmslines/hensel.py",
+     "blocks.sort(key=lambda blk: _residue_order(blk, p))",
+     "blocks.sort(key=lambda blk: _residue_order(blk, p), reverse=True)"),
+    # (a ramified block and an inconclusive one cannot meet in a quartic:
+    # that needs degree 2 + 3 at least, so only this order is observable)
+    ("unramified block outranks inconclusive", "src/hmslines/hensel.py",
+     '("ramified", "inconclusive", "unramified")',
+     '("ramified", "unramified", "inconclusive")'),
+]
+
+
+def stale_edits(root):
+    """The mutants whose `old` text does not occur exactly once."""
+    stale = []
+    for name, path, old, _ in MUTANTS:
+        count = (root / path).read_text().count(old)
+        if count != 1:
+            stale.append(f"{name}: {path} has {count} occurrences of its text")
+    return stale
+
+
+def run_tier1(copy):
+    """(passed, first failing test or None, seconds) of tier-1 on copy."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(
+            [sys.executable, *TIER1], cwd=copy, env=env, capture_output=True,
+            text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"timeout after {TIMEOUT_S} s", time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    failed = [
+        line.split(" - ")[0].split(" ", 1)[1]
+        for line in done.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    if done.returncode == 0:
+        return True, None, seconds
+    return False, failed[0] if failed else f"exit {done.returncode}", seconds
+
+
+def main():
+    stale = stale_edits(ROOT)
+    if stale:
+        print("stale mutation edits:\n  " + "\n  ".join(stale))
+        return 2
+    start = time.perf_counter()
+    survivors = 0
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "out")
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name, ignore=ignore)
+            else:
+                shutil.copy2(source, copy / name)
+        passed, first, seconds = run_tier1(copy)
+        print(f"baseline  {'passed' if passed else 'FAILED: ' + first}  {seconds:.1f} s")
+        if not passed:
+            return 2
+        for name, path, old, new in MUTANTS:
+            target = copy / path
+            original = target.read_text()
+            target.write_text(original.replace(old, new))
+            try:
+                passed, first, seconds = run_tier1(copy)
+            finally:
+                target.write_text(original)
+            if passed:
+                survivors += 1
+                print(f"SURVIVED  {name}  ({path})  {seconds:.1f} s")
+            else:
+                print(f"KILLED    {name}  by {first}  {seconds:.1f} s")
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed in {total:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -75,7 +75,7 @@ def test_gate_1_symbolic_identity_suite():
 
         # three times the quadratic form is
         # x4^2 + x5^2 - x0 x1 - x2 x3 + 3 x4 x5
-        got = model.forms[2].map_coeffs(lambda c: 3 * model.scales[2] * c)
+        got = model.forms[2] * (3 * model.scales[2])
         assert got == _poly({
             (0, 0, 0, 0, 2, 0): 1,
             (0, 0, 0, 0, 0, 2): 1,

@@ -216,14 +216,19 @@ def test_certify_line_inside_degree_8_locus(capsys):
 
 
 def test_certify_line_failing_gates(capsys):
-    # on the surface and certifiable, but ramified at 3, so the gate fails
-    rc = cli.main([
-        "certify",
-        "--line", json.dumps([[1, -1, 0, 2, 1, -1], [0, 0, 1, -1, -1, 1]]),
-        "--config", config_path("char3-demo.json"),
-    ])
-    assert rc == 2
-    assert "unramified_at_3: fail" in capsys.readouterr().out
+    # on the surface and certifiable, but ramified at 3, or (the second,
+    # outside the labc chart) inconclusive at 3, so the gate fails
+    for rows in (
+        [[1, -1, 0, 2, 1, -1], [0, 0, 1, -1, -1, 1]],
+        [[1, 0, 0, 0, 0, 0], [0, 0, 1, -1, 1, -1]],
+    ):
+        rc = cli.main([
+            "certify",
+            "--line", json.dumps(rows),
+            "--config", config_path("char3-demo.json"),
+        ])
+        assert rc == 2
+        assert "unramified_at_3: fail" in capsys.readouterr().out
 
 
 CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
@@ -250,3 +255,16 @@ def test_certify_recovers_with_enough_precision(tmp_path, capsys):
     rc = cli.main(["certify", "--line", json.dumps(CHAR3_LINE), "--config", cfg])
     assert rc == 0
     capsys.readouterr()
+
+
+def test_a_target_that_is_not_a_p_adic_integer_is_refused(tmp_path, capsys):
+    # only residues mod 3^k3 matter at place 3, and 1/3 has none: certify
+    # refuses the config as find-line does, before any line is certified
+    cfg = write_config(
+        tmp_path,
+        base="char3-demo.json",
+        targets=[{"place": 3, "params": ["1/3", 243, 243]}],
+    )
+    for argv in (["certify", "--line", json.dumps(CHAR3_LINE)], ["find-line"]):
+        assert cli.main([*argv, "--config", cfg]) == 3
+        assert "target parameter 1/3 is not a 3-adic integer" in capsys.readouterr().err

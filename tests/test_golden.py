@@ -58,6 +58,10 @@ CHAR3_DOUBLE_ROOT_LINE = [[159, 0, -1, 0, 0, 0], [0, 53, -8748, 8427, -8586, 858
 # labc_line(-78, 0, 0): its quartic has discriminant zero, so the
 # certificate fails with no galois, real or local section
 CHAR3_TANGENTIAL_LINE = [[78, 0, -1, 0, 0, 0], [0, 1, 0, 78, 0, 0]]
+# outside the labc family, so the chart params and the parity section
+# are null; its quartic u^4 - t^3 u is u (u - t)^3 mod 3, and the cube
+# stays inconclusive at 3
+CHAR3_OFF_CHART_LINE = [[1, 0, 0, 0, 0, 0], [0, 0, 1, -1, 1, -1]]
 
 
 def _config(name, **overrides):
@@ -123,6 +127,9 @@ SCENARIOS = {
     ],
     "certify-char3-tangential": lambda: [
         _certify(CHAR3_TANGENTIAL_LINE, _config("char3-demo.json")).to_json()
+    ],
+    "certify-char3-off-chart": lambda: [
+        _certify(CHAR3_OFF_CHART_LINE, _config("char3-demo.json")).to_json()
     ],
     "precision-char3-line-p5": lambda: _precision_failure(CHAR3_LINE, 5),
     "precision-char3-line-p6": lambda: _precision_failure(CHAR3_LINE, 6),

@@ -88,7 +88,7 @@ def test_substitute_maps_each_variable():
 def test_canonical_scale_times_form_recovers_poly():
     f = P(2, {(2, 0): Fraction(4, 6), (1, 1): Fraction(-2, 3)})
     scale, form = f.canonical()
-    assert form.map_coeffs(lambda c: scale * c) == f
+    assert form * scale == f
     # int coefficients of content one, leading coefficient positive
     coeffs = list(form.terms.values())
     assert all(type(c) is int for c in coeffs)

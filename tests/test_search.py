@@ -1,5 +1,7 @@
 """Congruence search, certificates, and intersection-point extraction."""
 import json
+import re
+from dataclasses import replace
 from fractions import Fraction
 from hashlib import sha256
 from importlib import resources
@@ -21,7 +23,6 @@ from hmslines.search import (
     _combined_parameters,
     build_model,
     certify_line,
-    crt_parameter,
     derive_chart_params,
     find_lines,
     intersection_points,
@@ -51,9 +52,23 @@ def demo_config(name, **overrides):
     return parse_config(data)
 
 
+def congruence_config(targets, **keys):
+    """A char3-x config, which needs no seed point, with targets given as
+    place -> params."""
+    return parse_config({
+        "twist": "char3-x",
+        "targets": [{"place": p, "params": params} for p, params in targets.items()],
+        **keys,
+    })
+
+
 def test_crt_parameter_combines_congruences():
-    rep, modulus = crt_parameter(1, 2, 3, 3, anchor=2000)
-    assert (rep, modulus) == (F(2377), 3375)
+    cfg = congruence_config(
+        {"real": [2000] * 3, 3: [1] * 3, 5: [2] * 3}, k3=3, k5=3
+    )
+    reps, modulus = _combined_parameters(cfg)
+    assert (reps, modulus) == ((F(2377),) * 3, 3375)
+    rep = reps[0]
     assert rep % 27 == 1
     assert rep % 125 == 2
     # nearest representative of the class to the anchor
@@ -61,18 +76,20 @@ def test_crt_parameter_combines_congruences():
 
 
 def test_crt_parameter_anchor_only():
-    assert crt_parameter(anchor=F(1, 16)) == (F(1, 16), 1)
+    cfg = congruence_config({"real": ["1/16", 2, 3]})
+    assert _combined_parameters(cfg) == ((F(1, 16), F(2), F(3)), 1)
 
 
 def test_crt_parameter_single_prime():
-    assert crt_parameter(residue3=3, k3=4, anchor=0) == (F(3), 81)
+    cfg = congruence_config({3: [3, 3, 3]}, k3=4)
+    assert _combined_parameters(cfg) == ((F(3),) * 3, 81)
 
 
 def test_crt_parameter_rejects_non_integral_residue():
-    with pytest.raises(ConfigError):
-        crt_parameter(residue3=F(1, 3), k3=1)
-    with pytest.raises(ConfigError):
-        crt_parameter(residue5=F(7, 10), k5=2)
+    with pytest.raises(ConfigError, match="1/3 is not a 3-adic integer"):
+        _combined_parameters(congruence_config({3: ["1/3", 0, 0]}, k3=1))
+    with pytest.raises(ConfigError, match="7/10 is not a 5-adic integer"):
+        _combined_parameters(congruence_config({5: [0, "7/10", 0]}, k5=2))
 
 
 def test_parse_config_reads_demo():
@@ -97,32 +114,59 @@ def test_parse_config_rejects_defects():
         "targets": [{"place": "real", "params": ["2", "1/16", "3"]}],
     }
     bad = [
-        {**base, "plume": 1},
-        {**base, "twist": "moebius"},
-        {**base, "lambda1": "0"},
-        {**base, "lambda1": "x"},
-        {**base, "lambda2": None},
-        {**base, "seed_point": ["1", "2", "3"]},
-        {**base, "targets": [{"place": "real", "params": ["0", "0", "0"]},
-                             {"place": "real", "params": ["1", "0", "0"]}]},
-        {**base, "targets": [{"place": 7, "params": ["0", "0", "0"]}]},
-        {**base, "targets": [{"place": 3}]},
-        {**base, "targets": [{"place": 3, "params": ["1", "2"]}]},
-        {**base, "targets": [{"place": 3, "params": ["1", "2", "3"]}]},
-        {**base, "targets": {"place": "real"}},
-        {**base, "height_bound": 0},
-        {**base, "precision": 0},
-        {**base, "rng_seed": "soon"},
-        {**base, "seed_point": None},
+        ({**base, "plume": 1}, "unknown configuration keys: ['plume']"),
+        ({**base, "twist": "moebius"}, "twist must be one of"),
+        ({**base, "lambda1": "0"}, "lambda1, lambda2 must be nonzero"),
+        ({**base, "lambda1": "x"}, "not a rational number: 'x'"),
+        ({**base, "lambda2": None}, "not a rational number: None"),
+        ({**base, "seed_point": ["1", "2", "3"]}, "seed_point must be a list"),
+        ({**base, "targets": [{"place": "real", "params": ["0", "0", "0"]},
+                              {"place": "real", "params": ["1", "0", "0"]}]},
+         "duplicate target for place 'real'"),
+        ({**base, "targets": [{"place": 7, "params": ["0", "0", "0"]}]},
+         "unsupported finite place 7"),
+        ({**base, "targets": [{"place": "x", "params": ["0", "0", "0"]}]},
+         "unknown place 'x'"),
+        ({**base, "targets": [{"params": ["0", "0", "0"]}]},
+         "each target needs a 'place' key"),
+        ({**base, "targets": [{"place": 3}]}, "target params must be a triple"),
+        ({**base, "targets": [{"place": 3, "params": ["1", "2"]}]},
+         "target params must be a triple"),
+        ({**base, "targets": [{"place": "real", "params": ["0", "0", "0"], "weight": 1}]},
+         "unknown target keys: ['weight']"),
+        ({**base, "targets": [{"place": 3, "params": ["1", "2", "3"]}]},
+         "a place-3 target needs k3 >= 1"),
+        ({**base, "targets": [{"place": 5, "params": ["1", "2", "3"]}]},
+         "a place-5 target needs k5 >= 1"),
+        ({**base, "targets": {"place": "real"}}, "targets must be a list"),
+        ({**base, "height_bound": 0}, "height_bound must be at least 1"),
+        ({**base, "precision": 0}, "precision must be at least 1"),
+        ({**base, "rng_seed": "soon"}, "rng_seed must be an integer"),
+        ({**base, "seed_point": None}, "this twist needs a seed_point"),
+        ([base], "configuration must be a JSON object"),
     ]
-    for data in bad:
-        with pytest.raises(ConfigError):
+    for data, message in bad:
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(data)
-    with pytest.raises(ConfigError):
-        parse_config([base])
     # a place-3 target is fine once k3 names the congruence depth
     ok = {**base, "targets": [{"place": 3, "params": ["1", "2", "3"]}], "k3": 2}
     assert parse_config(ok).k3 == 2
+
+
+def test_loading_building_and_searching_refuse_bad_configs(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"twist": ')
+    with pytest.raises(ConfigError, match="configuration is not valid JSON"):
+        load_config(str(path))
+    # a config built directly, past parse_config, whose twist cannot be built
+    char3 = demo_config("char3-demo.json")
+    with pytest.raises(
+        ConfigError, match="cannot build the twisted model: twist parameters must be nonzero"
+    ):
+        build_model(replace(char3, lambda1=F(0)))
+    # the labc chart needs no seed point, but the search needs a target
+    with pytest.raises(ConfigError, match="the search needs at least one target"):
+        find_lines(demo_config("char3-demo.json", targets=[]))
 
 
 @pytest.mark.parametrize(
@@ -153,10 +197,9 @@ def test_config_digest_is_taken_once():
 
 def test_candidate_enumeration_walks_outward():
     cfg = load_config(config_path("char3-demo.json"))
-    reps, moduli = _combined_parameters(cfg)
-    assert reps == (F(3), F(243), F(243))
-    assert moduli == (81, 81, 81)
-    gen = _candidate_params(reps, moduli, cfg.height_bound)
+    reps, modulus = _combined_parameters(cfg)
+    assert (reps, modulus) == ((F(3), F(243), F(243)), 81)
+    gen = _candidate_params(reps, modulus, cfg.height_bound)
     first = [next(gen) for _ in range(6)]
     assert first == [
         (F(3), F(243), F(243)),
@@ -167,25 +210,23 @@ def test_candidate_enumeration_walks_outward():
         (F(-78), F(243), F(243)),
     ]
     for triple in first:
-        for rep, value, m in zip(reps, triple, moduli):
-            assert (value - rep) % m == 0
+        for rep, value in zip(reps, triple):
+            assert (value - rep) % modulus == 0
 
 
-def _filtered_cube_walk(reps, moduli, height_bound):
+def _filtered_cube_walk(reps, modulus, height_bound):
     """The reference walk: every offset of the whole sup-norm cube, shell
     by shell in lexicographic order, kept when each numerator of
-    rep + n * m, num + n * m * den, is at most the bound."""
+    rep + n * modulus, num + n * modulus * den, is at most the bound."""
     if any(rep.denominator > height_bound for rep in reps):
         return
-    max_radius = max(
-        [1] + [(height_bound + abs(rep)) // m + 1 for rep, m in zip(reps, moduli)]
-    )
-    axes = [(rep.numerator, m * rep.denominator) for rep, m in zip(reps, moduli)]
+    max_radius = max([1] + [(height_bound + abs(rep)) // modulus + 1 for rep in reps])
+    axes = [(rep.numerator, modulus * rep.denominator) for rep in reps]
     for radius in range(int(max_radius) + 1):
         for off in product(range(-radius, radius + 1), repeat=3):
             nums = [num + n * step for (num, step), n in zip(axes, off)]
             if max(map(abs, off)) == radius and max(map(abs, nums)) <= height_bound:
-                yield tuple(rep + n * m for rep, n, m in zip(reps, off, moduli))
+                yield tuple(rep + n * modulus for rep, n in zip(reps, off))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -195,16 +236,16 @@ def _filtered_cube_walk(reps, moduli, height_bound):
         min_size=3,
         max_size=3,
     ),
-    st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    st.integers(1, 6),
     st.integers(1, 9),
 )
 # no multiple of 10 moves 5 into [-3, 3]: the middle axis is empty
-@example([F(0), F(5), F(1, 2)], [1, 10, 2], 3)
+@example([F(0), F(5), F(1, 2)], 10, 3)
 # a denominator above the bound admits nothing
-@example([F(1, 5), F(0), F(0)], [1, 1, 1], 4)
-def test_candidate_walk_is_the_filtered_cube(reps, moduli, height_bound):
-    want = list(_filtered_cube_walk(reps, moduli, height_bound))
-    assert list(_candidate_params(reps, moduli, height_bound)) == want
+@example([F(1, 5), F(0), F(0)], 1, 4)
+def test_candidate_walk_is_the_filtered_cube(reps, modulus, height_bound):
+    want = list(_filtered_cube_walk(reps, modulus, height_bound))
+    assert list(_candidate_params(reps, modulus, height_bound)) == want
 
 
 def _walk_digest(config):

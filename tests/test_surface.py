@@ -105,8 +105,9 @@ def test_model_forms_are_integral_and_primitive():
 def test_scales_recover_symmetric_functions():
     # scale * form must equal sigma_k composed with the twist, exactly:
     # the s-coordinates are polynomials in w, reduced after the profile
-    model = twisted_equations(twist_by_name("char3-x", 2, 3))
-    rows = in_w(model.twist.matrix, model.twist.omega)
+    twist = twist_by_name("char3-x", 2, 3)
+    model = twisted_equations(twist)
+    rows = in_w(twist.matrix, twist.omega)
     rng = random.Random(11)
     for _ in range(4):
         pt = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
