@@ -13,19 +13,25 @@ subsets of at most half of the unused lifted factors (ch. 15).  Every
 lift goes through `hensel_pair_lift`, quadratic Hensel lifting of a
 coprime pair with its Bezout coefficients.
 
-The local analysis (`hensel_factor_quartic`) factors each quartic once,
-in one chart, and lifts every block mod p^prec.  It is sound but
-deliberately incomplete: it certifies "unramified" only via (a) simple
-blocks (a squarefree part of the reduction mod p) or (b) quadratic
-blocks whose lifted discriminant has even valuation (odd p); everything
-else is reported "inconclusive".  `block_roots` is the one place that
-reads the p-adic roots (t, u) of a block off its lifted coefficients;
-`search` turns them into points.
+The local analysis (`hensel_factor_quartic`) factors each quartic once
+mod p, in one chart.  It is sound but deliberately incomplete: it
+certifies "unramified" only via (a) simple blocks (a squarefree part of
+the reduction mod p) or (b) (linear)^2 blocks whose discriminant has
+even valuation (odd p); everything else is reported "inconclusive".
+The verdict needs no lift unless the reduction has two (linear)^2
+blocks: a lone one has the discriminant valuation of the quartic,
+since disc(g*h) = disc g * disc h * Res(g, h)^2 with Res(g, h) a p-unit
+for g, h coprime mod p (Cohen, A Course in Computational Algebraic
+Number Theory, GTM 138, ch. 3).  The blocks are lifted mod p^prec, all
+in one call, the first time a lifted block is read.  `block_roots` is
+the one place that reads the p-adic roots (t, u) of a block off its
+lifted coefficients; `search` turns them into points.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, isqrt
+from typing import Callable
 
 from .errors import HmsError, PrecisionError
 from .padics import (
@@ -42,13 +48,14 @@ def factor_monic_mod_p(f, p):
     """Irreducible factorization of a monic poly of degree <= 4 mod p.
 
     Returns [(monic factor, multiplicity)] sorted by (degree, coeffs).
-    Roots are found by scanning F_p (p is small here), which leaves a
-    rootless cofactor w: irreducible of degree 2 or 3, or a quartic.  A
-    quartic is decided by one distinct-degree gcd (von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 14): g = gcd(w, x^(p^2) - x)
-    is the product of its distinct quadratic factors, so w is
-    irreducible (deg g = 0), g^2 (deg g = 2), or two distinct
-    quadratics (deg g = 4), split by equal-degree splitting.
+    Roots are found by scanning F_p (p is small here) and divided out by
+    synthetic division, which leaves a rootless cofactor w: irreducible
+    of degree 2 or 3, or a quartic.  A quartic is decided by one
+    distinct-degree gcd (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14): g = gcd(w, x^(p^2) - x) is the product of its
+    distinct quadratic factors, so w is irreducible (deg g = 0), g^2
+    (deg g = 2), or two distinct quadratics (deg g = 4), split by
+    equal-degree splitting.
     """
     f = pmod(f, p)
     if deg(f) > 4:
@@ -59,8 +66,11 @@ def factor_monic_mod_p(f, p):
     work = list(f)
     for r in range(p):
         while deg(work) >= 1 and peval(work, r, p) == 0:
-            work, rem = pdivmod(work, [(-r) % p, 1], p)
-            assert not rem
+            # synthetic division by x - r, from the top coefficient down
+            quotient = [work[-1]]
+            for c in work[-2:0:-1]:
+                quotient.append((c + r * quotient[-1]) % p)
+            work = quotient[::-1]
             key = ((-r) % p, 1)
             factors[key] = factors.get(key, 0) + 1
     parts = [work] if deg(work) > 0 else []
@@ -275,18 +285,27 @@ def factor_binary_quartic(q: BinaryQuartic):
 class BlockReport:
     """One coprime block of the factorization over Z_p.
 
-    coeffs_mod holds the Hensel-lifted block mod p^prec as a binary form
-    of its degree in the original chart; disc_valuation is the valuation
-    of the discriminant of a (linear)^2 block.  Its roots are read off
-    these two on demand by `block_roots`.
+    The degree, residue degree, multiplicity, verdict and, for a
+    (linear)^2 block, disc_valuation (the valuation of its discriminant)
+    come from the residue factorization and the exact discriminant,
+    except that two (linear)^2 blocks read their discriminants off the
+    lift.  coeffs_mod, the block Hensel-lifted mod p^prec as a binary
+    form of its degree in the original chart, is built the first time
+    it is read, by the one lift that the blocks of a report share.
+    `block_roots` reads the roots off these two.
     """
 
     degree: int
     residue_degree: int
     multiplicity: int
     verdict: str  # "unramified" | "ramified" | "inconclusive"
-    coeffs_mod: tuple | None = None
-    disc_valuation: int | None = None
+    disc_valuation: int | None
+    _lifted: Callable = field(repr=False)  # () -> every block of the report
+    _index: int = field(repr=False)
+
+    @property
+    def coeffs_mod(self) -> tuple:
+        return self._lifted()[self._index]
 
 
 @dataclass
@@ -357,20 +376,34 @@ def _residue_order(blk, p):
 def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     """Factor q over Z_p into coprime blocks and certify unramifiedness.
 
-    q is moved to its `unit_chart`, its monic reduction is factored
-    once, and every coprime block (a residue factor to its multiplicity)
-    is Hensel lifted mod p^prec in one `hensel_lift_factors` call.
-    Sound-but-incomplete verdicts (odd p):
+    q is moved to its `unit_chart` and its monic reduction is factored
+    once; a block is a residue factor to its multiplicity.  The
+    verdicts (odd p) are sound but incomplete:
       * a simple block -> unramified;
       * a (linear)^2 block -> the parity of its discriminant valuation
         (even -> unramified, odd -> the splitting field is ramified);
       * any other repeated block -> "inconclusive".
+    No lift decides them unless the reduction has two (linear)^2
+    blocks.  For monic f = g*h over Z_p with g and h coprime mod p,
+    disc f = disc g * disc h * Res(g, h)^2 and Res(g, h) is a p-unit
+    (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    ch. 3).  A simple block has a unit discriminant, and the SL2(Z)
+    chart and the monic scaling change the discriminant D of q by a
+    unit, so a lone (linear)^2 block's discriminant valuation is
+    v_p(D), exact from `integer_model`.  Two (linear)^2 blocks each
+    read the discriminant of their lift.  A block discriminant that is
+    0 (D = 0) or O(p^prec) raises PrecisionError.
+
+    Every block is Hensel lifted mod p^prec in one `hensel_lift_factors`
+    call the first time any `coeffs_mod` of the report is read: by the
+    two-(linear)^2 rule, by `block_roots`, or here, by the block order of
+    a squarefree reduction.
     """
     if p % 2 == 0:
         raise HmsError("odd p required")
     if prec < 1:
         raise HmsError("precision must be positive")
-    ics = integer_model(q)[0]
+    ics, disc = integer_model(q)
     m = p**prec
     chart = unit_chart(ics, p)
     identity = chart == ((1, 0), (0, 1))
@@ -378,50 +411,66 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     top = deg(pmod(f, p))
     lc_inv = pow(f[top], -1, m)
     f = [(c * lc_inv) % m for c in f]
-    at_infinity = []
-    if top < 4:
-        # no unit chart: [1:0] is a simple root, and its linear factor
-        # (a unit mod p) is split off the monic rest first
-        g, f = hensel_pair_lift(f, [1], pmod(f, p), p, prec)
-        at_infinity = [(g + [0])[:2]]
     parts = factor_monic_mod_p(pmod(f, p), p)
-    block_polys_bar = []
-    for g, mult in parts:
-        block_polys_bar.append([1])
-        for _ in range(mult):
-            block_polys_bar[-1] = pmul(block_polys_bar[-1], list(g), p)
-    lifted = hensel_lift_factors(f, block_polys_bar, p, prec) + at_infinity
-    # (residue degree, multiplicity) of each lifted block
+    # (residue degree, multiplicity) of each block; with no unit chart,
+    # [1:0] is a simple root and its block comes last
     block_meta = [(deg(list(g)), mult) for g, mult in parts]
-    block_meta += [(1, 1)] * len(at_infinity)
+    if top < 4:
+        block_meta.append((1, 1))
     squarefree = all(mult == 1 for _, mult in block_meta)
     residue_degrees = tuple(
         sorted(rdeg for rdeg, mult in block_meta for _ in range(mult))
     )
 
-    (a, b), (c, d) = chart
-    inv_chart = ((d, -b), (-c, a))  # det = 1
+    lifted_blocks = []
+
+    def lifted():
+        """Every block lifted mod p^prec, as a binary form in the original
+        chart, in the order of block_meta: built on the first call."""
+        if lifted_blocks:
+            return lifted_blocks
+        rest, at_infinity = f, []
+        if top < 4:
+            # the linear factor at [1:0] (a unit mod p) is split off the
+            # monic rest first
+            g, rest = hensel_pair_lift(f, [1], pmod(f, p), p, prec)
+            at_infinity = [(g + [0])[:2]]
+        powers = []
+        for g, mult in parts:
+            powers.append([1])
+            for _ in range(mult):
+                powers[-1] = pmul(powers[-1], list(g), p)
+        blocks = hensel_lift_factors(rest, powers, p, prec) + at_infinity
+        if not identity:
+            (a, b), (c, d) = chart
+            inv_chart = ((d, -b), (-c, a))  # det = 1
+            # a lifted block is already reduced mod p^prec
+            blocks = [compose_binary(B, inv_chart, m) for B in blocks]
+        lifted_blocks.extend(map(tuple, blocks))
+        return lifted_blocks
+
+    doubles = block_meta.count((1, 2))
     blocks = []
-    for (rdeg, mult), B in zip(block_meta, lifted):
-        dblock = deg(B)
+    for index, (rdeg, mult) in enumerate(block_meta):
         verdict, v = "unramified", None
-        if mult == 2 and rdeg == 1:
-            # (linear)^2 block: discriminant parity decides (odd p)
-            disc = (B[1] * B[1] - 4 * B[0]) % m
-            if disc == 0:
+        if (rdeg, mult) == (1, 2):
+            if doubles == 1:
+                block_disc = disc
+            else:
+                # the discriminant of a binary quadratic is SL2-invariant
+                c0, c1, c2 = lifted()[index]
+                block_disc = (c1 * c1 - 4 * c0 * c2) % m
+            if block_disc == 0:
                 raise PrecisionError(
                     f"block discriminant is O({p}^{prec}); re-run at higher "
                     "precision",
                     needed=prec + 1,
                 )
-            v = split_p_power(disc, p)[0]
+            v = split_p_power(block_disc, p)[0]
             verdict = "unramified" if v % 2 == 0 else "ramified"
         elif mult > 1:
             verdict = "inconclusive"
-        # the block as a binary form back in the original chart; a
-        # lifted block is already reduced mod p^prec
-        orig = tuple(B) if identity else tuple(compose_binary(B, inv_chart, m))
-        blocks.append(BlockReport(dblock, rdeg, mult, verdict, orig, v))
+        blocks.append(BlockReport(rdeg * mult, rdeg, mult, verdict, v, lifted, index))
     if squarefree:
         # certificates list the blocks of a squarefree reduction in this
         # order, and of a repeated one in unit-chart order; the golden
@@ -451,11 +500,22 @@ def block_roots(report: HenselReport, blk: BlockReport):
         u/t when c2 is not a unit) and s^2 = w, the unit part of the
         discriminant of valuation v = `disc_valuation`, mod p^(prec-v):
         s = +-sqrt(w), or the generator of the degree-2 ring
-        (Z/p^(prec-v))[s]/(s^2 - w) when w is not a square.
-    A ramified or inconclusive block has no roots here.
+        (Z/p^(prec-v))[s]/(s^2 - w) when w is not a square; with
+        v >= prec no digit of s is known, and PrecisionError asks for
+        precision v + 1.
+    A ramified or inconclusive block has no roots here, and reads no lift.
     """
     p, K = report.p, report.prec
     m = p**K
+    if blk.verdict != "unramified":
+        return []
+    v = blk.disc_valuation
+    if v is not None and v >= K:
+        raise PrecisionError(
+            f"a double root's discriminant has valuation {v}, so its roots "
+            f"have no digit at precision {K}",
+            needed=v + 1,
+        )
     coeffs = blk.coeffs_mod
     if blk.multiplicity == 1 and blk.degree == 1:
         ring = UnramifiedRing(p, (0, 1), K)
@@ -467,12 +527,10 @@ def block_roots(report: HenselReport, blk: BlockReport):
         inv = pow(coeffs[-1], -1, m)
         ring = UnramifiedRing(p, [c * inv % m for c in coeffs], K)
         return [(ring.gen(), ring.one())]
-    if (blk.multiplicity, blk.residue_degree, blk.verdict) != (2, 1, "unramified"):
-        return []
-    # one end of the square of a residue linear form is a unit
+    # an unramified repeated block is a (linear)^2: one end of the
+    # square of a residue linear form is a unit
     t_chart = coeffs[2] % p != 0
     a0, a1, a2 = coeffs if t_chart else coeffs[::-1]
-    v = blk.disc_valuation
     keff = K - v
     w = (a1 * a1 - 4 * a0 * a2) % m // p**v
     r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)

@@ -79,6 +79,12 @@ MUTANTS = [
     ("unramified block outranks inconclusive", "src/hmslines/hensel.py",
      '("ramified", "inconclusive", "unramified")',
      '("ramified", "unramified", "inconclusive")'),
+    ("double-root hint one digit short", "src/hmslines/hensel.py",
+     "needed=v + 1,",
+     "needed=v,"),
+    ("lone (linear)^2 rule applied to two (linear)^2 blocks", "src/hmslines/hensel.py",
+     "if doubles == 1:",
+     "if doubles >= 1:"),
 ]
 
 

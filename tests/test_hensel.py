@@ -227,10 +227,18 @@ def _binary_value(coeffs, t, u):
 def _assert_roots_satisfy(ints, rep):
     """Every root (t, u) of `block_roots` is a zero of the quartic with
     integer coefficients ints in the root's ring, and an unramified
-    block has as many geometric roots as its degree.  Returns the
-    (block degree, ring degree, multiplicity) kinds seen."""
+    block has as many geometric roots as its degree, unless it is a
+    (linear)^2 whose discriminant valuation v leaves no digit of its
+    roots at the report's precision, which raises with precision v + 1.
+    Returns the (block degree, ring degree, multiplicity) kinds seen."""
     kinds = set()
     for blk in rep.blocks:
+        v = blk.disc_valuation
+        if blk.verdict == "unramified" and v is not None and v >= rep.prec:
+            with pytest.raises(PrecisionError) as exc:
+                block_roots(rep, blk)
+            assert exc.value.needed == v + 1
+            continue
         roots = block_roots(rep, blk)
         for t, u in roots:
             assert u.ring is t.ring
@@ -322,12 +330,56 @@ def _legendre(a, p):
     return pow(a % p, (p - 1) // 2, p)
 
 
+@st.composite
+def _double_of_chosen_valuation(draw):
+    """(t - r u)^2 - 15^v w u^2, the square of a linear form mod 3 and
+    mod 5 whose discriminant 4 * 15^v * w has valuation v at both."""
+    r = draw(st.integers(-6, 6))
+    v = draw(st.integers(1, 12))
+    w = draw(st.sampled_from([1, -1, 2, -2, 7, -7]))
+    return [r * r - 15**v * w, -2 * r, 1]
+
+
+def _residue_roots(form, p):
+    """{point: multiplicity} of the roots on P^1(F_p) of a primitive
+    integer binary form of degree 1 or 2; [x : 1] is x, [1 : 0] None."""
+    points = [x for x in range(p) if _binary_value(form, x, 1) % p == 0]
+    if form[-1] % p == 0:
+        points.append(None)
+    if len(form) == 3 and (form[1] ** 2 - 4 * form[0] * form[2]) % p == 0:
+        return {points[0]: 2}  # a nonzero square of a linear form mod p
+    return dict.fromkeys(points, 1)
+
+
+def _lone_double(factors, p):
+    """The product of the factors through the double root of the
+    reduction mod p, when a (linear)^2 is its only repeated factor and
+    those factors have no other root mod p; else None."""
+    roots = [_residue_roots(g, p) for g in factors]
+    multiplicity = {}
+    for points in roots:
+        for point, k in points.items():
+            multiplicity[point] = multiplicity.get(point, 0) + k
+    repeated = [point for point, k in multiplicity.items() if k > 1]
+    if len(repeated) != 1 or multiplicity[repeated[0]] != 2:
+        return None
+    through = [(g, points) for g, points in zip(factors, roots) if repeated[0] in points]
+    if any(len(points) > 1 for _, points in through):
+        return None
+    block = [1]
+    for g, _ in through:
+        block = _times(block, g)
+    return block
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     st.one_of(
         st.tuples(*[_primitive_form(1)] * 4),
         st.tuples(_primitive_form(1), _primitive_form(1), _primitive_form(2)),
         st.tuples(_primitive_form(2), _primitive_form(2)),
+        st.tuples(_double_of_chosen_valuation(), _primitive_form(2)),
+        st.tuples(_double_of_chosen_valuation(), _primitive_form(1), _primitive_form(1)),
     ),
     st.lists(
         st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4
@@ -338,11 +390,20 @@ def _legendre(a, p):
 # t u (t - u)(t + u) vanishes on all of P^1(F_3): no chart has a unit
 # leading coefficient
 @example(([0, 1], [1, 0], [-1, 1], [1, 1]), [], 3, 12)
+# t^2 - 3u^2 and (t + u)^2 - 3u^2: two (linear)^2 blocks mod 3, each of
+# odd discriminant valuation, while v_3(D) = 2 is even
+@example(([-3, 0, 1], [-2, 2, 1]), [], 3, 12)
+# t^2 - 15^6 u^2 times t^2 + u^2, irreducible mod 3: a lone (linear)^2
+# block of even valuation 6 >= K, unramified but with no digit of its roots
+@example(([-15**6, 0, 1], [1, 0, 1]), [], 3, 5)
 def test_local_factorization_agrees_with_the_construction(factors, steps, p, K):
     # oracle: the splitting field of a product of integer forms is
     # ramified at p exactly when some quadratic factor has a discriminant
     # of odd valuation; a quadratic factor has residue degree 2 exactly
-    # when its discriminant is a nonsquare mod p
+    # when its discriminant is a nonsquare mod p; when the reduction's
+    # one repeated factor is a (linear)^2, disc(g h) = disc g disc h
+    # Res(g, h)^2 with disc h and Res(g, h) units gives its block the
+    # discriminant valuation of the quartic
     (a, b), (c, d) = _sl2_product(steps)
     product = [1]
     for g in factors:
@@ -355,20 +416,28 @@ def test_local_factorization_agrees_with_the_construction(factors, steps, p, K):
     residue_degrees = [1] * (4 - 2 * len(quadratic_discs))
     for D in quadratic_discs:
         residue_degrees += [2] if _legendre(D, p) == p - 1 else [1, 1]
+    block = _lone_double(factors, p)
     try:
         rep = hensel_factor_quartic(q, p, K)
     except PrecisionError as exc:
-        assert exc.needed > K
+        # only two (linear)^2 blocks read lifted discriminants
+        assert block is None and exc.needed > K
         return
     assert rep.verdict in ("ramified" if ramified else "unramified", "inconclusive")
     assert rep.residue_degrees == tuple(sorted(residue_degrees))
+    if block is not None:
+        v = _p_valuation(block[1] ** 2 - 4 * block[0] * block[2], p)
+        (double,) = [b for b in rep.blocks if b.multiplicity > 1]
+        assert double.disc_valuation == v == _p_valuation(int(q.discriminant()), p)
+        assert rep.verdict == ("ramified" if v % 2 else "unramified")
     _assert_roots_satisfy(ints, rep)
 
 
 def test_point_extraction_lifts_nothing_again(monkeypatch):
     # the quartic of this line has two quadratic residue factors at 5
-    # and a repeated reduction at 3: each is factored once mod p, and
-    # the 5-adic points are read off the lifted blocks
+    # and a (linear)^2 times a quadratic at 3: each is factored once mod
+    # p, each report lifts its blocks once, and a second extraction of
+    # the points lifts no block again
     factorizations = []
     factor = hensel.factor_monic_mod_p
 
@@ -376,25 +445,35 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
         factorizations.append(p)
         return factor(f, p)
 
-    lifts = []
-    lift = hensel.hensel_pair_lift
+    block_lifts, nested = [], []
+    lift_factors = hensel.hensel_lift_factors
 
-    def counting_lift(*args):
-        lifts.append(args)
-        return lift(*args)
+    def counting_lift_factors(f, parts, p, K):
+        # the recursion calls back through the module: count the outer call
+        if not nested:
+            block_lifts.append(p)
+        nested.append(p)
+        try:
+            return lift_factors(f, parts, p, K)
+        finally:
+            nested.pop()
 
     monkeypatch.setattr(hensel, "factor_monic_mod_p", counting_factor)
+    monkeypatch.setattr(hensel, "hensel_lift_factors", counting_lift_factors)
     line = labc_line(3, 243, 243)
     q = quartic_of_line(line, char3_model())
     rep3 = hensel_factor_quartic(q, 3, 12)
     rep5 = hensel_factor_quartic(q, 5, 12)
     assert (rep3.squarefree_mod_p, rep5.residue_degrees) == (False, (2, 2))
     assert factorizations == [3, 5]
-    # only the lifts made while extracting points are counted
-    monkeypatch.setattr(hensel, "hensel_pair_lift", counting_lift)
-    points = intersection_points(rep5)
-    assert [pt.ring.deg for pt in points] == [2, 2]
-    assert lifts == []
+    # the blocks of the squarefree reduction at 5 are lifted to be put in
+    # residue order; the lone (linear)^2 at 3 has its verdict unlifted
+    assert block_lifts == [5]
+    for _ in range(2):
+        points3, points5 = intersection_points(rep3), intersection_points(rep5)
+        assert [pt.ring.deg for pt in points3] == [1, 1, 2]
+        assert [pt.ring.deg for pt in points5] == [2, 2]
+        assert block_lifts == [5, 3]
 
 
 def _monic_polys(degree, p):

@@ -1,6 +1,7 @@
 """Congruence search, certificates, and intersection-point extraction."""
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from hashlib import sha256
@@ -10,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hmslines import quartics, search
+from hmslines import hensel, quartics, search
 from hmslines.errors import ConfigError, HmsError, PrecisionError, SearchExhausted
 from hmslines.hensel import hensel_factor_quartic
 from hmslines.lines import Line, TangentConeChart, cusp_proximity, labc_line, quartic_of_line
@@ -427,6 +428,81 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(search, name, counting)
     return results
+
+
+def _count_lifts(monkeypatch):
+    """Record the name of every call of the two lifting routines of
+    `hensel`."""
+    calls = []
+    for name in ("hensel_lift_factors", "hensel_pair_lift"):
+
+        def counting(*args, fn=getattr(hensel, name), name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(hensel, name, counting)
+    return calls
+
+
+def test_the_3_adic_gate_lifts_no_fourth_power_and_no_lone_double(monkeypatch):
+    # at precision 5 and height 120 the char3 class rejects 24 lines at
+    # the 3-adic gate: 18 reduce to a (linear)^4, inconclusive, and 6 to
+    # a (linear)^2 times two simple roots, ramified by the parity of
+    # v_3(D); no line passes, so every report is read by the gate alone
+    reports = _count_calls(monkeypatch, "hensel_factor_quartic")
+    lifts = _count_lifts(monkeypatch)
+    with pytest.raises(SearchExhausted) as info:
+        find_lines(demo_config("char3-demo.json", precision=5, height_bound=120))
+    assert info.value.stats["gate_failures"] == 24
+    shapes = Counter(
+        (tuple(sorted((b.residue_degree, b.multiplicity) for b in rep.blocks)), rep.verdict)
+        for rep in reports
+    )
+    assert shapes == {
+        (((1, 4),), "inconclusive"): 18,
+        (((1, 1), (1, 1), (1, 2)), "ramified"): 6,
+    }
+    assert lifts == []
+
+
+# the 18 lines of the char3 class at precision 5 (the benchmark's starved
+# search at seed 0) whose reduction at 3 is a (linear)^2 times simple
+# factors, with v_3(D) = 6: even, so unramified, but beyond precision 5
+STARVED_DOUBLE_ROOT_PARAMS = [(3 + 81 * k, 0, c) for k in range(-4, 5) for c in (243, -243)]
+
+
+def test_a_double_root_beyond_the_precision_passes_the_gate_and_asks_for_more(
+    monkeypatch,
+):
+    config = demo_config("char3-demo.json", precision=5)
+    model = build_model(config)
+    lifts = _count_lifts(monkeypatch)
+    ring_precisions = []
+    ring = hensel.UnramifiedRing
+
+    def recording_ring(p, modulus, K):
+        ring_precisions.append(K)
+        return ring(p, modulus, K)
+
+    monkeypatch.setattr(hensel, "UnramifiedRing", recording_ring)
+    for params in STARVED_DOUBLE_ROOT_PARAMS:
+        line = labc_line(*params)
+        lifts.clear()
+        sections = search._Sections(line, model, config)
+        assert dict(sections.targeted_gates()) == {"unramified_at_3": True}, params
+        (double,) = [b for b in sections.hensel(3).blocks if b.multiplicity > 1]
+        assert (double.verdict, double.disc_valuation) == ("unramified", 6)
+        assert lifts == []
+        # the hint counts in the configured precision and gives the
+        # double root's roots one digit
+        with pytest.raises(PrecisionError, match="valuation 6") as info:
+            certify_line(line, model, config)
+        assert info.value.needed == 7 > config.precision
+        report = hensel_factor_quartic(quartic_of_line(line, model), 3, 7)
+        (double,) = [b for b in report.blocks if b.multiplicity > 1]
+        roots = hensel.block_roots(report, double)
+        assert [t.ring.K for t, _ in roots] == [1, 1]
+    assert min(ring_precisions) >= 1
 
 
 @pytest.mark.parametrize(
