@@ -132,18 +132,6 @@ def _galois_group(disc, forms) -> str:
     return "D4"
 
 
-def _cycle_type(ics, disc, p):
-    """`frobenius_cycle_type` on the primitive integer model `ics` of a
-    quartic and its discriminant `disc`, which p does not divide."""
-    c0, c1, c2, c3, c4 = (c % p for c in ics)
-    roots = (c4 == 0) + sum(
-        ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) % p == 0 for t in range(p)
-    )
-    if roots:
-        return _TYPE_OF_ROOT_COUNT[roots]
-    return (2, 2) if pow(disc, (p - 1) // 2, p) == 1 else (4,)
-
-
 def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
     """Sorted orbit sizes of Frobenius on the projective roots of q mod p.
 
@@ -159,15 +147,21 @@ def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
     ics, disc = integer_model(q)
     if disc % p == 0:
         raise HmsError(f"{p} divides the discriminant")
-    return _cycle_type(ics, disc, p)
+    c0, c1, c2, c3, c4 = (c % p for c in ics)
+    roots = (c4 == 0) + sum(
+        ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) % p == 0 for t in range(p)
+    )
+    if roots:
+        return _TYPE_OF_ROOT_COUNT[roots]
+    return (2, 2) if pow(disc, (p - 1) // 2, p) == 1 else (4,)
 
 
-def _sieve_decides(ics, disc) -> bool:
+def _sieve_decides(q: BinaryQuartic, disc) -> bool:
     """Do the Frobenius cycle types at `SIEVE_PRIMES` prove A4 or S4?"""
     seen = set()
     for p in SIEVE_PRIMES:
         if disc % p:
-            seen.add(_cycle_type(ics, disc, p))
+            seen.add(frobenius_cycle_type(q, p))
             # a linear factor over Q gives a root mod every p, so no (4)
             # or (2,2); two quadratic factors give no (1,3)
             if (1, 3) in seen and ((4,) in seen or (2, 2) in seen):
@@ -194,11 +188,11 @@ def solvability_report(q: BinaryQuartic) -> dict:
     and S4 without factoring, q then being its one factor; anything
     else is factored once by Zassenhaus.
     """
-    ics, disc = integer_model(q)
+    disc = integer_model(q)[1]
     if disc == 0:
         raise DegenerateLineError("quartic has a repeated projective root")
     disc_is_square = is_square_rational(disc)
-    if _sieve_decides(ics, disc):
+    if _sieve_decides(q, disc):
         label = "A4" if disc_is_square else "S4"
         rows = [(4, label)]
     else:

@@ -19,11 +19,12 @@ certifies "unramified" only via (a) simple blocks (a squarefree part of
 the reduction mod p) or (b) (linear)^2 blocks whose discriminant has
 even valuation (odd p); everything else is reported "inconclusive".
 The verdict needs no lift unless the reduction has two (linear)^2
-blocks: a lone one has the discriminant valuation of the quartic,
-since disc(g*h) = disc g * disc h * Res(g, h)^2 with Res(g, h) a p-unit
-for g, h coprime mod p (Cohen, A Course in Computational Algebraic
-Number Theory, GTM 138, ch. 3).  The blocks are lifted mod p^prec, all
-in one call, the first time a lifted block is read.  `block_roots` is
+blocks, and then one lifted discriminant gives both: their valuations
+add up to that of the quartic, since disc(g*h) = disc g * disc h *
+Res(g, h)^2 with Res(g, h) a p-unit for g, h coprime mod p (Cohen, A
+Course in Computational Algebraic Number Theory, GTM 138, ch. 3).  The
+blocks are lifted mod p^prec, all in one call, the first time a lifted
+block is read.  `block_roots` is
 the one place that reads the p-adic roots (t, u) of a block off its
 lifted coefficients; `search` turns them into points.
 """
@@ -390,9 +391,9 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     ch. 3).  A simple block has a unit discriminant, and the SL2(Z)
     chart and the monic scaling change the discriminant D of q by a
     unit, so a lone (linear)^2 block's discriminant valuation is
-    v_p(D), exact from `integer_model`.  Two (linear)^2 blocks each
-    read the discriminant of their lift.  A block discriminant that is
-    0 (D = 0) or O(p^prec) raises PrecisionError.
+    v_p(D), exact from `integer_model`.  Two read their lifts; one
+    that is O(p^prec) has v_p(D) - v, v the other's.  PrecisionError is
+    raised for a (linear)^2 block when D = 0 or both are O(p^prec).
 
     Every block is Hensel lifted mod p^prec in one `hensel_lift_factors`
     call the first time any `coeffs_mod` of the report is read: by the
@@ -449,24 +450,30 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         lifted_blocks.extend(map(tuple, blocks))
         return lifted_blocks
 
-    doubles = block_meta.count((1, 2))
+    doubles = [i for i, meta in enumerate(block_meta) if meta == (1, 2)]
+    valuations = {}  # index of a (linear)^2 block -> v_p of its discriminant
+    if len(doubles) == 2:
+        for index in doubles:
+            # the discriminant of a binary quadratic is SL2-invariant
+            c0, c1, c2 = lifted()[index]
+            block_disc = (c1 * c1 - 4 * c0 * c2) % m
+            if block_disc:
+                valuations[index] = split_p_power(block_disc, p)[0]
+    unread = [index for index in doubles if index not in valuations]
+    if disc and len(unread) == 1:
+        # the (linear)^2 valuations add up to v_p(D)
+        valuations[unread[0]] = split_p_power(disc, p)[0] - sum(valuations.values())
     blocks = []
     for index, (rdeg, mult) in enumerate(block_meta):
         verdict, v = "unramified", None
         if (rdeg, mult) == (1, 2):
-            if doubles == 1:
-                block_disc = disc
-            else:
-                # the discriminant of a binary quadratic is SL2-invariant
-                c0, c1, c2 = lifted()[index]
-                block_disc = (c1 * c1 - 4 * c0 * c2) % m
-            if block_disc == 0:
+            if index not in valuations:
                 raise PrecisionError(
                     f"block discriminant is O({p}^{prec}); re-run at higher "
                     "precision",
                     needed=prec + 1,
                 )
-            v = split_p_power(block_disc, p)[0]
+            v = valuations[index]
             verdict = "unramified" if v % 2 == 0 else "ramified"
         elif mult > 1:
             verdict = "inconclusive"

@@ -108,6 +108,8 @@ class SearchConfig:
 def _parse_place(raw):
     if raw == "real":
         return "real"
+    if isinstance(raw, (bool, float)):
+        raise ConfigError(f"unknown place {raw!r}; expected 'real', 3, or 5")
     try:
         value = int(raw)
     except (TypeError, ValueError):
@@ -507,9 +509,9 @@ class _Sections:
 
     def quartic_section(self) -> dict:
         section = {
-            "coeffs": [frac_str(Fraction(c)) for c in self.quartic.coeffs],
+            "coeffs": [frac_str(c) for c in self.quartic.coeffs],
             "primitive_coeffs": list(integer_model(self.quartic)[0]),
-            "discriminant": frac_str(Fraction(self.disc)),
+            "discriminant": frac_str(self.disc),
         }
         if self.disc != 0:
             section["disc_valuation_3"] = valuation_of_rational(self.disc, 3)
@@ -576,15 +578,13 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
             "kind": chart_kind,
             "params": None
             if chart_params is None
-            else [frac_str(Fraction(v)) for v in chart_params],
+            else [frac_str(v) for v in chart_params],
             "seed": None
             if config.seed_point is None
             else [frac_str(c) for c in config.seed_point],
         },
         "line": {
-            "rows": [
-                [frac_str(Fraction(c)) for c in row] for row in sections.line.rows
-            ],
+            "rows": [[frac_str(c) for c in row] for row in sections.line.rows],
             "primitive_rows": [list(r) for r in sections.line.primitive_rows()],
         },
         "quartic": sections.quartic_section(),

@@ -29,25 +29,17 @@ def parse_frac(s) -> Fraction:
         raise ConfigError(f"not a rational number: {s!r}") from exc
 
 
-def jsonable(value):
-    """Recursively convert Fractions/tuples into JSON primitives."""
+def _rational(value) -> str:
+    """A Fraction as its `frac_str`; anything else JSON cannot write is refused."""
     if isinstance(value, Fraction):
         return frac_str(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
     raise ConfigError(f"cannot serialize {type(value).__name__} {value!r}")
 
 
 def canonical_json(data) -> str:
-    return json.dumps(jsonable(data), sort_keys=True, separators=(",", ":"))
+    """JSON values and Fractions, sorted and compact; the config parser
+    refuses floats, so none reaches a certificate or a digest."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), default=_rational)
 
 
 def config_digest(data) -> str:

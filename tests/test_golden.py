@@ -12,7 +12,9 @@ and record the reason in CHANGES.md.
 
 Every frozen certificate must also pass the benchmark's independent
 checker (`bench/oracles.py`), and each 5-adic point entry must agree
-with the ordinarity formulas written out in this file.
+with the ordinarity formulas written out in this file.  No frozen
+document, and no JSON output of a pinned benchmark operation, holds a
+float: every number is an int and every rational a string.
 
 The benchmark's outputs are frozen too: one operation of each workload
 of `bench/workloads.py` at seed 0 must pass the workload's own checks
@@ -168,6 +170,21 @@ def test_golden(name):
     )
 
 
+def _refuse_float(text):
+    raise AssertionError(f"a float in a pinned document: {text}")
+
+
+def _load_without_floats(document: str):
+    """json.loads, failing on a float: every number written is an int."""
+    return json.loads(document, parse_float=_refuse_float)
+
+
+def test_golden_documents_hold_no_float():
+    for path in sorted(GOLDEN_DIR.glob("*.jsonl")):
+        for document in path.read_text().splitlines():
+            _load_without_floats(document)
+
+
 def _golden_certificates():
     """Every certificate frozen in the golden files; the documents with
     a `message` are errors, not certificates, and `verify-paper` is the
@@ -209,7 +226,7 @@ def test_golden_certificates_pass_the_independent_checks():
 # sha256 of the outputs of one operation of each workload at seed 0
 BENCH_DIGESTS = {
     "rho0-harvest": "6581bc1d4a051bbf74e763d848b4f57b4ec1ff292c66fff6a7fd6a9b0f76a4fe",
-    "char3-starved": "c46dd1fbe22b94737b6f91c77fd67de084c053295e0a8a6b18640b6df6c048ea",
+    "char3-starved": "b85d03d7a55aa906bde7ff2d4e3ce62348c7c92a3a8dc9dc1aa5c37d6d7b5499",
     "certify-batch": "03106aea7684b46fbe8b0ed8675be733c0d4ee0fdfec70106a3f084ac4d0e07d",
 }
 
@@ -232,6 +249,10 @@ def test_bench_digest_is_pinned(name):
     op.candidates = clock.ticks
     assert workload.errors(op) == []
     assert op.digest == BENCH_DIGESTS[name]
+    for text in op.outputs:
+        # certify-batch writes a line undecided at its precision as text
+        if not text.startswith("undecided: "):
+            _load_without_floats(text)
 
 
 def update():

@@ -351,25 +351,28 @@ def _residue_roots(form, p):
     return dict.fromkeys(points, 1)
 
 
-def _lone_double(factors, p):
-    """The product of the factors through the double root of the
-    reduction mod p, when a (linear)^2 is its only repeated factor and
-    those factors have no other root mod p; else None."""
+def _doubles(factors, p):
+    """The (linear)^2 blocks of the reduction mod p, each the product of
+    the factors through one double root, when every repeated root is a
+    double one and the factors through it have no other root mod p;
+    else None."""
     roots = [_residue_roots(g, p) for g in factors]
     multiplicity = {}
     for points in roots:
         for point, k in points.items():
             multiplicity[point] = multiplicity.get(point, 0) + k
-    repeated = [point for point, k in multiplicity.items() if k > 1]
-    if len(repeated) != 1 or multiplicity[repeated[0]] != 2:
-        return None
-    through = [(g, points) for g, points in zip(factors, roots) if repeated[0] in points]
-    if any(len(points) > 1 for _, points in through):
-        return None
-    block = [1]
-    for g, _ in through:
-        block = _times(block, g)
-    return block
+    blocks = []
+    for point, k in multiplicity.items():
+        if k == 1:
+            continue
+        through = [(g, points) for g, points in zip(factors, roots) if point in points]
+        if k > 2 or any(len(points) > 1 for _, points in through):
+            return None
+        block = [1]
+        for g, _ in through:
+            block = _times(block, g)
+        blocks.append(block)
+    return blocks
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -380,6 +383,7 @@ def _lone_double(factors, p):
         st.tuples(_primitive_form(2), _primitive_form(2)),
         st.tuples(_double_of_chosen_valuation(), _primitive_form(2)),
         st.tuples(_double_of_chosen_valuation(), _primitive_form(1), _primitive_form(1)),
+        st.tuples(_double_of_chosen_valuation(), _double_of_chosen_valuation()),
     ),
     st.lists(
         st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4
@@ -396,14 +400,17 @@ def _lone_double(factors, p):
 # t^2 - 15^6 u^2 times t^2 + u^2, irreducible mod 3: a lone (linear)^2
 # block of even valuation 6 >= K, unramified but with no digit of its roots
 @example(([-15**6, 0, 1], [1, 0, 1]), [], 3, 5)
+# t^2 - 15^6 u^2 and (t - u)^2 - 15 u^2: two (linear)^2 blocks mod 3 of
+# valuations 6 and 1; at K = 5 the first is O(3^5), and v_3(D) = 7 gives it
+@example(([-15**6, 0, 1], [-14, -2, 1]), [], 3, 5)
 def test_local_factorization_agrees_with_the_construction(factors, steps, p, K):
     # oracle: the splitting field of a product of integer forms is
     # ramified at p exactly when some quadratic factor has a discriminant
     # of odd valuation; a quadratic factor has residue degree 2 exactly
-    # when its discriminant is a nonsquare mod p; when the reduction's
-    # one repeated factor is a (linear)^2, disc(g h) = disc g disc h
-    # Res(g, h)^2 with disc h and Res(g, h) units gives its block the
-    # discriminant valuation of the quartic
+    # when its discriminant is a nonsquare mod p; disc(g h) = disc g
+    # disc h Res(g, h)^2 with Res(g, h) a unit for g, h coprime mod p, so
+    # when the reduction's repeated factors are (linear)^2 blocks their
+    # discriminant valuations add up to that of the quartic
     (a, b), (c, d) = _sl2_product(steps)
     product = [1]
     for g in factors:
@@ -416,21 +423,49 @@ def test_local_factorization_agrees_with_the_construction(factors, steps, p, K):
     residue_degrees = [1] * (4 - 2 * len(quadratic_discs))
     for D in quadratic_discs:
         residue_degrees += [2] if _legendre(D, p) == p - 1 else [1, 1]
-    block = _lone_double(factors, p)
+    doubles = _doubles(factors, p)
+    valuations = sorted(
+        _p_valuation(g[1] ** 2 - 4 * g[0] * g[2], p) for g in doubles or []
+    )
     try:
         rep = hensel_factor_quartic(q, p, K)
     except PrecisionError as exc:
-        # only two (linear)^2 blocks read lifted discriminants
-        assert block is None and exc.needed > K
+        # only two (linear)^2 blocks both of discriminant O(p^K) raise
+        assert exc.needed == K + 1
+        assert doubles is None or len(valuations) == 2 and valuations[0] >= K
         return
     assert rep.verdict in ("ramified" if ramified else "unramified", "inconclusive")
     assert rep.residue_degrees == tuple(sorted(residue_degrees))
-    if block is not None:
-        v = _p_valuation(block[1] ** 2 - 4 * block[0] * block[2], p)
-        (double,) = [b for b in rep.blocks if b.multiplicity > 1]
-        assert double.disc_valuation == v == _p_valuation(int(q.discriminant()), p)
-        assert rep.verdict == ("ramified" if v % 2 else "unramified")
+    if doubles:
+        read = sorted(
+            b.disc_valuation for b in rep.blocks if b.degree == b.multiplicity == 2
+        )
+        assert read == valuations
+        assert sum(read) == _p_valuation(int(q.discriminant()), p)
+        assert rep.verdict == ("ramified" if any(v % 2 for v in read) else "unramified")
     _assert_roots_satisfy(ints, rep)
+
+
+@pytest.mark.parametrize("abc", [(3, 162, 243), (-78, -162, 243)])
+def test_a_block_discriminant_O_of_p_to_the_K_comes_from_v_p_D(abc):
+    # char3-demo lines with two (linear)^2 blocks at 3 of discriminant
+    # valuations 3 and 6 and v_3(D) = 9: at K = 5 the second is O(3^5)
+    # and reads 9 - 3, so the first, ramified, decides as at K = 40
+    q = quartic_of_line(labc_line(*abc), char3_model())
+    for K in (5, 40):
+        rep = hensel_factor_quartic(q, 3, K)
+        assert rep.verdict == "ramified"
+        assert [b.disc_valuation for b in rep.blocks] == [3, 6]
+
+
+def test_two_block_discriminants_O_of_p_to_the_K_raise():
+    # t^2 - 15^6 u^2 and (t - u)^2 - 15^6 u^2: two (linear)^2 blocks mod 3
+    # of valuation 6 each, neither read at K = 5
+    q = Q(_times([-15**6, 0, 1], [1 - 15**6, -2, 1]))
+    with pytest.raises(PrecisionError, match=r"discriminant is O\(3\^5\)") as exc:
+        hensel_factor_quartic(q, 3, 5)
+    assert exc.value.needed == 6
+    assert [b.disc_valuation for b in hensel_factor_quartic(q, 3, 7).blocks] == [6, 6]
 
 
 def test_point_extraction_lifts_nothing_again(monkeypatch):

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used by that module,
 the package root `__init__.py` holds only its docstring, every function
 or method the package defines is referenced somewhere, none exists only
-for tests to reach unless it is allowlisted, and the README layout table
-has one row per module."""
+for tests to reach unless it is allowlisted, the README layout table
+has one row per module, and every edit of the mutation catalogue
+(`mutation_probe.py`) applies exactly once."""
 import ast
 import importlib
 import re
@@ -108,7 +109,6 @@ def test_every_function_is_referenced():
 TEST_ONLY = {
     "elementary_symmetric": "reference implementation the model tests compare against",
     "ordinarity_from_profile": "the exact-rational ordinarity oracle",
-    "frobenius_cycle_type": "public API the acceptance tests call; the sieve calls its rule",
 }
 
 
@@ -195,3 +195,11 @@ def test_layout_table_is_read():
         "\n## Later\n\n| `hmslines.search` | not in the table |\n"
     )
     assert _layout_modules(readme) == {"lines", "cli"}
+
+
+def test_every_mutant_applies_once():
+    # the probe refuses a stale edit, but it runs outside tier-1
+    from mutation_probe import MUTANTS
+
+    for name, path, old, _ in MUTANTS:
+        assert (ROOT / path).read_text().count(old) == 1, name

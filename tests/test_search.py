@@ -177,12 +177,14 @@ def test_loading_building_and_searching_refuse_bad_configs(tmp_path):
         {"targets": [{"place": "real", "params": ["2", 0.0625, "3"]}]},
         {"seed_point": [-1, 0, 1, -1, -1, 1.0]},
         {"targets": [{"place": 5.0, "params": ["2", "1/16", "3"]}], "k5": 1},
+        {"targets": [{"place": True, "params": ["2", "1/16", "3"]}]},
     ],
 )
 def test_parse_config_refuses_floats(overrides):
-    # a JSON float is not an exact rational; it is refused up front,
-    # naming the value, not when the first certificate takes the digest
-    with pytest.raises(ConfigError, match=r"0\.5|0\.0625|1\.0|5\.0"):
+    # a JSON float is not an exact rational, nor is a float or a bool a
+    # place; each is refused up front, naming the value, since the
+    # digest's serializer writes a float as it comes
+    with pytest.raises(ConfigError, match=r"0\.5|0\.0625|1\.0|5\.0|True"):
         demo_config("rho0-demo.json", **overrides)
 
 

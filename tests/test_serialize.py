@@ -10,7 +10,6 @@ from hmslines.serialize import (
     canonical_json,
     config_digest,
     frac_str,
-    jsonable,
     parse_frac,
 )
 
@@ -50,11 +49,13 @@ def test_canonical_json_ignores_insertion_order():
     assert one == two
 
 
-def test_jsonable_rejects_foreign_objects():
-    with pytest.raises(ConfigError):
-        jsonable(object())
-    with pytest.raises(ConfigError):
-        canonical_json({"f": 0.5})
+def test_canonical_json_rejects_foreign_objects():
+    # JSON has no form for them; floats are refused earlier, by the
+    # config parser (test_search.py::test_parse_config_refuses_floats)
+    with pytest.raises(ConfigError, match="cannot serialize object"):
+        canonical_json({"x": object()})
+    with pytest.raises(ConfigError, match="cannot serialize set"):
+        canonical_json([{1, 2}])
 
 
 def _config_data(name):
