@@ -1,8 +1,9 @@
 """Canonical JSON encoding shared by certificates, configs and the CLI.
 
-Everything numeric is rendered as a string in lowest terms so that a
-certificate serializes to the same bytes on every run; `canonical_json`
-fixes key order and separators, and `config_digest` hashes that."""
+A rational is written as a string in lowest terms and a count as a
+JSON int, so that a certificate serializes to the same bytes on every
+run; `canonical_json` fixes key order and separators, and
+`config_digest` hashes that."""
 
 import hashlib
 import json
