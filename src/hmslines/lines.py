@@ -18,8 +18,9 @@ rational charts produce such lines:
 
 The character-3 helpers (`char3_leading_profile`, `parity_admissible`,
 `cusp_proximity`) quantify the 3-adic behaviour of the labc family;
-`cusp_proximity` returns each point's depth at the cusp line, from
-which the certificate's cusp section writes the distances.
+`cusp_proximity` returns the depth at the cusp line of each point, its
+six coordinates in one ring mod 3^K, from which the certificate's cusp
+section writes the distances.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .errors import (
     SingularPointError,
 )
 from .mpoly import SparsePoly, restrict_to_span
-from .padics import IndeterminateValuation, UElt
 from .quartics import BinaryQuartic
 from .scalars import (
     integer_numerators,
@@ -499,15 +499,6 @@ def parity_admissible(ord_b: int, ord_c: int, ord_lambda1: int, ord_lambda2: int
     return (ord_b - ord_lambda1) % 2 == 0 and (ord_c - ord_lambda2) % 2 == 0
 
 
-def _coordinate_valuation(c):
-    if isinstance(c, UElt):
-        return c.valuation()
-    c = Fraction(c)
-    if c == 0:
-        return None
-    return valuation_of_rational(c, 3)
-
-
 # the coordinates that vanish on the cusp line; their valuations give the depth
 NONCUSP = (0, 3, 4, 5)
 
@@ -516,56 +507,30 @@ def cusp_proximity(points) -> tuple:
     """The 3-adic closeness of each point to the coordinate cusp line,
     as a tuple of depths.
 
-    A point's depth is the least valuation of its non-cusp coordinates
-    `NONCUSP` in a primitive representative, so its 3-adic distance
-    from the line is 3^(-depth); depth None means the point lies on the
-    cusp line exactly, at distance 0.
-
-    Coordinates indistinguishable from zero at their working precision
-    are never treated as exact zeros: when such a coordinate could
-    still change the depth, it refuses with a PrecisionError
-    instead of certifying from incomplete evidence.
+    A point is its six coordinates in one `UnramifiedRing` mod 3^K.  Its
+    depth is the least valuation of its non-cusp coordinates `NONCUSP`
+    less the least valuation of all six, so its 3-adic distance from
+    the line is 3^(-depth) whatever its scaling.  A coordinate zero mod
+    3^K has no determined valuation, and every determined one is below
+    K, so the least determined valuation of a set of coordinates is
+    their least valuation.  When none of the six, or none of `NONCUSP`,
+    is determined, the depth is refused with a PrecisionError asking
+    for precision K + 1, never certified from incomplete evidence.
     """
     depths = []
     for pt in points:
-        vals = [_coordinate_valuation(c) for c in pt]
-        finite = [v for v in vals if isinstance(v, int)]
-        bounds = [
-            v.lower_bound for v in vals if isinstance(v, IndeterminateValuation)
-        ]
-        if not finite:
-            if bounds:
-                raise PrecisionError(
-                    "no coordinate valuation is certified at this precision",
-                    needed=max(bounds) + 1,
-                )
-            raise HmsError("point has no coordinate of certified valuation")
-        vmin = min(finite)
-        if bounds and min(bounds) < vmin:
+        needed = pt[0].ring.K + 1
+        vals = [c.valuation() for c in pt]
+        known = [v for v in vals if v is not None]
+        if not known:
             raise PrecisionError(
-                "primitive scaling of the point is unresolved",
-                needed=vmin + 1,
+                "no coordinate valuation is certified at this precision",
+                needed=needed,
             )
-        depth = None
-        for i in NONCUSP:
-            v = vals[i]
-            if isinstance(v, int):
-                d = v - vmin
-                if depth is None or d < depth:
-                    depth = d
-        floors = [
-            vals[i].lower_bound - vmin
-            for i in NONCUSP
-            if isinstance(vals[i], IndeterminateValuation)
-        ]
-        if floors and (depth is None or min(floors) < depth):
-            needed = (
-                vmin + depth + 1
-                if depth is not None
-                else max(f + vmin for f in floors) + 1
-            )
+        gauge = [vals[i] for i in NONCUSP if vals[i] is not None]
+        if not gauge:
             raise PrecisionError(
                 "cusp depth is unresolved at this precision", needed=needed
             )
-        depths.append(depth)
+        depths.append(min(gauge) - min(known))
     return tuple(depths)

@@ -21,8 +21,10 @@ finite field F_{p^d}: `quartics.roots_over_Fq` scans it, and the char-5
 worked example of `verify` works in F_25 = F_5[t]/(t^2 + 3).
 
 Indeterminacy is a value, never a silent rounding: an element that is
-zero mod p^K has the valuation `IndeterminateValuation(K)`, a lower
-bound, and callers that need a decision raise `PrecisionError`.
+zero mod p^K has the valuation None, undetermined (its ring's K is a
+lower bound), and callers that need a decision raise `PrecisionError`
+or write None where the certificate writes `null`.  A determined
+valuation is below K and is the true one.
 """
 
 from fractions import Fraction
@@ -143,24 +145,6 @@ def peval(f, x, p):
 
 
 # -- unramified rings ----------------------------------------------------
-
-
-class IndeterminateValuation:
-    """Marker value: the valuation is only known to be >= lower_bound."""
-
-    __slots__ = ("lower_bound",)
-
-    def __init__(self, lower_bound: int):
-        self.lower_bound = lower_bound
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IndeterminateValuation)
-            and self.lower_bound == other.lower_bound
-        )
-
-    def __repr__(self):
-        return f"IndeterminateValuation(>= {self.lower_bound})"
 
 
 class UnramifiedRing:
@@ -289,11 +273,9 @@ class UElt:
         return hash((self.ring.mod, self.ring.modulus, self.coeffs))
 
     def valuation(self):
-        """min coordinate valuation (unramified); indeterminate if 0 mod p^K."""
+        """min coordinate valuation (unramified); None if 0 mod p^K."""
         vals = [split_p_power(c, self.ring.p)[0] for c in self.coeffs if c]
-        if not vals:
-            return IndeterminateValuation(self.ring.K)
-        return min(vals)
+        return min(vals) if vals else None
 
     def __repr__(self):
         return f"UElt({self.coeffs} mod {self.ring.p}^{self.ring.K})"

@@ -106,17 +106,16 @@ class SearchConfig:
 
 
 def _parse_place(raw):
+    """The place "real", or the int 3 or 5.  "3" is refused, not read as
+    3: the config digest is of the raw values, so one search would have
+    two digests."""
     if raw == "real":
-        return "real"
-    if isinstance(raw, (bool, float)):
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, int):
         raise ConfigError(f"unknown place {raw!r}; expected 'real', 3, or 5")
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"unknown place {raw!r}; expected 'real', 3, or 5")
-    if value not in (3, 5):
-        raise ConfigError(f"unsupported finite place {value}; expected 3 or 5")
-    return value
+    if raw not in (3, 5):
+        raise ConfigError(f"unsupported finite place {raw}; expected 3 or 5")
+    return raw
 
 
 def _parse_int(data, key, default, minimum):
@@ -352,7 +351,7 @@ def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
     def val_of(shift, value):
         """shift + v(value), None when v(value) is not determined."""
         v = value.valuation()
-        return shift + v if isinstance(v, int) else None
+        return None if v is None else shift + v
 
     v_s3, v_s5 = val_of(forms.v_scale3, f3), val_of(forms.v_scale5, f5)
     v_D = val_of(forms.v_shift, f3 * f3 * forms.a - f6 * forms.b)
@@ -374,19 +373,25 @@ def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
     }
 
 
-def _cusp_report(rows, points):
+def _cusp_report(rows, points, prec):
     """Distance of 3-adic intersection points of the span of rows from
     the coordinate cusp line spanned by e1 and e2, where the `NONCUSP`
-    coordinates 0, 3, 4 and 5 vanish (`lines.cusp_proximity`)."""
+    coordinates 0, 3, 4 and 5 vanish (`lines.cusp_proximity`).
+
+    A root of a (linear)^2 block keeps only prec - v digits, so a
+    refusal asks for the configured precision prec + 1, which gives
+    every point one more digit, not for its point's K + 1."""
     if not points:
         return None
-    depths = cusp_proximity([pt.coordinates(rows) for pt in points])
+    try:
+        depths = cusp_proximity([pt.coordinates(rows) for pt in points])
+    except PrecisionError as exc:
+        exc.needed = prec + 1
+        raise
     return {
         "p": 3,
         "depths": list(depths),
-        "distances": [
-            frac_str(0) if d is None else frac_str(Fraction(1, 3**d)) for d in depths
-        ],
+        "distances": [frac_str(Fraction(1, 3**d)) for d in depths],
     }
 
 
@@ -465,7 +470,7 @@ def _local_section(line, model, config, report) -> dict:
         "points_extracted": sum(pt.ring.deg for pt in points),
     }
     if p == 3 and config.twist == "char3-x":
-        section["cusp"] = _cusp_report(line.ints, points)
+        section["cusp"] = _cusp_report(line.ints, points, report.prec)
         section["parity"] = _parity_section(line, config)
     if p == 5:
         # restricted once per line, and only for a line with points

@@ -58,15 +58,21 @@ MUTANTS = [
     ("Hensel parity flipped", "src/hmslines/hensel.py",
      'verdict = "unramified" if v % 2 == 0 else "ramified"',
      'verdict = "unramified" if v % 2 == 1 else "ramified"'),
-    ("cusp-depth floor comparison loosened by one", "src/hmslines/lines.py",
-     "if floors and (depth is None or min(floors) < depth):",
-     "if floors and (depth is None or min(floors) + 1 < depth):"),
+    ("cusp depth without subtracting the least valuation", "src/hmslines/lines.py",
+     "depths.append(min(gauge) - min(known))",
+     "depths.append(min(gauge))"),
+    ("coordinate 2 counted as non-cusp", "src/hmslines/lines.py",
+     "NONCUSP = (0, 3, 4, 5)",
+     "NONCUSP = (0, 2, 3, 4, 5)"),
+    ("no refusal of an undetermined cusp depth", "src/hmslines/lines.py",
+     "gauge = [vals[i] for i in NONCUSP if vals[i] is not None]",
+     "gauge = [needed - 1 if vals[i] is None else vals[i] for i in NONCUSP]"),
     ("curve_V_avoided always true", "src/hmslines/search.py",
      '"curve_V_avoided": True if v_D is not None else None,',
      '"curve_V_avoided": True,'),
-    ("coordinate-valuation hint off by one", "src/hmslines/lines.py",
-     "needed=max(bounds) + 1,",
-     "needed=max(bounds),"),
+    ("cusp hint one short", "src/hmslines/search.py",
+     "exc.needed = prec + 1",
+     "exc.needed = prec"),
     ("CRT representative by floor, not nearest", "src/hmslines/search.py",
      "round(Fraction(near - base, modulus))",
      "(near - base) // modulus"),

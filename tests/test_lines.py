@@ -647,59 +647,53 @@ def test_parity_admissible_rule():
             assert parity_admissible(*bumped) == base
 
 
+def _point_mod_3_to(K, coords, modulus=(0, 1)):
+    """A point: six coordinates, each a list of ring coordinates, in one
+    ring mod 3^K."""
+    ring = UnramifiedRing(3, modulus, K)
+    return tuple(ring.elt(c) for c in coords)
+
+
+def _integer_point_mod_3_to(K, coords):
+    return _point_mod_3_to(K, [[c] for c in coords])
+
+
 def test_cusp_proximity_examples():
-    # on the cusp line exactly, 3^6 below it and a plain point at depth 1
-    assert cusp_proximity([(0, 1, 0, 0, 0, 0)]) == (None,)
-    assert cusp_proximity([(0, 1, 0, 0, 729, 0)]) == (6,)
-    assert cusp_proximity([(3, 1, 9, 27, 9, 3)]) == (1,)
-    assert cusp_proximity([(0, 1, 0, 0, 729, 0), (3, 1, 9, 27, 9, 3)]) == (6, 1)
+    # 3^6 below the cusp line and a plain point at depth 1; scaled by 9,
+    # each has the depth of its primitive representative
+    deep, plain = (0, 1, 0, 0, 729, 0), (3, 1, 9, 27, 9, 3)
+    assert cusp_proximity([_integer_point_mod_3_to(8, deep)]) == (6,)
+    assert cusp_proximity([_integer_point_mod_3_to(8, plain)]) == (1,)
+    scaled = [_integer_point_mod_3_to(10, [9 * c for c in pt]) for pt in (deep, plain)]
+    assert cusp_proximity(scaled) == (6, 1)
 
 
 def test_cusp_proximity_respects_noncusp_choice():
     # coordinates 1 and 2 span the cusp line: the unit 5 does not count
-    assert cusp_proximity([(9, 1, 5, 27, 81, 243)]) == (2,)
-    with pytest.raises(HmsError):
-        cusp_proximity([(0, 0, 0, 0, 0, 0)])
+    point = _integer_point_mod_3_to(6, (9, 1, 5, 27, 81, 243))
+    assert cusp_proximity([point]) == (2,)
+    # in the ring of t^2 + 1 mod 3^4: 9t and 27 + 81t have valuations 2
+    # and 3, and the coordinates 0 mod 3^4 are at least that deep
+    point = _point_mod_3_to(4, ([0, 9], [1], [0, 1], [27, 81], [], [0, 81]), (1, 0, 1))
+    assert cusp_proximity([point]) == (2,)
 
 
 def test_cusp_proximity_refuses_unresolved_coordinates():
-    def known_mod_3_to(K, c):
-        return UnramifiedRing(3, (0, 1), K).elt([c])
-
-    unit = known_mod_3_to(5, 1)
-    deep = known_mod_3_to(5, 27)
-    fog = known_mod_3_to(2, 0)
-
-    # Every gauge coordinate is indistinguishable from zero: the depth
-    # could be anything at this precision, so the report must refuse.
-    with pytest.raises(PrecisionError):
-        cusp_proximity([(fog, unit, fog, fog, fog, fog)])
-
-    # A certified depth of 3 cannot stand while another gauge coordinate
-    # might still have valuation 2.
-    with pytest.raises(PrecisionError):
-        cusp_proximity([(deep, unit, 0, fog, 0, 0)])
-
-    # Once the unresolved coordinate is known to be deeper than the
-    # certified one, the report goes through.
-    settled = known_mod_3_to(9, 0)
-    assert cusp_proximity([(deep, unit, 0, settled, 0, 0)]) == (3,)
-
-    # A point with no certified coordinate at all is a precision problem
-    # as well, not a malformed input.
-    with pytest.raises(PrecisionError):
-        cusp_proximity([(fog, fog, fog, fog, fog, fog)])
-
-
-def test_cusp_proximity_refuses_an_unresolved_primitive_scaling():
-    # 27 has valuation 3, but the coordinate known only mod 3^2 could
-    # still have valuation 2: the primitive scaling, and with it every
-    # depth, waits for precision 4
-    point = (
-        UnramifiedRing(3, (0, 1), 5).elt([27]),
-        UnramifiedRing(3, (0, 1), 2).elt([0]),
-        0, 0, 0, 0,
-    )
-    with pytest.raises(PrecisionError, match="primitive scaling of the point") as exc:
+    # every non-cusp coordinate is 0 mod 3^5: the depth is at least 5,
+    # but which it is waits for precision 6
+    point = (243, 1, 0, 0, 3**7, 0)
+    with pytest.raises(PrecisionError, match="cusp depth is unresolved") as exc:
+        cusp_proximity([_integer_point_mod_3_to(5, point)])
+    assert exc.value.needed == 6
+    assert cusp_proximity([_integer_point_mod_3_to(6, point)]) == (5,)
+    # one undetermined point refuses the whole tuple
+    with pytest.raises(PrecisionError, match="cusp depth is unresolved"):
+        cusp_proximity(
+            [_integer_point_mod_3_to(5, (1, 0, 0, 0, 0, 0)), _integer_point_mod_3_to(5, point)]
+        )
+    # a point with no coordinate determined at all is a precision
+    # problem as well, not a malformed input
+    point = _point_mod_3_to(3, ([0, 27], [81], [0], [], [27], [0, 54]), (1, 0, 1))
+    with pytest.raises(PrecisionError, match="no coordinate valuation is certified") as exc:
         cusp_proximity([point])
     assert exc.value.needed == 4

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import HmsError
-from hmslines.padics import IndeterminateValuation, UnramifiedRing, pdivmod, trim
+from hmslines.padics import UnramifiedRing, pdivmod, trim
 
 
 def Zp(p, K):
@@ -25,8 +25,7 @@ def test_addition_respects_ultrametric():
     b = R.from_rational(5)
     assert (a + b).valuation() == 1
     # cancellation: the sum of x and -x is zero at the working precision
-    v = (a + (-a)).valuation()
-    assert v == IndeterminateValuation(6)
+    assert (a + (-a)).valuation() is None
 
 
 def test_multiplication_adds_valuations():
@@ -43,26 +42,48 @@ def test_arithmetic_matches_rational_reduction():
     exact = (Fraction(3, 4) + 7) * Fraction(5, 2)
     got = (R.from_rational(Fraction(3, 4)) + 7) * R.from_rational(Fraction(5, 2))
     assert got == R.from_rational(exact)
-    assert isinstance((got - exact).valuation(), IndeterminateValuation)
+    assert (got - exact).valuation() is None
 
 
 def test_zero_at_has_indeterminate_valuation():
-    v = Zp(5, 4).zero().valuation()
-    assert isinstance(v, IndeterminateValuation)
-    assert v.lower_bound == 4
+    assert Zp(5, 4).zero().valuation() is None
 
 
 def test_valuation_monotone_under_precision_refinement():
     # the same rational at two precisions: a determined valuation is
-    # the same at both, and an undetermined one is a lower bound
+    # the same at both, and an undetermined one is at least the ring's K
     for num, den in [(10, 3), (9, 7), (250, 7), (1, 2), (5**7, 3)]:
         x = Fraction(num, den)
         lo = Zp(5, 3).from_rational(x).valuation()
         hi = Zp(5, 9).from_rational(x).valuation()
-        if isinstance(lo, IndeterminateValuation):
-            assert lo.lower_bound == 3 <= hi
+        if lo is None:
+            assert 3 <= hi
         else:
             assert lo == hi
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(3, (0, 1)), (3, (1, 0, 1)), (5, (0, 1)), (5, (2, 0, 1))]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_a_valuation_is_below_k_or_none_on_zero_mod_p_to_the_k(ring, K, data):
+    # what the cusp depth rests on: a determined valuation is below K,
+    # and None stands for exactly the elements that are 0 mod p^K
+    p, modulus = ring
+    R = UnramifiedRing(p, modulus, K)
+    digits = st.integers(0, 3).flatmap(
+        lambda k: st.integers(-(p**6), p**6).map(lambda n: n * p**k)
+    )
+    x = R.elt(data.draw(st.lists(digits, min_size=R.deg, max_size=R.deg)))
+    v = x.valuation()
+    if v is None:
+        assert all(c % p**K == 0 for c in x.coeffs)
+    else:
+        assert 0 <= v < K
+        assert all(c % p**v == 0 for c in x.coeffs)
+        assert any(c % p ** (v + 1) for c in x.coeffs)
 
 
 def test_unramified_ring_generator_satisfies_modulus():
@@ -87,7 +108,7 @@ def test_unramified_valuation_is_min_over_coordinates():
     x = t * 25 + 5
     assert x.valuation() == 1
     zero = x - x
-    assert isinstance(zero.valuation(), IndeterminateValuation)
+    assert zero.valuation() is None
 
 
 def test_unramified_ring_rejects_non_monic_modulus():

@@ -14,9 +14,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hmslines import hensel, quartics, search
 from hmslines.errors import ConfigError, HmsError, PrecisionError, SearchExhausted
 from hmslines.hensel import hensel_factor_quartic
-from hmslines.lines import Line, TangentConeChart, cusp_proximity, labc_line, quartic_of_line
-from hmslines.padics import IndeterminateValuation, UnramifiedRing
-from hmslines.scalars import primitive_integers, valuation_of_rational
+from hmslines.lines import Line, TangentConeChart, labc_line, quartic_of_line
+from hmslines.padics import UnramifiedRing
+from hmslines.scalars import valuation_of_rational
 from hmslines.serialize import frac_str
 from hmslines.search import (
     CERTIFICATE_SCHEMA,
@@ -128,6 +128,11 @@ def test_parse_config_rejects_defects():
          "unsupported finite place 7"),
         ({**base, "targets": [{"place": "x", "params": ["0", "0", "0"]}]},
          "unknown place 'x'"),
+        # a place is the int 3, never a string that parses as 3
+        ({**base, "targets": [{"place": "3", "params": ["0", "0", "0"]}], "k3": 1},
+         "unknown place '3'"),
+        ({**base, "targets": [{"place": " 3 ", "params": ["0", "0", "0"]}], "k3": 1},
+         "unknown place ' 3 '"),
         ({**base, "targets": [{"params": ["0", "0", "0"]}]},
          "each target needs a 'place' key"),
         ({**base, "targets": [{"place": 3}]}, "target params must be a triple"),
@@ -507,6 +512,50 @@ def test_a_double_root_beyond_the_precision_passes_the_gate_and_asks_for_more(
     assert min(ring_precisions) >= 1
 
 
+def _starved_precision_failures(config, model):
+    """(line, hint) of each line of the char3 class that the search
+    counts as a precision failure: a PrecisionError while deciding a
+    gate or while building a passing line's certificate."""
+    failures = []
+    for params in _candidate_params(*_combined_parameters(config), config.height_bound):
+        sections = search._Sections(labc_line(*params), model, config)
+        try:
+            if sections.disc != 0 and all(ok for _, ok in sections.targeted_gates()):
+                search._certificate(sections, params, "labc")
+        except PrecisionError as exc:
+            failures.append((sections.line, exc.needed))
+    return failures
+
+
+def test_following_the_hints_decides_every_starved_precision_failure():
+    # the benchmark's starved search at seed 0: certifying each of its
+    # precision failures at the hint, and again at each new hint, must
+    # decide the line, and every hint must exceed the precision that
+    # raised it
+    config = demo_config("char3-demo.json", precision=5)
+    model = build_model(config)
+    failures = _starved_precision_failures(config, model)
+    assert len(failures) == 72
+    paths = Counter()
+    for line, needed in failures:
+        prec, path = config.precision, []
+        while len(path) < 8:
+            assert needed > prec, (line.ints, path)
+            prec = needed
+            path.append(prec)
+            try:
+                certify_line(line, model, demo_config("char3-demo.json", precision=prec))
+                break
+            except PrecisionError as exc:
+                needed = exc.needed
+        else:
+            pytest.fail(f"undecided at precision {prec}: {line.ints}")
+        paths[tuple(path)] += 1
+    # the cusp depths of simple and double roots ask for one digit more
+    # each time; the 18 double roots of v_3(D) = 6 start at 7
+    assert paths == {(6, 7): 54, (7, 8, 9): 18}
+
+
 @pytest.mark.parametrize(
     "name, rows", [("rho0-demo.json", REAL_LINE_ROWS), ("char3-demo.json", CHAR3_LINE_ROWS)]
 )
@@ -639,28 +688,30 @@ def test_point_invariants_leave_undetermined_v_d_undecided():
 # a point on the cusp line itself: refused at every precision
 @example([(0, 0), (1, 0), (2, 1), (0, 0), (0, 0), (0, 0)], 12)
 def test_cusp_section_agrees_with_the_exact_point(terms, K):
-    # oracle: cusp_proximity of the exact primitive integer point
-    assume(any(n for n, _ in terms))
-    point = primitive_integers([n * 3**k for n, k in terms])
-    (depth,) = cusp_proximity([point])
+    # oracle: the least 3-adic valuation of the nonzero non-cusp
+    # coordinates 0, 3, 4 and 5 of the integer point, less that of all
+    point = [n * 3**k for n, k in terms]
+    assume(any(point))
+
+    def least_valuation(coords):
+        return min((valuation_of_rational(c, 3) for c in coords if c), default=None)
+
+    gauge = least_valuation(point[i] for i in (0, 3, 4, 5))
     # the certificate path: the point is [1 : 0] on a span whose first
     # row is the point
     ring = UnramifiedRing(3, (0, 1), K)
     local = search.LocalPoint(0, ring.one(), ring.zero())
-    gauge = [valuation_of_rational(point[i], 3) for i in (0, 3, 4, 5) if point[i]]
     try:
-        report = search._cusp_report((point, (0,) * 6), [local])
+        report = search._cusp_report((point, (0,) * 6), [local], K)
     except PrecisionError as exc:
-        assert exc.needed > K
-        # refusing is allowed only while every gauge coordinate may be
-        # zero mod 3^K; on the cusp line itself that is at every K
-        assert gauge == [] or K <= min(gauge)
+        # refused exactly when every non-cusp coordinate is 0 mod 3^K;
+        # on the cusp line itself that is at every K
+        assert gauge is None or gauge >= K
+        assert exc.needed == K + 1
         return
-    assert report == {
-        "p": 3,
-        "depths": [depth],
-        "distances": [frac_str(0 if depth is None else F(1, 3**depth))],
-    }
+    depth = gauge - least_valuation(point)
+    assert gauge is not None and gauge < K
+    assert report == {"p": 3, "depths": [depth], "distances": [frac_str(F(1, 3**depth))]}
 
 
 def _demo_line(name, params):
@@ -734,7 +785,7 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         # valuation at least ring.K: zero mod p^K
         for k in (1, 2, 4):
             value = model.forms[k].evaluate(coords)
-            assert value.valuation() == IndeterminateValuation(ring.K)
+            assert value.valuation() is None
         # the restricted forms at (t, u) are the forms at the coordinates
         restricted = forms.values(pt.t, pt.u)
         assert restricted == tuple(model.forms[k].evaluate(coords) for k in (3, 5, 6))
