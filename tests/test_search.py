@@ -817,3 +817,85 @@ def test_derive_chart_params_edge_results():
     char3 = demo_config("char3-demo.json")
     stranger = Line([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)])
     assert derive_chart_params(stranger, char3, build_model(char3)) == ("labc", None)
+
+
+def _certificate_at(name, line, model, precision):
+    """The certificate of a line under a demo config at a precision, as
+    JSON data; None when it raises PrecisionError."""
+    config = demo_config(name, precision=precision)
+    try:
+        return json.loads(certify_line(line, model, config).to_json())
+    except PrecisionError:
+        return None
+
+
+def _undetermined_valuations(cert):
+    """(point, field) of each null valuation of the 5-adic points."""
+    return {
+        (i, key)
+        for i, entry in enumerate((cert.get("local_5") or {}).get("points", []))
+        for key in ("v_sigma3", "v_sigma5", "v_D")
+        if entry[key] is None
+    }
+
+
+def _refines(low, high, where="certificate"):
+    """Every field determined in `low` has the same value in `high`: a
+    null may become a value, and nothing else may change.  The precision
+    fields and the config digest record the precision itself, so they
+    are left out."""
+    if low is None:
+        return
+    if isinstance(low, dict):
+        assert isinstance(high, dict) and low.keys() == high.keys(), where
+        for key in low.keys() - {"precision", "config_digest"}:
+            _refines(low[key], high[key], f"{where}.{key}")
+    elif isinstance(low, list):
+        assert isinstance(high, list) and len(low) == len(high), where
+        for i, (a, b) in enumerate(zip(low, high)):
+            _refines(a, b, f"{where}[{i}]")
+    else:
+        assert low == high, where
+
+
+# lines of the benchmark's certify batch at seed 0, by their chart
+# parameters, and what precision 4 leaves open on them that 60 decides
+OPEN_AT_4 = {
+    ("char3-demo.json", (-240, 0, -243)): "raises",
+    ("char3-demo.json", (3, 162, 243)): "raises",
+    ("char3-demo.json", (165, -81, 81)): "null",
+    ("rho0-demo.json", (-2, F(33, 16), 4)): "null",
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("char3-demo.json", "rho0-demo.json")),
+    st.tuples(SCALED, SCALED, SCALED),
+    st.integers(1, 8),
+    st.integers(1, 24),
+)
+@example("char3-demo.json", (-240, 0, -243), 4, 56)
+@example("char3-demo.json", (3, 162, 243), 4, 56)
+@example("char3-demo.json", (165, -81, 81), 4, 56)
+@example("rho0-demo.json", (-2, F(33, 16), 4), 4, 56)
+def test_a_field_determined_at_a_lower_precision_keeps_its_value(name, params, k, gap):
+    # a valuation determined mod p^k is the true one, so raising the
+    # precision may only turn a null into a value and a PrecisionError
+    # into a certificate; the demo configs target no 5-adic gate, so no
+    # summary reads an undetermined valuation
+    open_at_k = OPEN_AT_4.get((name, params)) if (k, gap) == (4, 56) else None
+    try:
+        model, line = _demo_line(name, params)
+        low = _certificate_at(name, line, model, k)
+        high = _certificate_at(name, line, model, k + gap)
+    except HmsError:
+        assert open_at_k is None
+        assume(False)
+    if open_at_k == "raises":
+        assert low is None
+    if open_at_k == "null":
+        assert _undetermined_valuations(low) > _undetermined_valuations(high)
+    if low is not None:
+        assert high is not None
+        _refines(low, high)
