@@ -26,6 +26,16 @@ sigma_3, sigma_5 and sigma_6 to that basis once per line (`_SpanForms`)
 and evaluate the binary forms at each (t, u); only the cusp report
 forms the six coordinates.  Every valuation is a `UElt.valuation`.
 
+The local sections are decided at a low precision first: `_Sections`
+builds the Hensel reports and local sections at min(K, FIRST_PRECISION),
+and again at the configured precision K only when that raised
+PrecisionError or left a 5-adic point valuation undetermined.  A p-adic
+valuation determined mod p^k is the true one (precision on demand, as
+in Caruso, Roe and Vaccon, "Tracking p-adic precision", LMS J. Comput.
+Math. 17A, 2014), and a section records K, so a certificate has the
+bytes of a build at K, and every PrecisionError comes from the build
+at K.
+
 Two sections come straight from the function that computes them:
 `galois.solvability_report` returns the `galois` section as it is
 serialized, and `lines.cusp_proximity` returns the depths from which
@@ -71,6 +81,9 @@ from .surface import (
 )
 
 CERTIFICATE_SCHEMA = "hmslines-certificate/1"
+
+# the precision at which a line's local sections are built first (`_decided`)
+FIRST_PRECISION = 8
 
 _CONFIG_KEYS = {
     "twist",
@@ -457,12 +470,19 @@ def _parity_section(line: Line, config: SearchConfig):
 
 
 def _local_section(line, model, config, report) -> dict:
-    """Intersection points and p-specific extras around a Hensel report."""
+    """Intersection points and p-specific extras around a Hensel report.
+
+    The precisions recorded are those of a build at the configured K,
+    whatever the report's: K for the section, and K - v for a point
+    whose ring keeps v digits fewer than the report (v the
+    disc_valuation of its (linear)^2 block, else 0).
+    """
     p = report.p
+    K = config.precision
     points = intersection_points(report)
     section = {
         "p": p,
-        "precision": report.prec,
+        "precision": K,
         "squarefree_mod_p": report.squarefree_mod_p,
         "residue_degrees": list(report.residue_degrees),
         "verdict": report.verdict,
@@ -470,12 +490,15 @@ def _local_section(line, model, config, report) -> dict:
         "points_extracted": sum(pt.ring.deg for pt in points),
     }
     if p == 3 and config.twist == "char3-x":
-        section["cusp"] = _cusp_report(line.ints, points, report.prec)
+        section["cusp"] = _cusp_report(line.ints, points, K)
         section["parity"] = _parity_section(line, config)
     if p == 5:
         # restricted once per line, and only for a line with points
         forms = _SpanForms(model, line.ints, p) if points else None
-        section["points"] = [_point_invariants(forms, pt) for pt in points]
+        section["points"] = [
+            dict(_point_invariants(forms, pt), precision=pt.ring.K + K - report.prec)
+            for pt in points
+        ]
     section["required"] = p in config.targets
     return section
 
@@ -488,6 +511,32 @@ def _points_ordinary(section) -> bool:
     )
 
 
+def _undetermined(section) -> bool:
+    """Whether a local section holds a 5-adic point valuation that its
+    precision leaves undetermined.  Its other nulls (the disc_valuation
+    of a simple block, a cusp section with no points, a parity section
+    off the labc chart) are the same at every precision."""
+    return any(
+        None in (entry["v_sigma3"], entry["v_sigma5"], entry["v_D"])
+        for entry in section.get("points", ())
+    )
+
+
+def _decided(build, precision, undetermined=lambda result: False):
+    """build(FIRST_PRECISION) when that is below the configured
+    precision, raises no PrecisionError and leaves nothing undetermined;
+    else build(precision), whose PrecisionError is the one raised."""
+    if precision > FIRST_PRECISION:
+        try:
+            result = build(FIRST_PRECISION)
+        except PrecisionError:
+            pass
+        else:
+            if not undetermined(result):
+                return result
+    return build(precision)
+
+
 class _Sections:
     """The sections of one line's certificate, each built once, on use.
 
@@ -496,6 +545,11 @@ class _Sections:
     built it.  Construction restricts the quartic and evaluates its
     discriminant; NotOnSurfaceError or DegenerateLineError means the
     line is not a generator of the model at all.
+
+    The Hensel reports and local sections are built at min(K,
+    FIRST_PRECISION) first, K the configured precision, and rebuilt at K
+    only when something is open there (`_decided`); a section records K
+    whichever build it comes from (`_local_section`).
     """
 
     def __init__(self, line: Line, model: SurfaceModel, config: SearchConfig):
@@ -538,15 +592,21 @@ class _Sections:
     def hensel(self, p: int):
         return self._once(
             ("hensel", p),
-            lambda: hensel_factor_quartic(self.quartic, p, self.config.precision),
+            lambda: _decided(
+                lambda k: hensel_factor_quartic(self.quartic, p, k),
+                self.config.precision,
+            ),
         )
 
     def local(self, p: int) -> dict:
+        def at(k):
+            report = self.hensel(p)
+            if report.prec != k:
+                report = hensel_factor_quartic(self.quartic, p, k)
+            return _local_section(self.line, self.model, self.config, report)
+
         return self._once(
-            ("local", p),
-            lambda: _local_section(
-                self.line, self.model, self.config, self.hensel(p)
-            ),
+            ("local", p), lambda: _decided(at, self.config.precision, _undetermined)
         )
 
     def targeted_gates(self):
@@ -683,15 +743,20 @@ class _LabcChart:
 
 def line_chart(config: SearchConfig, model: SurfaceModel):
     """The configured chart, with `kind`, `line_at(a, b, c)` and
-    `params_of(line)`; ConfigError when the config gives none."""
+    `params_of(line)`; ConfigError when the config gives none.  A
+    tangent-cone chart is built once per model and seed, and kept in
+    `model.charts`."""
     if config.twist == "char3-x":
         return _LabcChart()
-    if config.seed_point is None:
+    seed = config.seed_point
+    if seed is None:
         raise ConfigError("this twist needs a seed_point for the line chart")
-    try:
-        return TangentConeChart(model, list(config.seed_point))
-    except HmsError as exc:
-        raise ConfigError(f"seed_point does not give a line chart: {exc}")
+    if seed not in model.charts:
+        try:
+            model.charts[seed] = TangentConeChart(model, list(seed))
+        except HmsError as exc:
+            raise ConfigError(f"seed_point does not give a line chart: {exc}")
+    return model.charts[seed]
 
 
 def _residue_of(value: Fraction, m: int) -> int:

@@ -238,7 +238,8 @@ class SurfaceModel:
 
     `q1_row`, `gram` and `compiled` are built on first use and kept:
     the integer row of q1, the doubled Gram matrix of q2, and every
-    form as a `CompiledForm`.
+    form as a `CompiledForm`.  `charts` keeps the tangent-cone charts
+    that `search.line_chart` builds on the model, by seed.
     """
 
     forms: dict
@@ -267,6 +268,10 @@ class SurfaceModel:
     @cached_property
     def compiled(self) -> dict:
         return {k: CompiledForm(f) for k, f in self.forms.items()}
+
+    @cached_property
+    def charts(self) -> dict:
+        return {}
 
     def profile_at(self, pt) -> "SigmaProfile":
         """Sigma invariants of a point of this model.

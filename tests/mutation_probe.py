@@ -99,6 +99,12 @@ MUTANTS = [
     ("unread (linear)^2 valuation v, not v_p(D) - v", "src/hmslines/hensel.py",
      "split_p_power(disc, p)[0] - sum(valuations.values())",
      "sum(valuations.values())"),
+    ("undetermined point not rebuilt", "src/hmslines/search.py",
+     'None in (entry["v_sigma3"], entry["v_sigma5"], entry["v_D"])',
+     "False"),
+    ("section precision written at FIRST_PRECISION", "src/hmslines/search.py",
+     '"precision": K,',
+     '"precision": report.prec,'),
 ]
 
 

@@ -25,6 +25,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -253,6 +254,37 @@ def test_bench_digest_is_pinned(name):
         # certify-batch writes a line undecided at its precision as text
         if not text.startswith("undecided: "):
             _load_without_floats(text)
+
+
+def test_certify_batch_lines_open_at_4_rebuild_to_their_bytes_at_60(monkeypatch):
+    # with the sections built at precision 4 first, the lines of the
+    # certify-batch sample that hold a null 5-adic valuation at 4 or
+    # raise there are rebuilt at 60, to the bytes of a direct build at 60
+    workload = WORKLOADS["certify-batch"](
+        {"errors": errors, "lines": lines, "quartics": quartics, "search": search}, 0
+    )
+    open_lines = {"null": [], "raises": []}
+    for config, model, line in workload.sample:
+        try:
+            low = certify_line(line, model, replace(config, precision=4))
+        except PrecisionError:
+            open_lines["raises"].append((config, model, line))
+            continue
+        if any(
+            None in (entry["v_sigma3"], entry["v_sigma5"], entry["v_D"])
+            for entry in low.data["local_5"]["points"]
+        ):
+            open_lines["null"].append((config, model, line))
+    assert {kind: len(found) for kind, found in open_lines.items()} == {
+        "null": 22,
+        "raises": 5,
+    }
+    for config, model, line in open_lines["null"] + open_lines["raises"]:
+        certificates = []
+        for first in (4, config.precision):
+            monkeypatch.setattr(search, "FIRST_PRECISION", first)
+            certificates.append(certify_line(line, model, config).to_json())
+        assert certificates[0] == certificates[1], line.ints
 
 
 def update():

@@ -27,6 +27,7 @@ from hmslines.search import (
     derive_chart_params,
     find_lines,
     intersection_points,
+    line_chart,
     load_config,
     parse_config,
 )
@@ -809,10 +810,26 @@ def test_derive_chart_params_edge_results():
     assert derive_chart_params(line, off, model) == ("tangent-cone", None)
     zero = demo_config("rho0-demo.json", seed_point=["0"] * 6)
     assert derive_chart_params(line, zero, model) == ("tangent-cone", None)
-    # the search refuses all three configs before its first candidate
+    # the search refuses all three configs before its first candidate,
+    # and a seed with no chart is refused on every call
     for bad in (cfg, off, zero):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="line chart"):
+                line_chart(bad, model)
         with pytest.raises(ConfigError, match="line chart"):
             find_lines(bad)
+    # the model keeps one chart per seed
+    demo = demo_config("rho0-demo.json")
+    chart = line_chart(demo, model)
+    assert line_chart(demo, model) is chart
+    assert derive_chart_params(line, demo, model)[0] == "tangent-cone"
+    assert line_chart(demo, model) is chart
+    # a point of the line is another seed, with its own chart
+    other = demo_config("rho0-demo.json", seed_point=list(map(str, REAL_LINE_ROWS[0])))
+    assert line_chart(other, model) is not chart
+    assert line_chart(other, model) is line_chart(other, model)
+    assert line_chart(other, model).seed == list(REAL_LINE_ROWS[0])
+    assert list(model.charts) == [demo.seed_point, other.seed_point]
     # a char3 line outside the labc family
     char3 = demo_config("char3-demo.json")
     stranger = Line([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)])
@@ -899,3 +916,71 @@ def test_a_field_determined_at_a_lower_precision_keeps_its_value(name, params, k
     if low is not None:
         assert high is not None
         _refines(low, high)
+
+
+def _certify_or_refuse(line, model, config):
+    """A line's certificate bytes, or the message and hint of its
+    PrecisionError."""
+    try:
+        return certify_line(line, model, config).to_json()
+    except PrecisionError as exc:
+        return (str(exc), exc.needed)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("char3-demo.json", "rho0-demo.json")),
+    st.tuples(SCALED, SCALED, SCALED),
+    st.integers(1, 8),
+    st.integers(1, 24),
+    st.booleans(),
+)
+@example("char3-demo.json", (-240, 0, -243), 4, 56, False)
+@example("char3-demo.json", (165, -81, 81), 4, 56, True)
+@example("rho0-demo.json", (-2, F(33, 16), 4), 4, 56, True)
+def test_sections_built_low_first_give_the_bytes_of_a_build_at_k(
+    name, params, first, gap, gate_5
+):
+    # the local sections built at `first` and rebuilt at K only where
+    # something is open, against the sections built at K directly; the
+    # 5-adic gate, when targeted, reads the points of the first build
+    K = first + gap
+    overrides = {"precision": K}
+    if gate_5:
+        targets = demo_config(name).targets
+        overrides.update(k5=1, targets=[
+            {"place": place, "params": list(map(str, triple))}
+            for place, triple in [*targets.items(), (5, (0, 0, 0))]
+        ])
+    config = demo_config(name, **overrides)
+    try:
+        model, line = _demo_line(name, params)
+        quartic_of_line(line, model)
+    except HmsError:
+        assume(False)
+    outcomes = []
+    for precision in (first, K):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "FIRST_PRECISION", precision)
+            try:
+                outcomes.append(_certify_or_refuse(line, model, config))
+            except HmsError:
+                assume(False)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_line_decided_at_the_first_precision_is_not_rebuilt(monkeypatch):
+    # the golden line certified at precision 60: every Hensel report is
+    # built at FIRST_PRECISION only, and the certificate records 60
+    precisions = []
+    factor = search.hensel_factor_quartic
+
+    def recording(quartic, p, prec):
+        precisions.append(prec)
+        return factor(quartic, p, prec)
+
+    monkeypatch.setattr(search, "hensel_factor_quartic", recording)
+    config = demo_config("char3-demo.json", precision=60)
+    cert = certify_line(Line(CHAR3_LINE_ROWS), build_model(config), config)
+    assert precisions == [search.FIRST_PRECISION] * 2 == [8, 8]
+    assert cert.data["local_3"]["precision"] == cert.data["local_5"]["precision"] == 60
