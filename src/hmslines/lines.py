@@ -124,12 +124,6 @@ class Line:
         return f"Line{self.rows!r}"
 
 
-def lies_in(line: Line, f: SparsePoly) -> bool:
-    """Whether the hypersurface f = 0 contains the line, by the
-    ring-generic `restrict_to_span`: any form, any coefficients."""
-    return restrict_to_span(f, line.ints).is_zero
-
-
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -514,23 +508,20 @@ def cusp_proximity(points) -> tuple:
     3^K has no determined valuation, and every determined one is below
     K, so the least determined valuation of a set of coordinates is
     their least valuation.  When none of the six, or none of `NONCUSP`,
-    is determined, the depth is refused with a PrecisionError asking
-    for precision K + 1, never certified from incomplete evidence.
+    is determined, the depth is refused with a PrecisionError, never
+    certified from incomplete evidence.  The error carries no `needed`:
+    the caller knows how many digits its points lost, and sets it.
     """
     depths = []
     for pt in points:
-        needed = pt[0].ring.K + 1
         vals = [c.valuation() for c in pt]
         known = [v for v in vals if v is not None]
         if not known:
             raise PrecisionError(
-                "no coordinate valuation is certified at this precision",
-                needed=needed,
+                "no coordinate valuation is certified at this precision"
             )
         gauge = [vals[i] for i in NONCUSP if vals[i] is not None]
         if not gauge:
-            raise PrecisionError(
-                "cusp depth is unresolved at this precision", needed=needed
-            )
+            raise PrecisionError("cusp depth is unresolved at this precision")
         depths.append(min(gauge) - min(known))
     return tuple(depths)

@@ -17,7 +17,6 @@ lexicographic, highest first.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .errors import HmsError
@@ -222,21 +221,6 @@ class SparsePoly:
             )
             bits.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-
-def elementary_symmetric(k: int, nvars: int = 6) -> SparsePoly:
-    """sigma_k in nvars variables, coefficients Fraction(1)."""
-    if not 0 <= k <= nvars:
-        raise HmsError("k out of range")
-    if k == 0:
-        return SparsePoly.constant(Fraction(1), nvars)
-    terms = {}
-    for combo in combinations(range(nvars), k):
-        exp = [0] * nvars
-        for i in combo:
-            exp[i] = 1
-        terms[tuple(exp)] = Fraction(1)
-    return SparsePoly(nvars, terms)
 
 
 def restrict_to_span(f: SparsePoly, rows) -> SparsePoly:

@@ -391,9 +391,10 @@ def _cusp_report(rows, points, prec):
     the coordinate cusp line spanned by e1 and e2, where the `NONCUSP`
     coordinates 0, 3, 4 and 5 vanish (`lines.cusp_proximity`).
 
-    A root of a (linear)^2 block keeps only prec - v digits, so a
-    refusal asks for the configured precision prec + 1, which gives
-    every point one more digit, not for its point's K + 1."""
+    `cusp_proximity` refuses an undetermined depth with no hint.  A
+    root of a (linear)^2 block keeps only prec - v digits, so the hint
+    set here is the configured precision prec + 1, which gives every
+    point one more digit, not its point ring's K + 1."""
     if not points:
         return None
     try:

@@ -14,11 +14,9 @@ that every omega part vanishes, and clears the content.
 
 The sigma invariants of a point (computed in s-coordinates) feed the
 modular-form values phi2, chi6, chi10 and the two scale-invariant
-ordinarity ratios of `u_ratios`.  `ordinarity_from_valuations` is the
-one ordinarity rule, shared by the 5-adic points of a certificate and
-`ordinarity_from_profile`.  The profile path takes exact values only:
-`verify-paper` checks the paper's identities on it, and the tests hold
-the certificate path to it as the exact-rational oracle.
+ordinarity ratios of `u_ratios`, on which `verify-paper` checks the
+paper's identities.  `ordinarity_from_valuations` is the one
+ordinarity rule, which the 5-adic points of a certificate go through.
 
 The model also owns what every integer line is tested and restricted
 with: the integer row of q1, the doubled Gram matrix of q2, and each
@@ -34,7 +32,7 @@ from functools import cache, cached_property
 from .errors import BadLocusError, HmsError, RationalityError
 from .linalg import rref
 from .mpoly import SparsePoly
-from .scalars import integer_numerators, valuation_of_rational
+from .scalars import integer_numerators
 
 
 class TwistData:
@@ -407,23 +405,6 @@ def modular_form_values(profile: SigmaProfile) -> ModularFormValues:
     )
 
 
-@dataclass(frozen=True)
-class OrdinarityCertificate:
-    """Outcome of the two-ratio ordinarity test at a prime p.
-
-    u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3); the test
-    passes when both have valuation <= 0.  A valuation of None means the
-    ratio vanishes exactly (valuation +infinity), a certified failure.
-    """
-
-    p: int
-    u1: object
-    u2: object
-    v_u1: object
-    v_u2: object
-    passed: bool
-
-
 def u_ratios(profile: SigmaProfile):
     """u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3) at a profile.
 
@@ -446,21 +427,3 @@ def ordinarity_from_valuations(v_sigma3, v_sigma5, v_D):
     ordinary = None if None in (v_u1, v_u2) else v_u1 <= 0 and v_u2 <= 0
     return v_u1, v_u2, ordinary
 
-
-def ordinarity_from_profile(profile: SigmaProfile, p: int = 5) -> OrdinarityCertificate:
-    """Decide ordinarity at p from exact sigma values.
-
-    The verdict is `ordinarity_from_valuations` of v(sigma_3), v(sigma_5)
-    and v(D).  An exact D = 0 puts the point on the curve V and makes
-    both ratios vanish: not ordinary, with both ratio valuations None.
-    """
-    s3, s5, D = profile.sigma(3), profile.sigma(5), profile.D
-    _require_invertible(s5, "sigma_5")
-    _require_invertible(s3, "sigma_3")
-    u1, u2 = u_ratios(profile)
-    if D == 0:
-        return OrdinarityCertificate(p, u1, u2, None, None, False)
-    v_u1, v_u2, ordinary = ordinarity_from_valuations(
-        *(valuation_of_rational(x, p) for x in (s3, s5, D))
-    )
-    return OrdinarityCertificate(p, u1, u2, v_u1, v_u2, ordinary)

@@ -1,0 +1,172 @@
+"""Exact oracles for the tests, written without hmslines code.
+
+The tests hold the package to these.  The module imports no `hmslines`
+(`test_hygiene.py` checks that), so a fault in a rule of the package
+cannot reach the oracle that checks it:
+
+* `sigmas` and `sigma_exponents`: the elementary symmetric functions of
+  rationals, and the monomials of sigma_k, each as a sum over k-subsets;
+* `ordinarity`: the ordinarity test at p from exact sigma values, by
+  the valuations of u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3
+  sigma_3), D = sigma_3^2 - 4 sigma_6, computed here as Fractions;
+* `local_5_errors`: a certificate's 5-adic point entries against the
+  same ratios in valuations, v(u1) = 5 v(D) - 6 v(sigma_5) and v(u2) =
+  3 v(D) - 3 v(sigma_5) - v(sigma_3);
+* `galois_errors`: a certificate's `galois` section against the square
+  class of the primitive discriminant, a table of group orders, and the
+  Frobenius cycle types of a transitive group, counted by brute force
+  from the roots on P^1(F_p) and P^1(F_p^2).
+
+The discriminant, the p-adic valuation and the square test are those of
+the benchmark's checker, `bench/oracles.py`, which is stdlib-only too.
+"""
+
+import sys
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+from pathlib import Path
+from typing import NamedTuple
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+if BENCH not in sys.path:
+    sys.path.append(BENCH)
+from oracles import discriminant, is_square, valuation  # noqa: E402
+
+
+def sigmas(xs):
+    """(sigma_1, .., sigma_n) of n rationals: sigma_k is the sum of the
+    products of the k-subsets."""
+    xs = [Fraction(x) for x in xs]
+    n = len(xs)
+    return tuple(sum(prod(c) for c in combinations(xs, k)) for k in range(1, n + 1))
+
+
+def sigma_exponents(k, n=6):
+    """The monomials of sigma_k in n variables, as {exponent tuple: 1}."""
+    return {tuple(int(i in c) for i in range(n)): 1 for c in combinations(range(n), k)}
+
+
+class Ordinarity(NamedTuple):
+    """The ratios u1, u2, their valuations (None for an exact zero,
+    valuation +infinity) and the verdict."""
+
+    u1: Fraction
+    u2: Fraction
+    v_u1: object
+    v_u2: object
+    ordinary: bool
+
+
+def ordinarity(sigma, p=5):
+    """The ordinarity test at p from the exact values sigma_1..sigma_6 of
+    a point, or None when sigma_3 or sigma_5 vanishes and the ratios are
+    undefined.  The point is ordinary when neither ratio has positive
+    valuation; D = 0 makes both ratios 0, which is not ordinary."""
+    s3, s5, s6 = (Fraction(sigma[k - 1]) for k in (3, 5, 6))
+    if s3 == 0 or s5 == 0:
+        return None
+    D = s3 * s3 - 4 * s6
+    u1 = D**5 / s5**6
+    u2 = D**3 / (s5**3 * s3)
+    v_u1, v_u2 = (None if u == 0 else valuation(u, p) for u in (u1, u2))
+    ordinary = None not in (v_u1, v_u2) and v_u1 <= 0 and v_u2 <= 0
+    return Ordinarity(u1, u2, v_u1, v_u2, ordinary)
+
+
+def local_5_errors(data):
+    """Defects of a certificate's 5-adic section: each point's ratio
+    valuations, verdict and V-avoidance from its three valuations, where
+    None is a valuation not determined, and so is all that depends on
+    it; and the point count against the residue degrees."""
+    section = data["local_5"]
+    if section is None:
+        return []
+    points = section["points"]
+    errors = []
+    for n, entry in enumerate(points):
+        s3, s5, d = entry["v_sigma3"], entry["v_sigma5"], entry["v_D"]
+        u1 = None if None in (d, s5) else 5 * d - 6 * s5
+        u2 = None if None in (d, s5, s3) else 3 * d - 3 * s5 - s3
+        ordinary = None if None in (u1, u2) else u1 <= 0 and u2 <= 0
+        if (entry["v_u1"], entry["v_u2"]) != (u1, u2):
+            errors.append(f"local_5 point {n}: ratio valuations are not ({u1}, {u2})")
+        if entry["ordinary"] != ordinary:
+            errors.append(f"local_5 point {n}: ordinary is not {ordinary}")
+        if entry["curve_V_avoided"] != (None if d is None else True):
+            errors.append(f"local_5 point {n}: curve_V_avoided disagrees with v_D")
+    if section["points_extracted"] != sum(entry["residue_degree"] for entry in points):
+        errors.append("local_5: points_extracted is not the sum of the residue degrees")
+    return errors
+
+
+# the order of every group a certificate's galois section may name
+GROUP_ORDERS = {
+    "S4": 24, "A4": 12, "D4": 8, "C4": 4, "V4": 4, "S3": 6, "C3": 3, "C2": 2, "C1": 1
+}
+
+# cycle types of the elements of each transitive group on the four roots
+ALLOWED_TYPES = {
+    "S4": {(1, 1, 1, 1), (1, 1, 2), (2, 2), (1, 3), (4,)},
+    "A4": {(1, 1, 1, 1), (2, 2), (1, 3)},
+    "D4": {(1, 1, 1, 1), (1, 1, 2), (2, 2), (4,)},
+    "C4": {(1, 1, 1, 1), (2, 2), (4,)},
+    "V4": {(1, 1, 1, 1), (2, 2)},
+}
+
+FROBENIUS_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def cycle_type(c, p):
+    """Factor degrees mod p of the binary quartic with integer
+    coefficients c (c[i] that of t^i u^(4-i)), squarefree mod p.
+
+    Over F_p^2 = F_p[w]/(w^2 - r), r the least non-square, a root count
+    on P^1(F_p) gives the linear factors and one on P^1(F_p^2) the
+    quadratic ones; what is left is one cubic or one quartic factor.
+    """
+    squares = {x * x % p for x in range(p)}
+    r = next(x for x in range(p) if x not in squares)
+
+    def is_root(a, b):
+        x, y = 0, 0
+        for ci in reversed(c):
+            x, y = (x * a + r * y * b + ci) % p, (x * b + y * a) % p
+        return x == y == 0
+
+    infinite = c[4] % p == 0
+    linear = infinite + sum(is_root(a, 0) for a in range(p))
+    over_fp2 = infinite + sum(is_root(a, b) for a in range(p) for b in range(p))
+    quadratic = (over_fp2 - linear) // 2
+    rest = 4 - linear - 2 * quadratic
+    return tuple(sorted([1] * linear + [2] * quadratic + ([rest] if rest else [])))
+
+
+def galois_errors(data):
+    """Defects of a certificate's galois section: its square class, the
+    factor degrees and orders, the degree bound, and for a transitive
+    label the Frobenius cycle types at `FROBENIUS_PRIMES` that do not
+    divide the primitive discriminant."""
+    section = data["galois"]
+    if section is None:
+        return []
+    prim = data["quartic"]["primitive_coeffs"]
+    disc = discriminant(prim)
+    errors = []
+    if section["disc_is_square"] != is_square(disc):
+        errors.append("galois: disc_is_square is wrong for the primitive discriminant")
+    factors = section["factors"]
+    if sum(f["degree"] for f in factors) != 4:
+        errors.append("galois: the factor degrees do not sum to 4")
+    orders = [GROUP_ORDERS.get(f["label"]) for f in factors]
+    if any(f["order"] != order for f, order in zip(factors, orders)):
+        errors.append("galois: a factor's order is not that of its label")
+    if None in orders or section["splitting_degree_bound"] != prod(orders):
+        errors.append("galois: splitting_degree_bound is not the product of the orders")
+    label = section["label"]
+    for p in FROBENIUS_PRIMES if label in ALLOWED_TYPES else ():
+        if disc % p:
+            found = cycle_type(prim, p)
+            if found not in ALLOWED_TYPES[label]:
+                errors.append(f"galois: Frobenius type {found} at {p} not in {label}")
+    return errors

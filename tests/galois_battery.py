@@ -3,6 +3,7 @@
 Base polynomials are classical examples whose groups are standard
 references; shifting t -> t + k u changes the polynomial but not the
 splitting field, so each base fans out into several battery members.
+The cycle types each group allows are `exact_oracles.ALLOWED_TYPES`.
 """
 
 from fractions import Fraction
@@ -22,15 +23,6 @@ BASES = [
 ]
 
 SHIFTS = (0, 1, -1, 2, -2)
-
-# cycle types of the elements of each group in its action on the roots
-ALLOWED_TYPES = {
-    "S4": {(1, 1, 1, 1), (1, 1, 2), (2, 2), (1, 3), (4,)},
-    "A4": {(1, 1, 1, 1), (2, 2), (1, 3)},
-    "D4": {(1, 1, 1, 1), (1, 1, 2), (2, 2), (4,)},
-    "C4": {(1, 1, 1, 1), (2, 2), (4,)},
-    "V4": {(1, 1, 1, 1), (2, 2)},
-}
 
 # a type whose presence separates the group from its subgroups; it must
 # show up among the Frobenius classes of any decent prime range

@@ -66,7 +66,7 @@ MUTANTS = [
      "NONCUSP = (0, 2, 3, 4, 5)"),
     ("no refusal of an undetermined cusp depth", "src/hmslines/lines.py",
      "gauge = [vals[i] for i in NONCUSP if vals[i] is not None]",
-     "gauge = [needed - 1 if vals[i] is None else vals[i] for i in NONCUSP]"),
+     "gauge = [pt[0].ring.K - 1 if vals[i] is None else vals[i] for i in NONCUSP]"),
     ("curve_V_avoided always true", "src/hmslines/search.py",
      '"curve_V_avoided": True if v_D is not None else None,',
      '"curve_V_avoided": True,'),

@@ -1,7 +1,7 @@
 """Randomized probe of the certificate path's 5-adic ordinarity test.
 
-The exact-rational computation, `ordinarity_from_profile` of the
-point's sigma profile, is the oracle.  Each point goes through the path
+The exact-rational computation, `exact_oracles.ordinarity` of the
+point's sigma values, is the oracle.  Each point goes through the path
 certificates use, `search._point_invariants` on the identity model's
 forms restricted to a span whose first row is the point's primitive
 integer representative, as [1 : 0] mod p^prec, at a low and a high
@@ -13,16 +13,11 @@ reached at the low precision must survive the high one.
 import random
 from fractions import Fraction
 
-from hmslines.errors import BadLocusError
+from exact_oracles import ordinarity, sigmas
 from hmslines.padics import UnramifiedRing
 from hmslines.scalars import primitive_integers
 from hmslines.search import LocalPoint, _SpanForms, _point_invariants
-from hmslines.surface import (
-    identity_twist,
-    ordinarity_from_profile,
-    sigma_profile,
-    twisted_equations,
-)
+from hmslines.surface import identity_twist, twisted_equations
 
 DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 25)
 
@@ -51,7 +46,7 @@ def certificate_violations(entries, oracle, coords, low, high):
     """Disagreements of the certificate path with the oracle, by precision."""
     violations = []
     for prec, entry in entries.items():
-        if entry["ordinary"] not in (None, oracle.passed):
+        if entry["ordinary"] not in (None, oracle.ordinary):
             violations.append(("certificate verdict", prec, coords))
         for attr in ("v_u1", "v_u2"):
             if entry[attr] not in (None, getattr(oracle, attr)):
@@ -81,9 +76,8 @@ def run_probe(n=100, seed=93, p=5, low=4, high=12):
         if attempts > 100 * n:
             raise RuntimeError("point generation stalled")
         coords = random_rational_point(rng)
-        try:
-            oracle = ordinarity_from_profile(sigma_profile(coords), p)
-        except BadLocusError:
+        oracle = ordinarity(sigmas(coords), p)
+        if oracle is None:
             continue
         kept += 1
         entries = {

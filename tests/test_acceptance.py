@@ -18,7 +18,6 @@ from hmslines.lines import (
     char3_leading_profile,
     char3_quartic_display,
     labc_line,
-    lies_in,
     parity_admissible,
     quartic_of_line,
 )
@@ -27,17 +26,17 @@ from hmslines.padics import UnramifiedRing
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from hmslines.search import find_lines, load_config
 from hmslines.surface import (
-    SigmaProfile,
     char3_twist,
     identity_twist,
     modular_form_values,
-    ordinarity_from_profile,
+    ordinarity_from_valuations,
     rho0_twist,
     sigma_profile,
     twisted_equations,
 )
 
-from galois_battery import ALLOWED_TYPES, WITNESS_TYPES, battery, good_primes
+from exact_oracles import ALLOWED_TYPES, ordinarity
+from galois_battery import WITNESS_TYPES, battery, good_primes
 from hmslines.galois import frobenius_cycle_type, solvability_report
 from precision_probe import run_probe
 
@@ -145,8 +144,8 @@ def test_gate_2_real_line():
             [0, 1, F(-23, 20), F(7, 20), 2, F(3, 10)],
         ])
         # the linear and quadratic equations vanish identically on it
-        assert lies_in(line, model.q1)
-        assert lies_in(line, model.q2)
+        assert restrict_to_span(model.q1, line.ints).is_zero
+        assert restrict_to_span(model.q2, line.ints).is_zero
         quartic = quartic_of_line(line, model)
         assert quartic.discriminant() != 0
         assert real_root_count(quartic) == 4
@@ -267,13 +266,17 @@ def test_gate_6_local_certificates():
             (2, 2, 1, "unramified", None),
         ]
 
-        # the three valuation-arithmetic patterns of the ordinarity test
-        cert = ordinarity_from_profile(SigmaProfile((0, 0, 1, 0, 1, 0)), 5)
-        assert (cert.v_u1, cert.v_u2, cert.passed) == (0, 0, True)
-        cert = ordinarity_from_profile(SigmaProfile((0, 0, 1, 0, 5, -6)), 5)
-        assert (cert.v_u1, cert.v_u2, cert.passed) == (4, 3, False)
-        cert = ordinarity_from_profile(SigmaProfile((0, 0, 1, 0, 5, -1)), 5)
-        assert (cert.v_u1, cert.v_u2, cert.passed) == (-1, 0, True)
+        # the three valuation-arithmetic patterns of the ordinarity test,
+        # from exact sigma values by the oracle and from the valuations
+        # of sigma_3, sigma_5 and D by the package's one rule
+        for sigma, valuations, expected in (
+            ((0, 0, 1, 0, 1, 0), (0, 0, 0), (0, 0, True)),
+            ((0, 0, 1, 0, 5, -6), (0, 1, 2), (4, 3, False)),
+            ((0, 0, 1, 0, 5, -1), (0, 1, 1), (-1, 0, True)),
+        ):
+            cert = ordinarity(sigma, 5)
+            assert (cert.v_u1, cert.v_u2, cert.ordinary) == expected
+            assert ordinarity_from_valuations(*valuations) == expected
 
         # the certificate path agrees with the exact oracle, raising
         # precision never flips a decided verdict, and 5^12 decides all

@@ -10,7 +10,8 @@ from hmslines.galois import frobenius_cycle_type, resolvent_cubic, solvability_r
 from hmslines.quartics import BinaryQuartic, integer_model
 from hmslines.scalars import is_square_rational
 
-from galois_battery import ALLOWED_TYPES, WITNESS_TYPES, battery, good_primes
+from exact_oracles import ALLOWED_TYPES, FROBENIUS_PRIMES, cycle_type
+from galois_battery import WITNESS_TYPES, battery, good_primes
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -56,6 +57,16 @@ def test_battery_frobenius_consistency():
             assert t in allowed, (list(q.coeffs), label, p, t)
             seen.add(t)
         assert WITNESS_TYPES[label] in seen, (list(q.coeffs), label, seen)
+
+
+def test_frobenius_type_matches_the_brute_force_count():
+    # the package reads a type off the roots on P^1(F_p) and a Legendre
+    # symbol; the oracle counts the roots on P^1(F_p) and P^1(F_p^2)
+    for q, _ in battery():
+        ics, disc = integer_model(q)
+        for p in FROBENIUS_PRIMES:
+            if disc % p:
+                assert frobenius_cycle_type(q, p) == cycle_type(ics, p), (ics, p)
 
 
 def test_group_orders():

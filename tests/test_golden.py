@@ -11,8 +11,10 @@ update: regenerate the files from the current code with
 and record the reason in CHANGES.md.
 
 Every frozen certificate must also pass the benchmark's independent
-checker (`bench/oracles.py`), and each 5-adic point entry must agree
-with the ordinarity formulas written out in this file.  No frozen
+checker (`bench/oracles.py`) and the tests' exact oracles
+(`exact_oracles.py`): its 5-adic point entries against the ordinarity
+ratios in valuations, and its Galois section against brute-force
+Frobenius cycle types.  No frozen
 document, and no JSON output of a pinned benchmark operation, holds a
 float: every number is an int and every rational a string.
 
@@ -51,6 +53,8 @@ GOLDEN_DIR = Path(__file__).with_name("golden")
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 from oracles import certificate_errors  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+from exact_oracles import GROUP_ORDERS, galois_errors, local_5_errors  # noqa: E402
 
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
 CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
@@ -200,28 +204,80 @@ def _golden_certificates():
 
 
 def test_golden_certificates_pass_the_independent_checks():
-    checked = 0
+    labels = {}
     for where, data in _golden_certificates():
-        assert certificate_errors(data) == [], where
-        local_5 = data["local_5"]
-        if local_5 is None:
-            continue
-        # the ratio valuations and verdicts from the three valuations:
-        # u1 = D^5 / sigma_5^6, u2 = D^3 / (sigma_5^3 sigma_3), ordinary
-        # when neither has positive valuation; D != 0 keeps V avoided
-        for entry in local_5["points"]:
-            s3, s5, d = entry["v_sigma3"], entry["v_sigma5"], entry["v_D"]
-            u1 = None if None in (d, s5) else 5 * d - 6 * s5
-            u2 = None if None in (d, s5, s3) else 3 * d - 3 * s5 - s3
-            ordinary = None if None in (u1, u2) else u1 <= 0 and u2 <= 0
-            assert (entry["v_u1"], entry["v_u2"]) == (u1, u2), where
-            assert entry["ordinary"] == ordinary, where
-            assert entry["curve_V_avoided"] == (None if d is None else True), where
-        assert local_5["points_extracted"] == sum(
-            entry["residue_degree"] for entry in local_5["points"]
-        ), where
-        checked += 1
-    assert checked, "no golden certificate was checked"
+        errors = certificate_errors(data) + local_5_errors(data) + galois_errors(data)
+        assert errors == [], where
+        if data["galois"] is not None:
+            label = data["galois"]["label"]
+            labels[label] = labels.get(label, 0) + 1
+    assert labels == {"S4": 12, "reducible-composite": 5, "C2": 1}
+
+
+def _s4_certificate():
+    """The first certificate of the rho0-demo search, an S4 quartic."""
+    data = json.loads(_golden_path("find-rho0-demo").read_text().splitlines()[1])
+    assert data["galois"]["label"] == "S4"
+    return data
+
+
+def _relabel(label):
+    """An S4 section relabelled as a whole: group, factor and orders."""
+
+    def edit(section):
+        section["label"] = label
+        section["factors"][0].update(label=label, order=GROUP_ORDERS[label])
+        section["splitting_degree_bound"] = GROUP_ORDERS[label]
+
+    return edit
+
+
+def _set(key, value):
+    return lambda section: section.update({key: value})
+
+
+@pytest.mark.parametrize(
+    "edit, defect",
+    [
+        (_relabel("A4"), "Frobenius type"),
+        (_relabel("V4"), "Frobenius type"),
+        (_set("disc_is_square", True), "disc_is_square"),
+        (_set("splitting_degree_bound", 12), "splitting_degree_bound"),
+        (lambda section: section["factors"][0].update(degree=3), "degrees"),
+        (lambda section: section["factors"][0].update(order=12), "order"),
+    ],
+    ids=["S4 as A4", "S4 as V4", "square class", "bound", "degree", "order"],
+)
+def test_a_changed_galois_field_is_reported(edit, defect):
+    data = _s4_certificate()
+    assert galois_errors(data) == []
+    edit(data["galois"])
+    errors = galois_errors(data)
+    assert errors and all(defect in error for error in errors), errors
+
+
+def _set_point(key, value):
+    return lambda section: section["points"][0].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "edit, defect",
+    [
+        # v(u2) with v_sigma3 = 2 added, not subtracted
+        (_set_point("v_u2", -1), "ratio valuations"),
+        (_set_point("ordinary", False), "ordinary is not True"),
+        (_set_point("curve_V_avoided", None), "curve_V_avoided"),
+        (_set("points_extracted", 2), "points_extracted"),
+    ],
+    ids=["v_u2", "ordinary", "curve V", "point count"],
+)
+def test_a_changed_local_5_field_is_reported(edit, defect):
+    data = json.loads(_golden_path("find-char3-demo").read_text().splitlines()[4])
+    assert data["local_5"]["points"][0]["v_sigma3"] == 2
+    assert local_5_errors(data) == []
+    edit(data["local_5"])
+    errors = local_5_errors(data)
+    assert errors and all(defect in error for error in errors), errors
 
 
 # sha256 of the outputs of one operation of each workload at seed 0

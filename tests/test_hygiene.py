@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is used by that module,
 the package root `__init__.py` holds only its docstring, every function
 or method the package defines is referenced somewhere, none exists only
-for tests to reach unless it is allowlisted, the README layout table
-has one row per module, and every edit of the mutation catalogue
-(`mutation_probe.py`) applies exactly once."""
+for tests to reach, the tests' exact oracles import no package code,
+the README layout table has one row per module, and every edit of the
+mutation catalogue (`mutation_probe.py`) applies exactly once."""
 import ast
 import importlib
 import re
@@ -105,17 +105,36 @@ def test_every_function_is_referenced():
     assert _unreferenced_functions(defining, _sources(REFERENCE_DIRS)) == []
 
 
-# functions only tests call, each kept on purpose
-TEST_ONLY = {
-    "elementary_symmetric": "reference implementation the model tests compare against",
-    "ordinarity_from_profile": "the exact-rational ordinarity oracle",
-}
-
-
 def test_no_function_exists_only_for_tests():
+    # what only tests need lives in the tests (`exact_oracles.py`)
     defining = [path.read_text() for path in MODULES]
-    sources = _sources(("src", "bench"))
-    assert _unreferenced_functions(defining, sources) == sorted(TEST_ONLY)
+    assert _unreferenced_functions(defining, _sources(("src", "bench"))) == []
+
+
+def _imported_modules(source: str):
+    """Top-level names of the modules a source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[0])
+    return names
+
+
+def test_exact_oracles_use_no_package_code():
+    # an oracle that imported the rule it checks would fail with it; the
+    # bench checker it borrows from must stay independent too
+    for path in (ROOT / "tests" / "exact_oracles.py", ROOT / "bench" / "oracles.py"):
+        source = path.read_text()
+        assert "hmslines" not in _imported_modules(source), path.name
+        assert "ordinarity_from_valuations" not in _referenced_names(ast.parse(source))
+
+
+def test_package_import_is_seen():
+    source = "import hmslines.surface as s\nfrom hmslines import lines\nimport os\n"
+    assert _imported_modules(source) == {"hmslines", "os"}
+    assert _imported_modules("from os.path import join\n") == {"os"}
 
 
 def test_unreferenced_function_is_reported():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmslines.errors import HmsError
-from hmslines.mpoly import SparsePoly, elementary_symmetric, restrict_to_span
+from hmslines.mpoly import SparsePoly, restrict_to_span
 from hmslines.scalars import integer_numerators
 from hmslines.surface import CompiledForm
+
+from exact_oracles import sigma_exponents, sigmas
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 # small and huge numerators and denominators, and exact zeros
@@ -99,11 +101,12 @@ def test_canonical_scale_times_form_recovers_poly():
 
 def test_elementary_symmetric_against_expansion():
     # product (z - 1)(z - 2)(z - 3) = z^3 - 6z^2 + 11z - 6
+    # the oracle's monomials of sigma_k, evaluated as polynomials, and
+    # its sums over k-subsets
     vals = [Fraction(1), Fraction(2), Fraction(3)]
-    e1 = elementary_symmetric(1, 3).evaluate(vals)
-    e2 = elementary_symmetric(2, 3).evaluate(vals)
-    e3 = elementary_symmetric(3, 3).evaluate(vals)
-    assert (e1, e2, e3) == (6, 11, 6)
+    forms = [SparsePoly(3, sigma_exponents(k, 3)) for k in (1, 2, 3)]
+    values = tuple(form.evaluate(vals) for form in forms)
+    assert values == sigmas(vals) == (6, 11, 6)
 
 
 def test_restrict_to_span_on_a_quadric():

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines.errors import BadLocusError, HmsError, RationalityError
 from hmslines.linalg import rref
-from hmslines.mpoly import SparsePoly, elementary_symmetric
+from hmslines.mpoly import SparsePoly
 from hmslines.padics import UnramifiedRing
 from hmslines.scalars import primitive_integers, valuation_of_rational
 from hmslines.search import build_model, parse_config
@@ -20,14 +20,15 @@ from hmslines.surface import (
     TwistData,
     identity_twist,
     modular_form_values,
-    ordinarity_from_profile,
     ordinarity_from_valuations,
     rho0_twist,
     sigma_profile,
     twist_by_name,
     twisted_equations,
+    u_ratios,
 )
 
+from exact_oracles import ordinarity, sigma_exponents, sigmas
 from precision_probe import certificate_entry, run_probe
 
 F = Fraction
@@ -61,7 +62,7 @@ def test_identity_model_is_untwisted():
     model = twisted_equations(identity_twist())
     for k in range(1, 7):
         assert model.scales[k] == 1
-        assert model.forms[k] == elementary_symmetric(k, 6)
+        assert model.forms[k] == SparsePoly(6, sigma_exponents(k))
     assert model.q1 is model.forms[1]
     assert model.q2 is model.forms[2]
     assert model.q4 is model.forms[4]
@@ -184,7 +185,7 @@ def substituted_model(twist):
     images = [SparsePoly(6, dict(zip(UNITS, row))) for row in rows]
     forms, scales = {}, {}
     for k in range(1, 7):
-        raw = elementary_symmetric(k, 6).substitute(images)
+        raw = SparsePoly(6, sigma_exponents(k)).substitute(images)
         pairs = {e: reduced(c) for e, c in raw.terms.items()}
         if any(b for _, b in pairs.values()):
             raise RationalityError(f"sigma_{k} is not conjugation-invariant")
@@ -282,6 +283,11 @@ def test_sigma_profile_known_values():
     assert profile.values == (0, -3, 0, 3, 0, -1)
     padded = sigma_profile((1, -1, 0, 0, 0, 0))
     assert padded.values == (0, -1, 0, 0, 0, 0)
+    # the recurrence against the oracle's sums over k-subsets
+    rng = random.Random(5)
+    for _ in range(10):
+        pt = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+        assert sigma_profile(pt).values == sigmas(pt)
     with pytest.raises(HmsError):
         sigma_profile((0, 0, 0, 0, 0, 0))
     with pytest.raises(HmsError):
@@ -307,23 +313,27 @@ def test_modular_form_values_bad_locus():
 
 def test_ordinarity_valuation_patterns():
     # all three reference patterns at p = 5, built from profiles with
-    # prescribed valuations of sigma_3, sigma_5 and D
-    flat = ordinarity_from_profile(SigmaProfile((0, 0, F(1), 0, F(1), F(0))), 5)
-    assert (flat.v_u1, flat.v_u2, flat.passed) == (0, 0, True)
+    # prescribed valuations of sigma_3, sigma_5 and D, from the exact
+    # oracle and from the valuation-level rule
+    flat = ordinarity((0, 0, F(1), 0, F(1), F(0)), 5)
+    assert (flat.v_u1, flat.v_u2, flat.ordinary) == (0, 0, True)
+    assert ordinarity_from_valuations(0, 0, 0) == (0, 0, True)
     # v(sigma_5) = 1 and v(D) = 2 push v(u1) to 5*2 - 6*1 = 4 > 0
     steep_profile = SigmaProfile((0, 0, F(1), 0, F(5), F(-6)))
     assert steep_profile.D == 25
-    steep = ordinarity_from_profile(steep_profile, 5)
-    assert (steep.v_u1, steep.v_u2, steep.passed) == (4, 3, False)
+    steep = ordinarity(steep_profile.values, 5)
+    assert (steep.v_u1, steep.v_u2, steep.ordinary) == (4, 3, False)
+    assert ordinarity_from_valuations(0, 1, 2) == (4, 3, False)
     # v(sigma_5) = v(D) = 1 stays just inside: v(u1) = -1, v(u2) = 0
     edge_profile = SigmaProfile((0, 0, F(1), 0, F(5), F(-1)))
     assert edge_profile.D == 5
-    edge = ordinarity_from_profile(edge_profile, 5)
-    assert (edge.v_u1, edge.v_u2, edge.passed) == (-1, 0, True)
-    # the same three patterns straight from the valuation-level core
-    assert ordinarity_from_valuations(0, 0, 0) == (0, 0, True)
-    assert ordinarity_from_valuations(0, 1, 2) == (4, 3, False)
+    edge = ordinarity(edge_profile.values, 5)
+    assert (edge.v_u1, edge.v_u2, edge.ordinary) == (-1, 0, True)
     assert ordinarity_from_valuations(0, 1, 1) == (-1, 0, True)
+    # v(sigma_3) = 1 enters v(u2) with a minus sign: v(u2) = -1
+    odd = ordinarity((0, 0, F(5), 0, F(1), F(6)), 5)
+    assert (odd.v_u1, odd.v_u2, odd.ordinary) == (0, -1, True)
+    assert ordinarity_from_valuations(1, 0, 0) == (0, -1, True)
     # an undetermined valuation (None) gives no verdict
     assert ordinarity_from_valuations(None, 0, 0) == (0, None, None)
     assert ordinarity_from_valuations(0, None, 0) == (None, None, None)
@@ -332,57 +342,62 @@ def test_ordinarity_valuation_patterns():
 
 
 def test_ordinarity_point_examples():
+    model = twisted_equations(identity_twist())
     cases = [
         ((1, 2, 3, 4, 6, 7), (0, -2, True)),
         ((1, 1, 2, 3, 4, 6), (0, -1, True)),
         ((1, 2, 3, 4, 5, 6), (5, 2, False)),
         ((2, 3, 4, 6, 7, 8), (-6, -4, True)),
     ]
-    for pt, (v1, v2, ok) in cases:
-        cert = ordinarity_from_profile(sigma_profile(pt), 5)
-        assert (cert.v_u1, cert.v_u2, cert.passed) == (v1, v2, ok)
-        assert cert.p == 5
+    for pt, expected in cases:
+        exact = ordinarity(sigmas(pt), 5)
+        assert (exact.v_u1, exact.v_u2, exact.ordinary) == expected
+        entry = certificate_entry(model, pt, 5, 12)
+        assert (entry["v_u1"], entry["v_u2"], entry["ordinary"]) == expected
 
 
 def test_ordinarity_padic_matches_exact():
-    exact = ordinarity_from_profile(sigma_profile((1, 2, 3, 4, 6, 7)), 5)
+    exact = ordinarity(sigmas((1, 2, 3, 4, 6, 7)), 5)
     model = twisted_equations(identity_twist())
     entry = certificate_entry(model, (1, 2, 3, 4, 6, 7), 5, 8)
-    assert entry["ordinary"] is exact.passed is True
+    assert entry["ordinary"] is exact.ordinary is True
     assert entry["v_u1"] == exact.v_u1 == 0
     assert entry["v_u2"] == exact.v_u2 == -2
 
 
 def test_ordinarity_ratios_scale_invariant():
-    base = ordinarity_from_profile(sigma_profile((1, 2, 3, 4, 6, 7)), 5)
+    # the package's ratios, against the oracle's at the unscaled point
+    base = ordinarity(sigmas((1, 2, 3, 4, 6, 7)), 5)
     rng = random.Random(20260816)
     for _ in range(20):
         mu = F(rng.randint(1, 40), rng.randint(1, 40))
         if rng.random() < 0.5:
             mu = -mu
-        scaled = ordinarity_from_profile(
-            sigma_profile([mu * c for c in (1, 2, 3, 4, 6, 7)]), 5
-        )
-        assert scaled.u1 == base.u1
-        assert scaled.u2 == base.u2
-        assert (scaled.v_u1, scaled.v_u2) == (base.v_u1, base.v_u2)
+        scaled = sigma_profile([mu * c for c in (1, 2, 3, 4, 6, 7)])
+        assert u_ratios(scaled) == (base.u1, base.u2)
 
 
 def test_ordinarity_bad_locus():
-    with pytest.raises(BadLocusError):
-        ordinarity_from_profile(sigma_profile((1, 0, 0, 0, 0, 0)), 5)
+    # sigma_5 = 0: the ratios are undefined, the oracle has no verdict,
+    # and the certificate path, which sees v(sigma_5) undetermined, none
+    point = (1, 0, 0, 0, 0, 0)
+    assert ordinarity(sigmas(point), 5) is None
+    model = twisted_equations(identity_twist())
+    entry = certificate_entry(model, point, 5, 12)
+    assert entry["v_sigma5"] is None
+    assert entry["ordinary"] is None
 
 
 def test_ordinarity_exact_zero_d_and_undetermined_d():
     # D = 2^2 - 4 * 1 = 0: exactly on V, so never ordinary
-    on_v = ordinarity_from_profile(SigmaProfile((0, 0, F(2), 0, F(1), F(1))), 5)
-    assert (on_v.v_u1, on_v.v_u2, on_v.passed) == (None, None, False)
+    on_v = ordinarity((0, 0, F(2), 0, F(1), F(1)), 5)
+    assert (on_v.v_u1, on_v.v_u2, on_v.ordinary) == (None, None, False)
     # a point with D = 0 exactly and sigma_3, sigma_5 nonzero: the exact
     # oracle says "not ordinary"; the certificate path, which only knows
     # the point mod 5^K, leaves D undetermined and gives no verdict
     point = (1, 1, 1, 1, -2, -2)
-    exact = ordinarity_from_profile(sigma_profile(point), 5)
-    assert (exact.v_u1, exact.v_u2, exact.passed) == (None, None, False)
+    exact = ordinarity(sigmas(point), 5)
+    assert (exact.v_u1, exact.v_u2, exact.ordinary) == (None, None, False)
     model = twisted_equations(identity_twist())
     for prec in (6, 30):
         entry = certificate_entry(model, point, 5, prec)
@@ -452,10 +467,8 @@ def test_point_invariants_agree_with_exact_valuations(twist, terms, p, K):
     assume(any(n for n, _ in terms))
     point = primitive_integers([n * p**k for n, k in terms])
     profile = model.profile_at(point)
-    try:
-        exact = ordinarity_from_profile(profile, p)
-    except BadLocusError:
-        assume(False)
+    exact = ordinarity(profile.values, p)
+    assume(exact is not None)
     entry = certificate_entry(model, point, p, K)
     assert (entry["kind"], entry["residue_degree"], entry["precision"]) == (
         "rational", 1, K,
@@ -471,4 +484,4 @@ def test_point_invariants_agree_with_exact_valuations(twist, terms, p, K):
     assert entry["v_D"] in (None, _exact_valuation(profile.D, p))
     assert entry["v_u1"] in (None, exact.v_u1)
     assert entry["v_u2"] in (None, exact.v_u2)
-    assert entry["ordinary"] in (None, exact.passed)
+    assert entry["ordinary"] in (None, exact.ordinary)
