@@ -5,10 +5,6 @@ class HmsError(Exception):
     """Base class for all package errors."""
 
 
-class RationalityError(HmsError):
-    """A coefficient that must be rational has a nonzero omega part."""
-
-
 class DegenerateLineError(HmsError):
     """A line construction collapsed (coincident points, zero restriction)."""
 
@@ -27,22 +23,6 @@ class PrecisionError(HmsError):
     def __init__(self, message, needed=None):
         super().__init__(message)
         self.needed = needed
-
-
-class ConicPointError(HmsError):
-    """No rational point of small height on a conic."""
-
-
-class BadLocusError(HmsError):
-    """The point sits on a locus where the requested invariant degenerates."""
-
-
-class SingularPointError(HmsError):
-    """The tangent-cone construction needs a smooth point of the quadric."""
-
-
-class RegimeError(HmsError):
-    """Valuation regime parameters too small to separate leading terms."""
 
 
 class ConfigError(HmsError):

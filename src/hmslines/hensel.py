@@ -22,17 +22,18 @@ The verdict needs no lift unless the reduction has two (linear)^2
 blocks, and then one lifted discriminant gives both: their valuations
 add up to that of the quartic, since disc(g*h) = disc g * disc h *
 Res(g, h)^2 with Res(g, h) a p-unit for g, h coprime mod p (Cohen, A
-Course in Computational Algebraic Number Theory, GTM 138, ch. 3).  The
-blocks are lifted mod p^prec, all in one call, the first time a lifted
-block is read.  `block_roots` is
-the one place that reads the p-adic roots (t, u) of a block off its
-lifted coefficients; `search` turns them into points.
+Course in Computational Algebraic Number Theory, GTM 138, ch. 3).
+
+Each quartic and prime has one `HenselReport`, and its blocks are
+lifted only when a lift is read, at the precision asked for:
+`HenselReport.lift(K)` lifts them all in one call per K.  `block_roots`
+is the one place that reads the p-adic roots (t, u) of a block off its
+lift; `search` turns them into points.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, isqrt
-from typing import Callable
 
 from .errors import HmsError, PrecisionError
 from .padics import (
@@ -50,7 +51,7 @@ def factor_monic_mod_p(f, p):
 
     Returns [(monic factor, multiplicity)] sorted by (degree, coeffs).
     Roots are found by scanning F_p (p is small here) and divided out by
-    synthetic division, which leaves a rootless cofactor w: irreducible
+    `pdivmod`, which leaves a rootless cofactor w: irreducible
     of degree 2 or 3, or a quartic.  A quartic is decided by one
     distinct-degree gcd (von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 14): g = gcd(w, x^(p^2) - x) is the product of its
@@ -64,15 +65,11 @@ def factor_monic_mod_p(f, p):
     if not f or f[-1] != 1:
         raise HmsError("input must be monic")
     factors = {}
-    work = list(f)
+    work = f
     for r in range(p):
+        key = ((-r) % p, 1)
         while deg(work) >= 1 and peval(work, r, p) == 0:
-            # synthetic division by x - r, from the top coefficient down
-            quotient = [work[-1]]
-            for c in work[-2:0:-1]:
-                quotient.append((c + r * quotient[-1]) % p)
-            work = quotient[::-1]
-            key = ((-r) % p, 1)
+            work = pdivmod(work, list(key), p)[0]
             factors[key] = factors.get(key, 0) + 1
     parts = [work] if deg(work) > 0 else []
     if deg(work) == 4:
@@ -289,11 +286,8 @@ class BlockReport:
     The degree, residue degree, multiplicity, verdict and, for a
     (linear)^2 block, disc_valuation (the valuation of its discriminant)
     come from the residue factorization and the exact discriminant,
-    except that two (linear)^2 blocks read their discriminants off the
-    lift.  coeffs_mod, the block Hensel-lifted mod p^prec as a binary
-    form of its degree in the original chart, is built the first time
-    it is read, by the one lift that the blocks of a report share.
-    `block_roots` reads the roots off these two.
+    except that two (linear)^2 blocks read their discriminants off a
+    lift.  index is the block's place in every `HenselReport.lift`.
     """
 
     degree: int
@@ -301,22 +295,50 @@ class BlockReport:
     multiplicity: int
     verdict: str  # "unramified" | "ramified" | "inconclusive"
     disc_valuation: int | None
-    _lifted: Callable = field(repr=False)  # () -> every block of the report
-    _index: int = field(repr=False)
-
-    @property
-    def coeffs_mod(self) -> tuple:
-        return self._lifted()[self._index]
+    index: int
 
 
 @dataclass
 class HenselReport:
+    """The factorization of a binary quartic over Z_p
+    (`hensel_factor_quartic`), with what `lift` needs: the quartic in
+    its unit chart, made monic mod p^prec (`monic`), its factorization
+    mod p (`parts`) and the chart back to the original coordinates."""
+
     p: int
     prec: int
+    inverse_chart: tuple = field(repr=False)
+    monic: list = field(repr=False)
+    parts: list = field(repr=False)
     squarefree_mod_p: bool
     residue_degrees: tuple
-    verdict: str
-    blocks: list
+    verdict: str = field(init=False)
+    blocks: list = field(init=False)
+    _lifts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def lift(self, K):
+        """Every block Hensel-lifted mod p^K, K <= prec, as a binary form
+        of its degree in the original chart, in `BlockReport.index`
+        order: one `hensel_lift_factors` call per K, kept."""
+        if K in self._lifts:
+            return self._lifts[K]
+        p, f = self.p, self.monic
+        rest, at_infinity = f, []
+        if f[4] % p == 0:
+            # no unit chart: the linear factor at [1:0] (a unit mod p) is
+            # split off the monic rest first
+            g, rest = hensel_pair_lift(f, [1], pmod(f, p), p, K)
+            at_infinity = [(g + [0])[:2]]
+        powers = []
+        for g, mult in self.parts:
+            powers.append([1])
+            for _ in range(mult):
+                powers[-1] = pmul(powers[-1], list(g), p)
+        blocks = hensel_lift_factors(rest, powers, p, K) + at_infinity
+        self._lifts[K] = [
+            tuple(compose_binary(B, self.inverse_chart, p**K)) for B in blocks
+        ]
+        return self._lifts[K]
 
 
 def compose_binary(coeffs, mat, modulus=None):
@@ -325,6 +347,8 @@ def compose_binary(coeffs, mat, modulus=None):
     With mat = ((a, b), (c, d)) the result is the coefficient list of
     f(a t + b u, c t + d u), reduced mod `modulus` when one is given.
     """
+    if mat == ((1, 0), (0, 1)):
+        return [v % modulus for v in coeffs] if modulus else list(coeffs)
     a, b, c, d = mat[0][0], mat[0][1], mat[1][0], mat[1][1]
     n = len(coeffs) - 1
     # new_t = a t + b u ; new_u = c t + d u
@@ -365,13 +389,15 @@ def unit_chart(ics, p):
     return ((1, 0), (0, 1))
 
 
-def _residue_order(blk, p):
-    """Sort key of a block by its residue factor of q(t, 1): monic
-    affine factors by (degree, coefficients), then the root at [1:0]."""
-    g = pmod(blk.coeffs_mod, p)
-    if deg(g) < blk.degree:
+def _residue_order(g, inverse_chart, p):
+    """Sort key of a simple block by its residue factor g, a binary form
+    in the unit chart, composed back to the original chart mod p: monic
+    affine factors of q(t, 1) by (degree, coefficients), then the root
+    at [1:0]."""
+    h = trim(compose_binary(g, inverse_chart, p))
+    if deg(h) < deg(g):
         return (1,)
-    return (0, len(g), tuple(pscale(g, pow(g[-1], -1, p), p)))
+    return (0, len(h), tuple(pscale(h, pow(h[-1], -1, p), p)))
 
 
 def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
@@ -391,14 +417,15 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     ch. 3).  A simple block has a unit discriminant, and the SL2(Z)
     chart and the monic scaling change the discriminant D of q by a
     unit, so a lone (linear)^2 block's discriminant valuation is
-    v_p(D), exact from `integer_model`.  Two read their lifts; one
-    that is O(p^prec) has v_p(D) - v, v the other's.  PrecisionError is
-    raised for a (linear)^2 block when D = 0 or both are O(p^prec).
+    v_p(D), exact from `integer_model`.  Two (linear)^2 blocks each
+    have a valuation >= 1, and the two add up to v_p(D), so they read
+    `lift(min(prec, v_p(D)))`; one that is O(p^prec) there has
+    v_p(D) - v, v the other's.  PrecisionError is raised for a
+    (linear)^2 block when D = 0 or both are O(p^prec).
 
-    Every block is Hensel lifted mod p^prec in one `hensel_lift_factors`
-    call the first time any `coeffs_mod` of the report is read: by the
-    two-(linear)^2 rule, by `block_roots`, or here, by the block order of
-    a squarefree reduction.
+    The blocks of a squarefree reduction are ordered by their residue
+    factors, so nothing else here lifts: `block_roots` asks for the
+    lift at the precision it reads.
     """
     if p % 2 == 0:
         raise HmsError("odd p required")
@@ -407,8 +434,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     ics, disc = integer_model(q)
     m = p**prec
     chart = unit_chart(ics, p)
-    identity = chart == ((1, 0), (0, 1))
-    f = list(ics) if identity else compose_binary(ics, chart)
+    f = compose_binary(ics, chart)
     top = deg(pmod(f, p))
     lc_inv = pow(f[top], -1, m)
     f = [(c * lc_inv) % m for c in f]
@@ -422,41 +448,18 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     residue_degrees = tuple(
         sorted(rdeg for rdeg, mult in block_meta for _ in range(mult))
     )
-
-    lifted_blocks = []
-
-    def lifted():
-        """Every block lifted mod p^prec, as a binary form in the original
-        chart, in the order of block_meta: built on the first call."""
-        if lifted_blocks:
-            return lifted_blocks
-        rest, at_infinity = f, []
-        if top < 4:
-            # the linear factor at [1:0] (a unit mod p) is split off the
-            # monic rest first
-            g, rest = hensel_pair_lift(f, [1], pmod(f, p), p, prec)
-            at_infinity = [(g + [0])[:2]]
-        powers = []
-        for g, mult in parts:
-            powers.append([1])
-            for _ in range(mult):
-                powers[-1] = pmul(powers[-1], list(g), p)
-        blocks = hensel_lift_factors(rest, powers, p, prec) + at_infinity
-        if not identity:
-            (a, b), (c, d) = chart
-            inv_chart = ((d, -b), (-c, a))  # det = 1
-            # a lifted block is already reduced mod p^prec
-            blocks = [compose_binary(B, inv_chart, m) for B in blocks]
-        lifted_blocks.extend(map(tuple, blocks))
-        return lifted_blocks
+    (a, b), (c, d) = chart
+    inverse = ((d, -b), (-c, a))  # det = 1
+    report = HenselReport(p, prec, inverse, f, parts, squarefree, residue_degrees)
 
     doubles = [i for i, meta in enumerate(block_meta) if meta == (1, 2)]
     valuations = {}  # index of a (linear)^2 block -> v_p of its discriminant
-    if len(doubles) == 2:
+    if len(doubles) == 2 and disc:
+        k = min(prec, split_p_power(disc, p)[0])
         for index in doubles:
             # the discriminant of a binary quadratic is SL2-invariant
-            c0, c1, c2 = lifted()[index]
-            block_disc = (c1 * c1 - 4 * c0 * c2) % m
+            c0, c1, c2 = report.lift(k)[index]
+            block_disc = (c1 * c1 - 4 * c0 * c2) % p**k
             if block_disc:
                 valuations[index] = split_p_power(block_disc, p)[0]
     unread = [index for index in doubles if index not in valuations]
@@ -477,24 +480,28 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
             verdict = "unramified" if v % 2 == 0 else "ramified"
         elif mult > 1:
             verdict = "inconclusive"
-        blocks.append(BlockReport(rdeg * mult, rdeg, mult, verdict, v, lifted, index))
+        blocks.append(BlockReport(rdeg * mult, rdeg, mult, verdict, v, index))
     if squarefree:
         # certificates list the blocks of a squarefree reduction in this
         # order, and of a repeated one in unit-chart order; the golden
-        # certificates freeze both
-        blocks.sort(key=lambda blk: _residue_order(blk, p))
+        # certificates freeze both.  The residue factor of the block at
+        # [1:0] is u.
+        residues = [list(g) for g, _ in parts] + [[1, 0]]
+        blocks.sort(key=lambda blk: _residue_order(residues[blk.index], inverse, p))
     verdicts = {blk.verdict for blk in blocks}
-    verdict = next(
+    report.verdict = next(
         v for v in ("ramified", "inconclusive", "unramified") if v in verdicts
     )
-    return HenselReport(p, prec, squarefree, residue_degrees, verdict, blocks)
+    report.blocks = blocks
+    return report
 
 
-def block_roots(report: HenselReport, blk: BlockReport):
-    """The p-adic roots (t, u) of one block of `report`, in the original chart.
+def block_roots(report: HenselReport, blk: BlockReport, K: int):
+    """The p-adic roots (t, u) of one block of `report`, in the original
+    chart, read off the block's lift mod p^K (`report.lift(K)`), sum
+    c_i t^i u^(d-i).
 
-    Both coordinates of a root lie in one `UnramifiedRing`; they are
-    read off `blk.coeffs_mod`, sum c_i t^i u^(d-i) mod p^prec:
+    Both coordinates of a root lie in one `UnramifiedRing`:
       * a simple linear block c1 t + c0 u has the root [-c0 : c1],
         scaled so that u = 1, or t = 1 when c1 is not a unit;
       * a simple block of residue degree d >= 2 has the root (x, 1),
@@ -505,14 +512,14 @@ def block_roots(report: HenselReport, blk: BlockReport):
         z = (-a1 + s p^(v/2)) / (2 a2), with (a0, a1, a2) its
         coefficients in the order that makes a2 a unit, z = t/u (or
         u/t when c2 is not a unit) and s^2 = w, the unit part of the
-        discriminant of valuation v = `disc_valuation`, mod p^(prec-v):
+        discriminant of valuation v = `disc_valuation`, mod p^(K-v):
         s = +-sqrt(w), or the generator of the degree-2 ring
-        (Z/p^(prec-v))[s]/(s^2 - w) when w is not a square; with
-        v >= prec no digit of s is known, and PrecisionError asks for
+        (Z/p^(K-v))[s]/(s^2 - w) when w is not a square; with
+        v >= K no digit of s is known, and PrecisionError asks for
         precision v + 1.
     A ramified or inconclusive block has no roots here, and reads no lift.
     """
-    p, K = report.p, report.prec
+    p = report.p
     m = p**K
     if blk.verdict != "unramified":
         return []
@@ -523,7 +530,7 @@ def block_roots(report: HenselReport, blk: BlockReport):
             f"have no digit at precision {K}",
             needed=v + 1,
         )
-    coeffs = blk.coeffs_mod
+    coeffs = report.lift(K)[blk.index]
     if blk.multiplicity == 1 and blk.degree == 1:
         ring = UnramifiedRing(p, (0, 1), K)
         t, u = -coeffs[0] % m, coeffs[1]

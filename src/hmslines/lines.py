@@ -10,7 +10,7 @@ rational charts produce such lines:
   ambient coordinates.  A ruling at the seed, a step along it and a
   ruling there parametrize a three-dimensional family by (a, b, c).
   The seed's conic point comes from a height scan alone
-  (`rational_conic_point`), which fails with `ConicPointError`.
+  (`rational_conic_point`), which fails with `HmsError`.
 
 * `labc_line` is the explicit family available on the cube-root twist
   model, where the same three parameters appear polynomially in a pair
@@ -27,15 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    ConicPointError,
-    DegenerateLineError,
-    HmsError,
-    NotOnSurfaceError,
-    PrecisionError,
-    RegimeError,
-    SingularPointError,
-)
+from .errors import DegenerateLineError, HmsError, NotOnSurfaceError, PrecisionError
 from .mpoly import SparsePoly, restrict_to_span
 from .quartics import BinaryQuartic
 from .scalars import (
@@ -191,7 +183,7 @@ class _ConeFrame:
             raise NotOnSurfaceError("tangent cone needs a point on both quadrics")
         pivots = _minor_at(q1_row, self.polar)
         if pivots is None:
-            raise SingularPointError(
+            raise HmsError(
                 "polar hyperplane degenerates; the point is singular on the pencil"
             )
         (p0, p1), a, b = pivots, q1_row, self.polar
@@ -265,13 +257,13 @@ def rational_conic_point(conic, height: int = 24):
     given by the 3x3 doubled Gram matrix of its ternary quadratic form.
 
     Scans primitive integer triples by increasing sup-norm; a
-    ConicPointError reports a scan that finds none.
+    HmsError reports a scan that finds none.
     """
     for h in range(1, height + 1):
         for point in sup_norm_shell(h, [range(-h, h + 1)] * 3):
             if gcd(*point) == 1 and _dot(point, [_dot(r, point) for r in conic]) == 0:
                 return list(point)
-    raise ConicPointError(f"no rational point of height <= {height} on the tangent conic")
+    raise HmsError(f"no rational point of height <= {height} on the tangent conic")
 
 
 class TangentConeChart:
@@ -443,7 +435,7 @@ class Char3Profile:
         regime v(a) = alpha, v(b) = beta, v(c) = gamma.
 
         Each coefficient valuation is certified only when a single
-        monomial strictly dominates; a tie raises RegimeError."""
+        monomial strictly dominates; a tie raises HmsError."""
         out = []
         for k, poly in enumerate(self.coeffs):
             if poly.is_zero:
@@ -463,7 +455,7 @@ class Char3Profile:
                 elif v == best:
                     tie = True
             if tie:
-                raise RegimeError(
+                raise HmsError(
                     f"coefficient {k}: two monomials share the minimal "
                     f"valuation {best}; regime (alpha, beta, gamma) = "
                     f"({alpha}, {beta}, {gamma}) is too small to separate them"

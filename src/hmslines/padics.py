@@ -83,16 +83,15 @@ def pdivmod(f, g, p):
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
     f = list(f)
+    n = len(g) - 1
     inv = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and f:
-        c = (f[-1] * inv) % p
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[i + k] = (f[i + k] - c * b) % p
-        f = trim(f)
-    return trim(q), f
+    q = [0] * max(0, len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = f[k + n] * inv % p
+        if c:
+            for i, b in enumerate(g):
+                f[k + i] = (f[k + i] - c * b) % p
+    return trim(q), trim(f[:n])
 
 
 def pgcd(f, g, p):

@@ -27,14 +27,14 @@ and evaluate the binary forms at each (t, u); only the cusp report
 forms the six coordinates.  Every valuation is a `UElt.valuation`.
 
 The local sections are decided at a low precision first: `_Sections`
-builds the Hensel reports and local sections at min(K, FIRST_PRECISION),
-and again at the configured precision K only when that raised
-PrecisionError or left a 5-adic point valuation undetermined.  A p-adic
-valuation determined mod p^k is the true one (precision on demand, as
-in Caruso, Roe and Vaccon, "Tracking p-adic precision", LMS J. Comput.
-Math. 17A, 2014), and a section records K, so a certificate has the
-bytes of a build at K, and every PrecisionError comes from the build
-at K.
+builds one Hensel report per prime, at the configured precision K, and
+reads the points of a local section off its lift at min(K,
+FIRST_PRECISION), and again at K only when that raised PrecisionError
+or left a 5-adic point valuation undetermined.  A p-adic valuation
+determined mod p^k is the true one (precision on demand, as in Caruso,
+Roe and Vaccon, "Tracking p-adic precision", LMS J. Comput. Math. 17A,
+2014), and a section records K, so a certificate has the bytes of a
+build at K, and every PrecisionError comes from the build at K.
 
 Two sections come straight from the function that computes them:
 `galois.solvability_report` returns the `galois` section as it is
@@ -82,7 +82,8 @@ from .surface import (
 
 CERTIFICATE_SCHEMA = "hmslines-certificate/1"
 
-# the precision at which a line's local sections are built first (`_decided`)
+# the precision at which a line's local sections read their points first
+# (`_decided`)
 FIRST_PRECISION = 8
 
 _CONFIG_KEYS = {
@@ -286,9 +287,10 @@ class LocalPoint:
         return tuple(self.t * a + self.u * b for a, b in zip(*rows))
 
 
-def intersection_points(report):
+def intersection_points(report, K):
     """The p-adic intersection points of a line, one per root of each
-    block of its local report (`block_roots`), in block order.
+    block of its local report read off the lift mod p^K (`block_roots`),
+    in block order.
 
     Blocks whose verdict is ramified or inconclusive contribute no
     points (their roots live outside the unramified tower or are not
@@ -297,7 +299,7 @@ def intersection_points(report):
     return [
         LocalPoint(idx, t, u)
         for idx, blk in enumerate(report.blocks)
-        for t, u in block_roots(report, blk)
+        for t, u in block_roots(report, blk, K)
     ]
 
 
@@ -470,17 +472,18 @@ def _parity_section(line: Line, config: SearchConfig):
     }
 
 
-def _local_section(line, model, config, report) -> dict:
-    """Intersection points and p-specific extras around a Hensel report.
+def _local_section(line, model, config, report, k) -> dict:
+    """Intersection points and p-specific extras around a Hensel report,
+    with the points read off its lift mod p^k.
 
     The precisions recorded are those of a build at the configured K,
-    whatever the report's: K for the section, and K - v for a point
-    whose ring keeps v digits fewer than the report (v the
-    disc_valuation of its (linear)^2 block, else 0).
+    whatever k is: K for the section, and K - v for a point whose ring
+    keeps v digits fewer than k (v the disc_valuation of its (linear)^2
+    block, else 0).
     """
     p = report.p
     K = config.precision
-    points = intersection_points(report)
+    points = intersection_points(report, k)
     section = {
         "p": p,
         "precision": K,
@@ -497,7 +500,7 @@ def _local_section(line, model, config, report) -> dict:
         # restricted once per line, and only for a line with points
         forms = _SpanForms(model, line.ints, p) if points else None
         section["points"] = [
-            dict(_point_invariants(forms, pt), precision=pt.ring.K + K - report.prec)
+            dict(_point_invariants(forms, pt), precision=pt.ring.K + K - k)
             for pt in points
         ]
     section["required"] = p in config.targets
@@ -523,17 +526,18 @@ def _undetermined(section) -> bool:
     )
 
 
-def _decided(build, precision, undetermined=lambda result: False):
+def _decided(build, precision):
     """build(FIRST_PRECISION) when that is below the configured
-    precision, raises no PrecisionError and leaves nothing undetermined;
-    else build(precision), whose PrecisionError is the one raised."""
+    precision, raises no PrecisionError and leaves nothing
+    `_undetermined`; else build(precision), whose PrecisionError is the
+    one raised."""
     if precision > FIRST_PRECISION:
         try:
             result = build(FIRST_PRECISION)
         except PrecisionError:
             pass
         else:
-            if not undetermined(result):
+            if not _undetermined(result):
                 return result
     return build(precision)
 
@@ -547,10 +551,11 @@ class _Sections:
     discriminant; NotOnSurfaceError or DegenerateLineError means the
     line is not a generator of the model at all.
 
-    The Hensel reports and local sections are built at min(K,
-    FIRST_PRECISION) first, K the configured precision, and rebuilt at K
-    only when something is open there (`_decided`); a section records K
-    whichever build it comes from (`_local_section`).
+    Each Hensel report is built once, at the configured precision K.  A
+    local section reads its points off the report's lift at min(K,
+    FIRST_PRECISION) first, and at K only when something is open there
+    (`_decided`); it records K whichever lift it reads
+    (`_local_section`).
     """
 
     def __init__(self, line: Line, model: SurfaceModel, config: SearchConfig):
@@ -593,21 +598,17 @@ class _Sections:
     def hensel(self, p: int):
         return self._once(
             ("hensel", p),
-            lambda: _decided(
-                lambda k: hensel_factor_quartic(self.quartic, p, k),
-                self.config.precision,
-            ),
+            lambda: hensel_factor_quartic(self.quartic, p, self.config.precision),
         )
 
     def local(self, p: int) -> dict:
-        def at(k):
-            report = self.hensel(p)
-            if report.prec != k:
-                report = hensel_factor_quartic(self.quartic, p, k)
-            return _local_section(self.line, self.model, self.config, report)
-
+        report = self.hensel(p)
         return self._once(
-            ("local", p), lambda: _decided(at, self.config.precision, _undetermined)
+            ("local", p),
+            lambda: _decided(
+                lambda k: _local_section(self.line, self.model, self.config, report, k),
+                self.config.precision,
+            ),
         )
 
     def targeted_gates(self):

@@ -13,10 +13,11 @@ on the linear forms with coefficients in Z[omega] (int pairs), certifies
 that every omega part vanishes, and clears the content.
 
 The sigma invariants of a point (computed in s-coordinates) feed the
-modular-form values phi2, chi6, chi10 and the two scale-invariant
-ordinarity ratios of `u_ratios`, on which `verify-paper` checks the
-paper's identities.  `ordinarity_from_valuations` is the one
-ordinarity rule, which the 5-adic points of a certificate go through.
+modular-form ratios phi2^3 / chi6 and phi2^5 / chi10 and the two
+scale-invariant ordinarity ratios of `u_ratios`, on which
+`verify-paper` checks the paper's identities.
+`ordinarity_from_valuations` is the one ordinarity rule, which the
+5-adic points of a certificate go through.
 
 The model also owns what every integer line is tested and restricted
 with: the integer row of q1, the doubled Gram matrix of q2, and each
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .errors import BadLocusError, HmsError, RationalityError
+from .errors import HmsError
 from .linalg import rref
 from .mpoly import SparsePoly
 from .scalars import integer_numerators
@@ -291,7 +292,7 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
     held as int pairs (a, b) for a + b omega, omega^2 = -1 - omega.
     One pass of `sigma_profile`'s recurrence e_k <- e_k + s e_(k-1)
     over them gives every sigma_k(d s) = d^k sigma_k(s).  Raises
-    RationalityError unless every composed coefficient is rational (its
+    HmsError unless every composed coefficient is rational (its
     omega part vanishes); each scale is then divided by d^k.
     """
     entries = [x for part in (twist.matrix, twist.omega) for row in part for x in row]
@@ -312,7 +313,7 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
     scales = {}
     for k in range(1, 7):
         if any(b for _, b in es[k].values()):
-            raise RationalityError(
+            raise HmsError(
                 f"sigma_{k} of the twisted model is not conjugation-invariant"
             )
         scale, forms[k] = SparsePoly(6, {e: a for e, (a, _) in es[k].items()}).canonical()
@@ -357,36 +358,23 @@ def sigma_profile(pt) -> SigmaProfile:
     return SigmaProfile(tuple(es[1:]))
 
 
-@dataclass(frozen=True)
-class ModularFormValues:
-    """phi2, chi6, chi10 at a point together with the two test ratios.
-
-    The ratios phi2^3/chi6 and phi2^5/chi10 are invariant under scaling
-    the point, which is what makes them usable on projective data.
-    """
-
-    phi2: object
-    chi6: object
-    chi10: object
-    phi2_cubed_over_chi6: object
-    phi2_fifth_over_chi10: object
-
-
 def _require_invertible(value, name):
     if value == 0:
         if name == "sigma_5":
-            raise BadLocusError(
+            raise HmsError(
                 "cusp-form vanishing: point in bad locus for this test"
             )
-        raise BadLocusError(f"{name} vanishes; the requested ratio is undefined")
+        raise HmsError(f"{name} vanishes; the requested ratio is undefined")
 
 
-def modular_form_values(profile: SigmaProfile) -> ModularFormValues:
-    """Modular-form values from a sigma profile.
+def modular_form_values(profile: SigmaProfile):
+    """The test ratios (phi2^3 / chi6, phi2^5 / chi10) at a sigma profile.
 
     chi6 = sigma_3, chi10 = -sigma_5/3 and phi2 = -3 D / sigma_5.  The
-    point must avoid the chi10 = 0 locus (sigma_5 nonzero); the chi6
-    ratio additionally needs sigma_3 nonzero.
+    ratios are invariant under scaling the point, which is what makes
+    them usable on projective data.  The point must avoid the chi10 = 0
+    locus (sigma_5 nonzero); the chi6 ratio additionally needs sigma_3
+    nonzero.
     """
     s3 = profile.sigma(3)
     s5 = profile.sigma(5)
@@ -394,15 +382,8 @@ def modular_form_values(profile: SigmaProfile) -> ModularFormValues:
     _require_invertible(s5, "sigma_5")
     _require_invertible(s3, "sigma_3")
     phi2 = (D / s5) * -3
-    chi6 = s3
     chi10 = s5 * Fraction(-1, 3)
-    return ModularFormValues(
-        phi2=phi2,
-        chi6=chi6,
-        chi10=chi10,
-        phi2_cubed_over_chi6=phi2 ** 3 / chi6,
-        phi2_fifth_over_chi10=phi2 ** 5 / chi10,
-    )
+    return phi2**3 / s3, phi2**5 / chi10
 
 
 def u_ratios(profile: SigmaProfile):

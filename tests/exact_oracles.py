@@ -15,7 +15,11 @@ cannot reach the oracle that checks it:
 * `galois_errors`: a certificate's `galois` section against the square
   class of the primitive discriminant, a table of group orders, and the
   Frobenius cycle types of a transitive group, counted by brute force
-  from the roots on P^1(F_p) and P^1(F_p^2).
+  from the roots on P^1(F_p) and P^1(F_p^2);
+* `local_errors`: a certificate's blocks at 3 and 5 against the
+  factorization of the primitive quartic mod p by trial division
+  (`factor_shape_mod_p`), and its point count against its unramified
+  blocks.
 
 The discriminant, the p-adic valuation and the square test are those of
 the benchmark's checker, `bench/oracles.py`, which is stdlib-only too.
@@ -169,4 +173,74 @@ def galois_errors(data):
             found = cycle_type(prim, p)
             if found not in ALLOWED_TYPES[label]:
                 errors.append(f"galois: Frobenius type {found} at {p} not in {label}")
+    return errors
+
+
+def _divide_mod_p(f, g, p):
+    """(quotient, remainder) mod p of f by a monic g, low degree first."""
+    f = list(f)
+    n = len(g) - 1
+    q = [0] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f[k + n] % p
+        for i, b in enumerate(g):
+            f[k + i] = (f[k + i] - q[k] * b) % p
+    return q, f[:n]
+
+
+def factor_shape_mod_p(c, p):
+    """The sorted (degree, multiplicity) of each distinct irreducible
+    factor mod p of the binary form sum c_i t^i u^(d-i), integer c not
+    all divisible by p: u to the number of top coefficients divisible
+    by p, then trial division of the affine part by every monic
+    irreducible of degree 1 and 2; what is left over is irreducible."""
+    f = [x % p for x in c]
+    shape = []
+    if f[-1] == 0:
+        while f[-1] == 0:
+            f.pop()
+        shape.append((1, len(c) - len(f)))
+    quadratics = [
+        [b, a, 1]
+        for a in range(p)
+        for b in range(p)
+        if all((x * x + a * x + b) % p for x in range(p))
+    ]
+    for g in [[r, 1] for r in range(p)] + quadratics:
+        multiplicity = 0
+        while len(f) >= len(g):
+            q, r = _divide_mod_p(f, g, p)
+            if any(r):
+                break
+            f, multiplicity = q, multiplicity + 1
+        if multiplicity:
+            shape.append((len(g) - 1, multiplicity))
+    if len(f) > 1:
+        shape.append((len(f) - 1, 1))
+    return sorted(shape)
+
+
+def local_errors(data):
+    """Defects of a certificate's local sections at 3 and 5: the residue
+    degrees and each block's (residue_degree, multiplicity) against
+    `factor_shape_mod_p` of the primitive quartic, and points_extracted
+    against the total degree of the unramified blocks."""
+    prim = data["quartic"]["primitive_coeffs"]
+    errors = []
+    for key in ("local_3", "local_5"):
+        section = data[key]
+        if section is None:
+            continue
+        shape = factor_shape_mod_p(prim, section["p"])
+        degrees = sorted(d for d, m in shape for _ in range(m))
+        if section["residue_degrees"] != degrees:
+            errors.append(f"{key}: residue_degrees are not {degrees}")
+        blocks = section["blocks"]
+        if sorted((b["residue_degree"], b["multiplicity"]) for b in blocks) != shape:
+            errors.append(f"{key}: the blocks' (residue_degree, multiplicity) are not "
+                          f"{shape}")
+        unramified = sum(b["degree"] for b in blocks if b["verdict"] == "unramified")
+        if section["points_extracted"] != unramified:
+            errors.append(f"{key}: points_extracted is not {unramified}, the degree "
+                          "of the unramified blocks")
     return errors

@@ -83,8 +83,9 @@ MUTANTS = [
      '        return "C4"\n    return "D4"',
      '        return "D4"\n    return "C4"'),
     ("squarefree blocks in reverse residue order", "src/hmslines/hensel.py",
-     "blocks.sort(key=lambda blk: _residue_order(blk, p))",
-     "blocks.sort(key=lambda blk: _residue_order(blk, p), reverse=True)"),
+     "blocks.sort(key=lambda blk: _residue_order(residues[blk.index], inverse, p))",
+     "blocks.sort(key=lambda blk: _residue_order(residues[blk.index], inverse, p),"
+     " reverse=True)"),
     # (a ramified block and an inconclusive one cannot meet in a quartic:
     # that needs degree 2 + 3 at least, so only this order is observable)
     ("unramified block outranks inconclusive", "src/hmslines/hensel.py",
@@ -94,8 +95,11 @@ MUTANTS = [
      "needed=v + 1,",
      "needed=v,"),
     ("two (linear)^2 blocks read no lifted discriminant", "src/hmslines/hensel.py",
-     "if len(doubles) == 2:",
-     "if len(doubles) > 2:"),
+     "if len(doubles) == 2 and disc:",
+     "if len(doubles) > 2 and disc:"),
+    ("two (linear)^2 blocks lifted one digit short", "src/hmslines/hensel.py",
+     "k = min(prec, split_p_power(disc, p)[0])",
+     "k = min(prec, split_p_power(disc, p)[0] - 1)"),
     ("unread (linear)^2 valuation v, not v_p(D) - v", "src/hmslines/hensel.py",
      "split_p_power(disc, p)[0] - sum(valuations.values())",
      "sum(valuations.values())"),
@@ -104,7 +108,7 @@ MUTANTS = [
      "False"),
     ("section precision written at FIRST_PRECISION", "src/hmslines/search.py",
      '"precision": K,',
-     '"precision": report.prec,'),
+     '"precision": k,'),
 ]
 
 

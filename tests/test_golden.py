@@ -36,7 +36,7 @@ import pytest
 
 from hmslines import cli, errors, lines, quartics, search
 from hmslines.errors import PrecisionError, SearchExhausted
-from hmslines.lines import Line
+from hmslines.lines import Line, TangentConeChart, labc_line
 from hmslines.search import (
     build_model,
     certify_line,
@@ -44,7 +44,8 @@ from hmslines.search import (
     find_lines,
     parse_config,
 )
-from hmslines.serialize import canonical_json
+from hmslines.serialize import canonical_json, frac_str
+from hmslines.surface import twist_by_name, twisted_equations
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
@@ -54,7 +55,12 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 from oracles import certificate_errors  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from exact_oracles import GROUP_ORDERS, galois_errors, local_5_errors  # noqa: E402
+from exact_oracles import (  # noqa: E402
+    GROUP_ORDERS,
+    galois_errors,
+    local_5_errors,
+    local_errors,
+)
 
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
 CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
@@ -203,15 +209,51 @@ def _golden_certificates():
                 yield f"{path.name}:{n}", data
 
 
+def _chart_errors(data):
+    """Defects of a certificate's chart record: params, when given, must
+    give back the line's rows through the package's chart of that kind,
+    on the certificate's twist and seed.  This checks the record, not
+    the chart's arithmetic, which `test_lines.py` tests."""
+    chart = data["chart"]
+    if chart["params"] is None:
+        return []
+    params = [Fraction(v) for v in chart["params"]]
+    if chart["kind"] == "labc":
+        line = labc_line(*params)
+    else:
+        twist = data["twist"]
+        model = twisted_equations(twist_by_name(
+            twist["label"], Fraction(twist["lambda1"]), Fraction(twist["lambda2"])
+        ))
+        seed = [Fraction(c) for c in chart["seed"]]
+        line = TangentConeChart(model, seed).line_at(*params)
+    if [[frac_str(c) for c in row] for row in line.rows] != data["line"]["rows"]:
+        return [f"chart: the {chart['kind']} params do not give back line.rows"]
+    return []
+
+
+def _independent_errors(data):
+    return (
+        certificate_errors(data)
+        + local_5_errors(data)
+        + galois_errors(data)
+        + local_errors(data)
+        + _chart_errors(data)
+    )
+
+
 def test_golden_certificates_pass_the_independent_checks():
-    labels = {}
+    labels, charts = {}, {}
     for where, data in _golden_certificates():
-        errors = certificate_errors(data) + local_5_errors(data) + galois_errors(data)
-        assert errors == [], where
+        assert _independent_errors(data) == [], where
         if data["galois"] is not None:
             label = data["galois"]["label"]
             labels[label] = labels.get(label, 0) + 1
+        if data["chart"]["params"] is not None:
+            kind = data["chart"]["kind"]
+            charts[kind] = charts.get(kind, 0) + 1
     assert labels == {"S4": 12, "reducible-composite": 5, "C2": 1}
+    assert charts == {"labc": 11, "tangent-cone": 7}
 
 
 def _s4_certificate():
@@ -278,6 +320,42 @@ def test_a_changed_local_5_field_is_reported(edit, defect):
     edit(data["local_5"])
     errors = local_5_errors(data)
     assert errors and all(defect in error for error in errors), errors
+
+
+def _edit_local_3(edit):
+    return lambda data: edit(data["local_3"])
+
+
+def _set_param(index, value):
+    return lambda data: data["chart"]["params"].__setitem__(index, value)
+
+
+@pytest.mark.parametrize(
+    "name, index, edit, defect",
+    [
+        # local_3 of this certificate: a (linear)^2 and a quadratic block
+        ("find-char3-demo", 4, _edit_local_3(_set("residue_degrees", [1, 1, 1, 1])),
+         "local_3: residue_degrees"),
+        ("find-char3-demo", 4,
+         _edit_local_3(lambda section: section["blocks"][1].update(residue_degree=1)),
+         "local_3: the blocks'"),
+        ("find-char3-demo", 4,
+         _edit_local_3(lambda section: section["blocks"][0].update(multiplicity=1)),
+         "local_3: the blocks'"),
+        ("find-char3-demo", 4, _edit_local_3(_set("points_extracted", 2)),
+         "local_3: points_extracted"),
+        ("find-char3-demo", 4, _set_param(0, "166"), "chart: the labc params"),
+        ("find-rho0-demo", 1, _set_param(1, "1"), "chart: the tangent-cone params"),
+    ],
+    ids=["residue degrees", "block residue degree", "block multiplicity",
+         "point count", "labc param", "tangent-cone param"],
+)
+def test_a_changed_local_or_chart_field_is_reported(name, index, edit, defect):
+    data = json.loads(_golden_path(name).read_text().splitlines()[index])
+    assert local_errors(data) == _chart_errors(data) == []
+    edit(data)
+    errors = local_errors(data) + _chart_errors(data)
+    assert errors and all(error.startswith(defect) for error in errors), errors
 
 
 # sha256 of the outputs of one operation of each workload at seed 0

@@ -236,10 +236,10 @@ def _assert_roots_satisfy(ints, rep):
         v = blk.disc_valuation
         if blk.verdict == "unramified" and v is not None and v >= rep.prec:
             with pytest.raises(PrecisionError) as exc:
-                block_roots(rep, blk)
+                block_roots(rep, blk, rep.prec)
             assert exc.value.needed == v + 1
             continue
-        roots = block_roots(rep, blk)
+        roots = block_roots(rep, blk, rep.prec)
         for t, u in roots:
             assert u.ring is t.ring
             assert _binary_value(ints, t, u) == t.ring.zero()
@@ -435,6 +435,10 @@ def test_local_factorization_agrees_with_the_construction(factors, steps, p, K):
         assert doubles is None or len(valuations) == 2 and valuations[0] >= K
         return
     assert rep.verdict in ("ramified" if ramified else "unramified", "inconclusive")
+    # the lift is unique, so a lift at a lower precision is the one at K
+    # reduced
+    for k in {1, (K + 1) // 2}:
+        assert rep.lift(k) == [tuple(c % p**k for c in B) for B in rep.lift(K)]
     assert rep.residue_degrees == tuple(sorted(residue_degrees))
     if doubles:
         read = sorted(
@@ -471,8 +475,9 @@ def test_two_block_discriminants_O_of_p_to_the_K_raise():
 def test_point_extraction_lifts_nothing_again(monkeypatch):
     # the quartic of this line has two quadratic residue factors at 5
     # and a (linear)^2 times a quadratic at 3: each is factored once mod
-    # p, each report lifts its blocks once, and a second extraction of
-    # the points lifts no block again
+    # p, neither report lifts a block until its points are read, each
+    # lifts its blocks once then, and a second extraction of the points
+    # lifts no block again
     factorizations = []
     factor = hensel.factor_monic_mod_p
 
@@ -501,14 +506,14 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
     rep5 = hensel_factor_quartic(q, 5, 12)
     assert (rep3.squarefree_mod_p, rep5.residue_degrees) == (False, (2, 2))
     assert factorizations == [3, 5]
-    # the blocks of the squarefree reduction at 5 are lifted to be put in
-    # residue order; the lone (linear)^2 at 3 has its verdict unlifted
-    assert block_lifts == [5]
+    # the blocks of the squarefree reduction at 5 are put in residue
+    # order unlifted; the lone (linear)^2 at 3 has its verdict unlifted
+    assert block_lifts == []
     for _ in range(2):
-        points3, points5 = intersection_points(rep3), intersection_points(rep5)
+        points3, points5 = intersection_points(rep3, 12), intersection_points(rep5, 12)
         assert [pt.ring.deg for pt in points3] == [1, 1, 2]
         assert [pt.ring.deg for pt in points5] == [2, 2]
-        assert block_lifts == [5, 3]
+        assert block_lifts == [3, 5]
 
 
 def _monic_polys(degree, p):

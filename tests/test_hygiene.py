@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used by that module,
 the package root `__init__.py` holds only its docstring, every function
 or method the package defines is referenced somewhere, none exists only
-for tests to reach, the tests' exact oracles import no package code,
-the README layout table has one row per module, and every edit of the
-mutation catalogue (`mutation_probe.py`) applies exactly once."""
+for tests to reach, every error class but the base is caught by type
+somewhere in the package, the tests' exact oracles import no package
+code, the README layout table has one row per module, and every edit
+of the mutation catalogue (`mutation_probe.py`) applies exactly once."""
 import ast
 import importlib
 import re
@@ -109,6 +110,36 @@ def test_no_function_exists_only_for_tests():
     # what only tests need lives in the tests (`exact_oracles.py`)
     defining = [path.read_text() for path in MODULES]
     assert _unreferenced_functions(defining, _sources(("src", "bench"))) == []
+
+
+def _caught_names(source: str):
+    """Names of the exception types a module's except clauses name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for n in ast.walk(node.type):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    names.add(n.id if isinstance(n, ast.Name) else n.attr)
+    return names
+
+
+def test_every_error_class_is_caught_by_type():
+    # an error type that no except clause of the package names is only
+    # an HmsError with a longer name; tests match its message instead
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        caught |= _caught_names(path.read_text())
+    assert sorted(defined - caught - {"HmsError"}) == []
+
+
+def test_caught_names_are_read():
+    source = (
+        "try:\n    f()\nexcept (A, errors.B) as exc:\n    pass\n"
+        "except C:\n    pass\nexcept:\n    raise D\n"
+    )
+    assert _caught_names(source) == {"A", "errors", "B", "C"}
 
 
 def _imported_modules(source: str):

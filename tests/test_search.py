@@ -15,7 +15,7 @@ from hmslines import hensel, quartics, search
 from hmslines.errors import ConfigError, HmsError, PrecisionError, SearchExhausted
 from hmslines.hensel import hensel_factor_quartic
 from hmslines.lines import Line, TangentConeChart, labc_line, quartic_of_line
-from hmslines.padics import UnramifiedRing
+from hmslines.padics import UnramifiedRing, pmod
 from hmslines.scalars import valuation_of_rational
 from hmslines.serialize import frac_str
 from hmslines.search import (
@@ -473,6 +473,23 @@ def test_the_3_adic_gate_lifts_no_fourth_power_and_no_lone_double(monkeypatch):
     assert lifts == []
 
 
+
+def test_a_squarefree_report_in_a_non_identity_chart_lifts_nothing(monkeypatch):
+    # t u (t^2 + 2 u^2) has c4 = 0, so its report at 5 works in the chart
+    # (t, u) -> (t - u, t); its blocks come in the order of their residue
+    # factors in the original chart, t, then t^2 + 2, then the root at
+    # [1:0], read here off the lift, which building the report never made
+    lifts = _count_lifts(monkeypatch)
+    report = hensel_factor_quartic(quartics.BinaryQuartic([0, 2, 0, 1, 0]), 5, 12)
+    assert report.inverse_chart == ((0, 1), (-1, 1))
+    assert lifts == []
+    residues = []
+    for blk in report.blocks:
+        g = pmod(report.lift(12)[blk.index], 5)
+        residues.append(tuple(c * pow(g[-1], -1, 5) % 5 for c in g))
+    assert residues == [(0, 1), (2, 0, 1), (1,)]
+
+
 # the 18 lines of the char3 class at precision 5 (the benchmark's starved
 # search at seed 0) whose reduction at 3 is a (linear)^2 times simple
 # factors, with v_3(D) = 6: even, so unramified, but beyond precision 5
@@ -508,7 +525,7 @@ def test_a_double_root_beyond_the_precision_passes_the_gate_and_asks_for_more(
         assert info.value.needed == 7 > config.precision
         report = hensel_factor_quartic(quartic_of_line(line, model), 3, 7)
         (double,) = [b for b in report.blocks if b.multiplicity > 1]
-        roots = hensel.block_roots(report, double)
+        roots = hensel.block_roots(report, double, 7)
         assert [t.ring.K for t, _ in roots] == [1, 1]
     assert min(ring_precisions) >= 1
 
@@ -769,7 +786,7 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         assert known is None
         assume(False)
     try:
-        points = intersection_points(hensel_factor_quartic(quartic, p, K))
+        points = intersection_points(hensel_factor_quartic(quartic, p, K), K)
     except PrecisionError:
         if known is not None:
             raise
@@ -969,18 +986,44 @@ def test_sections_built_low_first_give_the_bytes_of_a_build_at_k(
     assert outcomes[0] == outcomes[1]
 
 
-def test_a_line_decided_at_the_first_precision_is_not_rebuilt(monkeypatch):
-    # the golden line certified at precision 60: every Hensel report is
-    # built at FIRST_PRECISION only, and the certificate records 60
-    precisions = []
-    factor = search.hensel_factor_quartic
+def _record_reports_and_lifts(monkeypatch):
+    """Record (p, prec) of every Hensel report that `search` builds, and
+    the distinct (p, K) at which `HenselReport.lift` is read, in order."""
+    reports, lifts = [], {}
+    factor, lift = search.hensel_factor_quartic, hensel.HenselReport.lift
 
-    def recording(quartic, p, prec):
-        precisions.append(prec)
+    def recording_factor(quartic, p, prec):
+        reports.append((p, prec))
         return factor(quartic, p, prec)
 
-    monkeypatch.setattr(search, "hensel_factor_quartic", recording)
+    def recording_lift(report, K):
+        lifts[report.p, K] = None
+        return lift(report, K)
+
+    monkeypatch.setattr(search, "hensel_factor_quartic", recording_factor)
+    monkeypatch.setattr(hensel.HenselReport, "lift", recording_lift)
+    return reports, lifts
+
+
+def test_a_line_decided_at_the_first_precision_is_not_rebuilt(monkeypatch):
+    # the golden line certified at precision 60: one Hensel report per
+    # prime, built at 60, whose blocks are lifted at FIRST_PRECISION
+    # only, and the certificate records 60
+    reports, lifts = _record_reports_and_lifts(monkeypatch)
     config = demo_config("char3-demo.json", precision=60)
     cert = certify_line(Line(CHAR3_LINE_ROWS), build_model(config), config)
-    assert precisions == [search.FIRST_PRECISION] * 2 == [8, 8]
+    assert reports == [(3, 60), (5, 60)]
+    assert list(lifts) == [(3, search.FIRST_PRECISION), (5, 8)]
     assert cert.data["local_3"]["precision"] == cert.data["local_5"]["precision"] == 60
+
+
+def test_a_section_open_at_the_first_precision_reuses_its_report(monkeypatch):
+    # labc (327, 0, 162) keeps a null v_sigma5 at every precision: its
+    # 5-adic section is read at 8 and again at 60, off the lifts of the
+    # one report at 5
+    reports, lifts = _record_reports_and_lifts(monkeypatch)
+    config = demo_config("char3-demo.json", precision=60)
+    cert = certify_line(labc_line(327, 0, 162), build_model(config), config)
+    assert [entry["v_sigma5"] for entry in cert.data["local_5"]["points"]] == [None, 0]
+    assert reports == [(3, 60), (5, 60)]
+    assert [K for p, K in lifts if p == 5] == [8, 60]
