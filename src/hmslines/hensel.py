@@ -45,11 +45,18 @@ from .scalars import primitive_integers, split_p_power
 
 # -- factorization mod p for degree <= 4 --------------------------------
 
+# (p, reduced coefficients) -> the factorization of `factor_monic_mod_p`;
+# at most (p^5 - 1) / (p - 1) keys per prime: 121 mod 3, 781 mod 5
+_FACTORED = {}
+
 
 def factor_monic_mod_p(f, p):
     """Irreducible factorization of a monic poly of degree <= 4 mod p.
 
-    Returns [(monic factor, multiplicity)] sorted by (degree, coeffs).
+    Returns a new list [(monic factor, multiplicity)] sorted by (degree,
+    coeffs).  Each residue is factored once per prime (`_FACTORED`): a
+    search meets few residues many times.
+
     Roots are found by scanning F_p (p is small here) and divided out by
     `pdivmod`, which leaves a rootless cofactor w: irreducible
     of degree 2 or 3, or a quartic.  A quartic is decided by one
@@ -64,6 +71,9 @@ def factor_monic_mod_p(f, p):
         raise HmsError("factor_monic_mod_p handles degree <= 4 only")
     if not f or f[-1] != 1:
         raise HmsError("input must be monic")
+    residue = (p, tuple(f))
+    if residue in _FACTORED:
+        return list(_FACTORED[residue])
     factors = {}
     work = f
     for r in range(p):
@@ -82,7 +92,8 @@ def factor_monic_mod_p(f, p):
     for part in parts:
         key = tuple(part)
         factors[key] = factors.get(key, 0) + 1
-    return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    _FACTORED[residue] = sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return list(_FACTORED[residue])
 
 
 def _split_two_quadratics(f, p):

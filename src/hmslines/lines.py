@@ -391,9 +391,17 @@ def labc_line(a, b, c) -> Line:
     """The line L_{a,b,c} of `labc_points` for rational a, b, c.
 
     It lies in both quadrics of the cube-root twist model for every
-    rational a, b, c; `labc_points` over polynomials in a, b, c is what
-    checks that symbolically."""
+    rational a, b, c; `labc_restriction` of q1 and q2 is what checks
+    that symbolically."""
     return Line(labc_points(a, b, c))
+
+
+def labc_restriction(f: SparsePoly) -> SparsePoly:
+    """f on t P + u Q for the points (P, Q) of `labc_points` over
+    polynomials in (a, b, c): a binary form in (t, u) whose coefficients
+    are polynomials in (a, b, c), or constants."""
+    a, b, c = (SparsePoly.variable(i, 3) for i in range(3))
+    return restrict_to_span(f, labc_points(a, b, c))
 
 
 def labc_params_of_line(line: Line):
@@ -466,9 +474,7 @@ class Char3Profile:
 
 def char3_leading_profile(lambda1, lambda2) -> Char3Profile:
     """Symbolic restriction of the scaled quartic to the labc family."""
-    quartic = char3_quartic_display(lambda1, lambda2)
-    a, b, c = (SparsePoly.variable(i, 3, Fraction(1)) for i in range(3))
-    r = restrict_to_span(quartic, labc_points(a, b, c))
+    r = labc_restriction(char3_quartic_display(lambda1, lambda2))
     coeffs = []
     for i in range(5):
         poly = r.coefficient((i, 4 - i))

@@ -39,16 +39,20 @@ def _disc27(c0, c1, c2, c3, c4):
 
 
 class BinaryQuartic:
-    """Homogeneous binary quartic; degenerate means identically zero."""
+    """Homogeneous binary quartic; degenerate means identically zero.
+
+    `model`, when given, is the quartic's `integer_model`, from a
+    builder that has it already: `search._Sections.exact` scales a
+    quartic whose model it has read."""
 
     __slots__ = ("coeffs", "_model")
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, model=None):
         coeffs = tuple(coeffs)
         if len(coeffs) != 5:
             raise HmsError("need exactly 5 coefficients c0..c4")
         self.coeffs = coeffs
-        self._model = None
+        self._model = model
 
     @staticmethod
     def from_sparse(f: SparsePoly) -> "BinaryQuartic":

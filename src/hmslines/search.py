@@ -16,7 +16,10 @@ Candidates walk on integer numerators (`_candidate_params`), and every
 line of the search or of a certificate is an integer basis: its quartic
 and its 5-adic forms are restricted by the model's compiled integer
 kernel (`SurfaceModel.compiled`), never by the ring-generic
-`mpoly.restrict_to_span`.
+`mpoly.restrict_to_span`.  On the labc chart the search reads a
+candidate's quartic off five integer polynomials in (a, b, c) instead,
+which one symbolic restriction builds per model (`_LabcChart`); a
+candidate the gates reject gets no Fraction coefficient.
 
 The roots of a Hensel block come from `hensel.block_roots`; this module
 owns the points: `intersection_points` keeps each root (t, u), in the
@@ -64,11 +67,13 @@ from .lines import (
     cusp_proximity,
     labc_line,
     labc_params_of_line,
+    labc_restriction,
     parity_admissible,
     quartic_of_line,
 )
+from .mpoly import SparsePoly
 from .padics import UElt, UnramifiedRing
-from .quartics import integer_model, real_root_count
+from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
 from .scalars import sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
@@ -547,9 +552,15 @@ class _Sections:
 
     Searching and certifying share these builders and the assembler
     `_certificate`, so a certificate has the same bytes whichever path
-    built it.  Construction restricts the quartic and evaluates its
-    discriminant; NotOnSurfaceError or DegenerateLineError means the
-    line is not a generator of the model at all.
+    built it.  Construction takes the line's quartic up to a positive
+    scale, as `scaled` = (form, s) with the quartic on `line.rows` equal
+    to form / s (the labc kernel's, `_LabcChart.quartic_at`), or else
+    restricts it with `quartic_of_line`, and reads the sign of its
+    discriminant off the integer model; NotOnSurfaceError or
+    DegenerateLineError means the line is not a generator of the model
+    at all.  Every gate and section but `quartic_section` reads only the
+    integer model, which the scale does not change, so the exact
+    coefficients are built only there (`exact`).
 
     Each Hensel report is built once, at the configured precision K.  A
     local section reads its points off the report's lift at min(K,
@@ -558,13 +569,17 @@ class _Sections:
     (`_local_section`).
     """
 
-    def __init__(self, line: Line, model: SurfaceModel, config: SearchConfig):
-        quartic = quartic_of_line(line, model)
-        if all(c == 0 for c in quartic.coeffs):
+    def __init__(
+        self, line: Line, model: SurfaceModel, config: SearchConfig, scaled=None
+    ):
+        quartic, self._scale = scaled or (quartic_of_line(line, model), 1)
+        if quartic.is_degenerate:
             raise DegenerateLineError("the line lies inside the degree-8 locus")
         self.line, self.model, self.config = line, model, config
         self.quartic = quartic
-        self.disc = quartic.discriminant()
+        # the exact discriminant is the integer model's times a positive
+        # sixth power
+        self.tangential = integer_model(quartic)[1] == 0
         self._built = {}
 
     def _once(self, key, build):
@@ -572,15 +587,28 @@ class _Sections:
             self._built[key] = build()
         return self._built[key]
 
+    def exact(self) -> BinaryQuartic:
+        """The quartic on `line.rows`, with `quartic_of_line`'s values and
+        types: a Fraction, or the int 0 for a zero coefficient."""
+        return self._once(
+            "exact",
+            lambda: BinaryQuartic(
+                [Fraction(c, self._scale) if c else 0 for c in self.quartic.coeffs],
+                integer_model(self.quartic),
+            ),
+        )
+
     def quartic_section(self) -> dict:
+        exact = self.exact()
+        disc = exact.discriminant()
         section = {
-            "coeffs": [frac_str(c) for c in self.quartic.coeffs],
-            "primitive_coeffs": list(integer_model(self.quartic)[0]),
-            "discriminant": frac_str(self.disc),
+            "coeffs": [frac_str(c) for c in exact.coeffs],
+            "primitive_coeffs": list(integer_model(exact)[0]),
+            "discriminant": frac_str(disc),
         }
-        if self.disc != 0:
-            section["disc_valuation_3"] = valuation_of_rational(self.disc, 3)
-            section["disc_valuation_5"] = valuation_of_rational(self.disc, 5)
+        if disc != 0:
+            section["disc_valuation_3"] = valuation_of_rational(disc, 3)
+            section["disc_valuation_5"] = valuation_of_rational(disc, 5)
         return section
 
     def galois(self) -> dict:
@@ -656,7 +684,7 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
         },
         "quartic": sections.quartic_section(),
     }
-    if sections.disc == 0:
+    if sections.tangential:
         data.update(galois=None, real=None, local_3=None, local_5=None)
         data["summary"] = {
             "passed": False,
@@ -732,24 +760,89 @@ def build_model(config: SearchConfig) -> SurfaceModel:
         raise ConfigError(f"cannot build the twisted model: {exc}")
 
 
+def _monomials(poly):
+    """(coefficient, i, j, k) of each term c a^i b^j c^k of a polynomial
+    in (a, b, c), a SparsePoly or a constant."""
+    if not isinstance(poly, SparsePoly):
+        return ((poly, 0, 0, 0),) if poly else ()
+    return tuple((coeff, *exp) for exp, coeff in poly.terms.items())
+
+
+def _powers(x, n):
+    """[1, x, .., x^n]."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
 class _LabcChart:
-    """The labc family as a line chart; `line_at` calls this module's
-    `labc_line` once per candidate."""
+    """The labc family as a line chart, with the model's labc quartic
+    kernel; `line_at` calls this module's `labc_line` once per candidate.
+
+    The kernel is q4 on the labc family (`labc_restriction`), built once
+    per model: five integer polynomials f_0..f_4 in (a, b, c), f_i the
+    coefficient of t^i u^(4-i).  `contained` records that q1 and q2
+    restrict to zero there, as `verify-paper` checks, so that every labc
+    line lies in the quadrics.
+    """
 
     kind = "labc"
     params_of = staticmethod(labc_params_of_line)
 
+    def __init__(self, model: SurfaceModel):
+        self.contained = all(
+            labc_restriction(f).is_zero for f in (model.q1, model.q2)
+        )
+        restricted = labc_restriction(model.q4)
+        self.kernel = tuple(
+            _monomials(restricted.coefficient((i, 4 - i))) for i in range(5)
+        )
+        self.degree = max((max(m[1:]) for f in self.kernel for m in f), default=0)
+
     def line_at(self, a, b, c) -> Line:
         return labc_line(a, b, c)
+
+    def quartic_at(self, a, b, c):
+        """(G, e^4), e = a - bc, with G the quartic whose quotient by e^4
+        is `quartic_of_line(labc_line(a, b, c), model)`, integral for
+        integers a, b, c; None where the kernel does not apply: a = bc,
+        or a model whose quadrics do not contain the family.
+
+        For e != 0 the line's reduced rows, at pivots (0, 1), are
+        (Q / e, P + b^2 Q / e), so its point at [t : u] is
+        u P + ((t + b^2 u) / e) Q, and e^4 times the quartic there is
+        G(t, u) = sum_i f_i e^i u^i (t + b^2 u)^(4-i): G_k, the
+        coefficient of t^k u^(4-k), is
+        sum_i f_i e^i C(4-i, k) b^(2(4-i-k)).  It is the Taylor shift
+        by b^2 of sum_i f_i e^i y^(4-i), by Horner's rule.
+        """
+        e = a - b * c
+        if e == 0 or not self.contained:
+            return None
+        pa, pb, pc = (_powers(x, self.degree) for x in (a, b, c))
+        pe = _powers(e, 4)
+        # ascending in y: the coefficient of y^j is f_(4-j) e^(4-j)
+        shifted = [
+            pe[i] * sum(coeff * pa[x] * pb[y] * pc[z] for coeff, x, y, z in terms)
+            for i, terms in enumerate(self.kernel)
+        ][::-1]
+        step = b * b
+        for low in range(4):
+            for j in range(3, low - 1, -1):
+                shifted[j] += step * shifted[j + 1]
+        return BinaryQuartic(shifted), pe[4]
 
 
 def line_chart(config: SearchConfig, model: SurfaceModel):
     """The configured chart, with `kind`, `line_at(a, b, c)` and
-    `params_of(line)`; ConfigError when the config gives none.  A
-    tangent-cone chart is built once per model and seed, and kept in
-    `model.charts`."""
+    `params_of(line)`; ConfigError when the config gives none.  A chart
+    is built once per model, and kept in `model.charts`: the labc chart
+    under "labc", a tangent-cone chart under its seed."""
     if config.twist == "char3-x":
-        return _LabcChart()
+        if "labc" not in model.charts:
+            model.charts["labc"] = _LabcChart(model)
+        return model.charts["labc"]
     seed = config.seed_point
     if seed is None:
         raise ConfigError("this twist needs a seed_point for the line chart")
@@ -816,6 +909,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     """
     model = build_model(config)
     chart = line_chart(config, model)
+    labc = isinstance(chart, _LabcChart)
     reps, modulus = _combined_parameters(config)
     stats = {
         "candidates": 0,
@@ -831,6 +925,8 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     seen = set()
     for params in _candidate_params(reps, modulus, config.height_bound):
         stats["candidates"] += 1
+        # the charts and the labc kernel run faster on ints
+        params = tuple(v.numerator if v.denominator == 1 else v for v in params)
         try:
             line = chart.line_at(*params)
         except HmsError:
@@ -841,8 +937,9 @@ def find_lines(config: SearchConfig, max_results: int = 1):
             continue
         seen.add(line.ints)
         try:
-            sections = _Sections(line, model, config)
-            if sections.disc == 0:
+            scaled = chart.quartic_at(*params) if labc else None
+            sections = _Sections(line, model, config, scaled)
+            if sections.tangential:
                 outcome = "zero_discriminant"
             elif not all(ok for _, ok in sections.targeted_gates()):
                 outcome = "gate_failures"

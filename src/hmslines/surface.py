@@ -237,8 +237,9 @@ class SurfaceModel:
 
     `q1_row`, `gram` and `compiled` are built on first use and kept:
     the integer row of q1, the doubled Gram matrix of q2, and every
-    form as a `CompiledForm`.  `charts` keeps the tangent-cone charts
-    that `search.line_chart` builds on the model, by seed.
+    form as a `CompiledForm`.  `charts` keeps the charts that
+    `search.line_chart` builds on the model: the labc chart under
+    "labc", a tangent-cone chart under its seed.
     """
 
     forms: dict

@@ -19,7 +19,7 @@ from .lines import (
     char3_quartic_display,
     in_quadrics,
     labc_line,
-    labc_points,
+    labc_restriction,
     parity_admissible,
     quartic_of_line,
 )
@@ -94,11 +94,7 @@ def check_symbolic_identities():
         )
     )
 
-    abc = (SparsePoly.variable(i, 3, Fraction(1)) for i in range(3))
-    P, Q = labc_points(*abc)
-    contained = all(
-        restrict_to_span(f, (P, Q)).is_zero for f in (model.q1, model.q2)
-    )
+    contained = all(labc_restriction(f).is_zero for f in (model.q1, model.q2))
     rows.append(
         _row(
             "line family lies in both quadrics for all (a, b, c)",

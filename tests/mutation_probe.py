@@ -109,6 +109,12 @@ MUTANTS = [
     ("section precision written at FIRST_PRECISION", "src/hmslines/search.py",
      '"precision": K,',
      '"precision": k,'),
+    ("labc kernel without the b^2 shift", "src/hmslines/search.py",
+     "step = b * b",
+     "step = 0"),
+    ("labc kernel without the e^i factor", "src/hmslines/search.py",
+     "pe[i] * sum(coeff",
+     "sum(coeff"),
 ]
 
 

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from hashlib import sha256
 from importlib import resources
 from itertools import product
@@ -12,10 +13,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import hensel, quartics, search
-from hmslines.errors import ConfigError, HmsError, PrecisionError, SearchExhausted
+from hmslines.errors import (
+    ConfigError,
+    DegenerateLineError,
+    HmsError,
+    PrecisionError,
+    SearchExhausted,
+)
 from hmslines.hensel import hensel_factor_quartic
 from hmslines.lines import Line, TangentConeChart, labc_line, quartic_of_line
 from hmslines.padics import UnramifiedRing, pmod
+from hmslines.quartics import integer_model
 from hmslines.scalars import valuation_of_rational
 from hmslines.serialize import frac_str
 from hmslines.search import (
@@ -538,7 +546,7 @@ def _starved_precision_failures(config, model):
     for params in _candidate_params(*_combined_parameters(config), config.height_bound):
         sections = search._Sections(labc_line(*params), model, config)
         try:
-            if sections.disc != 0 and all(ok for _, ok in sections.targeted_gates()):
+            if not sections.tangential and all(ok for _, ok in sections.targeted_gates()):
                 search._certificate(sections, params, "labc")
         except PrecisionError as exc:
             failures.append((sections.line, exc.needed))
@@ -609,24 +617,28 @@ def test_gate_failures_build_no_galois_section(monkeypatch):
 
 
 def test_search_counts_chart_off_surface_and_degenerate_outcomes(monkeypatch):
-    # the first three candidates of the same search: the chart fails, a
-    # line off the quadrics, a line inside the degree-8 locus
-    chart = search.labc_line
+    # the first three candidates of the same search, on a labc chart
+    # without a kernel, so that each line is restricted by
+    # quartic_of_line: the chart fails, a line off the quadrics, a line
+    # inside the degree-8 locus
     replaced = iter([
         HmsError("no line at these parameters"),
         Line([[1, 0, 0, -1, -1, 1], [0, 1, -1, -1, 0, 1]]),
         Line([[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
     ])
 
-    def patched(a, b, c):
-        outcome = next(replaced, None)
-        if outcome is None:
-            return chart(a, b, c)
-        if isinstance(outcome, HmsError):
-            raise outcome
-        return outcome
+    class Unkerneled:
+        kind = "labc"
 
-    monkeypatch.setattr(search, "labc_line", patched)
+        def line_at(self, a, b, c):
+            outcome = next(replaced, None)
+            if outcome is None:
+                return labc_line(a, b, c)
+            if isinstance(outcome, HmsError):
+                raise outcome
+            return outcome
+
+    monkeypatch.setattr(search, "line_chart", lambda config, model: Unkerneled())
     cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
     with pytest.raises(SearchExhausted) as info:
         find_lines(cfg, max_results=1)
@@ -634,6 +646,90 @@ def test_search_counts_chart_off_surface_and_degenerate_outcomes(monkeypatch):
     assert stats["candidates"] == 27
     assert (stats["chart_failures"], stats["off_surface"], stats["degenerate"]) == (1, 1, 1)
     assert sum(v for k, v in stats.items() if k != "candidates") == 27
+
+
+def test_labc_kernel_giving_the_zero_quartic_counts_degenerate(monkeypatch):
+    # a kernel whose five polynomials vanish gives G = 0 at every
+    # candidate of the class, where a - bc = 3 mod 81 is never 0: each
+    # is counted degenerate, and none is restricted by quartic_of_line
+    cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
+    model = build_model(cfg)
+    line_chart(cfg, model).kernel = ((),) * 5
+    monkeypatch.setattr(search, "build_model", lambda config: model)
+    restricted = _count_calls(monkeypatch, "quartic_of_line")
+    with pytest.raises(SearchExhausted) as info:
+        find_lines(cfg, max_results=1)
+    stats = info.value.stats
+    assert (stats["candidates"], stats["degenerate"]) == (27, 27)
+    assert restricted == []
+
+
+def test_char3_search_calls_labc_line_once_per_candidate(monkeypatch):
+    # the benchmark counts the candidates of the starved char3 search by
+    # the calls of search.labc_line, and checks them against the stats
+    calls = _count_calls(monkeypatch, "labc_line")
+    restricted = _count_calls(monkeypatch, "quartic_of_line")
+    cfg = demo_config("char3-demo.json", precision=5)
+    with pytest.raises(SearchExhausted) as info:
+        find_lines(cfg, max_results=10**6)
+    stats = info.value.stats
+    assert len(calls) == stats["candidates"] == 729
+    assert (stats["gate_failures"], stats["precision_failures"]) == (648, 72)
+    assert (stats["zero_discriminant"], stats["duplicates"]) == (9, 0)
+    # every candidate's quartic comes from the kernel
+    assert restricted == []
+    # the labc chart, with its kernel, is built once per model
+    model = build_model(cfg)
+    chart = line_chart(cfg, model)
+    assert line_chart(cfg, model) is chart
+    assert chart.contained
+    assert [len(f) for f in chart.kernel] == [7, 9, 8, 9, 7]
+    assert list(model.charts) == ["labc"]
+
+
+@cache
+def _char3_model(lambda1, lambda2):
+    cfg = congruence_config({3: [0, 0, 0]}, k3=1, lambda1=lambda1, lambda2=lambda2)
+    return cfg, build_model(cfg)
+
+
+# ints, as the search passes integral parameters, and Fractions
+LABC_PARAM = st.one_of(
+    st.integers(-400, 400),
+    st.builds(F, st.integers(-400, 400), st.sampled_from([1, 2, 3, 9, 10])),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("1", "1"), ("3", "1/5"), ("-2/9", "7")]),
+    LABC_PARAM, LABC_PARAM, LABC_PARAM, st.booleans(),
+)
+@example(("1", "1"), F(3), F(243), F(243), False)
+@example(("3", "1/5"), 0, F(5, 3), 0, True)
+def test_labc_kernel_gives_the_quartic_of_the_line(lambdas, a, b, c, on_bc):
+    # the kernel's quartic on the line's rows is quartic_of_line's: the
+    # same exact coefficients, types included, integer model and
+    # discriminant; where a = bc it gives way to quartic_of_line
+    if on_bc:
+        a = b * c
+    cfg, model = _char3_model(*lambdas)
+    chart = line_chart(cfg, model)
+    line = labc_line(a, b, c)
+    want = quartic_of_line(line, model)
+    scaled = chart.quartic_at(a, b, c)
+    assert (scaled is None) == (a == b * c)
+    if want.is_degenerate:
+        with pytest.raises(DegenerateLineError):
+            search._Sections(line, model, cfg, scaled)
+        return
+    sections = search._Sections(line, model, cfg, scaled)
+    got = sections.exact()
+    assert [(type(x), x) for x in got.coeffs] == [(type(x), x) for x in want.coeffs]
+    assert integer_model(sections.quartic) == integer_model(got) == integer_model(want)
+    disc = want.discriminant()
+    assert (type(got.discriminant()), got.discriminant()) == (type(disc), disc)
+    assert sections.tangential == (disc == 0)
 
 
 def test_only_lines_passing_the_gates_get_a_galois_section(monkeypatch):
