@@ -311,13 +311,13 @@ class BlockReport:
 
 @dataclass
 class HenselReport:
-    """The factorization of a binary quartic over Z_p
-    (`hensel_factor_quartic`), with what `lift` needs: the quartic in
-    its unit chart, made monic mod p^prec (`monic`), its factorization
-    mod p (`parts`) and the chart back to the original coordinates."""
+    """The factorization of a binary quartic over Z_p, built at the
+    precision prec (`hensel_factor_quartic`), with what `lift` needs:
+    the quartic in its unit chart, made monic mod p^prec (`monic`), its
+    factorization mod p (`parts`) and the chart back to the original
+    coordinates."""
 
     p: int
-    prec: int
     inverse_chart: tuple = field(repr=False)
     monic: list = field(repr=False)
     parts: list = field(repr=False)
@@ -461,7 +461,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     )
     (a, b), (c, d) = chart
     inverse = ((d, -b), (-c, a))  # det = 1
-    report = HenselReport(p, prec, inverse, f, parts, squarefree, residue_degrees)
+    report = HenselReport(p, inverse, f, parts, squarefree, residue_degrees)
 
     doubles = [i for i, meta in enumerate(block_meta) if meta == (1, 2)]
     valuations = {}  # index of a (linear)^2 block -> v_p of its discriminant

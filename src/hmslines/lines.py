@@ -381,7 +381,7 @@ def labc_points(a, b, c):
     P = (-b^2, 1, 0, -(a + b c), -b, b),  Q = (a - b c, 0, 1, -c^2, -c, c),
 
     over any ring: rationals, or polynomials in a, b, c for the
-    symbolic checks."""
+    symbolic checks and the search's labc kernel."""
     P = (-b * b, 1, 0, -(a + b * c), -b, b)
     Q = (a - b * c, 0, 1, -c * c, -c, c)
     return P, Q

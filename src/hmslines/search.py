@@ -67,11 +67,12 @@ from .lines import (
     cusp_proximity,
     labc_line,
     labc_params_of_line,
+    labc_points,
     labc_restriction,
     parity_admissible,
     quartic_of_line,
 )
-from .mpoly import SparsePoly
+from .mpoly import SparsePoly, restrict_to_span
 from .padics import UElt, UnramifiedRing
 from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
@@ -79,6 +80,7 @@ from .scalars import sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     BUILTIN_TWISTS,
+    CompiledForm,
     SurfaceModel,
     ordinarity_from_valuations,
     twist_by_name,
@@ -245,8 +247,9 @@ def _candidate_params(reps, modulus, height_bound):
     gcd(num, den) = 1, so the height bound, |num + n * step| <=
     height_bound with step = modulus * den, holds on one interval of n
     per axis.  Each sup-norm shell of offsets is clipped to that box,
-    and only the triples yielded become Fractions.  A representative
-    whose denominator exceeds the bound admits no triple at all.
+    and a parameter is yielded as an int where it is integral, else as
+    a Fraction.  A representative whose denominator exceeds the bound
+    admits no triple at all.
     """
     if any(rep.denominator > height_bound for rep in reps):
         return
@@ -261,7 +264,9 @@ def _candidate_params(reps, modulus, height_bound):
     for radius in range(max(max(-axis[0], axis[-1]) for axis in box) + 1):
         for off in sup_norm_shell(radius, box):
             nums = [num + n * step for (num, step), n in zip(axes, off)]
-            yield tuple(map(Fraction, nums, dens))
+            yield tuple(
+                num if den == 1 else Fraction(num, den) for num, den in zip(nums, dens)
+            )
 
 
 # -- intersection points over Z_p ----------------------------------------
@@ -760,31 +765,16 @@ def build_model(config: SearchConfig) -> SurfaceModel:
         raise ConfigError(f"cannot build the twisted model: {exc}")
 
 
-def _monomials(poly):
-    """(coefficient, i, j, k) of each term c a^i b^j c^k of a polynomial
-    in (a, b, c), a SparsePoly or a constant."""
-    if not isinstance(poly, SparsePoly):
-        return ((poly, 0, 0, 0),) if poly else ()
-    return tuple((coeff, *exp) for exp, coeff in poly.terms.items())
-
-
-def _powers(x, n):
-    """[1, x, .., x^n]."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
-
-
 class _LabcChart:
     """The labc family as a line chart, with the model's labc quartic
     kernel; `line_at` calls this module's `labc_line` once per candidate.
 
-    The kernel is q4 on the labc family (`labc_restriction`), built once
-    per model: five integer polynomials f_0..f_4 in (a, b, c), f_i the
-    coefficient of t^i u^(4-i).  `contained` records that q1 and q2
-    restrict to zero there, as `verify-paper` checks, so that every labc
-    line lies in the quadrics.
+    The kernel is q4 on the basis (Q, e P + b^2 Q), e = a - bc, of the
+    `labc_points` (P, Q) over Z[a, b, c], built once per model: five
+    integer polynomials g_0..g_4 in (a, b, c), g_k the coefficient of
+    t^k u^(4-k), each a `CompiledForm`.  `contained` records that q1 and
+    q2 restrict to zero on the family, as `verify-paper` checks, so that
+    every labc line lies in the quadrics.
     """
 
     kind = "labc"
@@ -794,11 +784,17 @@ class _LabcChart:
         self.contained = all(
             labc_restriction(f).is_zero for f in (model.q1, model.q2)
         )
-        restricted = labc_restriction(model.q4)
-        self.kernel = tuple(
-            _monomials(restricted.coefficient((i, 4 - i))) for i in range(5)
+        a, b, c = (SparsePoly.variable(i, 3) for i in range(3))
+        P, Q = labc_points(a, b, c)
+        e = a - b * c
+        restricted = restrict_to_span(
+            model.q4, (Q, [e * p + b * b * q for p, q in zip(P, Q)])
         )
-        self.degree = max((max(m[1:]) for f in self.kernel for m in f), default=0)
+        # a coefficient that is a constant becomes a polynomial
+        zero = SparsePoly.zero(3)
+        self.kernel = tuple(
+            CompiledForm(zero + restricted.coefficient((k, 4 - k))) for k in range(5)
+        )
 
     def line_at(self, a, b, c) -> Line:
         return labc_line(a, b, c)
@@ -810,28 +806,15 @@ class _LabcChart:
         or a model whose quadrics do not contain the family.
 
         For e != 0 the line's reduced rows, at pivots (0, 1), are
-        (Q / e, P + b^2 Q / e), so its point at [t : u] is
-        u P + ((t + b^2 u) / e) Q, and e^4 times the quartic there is
-        G(t, u) = sum_i f_i e^i u^i (t + b^2 u)^(4-i): G_k, the
-        coefficient of t^k u^(4-k), is
-        sum_i f_i e^i C(4-i, k) b^(2(4-i-k)).  It is the Taylor shift
-        by b^2 of sum_i f_i e^i y^(4-i), by Horner's rule.
+        (Q / e, P + b^2 Q / e), and e times them is the kernel's basis
+        (Q, e P + b^2 Q): G, q4 on that basis, is e^4 times the quartic
+        on the rows.
         """
         e = a - b * c
         if e == 0 or not self.contained:
             return None
-        pa, pb, pc = (_powers(x, self.degree) for x in (a, b, c))
-        pe = _powers(e, 4)
-        # ascending in y: the coefficient of y^j is f_(4-j) e^(4-j)
-        shifted = [
-            pe[i] * sum(coeff * pa[x] * pb[y] * pc[z] for coeff, x, y, z in terms)
-            for i, terms in enumerate(self.kernel)
-        ][::-1]
-        step = b * b
-        for low in range(4):
-            for j in range(3, low - 1, -1):
-                shifted[j] += step * shifted[j + 1]
-        return BinaryQuartic(shifted), pe[4]
+        point = (a, b, c)
+        return BinaryQuartic([g.value(point) for g in self.kernel]), e**4
 
 
 def line_chart(config: SearchConfig, model: SurfaceModel):
@@ -925,8 +908,6 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     seen = set()
     for params in _candidate_params(reps, modulus, config.height_bound):
         stats["candidates"] += 1
-        # the charts and the labc kernel run faster on ints
-        params = tuple(v.numerator if v.denominator == 1 else v for v in params)
         try:
             line = chart.line_at(*params)
         except HmsError:

@@ -179,13 +179,15 @@ def _interpolation(d: int):
 
 
 class CompiledForm:
-    """An integral form compiled for restriction to integer lines.
+    """An integral polynomial compiled for evaluation, and a form also
+    for restriction to integer lines.
 
     Each term is kept as its coefficient and its variable indices, with
-    multiplicity, so its value at an integer point is one product.
-    `restrict` takes the form's values at the d + 1 points [0 : 1] and
-    [1 : k] of the line and recovers the coefficients exactly with the
-    fixed integer matrix of `_interpolation`.
+    multiplicity, so its value at a point is one product.  `restrict`
+    takes a form's values at the d + 1 points [0 : 1] and [1 : k] of the
+    line and recovers the coefficients exactly with the fixed integer
+    matrix of `_interpolation`; `degree` is None for a polynomial that
+    is not homogeneous, which `value` evaluates and `restrict` refuses.
     """
 
     __slots__ = ("degree", "terms")
@@ -193,11 +195,12 @@ class CompiledForm:
     def __init__(self, f: SparsePoly):
         if not all(type(c) is int for c in f.terms.values()):
             raise HmsError("a compiled form needs int coefficients")
-        self.degree = f.homogeneous_degree() or 0
         self.terms = tuple(
             (c, tuple(i for i, e in enumerate(exp) for _ in range(e)))
             for exp, c in f.terms.items()
         )
+        degrees = {len(idx) for _, idx in self.terms} or {0}
+        self.degree = degrees.pop() if len(degrees) == 1 else None
 
     def value(self, x):
         total = 0
@@ -211,7 +214,10 @@ class CompiledForm:
         """The coefficients c_0..c_d, c_i that of t^i u^(d-i), of the form
         on t P + u Q for integer rows P and Q.  The combined values are
         divided by the common denominator with `divmod`; a remainder
-        (rows that are not integers) raises HmsError."""
+        (rows that are not integers) raises HmsError, as does a
+        polynomial that is not homogeneous."""
+        if self.degree is None:
+            raise HmsError("restrict needs a homogeneous form")
         nodes, den, matrix = _interpolation(self.degree)
         values = [self.value(Q)]
         values += [self.value([p + k * q for p, q in zip(P, Q)]) for k in nodes]

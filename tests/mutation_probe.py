@@ -109,12 +109,12 @@ MUTANTS = [
     ("section precision written at FIRST_PRECISION", "src/hmslines/search.py",
      '"precision": K,',
      '"precision": k,'),
-    ("labc kernel without the b^2 shift", "src/hmslines/search.py",
-     "step = b * b",
-     "step = 0"),
-    ("labc kernel without the e^i factor", "src/hmslines/search.py",
-     "pe[i] * sum(coeff",
-     "sum(coeff"),
+    ("labc kernel basis without its b^2 Q term", "src/hmslines/search.py",
+     "e * p + b * b * q",
+     "e * p"),
+    ("labc kernel basis without its factor e", "src/hmslines/search.py",
+     "e * p + b * b * q",
+     "p + b * b * q"),
 ]
 
 

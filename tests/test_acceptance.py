@@ -233,7 +233,7 @@ def test_gate_6_local_certificates():
         roots = sorted(
             (t.coeffs[0], u.coeffs[0])
             for blk in rep.blocks
-            for t, u in block_roots(rep, blk, rep.prec)
+            for t, u in block_roots(rep, blk, 8)
         )
         assert roots == [(0, 1), (1, 1), (2, 1), (3, 1)]
 

@@ -245,7 +245,7 @@ def test_chart_outcomes_are_pinned():
     # lines that pass
     text = "\n".join(_chart_outcomes())
     assert sha256(text.encode()).hexdigest() == (
-        "673c442418ceff6713796d0cf2506f19770cc65d1dcfd2064ac80fb70bedce14"
+        "afe8ba46ce33688fed680d9b634e0153e28cc71d68501e1e00eef4a558e11720"
     )
 
 

@@ -22,10 +22,12 @@ from hmslines.errors import (
 )
 from hmslines.hensel import hensel_factor_quartic
 from hmslines.lines import Line, TangentConeChart, labc_line, quartic_of_line
+from hmslines.mpoly import SparsePoly
 from hmslines.padics import UnramifiedRing, pmod
 from hmslines.quartics import integer_model
 from hmslines.scalars import valuation_of_rational
 from hmslines.serialize import frac_str
+from hmslines.surface import CompiledForm
 from hmslines.search import (
     CERTIFICATE_SCHEMA,
     _candidate_params,
@@ -654,7 +656,7 @@ def test_labc_kernel_giving_the_zero_quartic_counts_degenerate(monkeypatch):
     # is counted degenerate, and none is restricted by quartic_of_line
     cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
     model = build_model(cfg)
-    line_chart(cfg, model).kernel = ((),) * 5
+    line_chart(cfg, model).kernel = (CompiledForm(SparsePoly.zero(3)),) * 5
     monkeypatch.setattr(search, "build_model", lambda config: model)
     restricted = _count_calls(monkeypatch, "quartic_of_line")
     with pytest.raises(SearchExhausted) as info:
@@ -683,7 +685,7 @@ def test_char3_search_calls_labc_line_once_per_candidate(monkeypatch):
     chart = line_chart(cfg, model)
     assert line_chart(cfg, model) is chart
     assert chart.contained
-    assert [len(f) for f in chart.kernel] == [7, 9, 8, 9, 7]
+    assert [len(g.terms) for g in chart.kernel] == [7, 11, 8, 11, 7]
     assert list(model.charts) == ["labc"]
 
 

@@ -154,6 +154,16 @@ def test_compiled_form_refuses_what_is_not_integral():
         CompiledForm(SparsePoly(2, {(2, 0): F(1, 2)}))
 
 
+def test_compiled_polynomial_is_evaluated_but_not_restricted():
+    # x0^2 - 3 x1 + 5 is no form: its value is exact, at ints and at
+    # Fractions, and it has no restriction to a line
+    poly = CompiledForm(SparsePoly(2, {(2, 0): 1, (0, 1): -3, (0, 0): 5}))
+    assert poly.value((4, 7)) == 0
+    assert poly.value((F(1, 2), F(2, 3))) == F(13, 4)
+    with pytest.raises(HmsError, match="homogeneous"):
+        poly.restrict((1, 0), (0, 1))
+
+
 def test_rationality_validator_rejects_unbalanced_matrix():
     omega = [list(row) for row in ZERO]
     omega[0][0] = 1
