@@ -6,9 +6,9 @@ rational charts produce such lines:
 
 * `TangentConeChart` works on any model.  At a smooth rational point
   the quadric cut by its tangent hyperplane is a cone over a conic whose
-  points are the ruling directions, reached by one chord rule written in
-  ambient coordinates.  A ruling at the seed, a step along it and a
-  ruling there parametrize a three-dimensional family by (a, b, c).
+  points are the ruling directions, reached by one chord rule: a binary
+  quadratic map, kept per ruling.  A ruling at the seed, a step along it
+  and a ruling there parametrize a three-dimensional family by (a, b, c).
   The seed's conic point comes from a height scan alone
   (`rational_conic_point`), which fails with `HmsError`.
 
@@ -215,26 +215,35 @@ class _ConeFrame:
             raise DegenerateLineError("direction is proportional to the vertex")
         return coords
 
-    def chord_point(self, w, r, s):
-        """The point at [r : s] of the chord rule through the ruling w:
-        y = q2(E) w - B(w, E) E for E = -r U_j1 + s U_j2 (`_chord_indices`
-        of w's frame coordinates), the conic's second point on the chord
-        from w along E modulo x.  Projective, so it runs on integers."""
+    def chord_map(self, w):
+        """The chord rule through the ruling w as a binary quadratic map
+        (A, B, C), whose `chord_at` [r : s] is r^2 A + r s B + s^2 C: the
+        conic's second point y = (E G E) W - 2 (G W . E) E on the chord
+        from W = w made primitive along E = s U2 - r U1 modulo x, with
+        U1, U2 = U_j1, U_j2 (`_chord_indices` of w's frame coordinates).
+        With gij = Ui G Uj and bi = G W . Ui, E G E = r^2 g11 - 2 r s g12
+        + s^2 g22 and G W . E = s b2 - r b1; collecting r^2, r s and s^2,
+            A = g11 W - 2 b1 U1,  B = 2 b2 U1 + 2 b1 U2 - 2 g12 W,
+            C = g22 W - 2 b2 U2,  all integers.
+        For E made primitive, of content g, y is this sum over g^2 > 0,
+        which no user sees: directions are made primitive, lines
+        echelon, and chord parameters are projective."""
         _, j1, j2 = _chord_indices(self.project(w))
-        W = primitive_integers(w)
-        E = primitive_integers([s * v - r * u for u, v in zip(self.U[j1], self.U[j2])])
-        GW, GE = ([_dot(row, v) for row in self._gram] for v in (W, E))
+        W, U1, U2 = primitive_integers(w), self.U[j1], self.U[j2]
+        GW, GU1, GU2 = ([_dot(row, v) for row in self._gram] for v in (W, U1, U2))
         if _dot(GW, W) != 0:
             raise HmsError("chord base is not on the cone")
-        qe, be = _dot(GE, E), 2 * _dot(GW, E)
-        y = [qe * wc - be * ec for wc, ec in zip(W, E)]
-        if not any(y):
-            raise DegenerateLineError("chord parametrization collapsed")
-        return y
+        g11, g12, g22 = _dot(U1, GU1), _dot(U1, GU2), _dot(U2, GU2)
+        b1, b2 = _dot(GW, U1), _dot(GW, U2)
+        return (
+            [g11 * c - 2 * b1 * u for c, u in zip(W, U1)],
+            [2 * (b2 * u + b1 * v) - 2 * g12 * c for c, u, v in zip(W, U1, U2)],
+            [g22 * c - 2 * b2 * v for c, v in zip(W, U2)],
+        )
 
     @staticmethod
     def chord_parameter(c0, z):
-        """Inverse of `chord_point` up to scale, on the frame coordinates
+        """Inverse of `chord_at` up to scale, on the frame coordinates
         c0 of the base ruling and z of the chord point, each up to scale."""
         i, j1, j2 = _chord_indices(c0)
         r, s = z[i] * c0[j1] - c0[i] * z[j1], c0[i] * z[j2] - z[i] * c0[j2]
@@ -250,6 +259,14 @@ class _ConeFrame:
         if r == 0 and s == 0:
             raise HmsError("base point is singular on the conic")
         return r, s
+
+
+def chord_at(chord, r, s):
+    """r^2 A + r s B + s^2 C, the point at [r : s] of a chord map (A, B, C)."""
+    y = [r * r * a + r * s * b + s * s * c for a, b, c in zip(*chord)]
+    if not any(y):
+        raise DegenerateLineError("chord parametrization collapsed")
+    return y
 
 
 def rational_conic_point(conic, height: int = 24):
@@ -291,10 +308,11 @@ class TangentConeChart:
         self.conic = [[_dot(u, gv) for gv in GU] for u in U]
         self.c0 = rational_conic_point(self.conic, 24)
         self.w0 = [_dot(self.c0, col) for col in zip(*U)]
+        self.chord0 = self.frame0.chord_map(self.w0)
+        self._rulings = {}
 
     def direction(self, a):
-        y = self.frame0.chord_point(self.w0, a.numerator, a.denominator)
-        return primitive_vector(y)
+        return primitive_vector(chord_at(self.chord0, a.numerator, a.denominator))
 
     def _walk(self, w, b):
         """An integer multiple of the point seed + b * w, and its frame."""
@@ -304,9 +322,14 @@ class TangentConeChart:
         return x1, _ConeFrame(x1, self.model)
 
     def line_at(self, a, b, c) -> Line:
-        w = self.direction(a)
-        x1, frame = self._walk(w, b)
-        return Line([x1, frame.chord_point(w, c.numerator, c.denominator)])
+        """The line at (a, b, c); x' and its chord map through w_a are
+        kept per ruling (a, b), so a ruling met again costs one `chord_at`."""
+        if (a, b) not in self._rulings:
+            w = self.direction(a)
+            x1, frame = self._walk(w, b)
+            self._rulings[a, b] = x1, frame.chord_map(w)
+        x1, chord = self._rulings[a, b]
+        return Line([x1, chord_at(chord, c.numerator, c.denominator)])
 
     def params_of(self, line: Line):
         """Chart coordinates of a line in the quadric pencil.
@@ -361,10 +384,10 @@ class TangentConeChart:
         """Frame coordinates of a seed ruling other than `other`, joined
         to it by a chord: inverting a line through the seed, it plays the
         a-ruling, and `other` becomes its chord parameter c."""
-        z = self.frame0.project(other)
+        z, chord = self.frame0.project(other), self.frame0.chord_map(other)
         for r0, s0 in ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 0), (1, 2), (3, 1)):
             try:
-                cand = self.frame0.project(self.frame0.chord_point(other, r0, s0))
+                cand = self.frame0.project(chord_at(chord, r0, s0))
             except DegenerateLineError:
                 continue
             if _minor_at(cand, z):

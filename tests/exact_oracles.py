@@ -20,6 +20,9 @@ cannot reach the oracle that checks it:
   factorization of the primitive quartic mod p by trial division
   (`factor_shape_mod_p`), and its point count against its unramified
   blocks.
+* `chord_rule`: the tangent-cone chord rule on plain int lists, the
+  conic's second point on the chord from a ruling W along a frame
+  vector E, each made primitive, y = (E G E) W - 2 (G W . E) E.
 
 The discriminant, the p-adic valuation and the square test are those of
 the benchmark's checker, `bench/oracles.py`, which is stdlib-only too.
@@ -28,7 +31,7 @@ the benchmark's checker, `bench/oracles.py`, which is stdlib-only too.
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,6 +52,26 @@ def sigmas(xs):
 def sigma_exponents(k, n=6):
     """The monomials of sigma_k in n variables, as {exponent tuple: 1}."""
     return {tuple(int(i in c) for i in range(n)): 1 for c in combinations(range(n), k)}
+
+
+def chord_rule(gram, w, u1, u2, r, s):
+    """The point at [r : s] of the chord rule through the ruling w, for
+    the doubled Gram matrix `gram` of q2 and the frame vectors u1, u2
+    that the chord runs along: W is w and E is s u2 - r u1, each divided
+    by its content, and the point is (E G E) W - 2 (G W . E) E."""
+
+    def primitive(v):
+        content = gcd(*v)
+        return [x // content for x in v]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    W = primitive(w)
+    E = primitive([s * y - r * x for x, y in zip(u1, u2)])
+    GW, GE = ([dot(row, v) for row in gram] for v in (W, E))
+    qe, be = dot(E, GE), 2 * dot(GW, E)
+    return [qe * wc - be * ec for wc, ec in zip(W, E)]
 
 
 class Ordinarity(NamedTuple):

@@ -115,6 +115,12 @@ MUTANTS = [
     ("labc kernel basis without its factor e", "src/hmslines/search.py",
      "e * p + b * b * q",
      "p + b * b * q"),
+    ("chord map's rs vector with g12 for 2 g12", "src/hmslines/lines.py",
+     "- 2 * g12 * c",
+     "- g12 * c"),
+    ("chord map's rs vector with b1 and b2 swapped", "src/hmslines/lines.py",
+     "2 * (b2 * u + b1 * v)",
+     "2 * (b1 * u + b2 * v)"),
 ]
 
 

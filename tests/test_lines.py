@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cache
 from hashlib import sha256
 from importlib import resources
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +21,7 @@ from hmslines.lines import (
     Line,
     TangentConeChart,
     char3_leading_profile,
+    chord_at,
     char3_quartic_display,
     cusp_proximity,
     in_quadrics,
@@ -51,7 +53,7 @@ from hmslines.surface import (
     twisted_equations,
 )
 
-from exact_oracles import sigma_exponents
+from exact_oracles import chord_rule, sigma_exponents
 
 F = Fraction
 
@@ -362,6 +364,45 @@ def test_chart_round_trip(a, b, c):
         assert chart.line_at(*chart.params_of(line)) == line
 
 
+def _near(centre, spread):
+    """Parameters within spread of centre, each an int where integral or
+    a Fraction either way, as the search and the certify path pass them."""
+    value = st.builds(lambda n, d: centre + F(n, d), st.integers(-spread, spread),
+                      st.sampled_from([1, 2, 3, 16]))
+    return value.flatmap(lambda v: st.sampled_from(
+        [v, int(v)] if v.denominator == 1 else [v]))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(_near(2, 4), st.one_of(st.just(0), _near(F(1, 16), 2))),
+             min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), _near(3, 6)), min_size=1, max_size=12),
+)
+def test_a_warm_chart_gives_what_a_fresh_chart_gives(rulings, picks):
+    # one long-lived chart keeps the chord map of each ruling (a, b) it
+    # meets; a fresh chart per candidate keeps nothing, and both must
+    # give the same line, or raise the same exception class
+    model = rho0_model()
+    warm = TangentConeChart(model, RHO0_SEED)
+    for k, c in picks:
+        a, b = rulings[k % len(rulings)]
+        outcomes = []
+        for chart in (warm, TangentConeChart(model, RHO0_SEED)):
+            try:
+                outcomes.append(chart.line_at(a, b, c))
+            except HmsError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        line = outcomes[0]
+        if not isinstance(line, Line):
+            continue
+        if b != 0:
+            assert warm.params_of(line) == (a, b, c)
+        else:
+            assert warm.line_at(*warm.params_of(line)) == line
+
+
 def test_chart_refuses_a_line_off_the_second_quadric():
     # the line lies in q1 only: where it meets the seed's polar hyperplane
     # is off the cone, so no step b along a seed ruling reaches it
@@ -555,12 +596,13 @@ def test_conic_point_and_chord_parametrization():
     # the tangent chord returns the base ruling itself, which has no
     # chord parameter
     tr, ts = frame.tangent_chord(chart.w0)
-    tangent = frame.project(frame.chord_point(chart.w0, tr, ts))
+    chord = frame.chord_map(chart.w0)
+    tangent = frame.project(chord_at(chord, tr, ts))
     assert len(rref([tangent, chart.c0])[1]) == 1
     rng = random.Random(3)
     for _ in range(12):
         r0, s0 = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 9))
-        y = frame.chord_point(chart.w0, r0, s0)
+        y = chord_at(chord, r0, s0)
         assert model.q1.evaluate(y) == 0 and model.q2.evaluate(y) == 0
         if r0 * ts == s0 * tr:
             with pytest.raises(HmsError):
@@ -568,6 +610,29 @@ def test_conic_point_and_chord_parametrization():
             continue
         r1, s1 = frame.chord_parameter(chart.c0, frame.project(y))
         assert r1 * s0 == s1 * r0
+
+
+def test_chord_map_is_a_positive_multiple_of_the_chord_rule():
+    # the binary quadratic map of each frame against the rule written
+    # with E made primitive (`exact_oracles.chord_rule`): the map's point
+    # is the rule's times g^2, g the content of s U_j2 - r U_j1, on the
+    # seed frame and three walked ones, at s = 0 and at the tangent chord
+    model = rho0_model()
+    chart = TangentConeChart(model, RHO0_SEED)
+    cases = [(chart.w0, chart.frame0)]
+    for a, b in ((F(2), F(1, 16)), (F(-3, 2), F(5)), (F(7), F(-2, 3))):
+        w = chart.direction(a)
+        cases.append((w, chart._walk(w, b)[1]))
+    for w, frame in cases:
+        _, j1, j2 = lines._chord_indices(frame.project(w))
+        u1, u2 = frame.U[j1], frame.U[j2]
+        chord = frame.chord_map(w)
+        for r, s in ((1, 0), (0, 1), (3, 2), (-5, 7), frame.tangent_chord(w)):
+            y = chord_at(chord, r, s)
+            rule = chord_rule(model.gram, w, u1, u2, r, s)
+            content = gcd(*(s * v - r * u for u, v in zip(u1, u2)))
+            assert y == [content**2 * x for x in rule]
+            assert any(rule)
 
 
 def demo_config(name, **overrides):

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hmslines import hensel, quartics, search
+from hmslines import hensel, lines, quartics, search
 from hmslines.errors import (
     ConfigError,
     DegenerateLineError,
@@ -687,6 +687,30 @@ def test_char3_search_calls_labc_line_once_per_candidate(monkeypatch):
     assert chart.contained
     assert [len(g.terms) for g in chart.kernel] == [7, 11, 8, 11, 7]
     assert list(model.charts) == ["labc"]
+
+
+def test_rho0_search_calls_line_at_once_per_candidate(monkeypatch):
+    # the benchmark counts the candidates of the rho0 harvest by the calls
+    # of TangentConeChart.line_at on the class, so line_at must not call
+    # itself; its 151 candidates meet only 29 rulings (a, b), and the
+    # chart builds one frame at the seed and one per ruling
+    calls, frames = [], []
+    line_at, frame_class = lines.TangentConeChart.line_at, lines._ConeFrame
+
+    def counting_line_at(*args):
+        calls.append(args[1:])
+        return line_at(*args)
+
+    def counting_frame(*args):
+        frames.append(args[0])
+        return frame_class(*args)
+
+    monkeypatch.setattr(lines.TangentConeChart, "line_at", counting_line_at)
+    monkeypatch.setattr(lines, "_ConeFrame", counting_frame)
+    assert len(find_lines(demo_config("rho0-demo.json"), max_results=20)) == 20
+    assert len(calls) == 151
+    assert len({(a, b) for a, b, _ in calls}) == 29
+    assert len(frames) == 30
 
 
 @cache
