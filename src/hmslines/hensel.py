@@ -27,8 +27,9 @@ Course in Computational Algebraic Number Theory, GTM 138, ch. 3).
 Each quartic and prime has one `HenselReport`, and its blocks are
 lifted only when a lift is read, at the precision asked for:
 `HenselReport.lift(K)` lifts them all in one call per K.  `block_roots`
-is the one place that reads the p-adic roots (t, u) of a block off its
-lift; `search` turns them into points.
+is the one place that reads the p-adic roots of a block off its lift,
+each one coordinate z and an orientation, [z : 1] or [1 : z]; `search`
+turns them into points.
 """
 
 from dataclasses import dataclass, field
@@ -508,26 +509,27 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
 
 
 def block_roots(report: HenselReport, blk: BlockReport, K: int):
-    """The p-adic roots (t, u) of one block of `report`, in the original
-    chart, read off the block's lift mod p^K (`report.lift(K)`), sum
-    c_i t^i u^(d-i).
+    """The p-adic roots of one block of `report`, in the original chart,
+    read off the block's lift sum c_i t^i u^(d-i) mod p^K
+    (`report.lift(K)`): each is (z, flipped), z in an `UnramifiedRing`,
+    the point [z : 1], or [1 : z] when flipped.
 
-    Both coordinates of a root lie in one `UnramifiedRing`:
-      * a simple linear block c1 t + c0 u has the root [-c0 : c1],
-        scaled so that u = 1, or t = 1 when c1 is not a unit;
-      * a simple block of residue degree d >= 2 has the root (x, 1),
-        x the generator of the degree-d ring of the block made monic
-        (an irreducible residue factor of degree >= 2 has no root at
-        [1:0], so the top coefficient is a unit);
-      * an unramified (linear)^2 block has the two roots
-        z = (-a1 + s p^(v/2)) / (2 a2), with (a0, a1, a2) its
-        coefficients in the order that makes a2 a unit, z = t/u (or
-        u/t when c2 is not a unit) and s^2 = w, the unit part of the
+    One rule orients every block: [z : 1] when the top coefficient c_d
+    is a p-unit, else the coefficients reversed (t and u swapped) and
+    [1 : z].  One end is a unit: mod p an unramified block is a unit
+    times g^m, g irreducible, and c_d, c_0 are its values at [1 : 0]
+    and [0 : 1]; a linear g vanishes at one point of P^1(F_p), and g of
+    degree >= 2 at none.  Then, with c_0..c_d so oriented:
+      * a simple linear block c1 z + c0 has the root z = -c0 / c1;
+      * a simple block of residue degree d >= 2 (never flipped) has the
+        root z = x, the generator of the degree-d ring of the block
+        made monic;
+      * an unramified (linear)^2 block a2 z^2 + a1 z + a0 has the roots
+        z = (-a1 + s p^(v/2)) / (2 a2), s^2 = w, the unit part of the
         discriminant of valuation v = `disc_valuation`, mod p^(K-v):
         s = +-sqrt(w), or the generator of the degree-2 ring
-        (Z/p^(K-v))[s]/(s^2 - w) when w is not a square; with
-        v >= K no digit of s is known, and PrecisionError asks for
-        precision v + 1.
+        (Z/p^(K-v))[s]/(s^2 - w) when w is not a square; with v >= K
+        no digit of s is known, and PrecisionError asks for v + 1.
     A ramified or inconclusive block has no roots here, and reads no lift.
     """
     p = report.p
@@ -542,20 +544,16 @@ def block_roots(report: HenselReport, blk: BlockReport, K: int):
             needed=v + 1,
         )
     coeffs = report.lift(K)[blk.index]
-    if blk.multiplicity == 1 and blk.degree == 1:
-        ring = UnramifiedRing(p, (0, 1), K)
-        t, u = -coeffs[0] % m, coeffs[1]
-        if u % p:
-            return [(ring.elt([t * pow(u, -1, m)]), ring.one())]
-        return [(ring.one(), ring.elt([u * pow(t, -1, m)]))]
+    flipped = coeffs[-1] % p == 0
+    if flipped:
+        coeffs = coeffs[::-1]
     if blk.multiplicity == 1:
         inv = pow(coeffs[-1], -1, m)
-        ring = UnramifiedRing(p, [c * inv % m for c in coeffs], K)
-        return [(ring.gen(), ring.one())]
-    # an unramified repeated block is a (linear)^2: one end of the
-    # square of a residue linear form is a unit
-    t_chart = coeffs[2] % p != 0
-    a0, a1, a2 = coeffs if t_chart else coeffs[::-1]
+        monic = [c * inv % m for c in coeffs]
+        if blk.degree == 1:
+            return [(UnramifiedRing(p, (0, 1), K).elt([-monic[0]]), flipped)]
+        return [(UnramifiedRing(p, monic, K).gen(), flipped)]
+    a0, a1, a2 = coeffs
     keff = K - v
     w = (a1 * a1 - 4 * a0 * a2) % m // p**v
     r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)
@@ -568,8 +566,4 @@ def block_roots(report: HenselReport, blk: BlockReport, K: int):
         ring = UnramifiedRing(p, [-w, 0, 1], keff)
         square_roots = [ring.gen()]
     inv_lead = ring.elt([pow(2 * a2, -1, ring.mod)])
-    roots = []
-    for s in square_roots:
-        z = (s * p ** (v // 2) - a1) * inv_lead
-        roots.append((z, ring.one()) if t_chart else (ring.one(), z))
-    return roots
+    return [((s * p ** (v // 2) - a1) * inv_lead, flipped) for s in square_roots]

@@ -171,12 +171,11 @@ class _ConeFrame:
     multiple of the point.  Basis vector k of V is Cramer's solution of
     [q1_row; G x] on the pivot columns: the pivot minor det at the k-th
     free column and 0 at the other free columns, one common factor det
-    for the whole basis.  The integer Gram matrix G of q2 and the row of
-    q1 are the model's `gram` and `q1_row`; polar is G x."""
+    for the whole basis.  gram (G) and q1_row are a model's integer Gram
+    matrix of q2 and row of q1 (`SurfaceModel`); polar is G x."""
 
-    def __init__(self, x, model: SurfaceModel):
-        self._gram = gram = model.gram
-        self._q1_row = q1_row = model.q1_row
+    def __init__(self, x, gram, q1_row):
+        self._gram, self._q1_row = gram, q1_row
         self.polar = [_dot(row, x) for row in gram]
         # q1(x) and B(x, x) = 2 q2(x) vanish exactly on both quadrics
         if not self._in_tangent_space(x):
@@ -295,16 +294,17 @@ class TangentConeChart:
     canonical preimage.  Both directions run on integer vectors and the
     model's integer Gram matrix G of q2 (`SurfaceModel.gram`); only the
     returned (a, b, c) are rationals.  The seed's conic is the integer
-    matrix U G U^T of its frame, formed once for c0."""
+    matrix U G U^T of its frame, formed once for c0.  The chart keeps G
+    and q1_row, not the model, which keeps the chart: no cycle."""
 
     kind = "tangent-cone"
 
     def __init__(self, model: SurfaceModel, seed):
-        self.model = model
+        self.gram, self.q1_row = model.gram, model.q1_row
         self.seed = list(primitive_vector(seed))
-        self.frame0 = _ConeFrame(self.seed, model)
+        self.frame0 = _ConeFrame(self.seed, self.gram, self.q1_row)
         U = self.frame0.U
-        GU = [[_dot(row, u) for row in model.gram] for u in U]
+        GU = [[_dot(row, u) for row in self.gram] for u in U]
         self.conic = [[_dot(u, gv) for gv in GU] for u in U]
         self.c0 = rational_conic_point(self.conic, 24)
         self.w0 = [_dot(self.c0, col) for col in zip(*U)]
@@ -319,7 +319,7 @@ class TangentConeChart:
         if b == 0:
             return self.seed, self.frame0
         x1 = [b.denominator * xi + b.numerator * wi for xi, wi in zip(self.seed, w)]
-        return x1, _ConeFrame(x1, self.model)
+        return x1, _ConeFrame(x1, self.gram, self.q1_row)
 
     def line_at(self, a, b, c) -> Line:
         """The line at (a, b, c); x' and its chord map through w_a are

@@ -22,11 +22,11 @@ which one symbolic restriction builds per model (`_LabcChart`); a
 candidate the gates reject gets no Fraction coefficient.
 
 The roots of a Hensel block come from `hensel.block_roots`; this module
-owns the points: `intersection_points` keeps each root (t, u), in the
-root's `UnramifiedRing`, as the point t * ints[0] + u * ints[1] on the
-line's integer basis (`LocalPoint`).  The 5-adic invariants restrict
-sigma_3, sigma_5 and sigma_6 to that basis once per line (`_SpanForms`)
-and evaluate the binary forms at each (t, u); only the cusp report
+owns the points: `intersection_points` keeps each root, z in its
+`UnramifiedRing`, as the point [z : 1] or [1 : z] on the line's integer
+basis (`LocalPoint`).  The 5-adic invariants restrict sigma_3, sigma_5
+and sigma_6 to that basis once per line (`_SpanForms`) and evaluate
+each form at a point by one Horner pass in z; only the cusp report
 forms the six coordinates.  Every valuation is a `UElt.valuation`.
 
 The local sections are decided at a low precision first: `_Sections`
@@ -275,26 +275,28 @@ def _candidate_params(reps, modulus, height_bound):
 @dataclass
 class LocalPoint:
     """One p-adic intersection point of a line with the degree-8 locus:
-    [t : u] in the parametrization of `quartic_of_line`, the point
-    t * ints[0] + u * ints[1] on the line's integer basis.
+    [z : 1] in the parametrization of `quartic_of_line`, or [1 : z] when
+    `flipped`, on the line's integer basis `ints`.
 
-    t and u are elements of one `UnramifiedRing`, which carries p and
-    the precision K.  A degree-1 ring, Z/p^K, holds a rational point; a
+    z is an element of an `UnramifiedRing`, which carries p and the
+    precision K.  A degree-1 ring, Z/p^K, holds a rational point; a
     ring of degree d holds a point standing for d Galois-conjugate
     geometric points.
     """
 
     block: int
-    t: UElt
-    u: UElt
+    z: UElt
+    flipped: bool
 
     @property
     def ring(self) -> UnramifiedRing:
-        return self.t.ring
+        return self.z.ring
 
     def coordinates(self, rows) -> tuple:
-        """The six coordinates t * rows[0] + u * rows[1] in the point's ring."""
-        return tuple(self.t * a + self.u * b for a, b in zip(*rows))
+        """The six coordinates z * rows[0] + rows[1] in the point's ring,
+        or rows[0] + z * rows[1] when flipped."""
+        scaled, fixed = rows[::-1] if self.flipped else rows
+        return tuple(self.z * a + b for a, b in zip(scaled, fixed))
 
 
 def intersection_points(report, K):
@@ -307,22 +309,13 @@ def intersection_points(report, K):
     pinned down at this precision).
     """
     return [
-        LocalPoint(idx, t, u)
+        LocalPoint(idx, z, flipped)
         for idx, blk in enumerate(report.blocks)
-        for t, u in block_roots(report, blk, K)
+        for z, flipped in block_roots(report, blk, K)
     ]
 
 
 # -- local invariants at an intersection point ----------------------------
-
-
-def _binary_value(coeffs, t, upows):
-    """sum c_i t^i u^(n-i) of coeffs c_0..c_n by homogeneous Horner,
-    with upows[k] = u^k."""
-    acc = upows[0] * coeffs[-1]
-    for k, c in enumerate(reversed(coeffs[:-1]), 1):
-        acc = acc * t + upows[k] * c
-    return acc
 
 
 class _SpanForms:
@@ -332,9 +325,9 @@ class _SpanForms:
     sigma_3, sigma_5 and D.
 
     `coeffs` holds each restriction as its coefficients c_0..c_n of
-    t^i u^(n-i).  Z -> Z/p^K is a ring map, so a restricted form at
-    (t, u) in a ring is the form at the coordinates t * rows[0] +
-    u * rows[1] there.  sigma_k = scales[k] * f_k, and D =
+    t^i u^(n-i).  Z -> Z/p^K is a ring map, so a restricted form at a
+    point's [t : u] in its ring is the form at the point's
+    `coordinates` there.  sigma_k = scales[k] * f_k, and D =
     s3^2 f3^2 - 4 s6 f6 is p^v_shift times the integral bracket
     a f3^2 - b f6 over a p-unit.
     """
@@ -352,12 +345,19 @@ class _SpanForms:
         unit = c3.denominator * c6.denominator
         self.a, self.b = int(c3 * unit), int(c6 * unit)
 
-    def values(self, t, u):
-        """f3, f5 and f6 at t * rows[0] + u * rows[1], in the ring of t, u."""
-        upows = [t.ring.one()]
-        for _ in range(6):  # u^6 for the sextic
-            upows.append(upows[-1] * u)
-        return tuple(_binary_value(c, t, upows) for c in self.coeffs)
+    def values(self, pt: LocalPoint):
+        """f3, f5 and f6 at the point, in its ring: one Horner pass in z
+        from the coefficient of z^n, which is c_n at [z : 1] and c_0 at
+        [1 : z]."""
+        z = pt.z
+        out = []
+        for coeffs in self.coeffs:
+            top, *rest = coeffs if pt.flipped else coeffs[::-1]
+            acc = z.ring.elt([top])
+            for c in rest:
+                acc = acc * z + c
+            out.append(acc)
+        return tuple(out)
 
 
 def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
@@ -371,7 +371,7 @@ def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
     are `ordinary` and `curve_V_avoided` when they depend on it.
     """
     ring = pt.ring
-    f3, f5, f6 = forms.values(pt.t, pt.u)
+    f3, f5, f6 = forms.values(pt)
 
     def val_of(shift, value):
         """shift + v(value), None when v(value) is not determined."""

@@ -103,6 +103,12 @@ MUTANTS = [
     ("unread (linear)^2 valuation v, not v_p(D) - v", "src/hmslines/hensel.py",
      "split_p_power(disc, p)[0] - sum(valuations.values())",
      "sum(valuations.values())"),
+    ("block roots always read as [z : 1]", "src/hmslines/hensel.py",
+     "flipped = coeffs[-1] % p == 0",
+     "flipped = False"),
+    ("forms at a flipped point not reversed", "src/hmslines/search.py",
+     "top, *rest = coeffs if pt.flipped else coeffs[::-1]",
+     "top, *rest = coeffs[::-1]"),
     ("undetermined point not rebuilt", "src/hmslines/search.py",
      'None in (entry["v_sigma3"], entry["v_sigma5"], entry["v_D"])',
      "False"),

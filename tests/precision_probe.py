@@ -39,7 +39,7 @@ def certificate_entry(model, coords, p, prec):
     """
     ring = UnramifiedRing(p, (0, 1), prec)
     forms = _SpanForms(model, (primitive_integers(coords), (0,) * 6), p)
-    return _point_invariants(forms, LocalPoint(0, ring.one(), ring.zero()))
+    return _point_invariants(forms, LocalPoint(0, ring.zero(), True))
 
 
 def certificate_violations(entries, oracle, coords, low, high):

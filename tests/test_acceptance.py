@@ -231,11 +231,11 @@ def test_gate_6_local_certificates():
         assert rep.squarefree_mod_p is True
         assert tuple(rep.residue_degrees) == (1, 1, 1, 1)
         roots = sorted(
-            (t.coeffs[0], u.coeffs[0])
+            (z.coeffs[0], flipped)
             for blk in rep.blocks
-            for t, u in block_roots(rep, blk, 8)
+            for z, flipped in block_roots(rep, blk, 8)
         )
-        assert roots == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        assert roots == [(0, False), (1, False), (2, False), (3, False)]
 
         # (t^2 - 18 u^2)(t^2 - 2 u^2): even disc valuation, unramified at 3
         rep = hensel_factor_quartic(BinaryQuartic([36, 0, -20, 0, 1]), 3, 8)

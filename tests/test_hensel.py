@@ -225,12 +225,15 @@ def _binary_value(coeffs, t, u):
 
 
 def _assert_roots_satisfy(ints, rep, prec):
-    """Every root (t, u) of `block_roots` is a zero of the quartic with
-    integer coefficients ints in the root's ring, and an unramified
-    block has as many geometric roots as its degree, unless it is a
-    (linear)^2 whose discriminant valuation v leaves no digit of its
-    roots at the report's precision prec, which raises with precision
-    v + 1.  Returns the (block degree, ring degree, multiplicity) kinds seen."""
+    """Every root (z, flipped) of `block_roots`, the point [z : 1] or
+    [1 : z], is a zero of the quartic with integer coefficients ints in
+    the root's ring, flipped exactly when the top coefficient of the
+    block's lift mod p^prec is divisible by p, and never for a simple
+    block of residue degree >= 2.  An unramified block has as many
+    geometric roots as its degree, unless it is a (linear)^2 whose
+    discriminant valuation v leaves no digit of its roots at the
+    report's precision prec, which raises with precision v + 1.
+    Returns the (block degree, ring degree, multiplicity) kinds seen."""
     kinds = set()
     for blk in rep.blocks:
         v = blk.disc_valuation
@@ -240,12 +243,15 @@ def _assert_roots_satisfy(ints, rep, prec):
             assert exc.value.needed == v + 1
             continue
         roots = block_roots(rep, blk, prec)
-        for t, u in roots:
-            assert u.ring is t.ring
-            assert _binary_value(ints, t, u) == t.ring.zero()
-            kinds.add((blk.degree, t.ring.deg, blk.multiplicity))
+        for z, flipped in roots:
+            assert flipped == (rep.lift(prec)[blk.index][-1] % rep.p == 0)
+            assert not (flipped and blk.multiplicity == 1 and blk.residue_degree >= 2)
+            one = z.ring.one()
+            t, u = (one, z) if flipped else (z, one)
+            assert _binary_value(ints, t, u) == z.ring.zero()
+            kinds.add((blk.degree, z.ring.deg, blk.multiplicity))
         if blk.verdict == "unramified":
-            assert sum(t.ring.deg for t, _ in roots) == blk.degree
+            assert sum(z.ring.deg for z, _ in roots) == blk.degree
     return kinds
 
 

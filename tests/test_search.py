@@ -1,6 +1,8 @@
 """Congruence search, certificates, and intersection-point extraction."""
+import gc
 import json
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -536,7 +538,7 @@ def test_a_double_root_beyond_the_precision_passes_the_gate_and_asks_for_more(
         report = hensel_factor_quartic(quartic_of_line(line, model), 3, 7)
         (double,) = [b for b in report.blocks if b.multiplicity > 1]
         roots = hensel.block_roots(report, double, 7)
-        assert [t.ring.K for t, _ in roots] == [1, 1]
+        assert [z.ring.K for z, _ in roots] == [1, 1]
     assert min(ring_precisions) >= 1
 
 
@@ -840,7 +842,7 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
     # the certificate path: the point is [1 : 0] on a span whose first
     # row is the point
     ring = UnramifiedRing(3, (0, 1), K)
-    local = search.LocalPoint(0, ring.one(), ring.zero())
+    local = search.LocalPoint(0, ring.zero(), True)
     try:
         report = search._cusp_report((point, (0,) * 6), [local], K)
     except PrecisionError as exc:
@@ -920,14 +922,16 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
     for pt in points:
         ring = pt.ring
         assert ring.p == p and ring.K <= K
-        assert pt.t.ring is ring and pt.u.ring is ring
-        coords = [pt.t * a + pt.u * b for a, b in zip(*line.ints)]
+        # [z : 1], or [1 : z] when flipped
+        t, u = (ring.one(), pt.z) if pt.flipped else (pt.z, ring.one())
+        coords = [t * a + u * b for a, b in zip(*line.ints)]
+        assert pt.coordinates(line.ints) == tuple(coords)
         # valuation at least ring.K: zero mod p^K
         for k in (1, 2, 4):
             value = model.forms[k].evaluate(coords)
             assert value.valuation() is None
-        # the restricted forms at (t, u) are the forms at the coordinates
-        restricted = forms.values(pt.t, pt.u)
+        # the restricted forms at the point are the forms at the coordinates
+        restricted = forms.values(pt)
         assert restricted == tuple(model.forms[k].evaluate(coords) for k in (3, 5, 6))
 
 
@@ -973,6 +977,26 @@ def test_derive_chart_params_edge_results():
     char3 = demo_config("char3-demo.json")
     stranger = Line([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)])
     assert derive_chart_params(stranger, char3, build_model(char3)) == ("labc", None)
+
+
+@pytest.mark.parametrize(
+    "name, params", [("rho0-demo.json", (2, F(1, 16), 3)), ("char3-demo.json", (3, 243, 243))]
+)
+def test_a_model_and_its_chart_are_freed_by_reference_counting(name, params):
+    # the chart a model keeps does not keep the model: with the cyclic
+    # collector off, the model goes with its last reference
+    cfg = demo_config(name)
+    model = build_model(cfg)
+    line_chart(cfg, model).line_at(*params)
+    ref = weakref.ref(model)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _certificate_at(name, line, model, precision):
