@@ -300,6 +300,12 @@ class BlockReport:
     come from the residue factorization and the exact discriminant,
     except that two (linear)^2 blocks read their discriminants off a
     lift.  index is the block's place in every `HenselReport.lift`.
+
+    residue_degree is the degree of the block's residue factor, 1 for a
+    (linear)^2 block.  It is not always the degree of the ring its roots
+    live in (`block_roots`): an unramified (linear)^2 block whose w, the
+    unit part of its discriminant, is not a square mod p has its two
+    roots in the degree-2 ring.
     """
 
     degree: int

@@ -23,7 +23,6 @@ six coordinates in one ring mod 3^K, from which the certificate's cusp
 section writes the distances.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -81,7 +80,9 @@ class Line:
     ints / den, is a view of it.  Two Line objects compare equal exactly
     when they are the same subspace.  The basis doubles as a
     parametrization: the point at [t : u] is t * rows[0] + u * rows[1],
-    and t * ints[0] + u * ints[1] is den times it.
+    and t * ints[0] + u * ints[1] is den times it, so a form of degree d
+    restricted on `ints` (as `quartic_of_line` does) is den^d times the
+    form restricted on `rows`.
     """
 
     def __init__(self, basis):
@@ -133,23 +134,20 @@ def in_quadrics(line: Line, model: SurfaceModel) -> bool:
 
 
 def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
-    """The binary quartic cutting out line-meets-(q4 = 0).
+    """The binary quartic cutting out line-meets-(q4 = 0), on the line's
+    integer basis.
 
     The line must lie in both quadric equations of the model
     (`in_quadrics`); its four intersection points with the degree-8
     surface are the roots of the returned form in the parametrization
-    [t : u] -> t * rows[0] + u * rows[1].
-
-    The work runs on integers: the model's compiled q4 is restricted on
-    the basis `line.ints`, which is den times the rows, so the
-    coefficient n_i of t^i u^(4-i) is rescaled exactly to n_i / den^4
-    (a zero coefficient stays the int 0, as from `restrict_to_span`).
+    [t : u] -> t * ints[0] + u * ints[1].  The model's compiled q4 is
+    restricted on `line.ints`, so the coefficients are ints: den^4 times
+    those of the quartic on `line.rows`, a positive factor that moves no
+    root, no sign and no primitive integer model.
     """
     if not in_quadrics(line, model):
         raise NotOnSurfaceError("line does not lie in the quadric part of the model")
-    d4 = line.den**4
-    coeffs = model.compiled[4].restrict(*line.ints)
-    return BinaryQuartic([Fraction(n, d4) if n else 0 for n in coeffs])
+    return BinaryQuartic(model.compiled[4].restrict(*line.ints))
 
 
 # -- tangent cone ------------------------------------------------------
@@ -452,51 +450,10 @@ def char3_quartic_display(lambda1, lambda2) -> SparsePoly:
     return model.forms[4] * (27 * model.scales[4])
 
 
-@dataclass(frozen=True)
-class Char3Profile:
-    """Coefficients of the labc-family quartic as polynomials in (a, b, c).
-
-    coeffs[i] multiplies x1^i x2^(4-i) in the restriction of the scaled
-    quartic to the line L_{a,b,c}."""
-
-    coeffs: tuple
-
-    def coefficient_valuations(self, alpha: int, beta: int, gamma: int):
-        """3-adic valuations of the five coefficients in the monomial
-        regime v(a) = alpha, v(b) = beta, v(c) = gamma.
-
-        Each coefficient valuation is certified only when a single
-        monomial strictly dominates; a tie raises HmsError."""
-        out = []
-        for k, poly in enumerate(self.coeffs):
-            if poly.is_zero:
-                out.append(None)
-                continue
-            best = None
-            tie = False
-            for exp, coeff in poly.terms.items():
-                v = (
-                    valuation_of_rational(coeff, 3)
-                    + alpha * exp[0]
-                    + beta * exp[1]
-                    + gamma * exp[2]
-                )
-                if best is None or v < best:
-                    best, tie = v, False
-                elif v == best:
-                    tie = True
-            if tie:
-                raise HmsError(
-                    f"coefficient {k}: two monomials share the minimal "
-                    f"valuation {best}; regime (alpha, beta, gamma) = "
-                    f"({alpha}, {beta}, {gamma}) is too small to separate them"
-                )
-            out.append(best)
-        return tuple(out)
-
-
-def char3_leading_profile(lambda1, lambda2) -> Char3Profile:
-    """Symbolic restriction of the scaled quartic to the labc family."""
+def char3_leading_profile(lambda1, lambda2) -> tuple:
+    """The five coefficients of the labc-family quartic as polynomials in
+    (a, b, c): the i-th multiplies x1^i x2^(4-i) in the restriction of
+    the scaled quartic (`char3_quartic_display`) to the line L_{a,b,c}."""
     r = labc_restriction(char3_quartic_display(lambda1, lambda2))
     coeffs = []
     for i in range(5):
@@ -504,7 +461,42 @@ def char3_leading_profile(lambda1, lambda2) -> Char3Profile:
         if not isinstance(poly, SparsePoly):
             poly = SparsePoly.constant(Fraction(poly), 3)
         coeffs.append(poly)
-    return Char3Profile(tuple(coeffs))
+    return tuple(coeffs)
+
+
+def coefficient_valuations(coeffs, alpha: int, beta: int, gamma: int):
+    """3-adic valuations of the polynomials coeffs in (a, b, c), such as
+    `char3_leading_profile`'s, in the monomial regime v(a) = alpha,
+    v(b) = beta, v(c) = gamma.
+
+    Each coefficient valuation is certified only when a single
+    monomial strictly dominates; a tie raises HmsError."""
+    out = []
+    for k, poly in enumerate(coeffs):
+        if poly.is_zero:
+            out.append(None)
+            continue
+        best = None
+        tie = False
+        for exp, coeff in poly.terms.items():
+            v = (
+                valuation_of_rational(coeff, 3)
+                + alpha * exp[0]
+                + beta * exp[1]
+                + gamma * exp[2]
+            )
+            if best is None or v < best:
+                best, tie = v, False
+            elif v == best:
+                tie = True
+        if tie:
+            raise HmsError(
+                f"coefficient {k}: two monomials share the minimal "
+                f"valuation {best}; regime (alpha, beta, gamma) = "
+                f"({alpha}, {beta}, {gamma}) is too small to separate them"
+            )
+        out.append(best)
+    return tuple(out)
 
 
 def parity_admissible(ord_b: int, ord_c: int, ord_lambda1: int, ord_lambda2: int) -> bool:

@@ -41,18 +41,19 @@ def _disc27(c0, c1, c2, c3, c4):
 class BinaryQuartic:
     """Homogeneous binary quartic; degenerate means identically zero.
 
-    `model`, when given, is the quartic's `integer_model`, from a
-    builder that has it already: `search._Sections.exact` scales a
-    quartic whose model it has read."""
+    The quartic of a line has int coefficients, on the line's integer
+    basis (`lines.quartic_of_line`, the labc kernel of `search`); the
+    coefficients may also be Fractions, or elements of a finite field.
+    `_model` keeps the `integer_model` once it is built."""
 
     __slots__ = ("coeffs", "_model")
 
-    def __init__(self, coeffs, model=None):
+    def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != 5:
             raise HmsError("need exactly 5 coefficients c0..c4")
         self.coeffs = coeffs
-        self._model = model
+        self._model = None
 
     @staticmethod
     def from_sparse(f: SparsePoly) -> "BinaryQuartic":

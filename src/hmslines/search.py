@@ -18,8 +18,10 @@ and its 5-adic forms are restricted by the model's compiled integer
 kernel (`SurfaceModel.compiled`), never by the ring-generic
 `mpoly.restrict_to_span`.  On the labc chart the search reads a
 candidate's quartic off five integer polynomials in (a, b, c) instead,
-which one symbolic restriction builds per model (`_LabcChart`); a
-candidate the gates reject gets no Fraction coefficient.
+which one symbolic restriction builds per model (`_LabcChart`).  On
+either chart the quartic is int coefficients and a positive scale (on
+the labc chart, for integral parameters), and a candidate the gates
+reject builds no Fraction coefficient.
 
 The roots of a Hensel block come from `hensel.block_roots`; this module
 owns the points: `intersection_points` keeps each root, z in its
@@ -369,6 +371,11 @@ def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
     representative of the projective point gives the same answer.  A
     valuation not determined at the point's precision is None, and so
     are `ordinary` and `curve_V_avoided` when they depend on it.
+
+    A point's `residue_degree` is the degree of the ring its root lives
+    in, not its block's (the degree of the block's residue factor): 2
+    for an unramified (linear)^2 block whose w, the unit part of its
+    discriminant, is not a square mod p, where the block records 1.
     """
     ring = pt.ring
     f3, f5, f6 = forms.values(pt)
@@ -557,15 +564,16 @@ class _Sections:
 
     Searching and certifying share these builders and the assembler
     `_certificate`, so a certificate has the same bytes whichever path
-    built it.  Construction takes the line's quartic up to a positive
-    scale, as `scaled` = (form, s) with the quartic on `line.rows` equal
-    to form / s (the labc kernel's, `_LabcChart.quartic_at`), or else
-    restricts it with `quartic_of_line`, and reads the sign of its
-    discriminant off the integer model; NotOnSurfaceError or
+    built it.  Construction takes the line's quartic as coefficients
+    with a positive scale s, the quartic on `line.rows` being the
+    quartic over s: the labc kernel's (G, e^4) (`_LabcChart.quartic_at`,
+    ints for integral parameters) as `scaled`, or else the ints of
+    `quartic_of_line` on `line.ints` with s = den^4.  It reads the sign
+    of the discriminant off the integer model; NotOnSurfaceError or
     DegenerateLineError means the line is not a generator of the model
-    at all.  Every gate and section but `quartic_section` reads only the
-    integer model, which the scale does not change, so the exact
-    coefficients are built only there (`exact`).
+    at all.  Every gate and section reads only the integer model, which
+    the scale does not change, and `quartic_section` alone divides by
+    s: no other builder forms a Fraction coefficient.
 
     Each Hensel report is built once, at the configured precision K.  A
     local section reads its points off the report's lift at min(K,
@@ -577,7 +585,7 @@ class _Sections:
     def __init__(
         self, line: Line, model: SurfaceModel, config: SearchConfig, scaled=None
     ):
-        quartic, self._scale = scaled or (quartic_of_line(line, model), 1)
+        quartic, self._scale = scaled or (quartic_of_line(line, model), line.den**4)
         if quartic.is_degenerate:
             raise DegenerateLineError("the line lies inside the degree-8 locus")
         self.line, self.model, self.config = line, model, config
@@ -592,23 +600,14 @@ class _Sections:
             self._built[key] = build()
         return self._built[key]
 
-    def exact(self) -> BinaryQuartic:
-        """The quartic on `line.rows`, with `quartic_of_line`'s values and
-        types: a Fraction, or the int 0 for a zero coefficient."""
-        return self._once(
-            "exact",
-            lambda: BinaryQuartic(
-                [Fraction(c, self._scale) if c else 0 for c in self.quartic.coeffs],
-                integer_model(self.quartic),
-            ),
-        )
-
     def quartic_section(self) -> dict:
-        exact = self.exact()
-        disc = exact.discriminant()
+        """The quartic on `line.rows`: each coefficient over the scale s,
+        and the discriminant, of degree 6, over s^6."""
+        scale = self._scale
+        disc = Fraction(self.quartic.discriminant(), scale**6)
         section = {
-            "coeffs": [frac_str(c) for c in exact.coeffs],
-            "primitive_coeffs": list(integer_model(exact)[0]),
+            "coeffs": [frac_str(Fraction(c, scale)) for c in self.quartic.coeffs],
+            "primitive_coeffs": list(integer_model(self.quartic)[0]),
             "discriminant": frac_str(disc),
         }
         if disc != 0:
@@ -801,7 +800,7 @@ class _LabcChart:
 
     def quartic_at(self, a, b, c):
         """(G, e^4), e = a - bc, with G the quartic whose quotient by e^4
-        is `quartic_of_line(labc_line(a, b, c), model)`, integral for
+        is the quartic on the rows of `labc_line(a, b, c)`, integral for
         integers a, b, c; None where the kernel does not apply: a = bc,
         or a model whose quadrics do not contain the family.
 

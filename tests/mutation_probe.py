@@ -121,6 +121,13 @@ MUTANTS = [
     ("labc kernel basis without its factor e", "src/hmslines/search.py",
      "e * p + b * b * q",
      "p + b * b * q"),
+    ("certificate coefficients not divided by the scale", "src/hmslines/search.py",
+     "frac_str(Fraction(c, scale))",
+     "frac_str(c)"),
+    ("certificate discriminant divided by scale^4 instead of scale^6",
+     "src/hmslines/search.py",
+     "scale**6",
+     "scale**4"),
     ("chord map's rs vector with g12 for 2 g12", "src/hmslines/lines.py",
      "- 2 * g12 * c",
      "- g12 * c"),

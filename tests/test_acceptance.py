@@ -17,6 +17,7 @@ from hmslines.lines import (
     Line,
     char3_leading_profile,
     char3_quartic_display,
+    coefficient_valuations,
     labc_line,
     parity_admissible,
     quartic_of_line,
@@ -190,7 +191,7 @@ def test_gate_4_char3_leading_profile():
     with gate("gate 4 char-3 profile and parity"):
         alpha, beta, gamma = 5, 40, 41
         profile = char3_leading_profile(1, 1)
-        v0, v1, v2, v3, v4 = profile.coefficient_valuations(alpha, beta, gamma)
+        v0, v1, v2, v3, v4 = coefficient_valuations(profile, alpha, beta, gamma)
         assert v4 == beta
         assert v3 == gamma
         assert v2 == 1 + 2 * alpha

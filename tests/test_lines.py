@@ -22,6 +22,7 @@ from hmslines.lines import (
     TangentConeChart,
     char3_leading_profile,
     chord_at,
+    coefficient_valuations,
     char3_quartic_display,
     cusp_proximity,
     in_quadrics,
@@ -181,7 +182,12 @@ def test_real_line_quartic():
     chart = TangentConeChart(model, RHO0_SEED)
     line = chart.line_at(F(2), F(1, 16), F(3))
     q = quartic_of_line(line, model)
-    assert q.coeffs == (F(-3993, 500), F(663, 125), F(1017, 50), F(39, 5), F(3, 4))
+    # the quartic on line.ints is den^4 times the published one on the rows
+    assert line.den == 20
+    assert all(type(c) is int for c in q.coeffs)
+    assert [F(c, line.den**4) for c in q.coeffs] == [
+        F(-3993, 500), F(663, 125), F(1017, 50), F(39, 5), F(3, 4)
+    ]
     assert real_root_count(q) == 4
 
 
@@ -253,7 +259,7 @@ def test_chart_outcomes_are_pinned():
 
 def test_quartic_of_line_matches_substitute_on_demo_charts():
     for model, line in demo_chart_lines():
-        want = BinaryQuartic.from_sparse(mpoly.restrict_to_span(model.q4, line.rows))
+        want = BinaryQuartic.from_sparse(mpoly.restrict_to_span(model.q4, line.ints))
         got = quartic_of_line(line, model)
         assert [(c, type(c)) for c in got.coeffs] == [(c, type(c)) for c in want.coeffs]
 
@@ -327,7 +333,9 @@ def test_restriction_commutes_with_evaluation():
         t = F(rng.randint(-9, 9), rng.randint(1, 4))
         u = F(rng.randint(-9, 9), rng.randint(1, 4))
         point = [t * x + u * y for x, y in zip(*line.rows)]
-        value = sum(c * t**i * u ** (4 - i) for i, c in enumerate(q.coeffs))
+        # q is on line.ints, den^4 times the quartic on the rows
+        coeffs = [F(c, line.den**4) for c in q.coeffs]
+        value = sum(c * t**i * u ** (4 - i) for i, c in enumerate(coeffs))
         assert value == model.q4.evaluate(point)
 
 
@@ -690,18 +698,18 @@ def test_char3_display_is_scaled_quartic():
 
 def test_char3_leading_profile_valuations():
     profile = char3_leading_profile(1, 1)
-    assert len(profile.coeffs) == 5
-    assert profile.coefficient_valuations(5, 40, 41) == (41, 40, 11, 41, 40)
+    assert len(profile) == 5
+    assert coefficient_valuations(profile, 5, 40, 41) == (41, 40, 11, 41, 40)
     # a nontrivial twist parameter shifts the two top coefficients by
     # exactly the valuation of lambda1^(-3)
     shifted = char3_leading_profile(3, 1)
-    assert shifted.coefficient_valuations(5, 40, 41) == (41, 40, 11, 38, 37)
+    assert coefficient_valuations(shifted, 5, 40, 41) == (41, 40, 11, 38, 37)
 
 
 def test_char3_profile_regime_must_separate():
     profile = char3_leading_profile(1, 1)
     with pytest.raises(HmsError, match="too small to separate them"):
-        profile.coefficient_valuations(0, 0, 0)
+        coefficient_valuations(profile, 0, 0, 0)
 
 
 def test_parity_admissible_rule():

@@ -606,6 +606,24 @@ def test_certify_line_builds_one_integer_model(monkeypatch, name, rows):
     cert = certify_line(Line(rows), model, cfg)
     assert cert.data["galois"] is not None
     assert len(built) == 1
+    # restricted on the line's integer basis: no Fraction is multiplied back
+    assert all(type(c) is int for c in built[0])
+
+
+def test_rho0_search_reaches_the_integer_model_with_ints(monkeypatch):
+    # every tangent-cone candidate's quartic is restricted on the line's
+    # integer basis: no Fraction coefficient is built to be multiplied
+    # back into the primitive integer model
+    handed = []
+    primitive = quartics.primitive_integers
+
+    def recording(values):
+        handed.extend(type(v) for v in values)
+        return primitive(values)
+
+    monkeypatch.setattr(quartics, "primitive_integers", recording)
+    assert len(find_lines(demo_config("rho0-demo.json"), max_results=20)) == 20
+    assert handed and set(handed) == {int}
 
 
 def test_gate_failures_build_no_galois_section(monkeypatch):
@@ -736,9 +754,9 @@ LABC_PARAM = st.one_of(
 @example(("1", "1"), F(3), F(243), F(243), False)
 @example(("3", "1/5"), 0, F(5, 3), 0, True)
 def test_labc_kernel_gives_the_quartic_of_the_line(lambdas, a, b, c, on_bc):
-    # the kernel's quartic on the line's rows is quartic_of_line's: the
-    # same exact coefficients, types included, integer model and
-    # discriminant; where a = bc it gives way to quartic_of_line
+    # the kernel's (G, e^4) and quartic_of_line's (q, den^4) are the same
+    # quartic on the line's rows: G den^4 = q e^4, with the same integer
+    # model and certificate section; where a = bc the kernel gives None
     if on_bc:
         a = b * c
     cfg, model = _char3_model(*lambdas)
@@ -751,13 +769,18 @@ def test_labc_kernel_gives_the_quartic_of_the_line(lambdas, a, b, c, on_bc):
         with pytest.raises(DegenerateLineError):
             search._Sections(line, model, cfg, scaled)
         return
+    if scaled is not None:
+        G, e4 = scaled
+        # integral for int parameters, as the search passes integral ones
+        assert all(type(x) is int for x in want.coeffs)
+        if all(type(x) is int for x in (a, b, c)):
+            assert all(type(x) is int for x in G.coeffs)
+        assert [g * line.den**4 for g in G.coeffs] == [q * e4 for q in want.coeffs]
+        assert integer_model(G) == integer_model(want)
     sections = search._Sections(line, model, cfg, scaled)
-    got = sections.exact()
-    assert [(type(x), x) for x in got.coeffs] == [(type(x), x) for x in want.coeffs]
-    assert integer_model(sections.quartic) == integer_model(got) == integer_model(want)
-    disc = want.discriminant()
-    assert (type(got.discriminant()), got.discriminant()) == (type(disc), disc)
-    assert sections.tangential == (disc == 0)
+    plain = search._Sections(line, model, cfg)
+    assert sections.quartic_section() == plain.quartic_section()
+    assert sections.tangential == plain.tangential == (want.discriminant() == 0)
 
 
 def test_only_lines_passing_the_gates_get_a_galois_section(monkeypatch):
@@ -933,6 +956,25 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         # the restricted forms at the point are the forms at the coordinates
         restricted = forms.values(pt)
         assert restricted == tuple(model.forms[k].evaluate(coords) for k in (3, 5, 6))
+
+
+def test_block_and_point_residue_degrees_of_an_inert_double_root():
+    # (t^2 - 50)(t^2 + t + 1) at 5: t^2 - 50 is an unramified (linear)^2
+    # block, v = 2 and w = 200 / 5^2 = 8, not a square mod 5.  The block
+    # records the degree 1 of its residue factor t^2; its one point lies
+    # in the degree-2 ring, which a point's residue_degree records, at
+    # precision K - v
+    report = hensel_factor_quartic(quartics.BinaryQuartic((-50, -50, -49, 1, 1)), 5, 12)
+    block = search._serialize_block(report.blocks[0])
+    assert block == {
+        "degree": 2,
+        "residue_degree": 1,
+        "multiplicity": 2,
+        "verdict": "unramified",
+        "disc_valuation": 2,
+    }
+    points = [pt for pt in intersection_points(report, 12) if pt.block == 0]
+    assert [(pt.ring.deg, pt.ring.K) for pt in points] == [(2, 10)]
 
 
 def test_derive_chart_params_edge_results():
