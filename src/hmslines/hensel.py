@@ -288,6 +288,34 @@ def factor_binary_quartic(q: BinaryQuartic):
     return factors
 
 
+def _pseudo_remainder(f, g):
+    """lc(g)^k f mod g over Z, k the number of division steps: each
+    step scales the dividend by lc(g) before it subtracts, so no step
+    leaves Z."""
+    f = list(f)
+    while len(f) >= len(g):
+        top, shift = f[-1], len(f) - len(g)
+        f = [c * g[-1] for c in f]
+        for i, b in enumerate(g):
+            f[i + shift] -= top * b
+        f = trim(f)
+    return f
+
+
+def binary_gcd(f, g):
+    """The gcd over Q of two integer binary forms (c_0..c_d of t^i
+    u^(d-i)), f nonzero and of degree at most g's, as a primitive binary
+    form with a positive top coefficient: u to the lesser of their
+    orders at [1:0], times the gcd of f(t, 1) and g(t, 1), by Euclid on
+    primitive pseudo-remainders (Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, ch. 3)."""
+    a, b = trim(f), trim(g)
+    at_infinity = min(len(f) - len(a), len(g) - len(b))
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _primitive(a) + [0] * at_infinity
+
+
 # -- local analysis of a quartic over Q_p --------------------------------
 
 
@@ -357,6 +385,35 @@ class HenselReport:
             tuple(compose_binary(B, self.inverse_chart, p**K)) for B in blocks
         ]
         return self._lifts[K]
+
+    def roots_reducing_into(self, g, blk) -> int:
+        """How many roots of g, a primitive integer binary form (c_0..c_d
+        of t^i u^(d-i)), counted with multiplicity, reduce mod p to a
+        root of the residue factor r of the block `blk`: deg(r) times
+        the multiplicity of r in g mod p, both taken as binary forms, so
+        that a root at [1:0] and a top coefficient divisible by p count.
+
+        Over the integers of a splitting field a primitive g is a unit
+        times linear forms b t - a u with (a, b) primitive, and g mod p
+        is the product of their reductions, each vanishing at its own
+        root's reduction.  r is irreducible over F_p, so each of its
+        deg(r) roots is the reduction of mult_r(g mod p) roots of g.
+        The roots of the quartic that reduce to roots of r are exactly
+        those of the block, whose other blocks are coprime to r mod p.
+        """
+        p = self.p
+        part = self.parts[blk.index][0] if blk.index < len(self.parts) else (1, 0)
+        r = compose_binary(part, self.inverse_chart, p)
+        affine_r, affine_g = trim(r), pmod(g, p)
+        if len(affine_r) < len(r):
+            # r is a unit times u: the order of g mod p at [1:0]
+            return len(g) - len(affine_g)
+        mult = 0
+        quotient, rest = pdivmod(affine_g, affine_r, p)
+        while not rest:
+            affine_g, mult = quotient, mult + 1
+            quotient, rest = pdivmod(affine_g, affine_r, p)
+        return (len(r) - 1) * mult
 
 
 def compose_binary(coeffs, mat, modulus=None):

@@ -28,6 +28,7 @@ valuation is below K and is the true one.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import HmsError
 from .scalars import split_p_power
@@ -52,13 +53,11 @@ def pmod(f, p):
 
 
 def padd(f, g, p):
-    return psub(f, [-c for c in g], p)
+    return trim([(a + b) % p for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def psub(f, g, p):
-    n = max(len(f), len(g))
-    return trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-                 for i in range(n)])
+    return trim([(a - b) % p for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def pmul(f, g, p):
@@ -223,7 +222,14 @@ class UElt:
             return self.ring.from_rational(x)
         return None
 
+    def _shift(self, c):
+        """self + c for an int c: only the constant coordinate moves."""
+        coeffs = self.coeffs
+        return UElt(self.ring, ((coeffs[0] + c) % self.ring.mod,) + coeffs[1:])
+
     def __add__(self, other):
+        if isinstance(other, int):
+            return self._shift(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -235,6 +241,8 @@ class UElt:
         return self.ring._wrap(psub([], self.coeffs, self.ring.mod))
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self._shift(-other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -19,9 +19,8 @@ kernel (`SurfaceModel.compiled`), never by the ring-generic
 `mpoly.restrict_to_span`.  On the labc chart the search reads a
 candidate's quartic off five integer polynomials in (a, b, c) instead,
 which one symbolic restriction builds per model (`_LabcChart`).  On
-either chart the quartic is int coefficients and a positive scale (on
-the labc chart, for integral parameters), and a candidate the gates
-reject builds no Fraction coefficient.
+either chart the quartic is int coefficients and a positive scale, and
+a candidate the gates reject builds no Fraction coefficient.
 
 The roots of a Hensel block come from `hensel.block_roots`; this module
 owns the points: `intersection_points` keeps each root, z in its
@@ -35,7 +34,10 @@ The local sections are decided at a low precision first: `_Sections`
 builds one Hensel report per prime, at the configured precision K, and
 reads the points of a local section off its lift at min(K,
 FIRST_PRECISION), and again at K only when that raised PrecisionError
-or left a 5-adic point valuation undetermined.  A p-adic valuation
+or left a 5-adic point valuation undetermined that is not an exact
+zero.  A null v_sigma5 is proved exact over Q, from the gcd of the
+line's quartic and sigma_5 restricted to the line, and stays null in
+the certificate (`_Sections.sigma5_zeros_exact`).  A p-adic valuation
 determined mod p^k is the true one (precision on demand, as in Caruso,
 Roe and Vaccon, "Tracking p-adic precision", LMS J. Comput. Math. 17A,
 2014), and a section records K, so a certificate has the bytes of a
@@ -62,7 +64,7 @@ from .errors import (
     PrecisionError,
     SearchExhausted,
 )
-from .hensel import block_roots, hensel_factor_quartic
+from .hensel import binary_gcd, block_roots, hensel_factor_quartic
 from .lines import (
     Line,
     TangentConeChart,
@@ -78,7 +80,7 @@ from .mpoly import SparsePoly, restrict_to_span
 from .padics import UElt, UnramifiedRing
 from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
-from .scalars import sup_norm_shell, valuation_of_rational
+from .scalars import integer_numerators, sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     BUILTIN_TWISTS,
@@ -489,15 +491,17 @@ def _parity_section(line: Line, config: SearchConfig):
     }
 
 
-def _local_section(line, model, config, report, k) -> dict:
-    """Intersection points and p-specific extras around a Hensel report,
-    with the points read off its lift mod p^k.
+def _local_section(sections, report, k) -> dict:
+    """Intersection points and p-specific extras around a Hensel report
+    of the line of `sections`, with the points read off its lift mod
+    p^k.
 
     The precisions recorded are those of a build at the configured K,
     whatever k is: K for the section, and K - v for a point whose ring
     keeps v digits fewer than k (v the disc_valuation of its (linear)^2
     block, else 0).
     """
+    line, config = sections.line, sections.config
     p = report.p
     K = config.precision
     points = intersection_points(report, k)
@@ -514,10 +518,9 @@ def _local_section(line, model, config, report, k) -> dict:
         section["cusp"] = _cusp_report(line.ints, points, K)
         section["parity"] = _parity_section(line, config)
     if p == 5:
-        # restricted once per line, and only for a line with points
-        forms = _SpanForms(model, line.ints, p) if points else None
+        # the forms are restricted once per line, and only for a point
         section["points"] = [
-            dict(_point_invariants(forms, pt), precision=pt.ring.K + K - k)
+            dict(_point_invariants(sections.forms(), pt), precision=pt.ring.K + K - k)
             for pt in points
         ]
     section["required"] = p in config.targets
@@ -532,18 +535,23 @@ def _points_ordinary(section) -> bool:
     )
 
 
-def _undetermined(section) -> bool:
+def _undetermined(section, sigma5_exact) -> bool:
     """Whether a local section holds a 5-adic point valuation that its
-    precision leaves undetermined.  Its other nulls (the disc_valuation
-    of a simple block, a cusp section with no points, a parity section
-    off the labc chart) are the same at every precision."""
-    return any(
-        None in (entry["v_sigma3"], entry["v_sigma5"], entry["v_D"])
-        for entry in section.get("points", ())
-    )
+    precision leaves undetermined and that is not an exact zero: a null
+    v_sigma3 or v_D, or a null v_sigma5 unless `sigma5_exact(section)`
+    proves every such null an exact zero of sigma_5, which no precision
+    decides (`_Sections.sigma5_zeros_exact`).  Its other nulls (the
+    disc_valuation of a simple block, a cusp section with no points, a
+    parity section off the labc chart) are the same at every
+    precision."""
+    points = section.get("points", ())
+    if any(None in (entry["v_sigma3"], entry["v_D"]) for entry in points):
+        return True
+    nulls = any(entry["v_sigma5"] is None for entry in points)
+    return nulls and not sigma5_exact(section)
 
 
-def _decided(build, precision):
+def _decided(build, precision, sigma5_exact):
     """build(FIRST_PRECISION) when that is below the configured
     precision, raises no PrecisionError and leaves nothing
     `_undetermined`; else build(precision), whose PrecisionError is the
@@ -554,7 +562,7 @@ def _decided(build, precision):
         except PrecisionError:
             pass
         else:
-            if not _undetermined(result):
+            if not _undetermined(result, sigma5_exact):
                 return result
     return build(precision)
 
@@ -566,8 +574,8 @@ class _Sections:
     `_certificate`, so a certificate has the same bytes whichever path
     built it.  Construction takes the line's quartic as coefficients
     with a positive scale s, the quartic on `line.rows` being the
-    quartic over s: the labc kernel's (G, e^4) (`_LabcChart.quartic_at`,
-    ints for integral parameters) as `scaled`, or else the ints of
+    quartic over s: the labc kernel's (d G, d e^4)
+    (`_LabcChart.quartic_at`) as `scaled`, or else the ints of
     `quartic_of_line` on `line.ints` with s = den^4.  It reads the sign
     of the discriminant off the integer model; NotOnSurfaceError or
     DegenerateLineError means the line is not a generator of the model
@@ -578,8 +586,9 @@ class _Sections:
     Each Hensel report is built once, at the configured precision K.  A
     local section reads its points off the report's lift at min(K,
     FIRST_PRECISION) first, and at K only when something is open there
-    (`_decided`); it records K whichever lift it reads
-    (`_local_section`).
+    that is not an exact zero (`_decided`); it records K whichever lift
+    it reads (`_local_section`).  The 5-adic forms are restricted once
+    per line (`forms`).
     """
 
     def __init__(
@@ -633,14 +642,52 @@ class _Sections:
             lambda: hensel_factor_quartic(self.quartic, p, self.config.precision),
         )
 
+    def forms(self) -> _SpanForms:
+        """The 5-adic forms of the line (`_SpanForms`), restricted once."""
+        return self._once("forms", lambda: _SpanForms(self.model, self.line.ints, 5))
+
     def local(self, p: int) -> dict:
         report = self.hensel(p)
         return self._once(
             ("local", p),
             lambda: _decided(
-                lambda k: _local_section(self.line, self.model, self.config, report, k),
+                lambda k: _local_section(self, report, k),
                 self.config.precision,
+                self.sigma5_zeros_exact,
             ),
+        )
+
+    def sigma5_zeros_exact(self, section) -> bool:
+        """Whether every null v_sigma5 of a 5-adic section is an exact
+        zero of sigma_5 at its point.
+
+        Let g be the primitive gcd over Q of the line's quartic q and of
+        f5, sigma_5 restricted on the same basis (`hensel.binary_gcd`),
+        built only here, for a section that has such a null.  g divides
+        f5, so sigma_5 vanishes at every root of g, and a point whose
+        v_sigma5 is determined is not one.  g divides q, whose
+        discriminant is not 0 here, so its roots are distinct roots of
+        q, and those that reduce into a block are roots of that block:
+        deg(r) mult_r(g mod p) of them, r the block's residue factor
+        (`HenselReport.roots_reducing_into`, which counts a root at
+        [1:0] and a top coefficient divisible by p too).  Every root of
+        an unramified block is one of the geometric points that its
+        points stand for, as many as their rings' degrees.  So when, in
+        every block that holds null points, those counts are equal,
+        every null point is a root of g, where sigma_5 is exactly 0: a
+        null at every precision.  The count covers a simple block and an
+        unramified (linear)^2 block alike, and the certificate keeps the
+        null.
+        """
+        report = self.hensel(5)
+        g = binary_gcd(self.quartic.coeffs, self.forms().coeffs[1])
+        nulls = {}
+        for entry in section["points"]:
+            if entry["v_sigma5"] is None:
+                nulls[entry["block"]] = nulls.get(entry["block"], 0) + entry["conjugates"]
+        return all(
+            report.roots_reducing_into(g, report.blocks[block]) == count
+            for block, count in nulls.items()
         )
 
     def targeted_gates(self):
@@ -799,10 +846,12 @@ class _LabcChart:
         return labc_line(a, b, c)
 
     def quartic_at(self, a, b, c):
-        """(G, e^4), e = a - bc, with G the quartic whose quotient by e^4
-        is the quartic on the rows of `labc_line(a, b, c)`, integral for
-        integers a, b, c; None where the kernel does not apply: a = bc,
-        or a model whose quadrics do not contain the family.
+        """(d G, d e^4), e = a - bc, with G the quartic whose quotient by
+        e^4 is the quartic on the rows of `labc_line(a, b, c)`, and d the
+        least common denominator of G's coefficients, 1 for integers a,
+        b, c: int coefficients and a positive scale.  None where the
+        kernel does not apply: a = bc, or a model whose quadrics do not
+        contain the family.
 
         For e != 0 the line's reduced rows, at pivots (0, 1), are
         (Q / e, P + b^2 Q / e), and e times them is the kernel's basis
@@ -813,7 +862,8 @@ class _LabcChart:
         if e == 0 or not self.contained:
             return None
         point = (a, b, c)
-        return BinaryQuartic([g.value(point) for g in self.kernel]), e**4
+        d, G = integer_numerators([g.value(point) for g in self.kernel])
+        return BinaryQuartic(G), e**4 * d
 
 
 def line_chart(config: SearchConfig, model: SurfaceModel):

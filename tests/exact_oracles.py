@@ -23,6 +23,10 @@ cannot reach the oracle that checks it:
 * `chord_rule`: the tangent-cone chord rule on plain int lists, the
   conic's second point on the chord from a ruling W along a frame
   vector E, each made primitive, y = (E G E) W - 2 (G W . E) E.
+* `common_rational_root` and `polynomial_value`: the common root in
+  P^1(Q) of two integer binary forms whose gcd over Q is linear, by
+  Euclid on Fractions, and a polynomial given as its terms at a point,
+  so that a zero of sigma_5 on a line is checked in exact arithmetic.
 
 The discriminant, the p-adic valuation and the square test are those of
 the benchmark's checker, `bench/oracles.py`, which is stdlib-only too.
@@ -267,3 +271,44 @@ def local_errors(data):
             errors.append(f"{key}: points_extracted is not {unramified}, the degree "
                           "of the unramified blocks")
     return errors
+
+
+def common_rational_root(f, g):
+    """The common root (t, u) in P^1(Q), a primitive int pair, of two
+    integer binary forms (c_0..c_d of t^i u^(d-i)) whose gcd over Q is
+    linear; None when the gcd is constant.  The gcd is u to the lesser
+    order of the two at [1 : 0] times the gcd of f(t, 1) and g(t, 1),
+    here by Euclid on Fractions; a gcd of degree 2 or more raises
+    ValueError, since its roots need not be rational."""
+
+    def affine(coeffs):
+        out = [Fraction(c) for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    a, b = affine(f), affine(g)
+    at_infinity = min(len(f) - len(a), len(g) - len(b))
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = affine([c - q * b[i - shift] if i >= shift else c for i, c in enumerate(a)])
+        a, b = b, a
+    degree = len(a) - 1 + at_infinity
+    if degree > 1:
+        raise ValueError(f"a common factor of degree {degree}")
+    if degree == 0:
+        return None
+    if at_infinity:
+        return (1, 0)
+    root = -a[0] / a[1]
+    return (root.numerator, root.denominator)
+
+
+def polynomial_value(terms, point):
+    """The polynomial with terms {exponent tuple: coefficient} at a
+    point of rationals, exactly."""
+    return sum(
+        Fraction(c) * prod(Fraction(x) ** e for x, e in zip(point, exp))
+        for exp, c in terms.items()
+    )

@@ -110,8 +110,14 @@ MUTANTS = [
      "top, *rest = coeffs if pt.flipped else coeffs[::-1]",
      "top, *rest = coeffs[::-1]"),
     ("undetermined point not rebuilt", "src/hmslines/search.py",
-     'None in (entry["v_sigma3"], entry["v_sigma5"], entry["v_D"])',
-     "False"),
+     "if not _undetermined(result, sigma5_exact):",
+     "if True:"),
+    ("every sigma_5 null called exact", "src/hmslines/search.py",
+     "return nulls and not sigma5_exact(section)",
+     "return False"),
+    ("null count ignores the block's residue multiplicity", "src/hmslines/hensel.py",
+     "return (len(r) - 1) * mult",
+     "return len(r) - 1"),
     ("section precision written at FIRST_PRECISION", "src/hmslines/search.py",
      '"precision": K,',
      '"precision": k,'),

@@ -26,6 +26,7 @@ bytes is a deliberate update of the pin, recorded like a golden's.
 import io
 import json
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
@@ -57,9 +58,11 @@ from workloads import WORKLOADS  # noqa: E402
 
 from exact_oracles import (  # noqa: E402
     GROUP_ORDERS,
+    common_rational_root,
     galois_errors,
     local_5_errors,
     local_errors,
+    polynomial_value,
 )
 
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
@@ -419,6 +422,47 @@ def test_certify_batch_lines_open_at_4_rebuild_to_their_bytes_at_60(monkeypatch)
             monkeypatch.setattr(search, "FIRST_PRECISION", first)
             certificates.append(certify_line(line, model, config).to_json())
         assert certificates[0] == certificates[1], line.ints
+
+
+def test_certify_batch_reads_each_5_adic_section_once(monkeypatch):
+    # every null v_sigma5 of the seed-0 certify-batch sample is an exact
+    # zero of sigma_5, proved over Q at the first precision: no 5-adic
+    # section is rebuilt at 60, and the 3-adic section that raises at 8
+    # still is.  Oracle: on each such line the quartic and sigma_5 have
+    # one common rational root, a point of the model where sigma_5 is 0
+    # in exact arithmetic, and one null point of degree 1
+    builds = Counter()
+    local_section = search._local_section
+
+    def counting(sections, report, k):
+        builds[report.p, k] += 1
+        return local_section(sections, report, k)
+
+    monkeypatch.setattr(search, "_local_section", counting)
+    workload = WORKLOADS["certify-batch"](
+        {"errors": errors, "lines": lines, "quartics": quartics, "search": search}, 0
+    )
+    exact_lines = 0
+    for config, model, line in workload.sample:
+        try:
+            cert = certify_line(line, model, config)
+        except PrecisionError:
+            continue
+        points = (cert.data["local_5"] or {}).get("points", [])
+        nulls = [entry for entry in points if entry["v_sigma5"] is None]
+        if not nulls:
+            continue
+        exact_lines += 1
+        t, u = common_rational_root(
+            lines.quartic_of_line(line, model).coeffs,
+            model.compiled[5].restrict(*line.ints),
+        )
+        point = [t * a + u * b for a, b in zip(*line.ints)]
+        for form in (model.q1, model.q2, model.q4, model.forms[5]):
+            assert polynomial_value(form.terms, point) == 0, line.ints
+        assert [entry["conjugates"] for entry in nulls] == [1], line.ints
+    assert exact_lines == 16
+    assert builds == {(3, 8): 128, (3, 60): 1, (5, 8): 128}
 
 
 def update():

@@ -600,3 +600,77 @@ def test_factor_squarefree_int_refuses_a_square_factor():
     for f in ([2, 5, 4, 1], [1, 0, 2, 0, 1]):
         with pytest.raises(HmsError, match="not squarefree"):
             hensel.factor_squarefree_int(f)
+
+
+def _divides(g, f):
+    """Whether the binary form g divides the binary form f over Q: u
+    divides f at least as often as g, and g(t, 1) divides f(t, 1), by
+    long division on Fractions."""
+    a, b = trim(f), trim(g)
+    if len(g) - len(b) > len(f) - len(a):
+        return False
+    rest = [Fraction(c) for c in a]
+    while len(rest) >= len(b):
+        q, shift = rest[-1] / b[-1], len(rest) - len(b)
+        for i, c in enumerate(b):
+            rest[i + shift] -= q * c
+        rest = trim(rest)
+    return not rest
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2).flatmap(_primitive_form),
+    st.integers(0, 2).flatmap(_primitive_form),
+    st.integers(0, 3).flatmap(_primitive_form),
+)
+@example([0, 1], [1, 0, 0], [0, 0, 1, 0])
+@example([1, 0], [1, 0], [1, 1, 0, 0])
+@example([-2, 1], [1], [3, 0, 0, 1])
+def test_binary_gcd_is_a_primitive_common_factor_over_q(h, a, b):
+    # oracle: h a and h b are divided by their gcd, which h divides,
+    # each as binary forms, so that a common root at [1 : 0] counts
+    f, g = _times(h, a), _times(h, b)
+    assume(any(f) and len(f) <= len(g))
+    got = hensel.binary_gcd(f, g)
+    assert gcd(*got) == 1 and trim(got)[-1] > 0
+    assert _divides(got, f) and _divides(got, g) and _divides(h, got)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(*[_primitive_form(1)] * 4),
+        st.tuples(_primitive_form(1), _primitive_form(1), _primitive_form(2)),
+        st.tuples(_double_of_chosen_valuation(), _primitive_form(1), _primitive_form(1)),
+        st.tuples(_double_of_chosen_valuation(), _primitive_form(2)),
+    ),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    st.lists(st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4),
+    st.sampled_from([3, 5]),
+)
+# t u (t - u)(t + u) vanishes on all of P^1(F_3): a block at [1 : 0]
+@example(([0, 1], [1, 0], [-1, 1], [1, 1]), [False, True, False, True], [], 3)
+# (t^2 - 15 u^2) u (t + u): a (linear)^2 block, and a top coefficient 0
+@example(([-15, 0, 1], [1, 0], [1, 1]), [True, True, False, False], [], 5)
+def test_the_roots_of_a_factor_are_counted_in_their_blocks(factors, chosen, steps, p):
+    # oracle: a quartic's roots reducing into a block are the block's
+    # roots, and a factor g of the quartic with cofactor h splits them:
+    # per block, the counts of g and h add up to the block's degree
+    mat = _sl2_product(steps)
+    g, h = [1], [1]
+    for form, take in zip(factors, chosen):
+        if take:
+            g = _times(g, form)
+        else:
+            h = _times(h, form)
+    ints = compose_binary(_times(g, h), mat)
+    assume(Q(ints).discriminant() != 0)
+    try:
+        rep = hensel_factor_quartic(Q(ints), p, 12)
+    except PrecisionError:
+        assume(False)
+    g, h = compose_binary(g, mat), compose_binary(h, mat)
+    for blk in rep.blocks:
+        counts = [rep.roots_reducing_into(f, blk) for f in (ints, g, h)]
+        assert counts[0] == counts[1] + counts[2] == blk.degree

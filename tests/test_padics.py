@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import HmsError
-from hmslines.padics import UnramifiedRing, pdivmod, trim
+from hmslines.padics import UnramifiedRing, padd, pdivmod, psub, trim
 
 
 def Zp(p, K):
@@ -215,3 +215,23 @@ def test_pdivmod_matches_integer_long_division(p, k, data):
     frozen = list(f)
     pdivmod(f, g, n)
     assert f == frozen
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 8), st.integers(1, 3), st.data())
+def test_sums_and_differences_match_int_arithmetic(p, k, d, data):
+    # oracle: plain int arithmetic mod p^k on each coordinate, padded
+    # with zeros and trimmed; an int moves only the constant coordinate
+    n = p**k
+    coords = st.lists(st.integers(-(10**9), 10**9), max_size=6)
+    f, g = data.draw(coords), data.draw(coords)
+    pad = max(len(f), len(g))
+    f0, g0 = f + [0] * (pad - len(f)), g + [0] * (pad - len(g))
+    assert padd(f, g, n) == trim([(a + b) % n for a, b in zip(f0, g0)])
+    assert psub(f, g, n) == trim([(a - b) % n for a, b in zip(f0, g0)])
+    modulus = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)) + [1]
+    x = UnramifiedRing(p, modulus, k).elt(data.draw(coords))
+    c = data.draw(st.integers(-(10**12), 10**12))
+    rest = x.coeffs[1:]
+    assert (x + c).coeffs == ((x.coeffs[0] + c) % n, *rest) == (c + x).coeffs
+    assert (x - c).coeffs == ((x.coeffs[0] - c) % n, *rest)

@@ -23,7 +23,13 @@ from hmslines.errors import (
     SearchExhausted,
 )
 from hmslines.hensel import hensel_factor_quartic
-from hmslines.lines import Line, TangentConeChart, labc_line, quartic_of_line
+from hmslines.lines import (
+    Line,
+    TangentConeChart,
+    labc_line,
+    labc_params_of_line,
+    quartic_of_line,
+)
 from hmslines.mpoly import SparsePoly
 from hmslines.padics import UnramifiedRing, pmod
 from hmslines.quartics import integer_model
@@ -626,6 +632,30 @@ def test_rho0_search_reaches_the_integer_model_with_ints(monkeypatch):
     assert handed and set(handed) == {int}
 
 
+def test_labc_search_with_fractional_parameters_reaches_the_integer_model_with_ints(
+    monkeypatch,
+):
+    # the labc kernel clears the denominators of a candidate with
+    # non-integral parameters into its scale
+    handed = []
+    primitive = quartics.primitive_integers
+
+    def recording(values):
+        handed.extend(type(v) for v in values)
+        return primitive(values)
+
+    monkeypatch.setattr(quartics, "primitive_integers", recording)
+    config = congruence_config({"real": ["1/2", "1/3", "5"]}, height_bound=6)
+    found = find_lines(config, max_results=100)
+    assert handed and set(handed) == {int}
+    # the scale keeps the bytes that certify emits
+    model = build_model(config)
+    for line, cert in found:
+        params = labc_params_of_line(line)
+        assert any(v.denominator > 1 for v in params)
+        assert certify_line(line, model, config, params, "labc") == cert
+
+
 def test_gate_failures_build_no_galois_section(monkeypatch):
     reports = _count_calls(monkeypatch, "solvability_report")
     cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
@@ -1206,12 +1236,45 @@ def test_a_line_decided_at_the_first_precision_is_not_rebuilt(monkeypatch):
 
 
 def test_a_section_open_at_the_first_precision_reuses_its_report(monkeypatch):
-    # labc (327, 0, 162) keeps a null v_sigma5 at every precision: its
-    # 5-adic section is read at 8 and again at 60, off the lifts of the
-    # one report at 5
+    # rho0 (-2, 33/16, 4) leaves v_sigma5 null at 4 and decides it at 60:
+    # built first at 4, its 5-adic section is read again at 60, off the
+    # lifts of the one report at 5
+    monkeypatch.setattr(search, "FIRST_PRECISION", 4)
     reports, lifts = _record_reports_and_lifts(monkeypatch)
-    config = demo_config("char3-demo.json", precision=60)
-    cert = certify_line(labc_line(327, 0, 162), build_model(config), config)
-    assert [entry["v_sigma5"] for entry in cert.data["local_5"]["points"]] == [None, 0]
+    config = demo_config("rho0-demo.json", precision=60)
+    model, line = _demo_line("rho0-demo.json", (-2, F(33, 16), 4))
+    cert = certify_line(line, model, config)
+    assert [entry["v_sigma5"] for entry in cert.data["local_5"]["points"]] == [4]
     assert reports == [(3, 60), (5, 60)]
-    assert [K for p, K in lifts if p == 5] == [8, 60]
+    assert [K for p, K in lifts if p == 5] == [4, 60]
+
+
+@pytest.mark.parametrize(
+    "params, v_sigma5, lifts_at_5",
+    [
+        # a simple block at [0 : 1], the second row of the integer basis
+        ((327, 0, 162), [None, 0], [8]),
+        # a null beside a determined point of one unramified (linear)^2
+        # block, at [0 : 1] and at [1 : 0], where the quartic's top
+        # coefficient is 0; the report of the second line reads its two
+        # (linear)^2 discriminants off the lift at v_5(D) = 3
+        ((84, 0, 324), [2, None, 0, 0], [8]),
+        ((-159, 162, 0), [None, 2], [3, 8]),
+    ],
+)
+def test_an_exact_sigma_5_zero_is_read_at_the_first_precision_only(
+    monkeypatch, params, v_sigma5, lifts_at_5
+):
+    # sigma_5 vanishes exactly at a point of these lines, which no
+    # precision decides: the null is proved exact over Q, so the 5-adic
+    # section is read off the lift at FIRST_PRECISION only, with the
+    # bytes of a build at 60
+    config = demo_config("char3-demo.json", precision=60)
+    model, line = build_model(config), labc_line(*params)
+    reports, lifts = _record_reports_and_lifts(monkeypatch)
+    cert = certify_line(line, model, config)
+    assert [entry["v_sigma5"] for entry in cert.data["local_5"]["points"]] == v_sigma5
+    assert reports == [(3, 60), (5, 60)]
+    assert [K for p, K in lifts if p == 5] == lifts_at_5
+    monkeypatch.setattr(search, "FIRST_PRECISION", 60)
+    assert certify_line(line, model, config).to_json() == cert.to_json()
