@@ -25,6 +25,7 @@ section writes the distances.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DegenerateLineError, HmsError, NotOnSurfaceError, PrecisionError
 from .mpoly import SparsePoly, restrict_to_span
@@ -118,7 +119,7 @@ class Line:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def in_quadrics(line: Line, model: SurfaceModel) -> bool:
@@ -402,7 +403,7 @@ def labc_points(a, b, c):
     P = (-b^2, 1, 0, -(a + b c), -b, b),  Q = (a - b c, 0, 1, -c^2, -c, c),
 
     over any ring: rationals, or polynomials in a, b, c for the
-    symbolic checks and the search's labc kernel."""
+    symbolic checks (`labc_restriction`)."""
     P = (-b * b, 1, 0, -(a + b * c), -b, b)
     Q = (a - b * c, 0, 1, -c * c, -c, c)
     return P, Q

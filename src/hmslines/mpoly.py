@@ -8,10 +8,10 @@ the scalar is +, -, * and the test `x == 0`.
 
 Composition has one implementation, `SparsePoly.substitute`;
 `restrict_to_span` is that composition on linear images.  It serves
-rows over F_q or over polynomials (`verify-paper`, and the labc kernel
-of `search`, built once per model) and the tests, never a line of the
+rows over F_q or over polynomials (`verify-paper`'s symbolic checks and
+the labc chart's `contained` flag) and the tests, never a line of the
 search or a certificate, whose integer lines go through the model's
-compiled kernel in `surface`.
+compiled forms in `surface`, one evaluation each.
 
 Canonical term order everywhere (printing, serialization) is graded
 lexicographic, highest first.

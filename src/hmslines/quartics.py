@@ -42,8 +42,8 @@ class BinaryQuartic:
     """Homogeneous binary quartic; degenerate means identically zero.
 
     The quartic of a line has int coefficients, on the line's integer
-    basis (`lines.quartic_of_line`, the labc kernel of `search`); the
-    coefficients may also be Fractions, or elements of a finite field.
+    basis (`surface.CompiledForm.restrict`); the coefficients may also
+    be Fractions, or elements of a finite field.
     `_model` keeps the `integer_model` once it is built."""
 
     __slots__ = ("coeffs", "_model")

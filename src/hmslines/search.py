@@ -14,13 +14,13 @@ runs are byte identical.
 
 Candidates walk on integer numerators (`_candidate_params`), and every
 line of the search or of a certificate is an integer basis: its quartic
-and its 5-adic forms are restricted by the model's compiled integer
-kernel (`SurfaceModel.compiled`), never by the ring-generic
-`mpoly.restrict_to_span`.  On the labc chart the search reads a
-candidate's quartic off five integer polynomials in (a, b, c) instead,
-which one symbolic restriction builds per model (`_LabcChart`).  On
-either chart the quartic is int coefficients and a positive scale, and
-a candidate the gates reject builds no Fraction coefficient.
+and its 5-adic forms are restricted on it by the model's compiled forms
+(`SurfaceModel.compiled`, one evaluation per restriction), never by the
+ring-generic `mpoly.restrict_to_span`.  On either chart the quartic is
+int coefficients and the positive scale den^4, and a candidate the
+gates reject builds no Fraction coefficient; a labc candidate skips
+only the quadric check, which its chart's `contained` flag makes
+redundant (`_LabcChart`).
 
 The roots of a Hensel block come from `hensel.block_roots`; this module
 owns the points: `intersection_points` keeps each root, z in its
@@ -71,20 +71,17 @@ from .lines import (
     cusp_proximity,
     labc_line,
     labc_params_of_line,
-    labc_points,
     labc_restriction,
     parity_admissible,
     quartic_of_line,
 )
-from .mpoly import SparsePoly, restrict_to_span
 from .padics import UElt, UnramifiedRing
 from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
-from .scalars import integer_numerators, sup_norm_shell, valuation_of_rational
+from .scalars import sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     BUILTIN_TWISTS,
-    CompiledForm,
     SurfaceModel,
     ordinarity_from_valuations,
     twist_by_name,
@@ -324,7 +321,7 @@ def intersection_points(report, K):
 
 class _SpanForms:
     """The model's forms f3, f5 and f6 restricted to the span of two
-    integer rows by its compiled kernel (`SurfaceModel.compiled`), with
+    integer rows by its compiled forms (`SurfaceModel.compiled`), with
     the constants that turn their values into the valuations at p of
     sigma_3, sigma_5 and D.
 
@@ -572,12 +569,12 @@ class _Sections:
 
     Searching and certifying share these builders and the assembler
     `_certificate`, so a certificate has the same bytes whichever path
-    built it.  Construction takes the line's quartic as coefficients
-    with a positive scale s, the quartic on `line.rows` being the
-    quartic over s: the labc kernel's (d G, d e^4)
-    (`_LabcChart.quartic_at`) as `scaled`, or else the ints of
-    `quartic_of_line` on `line.ints` with s = den^4.  It reads the sign
-    of the discriminant off the integer model; NotOnSurfaceError or
+    built it.  Construction restricts q4 on `line.ints` with the model's
+    compiled form, ints that are s = den^4 times the quartic on
+    `line.rows`: through `quartic_of_line`, or directly when the line
+    comes from a chart whose family is `contained` in the quadrics, so
+    that `in_quadrics` would hold anyway.  It reads the sign of the
+    discriminant off the integer model; NotOnSurfaceError or
     DegenerateLineError means the line is not a generator of the model
     at all.  Every gate and section reads only the integer model, which
     the scale does not change, and `quartic_section` alone divides by
@@ -592,9 +589,13 @@ class _Sections:
     """
 
     def __init__(
-        self, line: Line, model: SurfaceModel, config: SearchConfig, scaled=None
+        self, line: Line, model: SurfaceModel, config: SearchConfig, contained=False
     ):
-        quartic, self._scale = scaled or (quartic_of_line(line, model), line.den**4)
+        if contained:
+            quartic = BinaryQuartic(model.compiled[4].restrict(*line.ints))
+        else:
+            quartic = quartic_of_line(line, model)
+        self._scale = line.den**4
         if quartic.is_degenerate:
             raise DegenerateLineError("the line lies inside the degree-8 locus")
         self.line, self.model, self.config = line, model, config
@@ -710,8 +711,35 @@ class _Sections:
 
 
 def _certificate(sections: _Sections, chart_params, chart_kind):
-    """Assemble the certificate, building the sections not built yet."""
+    """Assemble the certificate, building the sections not built yet.
+
+    Only the local sections can raise (a PrecisionError), so they are
+    built first: a line undecided at this precision formats no row or
+    coefficient and costs no Galois group."""
     config = sections.config
+    if sections.tangential:
+        evidence = dict(galois=None, real=None, local_3=None, local_5=None)
+        summary = {
+            "passed": False,
+            "reasons": ["discriminant vanishes: tangential intersection"],
+        }
+    else:
+        local_3, local_5 = sections.local(3), sections.local(5)
+        evidence = {
+            "galois": sections.galois(),
+            "real": sections.real(),
+            "local_3": local_3,
+            "local_5": local_5,
+        }
+        checks = dict(sections.targeted_gates())
+        reasons = [f"check failed: {name}" for name, ok in checks.items() if not ok]
+        if not checks:
+            reasons.append("no local targets were requested")
+        summary = {
+            "passed": bool(checks) and all(checks.values()),
+            "checks": checks,
+            "reasons": reasons,
+        }
     data = {
         "schema": CERTIFICATE_SCHEMA,
         "config_digest": config.digest,
@@ -734,30 +762,8 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
             "primitive_rows": [list(r) for r in sections.line.primitive_rows()],
         },
         "quartic": sections.quartic_section(),
-    }
-    if sections.tangential:
-        data.update(galois=None, real=None, local_3=None, local_5=None)
-        data["summary"] = {
-            "passed": False,
-            "reasons": ["discriminant vanishes: tangential intersection"],
-        }
-        return SolvableLineCertificate(data)
-
-    # only the local sections can raise (a PrecisionError), so they are
-    # built first: a line undecided at this precision costs no Galois group
-    local_3, local_5 = sections.local(3), sections.local(5)
-    data["galois"] = sections.galois()
-    data["real"] = sections.real()
-    data["local_3"] = local_3
-    data["local_5"] = local_5
-    checks = dict(sections.targeted_gates())
-    reasons = [f"check failed: {name}" for name, ok in checks.items() if not ok]
-    if not checks:
-        reasons.append("no local targets were requested")
-    data["summary"] = {
-        "passed": bool(checks) and all(checks.values()),
-        "checks": checks,
-        "reasons": reasons,
+        **evidence,
+        "summary": summary,
     }
     return SolvableLineCertificate(data)
 
@@ -812,15 +818,13 @@ def build_model(config: SearchConfig) -> SurfaceModel:
 
 
 class _LabcChart:
-    """The labc family as a line chart, with the model's labc quartic
-    kernel; `line_at` calls this module's `labc_line` once per candidate.
+    """The labc family as a line chart; `line_at` calls this module's
+    `labc_line` once per candidate.
 
-    The kernel is q4 on the basis (Q, e P + b^2 Q), e = a - bc, of the
-    `labc_points` (P, Q) over Z[a, b, c], built once per model: five
-    integer polynomials g_0..g_4 in (a, b, c), g_k the coefficient of
-    t^k u^(4-k), each a `CompiledForm`.  `contained` records that q1 and
-    q2 restrict to zero on the family, as `verify-paper` checks, so that
-    every labc line lies in the quadrics.
+    `contained` records that q1 and q2 restrict to zero on the family,
+    as `verify-paper` checks: an identity in (a, b, c), a = bc included,
+    so that every labc line lies in the quadrics and the search
+    restricts q4 to it without `in_quadrics` (`_Sections`).
     """
 
     kind = "labc"
@@ -830,40 +834,9 @@ class _LabcChart:
         self.contained = all(
             labc_restriction(f).is_zero for f in (model.q1, model.q2)
         )
-        a, b, c = (SparsePoly.variable(i, 3) for i in range(3))
-        P, Q = labc_points(a, b, c)
-        e = a - b * c
-        restricted = restrict_to_span(
-            model.q4, (Q, [e * p + b * b * q for p, q in zip(P, Q)])
-        )
-        # a coefficient that is a constant becomes a polynomial
-        zero = SparsePoly.zero(3)
-        self.kernel = tuple(
-            CompiledForm(zero + restricted.coefficient((k, 4 - k))) for k in range(5)
-        )
 
     def line_at(self, a, b, c) -> Line:
         return labc_line(a, b, c)
-
-    def quartic_at(self, a, b, c):
-        """(d G, d e^4), e = a - bc, with G the quartic whose quotient by
-        e^4 is the quartic on the rows of `labc_line(a, b, c)`, and d the
-        least common denominator of G's coefficients, 1 for integers a,
-        b, c: int coefficients and a positive scale.  None where the
-        kernel does not apply: a = bc, or a model whose quadrics do not
-        contain the family.
-
-        For e != 0 the line's reduced rows, at pivots (0, 1), are
-        (Q / e, P + b^2 Q / e), and e times them is the kernel's basis
-        (Q, e P + b^2 Q): G, q4 on that basis, is e^4 times the quartic
-        on the rows.
-        """
-        e = a - b * c
-        if e == 0 or not self.contained:
-            return None
-        point = (a, b, c)
-        d, G = integer_numerators([g.value(point) for g in self.kernel])
-        return BinaryQuartic(G), e**4 * d
 
 
 def line_chart(config: SearchConfig, model: SurfaceModel):
@@ -941,7 +914,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     """
     model = build_model(config)
     chart = line_chart(config, model)
-    labc = isinstance(chart, _LabcChart)
+    contained = isinstance(chart, _LabcChart) and chart.contained
     reps, modulus = _combined_parameters(config)
     stats = {
         "candidates": 0,
@@ -967,8 +940,7 @@ def find_lines(config: SearchConfig, max_results: int = 1):
             continue
         seen.add(line.ints)
         try:
-            scaled = chart.quartic_at(*params) if labc else None
-            sections = _Sections(line, model, config, scaled)
+            sections = _Sections(line, model, config, contained)
             if sections.tangential:
                 outcome = "zero_discriminant"
             elif not all(ok for _, ok in sections.targeted_gates()):

@@ -21,14 +21,15 @@ scale-invariant ordinarity ratios of `u_ratios`, on which
 
 The model also owns what every integer line is tested and restricted
 with: the integer row of q1, the doubled Gram matrix of q2, and each
-form compiled once, on first use, into the integer restriction kernel
-`CompiledForm`.  Rows over F_q or over polynomials go through the
+form compiled once, on first use, into a `CompiledForm`, which
+restricts it to a line of int rows by one evaluation (Kronecker
+substitution).  Rows over F_q or over polynomials go through the
 ring-generic `mpoly.restrict_to_span` instead.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from .errors import HmsError
 from .linalg import rref
@@ -162,35 +163,18 @@ def linear_row(f: SparsePoly):
     return row
 
 
-@cache
-def _interpolation(d: int):
-    """(nodes, den, A) with den * c = A v, for the coefficients c_0..c_d
-    of a binary form of degree d (c_i that of t^i u^(d-i)) and its
-    values v at [0 : 1] and at [1 : k] for k in nodes.  A is the inverse
-    of the evaluation matrix times the least common denominator den of
-    its entries, so it is an integer matrix; built once per degree."""
-    nodes = tuple(range(-(d // 2), d - d // 2))
-    evaluation = [[int(i == 0) for i in range(d + 1)]]
-    evaluation += [[k ** (d - i) for i in range(d + 1)] for k in nodes]
-    unit = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
-    R, _ = rref([row + e for row, e in zip(evaluation, unit)])
-    den, ints = integer_numerators([x for row in R for x in row[d + 1 :]])
-    return nodes, den, tuple(ints[i : i + d + 1] for i in range(0, len(ints), d + 1))
-
-
 class CompiledForm:
-    """An integral polynomial compiled for evaluation, and a form also
-    for restriction to integer lines.
+    """A homogeneous integral form compiled for evaluation and for
+    restriction to integer lines.
 
     Each term is kept as its coefficient and its variable indices, with
-    multiplicity, so its value at a point is one product.  `restrict`
-    takes a form's values at the d + 1 points [0 : 1] and [1 : k] of the
-    line and recovers the coefficients exactly with the fixed integer
-    matrix of `_interpolation`; `degree` is None for a polynomial that
-    is not homogeneous, which `value` evaluates and `restrict` refuses.
+    multiplicity, so its value at a point is one product; `norm`, the
+    sum of the absolute values of the coefficients, sizes `restrict`.
+    A polynomial that is not homogeneous, or whose coefficients are not
+    ints, is refused with HmsError.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "norm", "terms")
 
     def __init__(self, f: SparsePoly):
         if not all(type(c) is int for c in f.terms.values()):
@@ -200,7 +184,10 @@ class CompiledForm:
             for exp, c in f.terms.items()
         )
         degrees = {len(idx) for _, idx in self.terms} or {0}
-        self.degree = degrees.pop() if len(degrees) == 1 else None
+        if len(degrees) != 1:
+            raise HmsError("a compiled form must be homogeneous")
+        (self.degree,) = degrees
+        self.norm = sum(abs(c) for c, _ in self.terms)
 
     def value(self, x):
         total = 0
@@ -212,21 +199,34 @@ class CompiledForm:
 
     def restrict(self, P, Q):
         """The coefficients c_0..c_d, c_i that of t^i u^(d-i), of the form
-        on t P + u Q for integer rows P and Q.  The combined values are
-        divided by the common denominator with `divmod`; a remainder
-        (rows that are not integers) raises HmsError, as does a
-        polynomial that is not homogeneous."""
-        if self.degree is None:
-            raise HmsError("restrict needs a homogeneous form")
-        nodes, den, matrix = _interpolation(self.degree)
-        values = [self.value(Q)]
-        values += [self.value([p + k * q for p, q in zip(P, Q)]) for k in nodes]
+        on t P + u Q for int rows P and Q, by one evaluation (Kronecker
+        substitution): the form at x_i = (P_i << b) + Q_i, the point
+        t = 2^b, u = 1, is the sum of c_i 2^(b i), read off as signed
+        base-2^b digits from c_0 up.
+
+        The digits are exact.  On the line each coordinate is the linear
+        form t P_i + u Q_i, whose coefficients have absolute sum at most
+        reach = max_i (|P_i| + |Q_i|).  That sum is submultiplicative, so
+        a term a x_i1 ... x_id restricts to a binary form whose
+        coefficients have absolute sum at most |a| reach^d, and every
+        |c_i| <= norm reach^d < 2^(b - 1) for b = bit_length(norm
+        reach^d) + 1.  So c_0 is the residue r of the value mod 2^b, or
+        r - 2^b when r >= 2^(b - 1), and subtracting c_0 and shifting by
+        b leaves the sum of c_i 2^(b (i - 1)) for the next digit.  Rows
+        that are not all ints raise HmsError."""
+        if not all(type(x) is int for row in (P, Q) for x in row):
+            raise HmsError("rows must be integers to restrict a form")
+        reach = max(abs(p) + abs(q) for p, q in zip(P, Q))
+        b = (self.norm * reach**self.degree).bit_length() + 1
+        value = self.value([(p << b) + q for p, q in zip(P, Q)])
+        mask, half = (1 << b) - 1, 1 << (b - 1)
         coeffs = []
-        for row in matrix:
-            c, r = divmod(sum(a * v for a, v in zip(row, values)), den)
-            if r:
-                raise HmsError("the restriction is not integral; rows must be integers")
-            coeffs.append(c)
+        for _ in range(self.degree + 1):
+            digit = value & mask
+            if digit >= half:
+                digit -= 1 << b
+            coeffs.append(digit)
+            value = (value - digit) >> b
         return tuple(coeffs)
 
 

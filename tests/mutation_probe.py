@@ -121,12 +121,12 @@ MUTANTS = [
     ("section precision written at FIRST_PRECISION", "src/hmslines/search.py",
      '"precision": K,',
      '"precision": k,'),
-    ("labc kernel basis without its b^2 Q term", "src/hmslines/search.py",
-     "e * p + b * b * q",
-     "e * p"),
-    ("labc kernel basis without its factor e", "src/hmslines/search.py",
-     "e * p + b * b * q",
-     "p + b * b * q"),
+    ("Kronecker base one bit short", "src/hmslines/surface.py",
+     "reach**self.degree).bit_length() + 1",
+     "reach**self.degree).bit_length()"),
+    ("Kronecker digit without its sign fold", "src/hmslines/surface.py",
+     "if digit >= half:",
+     "if False:"),
     ("certificate coefficients not divided by the scale", "src/hmslines/search.py",
      "frac_str(Fraction(c, scale))",
      "frac_str(c)"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import HmsError
 from hmslines.mpoly import SparsePoly, restrict_to_span
@@ -22,10 +22,10 @@ ENTRIES = st.one_of(
 
 
 @st.composite
-def integral_forms(draw):
-    """A homogeneous form of degree 1-4 in 6 variables with int
-    coefficients, as the forms of a model have."""
-    degree = draw(st.integers(1, 4))
+def integral_forms(draw, max_degree=4):
+    """A homogeneous form of degree 1 to max_degree in 6 variables with
+    int coefficients, as the forms of a model have."""
+    degree = draw(st.integers(1, max_degree))
     variables = st.lists(st.integers(0, 5), min_size=degree, max_size=degree)
     monomials = draw(st.lists(variables, min_size=1, max_size=12))
     terms = {}
@@ -133,6 +133,18 @@ def test_poly_valued_coefficients_supported():
     assert value == a * 2 + a * a * 3
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kronecker_restriction_at_its_tight_bound(sign):
+    # +-3 x0^4 on t e0 + u 0: norm 3 and reach 1 bound |c_4| by 3, which
+    # the one coefficient attains; b = bit_length(3) + 1 = 3 keeps it
+    # inside (-4, 4), where one bit fewer would read 3 as -1 and -3 as 1
+    form = CompiledForm(SparsePoly(6, {(4, 0, 0, 0, 0, 0): 3 * sign}))
+    e0, zero = (1, 0, 0, 0, 0, 0), (0,) * 6
+    assert form.restrict(e0, zero) == (0, 0, 0, 0, 3 * sign)
+    assert form.restrict(zero, e0) == (3 * sign, 0, 0, 0, 0)
+    assert form.restrict(zero, zero) == (0,) * 5
+
+
 @PROPERTY
 @given(integral_forms(), st.integers(2, 3), st.data())
 def test_restriction_kernel_matches_substitute(f, k, data):
@@ -146,6 +158,29 @@ def test_restriction_kernel_matches_substitute(f, k, data):
         coeffs = CompiledForm(f).restrict(*ints)
         got = {(i, len(coeffs) - 1 - i): (c, int) for i, c in enumerate(coeffs) if c}
         assert got == typed_terms(restrict_to_span(f, ints))
+
+
+# int rows as lines hand them on: small, negative, up to 2^200, or zero
+INT_ROWS = st.one_of(
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200)),
+        min_size=6,
+        max_size=6,
+    ),
+    st.just([0] * 6),
+)
+
+
+@PROPERTY
+@given(integral_forms(max_degree=6), INT_ROWS, INT_ROWS)
+def test_kronecker_restriction_matches_restrict_to_span(f, P, Q):
+    # one evaluation at x = (P << b) + Q, read as signed base-2^b
+    # digits, against the symbolic restriction
+    assume(not f.is_zero)
+    coeffs = CompiledForm(f).restrict(P, Q)
+    assert len(coeffs) == f.homogeneous_degree() + 1
+    got = {(i, len(coeffs) - 1 - i): (c, int) for i, c in enumerate(coeffs) if c}
+    assert got == typed_terms(restrict_to_span(f, [P, Q]))
 
 
 def test_restriction_kernel_keeps_polynomial_coefficients():

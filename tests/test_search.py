@@ -32,7 +32,6 @@ from hmslines.lines import (
 )
 from hmslines.mpoly import SparsePoly
 from hmslines.padics import UnramifiedRing, pmod
-from hmslines.quartics import integer_model
 from hmslines.scalars import valuation_of_rational
 from hmslines.serialize import frac_str
 from hmslines.surface import CompiledForm
@@ -635,8 +634,8 @@ def test_rho0_search_reaches_the_integer_model_with_ints(monkeypatch):
 def test_labc_search_with_fractional_parameters_reaches_the_integer_model_with_ints(
     monkeypatch,
 ):
-    # the labc kernel clears the denominators of a candidate with
-    # non-integral parameters into its scale
+    # a labc candidate with non-integral parameters is restricted on its
+    # line's integer basis, whose denominator goes into the scale
     handed = []
     primitive = quartics.primitive_integers
 
@@ -670,16 +669,16 @@ def test_gate_failures_build_no_galois_section(monkeypatch):
 
 def test_search_counts_chart_off_surface_and_degenerate_outcomes(monkeypatch):
     # the first three candidates of the same search, on a labc chart
-    # without a kernel, so that each line is restricted by
-    # quartic_of_line: the chart fails, a line off the quadrics, a line
-    # inside the degree-8 locus
+    # that does not claim its family is contained in the quadrics, so
+    # that each line is restricted by quartic_of_line: the chart fails,
+    # a line off the quadrics, a line inside the degree-8 locus
     replaced = iter([
         HmsError("no line at these parameters"),
         Line([[1, 0, 0, -1, -1, 1], [0, 1, -1, -1, 0, 1]]),
         Line([[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
     ])
 
-    class Unkerneled:
+    class Unchecked:
         kind = "labc"
 
         def line_at(self, a, b, c):
@@ -690,7 +689,7 @@ def test_search_counts_chart_off_surface_and_degenerate_outcomes(monkeypatch):
                 raise outcome
             return outcome
 
-    monkeypatch.setattr(search, "line_chart", lambda config, model: Unkerneled())
+    monkeypatch.setattr(search, "line_chart", lambda config, model: Unchecked())
     cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
     with pytest.raises(SearchExhausted) as info:
         find_lines(cfg, max_results=1)
@@ -700,13 +699,14 @@ def test_search_counts_chart_off_surface_and_degenerate_outcomes(monkeypatch):
     assert sum(v for k, v in stats.items() if k != "candidates") == 27
 
 
-def test_labc_kernel_giving_the_zero_quartic_counts_degenerate(monkeypatch):
-    # a kernel whose five polynomials vanish gives G = 0 at every
-    # candidate of the class, where a - bc = 3 mod 81 is never 0: each
-    # is counted degenerate, and none is restricted by quartic_of_line
+def test_labc_search_counts_a_zero_quartic_degenerate(monkeypatch):
+    # a q4 in the ideal of q1, here q1 x0^3, restricts to the zero
+    # quartic on every line in the quadrics: each candidate of the class
+    # is counted degenerate, and none goes through quartic_of_line
     cfg = demo_config("char3-demo.json", precision=5, height_bound=120)
     model = build_model(cfg)
-    line_chart(cfg, model).kernel = (CompiledForm(SparsePoly.zero(3)),) * 5
+    x0 = SparsePoly.variable(0, 6)
+    model.compiled[4] = CompiledForm(model.q1 * x0 * x0 * x0)
     monkeypatch.setattr(search, "build_model", lambda config: model)
     restricted = _count_calls(monkeypatch, "quartic_of_line")
     with pytest.raises(SearchExhausted) as info:
@@ -728,14 +728,14 @@ def test_char3_search_calls_labc_line_once_per_candidate(monkeypatch):
     assert len(calls) == stats["candidates"] == 729
     assert (stats["gate_failures"], stats["precision_failures"]) == (648, 72)
     assert (stats["zero_discriminant"], stats["duplicates"]) == (9, 0)
-    # every candidate's quartic comes from the kernel
+    # every candidate's quartic is restricted without the in_quadrics
+    # check, which the chart's contained flag makes redundant
     assert restricted == []
-    # the labc chart, with its kernel, is built once per model
+    # the labc chart is built once per model
     model = build_model(cfg)
     chart = line_chart(cfg, model)
     assert line_chart(cfg, model) is chart
     assert chart.contained
-    assert [len(g.terms) for g in chart.kernel] == [7, 11, 8, 11, 7]
     assert list(model.charts) == ["labc"]
 
 
@@ -783,32 +783,25 @@ LABC_PARAM = st.one_of(
 )
 @example(("1", "1"), F(3), F(243), F(243), False)
 @example(("3", "1/5"), 0, F(5, 3), 0, True)
-def test_labc_kernel_gives_the_quartic_of_the_line(lambdas, a, b, c, on_bc):
-    # the kernel's (G, e^4) and quartic_of_line's (q, den^4) are the same
-    # quartic on the line's rows: G den^4 = q e^4, with the same integer
-    # model and certificate section; where a = bc the kernel gives None
+def test_labc_search_quartic_is_the_quartic_of_the_line(lambdas, a, b, c, on_bc):
+    # the search restricts q4 on a labc line without in_quadrics, since
+    # the chart's contained flag is an identity in (a, b, c), a = bc
+    # included; its quartic and sections are those of quartic_of_line
     if on_bc:
         a = b * c
     cfg, model = _char3_model(*lambdas)
     chart = line_chart(cfg, model)
     line = labc_line(a, b, c)
+    assert chart.contained and lines.in_quadrics(line, model)
     want = quartic_of_line(line, model)
-    scaled = chart.quartic_at(a, b, c)
-    assert (scaled is None) == (a == b * c)
     if want.is_degenerate:
         with pytest.raises(DegenerateLineError):
-            search._Sections(line, model, cfg, scaled)
+            search._Sections(line, model, cfg, chart.contained)
         return
-    if scaled is not None:
-        G, e4 = scaled
-        # integral for int parameters, as the search passes integral ones
-        assert all(type(x) is int for x in want.coeffs)
-        if all(type(x) is int for x in (a, b, c)):
-            assert all(type(x) is int for x in G.coeffs)
-        assert [g * line.den**4 for g in G.coeffs] == [q * e4 for q in want.coeffs]
-        assert integer_model(G) == integer_model(want)
-    sections = search._Sections(line, model, cfg, scaled)
+    sections = search._Sections(line, model, cfg, chart.contained)
     plain = search._Sections(line, model, cfg)
+    assert sections.quartic.coeffs == want.coeffs
+    assert all(type(x) is int for x in want.coeffs)
     assert sections.quartic_section() == plain.quartic_section()
     assert sections.tangential == plain.tangential == (want.discriminant() == 0)
 

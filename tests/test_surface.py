@@ -144,24 +144,26 @@ def test_contains_point_over_f25():
 
 
 def test_compiled_form_refuses_what_is_not_integral():
-    # x0^2 on t (1/2, 0) + u (0, 1): the combined values leave a
-    # remainder over the common denominator, which is never truncated
+    # x0^2 on t (2, 0) + u (0, 1) is 4 t^2; rows with a Fraction entry,
+    # even an integral one, are refused rather than truncated
     square = SparsePoly(2, {(2, 0): 1})
     assert CompiledForm(square).restrict((2, 0), (0, 1)) == (0, 0, 4)
-    with pytest.raises(HmsError, match="not integral"):
-        CompiledForm(square).restrict((F(1, 2), 0), (0, 1))
+    for rows in (((F(1, 2), 0), (0, 1)), ((2, 0), (0, F(1)))):
+        with pytest.raises(HmsError, match="rows must be integers"):
+            CompiledForm(square).restrict(*rows)
     with pytest.raises(HmsError, match="int coefficients"):
         CompiledForm(SparsePoly(2, {(2, 0): F(1, 2)}))
 
 
-def test_compiled_polynomial_is_evaluated_but_not_restricted():
-    # x0^2 - 3 x1 + 5 is no form: its value is exact, at ints and at
-    # Fractions, and it has no restriction to a line
-    poly = CompiledForm(SparsePoly(2, {(2, 0): 1, (0, 1): -3, (0, 0): 5}))
-    assert poly.value((4, 7)) == 0
-    assert poly.value((F(1, 2), F(2, 3))) == F(13, 4)
+def test_compiled_form_refuses_a_polynomial_that_is_not_homogeneous():
+    # x0^2 - 3 x1 + 5 is no form, so it is not compiled at all
     with pytest.raises(HmsError, match="homogeneous"):
-        poly.restrict((1, 0), (0, 1))
+        CompiledForm(SparsePoly(2, {(2, 0): 1, (0, 1): -3, (0, 0): 5}))
+    # a form is, and its value is exact at ints and at Fractions
+    form = CompiledForm(SparsePoly(2, {(2, 0): 1, (1, 1): -3}))
+    assert form.degree == 2
+    assert form.value((3, 1)) == 0
+    assert form.value((F(1, 2), F(2, 3))) == F(-3, 4)
 
 
 def test_rationality_validator_rejects_unbalanced_matrix():
