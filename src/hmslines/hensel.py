@@ -24,15 +24,28 @@ add up to that of the quartic, since disc(g*h) = disc g * disc h *
 Res(g, h)^2 with Res(g, h) a p-unit for g, h coprime mod p (Cohen, A
 Course in Computational Algebraic Number Theory, GTM 138, ch. 3).
 
+An "unramified" report has an even v_p(D), the block discriminant
+valuations adding up to it, so `search` reads an odd v_p(D) as "not
+unramified" before it asks for a report.
+
+Everything a report takes from its quartic mod p (the unit chart, the
+factorization of the monic reduction, each block's residue degree,
+multiplicity and residue factor in the original chart, and the order of
+the blocks) is computed once per prime and residue and kept in a plain
+dict (`_RESIDUES`, at most p^5 - 1 keys per prime); a quartic itself
+adds only v_p(D) and the (linear)^2 valuations.
+
 Each quartic and prime has one `HenselReport`, and its blocks are
 lifted only when a lift is read, at the precision asked for:
-`HenselReport.lift(K)` lifts them all in one call per K.  `block_roots`
+`HenselReport.lift(K)` lifts them all in one call per K, from the monic
+unit-chart form mod p^prec that the first lift forms.  `block_roots`
 is the one place that reads the p-adic roots of a block off its lift,
 each one coordinate z and an orientation, [z : 1] or [1 : z]; `search`
 turns them into points.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb, isqrt
 
@@ -344,23 +357,93 @@ class BlockReport:
     index: int
 
 
+# (p, primitive quartic mod p) -> its `_Residue`; at most p^5 - 1 keys
+# per prime, the nonzero residues: 242 mod 3, 3124 mod 5
+_RESIDUES = {}
+
+
+class _Residue:
+    """What `hensel_factor_quartic` reads off a primitive quartic mod p,
+    kept per residue (`_residue_of`): the quartics of one search meet
+    few residues many times.
+
+    chart is the `unit_chart` and inverse_chart its inverse; top is the
+    degree of the quartic in that chart mod p, 4 unless no unit chart
+    exists; parts is the factorization of its monic reduction
+    (`factor_monic_mod_p`); block_meta gives each block's (residue
+    degree, multiplicity), with the simple root at [1:0] last when top
+    < 4; factors gives each block's residue factor mod p composed back
+    to the original chart, u for the root at [1:0]; order is the order
+    in which a report lists its blocks, by `_residue_order` of their
+    factors for a squarefree reduction, else the order of parts.
+    """
+
+    def __init__(self, ics, p):
+        self.chart = chart = unit_chart(ics, p)
+        (a, b), (c, d) = chart
+        self.inverse_chart = inverse = ((d, -b), (-c, a))  # det = 1
+        f = trim(compose_binary(ics, chart, p))
+        self.top = deg(f)
+        self.parts = factor_monic_mod_p(pscale(f, pow(f[-1], -1, p), p), p)
+        residues = [list(g) for g, _ in self.parts]
+        block_meta = [(deg(g), mult) for g, mult in self.parts]
+        if self.top < 4:
+            residues.append([1, 0])
+            block_meta.append((1, 1))
+        self.block_meta = tuple(block_meta)
+        self.factors = tuple(compose_binary(g, inverse, p) for g in residues)
+        self.squarefree = all(mult == 1 for _, mult in block_meta)
+        self.residue_degrees = tuple(
+            sorted(rdeg for rdeg, mult in block_meta for _ in range(mult))
+        )
+        self.doubles = [i for i, meta in enumerate(block_meta) if meta == (1, 2)]
+        order = range(len(block_meta))
+        if self.squarefree:
+            # certificates list the blocks of a squarefree reduction in
+            # this order, and of a repeated one in unit-chart order; the
+            # golden certificates freeze both
+            order = sorted(order, key=lambda i: _residue_order(self.factors[i], p))
+        self.order = tuple(order)
+
+
+def _residue_of(ics, p) -> _Residue:
+    """The `_Residue` of primitive integer coefficients c0..c4 mod p,
+    built on the first quartic of that residue and kept in
+    `_RESIDUES`."""
+    key = (p, *[c % p for c in ics])
+    if key not in _RESIDUES:
+        _RESIDUES[key] = _Residue(ics, p)
+    return _RESIDUES[key]
+
+
 @dataclass
 class HenselReport:
     """The factorization of a binary quartic over Z_p, built at the
     precision prec (`hensel_factor_quartic`), with what `lift` needs:
-    the quartic in its unit chart, made monic mod p^prec (`monic`), its
-    factorization mod p (`parts`) and the chart back to the original
-    coordinates."""
+    the primitive integer coefficients `ics` and their `residue`, the
+    structure mod p that every quartic of that residue shares, kept in
+    `_RESIDUES`.  The
+    quartic in its unit chart, made monic mod p^prec, is formed when
+    `lift` is first read, so a report that no one lifts has computed
+    mod p only."""
 
     p: int
-    inverse_chart: tuple = field(repr=False)
-    monic: list = field(repr=False)
-    parts: list = field(repr=False)
+    prec: int
+    ics: tuple = field(repr=False)
+    residue: _Residue = field(repr=False)
     squarefree_mod_p: bool
     residue_degrees: tuple
     verdict: str = field(init=False)
     blocks: list = field(init=False)
     _lifts: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _monic(self):
+        """The quartic in its unit chart, made monic mod p^prec."""
+        m = self.p**self.prec
+        f = compose_binary(self.ics, self.residue.chart)
+        lc_inv = pow(f[self.residue.top], -1, m)
+        return [(c * lc_inv) % m for c in f]
 
     def lift(self, K):
         """Every block Hensel-lifted mod p^K, K <= prec, as a binary form
@@ -368,7 +451,7 @@ class HenselReport:
         order: one `hensel_lift_factors` call per K, kept."""
         if K in self._lifts:
             return self._lifts[K]
-        p, f = self.p, self.monic
+        p, f = self.p, self._monic
         rest, at_infinity = f, []
         if f[4] % p == 0:
             # no unit chart: the linear factor at [1:0] (a unit mod p) is
@@ -376,14 +459,13 @@ class HenselReport:
             g, rest = hensel_pair_lift(f, [1], pmod(f, p), p, K)
             at_infinity = [(g + [0])[:2]]
         powers = []
-        for g, mult in self.parts:
+        for g, mult in self.residue.parts:
             powers.append([1])
             for _ in range(mult):
                 powers[-1] = pmul(powers[-1], list(g), p)
         blocks = hensel_lift_factors(rest, powers, p, K) + at_infinity
-        self._lifts[K] = [
-            tuple(compose_binary(B, self.inverse_chart, p**K)) for B in blocks
-        ]
+        inverse = self.residue.inverse_chart
+        self._lifts[K] = [tuple(compose_binary(B, inverse, p**K)) for B in blocks]
         return self._lifts[K]
 
     def roots_reducing_into(self, g, blk) -> int:
@@ -402,8 +484,7 @@ class HenselReport:
         those of the block, whose other blocks are coprime to r mod p.
         """
         p = self.p
-        part = self.parts[blk.index][0] if blk.index < len(self.parts) else (1, 0)
-        r = compose_binary(part, self.inverse_chart, p)
+        r = self.residue.factors[blk.index]
         affine_r, affine_g = trim(r), pmod(g, p)
         if len(affine_r) < len(r):
             # r is a unit times u: the order of g mod p at [1:0]
@@ -464,22 +545,24 @@ def unit_chart(ics, p):
     return ((1, 0), (0, 1))
 
 
-def _residue_order(g, inverse_chart, p):
-    """Sort key of a simple block by its residue factor g, a binary form
-    in the unit chart, composed back to the original chart mod p: monic
-    affine factors of q(t, 1) by (degree, coefficients), then the root
-    at [1:0]."""
-    h = trim(compose_binary(g, inverse_chart, p))
-    if deg(h) < deg(g):
+def _residue_order(h, p):
+    """Sort key of a simple block by its residue factor h, a binary form
+    mod p in the original chart: monic affine factors of q(t, 1) by
+    (degree, coefficients), then the root at [1:0]."""
+    affine = trim(h)
+    if len(affine) < len(h):
         return (1,)
-    return (0, len(h), tuple(pscale(h, pow(h[-1], -1, p), p)))
+    return (0, len(affine), tuple(pscale(affine, pow(affine[-1], -1, p), p)))
 
 
 def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     """Factor q over Z_p into coprime blocks and certify unramifiedness.
 
-    q is moved to its `unit_chart` and its monic reduction is factored
-    once; a block is a residue factor to its multiplicity.  The
+    q is moved to its `unit_chart` and its monic reduction is factored;
+    a block is a residue factor to its multiplicity.  All of that
+    depends on q mod p alone and is kept per residue (`_residue_of`, at
+    most p^5 - 1 residues per prime): q itself gives only v_p(D), D the exact discriminant of
+    `integer_model`, and the valuations of (linear)^2 blocks.  The
     verdicts (odd p) are sound but incomplete:
       * a simple block -> unramified;
       * a (linear)^2 block -> the parity of its discriminant valuation
@@ -490,13 +573,15 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     disc f = disc g * disc h * Res(g, h)^2 and Res(g, h) is a p-unit
     (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
     ch. 3).  A simple block has a unit discriminant, and the SL2(Z)
-    chart and the monic scaling change the discriminant D of q by a
-    unit, so a lone (linear)^2 block's discriminant valuation is
-    v_p(D), exact from `integer_model`.  Two (linear)^2 blocks each
-    have a valuation >= 1, and the two add up to v_p(D), so they read
-    `lift(min(prec, v_p(D)))`; one that is O(p^prec) there has
-    v_p(D) - v, v the other's.  PrecisionError is raised for a
-    (linear)^2 block when D = 0 or both are O(p^prec).
+    chart and the monic scaling change D by a unit, so a lone
+    (linear)^2 block's discriminant valuation is v_p(D).  Two
+    (linear)^2 blocks each have a valuation >= 1, and the two add up to
+    v_p(D), so they read `lift(min(prec, v_p(D)))`; one that is
+    O(p^prec) there has v_p(D) - v, v the other's.  PrecisionError is
+    raised for a (linear)^2 block when D = 0 or both are O(p^prec).
+    The same sum shows that an "unramified" report has an even v_p(D),
+    so an odd one decides "not unramified" without a report, which
+    `search` reads first.
 
     The blocks of a squarefree reduction are ordered by their residue
     factors, so nothing else here lifts: `block_roots` asks for the
@@ -507,27 +592,11 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     if prec < 1:
         raise HmsError("precision must be positive")
     ics, disc = integer_model(q)
-    m = p**prec
-    chart = unit_chart(ics, p)
-    f = compose_binary(ics, chart)
-    top = deg(pmod(f, p))
-    lc_inv = pow(f[top], -1, m)
-    f = [(c * lc_inv) % m for c in f]
-    parts = factor_monic_mod_p(pmod(f, p), p)
-    # (residue degree, multiplicity) of each block; with no unit chart,
-    # [1:0] is a simple root and its block comes last
-    block_meta = [(deg(list(g)), mult) for g, mult in parts]
-    if top < 4:
-        block_meta.append((1, 1))
-    squarefree = all(mult == 1 for _, mult in block_meta)
-    residue_degrees = tuple(
-        sorted(rdeg for rdeg, mult in block_meta for _ in range(mult))
+    residue = _residue_of(ics, p)
+    report = HenselReport(
+        p, prec, ics, residue, residue.squarefree, residue.residue_degrees
     )
-    (a, b), (c, d) = chart
-    inverse = ((d, -b), (-c, a))  # det = 1
-    report = HenselReport(p, inverse, f, parts, squarefree, residue_degrees)
-
-    doubles = [i for i, meta in enumerate(block_meta) if meta == (1, 2)]
+    doubles = residue.doubles
     valuations = {}  # index of a (linear)^2 block -> v_p of its discriminant
     if len(doubles) == 2 and disc:
         k = min(prec, split_p_power(disc, p)[0])
@@ -542,7 +611,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         # the (linear)^2 valuations add up to v_p(D)
         valuations[unread[0]] = split_p_power(disc, p)[0] - sum(valuations.values())
     blocks = []
-    for index, (rdeg, mult) in enumerate(block_meta):
+    for index, (rdeg, mult) in enumerate(residue.block_meta):
         verdict, v = "unramified", None
         if (rdeg, mult) == (1, 2):
             if index not in valuations:
@@ -556,18 +625,11 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         elif mult > 1:
             verdict = "inconclusive"
         blocks.append(BlockReport(rdeg * mult, rdeg, mult, verdict, v, index))
-    if squarefree:
-        # certificates list the blocks of a squarefree reduction in this
-        # order, and of a repeated one in unit-chart order; the golden
-        # certificates freeze both.  The residue factor of the block at
-        # [1:0] is u.
-        residues = [list(g) for g, _ in parts] + [[1, 0]]
-        blocks.sort(key=lambda blk: _residue_order(residues[blk.index], inverse, p))
     verdicts = {blk.verdict for blk in blocks}
     report.verdict = next(
         v for v in ("ramified", "inconclusive", "unramified") if v in verdicts
     )
-    report.blocks = blocks
+    report.blocks = [blocks[i] for i in residue.order]
     return report
 
 

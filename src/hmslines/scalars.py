@@ -45,7 +45,11 @@ def valuation_of_rational(x, p: int):
 
 def integer_numerators(values):
     """(d, [d * x for x in values]) for d the least common denominator
-    of some rationals; the scaled values are ints."""
+    of some rationals; the scaled values are ints.  Values that are all
+    ints (a bool is not) come back as they are, with d = 1."""
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return 1, values
     values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]

@@ -78,7 +78,7 @@ from .lines import (
 from .padics import UElt, UnramifiedRing
 from .quartics import BinaryQuartic, integer_model, real_root_count
 from .galois import solvability_report
-from .scalars import sup_norm_shell, valuation_of_rational
+from .scalars import split_p_power, sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
 from .surface import (
     BUILTIN_TWISTS,
@@ -580,7 +580,8 @@ class _Sections:
     the scale does not change, and `quartic_section` alone divides by
     s: no other builder forms a Fraction coefficient.
 
-    Each Hensel report is built once, at the configured precision K.  A
+    Each Hensel report is built once, at the configured precision K,
+    and a gate builds none for an odd v_p(D) (`_unramified`).  A
     local section reads its points off the report's lift at min(K,
     FIRST_PRECISION) first, and at K only when something is open there
     that is not an exact zero (`_decided`); it records K whichever lift
@@ -691,22 +692,45 @@ class _Sections:
             for block, count in nulls.items()
         )
 
+    def _unramified(self, p: int) -> bool:
+        """Whether the Hensel report at p says "unramified", answered
+        False without a report when v_p(D) is odd.
+
+        For A = Q_p[t]/(f), f the quartic made monic, v_p(disc f) =
+        v_p(disc O_A) + 2 v_p([O_A : Z_p[t]/(f)]) (Neukirch, Algebraic
+        Number Theory, I (2.12), on each field factor of A), and an
+        unramified A has a unit discriminant, so an odd v_p(D) is never
+        unramified; the report's blocks agree, their discriminant
+        valuations adding up to v_p(D) (`hensel_factor_quartic`).  It
+        outruns the report in one case: two (linear)^2 blocks both
+        O(p^K), which makes the report raise PrecisionError, here read
+        as False.  Only `find_lines` statistics see it: `_certificate`
+        builds the local sections before the gates.
+        """
+        disc = integer_model(self.quartic)[1]
+        if split_p_power(disc, p)[0] % 2 == 1:
+            return False
+        return self.hensel(p).verdict == "unramified"
+
     def targeted_gates(self):
         """(name, verdict) of each targeted gate, cheapest first, lazily.
 
-        The real gate needs the real root count, the 3-adic gate the
-        Hensel report at 3 alone, and the 5-adic gate the Hensel report
-        at 5 before the points and invariants it reads last.
+        The real gate needs the real root count.  The 3-adic gate reads
+        the parity of v_3(D) and then, when it is even, the Hensel
+        report at 3 alone (`_unramified`).  The 5-adic gate reads the
+        parity of v_5(D), then the Hensel report at 5, and last the
+        points and invariants of the 5-adic section.  The
+        discriminant must not be 0, which `find_lines` and
+        `_certificate` check first.
         """
         targeted = self.config.targets
         if "real" in targeted:
             yield "real_four_roots", self.real()["root_count"] == 4
         if 3 in targeted:
-            yield "unramified_at_3", self.hensel(3).verdict == "unramified"
+            yield "unramified_at_3", self._unramified(3)
         if 5 in targeted:
             yield "ordinary_at_5", (
-                self.hensel(5).verdict == "unramified"
-                and _points_ordinary(self.local(5))
+                self._unramified(5) and _points_ordinary(self.local(5))
             )
 
 
@@ -898,9 +922,10 @@ def find_lines(config: SearchConfig, max_results: int = 1):
 
     Each candidate line is decided gate first: after the chart, the
     duplicate check and the zero-discriminant check, the targeted gates
-    run cheapest first (real root count, Hensel at 3, Hensel at 5 and
-    then the 5-adic points) and the first gate decided false rejects the
-    line.
+    run cheapest first (`_Sections.targeted_gates`: real root count;
+    the parity of v_3(D), then the Hensel report at 3; the parity of
+    v_5(D), then the Hensel report at 5, then the 5-adic points) and the
+    first gate decided false rejects the line.
     Only a line passing every gate gets its remaining sections, reusing
     what the gates built, and the certificate `certify_line` would give.
 
@@ -909,8 +934,10 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     SearchExhausted (with rejection statistics) when the height bound
     is reached first.  The statistics count a candidate whose targeted
     gate is decided false as a gate failure, even where an evidence-only
-    section would have raised; a PrecisionError while deciding a gate,
-    or while building a passing line's evidence, is a precision failure.
+    section would have raised, or where the report the parity spared
+    would have raised (two (linear)^2 blocks both O(p^K) with v_p(D)
+    odd); a PrecisionError while deciding a gate, or while building a
+    passing line's evidence, is a precision failure.
     """
     model = build_model(config)
     chart = line_chart(config, model)

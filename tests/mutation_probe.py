@@ -83,9 +83,12 @@ MUTANTS = [
      '        return "C4"\n    return "D4"',
      '        return "D4"\n    return "C4"'),
     ("squarefree blocks in reverse residue order", "src/hmslines/hensel.py",
-     "blocks.sort(key=lambda blk: _residue_order(residues[blk.index], inverse, p))",
-     "blocks.sort(key=lambda blk: _residue_order(residues[blk.index], inverse, p),"
+     "order = sorted(order, key=lambda i: _residue_order(self.factors[i], p))",
+     "order = sorted(order, key=lambda i: _residue_order(self.factors[i], p),"
      " reverse=True)"),
+    ("residue memo key drops a coefficient", "src/hmslines/hensel.py",
+     "key = (p, *[c % p for c in ics])",
+     "key = (p, *[c % p for c in ics[1:]])"),
     # (a ramified block and an inconclusive one cannot meet in a quartic:
     # that needs degree 2 + 3 at least, so only this order is observable)
     ("unramified block outranks inconclusive", "src/hmslines/hensel.py",
@@ -112,6 +115,9 @@ MUTANTS = [
     ("undetermined point not rebuilt", "src/hmslines/search.py",
      "if not _undetermined(result, sigma5_exact):",
      "if True:"),
+    ("parity gate reads even as odd", "src/hmslines/search.py",
+     "if split_p_power(disc, p)[0] % 2 == 1:",
+     "if split_p_power(disc, p)[0] % 2 == 0:"),
     ("every sigma_5 null called exact", "src/hmslines/search.py",
      "return nulls and not sigma5_exact(section)",
      "return False"),

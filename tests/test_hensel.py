@@ -15,7 +15,7 @@ from hmslines.hensel import (
 )
 from hmslines.padics import pdivmod, pext_euclid, peval, pgcd, pmod, pmul, psub, trim
 from hmslines.lines import labc_line, quartic_of_line, Line
-from hmslines.quartics import BinaryQuartic
+from hmslines.quartics import BinaryQuartic, integer_model
 from hmslines.search import build_model, intersection_points, parse_config
 from hmslines.surface import char3_twist, rho0_twist, twisted_equations
 
@@ -381,19 +381,23 @@ def _doubles(factors, p):
     return blocks
 
 
+# integer forms whose product has a known factorization over Z_p, and
+# the steps of an SL2(Z) chart to move it by
+_FACTORS = st.one_of(
+    st.tuples(*[_primitive_form(1)] * 4),
+    st.tuples(_primitive_form(1), _primitive_form(1), _primitive_form(2)),
+    st.tuples(_primitive_form(2), _primitive_form(2)),
+    st.tuples(_double_of_chosen_valuation(), _primitive_form(2)),
+    st.tuples(_double_of_chosen_valuation(), _primitive_form(1), _primitive_form(1)),
+    st.tuples(_double_of_chosen_valuation(), _double_of_chosen_valuation()),
+)
+_STEPS = st.lists(st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
-    st.one_of(
-        st.tuples(*[_primitive_form(1)] * 4),
-        st.tuples(_primitive_form(1), _primitive_form(1), _primitive_form(2)),
-        st.tuples(_primitive_form(2), _primitive_form(2)),
-        st.tuples(_double_of_chosen_valuation(), _primitive_form(2)),
-        st.tuples(_double_of_chosen_valuation(), _primitive_form(1), _primitive_form(1)),
-        st.tuples(_double_of_chosen_valuation(), _double_of_chosen_valuation()),
-    ),
-    st.lists(
-        st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4
-    ),
+    _FACTORS,
+    _STEPS,
     st.sampled_from([3, 5]),
     st.integers(1, 30),
 )
@@ -480,10 +484,12 @@ def test_two_block_discriminants_O_of_p_to_the_K_raise():
 
 def test_point_extraction_lifts_nothing_again(monkeypatch):
     # the quartic of this line has two quadratic residue factors at 5
-    # and a (linear)^2 times a quadratic at 3: each is factored once mod
-    # p, neither report lifts a block until its points are read, each
-    # lifts its blocks once then, and a second extraction of the points
-    # lifts no block again
+    # and a (linear)^2 times a quadratic at 3: from a cold residue memo
+    # each is factored once mod p, and a second report of the same
+    # residue factors nothing; neither report forms its monic unit-chart
+    # form or lifts a block until its points are read, each lifts its
+    # blocks once then, and a second extraction of the points lifts no
+    # block again
     factorizations = []
     factor = hensel.factor_monic_mod_p
 
@@ -504,6 +510,7 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
         finally:
             nested.pop()
 
+    monkeypatch.setattr(hensel, "_RESIDUES", {})
     monkeypatch.setattr(hensel, "factor_monic_mod_p", counting_factor)
     monkeypatch.setattr(hensel, "hensel_lift_factors", counting_lift_factors)
     line = labc_line(3, 243, 243)
@@ -512,14 +519,97 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
     rep5 = hensel_factor_quartic(q, 5, 12)
     assert (rep3.squarefree_mod_p, rep5.residue_degrees) == (False, (2, 2))
     assert factorizations == [3, 5]
+    again = [hensel_factor_quartic(q, p, 7) for p in (3, 5)]
+    assert [rep.blocks for rep in again] == [rep3.blocks, rep5.blocks]
+    assert factorizations == [3, 5]
     # the blocks of the squarefree reduction at 5 are put in residue
     # order unlifted; the lone (linear)^2 at 3 has its verdict unlifted
     assert block_lifts == []
+    assert not any("_monic" in vars(rep) for rep in (rep3, rep5, *again))
     for _ in range(2):
         points3, points5 = intersection_points(rep3, 12), intersection_points(rep5, 12)
         assert [pt.ring.deg for pt in points3] == [1, 1, 2]
         assert [pt.ring.deg for pt in points5] == [2, 2]
         assert block_lifts == [3, 5]
+
+
+# the quartics of `test_local_factorization_agrees_with_the_construction`
+_CONSTRUCTED_QUARTICS = st.builds(
+    lambda factors, steps: compose_binary(_product(factors), _sl2_product(steps)),
+    _FACTORS,
+    _STEPS,
+)
+
+
+def _product(factors):
+    product = [1]
+    for g in factors:
+        product = _times(product, g)
+    return product
+
+
+def _report_or_error(q, p, K):
+    try:
+        return hensel_factor_quartic(q, p, K)
+    except PrecisionError as exc:
+        return exc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_CONSTRUCTED_QUARTICS, st.sampled_from([3, 5]), st.integers(1, 30))
+# (t^2 - 27u^2)((t - u)^2 - 9u^2), v_3(D) = 5: both (linear)^2 blocks
+# are O(3^2), so the report raises
+@example([216, 54, -35, -2, 1], 3, 2)
+def test_an_odd_v_p_D_is_never_unramified(ints, p, K):
+    # Neukirch, Algebraic Number Theory, I (2.12): v_p(D) is v_p of the
+    # discriminant of the maximal order plus twice that of an index, and
+    # an unramified algebra has a unit discriminant; so an odd v_p(D),
+    # which the search's gates read before any report, never comes with
+    # an "unramified" report
+    D = Q(ints).discriminant()
+    assume(D != 0 and _p_valuation(int(D), p) % 2 == 1)
+    report = _report_or_error(Q(ints), p, K)
+    assert isinstance(report, PrecisionError) or report.verdict != "unramified"
+
+
+def _report_state(report, K):
+    if isinstance(report, PrecisionError):
+        return ("PrecisionError", str(report), report.needed)
+    return (
+        report.blocks,
+        report.verdict,
+        report.residue_degrees,
+        report.squarefree_mod_p,
+        report.lift(K),
+    )
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        _CONSTRUCTED_QUARTICS,
+        st.lists(st.integers(-40, 40), min_size=5, max_size=5),
+    ),
+    st.sampled_from([3, 5]),
+    st.integers(1, 20),
+)
+def test_a_report_from_a_warm_residue_memo_is_the_cold_one(ints, p, K):
+    # the memo is keyed on the whole residue: warmed by every quartic
+    # that differs from this one mod p in one coefficient, it still
+    # gives the report built from an empty memo
+    q = Q(ints)
+    assume(not q.is_degenerate)
+    hensel._RESIDUES.clear()
+    cold = _report_state(_report_or_error(q, p, K), K)
+    hensel._RESIDUES.clear()
+    ics = integer_model(q)[0]
+    for i in range(5):
+        for step in range(1, p):
+            moved = list(ics)
+            moved[i] += step
+            if any(moved):
+                _report_or_error(Q(moved), p, K)
+    assert _report_state(_report_or_error(q, p, K), K) == cold
 
 
 def _monic_polys(degree, p):

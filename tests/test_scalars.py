@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmslines.scalars import (
+    integer_numerators,
     primitive_integers,
     split_p_power,
     sup_norm_shell,
@@ -111,3 +112,25 @@ def test_sup_norm_shell_is_the_filtered_cube():
                 if max(map(abs, t)) == r and all(c in axis for c, axis in zip(t, box))
             ]
             assert list(sup_norm_shell(r, box)) == want
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.one_of(st.integers(-(10**12), 10**12), RATIONALS, st.booleans()),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example([7, -12, 0])
+@example([Fraction(1, 2), Fraction(-2, 3)])
+@example([4, Fraction(5, 6), True])
+@example([True, False, 3])
+def test_integer_numerators_against_the_fraction_path(values):
+    # oracle: the values read as Fractions, their least common
+    # denominator and each value times it; a bool comes back an int
+    fractions = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fractions))
+    d, ints = integer_numerators(values)
+    assert (d, ints) == (den, [int(x * den) for x in fractions])
+    assert type(d) is int and all(type(c) is int for c in ints)

@@ -473,7 +473,9 @@ def test_the_3_adic_gate_lifts_no_fourth_power_and_no_lone_double(monkeypatch):
     # at precision 5 and height 120 the char3 class rejects 24 lines at
     # the 3-adic gate: 18 reduce to a (linear)^4, inconclusive, and 6 to
     # a (linear)^2 times two simple roots, ramified by the parity of
-    # v_3(D); no line passes, so every report is read by the gate alone
+    # v_3(D).  The 12 lines of odd v_3(D), the 6 ramified ones and 6 of
+    # the (linear)^4, are rejected by that parity before any report; no
+    # line passes, so every report is read by the gate alone
     reports = _count_calls(monkeypatch, "hensel_factor_quartic")
     lifts = _count_lifts(monkeypatch)
     with pytest.raises(SearchExhausted) as info:
@@ -483,12 +485,23 @@ def test_the_3_adic_gate_lifts_no_fourth_power_and_no_lone_double(monkeypatch):
         (tuple(sorted((b.residue_degree, b.multiplicity) for b in rep.blocks)), rep.verdict)
         for rep in reports
     )
-    assert shapes == {
-        (((1, 4),), "inconclusive"): 18,
-        (((1, 1), (1, 1), (1, 2)), "ramified"): 6,
-    }
+    assert shapes == {(((1, 4),), "inconclusive"): 12}
     assert lifts == []
+    assert not any("_monic" in vars(rep) for rep in reports)
 
+
+def test_an_odd_v_p_D_fails_the_gate_where_the_report_raises():
+    # (t^2 - 27u^2)((t - u)^2 - 9u^2): two (linear)^2 blocks mod 3 of
+    # discriminant valuations 3 and 2, so v_3(D) = 5; at K = 2 both are
+    # O(3^2) and the report raises, but the gate reads the odd v_3(D)
+    q = quartics.BinaryQuartic([216, 54, -35, -2, 1])
+    assert valuation_of_rational(q.discriminant(), 3) == 5
+    config = demo_config("char3-demo.json", precision=2)
+    sections = object.__new__(search._Sections)
+    sections.quartic, sections.config, sections._built = q, config, {}
+    assert next(sections.targeted_gates()) == ("unramified_at_3", False)
+    with pytest.raises(PrecisionError, match=r"discriminant is O\(3\^2\)"):
+        sections.hensel(3)
 
 
 def test_a_squarefree_report_in_a_non_identity_chart_lifts_nothing(monkeypatch):
@@ -498,7 +511,7 @@ def test_a_squarefree_report_in_a_non_identity_chart_lifts_nothing(monkeypatch):
     # [1:0], read here off the lift, which building the report never made
     lifts = _count_lifts(monkeypatch)
     report = hensel_factor_quartic(quartics.BinaryQuartic([0, 2, 0, 1, 0]), 5, 12)
-    assert report.inverse_chart == ((0, 1), (-1, 1))
+    assert report.residue.inverse_chart == ((0, 1), (-1, 1))
     assert lifts == []
     residues = []
     for blk in report.blocks:
