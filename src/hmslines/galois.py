@@ -31,7 +31,7 @@ from math import isqrt, prod
 
 from .errors import DegenerateLineError, HmsError
 from .hensel import factor_binary_quartic, factor_squarefree_int
-from .quartics import BinaryQuartic, integer_model
+from .quartics import BinaryQuartic
 from .scalars import is_square_rational, primitive_integers
 
 GROUP_ORDERS = {
@@ -106,8 +106,8 @@ def _galois_group(disc, forms) -> str:
     """The group label of a squarefree quartic from its discriminant and
     factors.
 
-    Only the square class of disc is read, so the discriminant of the
-    integer model serves: it is q's own times a rational square.
+    Only the square class of disc is read, so `BinaryQuartic.disc`
+    serves: it is q's own times content^6, a square.
     """
     if len(forms) > 1:
         return _reducible_label(forms)
@@ -135,8 +135,8 @@ def _galois_group(disc, forms) -> str:
 def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
     """Sorted orbit sizes of Frobenius on the projective roots of q mod p.
 
-    p must be an odd prime not dividing the discriminant D of the
-    primitive integer model, so the four roots stay distinct mod p and
+    p must be an odd prime not dividing the discriminant D = `q.disc` of
+    the primitive coefficients, so the four roots stay distinct mod p and
     the orbit sizes are the factor degrees of q mod p.  The number of
     roots on P^1(F_p), [1:0] counted when p divides c4, gives them
     unless it is 0.  Then q mod p is two quadratics or one quartic, and
@@ -144,23 +144,22 @@ def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
     """
     if p == 2:
         raise HmsError("odd primes only")
-    ics, disc = integer_model(q)
-    if disc % p == 0:
+    if q.disc % p == 0:
         raise HmsError(f"{p} divides the discriminant")
-    c0, c1, c2, c3, c4 = (c % p for c in ics)
+    c0, c1, c2, c3, c4 = (c % p for c in q.coeffs)
     roots = (c4 == 0) + sum(
         ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) % p == 0 for t in range(p)
     )
     if roots:
         return _TYPE_OF_ROOT_COUNT[roots]
-    return (2, 2) if pow(disc, (p - 1) // 2, p) == 1 else (4,)
+    return (2, 2) if pow(q.disc, (p - 1) // 2, p) == 1 else (4,)
 
 
-def _sieve_decides(q: BinaryQuartic, disc) -> bool:
+def _sieve_decides(q: BinaryQuartic) -> bool:
     """Do the Frobenius cycle types at `SIEVE_PRIMES` prove A4 or S4?"""
     seen = set()
     for p in SIEVE_PRIMES:
-        if disc % p:
+        if q.disc % p:
             seen.add(frobenius_cycle_type(q, p))
             # a linear factor over Q gives a root mod every p, so no (4)
             # or (2,2); two quadratic factors give no (1,3)
@@ -188,11 +187,11 @@ def solvability_report(q: BinaryQuartic) -> dict:
     and S4 without factoring, q then being its one factor; anything
     else is factored once by Zassenhaus.
     """
-    disc = integer_model(q)[1]
+    disc = q.disc
     if disc == 0:
         raise DegenerateLineError("quartic has a repeated projective root")
     disc_is_square = is_square_rational(disc)
-    if _sieve_decides(q, disc):
+    if _sieve_decides(q):
         label = "A4" if disc_is_square else "S4"
         rows = [(4, label)]
     else:

@@ -54,22 +54,18 @@ from .padics import (
     UnramifiedRing, deg, padd, pderiv, pdivmod, pext_euclid, peval, pgcd, pmod, pmul,
     ppowmod, pscale, psub, trim,
 )
-from .quartics import BinaryQuartic, integer_model
+from .quartics import BinaryQuartic
 from .scalars import primitive_integers, split_p_power
 
 # -- factorization mod p for degree <= 4 --------------------------------
-
-# (p, reduced coefficients) -> the factorization of `factor_monic_mod_p`;
-# at most (p^5 - 1) / (p - 1) keys per prime: 121 mod 3, 781 mod 5
-_FACTORED = {}
 
 
 def factor_monic_mod_p(f, p):
     """Irreducible factorization of a monic poly of degree <= 4 mod p.
 
-    Returns a new list [(monic factor, multiplicity)] sorted by (degree,
-    coeffs).  Each residue is factored once per prime (`_FACTORED`): a
-    search meets few residues many times.
+    Returns [(monic factor, multiplicity)] sorted by (degree, coeffs).
+    A Hensel report factors each residue once per prime and keeps it
+    with the residue (`_residue_of`).
 
     Roots are found by scanning F_p (p is small here) and divided out by
     `pdivmod`, which leaves a rootless cofactor w: irreducible
@@ -85,9 +81,6 @@ def factor_monic_mod_p(f, p):
         raise HmsError("factor_monic_mod_p handles degree <= 4 only")
     if not f or f[-1] != 1:
         raise HmsError("input must be monic")
-    residue = (p, tuple(f))
-    if residue in _FACTORED:
-        return list(_FACTORED[residue])
     factors = {}
     work = f
     for r in range(p):
@@ -106,8 +99,7 @@ def factor_monic_mod_p(f, p):
     for part in parts:
         key = tuple(part)
         factors[key] = factors.get(key, 0) + 1
-    _FACTORED[residue] = sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return list(_FACTORED[residue])
+    return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def _split_two_quadratics(f, p):
@@ -294,7 +286,7 @@ def factor_binary_quartic(q: BinaryQuartic):
     encoding the primitive binary form sum c_i t^i u^(d-i); their
     product is q up to a rational unit.
     """
-    affine = trim(integer_model(q)[0])
+    affine = trim(q.coeffs)
     factors = [(1, 0)] * (5 - len(affine))  # the factor u, once per root at [1:0]
     if deg(affine) >= 1:
         factors += [tuple(g) for g in factor_squarefree_int(affine)]
@@ -561,8 +553,9 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     q is moved to its `unit_chart` and its monic reduction is factored;
     a block is a residue factor to its multiplicity.  All of that
     depends on q mod p alone and is kept per residue (`_residue_of`, at
-    most p^5 - 1 residues per prime): q itself gives only v_p(D), D the exact discriminant of
-    `integer_model`, and the valuations of (linear)^2 blocks.  The
+    most p^5 - 1 residues per prime): q itself gives only v_p(D), D the
+    discriminant `q.disc` of its primitive coefficients, and the
+    valuations of (linear)^2 blocks.  The
     verdicts (odd p) are sound but incomplete:
       * a simple block -> unramified;
       * a (linear)^2 block -> the parity of its discriminant valuation
@@ -591,7 +584,7 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
         raise HmsError("odd p required")
     if prec < 1:
         raise HmsError("precision must be positive")
-    ics, disc = integer_model(q)
+    ics, disc = q.coeffs, q.disc
     residue = _residue_of(ics, p)
     report = HenselReport(
         p, prec, ics, residue, residue.squarefree, residue.residue_degrees

@@ -144,7 +144,9 @@ def quartic_of_line(line: Line, model: SurfaceModel) -> BinaryQuartic:
     [t : u] -> t * ints[0] + u * ints[1].  The model's compiled q4 is
     restricted on `line.ints`, so the coefficients are ints: den^4 times
     those of the quartic on `line.rows`, a positive factor that moves no
-    root, no sign and no primitive integer model.
+    root, no sign and no primitive coefficient.  A line inside the
+    degree-8 locus restricts to the zero form, which `BinaryQuartic`
+    refuses with DegenerateLineError.
     """
     if not in_quadrics(line, model):
         raise NotOnSurfaceError("line does not lie in the quadric part of the model")

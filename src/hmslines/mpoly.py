@@ -142,13 +142,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_degree(self):
-        """Degree if homogeneous (zero poly counts), else raises."""
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
-            raise HmsError("not homogeneous")
-        return degs.pop() if degs else None
-
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
 

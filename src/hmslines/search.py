@@ -76,7 +76,7 @@ from .lines import (
     quartic_of_line,
 )
 from .padics import UElt, UnramifiedRing
-from .quartics import BinaryQuartic, integer_model, real_root_count
+from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
 from .scalars import split_p_power, sup_norm_shell, valuation_of_rational
 from .serialize import canonical_json, config_digest, frac_str, parse_frac
@@ -443,12 +443,6 @@ class SolvableLineCertificate:
     def to_json(self) -> str:
         return canonical_json(self.data)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SolvableLineCertificate)
-            and self.to_json() == other.to_json()
-        )
-
     def __repr__(self):
         state = "passed" if self.passed else "failed"
         return f"<SolvableLineCertificate {state}>"
@@ -573,12 +567,13 @@ class _Sections:
     compiled form, ints that are s = den^4 times the quartic on
     `line.rows`: through `quartic_of_line`, or directly when the line
     comes from a chart whose family is `contained` in the quadrics, so
-    that `in_quadrics` would hold anyway.  It reads the sign of the
-    discriminant off the integer model; NotOnSurfaceError or
-    DegenerateLineError means the line is not a generator of the model
-    at all.  Every gate and section reads only the integer model, which
-    the scale does not change, and `quartic_section` alone divides by
-    s: no other builder forms a Fraction coefficient.
+    that `in_quadrics` would hold anyway.  NotOnSurfaceError, or the
+    DegenerateLineError of a zero `BinaryQuartic`, means the line is not
+    a generator of the model at all.  Every gate and section reads only
+    the quartic's primitive `coeffs` and `disc`, which neither s nor the
+    content changes, and `quartic_section` alone multiplies back by the
+    content and divides by s: no other builder forms a Fraction
+    coefficient.
 
     Each Hensel report is built once, at the configured precision K,
     and a gate builds none for an odd v_p(D) (`_unramified`).  A
@@ -597,13 +592,9 @@ class _Sections:
         else:
             quartic = quartic_of_line(line, model)
         self._scale = line.den**4
-        if quartic.is_degenerate:
-            raise DegenerateLineError("the line lies inside the degree-8 locus")
         self.line, self.model, self.config = line, model, config
         self.quartic = quartic
-        # the exact discriminant is the integer model's times a positive
-        # sixth power
-        self.tangential = integer_model(quartic)[1] == 0
+        self.tangential = quartic.disc == 0
         self._built = {}
 
     def _once(self, key, build):
@@ -612,13 +603,14 @@ class _Sections:
         return self._built[key]
 
     def quartic_section(self) -> dict:
-        """The quartic on `line.rows`: each coefficient over the scale s,
-        and the discriminant, of degree 6, over s^6."""
-        scale = self._scale
-        disc = Fraction(self.quartic.discriminant(), scale**6)
+        """The quartic on `line.rows`: each coefficient, the primitive one
+        times the content, over the scale s, and the discriminant, of
+        degree 6, over s^6."""
+        q, scale = self.quartic, self._scale
+        disc = Fraction(q.discriminant(), scale**6)
         section = {
-            "coeffs": [frac_str(Fraction(c, scale)) for c in self.quartic.coeffs],
-            "primitive_coeffs": list(integer_model(self.quartic)[0]),
+            "coeffs": [frac_str(Fraction(q.content * c, scale)) for c in q.coeffs],
+            "primitive_coeffs": list(q.coeffs),
             "discriminant": frac_str(disc),
         }
         if disc != 0:
@@ -707,8 +699,7 @@ class _Sections:
         as False.  Only `find_lines` statistics see it: `_certificate`
         builds the local sections before the gates.
         """
-        disc = integer_model(self.quartic)[1]
-        if split_p_power(disc, p)[0] % 2 == 1:
+        if split_p_power(self.quartic.disc, p)[0] % 2 == 1:
             return False
         return self.hensel(p).verdict == "unramified"
 

@@ -9,6 +9,7 @@ The cycle types each group allows are `exact_oracles.ALLOWED_TYPES`.
 from fractions import Fraction
 
 from hmslines.quartics import BinaryQuartic
+from hmslines.scalars import primitive_integers
 
 # (a0, a1, a2, a3) of monic x^4 + a3 x^3 + a2 x^2 + a1 x + a0, label
 BASES = [
@@ -36,7 +37,8 @@ WITNESS_TYPES = {
 
 
 def shifted(base, k):
-    """Coefficients of p(x + k) for monic quartic p given by base."""
+    """Primitive integer coefficients of p(x + k) for monic quartic p
+    given by base."""
     a0, a1, a2, a3 = base
     coeffs = [Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3), Fraction(1)]
     out = [Fraction(0)] * 5
@@ -49,7 +51,7 @@ def shifted(base, k):
                 binom[j] += binom[j + 1] * k
         for j, b in enumerate(binom):
             out[j] += c * b
-    return out
+    return primitive_integers(out)
 
 
 def battery():
@@ -61,8 +63,7 @@ def battery():
 
 def good_primes(q, count):
     """Odd primes not dividing the discriminant, in increasing order."""
-    disc = Fraction(q.discriminant())
-    bad = abs(disc.numerator) * disc.denominator
+    bad = abs(q.discriminant())
     found = []
     p = 2
     while len(found) < count:

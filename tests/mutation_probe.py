@@ -53,8 +53,8 @@ MUTANTS = [
      "return (ord_b - ord_lambda1) % 2 == 0 and (ord_c - ord_lambda2) % 2 == 0",
      "return (ord_b - ord_lambda1) % 2 == 0"),
     ("Frobenius types (2,2) and (4) swapped", "src/hmslines/galois.py",
-     "return (2, 2) if pow(disc, (p - 1) // 2, p) == 1 else (4,)",
-     "return (4,) if pow(disc, (p - 1) // 2, p) == 1 else (2, 2)"),
+     "return (2, 2) if pow(q.disc, (p - 1) // 2, p) == 1 else (4,)",
+     "return (4,) if pow(q.disc, (p - 1) // 2, p) == 1 else (2, 2)"),
     ("Hensel parity flipped", "src/hmslines/hensel.py",
      'verdict = "unramified" if v % 2 == 0 else "ramified"',
      'verdict = "unramified" if v % 2 == 1 else "ramified"'),
@@ -116,8 +116,8 @@ MUTANTS = [
      "if not _undetermined(result, sigma5_exact):",
      "if True:"),
     ("parity gate reads even as odd", "src/hmslines/search.py",
-     "if split_p_power(disc, p)[0] % 2 == 1:",
-     "if split_p_power(disc, p)[0] % 2 == 0:"),
+     "if split_p_power(self.quartic.disc, p)[0] % 2 == 1:",
+     "if split_p_power(self.quartic.disc, p)[0] % 2 == 0:"),
     ("every sigma_5 null called exact", "src/hmslines/search.py",
      "return nulls and not sigma5_exact(section)",
      "return False"),
@@ -134,12 +134,18 @@ MUTANTS = [
      "if digit >= half:",
      "if False:"),
     ("certificate coefficients not divided by the scale", "src/hmslines/search.py",
-     "frac_str(Fraction(c, scale))",
-     "frac_str(c)"),
+     "frac_str(Fraction(q.content * c, scale))",
+     "frac_str(q.content * c)"),
+    ("certificate coefficients without the content", "src/hmslines/search.py",
+     "Fraction(q.content * c, scale)",
+     "Fraction(c, scale)"),
     ("certificate discriminant divided by scale^4 instead of scale^6",
      "src/hmslines/search.py",
      "scale**6",
      "scale**4"),
+    ("discriminant without the content's sixth power", "src/hmslines/quartics.py",
+     "return self.disc * self.content**6",
+     "return self.disc"),
     ("chord map's rs vector with g12 for 2 g12", "src/hmslines/lines.py",
      "- 2 * g12 * c",
      "- g12 * c"),

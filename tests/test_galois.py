@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hmslines import galois, hensel, padics
 from hmslines.errors import HmsError
 from hmslines.galois import frobenius_cycle_type, resolvent_cubic, solvability_report
-from hmslines.quartics import BinaryQuartic, integer_model
-from hmslines.scalars import is_square_rational
+from hmslines.quartics import BinaryQuartic
+from hmslines.scalars import is_square_rational, primitive_integers
 
 from exact_oracles import ALLOWED_TYPES, FROBENIUS_PRIMES, cycle_type
 from galois_battery import WITNESS_TYPES, battery, good_primes
@@ -27,7 +27,9 @@ CERTIFY_BATCH_S4 = (
 
 
 def Q(coeffs):
-    return BinaryQuartic([Fraction(c) for c in coeffs])
+    """The quartic of rationals (ints, Fractions or "p/q" strings),
+    denominators cleared."""
+    return BinaryQuartic(primitive_integers(coeffs))
 
 
 def _zassenhaus_report(q):
@@ -63,9 +65,9 @@ def test_frobenius_type_matches_the_brute_force_count():
     # the package reads a type off the roots on P^1(F_p) and a Legendre
     # symbol; the oracle counts the roots on P^1(F_p) and P^1(F_p^2)
     for q, _ in battery():
-        ics, disc = integer_model(q)
+        ics = q.coeffs
         for p in FROBENIUS_PRIMES:
-            if disc % p:
+            if q.disc % p:
                 assert frobenius_cycle_type(q, p) == cycle_type(ics, p), (ics, p)
 
 
@@ -146,14 +148,13 @@ def test_cycle_type_is_the_factor_pattern_mod_p(coeffs, p, at_infinity):
     if at_infinity:
         coeffs[4] *= p
     assume(any(coeffs))
-    ics, _ = integer_model(Q(coeffs))
-    disc = BinaryQuartic(ics).discriminant()
-    assume(disc % p != 0)
-    affine = padics.pmod(ics, p)
+    q = Q(coeffs)
+    assume(q.disc % p != 0)
+    affine = padics.pmod(q.coeffs, p)
     monic = padics.pscale(affine, pow(affine[-1], -1, p), p)
     degrees = [padics.deg(g) for g, _ in hensel.factor_monic_mod_p(monic, p)]
     pattern = tuple(sorted([1] * (4 - padics.deg(affine)) + degrees))
-    assert frobenius_cycle_type(Q(coeffs), p) == pattern
+    assert frobenius_cycle_type(q, p) == pattern
 
 
 BATTERY = [q for q, _ in battery()]

@@ -15,7 +15,8 @@ from hmslines.hensel import (
 )
 from hmslines.padics import pdivmod, pext_euclid, peval, pgcd, pmod, pmul, psub, trim
 from hmslines.lines import labc_line, quartic_of_line, Line
-from hmslines.quartics import BinaryQuartic, integer_model
+from hmslines.quartics import BinaryQuartic
+from hmslines.scalars import primitive_integers
 from hmslines.search import build_model, intersection_points, parse_config
 from hmslines.surface import char3_twist, rho0_twist, twisted_equations
 
@@ -62,7 +63,8 @@ def lifted_root(f, r0, p, K):
 
 
 def Q(coeffs):
-    return BinaryQuartic([Fraction(c) for c in coeffs])
+    """The quartic of rationals, denominators cleared."""
+    return BinaryQuartic(primitive_integers(coeffs))
 
 
 def char3_model():
@@ -151,12 +153,7 @@ def test_lifted_roots_satisfy_the_quartic():
     model = char3_model()
     line = labc_line(3, 243, 243)
     q = quartic_of_line(line, model)
-    # primitive integer coefficients of the quartic
-    den = 1
-    for c in q.coeffs:
-        c = Fraction(c)
-        den = den * c.denominator // __import__("math").gcd(den, c.denominator)
-    ints = [int(Fraction(c) * den) for c in q.coeffs]
+    ints = list(q.coeffs)
     # at 3 a split (linear)^2 block, at 5 two blocks of residue degree 2
     kinds = set()
     for p in (3, 5):
@@ -597,15 +594,14 @@ def test_a_report_from_a_warm_residue_memo_is_the_cold_one(ints, p, K):
     # the memo is keyed on the whole residue: warmed by every quartic
     # that differs from this one mod p in one coefficient, it still
     # gives the report built from an empty memo
+    assume(any(ints))
     q = Q(ints)
-    assume(not q.is_degenerate)
     hensel._RESIDUES.clear()
     cold = _report_state(_report_or_error(q, p, K), K)
     hensel._RESIDUES.clear()
-    ics = integer_model(q)[0]
     for i in range(5):
         for step in range(1, p):
-            moved = list(ics)
+            moved = list(q.coeffs)
             moved[i] += step
             if any(moved):
                 _report_or_error(Q(moved), p, K)

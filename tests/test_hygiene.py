@@ -3,8 +3,9 @@ the package root `__init__.py` holds only its docstring, every function
 or method the package defines is referenced somewhere, none exists only
 for tests to reach, every error class but the base is caught by type
 somewhere in the package, the tests' exact oracles import no package
-code, the README layout table has one row per module, and every edit
-of the mutation catalogue (`mutation_probe.py`) applies exactly once."""
+code, the README layout table has one row per module and names only
+what exists, and every edit of the mutation catalogue
+(`mutation_probe.py`) applies exactly once."""
 import ast
 import importlib
 import re
@@ -227,10 +228,14 @@ def test_every_traced_layer_resolves():
         assert attr in vars(target), layer
 
 
+def _layout_table(readme: str):
+    """The README's library layout section."""
+    return readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+
+
 def _layout_modules(readme: str):
     """Modules named in the first column of the README's library layout table."""
-    table = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"^\| `hmslines\.(\w+)`", table, re.MULTILINE))
+    return set(re.findall(r"^\| `hmslines\.(\w+)`", _layout_table(readme), re.MULTILINE))
 
 
 def test_layout_table_has_a_row_per_module():
@@ -245,6 +250,86 @@ def test_layout_table_is_read():
         "\n## Later\n\n| `hmslines.search` | not in the table |\n"
     )
     assert _layout_modules(readme) == {"lines", "cli"}
+
+
+# the JSON literal that certificates write; no Python code names it
+LAYOUT_STOPLIST = {"null"}
+
+
+def _code_names(source: str):
+    """What a module's code names: names, attributes, definitions,
+    arguments, the constants None, True and False, and every string
+    constant but a docstring."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+            names.add(node.value if isinstance(node.value, str) else repr(node.value))
+    return names
+
+
+def _unknown_layout_names(readme, modules, package_sources, test_sources):
+    """Backticked dotted identifiers of the layout table with a part that
+    is neither a module, nor named by the package's code, nor a `def` of
+    the tests."""
+    known = {"hmslines", *modules}
+    for source in package_sources:
+        known |= _code_names(source)
+    for source in test_sources:
+        known |= _defined_functions(ast.parse(source))
+    spans = re.findall(r"`([^`]+)`", _layout_table(readme))
+    return sorted(
+        {
+            span
+            for span in spans
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span)
+            and span not in LAYOUT_STOPLIST
+            and not set(span.split(".")) <= known
+        }
+    )
+
+
+def test_layout_table_names_only_what_exists():
+    # a row that names a deleted function or attribute is stale
+    assert _unknown_layout_names(
+        (ROOT / "README.md").read_text(),
+        [path.stem for path in MODULES],
+        _sources(("src",)),
+        _sources(("tests",)),
+    ) == []
+
+
+def test_stale_layout_name_is_reported():
+    readme = (
+        "## Library layout\n\n| module | contents |\n|---|---|\n"
+        "| `hmslines.quartics` | `BinaryQuartic.coeffs`, `quartics.made_up_name`, "
+        "`made_up(x)`, `x == 0`, `null`, `None`, `\"labc\"`, `helper`, `read` |\n"
+        "\n## Later\n\n`another_made_up_name`\n"
+    )
+    package = (
+        '"""The module docstring names `read`."""\n'
+        "class BinaryQuartic:\n    def __init__(self, x=None):\n"
+        "        self.coeffs = 'labc'\n"
+    )
+    tests = "def helper():\n    pass\n"
+    assert _unknown_layout_names(readme, ["quartics"], [package], [tests]) == [
+        "quartics.made_up_name",
+        "read",
+    ]
 
 
 def test_every_mutant_applies_once():

@@ -45,11 +45,18 @@ def simplex_points(k, d):
     return [(i,) + rest for i in range(d + 1) for rest in simplex_points(k - 1, d - i)]
 
 
+def form_degree(f):
+    """The one degree of the terms of a nonzero form, None for zero."""
+    degrees = {sum(exp) for exp in f.terms}
+    assert len(degrees) <= 1
+    return degrees.pop() if degrees else None
+
+
 def assert_restricts(f, rows, restricted):
     """restricted is f on the span of rows: a form of the degree of f
     whose value at each point y of `simplex_points` is f at
     sum_j y_j rows[j]."""
-    d = f.homogeneous_degree()
+    d = form_degree(f)
     assert all(sum(exp) == d for exp in restricted.terms)
     for y in simplex_points(len(rows), d or 0):
         point = [sum(c * row[i] for c, row in zip(y, rows)) for i in range(f.nvars)]
@@ -178,7 +185,7 @@ def test_kronecker_restriction_matches_restrict_to_span(f, P, Q):
     # digits, against the symbolic restriction
     assume(not f.is_zero)
     coeffs = CompiledForm(f).restrict(P, Q)
-    assert len(coeffs) == f.homogeneous_degree() + 1
+    assert len(coeffs) == form_degree(f) + 1
     got = {(i, len(coeffs) - 1 - i): (c, int) for i, c in enumerate(coeffs) if c}
     assert got == typed_terms(restrict_to_span(f, [P, Q]))
 

@@ -6,21 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from hmslines.errors import DegenerateLineError, HmsError
 from hmslines.hensel import compose_binary
-from hmslines.mpoly import SparsePoly
 from hmslines.padics import UnramifiedRing
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
+from hmslines.scalars import primitive_integers
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 F3 = UnramifiedRing(3, (0, 1), 1)
 # F_5[w]/(w^2 + 3): w is a square root of -3
 F25 = UnramifiedRing(5, (3, 0, 1), 1)
-# plain ints, small and huge rationals and zeros of both types, mixed
+# small and huge ints and zeros, mixed
 COEFFS = st.one_of(
     st.integers(-(10**6), 10**6),
-    st.fractions(-(10**6), 10**6, max_denominator=10**6),
-    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
-    st.sampled_from([0, Fraction(0)]),
+    st.integers(-(10**30), 10**30),
+    st.just(0),
 )
+INTS = st.lists(COEFFS, min_size=5, max_size=5).filter(any)
 
 
 def product_form(factors):
@@ -43,21 +43,7 @@ def from_roots(roots, fill):
     """
     coeffs = product_form([[-r, 1] for r in roots] + [[b, a, 1] for a, b in fill])
     assert len(coeffs) == 5
-    return BinaryQuartic(coeffs)
-
-
-def test_from_sparse_roundtrip():
-    f = SparsePoly(
-        2,
-        {
-            (4, 0): Fraction(2),
-            (3, 1): Fraction(-1),
-            (1, 3): Fraction(5),
-            (0, 4): Fraction(7),
-        },
-    )
-    q = BinaryQuartic.from_sparse(f)
-    assert list(q.coeffs) == [7, 5, 0, -1, 2]
+    return BinaryQuartic(primitive_integers(coeffs))
 
 
 def test_discriminant_is_product_of_squared_root_differences():
@@ -72,9 +58,8 @@ def test_discriminant_vanishes_on_repeated_root():
 
 
 def test_zero_form_raises():
-    q = BinaryQuartic([Fraction(0)] * 5)
-    with pytest.raises(DegenerateLineError):
-        q.discriminant()
+    with pytest.raises(DegenerateLineError, match="degree-8 locus"):
+        BinaryQuartic([0] * 5)
 
 
 def classical_discriminant(c0, c1, c2, c3, c4):
@@ -101,26 +86,35 @@ def classical_discriminant(c0, c1, c2, c3, c4):
 
 
 @PROPERTY
-@given(st.lists(COEFFS, min_size=5, max_size=5))
+@given(INTS)
 def test_rational_discriminant_matches_the_universal_polynomial(coeffs):
-    q = BinaryQuartic(coeffs)
-    if q.is_degenerate:
-        with pytest.raises(DegenerateLineError):
-            q.discriminant()
-        return
-    # an int for int coefficients, a Fraction as soon as one is
-    want = classical_discriminant(*coeffs)
-    got = q.discriminant()
-    assert (got, type(got)) == (want, type(want))
+    got = BinaryQuartic(coeffs).discriminant()
+    assert (got, type(got)) == (classical_discriminant(*coeffs), int)
 
 
-def test_discriminant_needs_a_rational_quartic():
-    # t^4 - u^4 over F_3, F_25 and Z/3^10
+@PROPERTY
+@given(INTS, st.integers(1, 10**6))
+def test_a_multiple_has_the_primitive_model_times_its_content(coeffs, m):
+    q, multiple = BinaryQuartic(coeffs), BinaryQuartic([m * c for c in coeffs])
+    assert (multiple.coeffs, multiple.disc) == (q.coeffs, q.disc)
+    assert multiple.content == m * q.content
+    # (4 I^3 - J^2) / 27 on the raw ints, degree 6 in them
+    c0, c1, c2, c3, c4 = coeffs
+    I = 12 * c4 * c0 - 3 * c3 * c1 + c2 * c2
+    J = 72 * c4 * c2 * c0 + 9 * c3 * c2 * c1 - 27 * (c4 * c1**2 + c0 * c3**2) - 2 * c2**3
+    assert q.discriminant() * 27 == 4 * I**3 - J**2
+    assert multiple.discriminant() == m**6 * q.discriminant()
+
+
+def test_a_quartic_needs_int_coefficients():
+    # t^4 - u^4 over F_3, F_25 and Z/3^10, and over Q with a Fraction
     for ring in (F3, F25, UnramifiedRing(3, (0, 1), 10)):
         zero, one = ring.zero(), ring.one()
-        q = BinaryQuartic([-one, zero, zero, zero, one])
-        with pytest.raises(HmsError, match="rational coefficients"):
-            q.discriminant()
+        with pytest.raises(HmsError, match="int coefficients"):
+            BinaryQuartic([-one, zero, zero, zero, one])
+    for coeffs in ([Fraction(-1), 0, 0, 0, 1], [-1, 0, 0, 0, True], [-1, 0, 0, 1]):
+        with pytest.raises(HmsError, match="int coefficients"):
+            BinaryQuartic(coeffs)
 
 
 def test_real_root_count_on_constructed_quartics():
@@ -150,9 +144,7 @@ def test_real_root_count_includes_root_at_infinity():
     q = from_roots([0, 1], [(0, 1)])
     assert real_root_count(q) == 2
     # u (t - u)(t - 2u)(t - 3u): three affine roots plus [1 : 0]
-    with_infinity = BinaryQuartic(
-        [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1), Fraction(0)]
-    )
+    with_infinity = BinaryQuartic([-6, 11, -6, 1, 0])
     assert real_root_count(with_infinity) == 4
 
 
@@ -199,7 +191,7 @@ def quartic_with_known_real_roots(draw, forced):
     coeffs = [scale * c for c in product_form(factors)]
     if not forced:
         coeffs = compose_binary(coeffs, draw(UNIMODULAR))
-    return BinaryQuartic(coeffs), n
+    return BinaryQuartic(primitive_integers(coeffs)), n
 
 
 @pytest.mark.parametrize(
@@ -226,14 +218,13 @@ def test_real_root_count_matches_roots_built_in(forced, data):
         [1, 0, 2, 0, 1],  # (t^2 + u^2)^2: no real root, still repeated
         [1, 0, 1, 0, 0],  # u^2 (t^2 + u^2): [1 : 0] is a double root
         [0, 1, -2, 1, 0],  # t u (t - u)^2 with c4 = 0 and c3 != 0
-        [0, 0, 0, 0, 0],
+        [0, 0, 3, 0, 0],  # 3 t^2 u^2: [0 : 1] and [1 : 0] both double
     ],
 )
 def test_real_root_count_rejects_repeated_roots(coeffs):
-    # each has a repeated root: a zero discriminant, or the zero form
-    q = BinaryQuartic([Fraction(c) for c in coeffs])
-    if not q.is_degenerate:
-        assert q.discriminant() == 0
+    # each has a repeated root: a zero discriminant
+    q = BinaryQuartic(coeffs)
+    assert q.discriminant() == 0
     with pytest.raises(HmsError, match="squarefree"):
         real_root_count(q)
 
@@ -241,10 +232,7 @@ def test_real_root_count_rejects_repeated_roots(coeffs):
 def test_roots_over_f25_with_multiplicity():
     F = F25
     # t^2 u^2 has roots [0 : 1] and [1 : 0], both double
-    q = BinaryQuartic(
-        [Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
-    )
-    roots = dict(roots_over_Fq(q, F))
+    roots = dict(roots_over_Fq([Fraction(0), Fraction(0), Fraction(1), 0, 0], F))
     assert len(roots) == 2
     assert set(roots.values()) == {2}
 
@@ -252,10 +240,7 @@ def test_roots_over_f25_with_multiplicity():
 def test_roots_over_f25_finds_quadratic_extension_roots():
     F = F25
     # t^2 - 2 u^2 is irreducible over F_5 but splits over F_25
-    q = BinaryQuartic(
-        [Fraction(-2), Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
-    )
-    roots = roots_over_Fq(q, F)
+    roots = roots_over_Fq([Fraction(-2), 0, 1, 0, 0], F)
     w = F.gen()
     found = {pt for pt, _ in roots}
     assert (w, F.one()) in found
@@ -264,7 +249,7 @@ def test_roots_over_f25_finds_quadratic_extension_roots():
 
 def test_roots_over_fq_needs_precision_one():
     # Z/9 is not a field: the scan would miss roots such as 3 of t^2
-    q = BinaryQuartic([0, 0, 1, 0, 0])
+    q = [0, 0, 1, 0, 0]
     with pytest.raises(HmsError, match="precision 1"):
         roots_over_Fq(q, UnramifiedRing(3, (0, 1), 2))
     assert roots_over_Fq(q, F3) == [
@@ -275,7 +260,7 @@ def test_roots_over_fq_needs_precision_one():
 
 def test_roots_over_fq_rejects_a_form_that_vanishes_mod_p():
     # 3 t^4 - 6 t u^3 + 9 u^4 is the zero form over F_3: every point is a root
-    q = BinaryQuartic([Fraction(9), Fraction(-6), 0, 0, Fraction(3)])
+    q = [Fraction(9), Fraction(-6), 0, 0, Fraction(3)]
     with pytest.raises(DegenerateLineError):
         roots_over_Fq(q, F3)
     # over F_5 it is 3 (t - 2u)^2 (t^2 - t u + 2 u^2), split over F_25
