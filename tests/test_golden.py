@@ -22,6 +22,17 @@ The benchmark's outputs are frozen too: one operation of each workload
 of `bench/workloads.py` at seed 0 must pass the workload's own checks
 and hash to the sha256 pinned in `BENCH_DIGESTS`.  A change to those
 bytes is a deliberate update of the pin, recorded like a golden's.
+
+Beside the bytes, tests/golden/verdicts.json pins what is certified:
+the verdict projection (`verdict_projection`) of every golden
+certificate and the outcome of `certify` on each line of the seed-0
+certify-batch sample, kept as primitive rows.  Blocks and points are
+compared as sorted multisets, so a change that only reorders them keeps
+the file; `--update` never rewrites it, only
+
+    python tests/test_golden.py --update-verdicts
+
+does, for a change that is meant to change a verdict.
 """
 import io
 import json
@@ -36,7 +47,7 @@ from pathlib import Path
 import pytest
 
 from hmslines import cli, errors, lines, quartics, search
-from hmslines.errors import PrecisionError, SearchExhausted
+from hmslines.errors import HmsError, PrecisionError, SearchExhausted
 from hmslines.lines import Line, TangentConeChart, labc_line
 from hmslines.search import (
     build_model,
@@ -465,6 +476,125 @@ def test_certify_batch_reads_each_5_adic_section_once(monkeypatch):
     assert builds == {(3, 8): 128, (3, 60): 1, (5, 8): 128}
 
 
+VERDICTS_PATH = GOLDEN_DIR / "verdicts.json"
+# the certify-batch sample's configurations: the demos at this precision
+BATCH_PRECISION = 60
+
+
+def _local_projection(section):
+    if section is None:
+        return None
+    return {
+        "verdict": section["verdict"],
+        "blocks": sorted(blk["verdict"] for blk in section["blocks"]),
+        "points": sorted(
+            ([pt["kind"], pt["ordinary"], pt["curve_V_avoided"]]
+             for pt in section.get("points", [])),
+            key=json.dumps,
+        ),
+    }
+
+
+def verdict_projection(data):
+    """What a certificate certifies, with nothing of how it is written:
+    the summary's pass and checks, the real root count, the Galois label
+    and sorted factor labels, and each local section's verdict with the
+    sorted multisets of its blocks' verdicts and of its points' kind,
+    ordinarity and curve V avoidance."""
+    galois, real = data["galois"], data["real"]
+    return {
+        "outcome": "certificate",
+        "passed": data["summary"]["passed"],
+        "checks": data["summary"].get("checks"),
+        "real_root_count": None if real is None else real["root_count"],
+        "galois": None if galois is None else {
+            "label": galois["label"],
+            "factors": sorted(f["label"] for f in galois["factors"]),
+        },
+        "local_3": _local_projection(data["local_3"]),
+        "local_5": _local_projection(data["local_5"]),
+    }
+
+
+def _batch_outcome(name, rows, models):
+    """The verdict projection of `certify` on one line of the sample, or
+    the class of the error it raises."""
+    if name not in models:
+        config = _config(name, precision=BATCH_PRECISION)
+        models[name] = config, build_model(config)
+    config, model = models[name]
+    line = Line([[Fraction(c) for c in row] for row in rows])
+    try:
+        return verdict_projection(certify_line(line, model, config).data)
+    except PrecisionError:
+        return {"outcome": "PrecisionError"}
+    except HmsError:
+        return {"outcome": "HmsError"}
+
+
+def _verdict_entries(batch_lines):
+    """One entry per golden certificate, then one per (config, rows) of
+    batch_lines."""
+    entries = [
+        {"golden": where, **verdict_projection(data)}
+        for where, data in _golden_certificates()
+    ]
+    models = {}
+    for name, rows in batch_lines:
+        entries.append(
+            {"config": name, "rows": rows, **_batch_outcome(name, rows, models)}
+        )
+    return entries
+
+
+def _render_verdicts(entries) -> bytes:
+    body = ",\n".join(json.dumps(entry, sort_keys=True) for entry in entries)
+    return f"[\n{body}\n]\n".encode("utf-8")
+
+
+def test_verdicts_are_pinned():
+    expected = VERDICTS_PATH.read_bytes()
+    batch_lines = [
+        (entry["config"], entry["rows"])
+        for entry in json.loads(expected)
+        if "config" in entry
+    ]
+    assert len(batch_lines) == 128
+    actual = _render_verdicts(_verdict_entries(batch_lines))
+    if actual != expected:
+        moved = [
+            entry.get("golden") or entry["rows"]
+            for entry, pinned in zip(json.loads(actual), json.loads(expected))
+            if entry != pinned
+        ]
+        pytest.fail(f"verdicts moved: {moved or 'the entry count changed'}")
+
+
+def test_a_reordering_keeps_the_verdict_projection():
+    data = json.loads(_golden_path("certify-char3-double-root-chart").read_text())
+    moved = json.loads(json.dumps(data))
+    for name in ("local_3", "local_5"):
+        moved[name]["blocks"].reverse()
+        moved[name].get("points", []).reverse()
+    assert verdict_projection(moved) == verdict_projection(data)
+    moved["local_5"]["points"][0]["ordinary"] = False
+    assert verdict_projection(moved) != verdict_projection(data)
+
+
+def _sample_lines():
+    """(config, primitive rows) of each line of the seed-0 certify-batch
+    sample, in its order; each config is a demo's at BATCH_PRECISION."""
+    workload = WORKLOADS["certify-batch"](
+        {"errors": errors, "lines": lines, "quartics": quartics, "search": search}, 0
+    )
+    out = []
+    for config, _, line in workload.sample:
+        name = "char3-demo.json" if config.seed_point is None else "rho0-demo.json"
+        assert config.digest == _config(name, precision=BATCH_PRECISION).digest
+        out.append((name, [list(row) for row in line.primitive_rows()]))
+    return out
+
+
 def update():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(SCENARIOS):
@@ -472,7 +602,13 @@ def update():
         print(f"wrote {_golden_path(name)}")
 
 
+def update_verdicts():
+    VERDICTS_PATH.write_bytes(_render_verdicts(_verdict_entries(_sample_lines())))
+    print(f"wrote {VERDICTS_PATH}")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
-        sys.exit("usage: python tests/test_golden.py --update")
-    update()
+    commands = {"--update": update, "--update-verdicts": update_verdicts}
+    if len(sys.argv) != 2 or sys.argv[1] not in commands:
+        sys.exit("usage: python tests/test_golden.py --update | --update-verdicts")
+    commands[sys.argv[1]]()
