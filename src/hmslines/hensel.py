@@ -14,31 +14,37 @@ lift goes through `hensel_pair_lift`, quadratic Hensel lifting of a
 coprime pair with its Bezout coefficients.
 
 The local analysis (`hensel_factor_quartic`) factors each quartic once
-mod p, in one chart.  It is sound but deliberately incomplete: it
-certifies "unramified" only via (a) simple blocks (a squarefree part of
-the reduction mod p) or (b) (linear)^2 blocks whose discriminant has
-even valuation (odd p); everything else is reported "inconclusive".
-The verdict needs no lift unless the reduction has two (linear)^2
-blocks, and then one lifted discriminant gives both: their valuations
-add up to that of the quartic, since disc(g*h) = disc g * disc h *
-Res(g, h)^2 with Res(g, h) a p-unit for g, h coprime mod p (Cohen, A
-Course in Computational Algebraic Number Theory, GTM 138, ch. 3).
+mod p, in its own coordinates: the root at [1:0], of multiplicity 4
+less the degree of the reduction, is one block, and the affine
+reduction, made monic by its unit top coefficient, gives the others.
+It is sound but deliberately incomplete: it certifies "unramified"
+only via (a) simple blocks (a squarefree part of the reduction mod p)
+or (b) (linear)^2 blocks whose discriminant has even valuation (odd
+p); everything else is reported "inconclusive".  The verdict needs
+no lift unless the reduction has two (linear)^2 blocks, and then one
+lifted discriminant gives both: their valuations add up to that of the
+quartic, since disc(g*h) = disc g * disc h * Res(g, h)^2 with
+Res(g, h) a p-unit for g, h coprime mod p (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, ch. 3).
 
 An "unramified" report has an even v_p(D), the block discriminant
 valuations adding up to it, so `search` reads an odd v_p(D) as "not
 unramified" before it asks for a report.
 
-Everything a report takes from its quartic mod p (the unit chart, the
-factorization of the monic reduction, each block's residue degree,
-multiplicity and residue factor in the original chart, and the order of
-the blocks) is computed once per prime and residue and kept in a plain
-dict (`_RESIDUES`, at most p^5 - 1 keys per prime); a quartic itself
-adds only v_p(D) and the (linear)^2 valuations.
+Everything a report takes from its quartic mod p (the degree of the
+reduction, the factorization of its monic affine part, and each block's
+residue degree, multiplicity and residue factor) is computed once per
+prime and residue and kept in a plain dict (`_RESIDUES`, at most
+p^5 - 1 keys per prime); a quartic itself adds only v_p(D) and the
+(linear)^2 valuations.  The blocks come in one order: the affine ones
+in the order of `factor_monic_mod_p`, by (degree, coefficients), then
+the block at [1:0].
 
 Each quartic and prime has one `HenselReport`, and its blocks are
 lifted only when a lift is read, at the precision asked for:
-`HenselReport.lift(K)` lifts them all in one call per K, from the monic
-unit-chart form mod p^prec that the first lift forms.  `block_roots`
+`HenselReport.lift(K)` lifts them all once per K, from the monic form
+mod p^prec that the first lift forms, splitting the block at [1:0] off
+first.  `block_roots`
 is the one place that reads the p-adic roots of a block off its lift,
 each one coordinate z and an orientation, [z : 1] or [1 : z]; `search`
 turns them into points.
@@ -47,7 +53,7 @@ turns them into points.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb, isqrt
+from math import isqrt
 
 from .errors import HmsError, PrecisionError
 from .padics import (
@@ -127,7 +133,8 @@ def hensel_pair_lift(f, g0, h0, p, K):
     with g and h, so the precision doubles each step.  The lift is
     unique; g takes the leading coefficient of f, so g is monic when f
     is, and of higher degree than g0 when that coefficient is divisible
-    by p.
+    by p: with g0 = 1 and h0 = f mod p, g is 1 mod p and carries those
+    top coefficients, the block of f at [1:0] (`HenselReport.lift`).
     """
     s, t = pext_euclid(g0, h0, p)
     g, h = pmod(g0, p), pmod(h0, p)
@@ -359,43 +366,29 @@ class _Residue:
     kept per residue (`_residue_of`): the quartics of one search meet
     few residues many times.
 
-    chart is the `unit_chart` and inverse_chart its inverse; top is the
-    degree of the quartic in that chart mod p, 4 unless no unit chart
-    exists; parts is the factorization of its monic reduction
-    (`factor_monic_mod_p`); block_meta gives each block's (residue
-    degree, multiplicity), with the simple root at [1:0] last when top
-    < 4; factors gives each block's residue factor mod p composed back
-    to the original chart, u for the root at [1:0]; order is the order
-    in which a report lists its blocks, by `_residue_order` of their
-    factors for a squarefree reduction, else the order of parts.
+    top is the degree of the quartic mod p as a polynomial in t, so
+    [1:0] is a root of multiplicity m = 4 - top; parts is the
+    factorization of the affine reduction made monic by its unit top
+    coefficient (`factor_monic_mod_p`); block_meta gives each block's
+    (residue degree, multiplicity) and factors its residue factor mod p
+    as a binary form, in the order of parts, then the block u^m at
+    [1:0] when m > 0.
     """
 
     def __init__(self, ics, p):
-        self.chart = chart = unit_chart(ics, p)
-        (a, b), (c, d) = chart
-        self.inverse_chart = inverse = ((d, -b), (-c, a))  # det = 1
-        f = trim(compose_binary(ics, chart, p))
+        f = pmod(ics, p)
         self.top = deg(f)
         self.parts = factor_monic_mod_p(pscale(f, pow(f[-1], -1, p), p), p)
-        residues = [list(g) for g, _ in self.parts]
-        block_meta = [(deg(g), mult) for g, mult in self.parts]
+        self.factors = [list(g) for g, _ in self.parts]
+        self.block_meta = block_meta = [(deg(g), mult) for g, mult in self.parts]
         if self.top < 4:
-            residues.append([1, 0])
-            block_meta.append((1, 1))
-        self.block_meta = tuple(block_meta)
-        self.factors = tuple(compose_binary(g, inverse, p) for g in residues)
+            self.factors.append([1, 0])
+            block_meta.append((1, 4 - self.top))
         self.squarefree = all(mult == 1 for _, mult in block_meta)
         self.residue_degrees = tuple(
             sorted(rdeg for rdeg, mult in block_meta for _ in range(mult))
         )
         self.doubles = [i for i, meta in enumerate(block_meta) if meta == (1, 2)]
-        order = range(len(block_meta))
-        if self.squarefree:
-            # certificates list the blocks of a squarefree reduction in
-            # this order, and of a repeated one in unit-chart order; the
-            # golden certificates freeze both
-            order = sorted(order, key=lambda i: _residue_order(self.factors[i], p))
-        self.order = tuple(order)
 
 
 def _residue_of(ics, p) -> _Residue:
@@ -414,10 +407,9 @@ class HenselReport:
     precision prec (`hensel_factor_quartic`), with what `lift` needs:
     the primitive integer coefficients `ics` and their `residue`, the
     structure mod p that every quartic of that residue shares, kept in
-    `_RESIDUES`.  The
-    quartic in its unit chart, made monic mod p^prec, is formed when
-    `lift` is first read, so a report that no one lifts has computed
-    mod p only."""
+    `_RESIDUES`.  The quartic made monic mod p^prec by its unit top
+    coefficient mod p is formed when `lift` is first read, so a report
+    that no one lifts has computed mod p only."""
 
     p: int
     prec: int
@@ -431,33 +423,35 @@ class HenselReport:
 
     @cached_property
     def _monic(self):
-        """The quartic in its unit chart, made monic mod p^prec."""
+        """The quartic divided by its coefficient of t^top mod p^prec."""
         m = self.p**self.prec
-        f = compose_binary(self.ics, self.residue.chart)
-        lc_inv = pow(f[self.residue.top], -1, m)
-        return [(c * lc_inv) % m for c in f]
+        lc_inv = pow(self.ics[self.residue.top], -1, m)
+        return [(c * lc_inv) % m for c in self.ics]
 
     def lift(self, K):
         """Every block Hensel-lifted mod p^K, K <= prec, as a binary form
-        of its degree in the original chart, in `BlockReport.index`
-        order: one `hensel_lift_factors` call per K, kept."""
+        of its degree, in `BlockReport.index` order, kept per K.
+
+        With m = 4 - top > 0 the block at [1:0] is split off first, by
+        one `hensel_pair_lift` of the monic form against its reduction:
+        the cofactor is 1 mod p and takes the top coefficients divisible
+        by p, so it is a form of degree m.  The monic rest is lifted by
+        one `hensel_lift_factors` call over the powers of parts."""
         if K in self._lifts:
             return self._lifts[K]
-        p, f = self.p, self._monic
-        rest, at_infinity = f, []
-        if f[4] % p == 0:
-            # no unit chart: the linear factor at [1:0] (a unit mod p) is
-            # split off the monic rest first
-            g, rest = hensel_pair_lift(f, [1], pmod(f, p), p, K)
-            at_infinity = [(g + [0])[:2]]
+        p, rest = self.p, self._monic
+        at_infinity = []
+        m = 4 - self.residue.top
+        if m:
+            g, rest = hensel_pair_lift(rest, [1], pmod(rest, p), p, K)
+            at_infinity = [tuple(g + [0] * (m + 1 - len(g)))]
         powers = []
         for g, mult in self.residue.parts:
             powers.append([1])
             for _ in range(mult):
                 powers[-1] = pmul(powers[-1], list(g), p)
-        blocks = hensel_lift_factors(rest, powers, p, K) + at_infinity
-        inverse = self.residue.inverse_chart
-        self._lifts[K] = [tuple(compose_binary(B, inverse, p**K)) for B in blocks]
+        blocks = hensel_lift_factors(rest, powers, p, K) if powers else []
+        self._lifts[K] = [tuple(B) for B in blocks] + at_infinity
         return self._lifts[K]
 
     def roots_reducing_into(self, g, blk) -> int:
@@ -489,69 +483,12 @@ class HenselReport:
         return (len(r) - 1) * mult
 
 
-def compose_binary(coeffs, mat, modulus=None):
-    """Compose the binary form sum c_i t^i u^(d-i) with (t,u) -> mat*(t,u).
-
-    With mat = ((a, b), (c, d)) the result is the coefficient list of
-    f(a t + b u, c t + d u), reduced mod `modulus` when one is given.
-    """
-    if mat == ((1, 0), (0, 1)):
-        return [v % modulus for v in coeffs] if modulus else list(coeffs)
-    a, b, c, d = mat[0][0], mat[0][1], mat[1][0], mat[1][1]
-    n = len(coeffs) - 1
-    # new_t = a t + b u ; new_u = c t + d u
-    out = [0] * (n + 1)
-    # expand (a t + b u)^i (c t + d u)^(n-i)
-    for i, ci in enumerate(coeffs):
-        if ci == 0:
-            continue
-        # (a t + b u)^i
-        poly1 = [comb(i, k) * a**k * b ** (i - k) for k in range(i + 1)]
-        poly2 = [comb(n - i, k) * c**k * d ** (n - i - k) for k in range(n - i + 1)]
-        conv = [0] * (n + 1)
-        for k1, v1 in enumerate(poly1):
-            for k2, v2 in enumerate(poly2):
-                conv[k1 + k2] += v1 * v2
-        for k in range(n + 1):
-            out[k] += ci * conv[k]
-    if modulus:
-        out = [v % modulus for v in out]
-    return out
-
-
-def unit_chart(ics, p):
-    """An SL2(Z) chart in which the quartic's leading coefficient is a unit.
-
-    ics are integer coefficients c0..c4 of sum c_i t^i u^(4-i).  The
-    chart is the identity when c4 is a p-unit, else ((m, -1), (1, 0)),
-    (t, u) -> (m t - u, t), for the first m with q(m, 1) != 0 mod p; the
-    composed form (`compose_binary`) has leading coefficient q(m, 1).
-    No chart exists when the reduction vanishes on all of P^1(F_p),
-    which takes p = 3 and four simple roots; the identity is returned.
-    """
-    if ics[4] % p != 0:
-        return ((1, 0), (0, 1))
-    for m in range(p):
-        if peval(ics, m, p) != 0:
-            return ((m, -1), (1, 0))
-    return ((1, 0), (0, 1))
-
-
-def _residue_order(h, p):
-    """Sort key of a simple block by its residue factor h, a binary form
-    mod p in the original chart: monic affine factors of q(t, 1) by
-    (degree, coefficients), then the root at [1:0]."""
-    affine = trim(h)
-    if len(affine) < len(h):
-        return (1,)
-    return (0, len(affine), tuple(pscale(affine, pow(affine[-1], -1, p), p)))
-
-
 def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     """Factor q over Z_p into coprime blocks and certify unramifiedness.
 
-    q is moved to its `unit_chart` and its monic reduction is factored;
-    a block is a residue factor to its multiplicity.  All of that
+    A block is a residue factor to its multiplicity: u^m, m = 4 less
+    the degree of q mod p, at [1:0], and the factors of the affine
+    reduction made monic by its unit top coefficient.  All of that
     depends on q mod p alone and is kept per residue (`_residue_of`, at
     most p^5 - 1 residues per prime): q itself gives only v_p(D), D the
     discriminant `q.disc` of its primitive coefficients, and the
@@ -565,8 +502,10 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     blocks.  For monic f = g*h over Z_p with g and h coprime mod p,
     disc f = disc g * disc h * Res(g, h)^2 and Res(g, h) is a p-unit
     (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
-    ch. 3).  A simple block has a unit discriminant, and the SL2(Z)
-    chart and the monic scaling change D by a unit, so a lone
+    ch. 3); the block at [1:0] is a unit times u^m mod p, so its
+    resultant with the monic rest, that rest's value at [1:0] to the
+    m-th power, is a unit too.  A simple block has a unit discriminant,
+    and the monic scaling changes D by a unit, so a lone
     (linear)^2 block's discriminant valuation is v_p(D).  Two
     (linear)^2 blocks each have a valuation >= 1, and the two add up to
     v_p(D), so they read `lift(min(prec, v_p(D)))`; one that is
@@ -576,9 +515,9 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     so an odd one decides "not unramified" without a report, which
     `search` reads first.
 
-    The blocks of a squarefree reduction are ordered by their residue
-    factors, so nothing else here lifts: `block_roots` asks for the
-    lift at the precision it reads.
+    The blocks come in the order of their residue factors, the block
+    at [1:0] last, so nothing else here lifts: `block_roots` asks for
+    the lift at the precision it reads.
     """
     if p % 2 == 0:
         raise HmsError("odd p required")
@@ -622,22 +561,21 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     report.verdict = next(
         v for v in ("ramified", "inconclusive", "unramified") if v in verdicts
     )
-    report.blocks = [blocks[i] for i in residue.order]
+    report.blocks = blocks
     return report
 
 
 def block_roots(report: HenselReport, blk: BlockReport, K: int):
-    """The p-adic roots of one block of `report`, in the original chart,
+    """The p-adic roots of one block of `report`, in q's coordinates,
     read off the block's lift sum c_i t^i u^(d-i) mod p^K
     (`report.lift(K)`): each is (z, flipped), z in an `UnramifiedRing`,
     the point [z : 1], or [1 : z] when flipped.
 
     One rule orients every block: [z : 1] when the top coefficient c_d
     is a p-unit, else the coefficients reversed (t and u swapped) and
-    [1 : z].  One end is a unit: mod p an unramified block is a unit
-    times g^m, g irreducible, and c_d, c_0 are its values at [1 : 0]
-    and [0 : 1]; a linear g vanishes at one point of P^1(F_p), and g of
-    degree >= 2 at none.  Then, with c_0..c_d so oriented:
+    [1 : z].  Every affine block is monic, so it reads [z : 1]; the
+    block at [1:0] is 1 mod p with its top coefficient divisible by p,
+    so it reads [1 : z].  Then, with c_0..c_d so oriented:
       * a simple linear block c1 z + c0 has the root z = -c0 / c1;
       * a simple block of residue degree d >= 2 (never flipped) has the
         root z = x, the generator of the degree-d ring of the block

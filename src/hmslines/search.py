@@ -88,7 +88,7 @@ from .surface import (
     twisted_equations,
 )
 
-CERTIFICATE_SCHEMA = "hmslines-certificate/1"
+CERTIFICATE_SCHEMA = "hmslines-certificate/2"
 
 # the precision at which a line's local sections read their points first
 # (`_decided`)

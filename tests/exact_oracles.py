@@ -27,6 +27,9 @@ cannot reach the oracle that checks it:
   P^1(Q) of two integer binary forms whose gcd over Q is linear, by
   Euclid on Fractions, and a polynomial given as its terms at a point,
   so that a zero of sigma_5 on a line is checked in exact arithmetic.
+* `compose_binary`: a binary form of integers substituted by any 2x2
+  integer matrix, expanded as a product of linear forms, so that the
+  tests can move a quartic between charts without the package.
 
 The discriminant, the p-adic valuation and the square test are those of
 the benchmark's checker, `bench/oracles.py`, which is stdlib-only too.
@@ -312,3 +315,23 @@ def polynomial_value(terms, point):
         Fraction(c) * prod(Fraction(x) ** e for x, e in zip(point, exp))
         for exp, c in terms.items()
     )
+
+
+def compose_binary(coeffs, mat):
+    """The coefficients c'_0..c'_d of f(a t + b u, c t + d u), f = sum
+    c_i t^i u^(d-i) and mat = ((a, b), (c, d)) any integer matrix: each
+    term is the product of i copies of a t + b u and d - i of c t + d u,
+    a binary form kept as its coefficients of t^j u^(k-j)."""
+    (a, b), (c, d) = mat
+    n = len(coeffs) - 1
+    out = [0] * (n + 1)
+    for i, ci in enumerate(coeffs):
+        term = [ci]
+        for low, high in [(b, a)] * i + [(d, c)] * (n - i):
+            term = [
+                (term[j] * low if j < len(term) else 0)
+                + (term[j - 1] * high if j else 0)
+                for j in range(len(term) + 1)
+            ]
+        out = [x + y for x, y in zip(out, term)]
+    return out

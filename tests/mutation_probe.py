@@ -83,9 +83,11 @@ MUTANTS = [
      '        return "C4"\n    return "D4"',
      '        return "D4"\n    return "C4"'),
     ("squarefree blocks in reverse residue order", "src/hmslines/hensel.py",
-     "order = sorted(order, key=lambda i: _residue_order(self.factors[i], p))",
-     "order = sorted(order, key=lambda i: _residue_order(self.factors[i], p),"
-     " reverse=True)"),
+     "return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))",
+     "return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]), reverse=True)"),
+    ("[1:0] block given multiplicity 1", "src/hmslines/hensel.py",
+     "(1, 4 - self.top)",
+     "(1, 1)"),
     ("residue memo key drops a coefficient", "src/hmslines/hensel.py",
      "key = (p, *[c % p for c in ics])",
      "key = (p, *[c % p for c in ics[1:]])"),

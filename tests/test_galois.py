@@ -10,7 +10,7 @@ from hmslines.galois import frobenius_cycle_type, resolvent_cubic, solvability_r
 from hmslines.quartics import BinaryQuartic
 from hmslines.scalars import is_square_rational, primitive_integers
 
-from exact_oracles import ALLOWED_TYPES, FROBENIUS_PRIMES, cycle_type
+from exact_oracles import ALLOWED_TYPES, FROBENIUS_PRIMES, compose_binary, cycle_type
 from galois_battery import WITNESS_TYPES, battery, good_primes
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -171,7 +171,7 @@ def test_sieve_agrees_with_zassenhaus_on_the_battery(q, k, m, sign):
     """t -> t + k u, u -> m u and a sign keep the splitting field; the
     sieve and its fallback give the report and group the factorization
     gives."""
-    moved_coeffs = hensel.compose_binary(list(q.coeffs), ((1, k * m), (0, m)))
+    moved_coeffs = compose_binary(list(q.coeffs), ((1, k * m), (0, m)))
     moved = Q([sign * c for c in moved_coeffs])
     disc = moved.discriminant()
     reference = galois._galois_group(disc, hensel.factor_binary_quartic(moved))

@@ -79,8 +79,9 @@ from exact_oracles import (  # noqa: E402
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
 CHAR3_LINE = [[59046, 0, -1, 59049, 243, -243], [0, 19682, -19683, 3, 243, -243]]
 CHAR3_RAMIFIED_LINE = [[1, -1, 0, 2, 1, -1], [0, 0, 1, -1, -1, 1]]
-# c4 = 0: the 5-adic report works in a non-identity chart, and its split
-# (linear)^2 block gives two points whose order the golden freezes
+# c4 = 0 and c3 = 0 mod 5: the 5-adic report has a (linear)^2 block at
+# [1:0], split, whose two points [1 : z] come in the order the golden
+# freezes
 CHAR3_DOUBLE_ROOT_LINE = [[159, 0, -1, 0, 0, 0], [0, 53, -8748, 8427, -8586, 8586]]
 # labc_line(-78, 0, 0): its quartic has discriminant zero, so the
 # certificate fails with no galois, real or local section
@@ -374,9 +375,9 @@ def test_a_changed_local_or_chart_field_is_reported(name, index, edit, defect):
 
 # sha256 of the outputs of one operation of each workload at seed 0
 BENCH_DIGESTS = {
-    "rho0-harvest": "6581bc1d4a051bbf74e763d848b4f57b4ec1ff292c66fff6a7fd6a9b0f76a4fe",
+    "rho0-harvest": "f519a0e5a87ffe11b55f9276a1b4bb39bdc0e0636fe48685c307c63311fdefc1",
     "char3-starved": "b85d03d7a55aa906bde7ff2d4e3ce62348c7c92a3a8dc9dc1aa5c37d6d7b5499",
-    "certify-batch": "03106aea7684b46fbe8b0ed8675be733c0d4ee0fdfec70106a3f084ac4d0e07d",
+    "certify-batch": "f58929dab866dd47acfcb0f52ddf05a4e87cd81416ee1b55c4f3e7d911bcc5dc",
 }
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -8,7 +9,6 @@ from hmslines import hensel
 from hmslines.errors import HmsError, PrecisionError
 from hmslines.hensel import (
     block_roots,
-    compose_binary,
     factor_monic_mod_p,
     hensel_factor_quartic,
     hensel_pair_lift,
@@ -19,6 +19,8 @@ from hmslines.quartics import BinaryQuartic
 from hmslines.scalars import primitive_integers
 from hmslines.search import build_model, intersection_points, parse_config
 from hmslines.surface import char3_twist, rho0_twist, twisted_equations
+
+from exact_oracles import compose_binary
 
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -254,22 +256,26 @@ def _assert_roots_satisfy(ints, rep, prec):
 
 @PROPERTY
 @given(
-    st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=6),
     st.lists(
         st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size=4
     ),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
     st.integers(-5, 5),
     st.integers(-5, 5),
 )
-def test_compose_binary_round_trips_and_evaluates(coeffs, steps, t, u):
+def test_compose_binary_round_trips_and_evaluates(coeffs, steps, entries, t, u):
+    # the tests' substitution (`exact_oracles`): an SL2(Z) chart and its
+    # inverse give the form back, and any integer matrix evaluates
     (a, b), (c, d) = mat = _sl2_product(steps)
     assert a * d - b * c == 1
     inverse = ((d, -b), (-c, a))
     composed = compose_binary(coeffs, mat)
     assert compose_binary(composed, inverse) == coeffs
-    assert _binary_value(composed, t, u) == _binary_value(
-        coeffs, a * t + b * u, c * t + d * u
-    )
+    for (a, b), (c, d) in (mat, (entries[:2], entries[2:])):
+        assert _binary_value(compose_binary(coeffs, ((a, b), (c, d))), t, u) == (
+            _binary_value(coeffs, a * t + b * u, c * t + d * u)
+        )
 
 
 @PROPERTY
@@ -483,8 +489,8 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
     # the quartic of this line has two quadratic residue factors at 5
     # and a (linear)^2 times a quadratic at 3: from a cold residue memo
     # each is factored once mod p, and a second report of the same
-    # residue factors nothing; neither report forms its monic unit-chart
-    # form or lifts a block until its points are read, each lifts its
+    # residue factors nothing; neither report forms its monic form or
+    # lifts a block until its points are read, each lifts its
     # blocks once then, and a second extraction of the points lifts no
     # block again
     factorizations = []
@@ -606,6 +612,81 @@ def test_a_report_from_a_warm_residue_memo_is_the_cold_one(ints, p, K):
             if any(moved):
                 _report_or_error(Q(moved), p, K)
     assert _report_state(_report_or_error(q, p, K), K) == cold
+
+
+@st.composite
+def _quartic_and_prime(draw):
+    """(ints, p), p 3 or 5: mostly a quartic whose top m coefficients, m
+    from 1 to 4, are small multiples of powers of p, so that [1:0] is a
+    root of multiplicity at least m mod p; else a constructed quartic,
+    moved by SL2(Z)."""
+    p = draw(st.sampled_from([3, 5]))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_CONSTRUCTED_QUARTICS), p
+    m = draw(st.integers(1, 4))
+    low = draw(st.lists(st.integers(-30, 30), min_size=5 - m, max_size=5 - m))
+    high = [p ** draw(st.integers(1, 4)) * draw(st.integers(-5, 5)) for _ in range(m)]
+    return low + high, p
+
+
+def _chart_free_state(report):
+    """What a report certifies, with nothing of a chart: its verdict,
+    residue degrees, squarefreeness and the multiset of its blocks, or
+    the PrecisionError it raised."""
+    if isinstance(report, PrecisionError):
+        return ("PrecisionError", report.needed)
+    blocks = Counter(
+        (b.degree, b.residue_degree, b.multiplicity, b.verdict, b.disc_valuation)
+        for b in report.blocks
+    )
+    return report.verdict, report.residue_degrees, report.squarefree_mod_p, blocks
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_quartic_and_prime(), _STEPS, st.integers(1, 20))
+# u^4 + 3 t^4: [1:0] a root of multiplicity 4 mod 3, moved to [0:1]
+@example(([1, 0, 0, 0, 3], 3), [("S", 0)], 5)
+# u^2 (t^2 + u^2) + 27 t^4: a (linear)^2 block at [1:0] mod 3, moved to [0:1]
+@example(([1, 0, 1, 0, 27], 3), [("S", 0)], 12)
+def test_a_report_is_the_same_in_every_sl2_chart(drawn, steps, K):
+    # oracle: an SL2(Z) substitution permutes P^1(F_p) and changes D by
+    # nothing, so it keeps the residue factorization and the verdicts,
+    # wherever it moves the root at [1:0]
+    ints, p = drawn
+    assume(any(ints))
+    moved = compose_binary(ints, _sl2_product(steps))
+    assert _chart_free_state(_report_or_error(Q(moved), p, K)) == _chart_free_state(
+        _report_or_error(Q(ints), p, K)
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_quartic_and_prime(), st.integers(1, 30))
+@example(([1, 0, 0, 0, 3], 3), 5)
+@example(([1, 0, 1, 0, 27], 3), 12)
+def test_the_lifted_blocks_multiply_back_to_the_monic_form(drawn, K):
+    # oracle: the quartic divided by its highest coefficient that is a
+    # unit mod p; each block has its degree, and the block at [1:0], of
+    # degree m, reduces to a unit times u^m
+    ints, p = drawn
+    assume(any(ints))
+    report = _report_or_error(Q(ints), p, K)
+    assume(not isinstance(report, PrecisionError))
+    mod = p**K
+    ics = Q(ints).coeffs
+    top = max(i for i, c in enumerate(ics) if c % p)
+    lc_inv = pow(ics[top], -1, mod)
+    lifted = report.lift(K)
+    product = [1]
+    for B in lifted:
+        product = _times(product, B)
+    assert [c % mod for c in product] == [c * lc_inv % mod for c in ics]
+    by_index = sorted(report.blocks, key=lambda blk: blk.index)
+    assert [len(B) - 1 for B in lifted] == [blk.degree for blk in by_index]
+    if top < 4:
+        at_infinity = lifted[-1]
+        assert len(at_infinity) == 5 - top
+        assert at_infinity[0] % p and not any(c % p for c in at_infinity[1:])
 
 
 def _monic_polys(degree, p):

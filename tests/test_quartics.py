@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmslines.errors import DegenerateLineError, HmsError
-from hmslines.hensel import compose_binary
 from hmslines.padics import UnramifiedRing
 from hmslines.quartics import BinaryQuartic, real_root_count, roots_over_Fq
 from hmslines.scalars import primitive_integers
+
+from exact_oracles import compose_binary
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 F3 = UnramifiedRing(3, (0, 1), 1)

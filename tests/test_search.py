@@ -312,10 +312,13 @@ def test_rho0_demo_finds_real_line():
 
 def test_rho0_demo_records_ungated_local_evidence():
     # only the real place gates the demo; the 3- and 5-adic sections are
-    # still recorded, and at this precision the cubic factor stays open
+    # still recorded, and at this precision the cubic factor stays open.
+    # The quartic's top coefficient is 125, so at 5 the cube is the root
+    # at [1:0], and the block at [1:0] comes after the affine ones
     cfg = load_config(config_path("rho0-demo.json"))
     (_, cert), = find_lines(cfg, max_results=1)
-    for key in ("local_3", "local_5"):
+    cube, simple = (3, 1, 3, "inconclusive"), (1, 1, 1, "unramified")
+    for key, order in (("local_3", [cube, simple]), ("local_5", [simple, cube])):
         section = cert.data[key]
         assert section["required"] is False
         assert section["verdict"] == "inconclusive"
@@ -323,10 +326,7 @@ def test_rho0_demo_records_ungated_local_evidence():
             (b["degree"], b["residue_degree"], b["multiplicity"], b["verdict"])
             for b in section["blocks"]
         ]
-        assert shapes == [
-            (3, 1, 3, "inconclusive"),
-            (1, 1, 1, "unramified"),
-        ]
+        assert shapes == order
         assert section["points_extracted"] == 1
 
 
@@ -503,20 +503,23 @@ def test_an_odd_v_p_D_fails_the_gate_where_the_report_raises():
         sections.hensel(3)
 
 
-def test_a_squarefree_report_in_a_non_identity_chart_lifts_nothing(monkeypatch):
-    # t u (t^2 + 2 u^2) has c4 = 0, so its report at 5 works in the chart
-    # (t, u) -> (t - u, t); its blocks come in the order of their residue
-    # factors in the original chart, t, then t^2 + 2, then the root at
-    # [1:0], read here off the lift, which building the report never made
+def test_a_squarefree_report_with_a_root_at_infinity_lifts_nothing(monkeypatch):
+    # t u (t^2 + 2 u^2) has c4 = 0, so [1:0] is a simple root mod 5; the
+    # blocks come in the order of their residue factors, t, then t^2 + 2,
+    # then u at [1:0], read here off the lift, which building the report
+    # never made.  The lift splits the block at [1:0] off first, here
+    # exactly u, since c4 = 0 over Z
     lifts = _count_lifts(monkeypatch)
     report = hensel_factor_quartic(quartics.BinaryQuartic([0, 2, 0, 1, 0]), 5, 12)
-    assert report.residue.inverse_chart == ((0, 1), (-1, 1))
+    assert report.residue.top == 3
     assert lifts == []
     residues = []
     for blk in report.blocks:
         g = pmod(report.lift(12)[blk.index], 5)
         residues.append(tuple(c * pow(g[-1], -1, 5) % 5 for c in g))
     assert residues == [(0, 1), (2, 0, 1), (1,)]
+    assert report.lift(12)[report.blocks[-1].index] == (1, 0)
+    assert lifts[0] == "hensel_pair_lift" and "hensel_lift_factors" in lifts
 
 
 # the 18 lines of the char3 class at precision 5 (the benchmark's starved
@@ -932,7 +935,9 @@ KNOWN_RINGS = {
     # double-root blocks: inert pairs at reduced precision, a split pair
     ("char3-demo.json", (-2, -6, -6), 3, 8): [(2, 6)],
     ("rho0-demo.json", (2, -2, 1), 3, 8): [(1, 8), (1, 4), (1, 4), (1, 8)],
-    ("rho0-demo.json", (-2, -18, -27), 5, 8): [(1, 8), (1, 8), (2, 6)],
+    # and at 5 a (linear)^2 block, a simple root and a simple root at
+    # [1:0], listed in that order: the block at [1:0] comes last
+    ("rho0-demo.json", (-2, -18, -27), 5, 8): [(2, 6), (1, 8), (1, 8)],
 }
 
 
