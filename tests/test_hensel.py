@@ -404,8 +404,8 @@ _STEPS = st.lists(st.tuples(st.sampled_from("TS"), st.integers(-3, 3)), max_size
     st.sampled_from([3, 5]),
     st.integers(1, 30),
 )
-# t u (t - u)(t + u) vanishes on all of P^1(F_3): no chart has a unit
-# leading coefficient
+# t u (t - u)(t + u) vanishes on all of P^1(F_3): four simple blocks,
+# the last at [1:0]
 @example(([0, 1], [1, 0], [-1, 1], [1, 1]), [], 3, 12)
 # t^2 - 3u^2 and (t + u)^2 - 3u^2: two (linear)^2 blocks mod 3, each of
 # odd discriminant valuation, while v_3(D) = 2 is even
