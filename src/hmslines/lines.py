@@ -16,7 +16,7 @@ rational charts produce such lines:
   model, where the same three parameters appear polynomially in a pair
   of spanning points.
 
-The character-3 helpers (`char3_leading_profile`, `parity_admissible`,
+The character-3 helpers of a certificate (`parity_admissible`,
 `cusp_proximity`) quantify the 3-adic behaviour of the labc family;
 `cusp_proximity` returns the depth at the cusp line of each point, its
 six coordinates in one ring mod 3^K, from which the certificate's cusp
@@ -30,13 +30,8 @@ from operator import mul
 from .errors import DegenerateLineError, HmsError, NotOnSurfaceError, PrecisionError
 from .mpoly import SparsePoly, restrict_to_span
 from .quartics import BinaryQuartic
-from .scalars import (
-    integer_numerators,
-    primitive_integers,
-    sup_norm_shell,
-    valuation_of_rational,
-)
-from .surface import SurfaceModel, char3_twist, twisted_equations
+from .scalars import integer_numerators, primitive_integers, sup_norm_shell
+from .surface import SurfaceModel
 
 
 def primitive_vector(v):
@@ -269,18 +264,23 @@ def chord_at(chord, r, s):
     return y
 
 
-def rational_conic_point(conic, height: int = 24):
+CONIC_HEIGHT = 24
+
+
+def rational_conic_point(conic):
     """Deterministic small-height search for a rational point on a conic,
     given by the 3x3 doubled Gram matrix of its ternary quadratic form.
 
-    Scans primitive integer triples by increasing sup-norm; a
-    HmsError reports a scan that finds none.
+    Scans primitive integer triples by increasing sup-norm up to
+    `CONIC_HEIGHT`; a HmsError reports a scan that finds none.
     """
-    for h in range(1, height + 1):
+    for h in range(1, CONIC_HEIGHT + 1):
         for point in sup_norm_shell(h, [range(-h, h + 1)] * 3):
             if gcd(*point) == 1 and _dot(point, [_dot(r, point) for r in conic]) == 0:
                 return list(point)
-    raise HmsError(f"no rational point of height <= {height} on the tangent conic")
+    raise HmsError(
+        f"no rational point of height <= {CONIC_HEIGHT} on the tangent conic"
+    )
 
 
 class TangentConeChart:
@@ -307,7 +307,7 @@ class TangentConeChart:
         U = self.frame0.U
         GU = [[_dot(row, u) for row in self.gram] for u in U]
         self.conic = [[_dot(u, gv) for gv in GU] for u in U]
-        self.c0 = rational_conic_point(self.conic, 24)
+        self.c0 = rational_conic_point(self.conic)
         self.w0 = [_dot(self.c0, col) for col in zip(*U)]
         self.chord0 = self.frame0.chord_map(self.w0)
         self._rulings = {}
@@ -443,63 +443,6 @@ def labc_params_of_line(line: Line):
     if labc_line(a, b, c) != line:
         raise HmsError("line is not in the labc family")
     return a, b, c
-
-
-def char3_quartic_display(lambda1, lambda2) -> SparsePoly:
-    """The quartic of the cube-root twist model, scaled so that the
-    monomial x0^3 x5 has coefficient lambda1^3 (i.e. 27 times the
-    composed symmetric function)."""
-    model = twisted_equations(char3_twist(lambda1, lambda2))
-    return model.forms[4] * (27 * model.scales[4])
-
-
-def char3_leading_profile(lambda1, lambda2) -> tuple:
-    """The five coefficients of the labc-family quartic as polynomials in
-    (a, b, c): the i-th multiplies x1^i x2^(4-i) in the restriction of
-    the scaled quartic (`char3_quartic_display`) to the line L_{a,b,c}."""
-    r = labc_restriction(char3_quartic_display(lambda1, lambda2))
-    coeffs = []
-    for i in range(5):
-        poly = r.coefficient((i, 4 - i))
-        if not isinstance(poly, SparsePoly):
-            poly = SparsePoly.constant(Fraction(poly), 3)
-        coeffs.append(poly)
-    return tuple(coeffs)
-
-
-def coefficient_valuations(coeffs, alpha: int, beta: int, gamma: int):
-    """3-adic valuations of the polynomials coeffs in (a, b, c), such as
-    `char3_leading_profile`'s, in the monomial regime v(a) = alpha,
-    v(b) = beta, v(c) = gamma.
-
-    Each coefficient valuation is certified only when a single
-    monomial strictly dominates; a tie raises HmsError."""
-    out = []
-    for k, poly in enumerate(coeffs):
-        if poly.is_zero:
-            out.append(None)
-            continue
-        best = None
-        tie = False
-        for exp, coeff in poly.terms.items():
-            v = (
-                valuation_of_rational(coeff, 3)
-                + alpha * exp[0]
-                + beta * exp[1]
-                + gamma * exp[2]
-            )
-            if best is None or v < best:
-                best, tie = v, False
-            elif v == best:
-                tie = True
-        if tie:
-            raise HmsError(
-                f"coefficient {k}: two monomials share the minimal "
-                f"valuation {best}; regime (alpha, beta, gamma) = "
-                f"({alpha}, {beta}, {gamma}) is too small to separate them"
-            )
-        out.append(best)
-    return tuple(out)
 
 
 def parity_admissible(ord_b: int, ord_c: int, ord_lambda1: int, ord_lambda2: int) -> bool:

@@ -47,10 +47,6 @@ class SparsePoly:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero(nvars: int) -> "SparsePoly":
-        return SparsePoly(nvars, {})
-
-    @staticmethod
     def constant(c, nvars: int) -> "SparsePoly":
         return SparsePoly(nvars, {tuple([0] * nvars): c})
 
@@ -142,25 +138,11 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), 0)
-
     def sorted_terms(self):
         """Terms in graded-lex order, highest first."""
         return sorted(self.terms.items(), key=lambda t: _glex_key(t[0]), reverse=True)
 
     # -- operations ---------------------------------------------------
-
-    def evaluate(self, values):
-        if len(values) != self.nvars:
-            raise HmsError("value arity mismatch")
-        result = 0
-        for exp, c in self.terms.items():
-            for v, e in zip(values, exp):
-                for _ in range(e):
-                    c = c * v
-            result = result + c
-        return result
 
     def substitute(self, images):
         """Map variable i to the polynomial images[i] (all in common arity)."""
@@ -168,7 +150,7 @@ class SparsePoly:
             raise HmsError("substitution arity mismatch")
         nv = images[0].nvars
         pow_cache = [{} for _ in range(self.nvars)]
-        result = SparsePoly.zero(nv)
+        result = SparsePoly(nv)
         for exp, c in self.terms.items():
             term = SparsePoly.constant(c, nv)
             for i, e in enumerate(exp):

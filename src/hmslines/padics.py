@@ -17,8 +17,8 @@ an element is the minimum valuation of its coordinates.  A degree-1
 ring, modulus (0, 1), is Z/p^K itself: the intersection points of
 `search` live in one of these rings, degree 1 for a rational point and
 degree d for d conjugate points.  At precision K = 1 the ring is the
-finite field F_{p^d}: `quartics.roots_over_Fq` scans it, and the char-5
-worked example of `verify` works in F_25 = F_5[t]/(t^2 + 3).
+finite field F_{p^d}, in which the char-5 worked example of `verify`
+works: F_25 = F_5[t]/(t^2 + 3), whose roots it finds by a scan.
 
 Indeterminacy is a value, never a silent rounding: an element that is
 zero mod p^K has the valuation None, undetermined (its ring's K is a
@@ -27,7 +27,6 @@ or write None where the certificate writes `null`.  A determined
 valuation is below K and is the true one.
 """
 
-from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import HmsError
@@ -186,19 +185,13 @@ class UnramifiedRing:
             raise HmsError("prime ring has no generator")
         return self._wrap([0, 1])
 
-    def from_rational(self, x):
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise HmsError("denominator not prime to p")
-        return self._wrap([x.numerator * pow(x.denominator, -1, self.mod) % self.mod])
-
 
 class UElt:
     """Element of an UnramifiedRing, known mod p^K.
 
     `coeffs` is a tuple of deg coordinates, each in [0, p^K), which the
-    constructor trusts: elements come from the ring's `elt` and
-    `from_rational` or from arithmetic, never from raw coordinates.
+    constructor trusts: elements come from the ring's `elt` or from
+    arithmetic, never from raw coordinates.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -218,8 +211,6 @@ class UElt:
             return x
         if isinstance(x, int):
             return self.ring.elt([x])
-        if isinstance(x, Fraction):
-            return self.ring.from_rational(x)
         return None
 
     def _shift(self, c):

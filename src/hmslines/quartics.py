@@ -1,4 +1,4 @@
-"""Binary quartic forms: invariants, real root counts, roots over F_q.
+"""Binary quartic forms: the primitive integer model and real root counts.
 
 A `BinaryQuartic` is made from the int coefficients c0..c4 of c4 t^4 +
 c3 t^3 u + c2 t^2 u^2 + c1 t u^3 + c0 u^4 and is their primitive
@@ -15,11 +15,9 @@ polynomial in the coefficients, homogeneous of degree 6), so that of
 the ints is the primitive one's times content^6.
 """
 
-from itertools import product
 from math import gcd
 
 from .errors import DegenerateLineError, HmsError
-from .padics import UnramifiedRing
 
 
 def _disc27(c0, c1, c2, c3, c4):
@@ -70,9 +68,6 @@ class BinaryQuartic:
         return self.disc * self.content**6
 
 
-# -- real root counting ------------------------------------------------
-
-
 def real_root_count(q: BinaryQuartic) -> int:
     """Number of distinct real projective roots of a squarefree quartic.
 
@@ -101,55 +96,3 @@ def real_root_count(q: BinaryQuartic) -> int:
         - 3 * b**4
     )
     return 4 if P < 0 and D < 0 else 0
-
-
-# -- roots over finite fields ------------------------------------------
-
-
-def _divide_linear(cs, x):
-    """(quotient, remainder) of the coefficient list by (t - x): one
-    synthetic division, whose remainder is the value at x."""
-    acc = cs[-1]
-    quotient = [acc]
-    for c in reversed(cs[:-1]):
-        acc = acc * x + c
-        quotient.append(acc)
-    value = quotient.pop()
-    return quotient[::-1], value
-
-
-def roots_over_Fq(coeffs, field: UnramifiedRing):
-    """All projective roots of the quartic sum coeffs[i] t^i u^(4-i)
-    over F_q by exhaustive scan, with multiplicity.
-
-    field is F_q = F_{p^d} as an `UnramifiedRing` at precision 1; the
-    five coefficients are its elements, ints or Fractions.  Returns a
-    list of ((t, u), multiplicity) pairs; (t, u) is the canonical
-    representative, u = 1 for affine roots and (1, 0) at infinity.  The
-    scan caps the prime at 10^4 (the intended use is p in {3, 5}).
-    """
-    if field.K != 1:
-        raise HmsError("roots_over_Fq needs a finite field: precision 1")
-    if field.p > 10**4:
-        raise HmsError("prime too large for exhaustive scan")
-    zero, one = field.zero(), field.one()
-    cs = [zero + c for c in coeffs]
-    if all(c == 0 for c in cs):
-        raise DegenerateLineError("roots of the zero form")
-    roots = []
-    inf_mult = 0
-    while cs and cs[-1] == 0:
-        cs.pop()
-        inf_mult += 1
-    if inf_mult:
-        roots.append(((one, zero), inf_mult))
-    for digits in product(range(field.p), repeat=field.deg):
-        x = field.elt(digits)
-        mult = 0
-        quotient, value = _divide_linear(cs, x)
-        while value == 0:
-            mult += 1
-            quotient, value = _divide_linear(quotient, x)
-        if mult:
-            roots.append(((x, one), mult))
-    return roots

@@ -66,6 +66,7 @@ from .errors import (
 )
 from .hensel import binary_gcd, block_roots, hensel_factor_quartic
 from .lines import (
+    NONCUSP,
     Line,
     TangentConeChart,
     cusp_proximity,
@@ -73,6 +74,7 @@ from .lines import (
     labc_params_of_line,
     labc_restriction,
     parity_admissible,
+    primitive_vector,
     quartic_of_line,
 )
 from .padics import UElt, UnramifiedRing
@@ -427,6 +429,25 @@ def _cusp_report(rows, points, prec):
     }
 
 
+def _refuse_a_cusp_root(report, rows, points):
+    """Raise DegenerateLineError when the span of the integer rows meets
+    the cusp line, where its `NONCUSP` columns of rank 1 vanish (rank 0
+    is the cusp line, whose zero quartic never gets here), at [t0 : u0],
+    a root of the quartic, as q4 of the cube-root twist has no monomial
+    in x1 and x2 alone, that reduces into a point's block: that point's
+    cusp depth is undetermined at every precision."""
+    P, Q = ([row[i] for i in NONCUSP] for row in rows)
+    if any(P[i] * Q[j] != P[j] * Q[i] for i in range(4) for j in range(i)):
+        return
+    t0, u0 = primitive_vector(next((q, -p) for p, q in zip(P, Q) if p or q))
+    linear = (-t0, u0)
+    if any(report.roots_reducing_into(linear, report.blocks[pt.block]) for pt in points):
+        raise DegenerateLineError(
+            f"the line meets the cusp line at [{t0} : {u0}], a root of its "
+            "quartic, whose cusp depth no precision decides"
+        )
+
+
 # -- certificates --------------------------------------------------------
 
 
@@ -506,7 +527,11 @@ def _local_section(sections, report, k) -> dict:
         "points_extracted": sum(pt.ring.deg for pt in points),
     }
     if p == 3 and config.twist == "char3-x":
-        section["cusp"] = _cusp_report(line.ints, points, K)
+        try:
+            section["cusp"] = _cusp_report(line.ints, points, K)
+        except PrecisionError:
+            _refuse_a_cusp_root(report, line.ints, points)
+            raise
         section["parity"] = _parity_section(line, config)
     if p == 5:
         # the forms are restricted once per line, and only for a point
@@ -796,7 +821,8 @@ def certify_line(
     everything else is recorded as evidence.  Raises PrecisionError
     when a local factorization cannot be resolved at the configured
     precision, NotOnSurfaceError or DegenerateLineError when the line
-    is not a generator of the model at all.
+    is not a generator of the model at all or meets the cusp line at a
+    3-adic point (`_refuse_a_cusp_root`).
     """
     sections = _Sections(line, model, config)
     return _certificate(sections, chart_params, chart_kind)
@@ -928,7 +954,8 @@ def find_lines(config: SearchConfig, max_results: int = 1):
     section would have raised, or where the report the parity spared
     would have raised (two (linear)^2 blocks both O(p^K) with v_p(D)
     odd); a PrecisionError while deciding a gate, or while building a
-    passing line's evidence, is a precision failure.
+    passing line's evidence, is a precision failure; a passing line on
+    the cusp line at a 3-adic point is degenerate.
     """
     model = build_model(config)
     chart = line_chart(config, model)

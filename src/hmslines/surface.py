@@ -12,12 +12,9 @@ it clears one common denominator of A and B, runs the sigma recurrence
 on the linear forms with coefficients in Z[omega] (int pairs), certifies
 that every omega part vanishes, and clears the content.
 
-The sigma invariants of a point (computed in s-coordinates) feed the
-modular-form ratios phi2^3 / chi6 and phi2^5 / chi10 and the two
-scale-invariant ordinarity ratios of `u_ratios`, on which
-`verify-paper` checks the paper's identities.
 `ordinarity_from_valuations` is the one ordinarity rule, which the
-5-adic points of a certificate go through.
+5-adic points of a certificate go through; `verify` computes the
+ratios that `verify-paper` checks.
 
 The model also owns what every integer line is tested and restricted
 with: the integer row of q1, the doubled Gram matrix of q2, and each
@@ -32,7 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import HmsError
-from .linalg import rref
 from .mpoly import SparsePoly
 from .scalars import integer_numerators
 
@@ -42,7 +38,8 @@ class TwistData:
     Q(omega), omega^2 + omega + 1 = 0, with M = A + omega B.
 
     `matrix` is A and `omega` is B, both 6x6 matrices of Fractions; B is
-    zero unless given.
+    zero unless given.  The built-in twists are invertible for every
+    nonzero lambda, which the tests check, so nothing checks it here.
     """
 
     def __init__(self, matrix, omega=None):
@@ -51,11 +48,6 @@ class TwistData:
         A, B = ([[Fraction(x) for x in row] for row in part] for part in (matrix, omega))
         if any(len(part) != 6 or any(len(row) != 6 for row in part) for part in (A, B)):
             raise HmsError("twist matrix must be 6x6")
-        # M on Q(omega)^6 = Q^12: x + omega y -> (Ax - By) + omega (Bx + (A - B) y)
-        real = [a + [-x for x in b] for a, b in zip(A, B)]
-        real += [b + [x - y for x, y in zip(a, b)] for a, b in zip(A, B)]
-        if len(rref(real)[1]) != 12:
-            raise HmsError("twist matrix is not invertible")
         self.matrix = A
         self.omega = B
 
@@ -279,17 +271,6 @@ class SurfaceModel:
     def charts(self) -> dict:
         return {}
 
-    def profile_at(self, pt) -> "SigmaProfile":
-        """Sigma invariants of a point of this model.
-
-        Evaluates the composed symmetric forms directly, so the
-        coordinates may live in any scalar ring whose elements multiply
-        with ints and Fractions.  Values come out rational for rational
-        points even when the twist matrix itself is irrational.
-        """
-        values = [self.scales[k] * self.forms[k].evaluate(pt) for k in range(1, 7)]
-        return SigmaProfile(tuple(values))
-
 
 def twisted_equations(twist: TwistData) -> SurfaceModel:
     """Compose every sigma_k with the twist and clear denominators.
@@ -297,8 +278,8 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
     With d the common denominator of the twist's two parts, the linear
     forms d s_i = sum_j d M[i][j] y_j have coefficients in Z[omega],
     held as int pairs (a, b) for a + b omega, omega^2 = -1 - omega.
-    One pass of `sigma_profile`'s recurrence e_k <- e_k + s e_(k-1)
-    over them gives every sigma_k(d s) = d^k sigma_k(s).  Raises
+    One pass of the recurrence e_k <- e_k + (d s_i) e_(k-1) over them,
+    for i = 0..5, gives every sigma_k(d s) = d^k sigma_k(s).  Raises
     HmsError unless every composed coefficient is rational (its
     omega part vanishes); each scale is then divided by d^k.
     """
@@ -328,84 +309,10 @@ def twisted_equations(twist: TwistData) -> SurfaceModel:
     return SurfaceModel(forms=forms, scales=scales)
 
 
-@dataclass(frozen=True)
-class SigmaProfile:
-    """Values sigma_1..sigma_6 at a point, plus D = sigma_3^2 - 4 sigma_6."""
-
-    values: tuple
-
-    def sigma(self, k: int):
-        if not 1 <= k <= 6:
-            raise HmsError("sigma index out of range")
-        return self.values[k - 1]
-
-    @property
-    def D(self):
-        s3 = self.values[2]
-        s6 = self.values[5]
-        return s3 * s3 - s6 * 4
-
-
-def sigma_profile(pt) -> SigmaProfile:
-    """Elementary symmetric functions of the six s-coordinates of a point.
-
-    The recurrence e_k <- e_k + s * e_(k-1) needs only + and * of the
-    coordinates, so they may be values in any ring; `twisted_equations`
-    runs the same recurrence on linear forms over Z[omega].
-    """
-    pt = list(pt)
-    if len(pt) != 6:
-        raise HmsError("a point needs 6 coordinates")
-    if all(c == 0 for c in pt):
-        raise HmsError("the zero vector is not a projective point")
-    es = [1, 0, 0, 0, 0, 0, 0]
-    for s in pt:
-        for j in range(6, 0, -1):
-            es[j] = s * es[j - 1] + es[j]
-    return SigmaProfile(tuple(es[1:]))
-
-
-def _require_invertible(value, name):
-    if value == 0:
-        if name == "sigma_5":
-            raise HmsError(
-                "cusp-form vanishing: point in bad locus for this test"
-            )
-        raise HmsError(f"{name} vanishes; the requested ratio is undefined")
-
-
-def modular_form_values(profile: SigmaProfile):
-    """The test ratios (phi2^3 / chi6, phi2^5 / chi10) at a sigma profile.
-
-    chi6 = sigma_3, chi10 = -sigma_5/3 and phi2 = -3 D / sigma_5.  The
-    ratios are invariant under scaling the point, which is what makes
-    them usable on projective data.  The point must avoid the chi10 = 0
-    locus (sigma_5 nonzero); the chi6 ratio additionally needs sigma_3
-    nonzero.
-    """
-    s3 = profile.sigma(3)
-    s5 = profile.sigma(5)
-    D = profile.D
-    _require_invertible(s5, "sigma_5")
-    _require_invertible(s3, "sigma_3")
-    phi2 = (D / s5) * -3
-    chi10 = s5 * Fraction(-1, 3)
-    return phi2**3 / s3, phi2**5 / chi10
-
-
-def u_ratios(profile: SigmaProfile):
-    """u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3) at a profile.
-
-    Both are invariant under scaling the point and come out as Fractions.
-    """
-    s3, s5, D = (Fraction(x) for x in (profile.sigma(3), profile.sigma(5), profile.D))
-    return D**5 / s5**6, D**3 / (s5**3 * s3)
-
-
 def ordinarity_from_valuations(v_sigma3, v_sigma5, v_D):
     """(v(u1), v(u2), ordinary) from the valuations of sigma_3, sigma_5, D.
 
-    The point is ordinary when both ratios of `u_ratios` have valuation
+    The point is ordinary when both ratios u1 and u2 have valuation
     <= 0.  A valuation of None is one not determined at the working
     precision; every result that depends on it is None, and ordinary is
     None (no verdict) unless both ratio valuations are determined.

@@ -3,36 +3,30 @@
 Each check function re-derives one published identity or worked example
 from scratch and reports (name, passed, detail) rows; verify_paper runs
 all of them.  The CLI exposes the same suite as `hmslines verify-paper`.
+The helpers that only these checks run live here, not in the
+certifier's modules.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
+from .errors import DegenerateLineError, HmsError
 from .mpoly import SparsePoly, restrict_to_span
 from .padics import UnramifiedRing
-from .quartics import real_root_count, roots_over_Fq
+from .quartics import real_root_count
 from .lines import (
     Line,
-    char3_leading_profile,
-    char3_quartic_display,
-    coefficient_valuations,
     in_quadrics,
     labc_line,
     labc_restriction,
     parity_admissible,
     quartic_of_line,
 )
-from .surface import (
-    identity_twist,
-    rho0_twist,
-    char3_twist,
-    sigma_profile,
-    modular_form_values,
-    twisted_equations,
-    u_ratios,
-)
+from .scalars import valuation_of_rational
+from .surface import identity_twist, rho0_twist, char3_twist, twisted_equations
 
 # The real line used in the archimedean construction, in the chart of
 # the rho0 twist.
@@ -60,6 +54,142 @@ def _sample_points(count, draw):
         if draw(pt):
             out.append(pt)
     return out
+
+
+def sigma_profile(pt) -> tuple:
+    """sigma_1..sigma_6 of the six s-coordinates of a point, a 6-tuple,
+    by the recurrence e_k <- e_k + s * e_(k-1): only + and * of the
+    coordinates, which may be rationals or elements of F_25."""
+    es = [1, 0, 0, 0, 0, 0, 0]
+    for s in pt:
+        for j in range(6, 0, -1):
+            es[j] = s * es[j - 1] + es[j]
+    return tuple(es[1:])
+
+
+def curve_D(sigma):
+    """D = sigma_3^2 - 4 sigma_6 of a sigma profile, zero on the
+    degenerate curve V."""
+    return sigma[2] * sigma[2] - sigma[5] * 4
+
+
+def u_ratios(sigma):
+    """u1 = D^5 / sigma_5^6 and u2 = D^3 / (sigma_5^3 sigma_3) of a sigma
+    profile with sigma_3 and sigma_5 nonzero, as Fractions."""
+    s3, s5, D = (Fraction(x) for x in (sigma[2], sigma[4], curve_D(sigma)))
+    return D**5 / s5**6, D**3 / (s5**3 * s3)
+
+
+def modular_form_values(sigma):
+    """The ratios (phi2^3 / chi6, phi2^5 / chi10) of a sigma profile with
+    sigma_3 and sigma_5 nonzero: chi6 = sigma_3, chi10 = -sigma_5/3 and
+    phi2 = -3 D / sigma_5."""
+    s3, s5 = Fraction(sigma[2]), Fraction(sigma[4])
+    phi2 = -3 * curve_D(sigma) / s5
+    return phi2**3 / s3, phi2**5 / (-s5 / 3)
+
+
+def char3_quartic_display(lambda1, lambda2) -> SparsePoly:
+    """The quartic of the cube-root twist model, scaled so that the
+    monomial x0^3 x5 has coefficient lambda1^3 (i.e. 27 times the
+    composed symmetric function)."""
+    model = twisted_equations(char3_twist(lambda1, lambda2))
+    return model.forms[4] * (27 * model.scales[4])
+
+
+def char3_leading_profile(lambda1, lambda2) -> tuple:
+    """The five coefficients of the labc-family quartic as polynomials in
+    (a, b, c): the i-th multiplies x1^i x2^(4-i) in the restriction of
+    the scaled quartic (`char3_quartic_display`) to the line L_{a,b,c}."""
+    r = labc_restriction(char3_quartic_display(lambda1, lambda2))
+    coeffs = []
+    for i in range(5):
+        poly = r.terms.get((i, 4 - i), 0)
+        if not isinstance(poly, SparsePoly):
+            poly = SparsePoly.constant(Fraction(poly), 3)
+        coeffs.append(poly)
+    return tuple(coeffs)
+
+
+def coefficient_valuations(coeffs, alpha: int, beta: int, gamma: int):
+    """3-adic valuations of the polynomials coeffs in (a, b, c), such as
+    `char3_leading_profile`'s, in the monomial regime v(a) = alpha,
+    v(b) = beta, v(c) = gamma.
+
+    Each coefficient valuation is certified only when a single
+    monomial strictly dominates; a tie raises HmsError."""
+    out = []
+    for k, poly in enumerate(coeffs):
+        if poly.is_zero:
+            out.append(None)
+            continue
+        best = None
+        tie = False
+        for exp, coeff in poly.terms.items():
+            v = (
+                valuation_of_rational(coeff, 3)
+                + alpha * exp[0]
+                + beta * exp[1]
+                + gamma * exp[2]
+            )
+            if best is None or v < best:
+                best, tie = v, False
+            elif v == best:
+                tie = True
+        if tie:
+            raise HmsError(
+                f"coefficient {k}: two monomials share the minimal "
+                f"valuation {best}; regime (alpha, beta, gamma) = "
+                f"({alpha}, {beta}, {gamma}) is too small to separate them"
+            )
+        out.append(best)
+    return tuple(out)
+
+
+def _divide_linear(cs, x):
+    """(quotient, remainder) of the coefficient list by (t - x): one
+    synthetic division, whose remainder is the value at x."""
+    acc = cs[-1]
+    quotient = [acc]
+    for c in reversed(cs[:-1]):
+        acc = acc * x + c
+        quotient.append(acc)
+    value = quotient.pop()
+    return quotient[::-1], value
+
+
+def roots_over_Fq(coeffs, field: UnramifiedRing):
+    """All projective roots of the quartic sum coeffs[i] t^i u^(4-i)
+    over F_q by exhaustive scan, with multiplicity.
+
+    field is F_q = F_{p^d} as an `UnramifiedRing` at precision 1; the
+    five coefficients are its elements or ints.  Returns a list of
+    ((t, u), multiplicity) pairs; (t, u) is the canonical
+    representative, u = 1 for affine roots and (1, 0) at infinity.
+    """
+    if field.K != 1:
+        raise HmsError("roots_over_Fq needs a finite field: precision 1")
+    zero, one = field.zero(), field.one()
+    cs = [zero + c for c in coeffs]
+    if all(c == 0 for c in cs):
+        raise DegenerateLineError("roots of the zero form")
+    roots = []
+    inf_mult = 0
+    while cs and cs[-1] == 0:
+        cs.pop()
+        inf_mult += 1
+    if inf_mult:
+        roots.append(((one, zero), inf_mult))
+    for digits in product(range(field.p), repeat=field.deg):
+        x = field.elt(digits)
+        mult = 0
+        quotient, value = _divide_linear(cs, x)
+        while value == 0:
+            mult += 1
+            quotient, value = _divide_linear(quotient, x)
+        if mult:
+            roots.append(((x, one), mult))
+    return roots
 
 
 def check_symbolic_identities():
@@ -134,8 +264,7 @@ def check_symbolic_identities():
     )
 
     samples = _sample_points(
-        8, lambda pt: sigma_profile(pt).sigma(5) != 0
-        and sigma_profile(pt).sigma(3) != 0
+        8, lambda pt: sigma_profile(pt)[4] != 0 and sigma_profile(pt)[2] != 0
     )
     rng = random.Random(1)
     invariant = True
@@ -227,7 +356,7 @@ def check_residue5_line():
     rows.append(_row("residue line lies in both quadrics", on_surface, ""))
 
     restriction = restrict_to_span(model.q4, (P, Q))
-    coeffs = [restriction.coefficient((i, 4 - i)) for i in range(5)]
+    coeffs = [restriction.terms.get((i, 4 - i), 0) for i in range(5)]
     # -3 t (8 u^3 - t^3) = 3 t^4 - 24 t u^3 = 3 t^4 + t u^3 over F_5
     expected = [F.zero(), one, F.zero(), F.zero(), F.elt([3])]
     rows.append(
@@ -271,8 +400,7 @@ def check_residue5_line():
     off_curve = True
     for (t, u), _ in roots:
         pt = [t * pi + u * qi for pi, qi in zip(P, Q)]
-        profile = model.profile_at(pt)
-        if not (profile.D == four):
+        if not (curve_D(sigma_profile(pt)) == four):
             off_curve = False
     rows.append(
         _row(

@@ -23,10 +23,12 @@ cannot reach the oracle that checks it:
 * `chord_rule`: the tangent-cone chord rule on plain int lists, the
   conic's second point on the chord from a ruling W along a frame
   vector E, each made primitive, y = (E G E) W - 2 (G W . E) E.
-* `common_rational_root` and `polynomial_value`: the common root in
-  P^1(Q) of two integer binary forms whose gcd over Q is linear, by
-  Euclid on Fractions, and a polynomial given as its terms at a point,
-  so that a zero of sigma_5 on a line is checked in exact arithmetic.
+* `common_rational_root`: the common root in P^1(Q) of two integer
+  binary forms whose gcd over Q is linear, by Euclid on Fractions, so
+  that a zero of sigma_5 on a line is checked in exact arithmetic.
+* `evaluate`: a polynomial given as its terms at a point whose
+  coordinates are in any ring, and `rref`: the reduced row echelon form
+  over Q, the reference for a `Line`'s basis and for ranks.
 * `compose_binary`: a binary form of integers substituted by any 2x2
   integer matrix, expanded as a product of linear forms, so that the
   tests can move a quartic between charts without the package.
@@ -308,13 +310,44 @@ def common_rational_root(f, g):
     return (root.numerator, root.denominator)
 
 
-def polynomial_value(terms, point):
+def evaluate(terms, point):
     """The polynomial with terms {exponent tuple: coefficient} at a
-    point of rationals, exactly."""
-    return sum(
-        Fraction(c) * prod(Fraction(x) ** e for x, e in zip(point, exp))
-        for exp, c in terms.items()
-    )
+    point, exactly: each coefficient times its monomial by repeated
+    products, so the coordinates and coefficients may be in any ring
+    whose values multiply with ints (rationals, finite fields,
+    polynomials)."""
+    if any(len(exp) != len(point) for exp in terms):
+        raise ValueError("a point needs one coordinate per variable")
+    total = 0
+    for exp, c in terms.items():
+        for x, e in zip(point, exp):
+            for _ in range(e):
+                c = c * x
+        total = total + c
+    return total
+
+
+def rref(rows):
+    """(reduced rows, pivot columns) of a matrix over Q, its entries
+    made Fractions: Gauss-Jordan elimination, each pivot row scaled to 1
+    and cleared from every other row."""
+    R = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(R)) if R[i][col] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        R[r] = [x / R[r][col] for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][col] != 0:
+                f = R[i][col]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(col)
+        if len(pivots) == len(R):
+            break
+    return R, pivots
 
 
 def compose_binary(coeffs, mat):

@@ -73,6 +73,12 @@ MUTANTS = [
     ("cusp hint one short", "src/hmslines/search.py",
      "exc.needed = prec + 1",
      "exc.needed = prec"),
+    ("cusp root refused whatever block it reduces into", "src/hmslines/search.py",
+     "if any(report.roots_reducing_into(linear, report.blocks[pt.block]) for pt in points):",
+     "if True:"),
+    ("cusp root refused on a line that misses the cusp line", "src/hmslines/search.py",
+     "if any(P[i] * Q[j] != P[j] * Q[i] for i in range(4) for j in range(i)):",
+     "if False:"),
     ("CRT representative by floor, not nearest", "src/hmslines/search.py",
      "round(Fraction(near - base, modulus))",
      "(near - base) // modulus"),

@@ -215,6 +215,21 @@ def test_certify_line_inside_degree_8_locus(capsys):
     assert "degree-8 locus" in capsys.readouterr().err
 
 
+def test_certify_line_through_a_cusp_point(capsys):
+    # the line meets the cusp line at [1 : 0], a root of its quartic
+    # whose cusp depth no precision decides: a degenerate line, exit 2
+    rc = cli.main([
+        "certify",
+        "--line", json.dumps([[0, 1, 0, 0, 0, 0], [0, 0, 1, -1, -1, 1]]),
+        "--config", config_path("char3-demo.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "line cannot be certified: the line meets the cusp line at [1 : 0], a root "
+        "of its quartic, whose cusp depth no precision decides\n"
+    )
+
+
 def test_certify_line_failing_gates(capsys):
     # on the surface and certifiable, but ramified at 3, or (the second,
     # outside the labc chart) inconclusive at 3, so the gate fails

@@ -70,10 +70,10 @@ from workloads import WORKLOADS  # noqa: E402
 from exact_oracles import (  # noqa: E402
     GROUP_ORDERS,
     common_rational_root,
+    evaluate,
     galois_errors,
     local_5_errors,
     local_errors,
-    polynomial_value,
 )
 
 README_LINE = [[4, 0, -3, 3, 0, -2], [0, 20, -23, 7, 40, 6]]
@@ -471,7 +471,7 @@ def test_certify_batch_reads_each_5_adic_section_once(monkeypatch):
         )
         point = [t * a + u * b for a, b in zip(*line.ints)]
         for form in (model.q1, model.q2, model.q4, model.forms[5]):
-            assert polynomial_value(form.terms, point) == 0, line.ints
+            assert evaluate(form.terms, point) == 0, line.ints
         assert [entry["conjugates"] for entry in nulls] == [1], line.ints
     assert exact_lines == 16
     assert builds == {(3, 8): 128, (3, 60): 1, (5, 8): 128}

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used by that module,
 the package root `__init__.py` holds only its docstring, every function
 or method the package defines is referenced somewhere, none exists only
-for tests to reach, every error class but the base is caught by type
+for tests to reach, no function or class of the certifier's modules
+exists only for `verify-paper`, every error class but the base is caught by type
 somewhere in the package, the tests' exact oracles import no package
 code, the README layout table has one row per module and names only
 what exists, and every edit of the mutation catalogue
@@ -111,6 +112,49 @@ def test_no_function_exists_only_for_tests():
     # what only tests need lives in the tests (`exact_oracles.py`)
     defining = [path.read_text() for path in MODULES]
     assert _unreferenced_functions(defining, _sources(("src", "bench"))) == []
+
+
+def _module_level_definitions(tree):
+    """Names of the functions and classes at the top level of a module."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in tree.body if isinstance(node, kinds)}
+
+
+def _defined_only_for(defining, referencing):
+    """Top-level definitions of the defining sources that none of the
+    referencing sources names, by the rule of `_referenced_names`; a
+    defining module that names its own helper counts as a reference."""
+    defined = set()
+    for source in defining:
+        defined |= _module_level_definitions(ast.parse(source))
+    used = set()
+    for source in referencing:
+        used |= _referenced_names(ast.parse(source))
+    return sorted(defined - used)
+
+
+def test_no_certifier_code_exists_only_for_verify_paper():
+    # what only `verify-paper` runs lives in `verify.py`: the certifier's
+    # modules hold only what a certificate, a search or the bench uses
+    own = (PACKAGE / "verify.py", PACKAGE / "cli.py")
+    defining = [path.read_text() for path in MODULES if path not in own]
+    referencing = [
+        path.read_text()
+        for folder in ("src", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != PACKAGE / "verify.py"
+    ]
+    assert _defined_only_for(defining, referencing) == []
+
+
+def test_code_only_for_verify_paper_is_reported():
+    module = (
+        "def used():\n    return helper()\n"
+        "def helper():\n    pass\n"
+        "class Profile:\n    def method(self):\n        pass\n"
+    )
+    elsewhere = "used()\n"
+    assert _defined_only_for([module], [module, elsewhere]) == ["Profile"]
 
 
 def _caught_names(source: str):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hmslines.linalg import rref
+from exact_oracles import rref
 
 
 def F(x):

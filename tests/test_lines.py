@@ -16,14 +16,10 @@ from hmslines.errors import (
     NotOnSurfaceError,
     PrecisionError,
 )
-from hmslines.linalg import rref
 from hmslines.lines import (
     Line,
     TangentConeChart,
-    char3_leading_profile,
     chord_at,
-    coefficient_valuations,
-    char3_quartic_display,
     cusp_proximity,
     in_quadrics,
     labc_line,
@@ -53,8 +49,13 @@ from hmslines.surface import (
     twist_by_name,
     twisted_equations,
 )
+from hmslines.verify import (
+    char3_leading_profile,
+    char3_quartic_display,
+    coefficient_valuations,
+)
 
-from exact_oracles import chord_rule, sigma_exponents
+from exact_oracles import chord_rule, evaluate, rref, sigma_exponents
 
 F = Fraction
 
@@ -260,7 +261,7 @@ def test_chart_outcomes_are_pinned():
 def test_quartic_of_line_matches_substitute_on_demo_charts():
     for model, line in demo_chart_lines():
         restricted = mpoly.restrict_to_span(model.q4, line.ints)
-        want = [restricted.coefficient((i, 4 - i)) for i in range(5)]
+        want = [restricted.terms.get((i, 4 - i), 0) for i in range(5)]
         got = quartic_of_line(line, model)
         assert [(got.content * c, int) for c in got.coeffs] == [
             (c, type(c)) for c in want
@@ -289,7 +290,7 @@ def test_cone_frame_conic_matches_substitute():
     conic = mpoly.restrict_to_span(model.q2, U)
     assert chart.conic == gram_matrix(conic)
     assert all(type(c) is int for row in chart.conic for c in row)
-    assert conic.evaluate(chart.c0) == 0
+    assert evaluate(conic.terms, chart.c0) == 0
     # U is the RREF kernel basis of [q1; G seed] without the first free
     # column where the seed is nonzero, all of it scaled by one factor: a
     # factor per vector would move c0 and with it every chart line
@@ -339,7 +340,7 @@ def test_restriction_commutes_with_evaluation():
         # q is on line.ints, den^4 times the quartic on the rows
         coeffs = [F(q.content * c, line.den**4) for c in q.coeffs]
         value = sum(c * t**i * u ** (4 - i) for i, c in enumerate(coeffs))
-        assert value == model.q4.evaluate(point)
+        assert value == evaluate(model.q4.terms, point)
 
 
 def test_chart_roundtrip_is_exact_off_the_seed():
@@ -611,7 +612,7 @@ def test_conic_point_and_chord_parametrization():
     for _ in range(12):
         r0, s0 = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 9))
         y = chord_at(chord, r0, s0)
-        assert model.q1.evaluate(y) == 0 and model.q2.evaluate(y) == 0
+        assert evaluate(model.q1.terms, y) == 0 and evaluate(model.q2.terms, y) == 0
         if r0 * ts == s0 * tr:
             with pytest.raises(HmsError):
                 frame.chord_parameter(chart.c0, frame.project(y))
@@ -652,7 +653,7 @@ def test_chart_restricts_no_conic_per_candidate(monkeypatch):
     # no chart, search or certificate step on integer lines restricts a
     # form generically: `restrict_to_span` is counted in every module
     # that imports it, `mpoly` included, and the generic layer under it,
-    # `SparsePoly.substitute` and `SparsePoly.evaluate`, on the class
+    # `SparsePoly.substitute`, on the class
     calls = []
     for module in (lines, mpoly, verify):
 
@@ -661,13 +662,11 @@ def test_chart_restricts_no_conic_per_candidate(monkeypatch):
             return restrict(*args)
 
         monkeypatch.setattr(module, "restrict_to_span", counting)
-    for name in ("substitute", "evaluate"):
+    def counting_substitute(self, *args, method=SparsePoly.substitute):
+        calls.append(args)
+        return method(self, *args)
 
-        def counting_method(self, *args, method=getattr(SparsePoly, name)):
-            calls.append(args)
-            return method(self, *args)
-
-        monkeypatch.setattr(SparsePoly, name, counting_method)
+    monkeypatch.setattr(SparsePoly, "substitute", counting_substitute)
     model = rho0_model()
     chart = TangentConeChart(model, RHO0_SEED)
     found = [chart.line_at(F(2), F(1, 16), F(3)), chart.line_at(F(1), F(0), F(2))]
@@ -680,10 +679,11 @@ def test_chart_restricts_no_conic_per_candidate(monkeypatch):
     assert calls == []
 
 
-def test_definite_conic_reports_extension():
-    # x^2 + y^2 + z^2, by its doubled Gram matrix
+def test_definite_conic_reports_extension(monkeypatch):
+    # x^2 + y^2 + z^2, by its doubled Gram matrix, scanned to height 6
+    monkeypatch.setattr(lines, "CONIC_HEIGHT", 6)
     with pytest.raises(HmsError) as info:
-        rational_conic_point([[2, 0, 0], [0, 2, 0], [0, 0, 2]], height=6)
+        rational_conic_point([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     assert str(info.value) == "no rational point of height <= 6 on the tangent conic"
 
 

@@ -10,7 +10,7 @@ from hmslines.mpoly import SparsePoly, restrict_to_span
 from hmslines.scalars import integer_numerators
 from hmslines.surface import CompiledForm
 
-from exact_oracles import sigma_exponents, sigmas
+from exact_oracles import evaluate, sigma_exponents, sigmas
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 # small and huge numerators and denominators, and exact zeros
@@ -60,7 +60,7 @@ def assert_restricts(f, rows, restricted):
     assert all(sum(exp) == d for exp in restricted.terms)
     for y in simplex_points(len(rows), d or 0):
         point = [sum(c * row[i] for c, row in zip(y, rows)) for i in range(f.nvars)]
-        assert restricted.evaluate(list(y)) == f.evaluate(point)
+        assert evaluate(restricted.terms, y) == evaluate(f.terms, point)
 
 
 def typed_terms(f):
@@ -81,10 +81,13 @@ def test_ring_operations_and_zero_cleanup():
 
 
 def test_evaluate_matches_direct_substitution():
+    # the tests' evaluation oracle, on the terms of a polynomial
     f = P(3, {(2, 0, 0): 3, (1, 1, 0): -2, (0, 0, 3): 5, (0, 0, 0): 7})
     a, b, c = Fraction(2), Fraction(-1, 2), Fraction(1, 3)
     want = 3 * a**2 - 2 * a * b + 5 * c**3 + 7
-    assert f.evaluate([a, b, c]) == want
+    assert evaluate(f.terms, [a, b, c]) == want
+    with pytest.raises(ValueError):
+        evaluate(f.terms, [a, b])
 
 
 def test_substitute_maps_each_variable():
@@ -112,7 +115,7 @@ def test_elementary_symmetric_against_expansion():
     # its sums over k-subsets
     vals = [Fraction(1), Fraction(2), Fraction(3)]
     forms = [SparsePoly(3, sigma_exponents(k, 3)) for k in (1, 2, 3)]
-    values = tuple(form.evaluate(vals) for form in forms)
+    values = tuple(evaluate(form.terms, vals) for form in forms)
     assert values == sigmas(vals) == (6, 11, 6)
 
 
@@ -136,7 +139,7 @@ def test_poly_valued_coefficients_supported():
     # coefficients may themselves be polynomials in other variables
     a = P(1, {(1,): 1})
     f = SparsePoly(2, {(1, 0): a, (0, 1): a * a})
-    value = f.evaluate([Fraction(2), Fraction(3)])
+    value = evaluate(f.terms, [Fraction(2), Fraction(3)])
     assert value == a * 2 + a * a * 3
 
 

@@ -49,6 +49,7 @@ from hmslines.search import (
     parse_config,
 )
 
+from exact_oracles import evaluate
 from precision_probe import certificate_entry
 
 F = Fraction
@@ -913,6 +914,51 @@ def test_cusp_section_agrees_with_the_exact_point(terms, K):
     assert report == {"p": 3, "depths": [depth], "distances": [frac_str(F(1, 3**depth))]}
 
 
+def test_a_line_meeting_the_cusp_line_at_a_point_is_degenerate():
+    # x0 = x3 = x4 = x5 = 0 at [1 : 0] on this line, a root of its
+    # quartic u (t^3 + u^3) that reduces into a block giving a 3-adic
+    # point: its cusp depth is undetermined at every precision, which
+    # used to ask for one digit more each time, so the line is refused
+    # as degenerate at every precision
+    line = Line([[0, 1, 0, 0, 0, 0], [0, 0, 1, -1, -1, 1]])
+    for precision in (8, 60, 61):
+        config = demo_config("char3-demo.json", precision=precision)
+        with pytest.raises(DegenerateLineError) as info:
+            certify_line(line, build_model(config), config)
+        assert str(info.value) == (
+            "the line meets the cusp line at [1 : 0], a root of its quartic, "
+            "whose cusp depth no precision decides"
+        )
+
+
+def test_a_cusp_root_is_refused_only_through_the_block_of_a_point():
+    # u (t^3 + u^3) at 3: the root [1 : 0], on the cusp line, is the
+    # simple block's one point; the (t + u)^3 block gives none, and a
+    # point read from it would not stand for the root, whose refusal
+    # would then stay a PrecisionError
+    config = demo_config("char3-demo.json")
+    line = Line([[0, 1, 0, 0, 0, 0], [0, 0, 1, -1, -1, 1]])
+    report = hensel_factor_quartic(quartic_of_line(line, build_model(config)), 3, 8)
+    points = intersection_points(report, 8)
+    assert [(pt.block, pt.flipped) for pt in points] == [(1, True)]
+    with pytest.raises(DegenerateLineError, match=r"at \[1 : 0\]"):
+        search._refuse_a_cusp_root(report, line.ints, points)
+    moved = [search.LocalPoint(0, pt.z, pt.flipped) for pt in points]
+    assert search._refuse_a_cusp_root(report, line.ints, moved) is None
+
+
+def test_a_search_counts_a_line_through_a_cusp_point_as_degenerate(monkeypatch):
+    # L(0, -5, -5) has four real roots and meets the cusp line at one of
+    # them; a chart that gives only this line passes the real gate once,
+    # and the certificate is refused
+    monkeypatch.setattr(search, "labc_line", lambda *params: labc_line(0, -5, -5))
+    config = congruence_config({"real": [0, -5, -5]}, height_bound=1, precision=12)
+    with pytest.raises(SearchExhausted) as info:
+        find_lines(config)
+    stats = info.value.stats
+    assert (stats["degenerate"], stats["duplicates"]) == (1, stats["candidates"] - 1)
+
+
 def _demo_line(name, params):
     """The model of a demo config and its chart's line at params."""
     cfg = load_config(config_path(name))
@@ -984,11 +1030,11 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         assert pt.coordinates(line.ints) == tuple(coords)
         # valuation at least ring.K: zero mod p^K
         for k in (1, 2, 4):
-            value = model.forms[k].evaluate(coords)
+            value = evaluate(model.forms[k].terms, coords)
             assert value.valuation() is None
         # the restricted forms at the point are the forms at the coordinates
         restricted = forms.values(pt)
-        assert restricted == tuple(model.forms[k].evaluate(coords) for k in (3, 5, 6))
+        assert restricted == tuple(evaluate(model.forms[k].terms, coords) for k in (3, 5, 6))
 
 
 def test_block_and_point_residue_degrees_of_an_inert_double_root():

@@ -19,33 +19,35 @@ reads 2 from a simple quadratic.
 """
 
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from hmslines.errors import PrecisionError
+from hmslines.errors import DegenerateLineError
 from hmslines.lines import NONCUSP, Line, TangentConeChart, labc_line
 from hmslines.search import build_model, certify_line
 
+from exact_oracles import evaluate
 from test_golden import _config, _golden_certificates
 
-# the images whose certificate raises PrecisionError at precision 60,
-# (where, permutation): each has a point of the quartic exactly on the
-# cusp line x0 = x3 = x4 = x5 = 0, so its cusp depth is refused at
-# every precision; the line itself is certified
+# the images refused with DegenerateLineError at precision 60, (where,
+# permutation, [t0 : u0]): each meets the cusp line x0 = x3 = x4 = x5 = 0
+# at the named root of its quartic, whose cusp depth no precision
+# decides; the line itself is certified
 CUSP_IMAGES = {
-    ("certify-char3-double-root-chart.jsonl:0", (1, 0, 2, 3, 4, 5)),
-    ("certify-char3-off-chart.jsonl:0", (1, 0, 2, 3, 4, 5)),
-    ("certify-char3-off-chart.jsonl:0", (1, 0, 3, 2, 4, 5)),
-    ("certify-char3-off-chart.jsonl:0", (2, 3, 0, 1, 5, 4)),
-    ("certify-char3-off-chart.jsonl:0", (3, 2, 0, 1, 5, 4)),
-    ("find-char3-demo.jsonl:5", (0, 1, 3, 2, 4, 5)),
-    ("find-char3-demo.jsonl:5", (2, 3, 1, 0, 5, 4)),
-    ("labc (-240, 0, -162)", (2, 3, 1, 0, 5, 4)),
-    ("labc (-321, 0, -243)", (0, 1, 3, 2, 4, 5)),
-    ("labc (-321, 0, -243)", (2, 3, 1, 0, 5, 4)),
-    ("labc (165, 0, 324)", (2, 3, 1, 0, 5, 4)),
-    ("labc (3, 0, 324)", (2, 3, 1, 0, 5, 4)),
+    ("certify-char3-double-root-chart.jsonl:0", (1, 0, 2, 3, 4, 5), (0, 1)),
+    ("certify-char3-off-chart.jsonl:0", (1, 0, 2, 3, 4, 5), (1, 0)),
+    ("certify-char3-off-chart.jsonl:0", (1, 0, 3, 2, 4, 5), (1, 0)),
+    ("certify-char3-off-chart.jsonl:0", (2, 3, 0, 1, 5, 4), (0, 1)),
+    ("certify-char3-off-chart.jsonl:0", (3, 2, 0, 1, 5, 4), (0, 1)),
+    ("find-char3-demo.jsonl:5", (0, 1, 3, 2, 4, 5), (0, 1)),
+    ("find-char3-demo.jsonl:5", (2, 3, 1, 0, 5, 4), (0, 1)),
+    ("labc (-240, 0, -162)", (2, 3, 1, 0, 5, 4), (0, 1)),
+    ("labc (-321, 0, -243)", (0, 1, 3, 2, 4, 5), (0, 1)),
+    ("labc (-321, 0, -243)", (2, 3, 1, 0, 5, 4), (0, 1)),
+    ("labc (165, 0, 324)", (2, 3, 1, 0, 5, 4), (0, 1)),
+    ("labc (3, 0, 324)", (2, 3, 1, 0, 5, 4), (0, 1)),
 }
 
 
@@ -96,9 +98,14 @@ def _image(line, perm, signs):
     return Line([[s * row[i] for s, i in zip(signs, perm)] for row in line.ints])
 
 
-def _meets_cusp_line(line):
-    P, Q = line.ints
-    return all(P[i] * Q[j] == P[j] * Q[i] for i in NONCUSP for j in NONCUSP)
+def _cusp_point(line, exc):
+    """The [t0 : u0] that a refusal names, checked to be where the line
+    meets the cusp line and a root of q4 there."""
+    match = re.search(r"meets the cusp line at \[(-?\d+) : (-?\d+)\]", str(exc))
+    t0, u0 = int(match[1]), int(match[2])
+    point = [t0 * p + u0 * q for p, q in zip(*line.ints)]
+    assert [point[i] for i in NONCUSP] == [0] * len(NONCUSP)
+    return (t0, u0), point
 
 
 def _lines():
@@ -156,10 +163,10 @@ def test_symmetric_images_certify_alike():
                 continue
             try:
                 got = certify_line(image, model, config).data
-            except PrecisionError as exc:
-                assert "cusp depth" in str(exc), (where, perm, signs)
-                assert _meets_cusp_line(image), (where, perm, signs)
-                refused.add((where, perm))
+            except DegenerateLineError as exc:
+                root, point = _cusp_point(image, exc)
+                assert evaluate(model.q4.terms, point) == 0, (where, perm, signs)
+                refused.add((where, perm, root))
                 continue
             pairs += 1
             assert _facts(got) == _facts(data), (where, perm, signs)
