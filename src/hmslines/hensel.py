@@ -9,9 +9,14 @@ Factorization follows von zur Gathen & Gerhard, Modern Computer
 Algebra: mod p by a root scan, then one distinct-degree gcd and
 equal-degree splitting for a rootless quartic (ch. 14); over Q by
 Zassenhaus, Hensel lifting past the Mignotte bound and recombining
-subsets of at most half of the unused lifted factors (ch. 15).  Every
-lift goes through `hensel_pair_lift`, quadratic Hensel lifting of a
-coprime pair with its Bezout coefficients.
+subsets of at most half of the unused lifted factors (ch. 15).  Lifting
+takes two routines, chosen by the shape of a residue factor alone: a
+simple root mod p, a linear factor of multiplicity 1, is lifted by
+Newton iteration with precision doubling (`newton_root`, ch. 9) and
+divided out; every other block goes through `hensel_pair_lift`,
+quadratic Hensel lifting of a coprime pair with its Bezout
+coefficients.  A factorization mod p^K into monic factors coprime mod p
+that lift given residues is unique, so both give the same factors.
 
 The local analysis (`hensel_factor_quartic`) factors each quartic once
 mod p, in its own coordinates: the root at [1:0], of multiplicity 4
@@ -43,11 +48,12 @@ the block at [1:0].
 Each quartic and prime has one `HenselReport`, and its blocks are
 lifted only when a lift is read, at the precision asked for:
 `HenselReport.lift(K)` lifts them all once per K, from the monic form
-mod p^prec that the first lift forms, splitting the block at [1:0] off
-first.  `block_roots`
-is the one place that reads the p-adic roots of a block off its lift,
-each one coordinate z and an orientation, [z : 1] or [1 : z]; `search`
-turns them into points.
+mod p^prec that the first lift forms, dividing the simple roots out
+first and then splitting the block at [1:0] off what is left.
+`block_roots` is the one place that reads the p-adic roots of a block
+off its lift, each one coordinate z and an orientation, [z : 1] or
+[1 : z]; `search` turns them into points.  `require_root_digits` is the
+one check that a block's roots have a digit at the precision read.
 """
 
 from dataclasses import dataclass, field
@@ -155,25 +161,80 @@ def hensel_pair_lift(f, g0, h0, p, K):
     return g, h
 
 
+def newton_root(f, r0, p, K):
+    """The root of f mod p^K that reduces to r0, a simple root of f mod
+    p, by Newton iteration with precision doubling (von zur Gathen &
+    Gerhard, Modern Computer Algebra, Alg. 9.22): r <- r - f(r)/f'(r),
+    with 1/f'(r) kept by its own Newton step inv <- inv (2 - f'(r) inv),
+    so both gain twice the digits each step.  By Hensel's lemma the root
+    is unique, so x - r is the lifted factor of x - r0 in every
+    factorization of f mod p^K into parts coprime mod p."""
+    df = pderiv(f)
+    r, k = r0 % p, 1
+    inv = pow(peval(df, r, p), -1, p)
+    while k < K:
+        k = min(2 * k, K)
+        m = p**k
+        r = (r - peval(f, r, m) * inv) % m
+        if k == K:
+            break  # the inverse only serves a further step
+        inv = inv * (2 - peval(df, r, m) * inv) % m
+    return r
+
+
+def _lift_simple_roots(f, parts, p, K):
+    """Lift each simple root of f mod p, a part (x - r0, 1) of its
+    factorization `parts` [(monic irreducible g, multiplicity)], by
+    `newton_root` to x - r, and divide that out of f mod p^K, exactly,
+    since f(r) = 0 mod p^K.  Returns the lifted factors, None for every
+    other part, and the quotient."""
+    m = p**K
+    f = pmod(f, m)
+    factors = []
+    for g, mult in parts:
+        factor = None
+        if mult == 1 and deg(g) == 1:
+            factor = [-newton_root(f, -g[0], p, K) % m, 1]
+            f = pdivmod(f, factor, m)[0]
+        factors.append(factor)
+    return factors, f
+
+
 def hensel_lift_factors(f, parts, p, K):
-    """Lift pairwise-coprime monic parts with f = prod(parts) mod p
-    to a factorization mod p^K.  f monic with integer coefficients."""
+    """Lift f = prod(g^mult) mod p, `parts` [(g, mult)] its factorization
+    mod p into distinct monic irreducibles (as `factor_monic_mod_p`
+    gives it), to monic factors mod p^K, one = g^mult mod p per part, in
+    the order of parts.  f monic with integer coefficients.
+
+    Each simple root is lifted by Newton iteration and divided out
+    (`_lift_simple_roots`); the other parts are split in halves by
+    `hensel_pair_lift`.  Such a factorization is unique, so the two
+    routines give the same factors."""
     if K < 1:
         raise HmsError("precision must be positive")
+    factors, f = _lift_simple_roots(f, parts, p, K)
+    others = [part for part, F in zip(parts, factors) if F is None]
+    lifted = iter(_lift_in_halves(f, others, p, K) if others else ())
+    return [F or next(lifted) for F in factors]
+
+
+def _product(parts, p):
+    """prod(g^mult) mod p over parts [(g, mult)]."""
+    out = [1]
+    for g, mult in parts:
+        for _ in range(mult):
+            out = pmul(out, g, p)
+    return out
+
+
+def _lift_in_halves(f, parts, p, K):
+    """The factors g^mult of f mod p, parts [(g, mult)] pairwise coprime,
+    lifted mod p^K by one `hensel_pair_lift` per split in halves."""
     if len(parts) == 1:
-        m = p**K
-        return [[c % m for c in f]]
+        return [pmod(f, p**K)]
     mid = len(parts) // 2
-    g0 = [1]
-    for q in parts[:mid]:
-        g0 = pmul(g0, q, p)
-    h0 = [1]
-    for q in parts[mid:]:
-        h0 = pmul(h0, q, p)
-    g, h = hensel_pair_lift(f, g0, h0, p, K)
-    return hensel_lift_factors(g, parts[:mid], p, K) + hensel_lift_factors(
-        h, parts[mid:], p, K
-    )
+    g, h = hensel_pair_lift(f, _product(parts[:mid], p), _product(parts[mid:], p), p, K)
+    return _lift_in_halves(g, parts[:mid], p, K) + _lift_in_halves(h, parts[mid:], p, K)
 
 
 # -- factorization over Q for degree <= 4 --------------------------------
@@ -234,15 +295,14 @@ def factor_squarefree_int(f):
         p = _next_prime(p)
     parts = factor_monic_mod_p(pmod(F, p), p)
     assert all(m == 1 for _, m in parts)
-    part_list = [list(g) for g, _ in parts]
-    if len(part_list) == 1:
+    if len(parts) == 1:
         return [f]
     norm2 = isqrt(sum(c * c for c in F)) + 1
     bound = 2**d * (norm2 + 1)
     K = 1
     while p**K < 2 * bound + 1:
         K += 1
-    lifted = hensel_lift_factors(F, part_list, p, K)
+    lifted = hensel_lift_factors(F, parts, p, K)
     m = p**K
     found = []
     remaining = list(F)
@@ -432,26 +492,28 @@ class HenselReport:
         """Every block Hensel-lifted mod p^K, K <= prec, as a binary form
         of its degree, in `BlockReport.index` order, kept per K.
 
-        With m = 4 - top > 0 the block at [1:0] is split off first, by
-        one `hensel_pair_lift` of the monic form against its reduction:
-        the cofactor is 1 mod p and takes the top coefficients divisible
-        by p, so it is a form of degree m.  The monic rest is lifted by
-        one `hensel_lift_factors` call over the powers of parts."""
+        The simple roots are lifted by Newton iteration and divided out
+        of the monic form first (`_lift_simple_roots`).  With m = 4 - top
+        > 0 the block at [1:0] is then split off what is left, by one
+        `hensel_pair_lift` against its reduction: the cofactor is 1 mod p
+        and takes the top coefficients divisible by p, so it is a form of
+        degree m; with no affine block left, what is left is that block.
+        The other affine blocks are lifted by one `hensel_lift_factors`
+        call."""
         if K in self._lifts:
             return self._lifts[K]
-        p, rest = self.p, self._monic
+        p, top, parts = self.p, self.residue.top, self.residue.parts
+        factors, rest = _lift_simple_roots(self._monic, parts, p, K)
+        others = [part for part, F in zip(parts, factors) if F is None]
         at_infinity = []
-        m = 4 - self.residue.top
-        if m:
-            g, rest = hensel_pair_lift(rest, [1], pmod(rest, p), p, K)
-            at_infinity = [tuple(g + [0] * (m + 1 - len(g)))]
-        powers = []
-        for g, mult in self.residue.parts:
-            powers.append([1])
-            for _ in range(mult):
-                powers[-1] = pmul(powers[-1], list(g), p)
-        blocks = hensel_lift_factors(rest, powers, p, K) if powers else []
-        self._lifts[K] = [tuple(B) for B in blocks] + at_infinity
+        if top < 4:
+            if others:
+                g, rest = hensel_pair_lift(rest, [1], pmod(rest, p), p, K)
+            else:
+                g = rest
+            at_infinity = [tuple(g + [0] * (5 - top - len(g)))]
+        lifted = iter(hensel_lift_factors(rest, others, p, K) if others else ())
+        self._lifts[K] = [tuple(F or next(lifted)) for F in factors] + at_infinity
         return self._lifts[K]
 
     def roots_reducing_into(self, g, blk) -> int:
@@ -565,6 +627,21 @@ def hensel_factor_quartic(q: BinaryQuartic, p: int, prec: int) -> HenselReport:
     return report
 
 
+def require_root_digits(blk: BlockReport, K: int):
+    """Raise PrecisionError when the roots of an unramified block have no
+    digit mod p^K: a (linear)^2 block whose discriminant valuation v is
+    at least K, for which the hint asks v + 1.  `block_roots` checks it,
+    and so does a count of the roots that extracts none
+    (`search._points_extracted`)."""
+    v = blk.disc_valuation
+    if v is not None and v >= K:
+        raise PrecisionError(
+            f"a double root's discriminant has valuation {v}, so its roots "
+            f"have no digit at precision {K}",
+            needed=v + 1,
+        )
+
+
 def block_roots(report: HenselReport, blk: BlockReport, K: int):
     """The p-adic roots of one block of `report`, in q's coordinates,
     read off the block's lift sum c_i t^i u^(d-i) mod p^K
@@ -583,22 +660,18 @@ def block_roots(report: HenselReport, blk: BlockReport, K: int):
       * an unramified (linear)^2 block a2 z^2 + a1 z + a0 has the roots
         z = (-a1 + s p^(v/2)) / (2 a2), s^2 = w, the unit part of the
         discriminant of valuation v = `disc_valuation`, mod p^(K-v):
-        s = +-sqrt(w), or the generator of the degree-2 ring
-        (Z/p^(K-v))[s]/(s^2 - w) when w is not a square; with v >= K
-        no digit of s is known, and PrecisionError asks for v + 1.
+        s = +-sqrt(w), the root of s^2 - w by `newton_root`, or the
+        generator of the degree-2 ring (Z/p^(K-v))[s]/(s^2 - w) when w
+        is not a square; with v >= K no digit of s is known, and
+        PrecisionError asks for v + 1 (`require_root_digits`).
     A ramified or inconclusive block has no roots here, and reads no lift.
     """
     p = report.p
     m = p**K
     if blk.verdict != "unramified":
         return []
+    require_root_digits(blk, K)
     v = blk.disc_valuation
-    if v is not None and v >= K:
-        raise PrecisionError(
-            f"a double root's discriminant has valuation {v}, so its roots "
-            f"have no digit at precision {K}",
-            needed=v + 1,
-        )
     coeffs = report.lift(K)[blk.index]
     flipped = coeffs[-1] % p == 0
     if flipped:
@@ -615,8 +688,7 @@ def block_roots(report: HenselReport, blk: BlockReport, K: int):
     r0 = next((r for r in range(p) if (r * r - w) % p == 0), None)
     if r0 is not None:
         ring = UnramifiedRing(p, (0, 1), keff)
-        factor, _ = hensel_pair_lift([-w, 0, 1], [-r0, 1], [r0, 1], p, keff)
-        s = ring.elt([-factor[0]])
+        s = ring.elt([newton_root([-w, 0, 1], r0, p, keff)])
         square_roots = [s, -s]
     else:
         ring = UnramifiedRing(p, [-w, 0, 1], keff)

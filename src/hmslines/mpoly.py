@@ -51,10 +51,10 @@ class SparsePoly:
         return SparsePoly(nvars, {tuple([0] * nvars): c})
 
     @staticmethod
-    def variable(i: int, nvars: int, one=1) -> "SparsePoly":
+    def variable(i: int, nvars: int) -> "SparsePoly":
         exp = [0] * nvars
         exp[i] = 1
-        return SparsePoly(nvars, {tuple(exp): one})
+        return SparsePoly(nvars, {tuple(exp): 1})
 
     # -- ring structure ----------------------------------------------
 

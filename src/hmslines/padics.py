@@ -141,6 +141,18 @@ def peval(f, x, p):
     return acc
 
 
+def pevalmod(f, x, modpoly, p):
+    """f(x) mod (modpoly, p), for integer coefficients f and x reduced
+    mod (modpoly, p), modpoly monic: one Horner pass, each step reduced
+    by modpoly; a constant x is one `peval`."""
+    if len(x) <= 1:
+        return pmod([peval(f, x[0] if x else 0, p)], p)
+    acc = []
+    for c in reversed(f):
+        acc = padd(pdivmod(pmul(acc, x, p), modpoly, p)[1], [c], p)
+    return acc
+
+
 # -- unramified rings ----------------------------------------------------
 
 

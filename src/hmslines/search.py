@@ -25,10 +25,14 @@ redundant (`_LabcChart`).
 The roots of a Hensel block come from `hensel.block_roots`; this module
 owns the points: `intersection_points` keeps each root, z in its
 `UnramifiedRing`, as the point [z : 1] or [1 : z] on the line's integer
-basis (`LocalPoint`).  The 5-adic invariants restrict sigma_3, sigma_5
-and sigma_6 to that basis once per line (`_SpanForms`) and evaluate
-each form at a point by one Horner pass in z; only the cusp report
-forms the six coordinates.  Every valuation is a `UElt.valuation`.
+basis (`LocalPoint`).  Two sections read points, and only they extract
+them: the 5-adic section, for its invariants, and the 3-adic section of
+the char3-x twist, for its cusp report.  Every other local section
+counts them, without a lift (`_points_extracted`).  The 5-adic
+invariants restrict sigma_3, sigma_5 and sigma_6 to the basis once per
+line (`_SpanForms`) and evaluate each form at a point by one Horner
+pass in z of the kernel (`padics.pevalmod`); only the cusp report forms
+the six coordinates.  Every valuation is a `UElt.valuation`.
 
 The local sections are decided at a low precision first: `_Sections`
 builds one Hensel report per prime, at the configured precision K, and
@@ -64,7 +68,7 @@ from .errors import (
     PrecisionError,
     SearchExhausted,
 )
-from .hensel import binary_gcd, block_roots, hensel_factor_quartic
+from .hensel import binary_gcd, block_roots, hensel_factor_quartic, require_root_digits
 from .lines import (
     NONCUSP,
     Line,
@@ -77,7 +81,7 @@ from .lines import (
     primitive_vector,
     quartic_of_line,
 )
-from .padics import UElt, UnramifiedRing
+from .padics import UElt, UnramifiedRing, pevalmod, trim
 from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
 from .scalars import split_p_power, sup_norm_shell, valuation_of_rational
@@ -318,6 +322,18 @@ def intersection_points(report, K):
     ]
 
 
+def _points_extracted(report, K):
+    """What `intersection_points(report, K)` adds up to in ring degrees,
+    extracting nothing: the roots of an unramified block of degree d are
+    d geometric points, and the other blocks give none.  It raises the
+    PrecisionError that `block_roots` would (`require_root_digits`), in
+    the same block order."""
+    unramified = [blk for blk in report.blocks if blk.verdict == "unramified"]
+    for blk in unramified:
+        require_root_digits(blk, K)
+    return sum(blk.degree for blk in unramified)
+
+
 # -- local invariants at an intersection point ----------------------------
 
 
@@ -350,17 +366,13 @@ class _SpanForms:
 
     def values(self, pt: LocalPoint):
         """f3, f5 and f6 at the point, in its ring: one Horner pass in z
-        from the coefficient of z^n, which is c_n at [z : 1] and c_0 at
-        [1 : z]."""
-        z = pt.z
-        out = []
-        for coeffs in self.coeffs:
-            top, *rest = coeffs if pt.flipped else coeffs[::-1]
-            acc = z.ring.elt([top])
-            for c in rest:
-                acc = acc * z + c
-            out.append(acc)
-        return tuple(out)
+        of the kernel (`padics.pevalmod`) over the coefficients of z^i,
+        which are c_i at [z : 1] and c_(n-i) at [1 : z]."""
+        ring, z = pt.ring, trim(pt.z.coeffs)
+        return tuple(
+            ring.elt(pevalmod(c[::-1] if pt.flipped else c, z, ring.modulus, ring.mod))
+            for c in self.coeffs
+        )
 
 
 def _point_invariants(forms: _SpanForms, pt: LocalPoint) -> dict:
@@ -506,7 +518,9 @@ def _parity_section(line: Line, config: SearchConfig):
 def _local_section(sections, report, k) -> dict:
     """Intersection points and p-specific extras around a Hensel report
     of the line of `sections`, with the points read off its lift mod
-    p^k.
+    p^k by the two sections that read them, the 5-adic invariants and
+    the cusp report of the char3-x twist at 3.  Every other section only
+    counts them (`_points_extracted`), with the same PrecisionError.
 
     The precisions recorded are those of a build at the configured K,
     whatever k is: K for the section, and K - v for a point whose ring
@@ -516,7 +530,12 @@ def _local_section(sections, report, k) -> dict:
     line, config = sections.line, sections.config
     p = report.p
     K = config.precision
-    points = intersection_points(report, k)
+    cusp = p == 3 and config.twist == "char3-x"
+    if p == 5 or cusp:
+        points = intersection_points(report, k)
+        extracted = sum(pt.ring.deg for pt in points)
+    else:
+        extracted = _points_extracted(report, k)
     section = {
         "p": p,
         "precision": K,
@@ -524,9 +543,9 @@ def _local_section(sections, report, k) -> dict:
         "residue_degrees": list(report.residue_degrees),
         "verdict": report.verdict,
         "blocks": [_serialize_block(b) for b in report.blocks],
-        "points_extracted": sum(pt.ring.deg for pt in points),
+        "points_extracted": extracted,
     }
-    if p == 3 and config.twist == "char3-x":
+    if cusp:
         try:
             section["cusp"] = _cusp_report(line.ints, points, K)
         except PrecisionError:

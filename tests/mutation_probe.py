@@ -118,8 +118,8 @@ MUTANTS = [
      "flipped = coeffs[-1] % p == 0",
      "flipped = False"),
     ("forms at a flipped point not reversed", "src/hmslines/search.py",
-     "top, *rest = coeffs if pt.flipped else coeffs[::-1]",
-     "top, *rest = coeffs[::-1]"),
+     "c[::-1] if pt.flipped else c,",
+     "c,"),
     ("undetermined point not rebuilt", "src/hmslines/search.py",
      "if not _undetermined(result, sigma5_exact):",
      "if True:"),
@@ -160,6 +160,15 @@ MUTANTS = [
     ("chord map's rs vector with b1 and b2 swapped", "src/hmslines/lines.py",
      "2 * (b2 * u + b1 * v)",
      "2 * (b1 * u + b2 * v)"),
+    ("Newton step reuses the inverse mod p", "src/hmslines/hensel.py",
+     "inv = inv * (2 - peval(df, r, m) * inv) % m",
+     "inv = inv"),
+    ("(linear)^2 part peeled as a simple root", "src/hmslines/hensel.py",
+     "if mult == 1 and deg(g) == 1:",
+     "if deg(g) == 1:"),
+    ("unread section counts an inconclusive block", "src/hmslines/search.py",
+     "return sum(blk.degree for blk in unramified)",
+     "return sum(blk.degree for blk in report.blocks)"),
 ]
 
 

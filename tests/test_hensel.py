@@ -660,14 +660,46 @@ def test_a_report_is_the_same_in_every_sl2_chart(drawn, steps, K):
     )
 
 
+@st.composite
+def _simple_roots_and_prime(draw):
+    """(ints, p), p 3 or 5: n = 2 to 4 linear forms b t - a u, b a unit
+    and a / b distinct mod p, so simple roots of the reduction, times a
+    form of degree 4 - n whose top m coefficients, m from 1 to 3 where
+    that degree leaves room, are divisible by p: [1:0] is then a root of
+    multiplicity at least m mod p."""
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(2, min(4, p)))
+    form = [1]
+    for r in draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True)):
+        b = draw(st.integers(1, 20).filter(lambda b: b % p))
+        a = r * b % p + p * draw(st.integers(-20, 20))
+        form = _times(form, [-a, b])
+    rest = 4 - n
+    m = draw(st.integers(min(1, rest), min(3, rest)))
+    low = draw(st.lists(st.integers(-30, 30), min_size=rest - m, max_size=rest - m))
+    unit = draw(st.integers(1, 30))
+    high = [p * draw(st.integers(-5, 5)) for _ in range(m)]
+    return _times(form, low + [unit] + high), p
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(_quartic_and_prime(), st.integers(1, 30))
+@given(
+    st.one_of(_quartic_and_prime(), _simple_roots_and_prime()),
+    st.one_of(st.integers(1, 30), st.sampled_from([1, 2, 3, 5, 8, 60])),
+)
 @example(([1, 0, 0, 0, 3], 3), 5)
 @example(([1, 0, 1, 0, 27], 3), 12)
+# t (t - u)(t + u)(t - 2u) mod 5: four simple roots, none at [1:0]
+@example(([0, 2, -1, -2, 1], 5), 60)
+# (t - u)(t + u) u^2 + 3 t^4 mod 3: two simple roots and a (linear)^2
+# block at [1:0], which no Newton iteration lifts
+@example(([-1, 0, 1, 0, 3], 3), 8)
 def test_the_lifted_blocks_multiply_back_to_the_monic_form(drawn, K):
-    # oracle: the quartic divided by its highest coefficient that is a
-    # unit mod p; each block has its degree, and the block at [1:0], of
-    # degree m, reduces to a unit times u^m
+    # oracle: the factorization of the monic form mod p^K into monic
+    # affine blocks and a block at [1:0] that is 1 mod p, each block
+    # reducing to its residue factor's power, is unique (Hensel); the
+    # monic form is the quartic divided by its highest coefficient that
+    # is a unit mod p, and each block has its degree
     ints, p = drawn
     assume(any(ints))
     report = _report_or_error(Q(ints), p, K)
@@ -683,10 +715,37 @@ def test_the_lifted_blocks_multiply_back_to_the_monic_form(drawn, K):
     assert [c % mod for c in product] == [c * lc_inv % mod for c in ics]
     by_index = sorted(report.blocks, key=lambda blk: blk.index)
     assert [len(B) - 1 for B in lifted] == [blk.degree for blk in by_index]
+    parts = factor_monic_mod_p(pmod([c * lc_inv for c in ics], p), p)
+    assert len(lifted) == len(parts) + (top < 4)
+    for B, (g, mult) in zip(lifted, parts):
+        power = [1]
+        for _ in range(mult):
+            power = pmul(power, list(g), p)
+        assert B[-1] == 1 and pmod(B, p) == power
     if top < 4:
         at_infinity = lifted[-1]
         assert len(at_infinity) == 5 - top
-        assert at_infinity[0] % p and not any(c % p for c in at_infinity[1:])
+        assert pmod(at_infinity, p) == [1]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.lists(st.integers(-50, 50), min_size=2, max_size=5),
+    st.integers(1, 6),
+)
+@example(3, [-2, 0, 1], 6)
+def test_newton_root_is_the_one_root_above_a_simple_residue_root(p, f, K):
+    # oracle: a scan of the p^(K-1) residues mod p^K above each simple
+    # root r0 mod p finds exactly one root of f there (Hensel)
+    assume(p**K <= 20000)
+    df = [i * c for i, c in enumerate(f)][1:]
+    simple = [r for r in range(p) if peval(f, r, p) == 0 and peval(df, r, p)]
+    assume(simple)
+    mod = p**K
+    for r0 in simple:
+        roots = [r for r in range(r0, mod, p) if peval(f, r, mod) == 0]
+        assert roots == [hensel.newton_root(f, r0, p, K)]
 
 
 def _monic_polys(degree, p):
@@ -758,6 +817,32 @@ def test_factor_squarefree_int_returns_the_constructed_factors(factors, scale):
     for g in factors:
         product = _times(product, g)
     got = hensel.factor_squarefree_int(product)
+    assert got == sorted(factors, key=lambda h: (len(h), h))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(_irreducible_int(1), min_size=4, max_size=4, unique_by=tuple),
+    st.sampled_from([1, -1, 3, -35]),
+)
+@example([[0, 1], [1, 1], [-1, 1], [2, 1]], 1)
+def test_factor_squarefree_int_splits_four_linear_forms(factors, scale):
+    # oracle: the four constructed linear forms; each is a simple root
+    # mod the prime Zassenhaus lifts at, so each is lifted by Newton
+    # iteration, and every pair lift is refused
+    product = [scale]
+    for g in factors:
+        product = _times(product, g)
+
+    def refused(*args):
+        raise AssertionError("a simple root went through hensel_pair_lift")
+
+    lift = hensel.hensel_pair_lift
+    hensel.hensel_pair_lift = refused
+    try:
+        got = hensel.factor_squarefree_int(product)
+    finally:
+        hensel.hensel_pair_lift = lift
     assert got == sorted(factors, key=lambda h: (len(h), h))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import HmsError
-from hmslines.padics import UnramifiedRing, padd, pdivmod, psub, trim
+from hmslines.padics import UnramifiedRing, padd, pdivmod, pevalmod, psub, trim
 
 
 def Zp(p, K):
@@ -240,3 +240,20 @@ def test_sums_and_differences_match_int_arithmetic(p, k, d, data):
     rest = x.coeffs[1:]
     assert (x + c).coeffs == ((x.coeffs[0] + c) % n, *rest) == (c + x).coeffs
     assert (x - c).coeffs == ((x.coeffs[0] - c) % n, *rest)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 8), st.integers(1, 4), st.data())
+def test_pevalmod_is_the_horner_loop_of_ring_elements(p, K, d, data):
+    # oracle: the Horner loop on ring elements, one element per step,
+    # that evaluated the 5-adic forms before the kernel pass; a constant
+    # x, in any ring, is one integer Horner pass
+    modulus = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d))
+    R = UnramifiedRing(p, modulus + [1], K)
+    coords = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=d)
+    for x in (R.elt(data.draw(coords)), R.elt(data.draw(coords)[:1]), R.zero()):
+        f = data.draw(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=9))
+        acc = R.elt([f[-1]])
+        for c in reversed(f[:-1]):
+            acc = acc * x + c
+        assert R.elt(pevalmod(f, trim(x.coeffs), R.modulus, R.mod)) == acc

@@ -455,6 +455,19 @@ def _count_calls(monkeypatch, name):
     return results
 
 
+def _record_args(monkeypatch, module, name):
+    """Record the arguments of every call of one attribute of a module."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def _count_lifts(monkeypatch):
     """Record the name of every call of the two lifting routines of
     `hensel`."""
@@ -1035,6 +1048,109 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
         # the restricted forms at the point are the forms at the coordinates
         restricted = forms.values(pt)
         assert restricted == tuple(evaluate(model.forms[k].terms, coords) for k in (3, 5, 6))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5]), st.integers(1, 8), st.integers(1, 4), st.booleans(), st.data()
+)
+def test_span_forms_at_a_point_are_the_horner_loop_in_its_ring(p, K, d, flipped, data):
+    # oracle: the loop on ring elements from the coefficient of z^n, c_n
+    # at [z : 1] and c_0 at [1 : z], that the kernel pass replaced
+    ints = st.integers(-(10**6), 10**6)
+    ring = UnramifiedRing(p, data.draw(st.lists(ints, min_size=d, max_size=d)) + [1], K)
+    z = ring.elt(data.draw(st.lists(ints, min_size=d, max_size=d)))
+    forms = object.__new__(search._SpanForms)
+    forms.coeffs = tuple(
+        tuple(data.draw(st.lists(ints, min_size=n + 1, max_size=n + 1)))
+        for n in (3, 5, 6)
+    )
+    expected = []
+    for coeffs in forms.coeffs:
+        top, *rest = coeffs if flipped else coeffs[::-1]
+        acc = ring.elt([top])
+        for c in rest:
+            acc = acc * z + c
+        expected.append(acc)
+    assert forms.values(search.LocalPoint(0, z, flipped)) == tuple(expected)
+
+
+def _extracted_either_way(report, k):
+    """points_extracted of a section mod p^k with its points read, and
+    without, or the message and hint of the PrecisionError each raised."""
+    outcomes = []
+    for count in (
+        lambda: sum(pt.ring.deg for pt in intersection_points(report, k)),
+        lambda: search._points_extracted(report, k),
+    ):
+        try:
+            outcomes.append(count())
+        except PrecisionError as exc:
+            outcomes.append((str(exc), exc.needed))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "coeffs, p, k, extracted",
+    [
+        # (t^2 - 3^6 u^2)(t^2 + u^2) at 3: an unramified (linear)^2
+        # block of valuation 6 and an inert quadratic; its roots have no
+        # digit below precision 7
+        ((-729, 0, -728, 0, 1), 3, 6, (
+            "a double root's discriminant has valuation 6, so its roots "
+            "have no digit at precision 6", 7)),
+        ((-729, 0, -728, 0, 1), 3, 7, 4),
+        # t^3 (t - u) + 5 u^4 at 5: a (linear)^3 block, inconclusive, and
+        # a simple root; only the simple root counts
+        ((5, 0, 0, -1, 1), 5, 8, 1),
+        # (t^2 - 3 u^2)(t^2 + u^2) at 3: a ramified (linear)^2 block
+        ((-3, 0, -2, 0, 1), 3, 8, 2),
+    ],
+)
+def test_a_section_that_reads_no_points_counts_them_as_extraction_does(
+    coeffs, p, k, extracted
+):
+    report = hensel_factor_quartic(quartics.BinaryQuartic(coeffs), p, 12)
+    assert _extracted_either_way(report, k) == [extracted, extracted]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("char3-demo.json", "rho0-demo.json")),
+    st.tuples(SCALED, SCALED, SCALED),
+    st.sampled_from((3, 5)),
+    st.integers(1, 12),
+)
+@example("char3-demo.json", (3, 243, 243), 3, 4)
+@example("rho0-demo.json", (2, F(1, 16), 3), 3, 8)
+def test_unread_points_are_counted_as_the_demo_lines_extract_them(name, params, p, k):
+    try:
+        model, line = _demo_line(name, params)
+        report = hensel_factor_quartic(quartic_of_line(line, model), p, 12)
+    except HmsError:
+        assume(False)
+    counted, extracted = _extracted_either_way(report, k)
+    assert counted == extracted
+
+
+def test_certifying_the_readme_line_reads_no_3_adic_point_and_pair_lifts_nothing(
+    monkeypatch,
+):
+    # the rho0 twist has no cusp section, so nothing reads its 3-adic
+    # points: the section counts them.  Its simple roots are lifted by
+    # Newton iteration: the one 5-adic point's, and the four linear
+    # factors mod 7 of the Galois group's Zassenhaus lift; the cube at
+    # [1:0] mod 5 is inconclusive, and no affine block is left to split
+    # it off, so nothing reaches `hensel_pair_lift`
+    extractions = _record_args(monkeypatch, search, "intersection_points")
+    lifts = _count_lifts(monkeypatch)
+    roots = _record_args(monkeypatch, hensel, "newton_root")
+    cfg = load_config(config_path("rho0-demo.json"))
+    cert = certify_line(Line(REAL_LINE_ROWS), build_model(cfg), cfg)
+    assert cert.data["local_3"]["points_extracted"] == 1
+    assert [report.p for report, _ in extractions] == [5]
+    assert lifts == ["hensel_lift_factors"]
+    assert [p for _, _, p, _ in roots] == [5, 7, 7, 7, 7]
 
 
 def test_block_and_point_residue_degrees_of_an_inert_double_root():
