@@ -11,16 +11,19 @@ quartic factor (Stickelberger).  A type (4), or a (1,3) together with a
 in its group, so the group is A4 or S4 and the square class of D picks
 one.
 
-Whatever the sieve leaves undecided (reducible quartics, D4, C4, V4 and
-the rare S4 or A4 quartic the prime list misses) is factored over Q by
-Zassenhaus.  The transitive labels are then decided by the resolvent
-cubic together with the square class of the discriminant and, for the
-dihedral/cyclic split, reducibility of two auxiliary quadratics over
-Q(sqrt(disc)) (Kappe & Warren, "An elementary test for the Galois group
-of a quartic polynomial", Amer. Math. Monthly 96, 1989).  Reducible
-quartics get C1/C2 when the splitting field is trivial/quadratic and the
-label "reducible-composite" otherwise.  All of these groups are
-solvable, which is what the certificate machinery ultimately relies on.
+A quartic with a linear factor over Q has a root mod every such p, so
+the sieve gives up once its first `SIEVE_PATIENCE` primes have all had
+a root.  Whatever it leaves undecided (reducible quartics, D4, C4, V4,
+and the S4 or A4 quartic that gave up or that the prime list misses) is
+factored over Q by Zassenhaus.  The transitive labels are then decided
+by the resolvent cubic together with the square class of the
+discriminant and, for the dihedral/cyclic split, reducibility of two
+auxiliary quadratics over Q(sqrt(disc)) (Kappe & Warren, "An elementary
+test for the Galois group of a quartic polynomial", Amer. Math. Monthly
+96, 1989).  Reducible quartics get C1/C2 when the splitting field is
+trivial/quadratic and the label "reducible-composite" otherwise.  All of
+these groups are solvable, which is what the certificate machinery
+ultimately relies on.
 
 `solvability_report` returns the certificate's `galois` section itself,
 as the dict that is serialized.
@@ -42,6 +45,9 @@ GROUP_ORDERS = {
 SIEVE_PRIMES = tuple(
     p for p in range(3, 100, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))
 )
+
+# the sieve gives up when this many primes in a row have had a root
+SIEVE_PATIENCE = 16
 
 # the cycle type of Frobenius by its number of fixed roots, when that is
 # not zero; three fixed roots would force the fourth
@@ -158,13 +164,15 @@ def frobenius_cycle_type(q: BinaryQuartic, p: int) -> tuple:
 def _sieve_decides(q: BinaryQuartic) -> bool:
     """Do the Frobenius cycle types at `SIEVE_PRIMES` prove A4 or S4?"""
     seen = set()
-    for p in SIEVE_PRIMES:
-        if q.disc % p:
-            seen.add(frobenius_cycle_type(q, p))
-            # a linear factor over Q gives a root mod every p, so no (4)
-            # or (2,2); two quadratic factors give no (1,3)
-            if (1, 3) in seen and ((4,) in seen or (2, 2) in seen):
-                return True
+    for sieved, p in enumerate((p for p in SIEVE_PRIMES if q.disc % p), 1):
+        seen.add(frobenius_cycle_type(q, p))
+        # a linear factor over Q gives a root mod every p, so no (4) or
+        # (2,2), and the sieve gives up; two quadratic factors give no (1,3)
+        root_free = (4,) in seen or (2, 2) in seen
+        if (1, 3) in seen and root_free:
+            return True
+        if sieved == SIEVE_PATIENCE and not root_free:
+            return False
     return False
 
 

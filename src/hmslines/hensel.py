@@ -186,15 +186,17 @@ def _lift_simple_roots(f, parts, p, K):
     """Lift each simple root of f mod p, a part (x - r0, 1) of its
     factorization `parts` [(monic irreducible g, multiplicity)], by
     `newton_root` to x - r, and divide that out of f mod p^K, exactly,
-    since f(r) = 0 mod p^K.  Returns the lifted factors, None for every
-    other part, and the quotient."""
+    since f(r) = 0 mod p^K; a quotient that is already monic linear is
+    the last part left, and its own lift.  Returns the lifted factors,
+    None for every other part, and the quotient."""
     m = p**K
     f = pmod(f, m)
     factors = []
     for g, mult in parts:
         factor = None
         if mult == 1 and deg(g) == 1:
-            factor = [-newton_root(f, -g[0], p, K) % m, 1]
+            last = deg(f) == 1 and f[1] == 1
+            factor = f if last else [-newton_root(f, -g[0], p, K) % m, 1]
             f = pdivmod(f, factor, m)[0]
         factors.append(factor)
     return factors, f

@@ -73,8 +73,8 @@ class Line:
     `ints` is the reduced row echelon basis at the `pivots` times its
     least common denominator `den`, built by `_echelon` from the
     spanning vectors scaled to integers; `rows`, the reduced rows
-    ints / den, is a view of it.  Two Line objects compare equal exactly
-    when they are the same subspace.  The basis doubles as a
+    ints / den as Fractions, is a view of it.  Two Line objects compare
+    equal exactly when they are the same subspace.  The basis doubles as a
     parametrization: the point at [t : u] is t * rows[0] + u * rows[1],
     and t * ints[0] + u * ints[1] is den times it, so a form of degree d
     restricted on `ints` (as `quartic_of_line` does) is den^d times the
@@ -431,18 +431,22 @@ def labc_restriction(f: SparsePoly) -> SparsePoly:
 def labc_params_of_line(line: Line):
     """Recover (a, b, c) from a member of the labc family.
 
+    P / den and Q / den, the (1, 2) echelon of `line.ints`, are the
+    points of `labc_points` at b = P5 / den, c = Q5 / den and a - bc =
+    Q0 / den exactly when P4 = -P5, Q4 = -Q5, den P0 = -P5^2, den Q3 =
+    -Q5^2 and den P3 = -(den Q0 + 2 P5 Q5), den^2 times -(a + bc).
     Raises HmsError when the line does not project isomorphically to
     the (x1, x2) coordinate plane or does not match the family shape."""
     u, v = line.ints
     if u[1] * v[2] == u[2] * v[1]:
         raise HmsError("line is degenerate over the (x1, x2) plane")
-    # den * P and den * Q, the points with (x1, x2) = (1, 0) and (0, 1)
     den, (P, Q) = _echelon(u, v, (1, 2))
-    b, c = Fraction(P[5], den), Fraction(Q[5], den)
-    a = Fraction(Q[0], den) + b * c
-    if labc_line(a, b, c) != line:
+    if (P[4], Q[4], den * P[0], den * Q[3], den * P[3]) != (
+        -P[5], -Q[5], -P[5] * P[5], -Q[5] * Q[5], -(den * Q[0] + 2 * P[5] * Q[5])
+    ):
         raise HmsError("line is not in the labc family")
-    return a, b, c
+    a = Fraction(P[5] * Q[5] + den * Q[0], den * den)
+    return a, Fraction(P[5], den), Fraction(Q[5], den)
 
 
 def parity_admissible(ord_b: int, ord_c: int, ord_lambda1: int, ord_lambda2: int) -> bool:

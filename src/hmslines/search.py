@@ -58,6 +58,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .errors import (
@@ -85,7 +86,7 @@ from .padics import UElt, UnramifiedRing, pevalmod, trim
 from .quartics import BinaryQuartic, real_root_count
 from .galois import solvability_report
 from .scalars import split_p_power, sup_norm_shell, valuation_of_rational
-from .serialize import canonical_json, config_digest, frac_str, parse_frac
+from .serialize import canonical_json, config_digest, frac_str, parse_frac, ratio_str
 from .surface import (
     BUILTIN_TWISTS,
     SurfaceModel,
@@ -337,6 +338,19 @@ def _points_extracted(report, K):
 # -- local invariants at an intersection point ----------------------------
 
 
+@lru_cache(maxsize=64)
+def _scale_constants(s3, s5, s6, p: int):
+    """(v_p(s3), v_p(s5), v_shift, a, b) of `_SpanForms` for a model's
+    scales s3, s5 and s6, worked out once per model and p."""
+    v3, v5 = valuation_of_rational(s3, p), valuation_of_rational(s5, p)
+    # pull out the common p-power of the scales, then the p-unit
+    # denominators, so the bracket has integer coefficients
+    v_shift = min(2 * v3, valuation_of_rational(4 * s6, p))
+    c3, c6 = (c / Fraction(p) ** v_shift for c in (s3 * s3, 4 * s6))
+    unit = c3.denominator * c6.denominator
+    return v3, v5, v_shift, int(c3 * unit), int(c6 * unit)
+
+
 class _SpanForms:
     """The model's forms f3, f5 and f6 restricted to the span of two
     integer rows by its compiled forms (`SurfaceModel.compiled`), with
@@ -348,21 +362,15 @@ class _SpanForms:
     point's [t : u] in its ring is the form at the point's
     `coordinates` there.  sigma_k = scales[k] * f_k, and D =
     s3^2 f3^2 - 4 s6 f6 is p^v_shift times the integral bracket
-    a f3^2 - b f6 over a p-unit.
+    a f3^2 - b f6 over a p-unit.  Only the restriction is per line; the
+    constants are the model's, kept per (scales, p) (`_scale_constants`).
     """
 
     def __init__(self, model: SurfaceModel, rows, p: int):
         self.coeffs = tuple(model.compiled[k].restrict(*rows) for k in (3, 5, 6))
-        s3, s6 = model.scales[3], model.scales[6]
-        self.v_scale3 = valuation_of_rational(s3, p)
-        self.v_scale5 = valuation_of_rational(model.scales[5], p)
-        # pull out the common p-power of the scales, then the p-unit
-        # denominators, so the bracket has integer coefficients
-        self.v_shift = min(2 * self.v_scale3, valuation_of_rational(4 * s6, p))
-        shift = Fraction(p) ** self.v_shift
-        c3, c6 = s3 * s3 / shift, 4 * s6 / shift
-        unit = c3.denominator * c6.denominator
-        self.a, self.b = int(c3 * unit), int(c6 * unit)
+        self.v_scale3, self.v_scale5, self.v_shift, self.a, self.b = _scale_constants(
+            model.scales[3], model.scales[5], model.scales[6], p
+        )
 
     def values(self, pt: LocalPoint):
         """f3, f5 and f6 at the point, in its ring: one Horner pass in z
@@ -437,7 +445,7 @@ def _cusp_report(rows, points, prec):
     return {
         "p": 3,
         "depths": list(depths),
-        "distances": [frac_str(Fraction(1, 3**d)) for d in depths],
+        "distances": [ratio_str(1, 3**d) for d in depths],
     }
 
 
@@ -491,11 +499,12 @@ def _serialize_block(blk) -> dict:
     }
 
 
-def _parity_section(line: Line, config: SearchConfig):
-    try:
-        a, b, c = labc_params_of_line(line)
-    except HmsError:
+def _parity_section(params, config: SearchConfig):
+    """The 3-adic parity rule at the labc parameters (a, b, c) of a
+    line, None off the labc family."""
+    if params is None:
         return None
+    a, b, c = params
     ord_b = valuation_of_rational(b, 3) if b != 0 else None
     ord_c = valuation_of_rational(c, 3) if c != 0 else None
     ord_l1 = valuation_of_rational(config.lambda1, 3)
@@ -551,7 +560,7 @@ def _local_section(sections, report, k) -> dict:
         except PrecisionError:
             _refuse_a_cusp_root(report, line.ints, points)
             raise
-        section["parity"] = _parity_section(line, config)
+        section["parity"] = _parity_section(sections.labc_params(), config)
     if p == 5:
         # the forms are restricted once per line, and only for a point
         section["points"] = [
@@ -615,9 +624,11 @@ class _Sections:
     DegenerateLineError of a zero `BinaryQuartic`, means the line is not
     a generator of the model at all.  Every gate and section reads only
     the quartic's primitive `coeffs` and `disc`, which neither s nor the
-    content changes, and `quartic_section` alone multiplies back by the
-    content and divides by s: no other builder forms a Fraction
-    coefficient.
+    content changes, and `quartic_section` alone writes the quartic on
+    `line.rows`, from those ints, the content and s (`ratio_str`): no
+    builder forms a Fraction coefficient.  The parity section reads the
+    line's labc parameters, the chart's own when `_certificate` has
+    them, else inverted once (`labc_params`).
 
     Each Hensel report is built once, at the configured precision K,
     and a gate builds none for an odd v_p(D) (`_unramified`).  A
@@ -648,22 +659,33 @@ class _Sections:
 
     def quartic_section(self) -> dict:
         """The quartic on `line.rows`: each coefficient, the primitive one
-        times the content, over the scale s, and the discriminant, of
-        degree 6, over s^6."""
+        times the content, over the scale s, and the discriminant D of
+        the ints, of degree 6, over s^6, with v_p(D) - 6 v_p(s)."""
         q, scale = self.quartic, self._scale
-        disc = Fraction(q.discriminant(), scale**6)
+        disc = q.discriminant()
         section = {
-            "coeffs": [frac_str(Fraction(q.content * c, scale)) for c in q.coeffs],
+            "coeffs": [ratio_str(q.content * c, scale) for c in q.coeffs],
             "primitive_coeffs": list(q.coeffs),
-            "discriminant": frac_str(disc),
+            "discriminant": ratio_str(disc, scale**6),
         }
         if disc != 0:
-            section["disc_valuation_3"] = valuation_of_rational(disc, 3)
-            section["disc_valuation_5"] = valuation_of_rational(disc, 5)
+            for p in (3, 5):
+                v = split_p_power(disc, p)[0] - 6 * split_p_power(scale, p)[0]
+                section[f"disc_valuation_{p}"] = v
         return section
 
     def galois(self) -> dict:
         return self._once("galois", lambda: solvability_report(self.quartic))
+
+    def labc_params(self):
+        """The line's (a, b, c) in the labc family, or None: the labc
+        chart's parameters when `_certificate` has them, else inverted."""
+        if "labc" not in self._built:
+            try:
+                self._built["labc"] = _LabcChart.params_of(self.line)
+            except HmsError:
+                self._built["labc"] = None
+        return self._built["labc"]
 
     def real(self) -> dict:
         return self._once(
@@ -774,8 +796,11 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
 
     Only the local sections can raise (a PrecisionError), so they are
     built first: a line undecided at this precision formats no row or
-    coefficient and costs no Galois group."""
-    config = sections.config
+    coefficient and costs no Galois group.  Parameters of the labc chart
+    are the line's labc parameters, which the parity section reads."""
+    config, line = sections.config, sections.line
+    if chart_kind == _LabcChart.kind:
+        sections._built.setdefault("labc", chart_params)
     if sections.tangential:
         evidence = dict(galois=None, real=None, local_3=None, local_5=None)
         summary = {
@@ -817,8 +842,8 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
             else [frac_str(c) for c in config.seed_point],
         },
         "line": {
-            "rows": [[frac_str(c) for c in row] for row in sections.line.rows],
-            "primitive_rows": [list(r) for r in sections.line.primitive_rows()],
+            "rows": [[ratio_str(x, line.den) for x in row] for row in line.ints],
+            "primitive_rows": [list(r) for r in line.primitive_rows()],
         },
         "quartic": sections.quartic_section(),
         **evidence,
@@ -837,14 +862,14 @@ def certify_line(
     """Run every check on one line and assemble the certificate.
 
     The summary gates only on the places the configuration targets;
-    everything else is recorded as evidence.  Raises PrecisionError
-    when a local factorization cannot be resolved at the configured
-    precision, NotOnSurfaceError or DegenerateLineError when the line
-    is not a generator of the model at all or meets the cusp line at a
-    3-adic point (`_refuse_a_cusp_root`).
+    everything else is recorded as evidence.  Without labc chart
+    parameters, a char3-x line is inverted once, for its parity section.
+    Raises PrecisionError when a local factorization cannot be resolved
+    at the configured precision, NotOnSurfaceError or
+    DegenerateLineError when the line is not a generator of the model at
+    all or meets the cusp line at a 3-adic point (`_refuse_a_cusp_root`).
     """
-    sections = _Sections(line, model, config)
-    return _certificate(sections, chart_params, chart_kind)
+    return _certificate(_Sections(line, model, config), chart_params, chart_kind)
 
 
 def derive_chart_params(line: Line, config: SearchConfig, model: SurfaceModel):
@@ -911,12 +936,13 @@ def line_chart(config: SearchConfig, model: SurfaceModel):
     seed = config.seed_point
     if seed is None:
         raise ConfigError("this twist needs a seed_point for the line chart")
-    if seed not in model.charts:
+    chart = model.charts.get(seed)
+    if chart is None:
         try:
-            model.charts[seed] = TangentConeChart(model, list(seed))
+            chart = model.charts[seed] = TangentConeChart(model, list(seed))
         except HmsError as exc:
             raise ConfigError(f"seed_point does not give a line chart: {exc}")
-    return model.charts[seed]
+    return chart
 
 
 def _residue_of(value: Fraction, m: int) -> int:

@@ -2,21 +2,27 @@
 
 A rational is written as a string in lowest terms and a count as a
 JSON int, so that a certificate serializes to the same bytes on every
-run; `canonical_json` fixes key order and separators, and
-`config_digest` hashes that."""
+run: `ratio_str` writes one from ints, as a certificate's rows and
+quartic are kept, and `frac_str` an int or a Fraction, such as a chart,
+twist or seed parameter.  `canonical_json` fixes key order and
+separators, and `config_digest` hashes that."""
 
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConfigError
 
 
+def ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms, for ints num and den >= 1, by one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def frac_str(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return ratio_str(x.numerator, x.denominator)
 
 
 def parse_frac(s) -> Fraction:

@@ -142,11 +142,11 @@ MUTANTS = [
      "if digit >= half:",
      "if False:"),
     ("certificate coefficients not divided by the scale", "src/hmslines/search.py",
-     "frac_str(Fraction(q.content * c, scale))",
-     "frac_str(q.content * c)"),
+     "ratio_str(q.content * c, scale)",
+     "ratio_str(q.content * c, 1)"),
     ("certificate coefficients without the content", "src/hmslines/search.py",
-     "Fraction(q.content * c, scale)",
-     "Fraction(c, scale)"),
+     "ratio_str(q.content * c, scale)",
+     "ratio_str(c, scale)"),
     ("certificate discriminant divided by scale^4 instead of scale^6",
      "src/hmslines/search.py",
      "scale**6",
@@ -169,6 +169,15 @@ MUTANTS = [
     ("unread section counts an inconclusive block", "src/hmslines/search.py",
      "return sum(blk.degree for blk in unramified)",
      "return sum(blk.degree for blk in report.blocks)"),
+    ("labc family check without den P3 = -(den Q0 + 2 P5 Q5)", "src/hmslines/lines.py",
+     ", den * P[3]) != (\n        -P[5], -Q[5], -P[5] * P[5], -Q[5] * Q[5], -(den * Q[0] + 2 * P[5] * Q[5])",
+     ") != (\n        -P[5], -Q[5], -P[5] * P[5], -Q[5] * Q[5]"),
+    ("rational written without the gcd reduction", "src/hmslines/serialize.py",
+     "g = gcd(num, den)",
+     "g = 1"),
+    ("Galois sieve gives up after a root-free type", "src/hmslines/galois.py",
+     "if sieved == SIEVE_PATIENCE and not root_free:",
+     "if sieved == SIEVE_PATIENCE:"),
 ]
 
 

@@ -1,14 +1,21 @@
+import json
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from importlib import resources
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import galois, hensel, padics
-from hmslines.errors import HmsError
+from hmslines.errors import DegenerateLineError, HmsError
 from hmslines.galois import frobenius_cycle_type, resolvent_cubic, solvability_report
+from hmslines.lines import Line, quartic_of_line
 from hmslines.quartics import BinaryQuartic
 from hmslines.scalars import is_square_rational, primitive_integers
+from hmslines.search import build_model, parse_config
 
 from exact_oracles import ALLOWED_TYPES, FROBENIUS_PRIMES, compose_binary, cycle_type
 from galois_battery import WITNESS_TYPES, battery, good_primes
@@ -246,3 +253,98 @@ def test_sieve_decides_without_factoring(monkeypatch, coeffs, label):
     assert rep["label"] == label
     assert rep == _zassenhaus_report(q)
     assert len(calls) > 0
+
+
+# the cycle types with no root on P^1(F_p)
+ROOT_FREE = {(4,), (2, 2)}
+CHOSEN_PATIENCE = galois.SIEVE_PATIENCE
+
+
+@cache
+def _batch_quartics():
+    """The quartics of the 128 lines of the seed-0 certify-batch sample,
+    as `golden/verdicts.json` pins them: the config and primitive rows."""
+    entries = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
+    models, quartics = {}, []
+    for entry in entries:
+        if "config" in entry:
+            name = entry["config"]
+            if name not in models:
+                text = resources.files("hmslines").joinpath(f"configs/{name}").read_text()
+                models[name] = build_model(parse_config(json.loads(text)))
+            quartics.append(quartic_of_line(Line(entry["rows"]), models[name]))
+    return quartics
+
+
+def test_the_batch_quartics_get_the_zassenhaus_report():
+    quartics = _batch_quartics()
+    assert len(quartics) == 128
+    for q in quartics:
+        assert solvability_report(q) == _zassenhaus_report(q), q
+
+
+@pytest.mark.parametrize("patience", [1, 2, 5, CHOSEN_PATIENCE, 24])
+def test_the_sieve_gives_up_only_after_a_run_of_roots(monkeypatch, patience):
+    # oracle: the whole sieve decides when its cycle types hold a (1,3)
+    # and a root-free type; it gives up when the first `patience` types
+    # all have a root, which every quartic with a linear factor over Q
+    # does, and otherwise reads on.  At the chosen patience one S4
+    # quartic of the sample gives up, and goes to Zassenhaus
+    monkeypatch.setattr(galois, "SIEVE_PATIENCE", patience)
+    outcomes = Counter()
+    for q in _batch_quartics():
+        types = [frobenius_cycle_type(q, p) for p in galois.SIEVE_PRIMES if q.disc % p]
+        decides = (1, 3) in types and bool(ROOT_FREE & set(types))
+        gives_up = len(types) >= patience and not ROOT_FREE & set(types[:patience])
+        assert galois._sieve_decides(q) == (decides and not gives_up), q
+        outcomes[solvability_report(q)["label"], decides, gives_up] += 1
+    if patience == CHOSEN_PATIENCE:
+        assert outcomes == {
+            ("S4", True, False): 107,
+            ("S4", True, True): 1,
+            ("reducible-composite", False, True): 20,
+        }
+
+
+@st.composite
+def _linear_times_a_cubic(draw):
+    """(linear form, cubic form): a cubic, a linear times a quadratic, or
+    the linear form itself times a quadratic."""
+    def form(d):
+        return draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1))
+
+    linear, shape = form(1), draw(st.sampled_from(["1+3", "1+1+2", "1^2+2"]))
+    if shape == "1+3":
+        return linear, form(3)
+    return linear, _form_product(linear if shape == "1^2+2" else form(1), form(2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_linear_times_a_cubic())
+@example(([1, 1], [-1, -1, 0, 1]))
+@example(([1, 1], [-2, -2, 1, 1]))  # (t + u)^2 (t^2 - 2 u^2)
+def test_a_quartic_with_a_linear_factor_gets_the_zassenhaus_report(forms):
+    # a root mod every good p: the sieve gives up after SIEVE_PATIENCE
+    # primes, and Zassenhaus gives the report it would give alone; a
+    # square factor has discriminant 0, refused on both paths
+    linear, cubic = forms
+    assume(any(linear) and any(cubic))
+    q = Q(_form_product(linear, cubic))
+    if q.disc == 0:
+        for report in (solvability_report, _zassenhaus_report):
+            with pytest.raises(DegenerateLineError):
+                report(q)
+        return
+    primes = []
+    cycle_type = galois.frobenius_cycle_type
+
+    def recording(q, p):
+        primes.append(p)
+        return cycle_type(q, p)
+
+    with patch.object(galois, "frobenius_cycle_type", recording):
+        rep = solvability_report(q)
+    sieved = [p for p in galois.SIEVE_PRIMES if q.disc % p]
+    assert primes == sieved[: galois.SIEVE_PATIENCE]
+    assert len(rep["factors"]) >= 2
+    assert rep == _zassenhaus_report(q)

@@ -748,6 +748,31 @@ def test_newton_root_is_the_one_root_above_a_simple_residue_root(p, f, K):
         assert roots == [hensel.newton_root(f, r0, p, K)]
 
 
+@pytest.mark.parametrize("K", [1, 2, 12])
+def test_the_last_simple_root_is_lifted_by_division_alone(monkeypatch, K):
+    # (x - 1)(x - 2)(x - 3)(x - 4) + 5 (x^3 + 1): four simple roots mod
+    # 5, three Newton-lifted; the quotient left is the fourth root's
+    # lift, the one Newton's iteration would give
+    split = _times(_times([-1, 1], [-2, 1]), _times([-3, 1], [-4, 1]))
+    f = [c + 5 * n for c, n in zip(split, [1, 0, 0, 1, 0])]
+    newton = hensel.newton_root
+    roots = []
+
+    def recording(*args):
+        roots.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(hensel, "newton_root", recording)
+    parts = factor_monic_mod_p(pmod(f, 5), 5)
+    lifted = hensel.hensel_lift_factors(f, parts, 5, K)
+    assert [len(g) for g, _ in parts] == [2, 2, 2, 2] and len(roots) == 3
+    assert lifted[-1] == [-newton(f, -parts[-1][0][0], 5, K) % 5**K, 1]
+    product = [1]
+    for g in lifted:
+        product = _times(product, g)
+    assert pmod(product, 5**K) == pmod(f, 5**K)
+
+
 def _monic_polys(degree, p):
     """Every monic polynomial of the degree mod p, low degree first."""
     for n in range(p**degree):

@@ -7,7 +7,7 @@ from importlib import resources
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hmslines import lines, mpoly, verify
 from hmslines.errors import (
@@ -583,6 +583,93 @@ def test_labc_parameter_recovery():
     stranger = Line([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)])
     with pytest.raises(HmsError):
         labc_params_of_line(stranger)
+
+
+def _rebuilt_labc_params(line):
+    """The family check that the integer identities replaced: read
+    (a, b, c) off the (1, 2) echelon, rebuild `labc_line` from them as
+    Fractions and compare; the parameters, or None off the family."""
+    u, v = line.ints
+    if u[1] * v[2] == u[2] * v[1]:
+        return None
+    den, (P, Q) = lines._echelon(u, v, (1, 2))
+    b, c = F(P[5], den), F(Q[5], den)
+    a = F(Q[0], den) + b * c
+    return (a, b, c) if labc_line(a, b, c) == line else None
+
+
+def _labc_params_or_none(line):
+    try:
+        return labc_params_of_line(line)
+    except HmsError:
+        return None
+
+
+RATIONALS = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+
+
+@PROPERTY
+@given(RATIONALS, RATIONALS, RATIONALS, st.booleans())
+def test_the_family_identities_accept_every_labc_line(a, b, c, on_bc):
+    if on_bc:
+        a = b * c
+    line = labc_line(a, b, c)
+    assert labc_params_of_line(line) == _rebuilt_labc_params(line) == (a, b, c)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    RATIONALS,
+    RATIONALS,
+    RATIONALS,
+    st.booleans(),
+    st.sampled_from([0, 1]),
+    st.integers(0, 5),
+    RATIONALS.filter(bool),
+)
+# each of the five identities broken alone: den P3, den P0, P4, den Q3,
+# Q4, and den P3 again by Q0
+@example(F(2), F(3), F(4), False, 0, 3, F(1))
+@example(F(2), F(3), F(4), False, 0, 0, F(-1, 2))
+@example(F(2), F(3), F(4), False, 0, 4, F(1))
+@example(F(2), F(3), F(4), False, 1, 3, F(5))
+@example(F(2), F(3), F(4), False, 1, 4, F(1, 3))
+@example(F(2), F(3), F(4), False, 1, 0, F(2))
+@example(F(6), F(2), F(3), True, 0, 3, F(1))
+def test_the_family_identities_refuse_what_the_rebuild_refuses(
+    a, b, c, on_bc, row, index, delta
+):
+    # one coordinate of a spanning point of L_{a,b,c} moved: the
+    # integer identities and the rebuild give the same verdict and
+    # parameters, whether the line stays in the family or leaves it
+    if on_bc:
+        a = b * c
+    points = [list(pt) for pt in lines.labc_points(a, b, c)]
+    points[row][index] += delta
+    try:
+        line = Line(points)
+    except DegenerateLineError:
+        assume(False)
+    params = _labc_params_or_none(line)
+    assert params == _rebuilt_labc_params(line)
+    if index not in (1, 2):
+        # the (1, 2) echelon is the moved points, which break an identity
+        assert params is None
+
+
+@PROPERTY
+@given(RATIONALS, RATIONALS, RATIONALS)
+def test_the_family_identities_agree_with_the_rebuild_on_tangent_cone_lines(a, b, c):
+    try:
+        line = _rho0_chart().line_at(a, b, c)
+    except HmsError:
+        assume(False)
+    assert _labc_params_or_none(line) == _rebuilt_labc_params(line)
+
+
+@cache
+def _rho0_chart():
+    return TangentConeChart(rho0_model(), RHO0_SEED)
 
 
 def test_labc_demo_line_is_rational():

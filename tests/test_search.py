@@ -1138,10 +1138,11 @@ def test_certifying_the_readme_line_reads_no_3_adic_point_and_pair_lifts_nothing
 ):
     # the rho0 twist has no cusp section, so nothing reads its 3-adic
     # points: the section counts them.  Its simple roots are lifted by
-    # Newton iteration: the one 5-adic point's, and the four linear
-    # factors mod 7 of the Galois group's Zassenhaus lift; the cube at
-    # [1:0] mod 5 is inconclusive, and no affine block is left to split
-    # it off, so nothing reaches `hensel_pair_lift`
+    # Newton iteration: the one 5-adic point's, and three of the four
+    # linear factors mod 7 of the Galois group's Zassenhaus lift, whose
+    # quotient is then the fourth's lift; the cube at [1:0] mod 5 is
+    # inconclusive, and no affine block is left to split it off, so
+    # nothing reaches `hensel_pair_lift`
     extractions = _record_args(monkeypatch, search, "intersection_points")
     lifts = _count_lifts(monkeypatch)
     roots = _record_args(monkeypatch, hensel, "newton_root")
@@ -1150,7 +1151,55 @@ def test_certifying_the_readme_line_reads_no_3_adic_point_and_pair_lifts_nothing
     assert cert.data["local_3"]["points_extracted"] == 1
     assert [report.p for report, _ in extractions] == [5]
     assert lifts == ["hensel_lift_factors"]
-    assert [p for _, _, p, _ in roots] == [5, 7, 7, 7, 7]
+    assert [p for _, _, p, _ in roots] == [5, 7, 7, 7]
+
+
+def _record_labc_inversions(monkeypatch):
+    """Record the line of every inversion of the labc chart, which
+    `derive_chart_params` and the parity section both go through."""
+    lines_inverted = []
+    invert = search._LabcChart.params_of
+
+    def recording(line):
+        lines_inverted.append(line)
+        return invert(line)
+
+    monkeypatch.setattr(search._LabcChart, "params_of", staticmethod(recording))
+    return lines_inverted
+
+
+# on the labc chart at (3, 243, 243), and off it, where the parity
+# section is null
+@pytest.mark.parametrize(
+    "rows, b",
+    [(CHAR3_LINE_ROWS, "243"), (((1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 1, -1)), None)],
+)
+def test_a_char3_certificate_inverts_the_labc_chart_once(monkeypatch, rows, b):
+    # certify reads the parameters that derive_chart_params found, or
+    # that it found itself, and never inverts the chart again
+    inversions = _record_labc_inversions(monkeypatch)
+    cfg = demo_config("char3-demo.json", precision=60)
+    model = build_model(cfg)
+    line = Line(rows)
+    kind, params = derive_chart_params(line, cfg, model)
+    cert = certify_line(line, model, cfg, chart_params=params, chart_kind=kind)
+    assert inversions == [line]
+    parity = cert.data["local_3"]["parity"]
+    assert (parity and parity["b"]) == b
+    inversions.clear()
+    assert certify_line(line, model, cfg).data["local_3"]["parity"] == parity
+    assert inversions == [line]
+
+
+def test_a_search_and_a_rho0_certificate_invert_no_labc_chart(monkeypatch):
+    # the search certifies with the labc parameters it walked, and the
+    # rho0 twist has no parity section
+    inversions = _record_labc_inversions(monkeypatch)
+    ((_, found),) = find_lines(demo_config("char3-demo.json"), max_results=1)
+    assert found.data["local_3"]["parity"]["b"] == "243"
+    cfg = demo_config("rho0-demo.json")
+    certify_line(Line(REAL_LINE_ROWS), build_model(cfg), cfg)
+    assert inversions == []
 
 
 def test_block_and_point_residue_degrees_of_an_inert_double_root():

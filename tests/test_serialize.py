@@ -4,6 +4,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hmslines.errors import ConfigError
 from hmslines.serialize import (
@@ -11,6 +12,7 @@ from hmslines.serialize import (
     config_digest,
     frac_str,
     parse_frac,
+    ratio_str,
 )
 
 F = Fraction
@@ -29,6 +31,23 @@ def test_parse_frac_round_trip():
         assert frac_str(parse_frac(s)) == s
     assert parse_frac(3) == F(3)
     assert parse_frac("6/4") == F(3, 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(-(10**40), 10**40), st.integers(-50, 50)),
+    st.one_of(st.integers(1, 10**30), st.integers(1, 12)),
+    st.integers(0, 3),
+)
+@example(0, 7, 0)
+@example(-12, 8, 0)
+@example(-6, 3, 0)
+@example(5, 1, 0)
+def test_ratio_str_is_the_fraction_in_lowest_terms(x, den, common):
+    # a common factor of numerator and denominator, as the quartic's
+    # content and scale share, is divided out by the one gcd
+    x, den = x * 6**common, den * 6**common
+    assert ratio_str(x, den) == frac_str(F(x, den)) == str(F(x, den))
 
 
 def test_parse_frac_rejects_junk():
