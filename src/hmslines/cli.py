@@ -124,7 +124,7 @@ def _cmd_find_line(args) -> int:
     try:
         results = find_lines(config, max_results=args.max_results)
     except SearchExhausted as exc:
-        stats = exc.stats or {}
+        stats = exc.stats
         starved = bool(stats.get("precision_failures"))
         if starved:
             message = (
@@ -149,9 +149,8 @@ def _cmd_find_line(args) -> int:
 
 
 def _parse_line_argument(raw: str) -> Line:
-    text = raw
     try:
-        data = json.loads(text)
+        data = json.loads(raw)
     except json.JSONDecodeError:
         try:
             with open(raw) as fh:

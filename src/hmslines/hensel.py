@@ -124,7 +124,6 @@ def _split_two_quadratics(f, p):
         g = pgcd(psub(ppowmod([a, 1], half, f, p), [1], p), f, p)
         if deg(g) == 2:
             return g
-    raise HmsError("equal-degree splitting failed")
 
 
 # -- Hensel lifting ------------------------------------------------------
@@ -276,8 +275,6 @@ def factor_squarefree_int(f):
         return []
     if d == 1:
         return [f]
-    if d > 4:
-        raise HmsError("degree > 4 not supported")
     lc = f[-1]
     # monicize: F(y) = lc^(d-1) * f(y/lc), whose leading coefficient is 1
     F = [c * lc ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]

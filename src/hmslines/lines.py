@@ -109,9 +109,6 @@ class Line:
     def __eq__(self, other):
         return isinstance(other, Line) and self.ints == other.ints
 
-    def __repr__(self):
-        return f"Line{self.rows!r}"
-
 
 def _dot(u, v):
     return sum(map(mul, u, v))
@@ -250,18 +247,12 @@ class _ConeFrame:
         """The chord parameter whose point is w itself: E polar-orthogonal to w."""
         _, j1, j2 = _chord_indices(self.project(w))
         Gw = [_dot(row, w) for row in self._gram]
-        r, s = _dot(Gw, self.U[j2]), _dot(Gw, self.U[j1])
-        if r == 0 and s == 0:
-            raise HmsError("base point is singular on the conic")
-        return r, s
+        return _dot(Gw, self.U[j2]), _dot(Gw, self.U[j1])
 
 
 def chord_at(chord, r, s):
     """r^2 A + r s B + s^2 C, the point at [r : s] of a chord map (A, B, C)."""
-    y = [r * r * a + r * s * b + s * s * c for a, b, c in zip(*chord)]
-    if not any(y):
-        raise DegenerateLineError("chord parametrization collapsed")
-    return y
+    return [r * r * a + r * s * b + s * s * c for a, b, c in zip(*chord)]
 
 
 CONIC_HEIGHT = 24

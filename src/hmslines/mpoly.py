@@ -13,8 +13,8 @@ the labc chart's `contained` flag) and the tests, never a line of the
 search or a certificate, whose integer lines go through the model's
 compiled forms in `surface`, one evaluation each.
 
-Canonical term order everywhere (printing, serialization) is graded
-lexicographic, highest first.
+The canonical term order, which fixes the sign of `canonical`'s
+leading coefficient, is graded lexicographic, highest first.
 """
 
 from fractions import Fraction
@@ -170,11 +170,8 @@ class SparsePoly:
         coefficients of content 1 and its graded-lex leading coefficient
         positive.
 
-        Coefficients must be Fraction/int.  The zero polynomial returns
-        (1, self).
+        Coefficients must be Fraction/int, and the polynomial nonzero.
         """
-        if not self.terms:
-            return Fraction(1), self
         den, ints = integer_numerators(self.terms.values())
         content = gcd(*ints)
         if self.sorted_terms()[0][1] < 0:
@@ -182,21 +179,6 @@ class SparsePoly:
         return Fraction(content, den), SparsePoly(
             self.nvars, {e: n // content for e, n in zip(self.terms, ints)}
         )
-
-    # -- display -------------------------------------------------------
-
-    def __repr__(self):
-        if not self.terms:
-            return "SparsePoly(0)"
-        bits = []
-        for exp, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e > 0
-            )
-            bits.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
 
 
 def restrict_to_span(f: SparsePoly, rows) -> SparsePoly:

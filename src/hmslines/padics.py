@@ -78,8 +78,6 @@ def pscale(f, c, p):
 def pdivmod(f, g, p):
     """Division with remainder mod p of f by g, both reduced mod p and
     trimmed (as every kernel result is); lc(g) must be invertible mod p."""
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
     f = list(f)
     n = len(g) - 1
     inv = pow(g[-1], -1, p)
@@ -286,6 +284,3 @@ class UElt:
         """min coordinate valuation (unramified); None if 0 mod p^K."""
         vals = [split_p_power(c, self.ring.p)[0] for c in self.coeffs if c]
         return min(vals) if vals else None
-
-    def __repr__(self):
-        return f"UElt({self.coeffs} mod {self.ring.p}^{self.ring.K})"

@@ -59,9 +59,6 @@ class BinaryQuartic:
         self.content = content
         self.disc = _disc27(*self.coeffs) // 27
 
-    def __repr__(self):
-        return f"BinaryQuartic({self.content} * c0..c4 = {self.coeffs})"
-
     def discriminant(self) -> int:
         """(4 I^3 - J^2)/27 of the ints the quartic was made from: of
         degree 6, so `disc` times content^6."""

@@ -484,10 +484,6 @@ class SolvableLineCertificate:
     def to_json(self) -> str:
         return canonical_json(self.data)
 
-    def __repr__(self):
-        state = "passed" if self.passed else "failed"
-        return f"<SolvableLineCertificate {state}>"
-
 
 def _serialize_block(blk) -> dict:
     return {

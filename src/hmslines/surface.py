@@ -137,8 +137,6 @@ def gram_matrix(q: SparsePoly):
     G = [[0] * n for _ in range(n)]
     for exp, c in q.terms.items():
         idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        if len(idx) != 2:
-            raise HmsError("gram_matrix needs a homogeneous quadratic")
         i, j = idx
         G[i][j] = G[i][j] + c
         G[j][i] = G[j][i] + c

@@ -102,13 +102,7 @@ def char3_leading_profile(lambda1, lambda2) -> tuple:
     (a, b, c): the i-th multiplies x1^i x2^(4-i) in the restriction of
     the scaled quartic (`char3_quartic_display`) to the line L_{a,b,c}."""
     r = labc_restriction(char3_quartic_display(lambda1, lambda2))
-    coeffs = []
-    for i in range(5):
-        poly = r.terms.get((i, 4 - i), 0)
-        if not isinstance(poly, SparsePoly):
-            poly = SparsePoly.constant(Fraction(poly), 3)
-        coeffs.append(poly)
-    return tuple(coeffs)
+    return tuple(r.terms[i, 4 - i] for i in range(5))
 
 
 def coefficient_valuations(coeffs, alpha: int, beta: int, gamma: int):
@@ -120,9 +114,6 @@ def coefficient_valuations(coeffs, alpha: int, beta: int, gamma: int):
     monomial strictly dominates; a tie raises HmsError."""
     out = []
     for k, poly in enumerate(coeffs):
-        if poly.is_zero:
-            out.append(None)
-            continue
         best = None
         tie = False
         for exp, coeff in poly.terms.items():

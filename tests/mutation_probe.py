@@ -178,6 +178,20 @@ MUTANTS = [
     ("Galois sieve gives up after a root-free type", "src/hmslines/galois.py",
      "if sieved == SIEVE_PATIENCE and not root_free:",
      "if sieved == SIEVE_PATIENCE:"),
+    # (split_p_power's refusal of 0 has no entry: without it the
+    # valuation loop never ends, so its mutant only runs out the timeout)
+    ("Hensel factorization at an even p", "src/hmslines/hensel.py",
+     'if p % 2 == 0:\n        raise HmsError("odd p required")',
+     'if False:\n        raise HmsError("odd p required")'),
+    ("residue factorization above degree 4", "src/hmslines/hensel.py",
+     "if deg(f) > 4:",
+     "if False:"),
+    ("residue factorization of a non-monic input", "src/hmslines/hensel.py",
+     "if not f or f[-1] != 1:",
+     "if not f:"),
+    ("Frobenius cycle type at a prime of the discriminant", "src/hmslines/galois.py",
+     "if q.disc % p == 0:",
+     "if False:"),
 ]
 
 

@@ -1,6 +1,10 @@
 """Exit codes and output shapes of the hmslines command line interface."""
 import json
+import runpy
+import sys
 from importlib import resources
+
+import pytest
 
 from hmslines import cli
 from hmslines.search import find_lines, load_config
@@ -54,6 +58,16 @@ def test_verify_paper_failure_exits_1(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is False
     assert [row["passed"] for row in payload["checks"]] == [True, False]
+
+
+def test_module_run_as_a_script_exits_with_the_status_of_main(monkeypatch, tmp_path):
+    # `python -m hmslines.cli`: a config that cannot be read exits 3
+    argv = ["hmslines", "find-line", "--config", str(tmp_path / "none.json")]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.delitem(sys.modules, "hmslines.cli")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("hmslines.cli", run_name="__main__")
+    assert exited.value.code == cli.EXIT_BAD_CONFIG
 
 
 def test_find_line_demo_text_output(capsys):

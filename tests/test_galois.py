@@ -115,6 +115,14 @@ def test_solvability_report_on_battery_members():
         assert rep["splitting_degree_bound"] == rep["factors"][0]["order"]
 
 
+def test_frobenius_cycle_type_refuses_2_and_the_primes_of_the_discriminant():
+    q = Q(X4_MINUS_X_MINUS_1)  # discriminant -283, a prime
+    with pytest.raises(HmsError, match="odd primes"):
+        frobenius_cycle_type(q, 2)
+    with pytest.raises(HmsError, match="283 divides the discriminant"):
+        frobenius_cycle_type(q, 283)
+
+
 def test_degenerate_quartic_rejected():
     q = Q([1, 2, 1, 0, 0])  # (t + u)^2 u^2 has discriminant zero
     with pytest.raises(HmsError):

@@ -871,6 +871,25 @@ def test_factor_squarefree_int_splits_four_linear_forms(factors, scale):
     assert got == sorted(factors, key=lambda h: (len(h), h))
 
 
+def test_factor_squarefree_int_of_a_constant_is_no_factor():
+    # a constant has no factor of positive degree, not the factor 1
+    assert hensel.factor_squarefree_int([5]) == []
+
+
+def test_factorization_refuses_a_wrong_prime_degree_or_precision():
+    q = Q([-1, -1, 0, 0, 1])
+    with pytest.raises(HmsError, match="odd p"):
+        hensel_factor_quartic(q, 2, 8)
+    with pytest.raises(HmsError, match="precision must be positive"):
+        hensel_factor_quartic(q, 5, 0)
+    with pytest.raises(HmsError, match="degree <= 4"):
+        factor_monic_mod_p([1, 0, 0, 0, 0, 1], 5)
+    with pytest.raises(HmsError, match="monic"):
+        factor_monic_mod_p([1, 0, 2], 5)
+    with pytest.raises(HmsError, match="precision must be positive"):
+        hensel.hensel_lift_factors([4, 0, 1], [([1, 1], 1), ([4, 1], 1)], 5, 0)
+
+
 def test_factor_squarefree_int_refuses_a_square_factor():
     # (x + 1)^2 (x + 2) and (x^2 + 1)^2: every prime divides the zero
     # discriminant, so the rejected primes pass Mahler's bound at once

@@ -5,8 +5,10 @@ for tests to reach, no function or class of the certifier's modules
 exists only for `verify-paper`, every error class but the base is caught by type
 somewhere in the package, the tests' exact oracles import no package
 code, the README layout table has one row per module and names only
-what exists, and every edit of the mutation catalogue
-(`mutation_probe.py`) applies exactly once."""
+what exists, every edit of the mutation catalogue
+(`mutation_probe.py`) applies exactly once, and the coverage probe
+(`coverage_probe.py`) reports exactly the statements a run leaves
+unrun."""
 import ast
 import importlib
 import re
@@ -382,3 +384,29 @@ def test_every_mutant_applies_once():
 
     for name, path, old, _ in MUTANTS:
         assert (ROOT / path).read_text().count(old) == 1, name
+
+
+def test_coverage_probe_reports_the_statement_never_run(tmp_path):
+    # the probe runs outside tier-1, so its counter and tracer are
+    # checked here on a planted module
+    from coverage_probe import LineCollector, missed, statements
+
+    source = (
+        '"""A planted module."""\n'
+        "import os\n"
+        "def outer(x):\n"
+        '    """Its docstring."""\n'
+        "    def inner():\n"
+        "        return os.sep\n"
+        "    if x:\n"
+        "        return inner()\n"
+        "    return None\n"
+    )
+    path = tmp_path / "planted.py"
+    owned = statements(source)
+    assert sorted(owned) == [6, 7, 8, 9]
+    with LineCollector([path]) as collector:
+        namespace = {}
+        exec(compile(source, str(path), "exec"), namespace)
+        namespace["outer"](True)
+    assert missed(owned, collector.ran[str(path)]) == [9]

@@ -38,11 +38,13 @@ from hmslines.search import (
     _combined_parameters,
     build_model,
     certify_line,
+    derive_chart_params,
     find_lines,
     load_config,
     parse_config,
 )
 from hmslines.surface import (
+    SurfaceModel,
     gram_matrix,
     linear_row,
     rho0_twist,
@@ -522,6 +524,40 @@ def test_each_gram_product_decides_alone():
 def test_chart_needs_a_pencil_point():
     with pytest.raises(NotOnSurfaceError):
         TangentConeChart(rho0_model(), (1, 0, 0, 0, 0, 0))
+
+
+def test_chart_refuses_a_line_at_chord_parameter_infinity():
+    # the ruling at seed + 3 w_0 through w_0 with chord parameter [1 : 0]:
+    # a --line line in the quadrics that the chart has no c for
+    cfg = demo_config("rho0-demo.json")
+    model = build_model(cfg)
+    line = Line([(1, 0, -4, -5, 10, -4), (0, 1, -5, -7, 15, -5)])
+    assert in_quadrics(line, model)
+    with pytest.raises(HmsError, match="line parameter at infinity"):
+        TangentConeChart(model, RHO0_SEED).params_of(line)
+    assert derive_chart_params(line, cfg, model) == ("tangent-cone", None)
+
+
+def cone_model():
+    """q1 = x5 and q2 = x0 x1 - x2 x3: a quadric cone in the hyperplane
+    x5 = 0, with vertex e4.  Every built-in model is a smooth quadric
+    there (sigma_2 = -1/2 sum s_i^2 on sigma_1 = 0), so only a pencil
+    built like this one has a singular point or a singular conic."""
+    q1 = SparsePoly(6, {(0, 0, 0, 0, 0, 1): 1})
+    q2 = SparsePoly(6, {(1, 1, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0): -1})
+    return SurfaceModel(forms={1: q1, 2: q2}, scales={1: F(1), 2: F(1)})
+
+
+def test_chart_refuses_the_singular_points_of_a_pencil():
+    model = cone_model()
+    vertex, seed = (0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0)
+    with pytest.raises(HmsError, match="singular on the pencil"):
+        TangentConeChart(model, vertex)
+    # the ruling from the seed to the vertex is the singular point of the
+    # seed's conic: each chord through it collapses to the zero vector
+    # or gives the ruling back, so no other ruling joins it
+    with pytest.raises(HmsError, match="no companion chord"):
+        TangentConeChart(model, seed).params_of(Line([seed, vertex]))
 
 
 def test_tangent_cone_lines_through_base_point():

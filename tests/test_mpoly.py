@@ -78,6 +78,20 @@ def test_ring_operations_and_zero_cleanup():
     assert f == P(2, {(2, 0): 1, (0, 2): -1})
     assert (f - f).is_zero
     assert (x * 0).is_zero
+    # a scalar compares as the constant polynomial
+    assert P(2, {(0, 0): 3}) == 3 and not x == 3
+
+
+def test_arity_mismatches_are_refused():
+    x = P(2, {(1, 0): 1})
+    with pytest.raises(HmsError, match="exponent arity"):
+        P(2, {(1, 0, 0): 1})
+    with pytest.raises(HmsError, match="nvars mismatch"):
+        x + P(3, {(1, 0, 0): 1})
+    with pytest.raises(HmsError, match="substitution arity"):
+        x.substitute([x])
+    with pytest.raises(HmsError, match="basis arity"):
+        restrict_to_span(x, [(1, 0, 0)])
 
 
 def test_evaluate_matches_direct_substitution():

@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hmslines.errors import HmsError
-from hmslines.padics import UnramifiedRing, padd, pdivmod, pevalmod, psub, trim
+from hmslines.padics import UnramifiedRing, padd, pdivmod, pevalmod, pext_euclid, psub, trim
 
 
 def Zp(p, K):
@@ -103,8 +104,11 @@ def test_unramified_ring_rational_embedding():
     b = embed(R, Fraction(7))
     assert a * b == embed(R, Fraction(3))
     # a rational operand is not coerced: elements come from ints only
-    with pytest.raises(TypeError):
-        a + Fraction(1, 2)
+    half = Fraction(1, 2)
+    for op in (operator.add, operator.sub, operator.mul, lambda x, y: y - x):
+        with pytest.raises(TypeError):
+            op(a, half)
+    assert not a == half
 
 
 def test_unramified_valuation_is_min_over_coordinates():
@@ -119,6 +123,24 @@ def test_unramified_valuation_is_min_over_coordinates():
 def test_unramified_ring_rejects_non_monic_modulus():
     with pytest.raises(HmsError):
         UnramifiedRing(5, [1, 0, 2], 4)
+
+
+def test_unramified_ring_refuses_what_it_cannot_represent():
+    with pytest.raises(HmsError, match="precision must be positive"):
+        UnramifiedRing(5, [-2, 0, 1], 0)
+    with pytest.raises(HmsError, match="no generator"):
+        Zp(5, 3).gen()
+    t = UnramifiedRing(5, [-2, 0, 1], 6).gen()
+    with pytest.raises(HmsError, match="mixed"):
+        t + UnramifiedRing(5, [-2, 0, 1], 5).gen()
+    with pytest.raises(HmsError, match="negative powers"):
+        t**-1
+
+
+def test_extended_euclid_refuses_a_common_factor():
+    # x (x + 1) and x share the factor x mod 5
+    with pytest.raises(HmsError, match="not coprime"):
+        pext_euclid([0, 1, 1], [0, 1], 5)
 
 
 def _has_root_mod_p(modulus, p):

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from hmslines.errors import HmsError
 
 from hmslines.scalars import (
     integer_numerators,
@@ -63,6 +66,12 @@ def test_f25_omega_has_order_three():
     assert om != F.one()
     assert om * om * om == F.one()
     assert om * om + om + F.one() == F.zero()
+
+
+def test_split_p_power_refuses_zero():
+    # every power of p divides 0
+    with pytest.raises(HmsError, match="exact zero"):
+        split_p_power(0, 3)
 
 
 @PROPERTY

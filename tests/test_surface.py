@@ -18,6 +18,7 @@ from hmslines.surface import (
     TwistData,
     char3_twist,
     identity_twist,
+    linear_row,
     ordinarity_from_valuations,
     rho0_twist,
     twist_by_name,
@@ -157,6 +158,12 @@ def test_compiled_form_refuses_what_is_not_integral():
             CompiledForm(square).restrict(*rows)
     with pytest.raises(HmsError, match="int coefficients"):
         CompiledForm(SparsePoly(2, {(2, 0): F(1, 2)}))
+
+
+def test_linear_row_refuses_a_form_of_another_degree():
+    # without the check x0 x1 would read as the row of x0
+    with pytest.raises(HmsError, match="homogeneous linear form"):
+        linear_row(SparsePoly(6, {(1, 1, 0, 0, 0, 0): 1}))
 
 
 def test_compiled_form_refuses_a_polynomial_that_is_not_homogeneous():
