@@ -9,14 +9,16 @@ Factorization follows von zur Gathen & Gerhard, Modern Computer
 Algebra: mod p by a root scan, then one distinct-degree gcd and
 equal-degree splitting for a rootless quartic (ch. 14); over Q by
 Zassenhaus, Hensel lifting past the Mignotte bound and recombining
-subsets of at most half of the unused lifted factors (ch. 15).  Lifting
-takes two routines, chosen by the shape of a residue factor alone: a
-simple root mod p, a linear factor of multiplicity 1, is lifted by
-Newton iteration with precision doubling (`newton_root`, ch. 9) and
-divided out; every other block goes through `hensel_pair_lift`,
-quadratic Hensel lifting of a coprime pair with its Bezout
-coefficients.  A factorization mod p^K into monic factors coprime mod p
-that lift given residues is unique, so both give the same factors.
+subsets of at most half of the unused lifted factors (ch. 15).  One
+routine lifts every factorization (`hensel_lift_factors`): a simple
+root mod p, a linear factor of multiplicity 1, is lifted by Newton
+iteration with precision doubling (`newton_root`, ch. 9) and divided
+out.  Each part left has degree >= 2, but for a block at [1:0], and
+the degrees add up to at most 4, so at most two are left, and one
+`hensel_pair_lift`, quadratic Hensel lifting of a coprime pair with its
+Bezout coefficients, splits them.  A factorization mod p^K into factors
+coprime mod p that lift given residues is unique, so Newton iteration
+and the pair lift give the same factors.
 
 The local analysis (`hensel_factor_quartic`) factors each quartic once
 mod p, in its own coordinates: the root at [1:0], of multiplicity 4
@@ -47,9 +49,9 @@ the block at [1:0].
 
 Each quartic and prime has one `HenselReport`, and its blocks are
 lifted only when a lift is read, at the precision asked for:
-`HenselReport.lift(K)` lifts them all once per K, from the monic form
-mod p^prec that the first lift forms, dividing the simple roots out
-first and then splitting the block at [1:0] off what is left.
+`HenselReport.lift(K)` lifts them all once per K, by one
+`hensel_lift_factors` call on the monic form mod p^prec that the first
+lift forms, with the block at [1:0] as its first part.
 `block_roots` is the one place that reads the p-adic roots of a block
 off its lift, each one coordinate z and an orientation, [z : 1] or
 [1 : z]; `search` turns them into points.  `require_root_digits` is the
@@ -181,13 +183,25 @@ def newton_root(f, r0, p, K):
     return r
 
 
-def _lift_simple_roots(f, parts, p, K):
-    """Lift each simple root of f mod p, a part (x - r0, 1) of its
-    factorization `parts` [(monic irreducible g, multiplicity)], by
-    `newton_root` to x - r, and divide that out of f mod p^K, exactly,
-    since f(r) = 0 mod p^K; a quotient that is already monic linear is
-    the last part left, and its own lift.  Returns the lifted factors,
-    None for every other part, and the quotient."""
+def hensel_lift_factors(f, parts, p, K):
+    """Lift f = prod(g^mult) mod p, `parts` [(g, mult)] its factorization
+    mod p into distinct monic irreducibles (as `factor_monic_mod_p`
+    gives it), of degree <= 4, to factors mod p^K, one = g^mult mod p
+    per part, in the order of parts.  f has integer coefficients and is
+    monic mod p; a leading part ([1], m) is its block at [1:0], 1 mod p,
+    which takes the top coefficients of f divisible by p.
+
+    Each simple root, a part (x - r0, 1), is lifted by `newton_root` to
+    x - r and divided out of f mod p^K, exactly, since f(r) = 0 mod p^K;
+    a quotient that is already monic linear is the last part left, and
+    its own lift.  Every part left has degree >= 2, but for the block at
+    [1:0], of degree >= 1, and the degrees add up to at most 4: at most
+    two parts are left, and one `hensel_pair_lift` splits them, the
+    first part's residue g^mult against f mod p divided by it.  Such a
+    factorization is unique, so the two routines give the same
+    factors."""
+    if K < 1:
+        raise HmsError("precision must be positive")
     m = p**K
     f = pmod(f, m)
     factors = []
@@ -198,44 +212,16 @@ def _lift_simple_roots(f, parts, p, K):
             factor = f if last else [-newton_root(f, -g[0], p, K) % m, 1]
             f = pdivmod(f, factor, m)[0]
         factors.append(factor)
-    return factors, f
-
-
-def hensel_lift_factors(f, parts, p, K):
-    """Lift f = prod(g^mult) mod p, `parts` [(g, mult)] its factorization
-    mod p into distinct monic irreducibles (as `factor_monic_mod_p`
-    gives it), to monic factors mod p^K, one = g^mult mod p per part, in
-    the order of parts.  f monic with integer coefficients.
-
-    Each simple root is lifted by Newton iteration and divided out
-    (`_lift_simple_roots`); the other parts are split in halves by
-    `hensel_pair_lift`.  Such a factorization is unique, so the two
-    routines give the same factors."""
-    if K < 1:
-        raise HmsError("precision must be positive")
-    factors, f = _lift_simple_roots(f, parts, p, K)
+    lifted = [f]
     others = [part for part, F in zip(parts, factors) if F is None]
-    lifted = iter(_lift_in_halves(f, others, p, K) if others else ())
-    return [F or next(lifted) for F in factors]
-
-
-def _product(parts, p):
-    """prod(g^mult) mod p over parts [(g, mult)]."""
-    out = [1]
-    for g, mult in parts:
+    if len(others) > 1:
+        (g, mult), _ = others
+        g0 = [1]
         for _ in range(mult):
-            out = pmul(out, g, p)
-    return out
-
-
-def _lift_in_halves(f, parts, p, K):
-    """The factors g^mult of f mod p, parts [(g, mult)] pairwise coprime,
-    lifted mod p^K by one `hensel_pair_lift` per split in halves."""
-    if len(parts) == 1:
-        return [pmod(f, p**K)]
-    mid = len(parts) // 2
-    g, h = hensel_pair_lift(f, _product(parts[:mid], p), _product(parts[mid:], p), p, K)
-    return _lift_in_halves(g, parts[:mid], p, K) + _lift_in_halves(h, parts[mid:], p, K)
+            g0 = pmul(g0, g, p)
+        lifted = hensel_pair_lift(f, g0, pdivmod(pmod(f, p), g0, p)[0], p, K)
+    lifted = iter(lifted)
+    return [F or next(lifted) for F in factors]
 
 
 # -- factorization over Q for degree <= 4 --------------------------------
@@ -491,28 +477,23 @@ class HenselReport:
         """Every block Hensel-lifted mod p^K, K <= prec, as a binary form
         of its degree, in `BlockReport.index` order, kept per K.
 
-        The simple roots are lifted by Newton iteration and divided out
-        of the monic form first (`_lift_simple_roots`).  With m = 4 - top
-        > 0 the block at [1:0] is then split off what is left, by one
-        `hensel_pair_lift` against its reduction: the cofactor is 1 mod p
-        and takes the top coefficients divisible by p, so it is a form of
-        degree m; with no affine block left, what is left is that block.
-        The other affine blocks are lifted by one `hensel_lift_factors`
-        call."""
+        One `hensel_lift_factors` call lifts the monic form, with the
+        block at [1:0], m = 4 - top > 0, as its first part ([1], m).  The
+        simple roots are divided out; every other block has degree >= 2,
+        but for that one, and a quartic's blocks add up to degree 4, so
+        at most two are left, split by one pair lift in which the block
+        at [1:0] is 1 mod p and takes the top coefficients divisible by
+        p.  That lift is then moved last and read as a form of degree
+        m."""
         if K in self._lifts:
             return self._lifts[K]
-        p, top, parts = self.p, self.residue.top, self.residue.parts
-        factors, rest = _lift_simple_roots(self._monic, parts, p, K)
-        others = [part for part, F in zip(parts, factors) if F is None]
-        at_infinity = []
-        if top < 4:
-            if others:
-                g, rest = hensel_pair_lift(rest, [1], pmod(rest, p), p, K)
-            else:
-                g = rest
-            at_infinity = [tuple(g + [0] * (5 - top - len(g)))]
-        lifted = iter(hensel_lift_factors(rest, others, p, K) if others else ())
-        self._lifts[K] = [tuple(F or next(lifted)) for F in factors] + at_infinity
+        top, parts = self.residue.top, self.residue.parts
+        at_infinity = [([1], 4 - top)] if top < 4 else []
+        lifted = hensel_lift_factors(self._monic, at_infinity + parts, self.p, K)
+        if at_infinity:
+            g = lifted.pop(0)
+            lifted.append(g + [0] * (5 - top - len(g)))
+        self._lifts[K] = [tuple(F) for F in lifted]
         return self._lifts[K]
 
     def roots_reducing_into(self, g, blk) -> int:

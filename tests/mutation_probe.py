@@ -166,6 +166,12 @@ MUTANTS = [
     ("(linear)^2 part peeled as a simple root", "src/hmslines/hensel.py",
      "if mult == 1 and deg(g) == 1:",
      "if deg(g) == 1:"),
+    ("[1:0] block lifted as the last part, not the first", "src/hmslines/hensel.py",
+     "at_infinity + parts, self.p, K)\n        if at_infinity:\n            g = lifted.pop(0)",
+     "parts + at_infinity, self.p, K)\n        if at_infinity:\n            g = lifted.pop()"),
+    ("pair lift's cofactor keeps the first part's residue", "src/hmslines/hensel.py",
+     "pdivmod(pmod(f, p), g0, p)[0]",
+     "pmod(f, p)"),
     ("unread section counts an inconclusive block", "src/hmslines/search.py",
      "return sum(blk.degree for blk in unramified)",
      "return sum(blk.degree for blk in report.blocks)"),

@@ -500,18 +500,12 @@ def test_point_extraction_lifts_nothing_again(monkeypatch):
         factorizations.append(p)
         return factor(f, p)
 
-    block_lifts, nested = [], []
+    block_lifts = []
     lift_factors = hensel.hensel_lift_factors
 
     def counting_lift_factors(f, parts, p, K):
-        # the recursion calls back through the module: count the outer call
-        if not nested:
-            block_lifts.append(p)
-        nested.append(p)
-        try:
-            return lift_factors(f, parts, p, K)
-        finally:
-            nested.pop()
+        block_lifts.append(p)
+        return lift_factors(f, parts, p, K)
 
     monkeypatch.setattr(hensel, "_RESIDUES", {})
     monkeypatch.setattr(hensel, "factor_monic_mod_p", counting_factor)
@@ -549,6 +543,25 @@ def _product(factors):
     for g in factors:
         product = _times(product, g)
     return product
+
+
+def _pair_lifts_per_lift(monkeypatch):
+    """The number of `hensel_pair_lift` calls made in each
+    `hensel_lift_factors` call, one entry per call, in order."""
+    counts = []
+    lift_factors, pair_lift = hensel.hensel_lift_factors, hensel.hensel_pair_lift
+
+    def counting_lift_factors(*args):
+        counts.append(0)
+        return lift_factors(*args)
+
+    def counting_pair_lift(*args):
+        counts[-1] += 1
+        return pair_lift(*args)
+
+    monkeypatch.setattr(hensel, "hensel_lift_factors", counting_lift_factors)
+    monkeypatch.setattr(hensel, "hensel_pair_lift", counting_pair_lift)
+    return counts
 
 
 def _report_or_error(q, p, K):
@@ -699,16 +712,21 @@ def test_the_lifted_blocks_multiply_back_to_the_monic_form(drawn, K):
     # affine blocks and a block at [1:0] that is 1 mod p, each block
     # reducing to its residue factor's power, is unique (Hensel); the
     # monic form is the quartic divided by its highest coefficient that
-    # is a unit mod p, and each block has its degree
+    # is a unit mod p, and each block has its degree.  Once the simple
+    # roots are divided out at most two blocks are left, so one lift
+    # makes at most one pair lift
     ints, p = drawn
     assume(any(ints))
-    report = _report_or_error(Q(ints), p, K)
-    assume(not isinstance(report, PrecisionError))
+    with pytest.MonkeyPatch.context() as patch:
+        pair_lifts = _pair_lifts_per_lift(patch)
+        report = _report_or_error(Q(ints), p, K)
+        assume(not isinstance(report, PrecisionError))
+        lifted = report.lift(K)
+    assert pair_lifts and max(pair_lifts) <= 1
     mod = p**K
     ics = Q(ints).coeffs
     top = max(i for i, c in enumerate(ics) if c % p)
     lc_inv = pow(ics[top], -1, mod)
-    lifted = report.lift(K)
     product = [1]
     for B in lifted:
         product = _times(product, B)
@@ -841,7 +859,13 @@ def test_factor_squarefree_int_returns_the_constructed_factors(factors, scale):
     product = [scale]
     for g in factors:
         product = _times(product, g)
-    got = hensel.factor_squarefree_int(product)
+    # Zassenhaus lifts once, and the factors mod p left once the simple
+    # roots are divided out have degree >= 2 each, so at most two are
+    # left, split by at most one pair lift
+    with pytest.MonkeyPatch.context() as patch:
+        pair_lifts = _pair_lifts_per_lift(patch)
+        got = hensel.factor_squarefree_int(product)
+    assert len(pair_lifts) <= 1 and sum(pair_lifts) <= 1
     assert got == sorted(factors, key=lambda h: (len(h), h))
 
 

@@ -521,8 +521,10 @@ def test_a_squarefree_report_with_a_root_at_infinity_lifts_nothing(monkeypatch):
     # t u (t^2 + 2 u^2) has c4 = 0, so [1:0] is a simple root mod 5; the
     # blocks come in the order of their residue factors, t, then t^2 + 2,
     # then u at [1:0], read here off the lift, which building the report
-    # never made.  The lift splits the block at [1:0] off first, here
-    # exactly u, since c4 = 0 over Z
+    # never made.  The lift is one `hensel_lift_factors` call with the
+    # block at [1:0] as its first part: t is divided out by Newton
+    # iteration, and one pair lift splits what is left into t^2 + 2 and
+    # the block at [1:0], here exactly u, since c4 = 0 over Z
     lifts = _count_lifts(monkeypatch)
     report = hensel_factor_quartic(quartics.BinaryQuartic([0, 2, 0, 1, 0]), 5, 12)
     assert report.residue.top == 3
@@ -533,7 +535,7 @@ def test_a_squarefree_report_with_a_root_at_infinity_lifts_nothing(monkeypatch):
         residues.append(tuple(c * pow(g[-1], -1, 5) % 5 for c in g))
     assert residues == [(0, 1), (2, 0, 1), (1,)]
     assert report.lift(12)[report.blocks[-1].index] == (1, 0)
-    assert lifts[0] == "hensel_pair_lift" and "hensel_lift_factors" in lifts
+    assert lifts == ["hensel_lift_factors", "hensel_pair_lift"]
 
 
 # the 18 lines of the char3 class at precision 5 (the benchmark's starved
@@ -1140,9 +1142,10 @@ def test_certifying_the_readme_line_reads_no_3_adic_point_and_pair_lifts_nothing
     # points: the section counts them.  Its simple roots are lifted by
     # Newton iteration: the one 5-adic point's, and three of the four
     # linear factors mod 7 of the Galois group's Zassenhaus lift, whose
-    # quotient is then the fourth's lift; the cube at [1:0] mod 5 is
-    # inconclusive, and no affine block is left to split it off, so
-    # nothing reaches `hensel_pair_lift`
+    # quotient is then the fourth's lift.  The 5-adic report's lift and
+    # Zassenhaus's each make one `hensel_lift_factors` call; the cube at
+    # [1:0] mod 5 is inconclusive, and once the simple root is divided
+    # out it is the one part left, so nothing reaches `hensel_pair_lift`
     extractions = _record_args(monkeypatch, search, "intersection_points")
     lifts = _count_lifts(monkeypatch)
     roots = _record_args(monkeypatch, hensel, "newton_root")
@@ -1150,7 +1153,7 @@ def test_certifying_the_readme_line_reads_no_3_adic_point_and_pair_lifts_nothing
     cert = certify_line(Line(REAL_LINE_ROWS), build_model(cfg), cfg)
     assert cert.data["local_3"]["points_extracted"] == 1
     assert [report.p for report, _ in extractions] == [5]
-    assert lifts == ["hensel_lift_factors"]
+    assert lifts == ["hensel_lift_factors", "hensel_lift_factors"]
     assert [p for _, _, p, _ in roots] == [5, 7, 7, 7]
 
 
