@@ -151,13 +151,14 @@ def _cmd_find_line(args) -> int:
 def _parse_line_argument(raw: str) -> Line:
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         try:
             with open(raw) as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"--line is neither JSON nor a readable file: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # not UTF-8, not JSON, or an integer past int's digit limit
             raise ConfigError(f"--line file is not valid JSON: {exc}")
     if (
         not isinstance(data, list)

@@ -202,10 +202,7 @@ class _ConeFrame:
             raise HmsError("vector is not in the tangent space")
         mu = [w[j] for j in self._free]
         lam, js = self._lam, self._jstar
-        coords = [lam[js] * mu[j] - mu[js] * lam[j] for j in range(4) if j != js]
-        if not any(coords):
-            raise DegenerateLineError("direction is proportional to the vertex")
-        return coords
+        return [lam[js] * mu[j] - mu[js] * lam[j] for j in range(4) if j != js]
 
     def chord_map(self, w):
         """The chord rule through the ruling w as a binary quadratic map
@@ -287,7 +284,13 @@ class TangentConeChart:
     model's integer Gram matrix G of q2 (`SurfaceModel.gram`); only the
     returned (a, b, c) are rationals.  The seed's conic is the integer
     matrix U G U^T of its frame, formed once for c0.  The chart keeps G
-    and q1_row, not the model, which keeps the chart: no cycle."""
+    and q1_row, not the model, which keeps the chart: no cycle.
+
+    A seed whose conic has determinant 0 is refused: the conic's rank is
+    that of the quadric q2 = 0 in q1 = 0 less 2, so that quadric is then
+    singular (every built-in model's is smooth).  On a nonsingular conic
+    no chord through a ruling collapses, and only its tangent chord
+    gives the ruling back."""
 
     kind = "tangent-cone"
 
@@ -298,6 +301,11 @@ class TangentConeChart:
         U = self.frame0.U
         GU = [[_dot(row, u) for row in self.gram] for u in U]
         self.conic = [[_dot(u, gv) for gv in GU] for u in U]
+        (a, b, c), (d, e, f), (g, h, i) = self.conic
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
+            raise HmsError(
+                "the tangent conic is degenerate; the quadric in q1 = 0 is singular"
+            )
         self.c0 = rational_conic_point(self.conic)
         self.w0 = [_dot(self.c0, col) for col in zip(*U)]
         self.chord0 = self.frame0.chord_map(self.w0)
@@ -375,16 +383,13 @@ class TangentConeChart:
     def _companion_base(self, other):
         """Frame coordinates of a seed ruling other than `other`, joined
         to it by a chord: inverting a line through the seed, it plays the
-        a-ruling, and `other` becomes its chord parameter c."""
+        a-ruling, and `other` becomes its chord parameter c.  The chord
+        point at [0 : 1] unless that is the tangent chord, which gives
+        `other` back; then the one at [1 : 1], as the seed's nonsingular
+        conic has one tangent chord per ruling."""
         z, chord = self.frame0.project(other), self.frame0.chord_map(other)
-        for r0, s0 in ((0, 1), (1, 1), (-1, 1), (2, 1), (1, 0), (1, 2), (3, 1)):
-            try:
-                cand = self.frame0.project(chord_at(chord, r0, s0))
-            except DegenerateLineError:
-                continue
-            if _minor_at(cand, z):
-                return cand
-        raise HmsError("ruling admits no companion chord in this chart")
+        cand = self.frame0.project(chord_at(chord, 0, 1))
+        return cand if _minor_at(cand, z) else self.frame0.project(chord_at(chord, 1, 1))
 
 
 # -- the explicit three-parameter family on the cube-root twist --------

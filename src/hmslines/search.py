@@ -39,9 +39,9 @@ builds one Hensel report per prime, at the configured precision K, and
 reads the points of a local section off its lift at min(K,
 FIRST_PRECISION), and again at K only when that raised PrecisionError
 or left a 5-adic point valuation undetermined that is not an exact
-zero.  A null v_sigma5 is proved exact over Q, from the gcd of the
-line's quartic and sigma_5 restricted to the line, and stays null in
-the certificate (`_Sections.sigma5_zeros_exact`).  A p-adic valuation
+zero (`_Sections.local`).  A null v_sigma5 is proved exact over Q, from
+the gcd of the line's quartic and sigma_5 restricted to the line, and
+stays null in the certificate (`_Sections.sigma5_zeros_exact`).  A p-adic valuation
 determined mod p^k is the true one (precision on demand, as in Caruso,
 Roe and Vaccon, "Tracking p-adic precision", LMS J. Comput. Math. 17A,
 2014), and a section records K, so a certificate has the bytes of a
@@ -50,7 +50,10 @@ build at K, and every PrecisionError comes from the build at K.
 Two sections come straight from the function that computes them:
 `galois.solvability_report` returns the `galois` section as it is
 serialized, and `lines.cusp_proximity` returns the depths from which
-`_cusp_report` writes the cusp distances 3^(-depth).
+`_cusp_report` writes the cusp distances 3^(-depth).  The parity
+section of the char3-x twist is the 3-adic parity rule at the labc
+parameters that the certificate records as its chart, and null when it
+records none (`_certificate`).
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ from .surface import (
 CERTIFICATE_SCHEMA = "hmslines-certificate/2"
 
 # the precision at which a line's local sections read their points first
-# (`_decided`)
+# (`_Sections.local`)
 FIRST_PRECISION = 8
 
 _CONFIG_KEYS = {
@@ -239,7 +242,8 @@ def load_config(path: str) -> SearchConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # not UTF-8, not JSON, or an integer past int's digit limit
         raise ConfigError(f"configuration is not valid JSON: {exc}")
     return parse_config(data)
 
@@ -497,7 +501,7 @@ def _serialize_block(blk) -> dict:
 
 def _parity_section(params, config: SearchConfig):
     """The 3-adic parity rule at the labc parameters (a, b, c) of a
-    line, None off the labc family."""
+    line, None without them."""
     if params is None:
         return None
     a, b, c = params
@@ -556,7 +560,6 @@ def _local_section(sections, report, k) -> dict:
         except PrecisionError:
             _refuse_a_cusp_root(report, line.ints, points)
             raise
-        section["parity"] = _parity_section(sections.labc_params(), config)
     if p == 5:
         # the forms are restricted once per line, and only for a point
         section["points"] = [
@@ -575,38 +578,6 @@ def _points_ordinary(section) -> bool:
     )
 
 
-def _undetermined(section, sigma5_exact) -> bool:
-    """Whether a local section holds a 5-adic point valuation that its
-    precision leaves undetermined and that is not an exact zero: a null
-    v_sigma3 or v_D, or a null v_sigma5 unless `sigma5_exact(section)`
-    proves every such null an exact zero of sigma_5, which no precision
-    decides (`_Sections.sigma5_zeros_exact`).  Its other nulls (the
-    disc_valuation of a simple block, a cusp section with no points, a
-    parity section off the labc chart) are the same at every
-    precision."""
-    points = section.get("points", ())
-    if any(None in (entry["v_sigma3"], entry["v_D"]) for entry in points):
-        return True
-    nulls = any(entry["v_sigma5"] is None for entry in points)
-    return nulls and not sigma5_exact(section)
-
-
-def _decided(build, precision, sigma5_exact):
-    """build(FIRST_PRECISION) when that is below the configured
-    precision, raises no PrecisionError and leaves nothing
-    `_undetermined`; else build(precision), whose PrecisionError is the
-    one raised."""
-    if precision > FIRST_PRECISION:
-        try:
-            result = build(FIRST_PRECISION)
-        except PrecisionError:
-            pass
-        else:
-            if not _undetermined(result, sigma5_exact):
-                return result
-    return build(precision)
-
-
 class _Sections:
     """The sections of one line's certificate, each built once, on use.
 
@@ -622,15 +593,13 @@ class _Sections:
     the quartic's primitive `coeffs` and `disc`, which neither s nor the
     content changes, and `quartic_section` alone writes the quartic on
     `line.rows`, from those ints, the content and s (`ratio_str`): no
-    builder forms a Fraction coefficient.  The parity section reads the
-    line's labc parameters, the chart's own when `_certificate` has
-    them, else inverted once (`labc_params`).
+    builder forms a Fraction coefficient.
 
     Each Hensel report is built once, at the configured precision K,
     and a gate builds none for an odd v_p(D) (`_unramified`).  A
     local section reads its points off the report's lift at min(K,
     FIRST_PRECISION) first, and at K only when something is open there
-    that is not an exact zero (`_decided`); it records K whichever lift
+    that is not an exact zero (`local`); it records K whichever lift
     it reads (`_local_section`).  The 5-adic forms are restricted once
     per line (`forms`).
     """
@@ -673,16 +642,6 @@ class _Sections:
     def galois(self) -> dict:
         return self._once("galois", lambda: solvability_report(self.quartic))
 
-    def labc_params(self):
-        """The line's (a, b, c) in the labc family, or None: the labc
-        chart's parameters when `_certificate` has them, else inverted."""
-        if "labc" not in self._built:
-            try:
-                self._built["labc"] = _LabcChart.params_of(self.line)
-            except HmsError:
-                self._built["labc"] = None
-        return self._built["labc"]
-
     def real(self) -> dict:
         return self._once(
             "real",
@@ -703,15 +662,38 @@ class _Sections:
         return self._once("forms", lambda: _SpanForms(self.model, self.line.ints, 5))
 
     def local(self, p: int) -> dict:
-        report = self.hensel(p)
-        return self._once(
-            ("local", p),
-            lambda: _decided(
-                lambda k: _local_section(self, report, k),
-                self.config.precision,
-                self.sigma5_zeros_exact,
-            ),
-        )
+        """The local section at p, built once: read off the report's
+        lift at FIRST_PRECISION when that is below the configured
+        precision K, raises no PrecisionError and leaves nothing
+        `_undetermined`; else at K, whose PrecisionError is the one
+        raised."""
+        key = ("local", p)
+        if key not in self._built:
+            report, K = self.hensel(p), self.config.precision
+            section = None
+            if K > FIRST_PRECISION:
+                try:
+                    section = _local_section(self, report, FIRST_PRECISION)
+                except PrecisionError:
+                    pass
+            if section is None or self._undetermined(section):
+                section = _local_section(self, report, K)
+            self._built[key] = section
+        return self._built[key]
+
+    def _undetermined(self, section) -> bool:
+        """Whether a local section holds a 5-adic point valuation that its
+        precision leaves undetermined and that is not an exact zero: a
+        null v_sigma3 or v_D, or a null v_sigma5 unless every such null
+        is an exact zero of sigma_5, which no precision decides
+        (`sigma5_zeros_exact`).  Its other nulls (the disc_valuation of
+        a simple block, a cusp section with no points) are the same at
+        every precision."""
+        points = section.get("points", ())
+        if any(None in (entry["v_sigma3"], entry["v_D"]) for entry in points):
+            return True
+        nulls = any(entry["v_sigma5"] is None for entry in points)
+        return nulls and not self.sigma5_zeros_exact(section)
 
     def sigma5_zeros_exact(self, section) -> bool:
         """Whether every null v_sigma5 of a 5-adic section is an exact
@@ -792,11 +774,10 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
 
     Only the local sections can raise (a PrecisionError), so they are
     built first: a line undecided at this precision formats no row or
-    coefficient and costs no Galois group.  Parameters of the labc chart
-    are the line's labc parameters, which the parity section reads."""
+    coefficient and costs no Galois group.  The char3-x twist's 3-adic
+    section gets its parity section here, from the chart parameters
+    recorded when they are the labc chart's, else null."""
     config, line = sections.config, sections.line
-    if chart_kind == _LabcChart.kind:
-        sections._built.setdefault("labc", chart_params)
     if sections.tangential:
         evidence = dict(galois=None, real=None, local_3=None, local_5=None)
         summary = {
@@ -805,6 +786,9 @@ def _certificate(sections: _Sections, chart_params, chart_kind):
         }
     else:
         local_3, local_5 = sections.local(3), sections.local(5)
+        if config.twist == "char3-x":
+            labc = chart_params if chart_kind == _LabcChart.kind else None
+            local_3["parity"] = _parity_section(labc, config)
         evidence = {
             "galois": sections.galois(),
             "real": sections.real(),
@@ -858,12 +842,13 @@ def certify_line(
     """Run every check on one line and assemble the certificate.
 
     The summary gates only on the places the configuration targets;
-    everything else is recorded as evidence.  Without labc chart
-    parameters, a char3-x line is inverted once, for its parity section.
-    Raises PrecisionError when a local factorization cannot be resolved
-    at the configured precision, NotOnSurfaceError or
-    DegenerateLineError when the line is not a generator of the model at
-    all or meets the cusp line at a 3-adic point (`_refuse_a_cusp_root`).
+    everything else is recorded as evidence.  The parity section of a
+    char3-x line reads labc chart parameters (`derive_chart_params`),
+    and is null without them.  Raises PrecisionError when a local
+    factorization cannot be resolved at the configured precision,
+    NotOnSurfaceError or DegenerateLineError when the line is not a
+    generator of the model at all or meets the cusp line at a 3-adic
+    point (`_refuse_a_cusp_root`).
     """
     return _certificate(_Sections(line, model, config), chart_params, chart_kind)
 

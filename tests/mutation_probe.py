@@ -121,13 +121,13 @@ MUTANTS = [
      "c[::-1] if pt.flipped else c,",
      "c,"),
     ("undetermined point not rebuilt", "src/hmslines/search.py",
-     "if not _undetermined(result, sigma5_exact):",
-     "if True:"),
+     "if section is None or self._undetermined(section):",
+     "if section is None:"),
     ("parity gate reads even as odd", "src/hmslines/search.py",
      "if split_p_power(self.quartic.disc, p)[0] % 2 == 1:",
      "if split_p_power(self.quartic.disc, p)[0] % 2 == 0:"),
     ("every sigma_5 null called exact", "src/hmslines/search.py",
-     "return nulls and not sigma5_exact(section)",
+     "return nulls and not self.sigma5_zeros_exact(section)",
      "return False"),
     ("null count ignores the block's residue multiplicity", "src/hmslines/hensel.py",
      "return (len(r) - 1) * mult",
@@ -154,6 +154,9 @@ MUTANTS = [
     ("discriminant without the content's sixth power", "src/hmslines/quartics.py",
      "return self.disc * self.content**6",
      "return self.disc"),
+    ("singular tangent conic accepted", "src/hmslines/lines.py",
+     "if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:",
+     "if False:"),
     ("chord map's rs vector with g12 for 2 g12", "src/hmslines/lines.py",
      "- 2 * g12 * c",
      "- g12 * c"),

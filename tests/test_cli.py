@@ -197,6 +197,32 @@ def test_certify_rejects_a_line_file_that_is_not_json(tmp_path, capsys):
     assert "--line file is not valid JSON" in capsys.readouterr().err
 
 
+# a line with an integer longer than int's default limit of 4,300 digits,
+# which `json` refuses with a plain ValueError, not a JSONDecodeError
+LONG_INTEGER_LINE = "[[" + "9" * 5000 + ", 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]"
+# files refused by such a ValueError, a UnicodeDecodeError for bytes that
+# are not UTF-8 included
+UNREADABLE_JSON = {
+    "not utf-8": b'{"twist": "\xff"}',
+    "long integer": LONG_INTEGER_LINE.encode(),
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_JSON)
+def test_unreadable_json_files_are_invalid_configurations(tmp_path, capsys, kind):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE_JSON[kind])
+    cfg = config_path("rho0-demo.json")
+    for argv, message in (
+        (["find-line", "--config", str(path)], "configuration is not valid JSON"),
+        (["certify", "--line", str(path), "--config", cfg], "--line file is not valid JSON"),
+    ):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"invalid configuration: {message}" in err
+        assert "Traceback" not in err
+
+
 def test_certify_rejects_malformed_line(capsys):
     cfg = config_path("rho0-demo.json")
     for bad in (
@@ -204,6 +230,7 @@ def test_certify_rejects_malformed_line(capsys):
         "definitely not json",
         json.dumps([[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12]]),
         json.dumps([["1", "2", "x", "4", "5", "6"], ["0", "1", "2", "3", "4", "5"]]),
+        LONG_INTEGER_LINE,
     ):
         assert cli.main(["certify", "--line", bad, "--config", cfg]) == 3
         assert "invalid configuration" in capsys.readouterr().err

@@ -553,11 +553,10 @@ def test_chart_refuses_the_singular_points_of_a_pencil():
     vertex, seed = (0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0)
     with pytest.raises(HmsError, match="singular on the pencil"):
         TangentConeChart(model, vertex)
-    # the ruling from the seed to the vertex is the singular point of the
-    # seed's conic: each chord through it collapses to the zero vector
-    # or gives the ruling back, so no other ruling joins it
-    with pytest.raises(HmsError, match="no companion chord"):
-        TangentConeChart(model, seed).params_of(Line([seed, vertex]))
+    # every other seed's conic is degenerate, its singular point the
+    # ruling from the seed to the vertex: the chart refuses it when built
+    with pytest.raises(HmsError, match="tangent conic is degenerate"):
+        TangentConeChart(model, seed)
 
 
 def test_tangent_cone_lines_through_base_point():

@@ -1159,7 +1159,7 @@ def test_certifying_the_readme_line_reads_no_3_adic_point_and_pair_lifts_nothing
 
 def _record_labc_inversions(monkeypatch):
     """Record the line of every inversion of the labc chart, which
-    `derive_chart_params` and the parity section both go through."""
+    `derive_chart_params` goes through."""
     lines_inverted = []
     invert = search._LabcChart.params_of
 
@@ -1178,8 +1178,9 @@ def _record_labc_inversions(monkeypatch):
     [(CHAR3_LINE_ROWS, "243"), (((1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 1, -1)), None)],
 )
 def test_a_char3_certificate_inverts_the_labc_chart_once(monkeypatch, rows, b):
-    # certify reads the parameters that derive_chart_params found, or
-    # that it found itself, and never inverts the chart again
+    # certify reads the parameters that derive_chart_params found and
+    # never inverts the chart again; without chart parameters it inverts
+    # nothing, and its parity section is null like its chart
     inversions = _record_labc_inversions(monkeypatch)
     cfg = demo_config("char3-demo.json", precision=60)
     model = build_model(cfg)
@@ -1190,8 +1191,10 @@ def test_a_char3_certificate_inverts_the_labc_chart_once(monkeypatch, rows, b):
     parity = cert.data["local_3"]["parity"]
     assert (parity and parity["b"]) == b
     inversions.clear()
-    assert certify_line(line, model, cfg).data["local_3"]["parity"] == parity
-    assert inversions == [line]
+    bare = certify_line(line, model, cfg).data
+    assert bare["local_3"]["parity"] is None
+    assert bare["chart"]["kind"] is bare["chart"]["params"] is None
+    assert inversions == []
 
 
 def test_a_search_and_a_rho0_certificate_invert_no_labc_chart(monkeypatch):
