@@ -156,7 +156,11 @@ def _parse_line_argument(raw: str) -> Line:
             with open(raw) as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"--line is neither JSON nor a readable file: {exc}")
+            # the file name is the argument, which may be a whole line
+            raise ConfigError(
+                "--line is neither JSON nor a readable file: "
+                f"{exc.strerror} (an argument of {len(raw)} characters)"
+            )
         except ValueError as exc:
             # not UTF-8, not JSON, or an integer past int's digit limit
             raise ConfigError(f"--line file is not valid JSON: {exc}")

@@ -142,9 +142,13 @@ def peval(f, x, p):
 def pevalmod(f, x, modpoly, p):
     """f(x) mod (modpoly, p), for integer coefficients f and x reduced
     mod (modpoly, p), modpoly monic: one Horner pass, each step reduced
-    by modpoly; a constant x is one `peval`."""
+    by modpoly; a constant x is one `peval`, and the generator x = t
+    (so deg modpoly >= 2) one remainder, since f(t) = f mod modpoly in
+    (Z/p)[t]/(modpoly)."""
     if len(x) <= 1:
         return pmod([peval(f, x[0] if x else 0, p)], p)
+    if x == [0, 1]:
+        return pdivmod(pmod(f, p), modpoly, p)[1]
     acc = []
     for c in reversed(f):
         acc = padd(pdivmod(pmul(acc, x, p), modpoly, p)[1], [c], p)

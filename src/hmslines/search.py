@@ -30,9 +30,12 @@ them: the 5-adic section, for its invariants, and the 3-adic section of
 the char3-x twist, for its cusp report.  Every other local section
 counts them, without a lift (`_points_extracted`).  The 5-adic
 invariants restrict sigma_3, sigma_5 and sigma_6 to the basis once per
-line (`_SpanForms`) and evaluate each form at a point by one Horner
-pass in z of the kernel (`padics.pevalmod`); only the cusp report forms
-the six coordinates.  Every valuation is a `UElt.valuation`.
+line, all three from one packed point (`_SpanForms`, by
+`surface.restrict_forms`), and evaluate each form at a point in z by
+the kernel (`padics.pevalmod`): one remainder by the ring's modulus
+when z is the ring's generator, else one Horner pass; only the cusp
+report forms the six coordinates.  Every valuation is a
+`UElt.valuation`.
 
 The local sections are decided at a low precision first: `_Sections`
 builds one Hensel report per prime, at the configured precision K, and
@@ -94,6 +97,7 @@ from .surface import (
     BUILTIN_TWISTS,
     SurfaceModel,
     ordinarity_from_valuations,
+    restrict_forms,
     twist_by_name,
     twisted_equations,
 )
@@ -357,8 +361,9 @@ def _scale_constants(s3, s5, s6, p: int):
 
 class _SpanForms:
     """The model's forms f3, f5 and f6 restricted to the span of two
-    integer rows by its compiled forms (`SurfaceModel.compiled`), with
-    the constants that turn their values into the valuations at p of
+    integer rows by its compiled forms (`SurfaceModel.compiled`), all
+    three from one packed point (`surface.restrict_forms`), with the
+    constants that turn their values into the valuations at p of
     sigma_3, sigma_5 and D.
 
     `coeffs` holds each restriction as its coefficients c_0..c_n of
@@ -371,15 +376,17 @@ class _SpanForms:
     """
 
     def __init__(self, model: SurfaceModel, rows, p: int):
-        self.coeffs = tuple(model.compiled[k].restrict(*rows) for k in (3, 5, 6))
+        self.coeffs = restrict_forms([model.compiled[k] for k in (3, 5, 6)], *rows)
         self.v_scale3, self.v_scale5, self.v_shift, self.a, self.b = _scale_constants(
             model.scales[3], model.scales[5], model.scales[6], p
         )
 
     def values(self, pt: LocalPoint):
-        """f3, f5 and f6 at the point, in its ring: one Horner pass in z
-        of the kernel (`padics.pevalmod`) over the coefficients of z^i,
-        which are c_i at [z : 1] and c_(n-i) at [1 : z]."""
+        """f3, f5 and f6 at the point, in its ring, by the kernel
+        (`padics.pevalmod`) over the coefficients of z^i, which are c_i
+        at [z : 1] and c_(n-i) at [1 : z]: one remainder by the ring's
+        modulus when z is the ring's generator, else one Horner pass
+        in z."""
         ring, z = pt.ring, trim(pt.z.coeffs)
         return tuple(
             ring.elt(pevalmod(c[::-1] if pt.flipped else c, z, ring.modulus, ring.mod))

@@ -20,8 +20,9 @@ The model also owns what every integer line is tested and restricted
 with: the integer row of q1, the doubled Gram matrix of q2, and each
 form compiled once, on first use, into a `CompiledForm`, which
 restricts it to a line of int rows by one evaluation (Kronecker
-substitution).  Rows over F_q or over polynomials go through the
-ring-generic `mpoly.restrict_to_span` instead.
+substitution, `restrict_forms`, which restricts several forms of one
+line from one packed point).  Rows over F_q or over polynomials go
+through the ring-generic `mpoly.restrict_to_span` instead.
 """
 
 from dataclasses import dataclass
@@ -159,9 +160,9 @@ class CompiledForm:
 
     Each term is kept as its coefficient and its variable indices, with
     multiplicity, so its value at a point is one product; `norm`, the
-    sum of the absolute values of the coefficients, sizes `restrict`.
-    A polynomial that is not homogeneous, or whose coefficients are not
-    ints, is refused with HmsError.
+    sum of the absolute values of the coefficients, sizes the packed
+    point of `restrict_forms`.  A polynomial that is not homogeneous, or
+    whose coefficients are not ints, is refused with HmsError.
     """
 
     __slots__ = ("degree", "norm", "terms")
@@ -189,35 +190,54 @@ class CompiledForm:
 
     def restrict(self, P, Q):
         """The coefficients c_0..c_d, c_i that of t^i u^(d-i), of the form
-        on t P + u Q for int rows P and Q, by one evaluation (Kronecker
-        substitution): the form at x_i = (P_i << b) + Q_i, the point
-        t = 2^b, u = 1, is the sum of c_i 2^(b i), read off as signed
-        base-2^b digits from c_0 up.
+        on t P + u Q for int rows P and Q: `restrict_forms` of this form
+        alone, one evaluation."""
+        return restrict_forms((self,), P, Q)[0]
 
-        The digits are exact.  On the line each coordinate is the linear
-        form t P_i + u Q_i, whose coefficients have absolute sum at most
-        reach = max_i (|P_i| + |Q_i|).  That sum is submultiplicative, so
-        a term a x_i1 ... x_id restricts to a binary form whose
-        coefficients have absolute sum at most |a| reach^d, and every
-        |c_i| <= norm reach^d < 2^(b - 1) for b = bit_length(norm
-        reach^d) + 1.  So c_0 is the residue r of the value mod 2^b, or
-        r - 2^b when r >= 2^(b - 1), and subtracting c_0 and shifting by
-        b leaves the sum of c_i 2^(b (i - 1)) for the next digit.  Rows
-        that are not all ints raise HmsError."""
-        if not all(type(x) is int for row in (P, Q) for x in row):
+
+def restrict_forms(forms, P, Q):
+    """For each `CompiledForm` of `forms`, of degree d, its coefficients
+    c_0..c_d, c_i that of t^i u^(d-i), on t P + u Q for int rows P and
+    Q, all from one packed point (Kronecker substitution, von zur Gathen
+    & Gerhard, Modern Computer Algebra, 8.4): the form at x_i = (P_i <<
+    b) + Q_i, the point t = 2^b, u = 1, is the sum of c_i 2^(b i), read
+    off as signed base-2^b digits from c_0 up.
+
+    The digits are exact.  On the line each coordinate is the linear
+    form t P_i + u Q_i, whose coefficients have absolute sum at most
+    reach = max_i (|P_i| + |Q_i|).  That sum is submultiplicative, so a
+    term a x_i1 ... x_id restricts to a binary form whose coefficients
+    have absolute sum at most |a| reach^d, and every |c_i| <= norm
+    reach^d < 2^(b - 1) for b = bit_length(norm reach^d) + 1, the
+    largest over the forms.  So c_0 is the residue r of the value mod
+    2^b, or r - 2^b when r >= 2^(b - 1), and subtracting c_0 and
+    shifting by b, that is the value shifted by b plus 1 when c_0 < 0,
+    leaves the sum of c_i 2^(b (i - 1)) for the next digit.  Rows that
+    are not all ints raise HmsError."""
+    reach = 0
+    for p, q in zip(P, Q):
+        if type(p) is not int or type(q) is not int:
             raise HmsError("rows must be integers to restrict a form")
-        reach = max(abs(p) + abs(q) for p, q in zip(P, Q))
-        b = (self.norm * reach**self.degree).bit_length() + 1
-        value = self.value([(p << b) + q for p, q in zip(P, Q)])
-        mask, half = (1 << b) - 1, 1 << (b - 1)
+        reach = max(reach, abs(p) + abs(q))
+    bound = 0
+    for form in forms:
+        bound = max(bound, form.norm * reach**form.degree)
+    b = bound.bit_length() + 1
+    x = [(p << b) + q for p, q in zip(P, Q)]
+    mask, half, base = (1 << b) - 1, 1 << (b - 1), 1 << b
+    restricted = []
+    for form in forms:
+        value = form.value(x)
         coeffs = []
-        for _ in range(self.degree + 1):
+        for _ in range(form.degree + 1):
             digit = value & mask
+            value >>= b
             if digit >= half:
-                digit -= 1 << b
+                digit -= base
+                value += 1
             coeffs.append(digit)
-            value = (value - digit) >> b
-        return tuple(coeffs)
+        restricted.append(tuple(coeffs))
+    return restricted
 
 
 @dataclass

@@ -136,11 +136,17 @@ MUTANTS = [
      '"precision": K,',
      '"precision": k,'),
     ("Kronecker base one bit short", "src/hmslines/surface.py",
-     "reach**self.degree).bit_length() + 1",
-     "reach**self.degree).bit_length()"),
+     "b = bound.bit_length() + 1",
+     "b = bound.bit_length()"),
     ("Kronecker digit without its sign fold", "src/hmslines/surface.py",
      "if digit >= half:",
      "if False:"),
+    ("shared base sized by the first form, not the largest", "src/hmslines/surface.py",
+     "bound = max(bound, form.norm * reach**form.degree)",
+     "bound = forms[0].norm * reach**forms[0].degree"),
+    ("generator remainder taken for every two-coordinate x", "src/hmslines/padics.py",
+     "if x == [0, 1]:",
+     "if len(x) == 2:"),
     ("certificate coefficients not divided by the scale", "src/hmslines/search.py",
      "ratio_str(q.content * c, scale)",
      "ratio_str(q.content * c, 1)"),

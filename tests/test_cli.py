@@ -231,9 +231,14 @@ def test_certify_rejects_malformed_line(capsys):
         json.dumps([[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12]]),
         json.dumps([["1", "2", "x", "4", "5", "6"], ["0", "1", "2", "3", "4", "5"]]),
         LONG_INTEGER_LINE,
+        LONG_INTEGER_LINE[:-1],
     ):
         assert cli.main(["certify", "--line", bad, "--config", cfg]) == 3
-        assert "invalid configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and len(err) < 200
+    # the last, not JSON, is tried as a file name too long to open: the
+    # message names the error and the argument's length, not the argument
+    assert err.startswith("invalid configuration: --line is neither JSON nor a readable file")
 
 
 def test_certify_off_surface_line(capsys):

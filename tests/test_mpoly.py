@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hmslines.errors import HmsError
 from hmslines.mpoly import SparsePoly, restrict_to_span
 from hmslines.scalars import integer_numerators
-from hmslines.surface import CompiledForm
+from hmslines.surface import CompiledForm, restrict_forms
 
 from exact_oracles import evaluate, sigma_exponents, sigmas
 
@@ -196,15 +196,21 @@ INT_ROWS = st.one_of(
 
 
 @PROPERTY
-@given(integral_forms(max_degree=6), INT_ROWS, INT_ROWS)
-def test_kronecker_restriction_matches_restrict_to_span(f, P, Q):
+@given(integral_forms(max_degree=6), integral_forms(max_degree=6), INT_ROWS, INT_ROWS)
+def test_kronecker_restriction_matches_restrict_to_span(f, g, P, Q):
     # one evaluation at x = (P << b) + Q, read as signed base-2^b
-    # digits, against the symbolic restriction
-    assume(not f.is_zero)
+    # digits, against the symbolic restriction; forms of two degrees
+    # restricted together, from one x with the larger b, in either
+    # order, read what each reads alone
+    assume(not f.is_zero and not g.is_zero and form_degree(f) != form_degree(g))
     coeffs = CompiledForm(f).restrict(P, Q)
     assert len(coeffs) == form_degree(f) + 1
     got = {(i, len(coeffs) - 1 - i): (c, int) for i, c in enumerate(coeffs) if c}
     assert got == typed_terms(restrict_to_span(f, [P, Q]))
+    alone = [coeffs, CompiledForm(g).restrict(P, Q)]
+    pair = [CompiledForm(f), CompiledForm(g)]
+    assert restrict_forms(pair, P, Q) == alone
+    assert restrict_forms(pair[::-1], P, Q) == alone[::-1]
 
 
 def test_restriction_kernel_keeps_polynomial_coefficients():

@@ -269,11 +269,13 @@ def test_sums_and_differences_match_int_arithmetic(p, k, d, data):
 def test_pevalmod_is_the_horner_loop_of_ring_elements(p, K, d, data):
     # oracle: the Horner loop on ring elements, one element per step,
     # that evaluated the 5-adic forms before the kernel pass; a constant
-    # x, in any ring, is one integer Horner pass
+    # x, in any ring, is one integer Horner pass, and the generator one
+    # remainder by the modulus
     modulus = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d))
     R = UnramifiedRing(p, modulus + [1], K)
     coords = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=d)
-    for x in (R.elt(data.draw(coords)), R.elt(data.draw(coords)[:1]), R.zero()):
+    xs = [R.elt(data.draw(coords)), R.elt(data.draw(coords)[:1]), R.zero()]
+    for x in xs + ([R.gen()] if d >= 2 else []):
         f = data.draw(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=9))
         acc = R.elt([f[-1]])
         for c in reversed(f[:-1]):

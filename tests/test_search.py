@@ -1058,23 +1058,25 @@ def test_intersection_points_lie_on_the_surface(name, params, p, K):
 )
 def test_span_forms_at_a_point_are_the_horner_loop_in_its_ring(p, K, d, flipped, data):
     # oracle: the loop on ring elements from the coefficient of z^n, c_n
-    # at [z : 1] and c_0 at [1 : z], that the kernel pass replaced
+    # at [z : 1] and c_0 at [1 : z], that the kernel pass replaced; z is
+    # drawn, and the ring's generator too in a ring of degree >= 2
     ints = st.integers(-(10**6), 10**6)
     ring = UnramifiedRing(p, data.draw(st.lists(ints, min_size=d, max_size=d)) + [1], K)
-    z = ring.elt(data.draw(st.lists(ints, min_size=d, max_size=d)))
+    drawn = ring.elt(data.draw(st.lists(ints, min_size=d, max_size=d)))
     forms = object.__new__(search._SpanForms)
     forms.coeffs = tuple(
         tuple(data.draw(st.lists(ints, min_size=n + 1, max_size=n + 1)))
         for n in (3, 5, 6)
     )
-    expected = []
-    for coeffs in forms.coeffs:
-        top, *rest = coeffs if flipped else coeffs[::-1]
-        acc = ring.elt([top])
-        for c in rest:
-            acc = acc * z + c
-        expected.append(acc)
-    assert forms.values(search.LocalPoint(0, z, flipped)) == tuple(expected)
+    for z in [drawn] + ([ring.gen()] if d >= 2 else []):
+        expected = []
+        for coeffs in forms.coeffs:
+            top, *rest = coeffs if flipped else coeffs[::-1]
+            acc = ring.elt([top])
+            for c in rest:
+                acc = acc * z + c
+            expected.append(acc)
+        assert forms.values(search.LocalPoint(0, z, flipped)) == tuple(expected)
 
 
 def _extracted_either_way(report, k):
